@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,9 +38,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay
 
-from .boundary import BoundaryGeometry, SpectrumError, build_curve_spectrum
+from .boundary import BoundaryGeometry, SpectrumError
 from .fgf import impedance_coefficients, sample_random_impedance
-from .impedance import ImpedanceOperator, is_accretive, multiplier_impedance
+from .impedance import is_accretive, multiplier_impedance
 from .multipliers import TripleProductTensor
 
 RESIDUAL_TOL = 1e-8
@@ -536,13 +536,12 @@ class EigenReport:
     def zero_cluster_size(self):
         return int(np.sum(np.abs(self.eigenvalues) <= self.zero_tol))
 
-    def nonzero(self):
-        return self.eigenvalues[np.abs(self.eigenvalues) > self.zero_tol]
+    def _certified_mask(self):
+        return (np.abs(self.eigenvalues) > self.zero_tol) & self.converged \
+            & (self.residuals <= self.residual_tol)
 
     def certified(self):
-        keep = (np.abs(self.eigenvalues) > self.zero_tol) & self.converged \
-            & (self.residuals <= self.residual_tol)
-        return self.eigenvalues[keep]
+        return self.eigenvalues[self._certified_mask()]
 
     def in_lower_halfplane(self):
         lam = self.certified()
@@ -552,16 +551,19 @@ class EigenReport:
         lam = self.certified()
         return bool(np.all(np.abs(lam.imag) <= self.halfplane_tol * (1 + np.abs(lam))))
 
-    def q_factors(self):
-        lam = self.certified()
-        decaying = lam[lam.imag < -self.halfplane_tol * (1 + np.abs(lam))]
-        return np.abs(decaying.real) / (-2.0 * decaying.imag)
-
     def rows(self, sample_id=0):
+        """(re, im, residual, q_factor, certified, sample_id) per eigenvalue.
+
+        q = |Re lambda| / (-2 Im lambda) for a decaying lambda, i.e. Im lambda
+        below -halfplane_tol * (1 + |lambda|), the tolerance of the
+        half-plane checks; inf for every other lambda.
+        """
         out = []
-        for lam, res in zip(self.eigenvalues, self.residuals):
-            q = abs(lam.real) / (-2 * lam.imag) if lam.imag < 0 else math.inf
-            out.append((lam.real, lam.imag, res, q, sample_id))
+        for lam, res, ok in zip(self.eigenvalues, self.residuals,
+                                self._certified_mask()):
+            decaying = lam.imag < -self.halfplane_tol * (1 + abs(lam))
+            q = abs(lam.real) / (-2 * lam.imag) if decaying else math.inf
+            out.append((lam.real, lam.imag, res, q, int(ok), sample_id))
         return out
 
 

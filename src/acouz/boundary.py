@@ -234,21 +234,10 @@ class BoundarySpectrum:
     mode_kind: np.ndarray | None = None
     mode_freq: np.ndarray | None = None
     residuals: np.ndarray | None = None
-    _lookup: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self):
         return self.geometry.dim_ambient
-
-    def __post_init__(self):
-        if self.mode_comp is not None and not self._lookup:
-            for n in range(self.count):
-                key = (int(self.mode_comp[n]), int(self.mode_kind[n]), int(self.mode_freq[n]))
-                self._lookup[key] = n
-
-    def mode_index(self, comp, kind, freq):
-        """Global index of the curve mode (comp, kind, freq), or None."""
-        return self._lookup.get((comp, kind, freq))
 
     @property
     def has_grid(self):

@@ -18,7 +18,7 @@ runs, truncations, and thread schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox

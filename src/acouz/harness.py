@@ -21,8 +21,7 @@ import numpy as np
 from . import shapes
 from .boundary import (
     BoundaryGeometry, SpectralFunction, build_curve_spectrum,
-    build_surface_spectrum, constant_function, counting_function,
-    weyl_diagnostic,
+    build_surface_spectrum, constant_function, weyl_diagnostic,
 )
 from .fgf import RandomImpedanceSpec, convergence_classifier
 from .impedance import (
@@ -212,7 +211,14 @@ def build_mesh(spec):
 
 
 def load_or_build_spectrum(geom, N, cache_dir=None):
-    """Spectrum with npz caching keyed by geometry hash + truncation."""
+    """Boundary spectrum truncated at N; only surface spectra are cached.
+
+    Curve spectra are analytic and built gridless in milliseconds, faster
+    than reading them back, so they are never cached.  Surface spectra (an
+    ARPACK solve) are cached as npz keyed by geometry hash + truncation.
+    """
+    if geom.dim_ambient == 2:
+        return build_curve_spectrum(geom, N, store_modes=False)
     key = f"{geom.content_hash()[:16]}_{N}"
     if cache_dir:
         path = os.path.join(cache_dir, f"spectrum_{key}.npz")
@@ -221,8 +227,7 @@ def load_or_build_spectrum(geom, N, cache_dir=None):
             cached = BoundarySpectrum.load_npz(path)
             if cached.geometry.content_hash() == geom.content_hash():
                 return cached
-    spec = (build_curve_spectrum(geom, N) if geom.dim_ambient == 2
-            else build_surface_spectrum(geom, N))
+    spec = build_surface_spectrum(geom, N)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         spec.dump_npz(os.path.join(cache_dir, f"spectrum_{key}.npz"))
@@ -345,8 +350,7 @@ def _run_fgf(run):
     geom = build_geometry(cfg.geometry)
     checkpoints = p.get("checkpoints", [64, 128, 256, 512, 1024, 2048, 4096])
     N = max(checkpoints)
-    spec = build_curve_spectrum(geom, N, store_modes=False) \
-        if geom.dim_ambient == 2 else load_or_build_spectrum(geom, N)
+    spec = load_or_build_spectrum(geom, N)
     d = geom.dim_ambient
     rows, verdicts = [], []
     all_match = True
@@ -461,8 +465,8 @@ def _run_acoustic(run):
     report = ac.solve_pencil(pencil, n_wanted=p.get("n_wanted", 14))
     ver = ac.verify_mdissipativity(pencil, report,
                                    resolvent=p.get("resolvent", True))
-    run.add_csv("eigenvalues", ["re", "im", "residual", "q_factor", "sample_id"],
-                report.rows())
+    run.add_csv("eigenvalues", ["re", "im", "residual", "q_factor", "certified",
+                                 "sample_id"], report.rows())
     run.add_json("mdiss", {k: v for k, v in ver.items() if k != "resolvent_grid"}
                  | {"zero_cluster": report.zero_cluster_size,
                     "resolvent_grid": ver.get("resolvent_grid", [])})
@@ -491,7 +495,8 @@ def _run_monte_carlo(run):
                                   n_wanted=p.get("n_wanted", 14),
                                   workers=cfg.workers)
     rows = [row for s in out["samples"] for row in s["rows"]]
-    run.add_csv("cloud", ["re", "im", "residual", "q_factor", "sample_id"], rows)
+    run.add_csv("cloud", ["re", "im", "residual", "q_factor", "certified",
+                           "sample_id"], rows)
     run.add_json("ensemble", out["summary"])
     s = out["summary"]
     run.check("all_samples_solved", s["n_solved"] == s["n_samples"],

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import SpectralFunction, SpectrumError, fractional_power_weights
-from .multipliers import TripleProductTensor, build_multiplier, psd_tolerance
+from .multipliers import build_multiplier, psd_tolerance
 
 CAYLEY_CONTRACTION_SLACK = 1e-10
 

@@ -41,45 +41,6 @@ def psd_tolerance(matrix_norm, factor=PSD_TOL_FACTOR):
 # triple products
 # ---------------------------------------------------------------------------
 
-def _product_terms_curve(spec, m, n):
-    """Expansion of Y_m * Y_n in the basis of one curve component.
-
-    Returns a list of ((comp, kind, freq), coefficient) pairs; the product of
-    modes living on different components vanishes identically.
-    """
-    cm, cn = int(spec.mode_comp[m]), int(spec.mode_comp[n])
-    if cm != cn:
-        return []
-    L = spec.geometry.component_lengths()[cm]
-    a = 1.0 / math.sqrt(L)          # coefficient on the component constant
-    b = 1.0 / math.sqrt(2.0 * L)    # coefficient on a cos/sin mode
-    km, kn = int(spec.mode_freq[m]), int(spec.mode_freq[n])
-    tm, tn = int(spec.mode_kind[m]), int(spec.mode_kind[n])
-    if tm > tn or (tm == tn and km > kn):   # canonical order
-        tm, tn, km, kn = tn, tm, kn, km
-    C = cm
-
-    if tm == KIND_CONST and tn == KIND_CONST:
-        return [((C, KIND_CONST, 0), a)]
-    if tm == KIND_CONST:
-        return [((C, tn, kn), a)]
-    if tm == KIND_COS and tn == KIND_COS:
-        if km == kn:
-            return [((C, KIND_COS, 2 * km), b), ((C, KIND_CONST, 0), a)]
-        return [((C, KIND_COS, km + kn), b), ((C, KIND_COS, abs(km - kn)), b)]
-    if tm == KIND_SIN and tn == KIND_SIN:
-        if km == kn:
-            return [((C, KIND_CONST, 0), a), ((C, KIND_COS, 2 * km), -b)]
-        return [((C, KIND_COS, abs(km - kn)), b), ((C, KIND_COS, km + kn), -b)]
-    # cos(km) * sin(kn): sin of sum/difference
-    j, k = km, kn
-    terms = [((C, KIND_SIN, j + k), b)]
-    if j != k:
-        sgn = 1.0 if k > j else -1.0
-        terms.append(((C, KIND_SIN, abs(k - j)), sgn * b))
-    return terms
-
-
 _DEG4_BARY = np.array([
     [0.108103018168070, 0.445948490915965, 0.445948490915965],
     [0.445948490915965, 0.108103018168070, 0.445948490915965],
@@ -94,9 +55,14 @@ _DEG4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 class TripleProductTensor:
     """Access to G[k, m, n] = integral(Y_k Y_m Y_n) for a stored spectrum.
 
-    Curve spectra use the exact trigonometric expansion; surface spectra a
-    degree-4 quadrature on every triangle.  The object is immutable after
-    construction and safe to share.
+    On a curve component of length L, Y_m Y_n is exactly a sum of at most
+    two modes, at the sum and the difference of the two frequencies, with
+    coefficient +-1/sqrt(2L) on a cos/sin mode and 1/sqrt(L) on the
+    constant: index arithmetic on (kind, frequency), vectorised over all
+    pairs through a dense (comp, kind, freq) -> index table (-1 where a
+    mode is not stored, so such terms drop out).  Modes on different
+    components multiply to zero.  Surface spectra use a degree-4
+    quadrature on every triangle.  Immutable after construction.
     """
 
     def __init__(self, spec: BoundarySpectrum):
@@ -106,15 +72,57 @@ class TripleProductTensor:
             t = spec.geometry.triangles
             from .boundary import _triangle_areas
             areas = _triangle_areas(v, t)
-            nq = _DEG4_BARY.shape[0]
             self._qw = (areas[:, None] * _DEG4_W[None, :]).ravel()
-            # modes interpolated to quadrature points: (N, n_tri * nq)
+            # modes interpolated to quadrature points: (N, n_tri * 6)
             vals = spec.modes[:, t]                    # (N, n_tri, 3)
             self._qmodes = np.einsum("ntj,qj->ntq", vals, _DEG4_BARY).reshape(
                 spec.count, -1)
         else:
-            self._qw = None
-            self._qmodes = None
+            self._qw = self._qmodes = None
+            lengths = spec.geometry.component_lengths()
+            self._a = 1.0 / np.sqrt(lengths)          # on the component constant
+            self._b = 1.0 / np.sqrt(2.0 * lengths)    # on a cos/sin mode
+            # sum frequencies reach twice the largest stored one
+            fmax = int(spec.mode_freq.max())
+            self._index = np.full((lengths.size, 3, 2 * fmax + 1), -1, dtype=np.intp)
+            self._index[spec.mode_comp, spec.mode_kind, spec.mode_freq] = \
+                np.arange(spec.count)
+
+    def _curve_terms(self, m, n):
+        """Expansion Y_m * Y_n = coef_s * Y_{k_s} + coef_d * Y_{k_d}.
+
+        For index arrays m, n returns (k_s, coef_s, k_d, coef_d): the sum
+        frequency term and the difference frequency term of every pair, with
+        k = -1 where the term is absent or its mode is not stored.
+        """
+        spec = self.spec
+        comp = spec.mode_comp[m]
+        tm, tn = spec.mode_kind[m], spec.mode_kind[n]
+        km, kn = spec.mode_freq[m], spec.mode_freq[n]
+        swap = (tm > tn) | ((tm == tn) & (km > kn))        # canonical order
+        tm, tn = np.where(swap, tn, tm), np.where(swap, tm, tn)
+        km, kn = np.where(swap, kn, km), np.where(swap, km, kn)
+        a, b = self._a[comp], self._b[comp]
+        const = tm == KIND_CONST                  # Y_const * Y_n = a Y_n
+        cos_sin = (tm == KIND_COS) & (tn == KIND_SIN)
+        equal = km == kn
+
+        # cos(j)cos(k) = [cos(j+k) + cos(j-k)]/2, sin(j)sin(k) =
+        # [cos(j-k) - cos(j+k)]/2, cos(j)sin(k) = [sin(k+j) + sin(k-j)]/2;
+        # at j = k the difference term lands on the constant mode
+        kind_s = np.where(const, tn, np.where(cos_sin, KIND_SIN, KIND_COS))
+        freq_s = np.where(const, kn, km + kn)
+        coef_s = np.where(const, a, np.where(tm == KIND_SIN, -b, b))
+        kind_d = np.where(equal, KIND_CONST, np.where(cos_sin, KIND_SIN, KIND_COS))
+        freq_d = np.where(equal, 0, np.abs(kn - km))
+        coef_d = np.where(equal, a, np.where(cos_sin & (kn < km), -b, b))
+
+        k_s = self._index[comp, kind_s, freq_s]
+        k_d = self._index[comp, kind_d, freq_d]
+        other = spec.mode_comp[n] != comp
+        k_s[other] = -1
+        k_d[other | const | (cos_sin & equal)] = -1
+        return k_s, coef_s, k_d, coef_d
 
     def product_coefficients(self, coeffs_m, coeffs_n=None):
         """Coefficients of the pointwise product f*g of two coefficient vectors.
@@ -123,55 +131,45 @@ class TripleProductTensor:
         modes beyond the stored truncation are dropped, mirroring the
         compression semantics of the multiplier matrices.
         """
-        spec = self.spec
         a = np.asarray(coeffs_m, dtype=complex)
         b = a if coeffs_n is None else np.asarray(coeffs_n, dtype=complex)
-        out = np.zeros(spec.count, dtype=complex)
         if self._qmodes is not None:
             fa = a @ self._qmodes[:a.size]
             fb = b @ self._qmodes[:b.size]
             return self._qmodes @ (self._qw * fa * fb)
-        am = np.flatnonzero(a)
-        bn = np.flatnonzero(b)
-        for m in am:
-            for n in bn:
-                for key, coef in _product_terms_curve(spec, m, n):
-                    k = spec.mode_index(*key)
-                    if k is not None:
-                        out[k] += coef * a[m] * b[n]
+        m, n = (g.ravel() for g in np.meshgrid(np.flatnonzero(a), np.flatnonzero(b),
+                                                indexing="ij"))
+        k_s, coef_s, k_d, coef_d = self._curve_terms(m, n)
+        out = np.zeros(self.spec.count, dtype=complex)
+        for k, coef in ((k_s, coef_s), (k_d, coef_d)):
+            keep = k >= 0
+            np.add.at(out, k[keep], coef[keep] * a[m[keep]] * b[n[keep]])
         return out
 
     def entry(self, k, m, n):
         """G[k, m, n] (0-based indices)."""
-        spec = self.spec
         if self._qmodes is not None:
             return float(np.sum(self._qw * self._qmodes[k] * self._qmodes[m]
                                 * self._qmodes[n]))
-        key = (int(spec.mode_comp[k]), int(spec.mode_kind[k]), int(spec.mode_freq[k]))
-        for kk, coef in _product_terms_curve(spec, m, n):
-            if kk == key:
-                return coef
-        return 0.0
+        k_s, coef_s, k_d, coef_d = self._curve_terms(np.array([m]), np.array([n]))
+        return float(coef_s[0] if k_s[0] == k else coef_d[0] if k_d[0] == k else 0.0)
 
     def contract(self, coeffs, N_trunc):
         """A[m, n] = sum_k coeffs[k] G[k, m, n] for m, n < N_trunc."""
-        spec = self.spec
         c = np.asarray(coeffs, dtype=complex)
-        A = np.zeros((N_trunc, N_trunc), dtype=complex)
         if self._qmodes is not None:
             phi_q = c @ self._qmodes[:c.size]
             Yq = self._qmodes[:N_trunc]
-            A = (Yq * (self._qw * phi_q)[None, :]) @ Yq.T
-            return A
-        for m in range(N_trunc):
-            for n in range(m, N_trunc):
-                val = 0.0 + 0.0j
-                for key, coef in _product_terms_curve(spec, m, n):
-                    k = spec.mode_index(*key)
-                    if k is not None and k < c.size:
-                        val += coef * c[k]
-                A[m, n] = val
-                A[n, m] = val      # G is symmetric in (m, n)
+            return (Yq * (self._qw * phi_q)[None, :]) @ Yq.T
+        m, n = np.triu_indices(N_trunc)
+        k_s, coef_s, k_d, coef_d = self._curve_terms(m, n)
+        # zero past c and in slot -1: absent terms and modes past c add nothing
+        c0 = np.zeros(self.spec.count + 1, dtype=complex)
+        c0[:c.size] = c
+        vals = coef_s * c0[k_s] + coef_d * c0[k_d]
+        A = np.zeros((N_trunc, N_trunc), dtype=complex)
+        A[m, n] = vals
+        A[n, m] = vals      # G is symmetric in (m, n)
         return A
 
 

@@ -32,17 +32,6 @@ def square_geometry(side=1.0):
     return BoundaryGeometry(dim_ambient=2, components=(pts,))
 
 
-def multi_circle_geometry(radii, spacing=None):
-    """Disjoint circles (each a 256-gon) laid out along the x-axis."""
-    comps = []
-    x0 = 0.0
-    for r in radii:
-        th = 2 * np.pi * np.arange(256) / 256
-        comps.append(np.column_stack([x0 + r * np.cos(th), r * np.sin(th)]))
-        x0 += (spacing if spacing is not None else 4.0 * max(radii))
-    return BoundaryGeometry(dim_ambient=2, components=tuple(comps))
-
-
 def scaled_circle_by_perimeter(perimeter, n_segments=256):
     """Circle-shaped polyline whose *polyline* length equals ``perimeter``."""
     # a regular n-gon of circumradius R has perimeter 2 n R sin(pi/n)

@@ -25,6 +25,24 @@ def fejer_riesz_positive(spec, deg, rng):
     return bd.SpectralFunction(spec, spec.coeffs_from_values(vals)), vals
 
 
+def quadrature_contract(spec, c, N_trunc):
+    """sum_k c_k G[k, m, n] on the midpoint grid, which integrates triple
+    products of retained modes exactly."""
+    W, Y = spec.quad_weights, spec.modes
+    return np.einsum("q,mq,nq->mn", W * (c @ Y[:c.size]), Y[:N_trunc], Y[:N_trunc])
+
+
+def random_coeffs(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def two_circles_spec(N):
+    comps = (shapes.scaled_circle_by_perimeter(2 * np.pi).components[0],
+             shapes.scaled_circle_by_perimeter(3.0).components[0] + 10.0)
+    return bd.build_curve_spectrum(
+        bd.BoundaryGeometry(dim_ambient=2, components=comps), N)
+
+
 def mean_zero_oscillation(spec, rng, band=12):
     c = np.zeros(spec.count, dtype=complex)
     c[spec.b0:spec.b0 + band] = rng.standard_normal(band)
@@ -38,20 +56,36 @@ class TestBuildMultiplier:
         assert np.abs(A.matrix - np.eye(32)).max() < 1e-14
 
     def test_identity_two_components(self):
-        comps = (shapes.scaled_circle_by_perimeter(2 * np.pi).components[0],
-                 shapes.scaled_circle_by_perimeter(3.0).components[0] + 10.0)
-        geom = bd.BoundaryGeometry(dim_ambient=2, components=comps)
-        spec = bd.build_curve_spectrum(geom, 24)
+        spec = two_circles_spec(24)
+        tensor = mp.TripleProductTensor(spec)
         A = mp.build_multiplier(bd.constant_function(spec), 0.5, 0.5, 12,
-                                tensor=mp.TripleProductTensor(spec))
+                                tensor=tensor)
         assert np.abs(A.matrix - np.eye(12)).max() < 1e-14
+        # random phi: the quadrature oracle, and exactly zero blocks between
+        # modes of different components
+        c = random_coeffs(np.random.default_rng(6), spec.count)
+        A = tensor.contract(c, spec.count)
+        assert np.abs(A - quadrature_contract(spec, c, spec.count)).max() < 1e-12
+        cross = spec.mode_comp[:, None] != spec.mode_comp[None, :]
+        assert cross.any() and np.all(A[cross] == 0.0)
 
-    def test_mode_multiplier_vs_quadrature(self, circle_spec, circle_tensor):
+    def test_mode_multiplier_vs_quadrature(self, circle_spec, circle_tensor,
+                                           disk_setup):
         phi = bd.unit_mode(circle_spec, 2)
         A = mp.build_multiplier(phi, 0.5, 0.5, 20, tensor=circle_tensor)
-        W, Y = circle_spec.quad_weights, circle_spec.modes
-        quad = np.einsum("q,mq,nq->mn", W * Y[1], Y[:20], Y[:20])
+        quad = quadrature_contract(circle_spec, phi.coeffs, 20)
         assert np.abs(A.matrix - quad).max() < 1e-13
+        # random complex phi at N_trunc = count, where sum frequencies leave
+        # the stored modes and must drop out (the disk boundary spectrum ends
+        # on a cos mode without its sin partner), and phi shorter than N_trunc
+        rng = np.random.default_rng(4)
+        disk_spec = disk_setup[1]
+        for spec, n_c, N_trunc in ((circle_spec, circle_spec.count, circle_spec.count),
+                                   (disk_spec, disk_spec.count, disk_spec.count),
+                                   (disk_spec, 10, 40)):
+            c = random_coeffs(rng, n_c)
+            A = mp.TripleProductTensor(spec).contract(c, N_trunc)
+            assert np.abs(A - quadrature_contract(spec, c, N_trunc)).max() < 1e-12
 
     def test_linearity_in_phi(self, circle_spec, circle_tensor):
         rng = np.random.default_rng(0)
@@ -68,6 +102,19 @@ class TestBuildMultiplier:
         A = mp.build_multiplier(phi, 0.5, 0.5, 16, tensor=circle_tensor)
         y = circle_spec.evaluate_curve_modes(0, np.array([s0]))[:16, 0]
         assert np.abs(A.matrix - np.outer(y, y)).max() < 1e-13
+
+    def test_product_coefficients_vs_quadrature(self, circle_spec, disk_setup):
+        # coefficients of f*g on the retained modes, by the midpoint grid
+        rng = np.random.default_rng(10)
+        disk_spec = disk_setup[1]
+        for spec, n_f, n_g in ((circle_spec, circle_spec.count, circle_spec.count),
+                               (disk_spec, disk_spec.count, 25),
+                               (two_circles_spec(30), 30, 30)):
+            f, g = random_coeffs(rng, n_f), random_coeffs(rng, n_g)
+            W, Y = spec.quad_weights, spec.modes
+            quad = Y @ (W * (f @ Y[:n_f]) * (g @ Y[:n_g]))
+            got = mp.TripleProductTensor(spec).product_coefficients(f, g)
+            assert np.abs(got - quad).max() < 1e-12
 
     def test_truncation_guard(self, circle_spec, circle_tensor):
         one = bd.constant_function(circle_spec)
