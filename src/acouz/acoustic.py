@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,7 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay
 
-from .boundary import BoundaryGeometry, SpectrumError
+from .boundary import BoundaryGeometry, SpectrumError, arpack_start
 from .fgf import impedance_coefficients, sample_random_impedance
 from .impedance import is_accretive, multiplier_impedance
 from .multipliers import TripleProductTensor
@@ -355,7 +355,7 @@ def mass_matrix_2d(mesh):
 
 def boundary_mass_matrix(mesh):
     """Lumped-free 1-D mass of the boundary trace space (dense, bdof order)."""
-    bdofs, _ = _boundary_dofs(mesh)
+    bdofs = _boundary_dofs(mesh)
     nb = len(bdofs)
     pos = {d: i for i, d in enumerate(bdofs)}
     Mb = np.zeros((nb, nb))
@@ -373,12 +373,7 @@ def boundary_mass_matrix(mesh):
 
 
 def _boundary_dofs(mesh):
-    bdofs = []
-    offsets = []
-    for loop in mesh.boundary_loops:
-        offsets.append(len(bdofs))
-        bdofs.extend(int(x) for x in loop)
-    return bdofs, offsets
+    return [int(x) for loop in mesh.boundary_loops for x in loop]
 
 
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
@@ -392,7 +387,7 @@ def moment_matrix(mesh, spec, N_b):
     """
     if N_b > spec.count:
         raise SpectrumError(f"N_b={N_b} exceeds the boundary spectrum ({spec.count})")
-    bdofs, _ = _boundary_dofs(mesh)
+    bdofs = _boundary_dofs(mesh)
     pos = {d: i for i, d in enumerate(bdofs)}
     T = np.zeros((N_b, len(bdofs)))
     for comp, loop in enumerate(mesh.boundary_loops):
@@ -422,8 +417,6 @@ def trace_projection(mesh, spec, N_b):
     z0 Mb exactly.  Since G^(-1/2) is Hermitian positive, P^t Zhat P
     inherits the accretivity of Zhat.
     """
-    if N_b > spec.count:
-        raise SpectrumError(f"N_b={N_b} exceeds the boundary spectrum ({spec.count})")
     T, bdofs = moment_matrix(mesh, spec, N_b)
     if N_b > len(bdofs):
         raise MeshError(f"N_b={N_b} exceeds the {len(bdofs)} boundary dofs")
@@ -443,7 +436,11 @@ def trace_projection(mesh, spec, N_b):
 
 @dataclass
 class AcousticPencil:
-    """Matrices of P(lambda) = K - i lambda B_Z - lambda^2 M."""
+    """Matrices of P(lambda) = K - i lambda B_Z - lambda^2 M.
+
+    ``assemble_pencil`` builds the geometry-dependent parts once (the Neumann
+    pencil); ``with_impedance`` plugs in Zhat and shares them.
+    """
 
     mesh: DomainMesh
     spectrum: object
@@ -454,6 +451,7 @@ class AcousticPencil:
     Zhat: np.ndarray | None
     trace: np.ndarray           # T, (N_b, n_bdofs)
     bdofs: list
+    lam_scale: float = 1.0      # smallest nonzero Neumann eigenvalue
 
     @property
     def n(self):
@@ -464,6 +462,23 @@ class AcousticPencil:
         if self.Zhat is None:
             return np.zeros((len(self.bdofs), len(self.bdofs)), dtype=complex)
         return self.trace.T @ self.Zhat @ self.trace
+
+    def with_impedance(self, Z):
+        """This pencil with B_Z = T^t Zhat T for Zhat = Z compressed to N_b.
+
+        Z = None or a zero operator returns this (Neumann) pencil itself.
+        """
+        if Z is None or not np.any(Z.matrix):
+            return self
+        if Z.N_trunc < self.N_b:
+            raise SpectrumError(f"impedance truncation {Z.N_trunc} below N_b={self.N_b}")
+        Zhat = Z.matrix[:self.N_b, :self.N_b]
+        Bb = self.trace.T @ Zhat @ self.trace
+        idx = np.asarray(self.bdofs)
+        B = sp.coo_matrix((Bb.ravel(),
+                           (np.repeat(idx, len(idx)), np.tile(idx, len(idx)))),
+                          shape=(self.n, self.n)).tocsr()
+        return replace(self, B=B, Zhat=Zhat)
 
     def evaluate(self, lam, x):
         return self.K @ x - 1j * lam * (self.B @ x) - lam ** 2 * (self.M @ x)
@@ -480,35 +495,30 @@ def check_geometry_match(mesh, spec, tol=1e-10):
                             "(vertices or arclengths differ)")
 
 
-def assemble_pencil(mesh, spec, Z=None, N_b=None):
-    """Build (K, M, B_Z) for the impedance operator Z on the given mesh.
+def default_N_b(mesh, spec):
+    """Boundary modes kept by default: half the dofs of all boundary loops,
+    between 4 and 64, and no more than the spectrum holds."""
+    return min(64, max(4, len(_boundary_dofs(mesh)) // 2), spec.count)
 
-    Z = None or a zero operator gives the Neumann pencil K - lambda^2 M.
+
+def assemble_pencil(mesh, spec, N_b=None):
+    """The Neumann pencil K - lambda^2 M with its trace projection.
+
+    K, M, T and lam_scale depend on the mesh only; ``with_impedance``
+    reuses them for every impedance operator.
     """
     check_geometry_match(mesh, spec)
-    bdofs, _ = _boundary_dofs(mesh)
     if N_b is None:
-        N_b = min(64, max(4, len(bdofs) // 2), spec.count)
+        N_b = default_N_b(mesh, spec)
     K = stiffness_matrix(mesh)
     M = mass_matrix_2d(mesh)
+    T, bdofs = trace_projection(mesh, spec, N_b)
     n = mesh.n_vertices
-
-    if Z is not None and Z.N_trunc < N_b:
-        raise SpectrumError(f"impedance truncation {Z.N_trunc} below N_b={N_b}")
-    if Z is None or not np.any(Z.matrix):
-        B = sp.csr_matrix((n, n), dtype=complex)
-        Zhat = None
-        T = np.zeros((0, len(bdofs)))
-    else:
-        T, bdofs = trace_projection(mesh, spec, N_b)
-        Zhat = Z.matrix[:N_b, :N_b]
-        Bb = T.T @ Zhat @ T
-        idx = np.asarray(bdofs)
-        B = sp.coo_matrix((Bb.ravel(),
-                           (np.repeat(idx, len(idx)), np.tile(idx, len(idx)))),
-                          shape=(n, n)).tocsr()
-    return AcousticPencil(mesh=mesh, spectrum=spec, K=K, M=M, B=B, N_b=N_b,
-                          Zhat=Zhat, trace=T, bdofs=bdofs)
+    pencil = AcousticPencil(mesh=mesh, spectrum=spec, K=K, M=M,
+                            B=sp.csr_matrix((n, n), dtype=complex), N_b=N_b,
+                            Zhat=None, trace=T, bdofs=bdofs)
+    pencil.lam_scale = neumann_scale(pencil)
+    return pencil
 
 
 @dataclass
@@ -572,28 +582,29 @@ def neumann_scale(pencil):
     k = min(6, pencil.n - 2)
     sigma = -1e-3 * (pencil.K.diagonal().mean() / pencil.M.diagonal().mean())
     nu = spla.eigsh(pencil.K, k=k, M=pencil.M, sigma=sigma, which="LM",
-                    return_eigenvectors=False)
+                    v0=arpack_start(pencil.n), return_eigenvectors=False)
     nu = np.sort(nu)
     pos = nu[nu > 1e-8 * max(nu.max(), 1.0)]
     return float(np.sqrt(pos[0])) if pos.size else 1.0
 
 
-def solve_pencil(pencil, n_wanted=12, shift=None, tol=1e-10, zero_tol=None):
+def solve_pencil(pencil, n_wanted=12, tol=1e-10, zero_tol=None):
     """Eigenvalues of P(lambda) nearest the shift, residual-certified.
 
     Neumann pencils go through the symmetric (K, M) eigensolve with
-    lambda = +-sqrt(nu); everything else through the block linearization.
-    Non-converged Ritz values are reported with ``converged=False``, never
-    dropped.
+    lambda = +-sqrt(nu); everything else through the block linearization
+    at the shift 0.6i lam_scale.  Non-converged Ritz values are reported
+    with ``converged=False``, never dropped.
     """
-    lam_scale = neumann_scale(pencil)
+    lam_scale = pencil.lam_scale
     if zero_tol is None:
         zero_tol = 1e-7 * lam_scale
 
     if pencil.Zhat is None:
         k = min(max(2, n_wanted // 2 + 2), pencil.n - 2)
         sigma = -1e-3 * lam_scale ** 2
-        nu, X = spla.eigsh(pencil.K, k=k, M=pencil.M, sigma=sigma, which="LM")
+        nu, X = spla.eigsh(pencil.K, k=k, M=pencil.M, sigma=sigma, which="LM",
+                           v0=arpack_start(pencil.n))
         lams, vecs = [], []
         for j, v in enumerate(nu):
             v = max(v, 0.0)
@@ -614,8 +625,7 @@ def solve_pencil(pencil, n_wanted=12, shift=None, tol=1e-10, zero_tol=None):
                            shift=complex(sigma), zero_tol=zero_tol)
 
     n = pencil.n
-    if shift is None:
-        shift = 0.6j * lam_scale
+    shift = 0.6j * lam_scale
     A_blk = sp.bmat([[pencil.K, None], [None, pencil.M]], format="csc").astype(complex)
     B_blk = sp.bmat([[1j * pencil.B, pencil.M], [pencil.M, None]], format="csc").astype(complex)
     k = min(n_wanted, 2 * n - 2)
@@ -624,7 +634,7 @@ def solve_pencil(pencil, n_wanted=12, shift=None, tol=1e-10, zero_tol=None):
                              matvec=lambda x: lu.solve(B_blk @ x))
     converged = True
     try:
-        w, Y = spla.eigs(op, k=k, which="LM", tol=tol)
+        w, Y = spla.eigs(op, k=k, which="LM", tol=tol, v0=arpack_start(2 * n))
     except spla.ArpackNoConvergence as err:
         w, Y = err.eigenvalues, err.eigenvectors
         converged = False
@@ -749,7 +759,7 @@ def refinement_study(levels, z_maker=None, n_track=5, n_wanted=18, N_b=None,
     per_level = []
     for mesh, spec in levels:
         Z = z_maker(spec) if z_maker is not None else None
-        pencil = assemble_pencil(mesh, spec, Z, N_b=N_b)
+        pencil = assemble_pencil(mesh, spec, N_b=N_b).with_impedance(Z)
         report = solve_pencil(pencil, n_wanted=n_wanted)
         lam = report.certified()
         lam = lam[lam.real >= -report.zero_tol]
@@ -793,34 +803,15 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
     the run continues; reports merge in sample order regardless of worker
     scheduling.
     """
-    check_geometry_match(mesh, spec)
-    bdofs, _ = _boundary_dofs(mesh)
-    if N_b is None:
-        N_b = min(64, max(4, len(bdofs) // 2), spec.count)
+    base = assemble_pencil(mesh, spec, N_b=N_b)
     tensor = TripleProductTensor(spec)
-    K = stiffness_matrix(mesh)
-    M = mass_matrix_2d(mesh)
-    T, bdofs = trace_projection(mesh, spec, N_b)
-    lam_scale = neumann_scale(AcousticPencil(
-        mesh=mesh, spectrum=spec, K=K, M=M,
-        B=sp.csr_matrix(M.shape, dtype=complex), N_b=N_b, Zhat=None,
-        trace=T, bdofs=bdofs))
-    idx = np.asarray(bdofs)
-    n = mesh.n_vertices
 
     def one(i):
         seed = seed0 + i
         zeta = sample_random_impedance(spec, rspec, spec.count, seed)
         phi = impedance_coefficients(zeta)
-        Z = multiplier_impedance(phi, N_b, tensor=tensor)
-        Bb = T.T @ Z.matrix @ T
-        B = sp.coo_matrix((Bb.ravel(),
-                           (np.repeat(idx, len(idx)), np.tile(idx, len(idx)))),
-                          shape=(n, n)).tocsr()
-        pencil = AcousticPencil(mesh=mesh, spectrum=spec, K=K,
-                                M=M, B=B, N_b=N_b, Zhat=Z.matrix,
-                                trace=T, bdofs=bdofs)
-        report = solve_pencil(pencil, n_wanted=n_wanted, shift=0.6j * lam_scale)
+        Z = multiplier_impedance(phi, base.N_b, tensor=tensor)
+        report = solve_pencil(base.with_impedance(Z), n_wanted=n_wanted)
         return {"seed": seed,
                 "eigenvalues": report.eigenvalues,
                 "rows": report.rows(sample_id=i),

@@ -477,6 +477,12 @@ def mass_matrix(v, t, lumped=True):
                          shape=(n, n)).tocsr()
 
 
+def arpack_start(size):
+    """Fixed ARPACK start vector: without one, scipy draws it from OS entropy
+    and eigenvalues (and artifact checksums) change from run to run."""
+    return np.random.default_rng(0).standard_normal(size)
+
+
 def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10):
     """Smallest-N eigenpairs of the cotangent Laplacian on a closed surface.
 
@@ -499,7 +505,8 @@ def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10):
     # headroom past N so high-multiplicity clusters are not truncated mid-way
     k = min(N + max(8, N // 4), n - 2)
     try:
-        mu, X = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM", tol=tol)
+        mu, X = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM", tol=tol,
+                           v0=arpack_start(n))
     except spla.ArpackNoConvergence as err:
         raise SpectrumError(f"eigen-solver did not converge: {err}") from err
     order = np.argsort(mu)[:N]

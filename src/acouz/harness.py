@@ -3,8 +3,9 @@
 A run takes one JSON config, executes the named experiment, writes CSV/JSON
 artifacts plus a manifest with per-file checksums, and fails closed: any
 violated built-in assertion makes the run (and the CLI) report failure.
-Identical config + seed reproduce identical artifact checksums; Monte Carlo
-experiments inherit this from the counter-based sampler.
+Identical config + seed reproduce identical artifact checksums at any worker
+count: random draws come from a counter-based sampler, and every ARPACK solve
+starts from a fixed vector.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ import numpy as np
 
 from . import shapes
 from .boundary import (
-    BoundaryGeometry, SpectralFunction, build_curve_spectrum,
-    build_surface_spectrum, constant_function, weyl_diagnostic,
+    BoundaryGeometry, build_curve_spectrum, build_surface_spectrum,
+    weyl_diagnostic,
 )
 from .fgf import RandomImpedanceSpec, convergence_classifier
 from .impedance import (
     cayley, impedance_from_config, inverse_cayley, is_accretive,
-    selfadjointness_criterion,
+    phi_from_config, selfadjointness_criterion,
 )
 from .multipliers import (
-    TripleProductTensor, build_multiplier, cantor_measure_coeffs,
-    compactness_profile, multiplier_norm, positivity_test,
+    TripleProductTensor, build_multiplier, compactness_profile, multiplier_norm,
+    positivity_test,
 )
 from . import acoustic as ac
 
@@ -374,21 +375,6 @@ def _run_fgf(run):
               f"{sum(v['verdict'] == v['theory'] for v in verdicts)}/{len(verdicts)}")
 
 
-def _multiplier_phi(p, spec, seed):
-    kind = p.get("phi", {}).get("kind", "cantor")
-    phi_cfg = p.get("phi", {})
-    if kind == "cantor":
-        return cantor_measure_coeffs(spec, phi_cfg.get("ratio", 1.0 / 3.0),
-                                     oracle_samples=phi_cfg.get("samples", 10**6),
-                                     seed=seed)
-    if kind == "constant":
-        return SpectralFunction(spec, complex(phi_cfg.get("z0", 1.0))
-                                * constant_function(spec).coeffs)
-    if kind == "coeffs":
-        return SpectralFunction.from_dict(spec, phi_cfg)
-    raise ConfigError([f"unknown phi kind {kind!r}"])
-
-
 def _run_multiplier(run):
     cfg = run.config
     p = cfg.params
@@ -398,7 +384,7 @@ def _run_multiplier(run):
     spec = load_or_build_spectrum(geom, N,
                                   cache_dir=os.path.join(run.out_dir, "cache"))
     tensor = TripleProductTensor(spec)
-    phi = _multiplier_phi(p, spec, cfg.seed)
+    phi = phi_from_config(spec, {"kind": "cantor", **p.get("phi", {})}, seed=cfg.seed)
     s1, s2 = p.get("s1", 0.5), p.get("s2", 0.5)
     ranks = p.get("ranks", [1, 2, 4, 8, 16, 32, 64])
     rows, norms = [], []
@@ -456,12 +442,10 @@ def _run_acoustic(run):
     cfg = run.config
     p = cfg.params
     mesh, spec = _acoustic_setup(cfg, p)
-    Z = None
-    if p.get("impedance", {"kind": "zero"})["kind"] != "zero":
-        Z = impedance_from_config(spec, p["impedance"],
-                                  N_trunc=p.get("N_b", None) or
-                                  min(64, len(mesh.boundary_loops[0]) // 2))
-    pencil = ac.assemble_pencil(mesh, spec, Z, N_b=p.get("N_b"))
+    pencil = ac.assemble_pencil(mesh, spec, N_b=p.get("N_b"))
+    Z = impedance_from_config(spec, p.get("impedance", {"kind": "zero"}),
+                              N_trunc=pencil.N_b)
+    pencil = pencil.with_impedance(Z)
     report = ac.solve_pencil(pencil, n_wanted=p.get("n_wanted", 14))
     ver = ac.verify_mdissipativity(pencil, report,
                                    resolvent=p.get("resolvent", True))
@@ -473,8 +457,7 @@ def _run_acoustic(run):
     run.check("residuals_certified",
               bool(np.all(report.residuals <= report.residual_tol)),
               f"max residual {report.residuals.max():.2e}")
-    accretive = Z is None or is_accretive(Z)["verdict"]
-    if accretive:
+    if is_accretive(Z)["verdict"]:
         run.check("halfplane_confinement", report.in_lower_halfplane(),
                   f"max Im = {ver['halfplane_check']:.2e}")
         if "resolvent_violation" in ver:

@@ -29,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import SpectralFunction, SpectrumError, fractional_power_weights
-from .multipliers import build_multiplier, psd_tolerance
+from .boundary import (
+    SpectralFunction, SpectrumError, constant_function, fractional_power_weights,
+)
+from .multipliers import build_multiplier, cantor_measure_coeffs, psd_tolerance
 
 CAYLEY_CONTRACTION_SLACK = 1e-10
 
@@ -91,6 +93,28 @@ _SYMBOL_RE = re.compile(
     r"\(\s*mu\s*\+\s*(?P<c1>[\d.eE+-]+)\s*\)\s*\^\s*\(\s*(?P<t>[\d.eE+-]+)\s*/\s*2\s*\)\s*$")
 
 
+def phi_from_config(spec, config, seed=0):
+    """Multiplier coefficients phi from a ``constant``, ``multiplier`` or
+    ``cantor`` config (see ``impedance_from_config``).
+
+    The Cantor sampler takes ``config["seed"]`` when given, else ``seed``.
+    """
+    kind = config["kind"]
+    if kind == "constant":
+        return SpectralFunction(spec, complex(config.get("z0", 1.0))
+                                * constant_function(spec).coeffs)
+    if kind == "multiplier":
+        return SpectralFunction.from_dict(spec, config)
+    if kind == "cantor":
+        phi = cantor_measure_coeffs(
+            spec, config.get("ratio", 1.0 / 3.0),
+            target_component=config.get("component", 0),
+            oracle_samples=config.get("samples", 10**6),
+            seed=config.get("seed", seed))
+        return complex(config.get("scale_re", 1.0), config.get("scale_im", 0.0)) * phi
+    raise SpectrumError(f"unknown multiplier kind {kind!r}")
+
+
 def impedance_from_config(spec, config, N_trunc=None, tensor=None):
     """Build an operator from its JSON-config description.
 
@@ -101,28 +125,13 @@ def impedance_from_config(spec, config, N_trunc=None, tensor=None):
     "sign": +-1}`` or ``{"kind": "symbol", "expr": "i*c2*(mu+c1)^(t/2)"}``;
     ``{"kind": "matrix", "re": [[..]], "im": [[..]]}``.
     """
-    from .boundary import constant_function
-    from .multipliers import cantor_measure_coeffs
-
     N_trunc = N_trunc or spec.count
     kind = config["kind"]
     if kind == "zero":
         return zero_impedance(spec, N_trunc)
-    if kind == "constant":
-        phi = SpectralFunction(spec, complex(config.get("z0", 1.0))
-                               * constant_function(spec).coeffs)
-        return multiplier_impedance(phi, N_trunc, tensor=tensor)
-    if kind == "multiplier":
-        phi = SpectralFunction.from_dict(spec, config)
-        return multiplier_impedance(phi, N_trunc, tensor=tensor)
-    if kind == "cantor":
-        phi = cantor_measure_coeffs(
-            spec, config.get("ratio", 1.0 / 3.0),
-            target_component=config.get("component", 0),
-            oracle_samples=config.get("samples", 10**6),
-            seed=config.get("seed", 0))
-        scale = complex(config.get("scale_re", 1.0), config.get("scale_im", 0.0))
-        return multiplier_impedance(scale * phi, N_trunc, tensor=tensor)
+    if kind in ("constant", "multiplier", "cantor"):
+        return multiplier_impedance(phi_from_config(spec, config), N_trunc,
+                                    tensor=tensor)
     if kind == "symbol":
         if "expr" in config:
             m = _SYMBOL_RE.match(config["expr"])

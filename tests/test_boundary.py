@@ -7,15 +7,23 @@ from acouz import boundary as bd
 from acouz import shapes
 
 
-def fd_curve_eigenvalues(total_length, n_grid, count):
-    """Dense finite differences for -d^2/ds^2 on a closed curve: the
-    independent oracle for curve spectra."""
+def fd_curve_matrix(total_length, n_grid):
+    """Dense periodic finite differences for -d^2/ds^2 on a closed curve."""
     h = total_length / n_grid
     main = np.full(n_grid, 2.0 / h ** 2)
     off = np.full(n_grid - 1, -1.0 / h ** 2)
     A = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     A[0, -1] = A[-1, 0] = -1.0 / h ** 2
-    return np.sort(np.linalg.eigvalsh(A))[:count]
+    return A
+
+
+def fd_curve_eigenvalues(total_length, n_grid, count):
+    """Smallest eigenvalues of fd_curve_matrix, the independent oracle for
+    curve spectra.  The matrix is circulant, so they are known in closed
+    form: (4 / h^2) sin^2(pi k / n)."""
+    h = total_length / n_grid
+    k = np.arange(n_grid)
+    return np.sort(4.0 / h ** 2 * np.sin(np.pi * k / n_grid) ** 2)[:count]
 
 
 class TestGeometry:
@@ -67,6 +75,11 @@ class TestCurveSpectrum:
         # smaller circle: first nonzero eigenvalue is (2 pi / pi)^2 = 4
         spec8 = bd.build_curve_spectrum(geom, 8)
         assert np.allclose(sorted(spec8.mu), [0, 0, 1, 1, 4, 4, 4, 4], atol=1e-12)
+
+    def test_fd_closed_form_matches_dense(self):
+        dense = np.sort(np.linalg.eigvalsh(fd_curve_matrix(4.0, 64)))
+        assert np.allclose(fd_curve_eigenvalues(4.0, 64, 64), dense,
+                           rtol=0, atol=1e-10)
 
     def test_square_vs_finite_differences(self):
         spec = bd.build_curve_spectrum(shapes.square_geometry(1.0), 7)
