@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +39,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay
 
-from .boundary import BoundaryGeometry, SpectrumError, arpack_start
+from .boundary import (
+    BoundaryGeometry, SpectrumError, arpack_start, assemble_p1, curve_modes,
+    p1_mass,
+)
 from .fgf import impedance_coefficients, sample_random_impedance
 from .impedance import is_accretive, multiplier_impedance
 from .multipliers import TripleProductTensor
@@ -301,79 +305,56 @@ def disk_mesh_family(h, levels, radius=1.0):
 def stiffness_matrix(mesh):
     """K[i, j] = integral(alpha^-1 grad phi_i . grad phi_j)."""
     v, t = mesh.vertices, mesh.triangles
-    m = t.shape[0]
     areas = np.abs(_signed_areas(v, t))
     p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
     # grad of barycentric functions: rotated opposite edges / (2A)
     g = np.stack([p1 - p2, p2 - p0, p0 - p1], axis=1)       # (m, 3, 2)
     grads = np.stack([g[:, :, 1], -g[:, :, 0]], axis=2) / (2 * areas)[:, None, None]
-
-    if mesh.alpha is None:
-        ainv = None
+    a = mesh.alpha
+    if a is None:
+        prod = np.einsum("mik,mjk->mij", grads, grads)
+    elif a.ndim == 1:
+        prod = (1.0 / a)[:, None, None] * np.einsum("mik,mjk->mij", grads, grads)
     else:
-        a = mesh.alpha
-        if a.ndim == 1:
-            ainv = 1.0 / a
-        else:
-            ainv = np.linalg.inv(a)
-
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            gi, gj = grads[:, i, :], grads[:, j, :]
-            if ainv is None:
-                prod = np.einsum("mk,mk->m", gi, gj)
-            elif ainv.ndim == 1:
-                prod = ainv * np.einsum("mk,mk->m", gi, gj)
-            else:
-                prod = np.einsum("mk,mkl,ml->m", gi, ainv, gj)
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(areas * prod)
-    n = mesh.n_vertices
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+        prod = np.einsum("mik,mkl,mjl->mij", grads, np.linalg.inv(a), grads)
+    return assemble_p1(t, areas[:, None, None] * prod, mesh.n_vertices)
 
 
 def mass_matrix_2d(mesh):
     """Consistent mass M[i, j] = integral(beta phi_i phi_j)."""
-    v, t = mesh.vertices, mesh.triangles
-    areas = np.abs(_signed_areas(v, t))
-    b = np.ones(t.shape[0]) if mesh.beta is None else mesh.beta
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(b * areas / (6.0 if i == j else 12.0))
-    n = mesh.n_vertices
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
-
-
-def boundary_mass_matrix(mesh):
-    """Lumped-free 1-D mass of the boundary trace space (dense, bdof order)."""
-    bdofs = _boundary_dofs(mesh)
-    nb = len(bdofs)
-    pos = {d: i for i, d in enumerate(bdofs)}
-    Mb = np.zeros((nb, nb))
-    for loop in mesh.boundary_loops:
-        L = len(loop)
-        for i in range(L):
-            a, b = int(loop[i]), int(loop[(i + 1) % L])
-            ell = np.linalg.norm(mesh.vertices[b] - mesh.vertices[a])
-            ia, ib = pos[a], pos[b]
-            Mb[ia, ia] += ell / 3.0
-            Mb[ib, ib] += ell / 3.0
-            Mb[ia, ib] += ell / 6.0
-            Mb[ib, ia] += ell / 6.0
-    return Mb, bdofs
+    areas = np.abs(_signed_areas(mesh.vertices, mesh.triangles))
+    if mesh.beta is not None:
+        areas = mesh.beta * areas
+    return assemble_p1(mesh.triangles, p1_mass(areas, 3), mesh.n_vertices)
 
 
 def _boundary_dofs(mesh):
     return [int(x) for loop in mesh.boundary_loops for x in loop]
+
+
+def _boundary_edges(mesh):
+    """Boundary edges (a, b, ell) in bdof numbering.
+
+    The bdofs concatenate the loops, so vertex i of loop j is bdof off_j + i;
+    edge off_j + i runs from it to the next vertex of the loop.
+    """
+    a, b, ell = [], [], []
+    off = 0
+    for loop in mesh.boundary_loops:
+        idx = off + np.arange(len(loop))
+        off += len(loop)
+        pts = mesh.vertices[np.asarray(loop)]
+        a.append(idx)
+        b.append(np.roll(idx, -1))
+        ell.append(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1))
+    return np.concatenate(a), np.concatenate(b), np.concatenate(ell)
+
+
+def boundary_mass_matrix(mesh):
+    """Lumped-free 1-D mass of the boundary trace space (dense, bdof order)."""
+    a, b, ell = _boundary_edges(mesh)
+    Mb = assemble_p1(np.column_stack([a, b]), p1_mass(ell, 2), a.size)
+    return Mb.toarray(), _boundary_dofs(mesh)
 
 
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
@@ -384,27 +365,30 @@ def moment_matrix(mesh, spec, N_b):
 
     Gauss-Legendre per boundary edge against the analytic arclength modes,
     so the moment matrix carries no grid error beyond quadrature decay.
+    All edges of a loop are evaluated at once; the hat function of vertex i
+    collects the falling half of edge i and the rising half of edge i - 1.
     """
     if N_b > spec.count:
         raise SpectrumError(f"N_b={N_b} exceeds the boundary spectrum ({spec.count})")
-    bdofs = _boundary_dofs(mesh)
-    pos = {d: i for i, d in enumerate(bdofs)}
-    T = np.zeros((N_b, len(bdofs)))
+    _, _, ell = _boundary_edges(mesh)
+    lengths = spec.geometry.component_lengths()
+    T = np.zeros((N_b, ell.size))
+    off = 0
     for comp, loop in enumerate(mesh.boundary_loops):
-        L = len(loop)
-        pts = mesh.vertices[np.asarray(loop)]
-        seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-        scum = np.concatenate([[0.0], np.cumsum(seg)])
-        for i in range(L):
-            a, b = int(loop[i]), int(loop[(i + 1) % L])
-            s0, ell = scum[i], seg[i]
-            sq = s0 + 0.5 * ell * (_GL8_X + 1.0)
-            wq = 0.5 * ell * _GL8_W
-            Y = spec.evaluate_curve_modes(comp, sq)[:N_b]
-            lam_b = (sq - s0) / ell
-            T[:, pos[a]] += Y @ (wq * (1.0 - lam_b))
-            T[:, pos[b]] += Y @ (wq * lam_b)
-    return T, bdofs
+        edges = slice(off, off + len(loop))
+        off += len(loop)
+        seg = ell[edges, None]
+        s0 = np.concatenate([[0.0], np.cumsum(seg[:-1])])[:, None]
+        sq = s0 + 0.5 * seg * (_GL8_X + 1.0)            # (edges, 8)
+        wq = 0.5 * seg * _GL8_W
+        lam_b = (sq - s0) / seg
+        Y = curve_modes(spec.mode_comp[:N_b], spec.mode_kind[:N_b],
+                        spec.mode_freq[:N_b], comp, lengths[comp],
+                        sq.ravel()).reshape(N_b, *sq.shape)
+        falling = np.einsum("neq,eq->ne", Y, wq * (1.0 - lam_b))
+        rising = np.einsum("neq,eq->ne", Y, wq * lam_b)
+        T[:, edges] = falling + np.roll(rising, 1, axis=1)
+    return T, _boundary_dofs(mesh)
 
 
 def trace_projection(mesh, spec, N_b):
@@ -806,39 +790,32 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
     base = assemble_pencil(mesh, spec, N_b=N_b)
     tensor = TripleProductTensor(spec)
 
-    def one(i):
+    def attempt(i):
+        """(result, None) for a solved sample, (None, failure) otherwise."""
         seed = seed0 + i
-        zeta = sample_random_impedance(spec, rspec, spec.count, seed)
-        phi = impedance_coefficients(zeta)
-        Z = multiplier_impedance(phi, base.N_b, tensor=tensor)
-        report = solve_pencil(base.with_impedance(Z), n_wanted=n_wanted)
+        try:
+            zeta = sample_random_impedance(spec, rspec, spec.count, seed)
+            phi = impedance_coefficients(zeta)
+            Z = multiplier_impedance(phi, base.N_b, tensor=tensor)
+            report = solve_pencil(base.with_impedance(Z), n_wanted=n_wanted)
+            accretive = is_accretive(Z)["verdict"]
+        except Exception as err:   # per-sample failure: count, go on
+            return None, {"sample": i, "error": str(err)}
         return {"seed": seed,
                 "eigenvalues": report.eigenvalues,
                 "rows": report.rows(sample_id=i),
                 "halfplane": report.in_lower_halfplane(),
                 "real_spectrum": report.real_within_tol(),
                 "zero_cluster": report.zero_cluster_size,
-                "accretive": is_accretive(Z)["verdict"]}
+                "accretive": accretive}, None
 
-    results = [None] * n_samples
-    failures = []
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            futs = {ex.submit(one, i): i for i in range(n_samples)}
-            for fut in futs:
-                i = futs[fut]
-                try:
-                    results[i] = fut.result()
-                except Exception as err:   # per-sample failure: count, go on
-                    failures.append({"sample": i, "error": str(err)})
+    if workers == 1:
+        outcomes = list(map(attempt, range(n_samples)))
     else:
-        for i in range(n_samples):
-            try:
-                results[i] = one(i)
-            except Exception as err:
-                failures.append({"sample": i, "error": str(err)})
-    done = [r for r in results if r is not None]
+        with ThreadPoolExecutor(workers) as ex:
+            outcomes = list(ex.map(attempt, range(n_samples)))
+    done = [r for r, _ in outcomes if r is not None]
+    failures = [f for _, f in outcomes if f is not None]
     n_done = len(done)
     summary = {
         "n_samples": n_samples,

@@ -148,7 +148,7 @@ class BoundaryGeometry:
             return cls.from_dict(json.load(f))
 
     def content_hash(self):
-        """Stable hash of the geometry, used as a cache key."""
+        """Stable hash of the geometry (vertices and connectivity)."""
         h = hashlib.sha256()
         h.update(str(self.dim_ambient).encode())
         if self.dim_ambient == 2:
@@ -160,14 +160,13 @@ class BoundaryGeometry:
         return h.hexdigest()
 
 
-def _polyline_length(c):
-    d = np.diff(np.vstack([c, c[:1]]), axis=0)
-    return float(np.hypot(d[:, 0], d[:, 1]).sum())
-
-
 def _segment_lengths(c):
     d = np.diff(np.vstack([c, c[:1]]), axis=0)
     return np.hypot(d[:, 0], d[:, 1])
+
+
+def _polyline_length(c):
+    return float(_segment_lengths(c).sum())
 
 
 def _triangle_areas(v, t):
@@ -270,19 +269,9 @@ class BoundarySpectrum:
         """
         if self.mode_comp is None:
             raise SpectrumError("analytic evaluation is available for curve spectra only")
-        s = np.asarray(s, dtype=float)
-        L = self.geometry.component_lengths()[comp]
-        out = np.zeros((self.count, s.size))
-        on = np.flatnonzero(self.mode_comp == comp)
-        for n in on:
-            k = self.mode_freq[n]
-            if self.mode_kind[n] == KIND_CONST:
-                out[n] = 1.0 / np.sqrt(L)
-            elif self.mode_kind[n] == KIND_COS:
-                out[n] = np.sqrt(2.0 / L) * np.cos(2 * np.pi * k * s / L)
-            else:
-                out[n] = np.sqrt(2.0 / L) * np.sin(2 * np.pi * k * s / L)
-        return out
+        return curve_modes(self.mode_comp, self.mode_kind, self.mode_freq, comp,
+                           self.geometry.component_lengths()[comp],
+                           np.asarray(s, dtype=float))
 
     # -- persistence ---------------------------------------------------------
 
@@ -394,17 +383,10 @@ def build_curve_spectrum(geom, N, store_modes=True):
     quad_arclength = np.concatenate(arcl)
 
     modes = np.zeros((N, quad_weights.size))
-    for n in range(N):
-        j = mode_comp[n]
-        L = lengths[j]
+    for j, L in enumerate(lengths):
         on = quad_comp == j
-        s = quad_arclength[on]
-        if mode_kind[n] == KIND_CONST:
-            modes[n, on] = 1.0 / np.sqrt(L)
-        elif mode_kind[n] == KIND_COS:
-            modes[n, on] = np.sqrt(2.0 / L) * np.cos(2 * np.pi * mode_freq[n] * s / L)
-        else:
-            modes[n, on] = np.sqrt(2.0 / L) * np.sin(2 * np.pi * mode_freq[n] * s / L)
+        modes[:, on] = curve_modes(mode_comp, mode_kind, mode_freq, j, L,
+                                   quad_arclength[on])
     _fix_signs(modes)
 
     return BoundarySpectrum(
@@ -412,6 +394,23 @@ def build_curve_spectrum(geom, N, store_modes=True):
         quad_points=quad_points, quad_weights=quad_weights, quad_comp=quad_comp,
         quad_arclength=quad_arclength, mode_comp=mode_comp, mode_kind=mode_kind,
         mode_freq=mode_freq)
+
+
+def curve_modes(mode_comp, mode_kind, mode_freq, comp, L, s):
+    """Values of the curve modes (mode_comp, mode_kind, mode_freq) at
+    arclengths ``s`` on component ``comp`` of length L.
+
+    Returns a (len(mode_kind), len(s)) array, zero on the rows of modes that
+    live on other components; cos and sin are evaluated only on their own
+    rows.
+    """
+    out = np.zeros((mode_kind.size, s.size))
+    on = mode_comp == comp
+    out[on & (mode_kind == KIND_CONST)] = 1.0 / np.sqrt(L)
+    for kind, trig in ((KIND_COS, np.cos), (KIND_SIN, np.sin)):
+        rows = on & (mode_kind == kind)
+        out[rows] = np.sqrt(2.0 / L) * trig(2 * np.pi * mode_freq[rows, None] * s / L)
+    return out
 
 
 def _arclength_to_xy(polyline, s):
@@ -433,29 +432,44 @@ def _fix_signs(modes):
 
 
 # ---------------------------------------------------------------------------
+# P1 finite elements
+# ---------------------------------------------------------------------------
+
+def assemble_p1(simplices, local, n):
+    """Sum the per-simplex matrices local[e, i, j] into an (n, n) CSR matrix
+    at (simplices[e, i], simplices[e, j])."""
+    k = simplices.shape[1]
+    rows = np.repeat(simplices.T, k, axis=0)        # (k*k, m): row i*k+j holds vertex i
+    cols = np.tile(simplices.T, (k, 1))             # ... and column vertex j
+    vals = local.transpose(1, 2, 0)
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n, n)).tocsr()
+
+
+def p1_mass(measure, k):
+    """Local P1 mass matrices |e| (1 + delta_ij) / (k (k + 1)) of k-vertex
+    simplices with measures |e| (edges k=2, triangles k=3)."""
+    return measure[:, None, None] * (1.0 + np.eye(k)) / (k * (k + 1))
+
+
+# ---------------------------------------------------------------------------
 # surface spectra (cotangent FEM)
 # ---------------------------------------------------------------------------
 
 def cotangent_stiffness(v, t):
     """Sparse cotangent stiffness matrix of a triangulated surface."""
-    n = v.shape[0]
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        a, b, c = t[:, i], t[:, (i + 1) % 3], t[:, (i + 2) % 3]
-        u1 = v[b] - v[a]
-        u2 = v[c] - v[a]
+    local = np.zeros((t.shape[0], 3, 3))
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        u1 = v[t[:, b]] - v[t[:, a]]
+        u2 = v[t[:, c]] - v[t[:, a]]
         cos = np.einsum("ij,ij->i", u1, u2)
         sin = np.linalg.norm(np.cross(u1, u2), axis=1)
-        cot = cos / np.maximum(sin, 1e-300)
         # opposite edge (b, c) gets cot(angle at a) / 2
-        w = 0.5 * cot
-        rows += [b, c, b, c]
-        cols += [c, b, b, c]
-        vals += [-w, -w, w, w]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        w = 0.5 * cos / np.maximum(sin, 1e-300)
+        local[:, [b, c], [c, b]] -= w[:, None]
+        local[:, [b, c], [b, c]] += w[:, None]
+    return assemble_p1(t, local, v.shape[0])
 
 
 def mass_matrix(v, t, lumped=True):
@@ -466,15 +480,7 @@ def mass_matrix(v, t, lumped=True):
         for i in range(3):
             np.add.at(diag, t[:, i], areas / 3.0)
         return sp.diags(diag).tocsr()
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(areas / (6.0 if i == j else 12.0))
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+    return assemble_p1(t, p1_mass(areas, 3), n)
 
 
 def arpack_start(size):

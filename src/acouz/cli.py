@@ -1,4 +1,8 @@
-"""Command-line entry point: acouz run | validate | emit-plot."""
+"""Command-line entry point: acouz run | validate | emit-plot.
+
+Exit codes: 0 passed, 1 config error, 2 a failed assertion, 3 an exception
+inside the experiment runner (its manifest is still written).
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ import os
 import sys
 
 from .harness import (
-    ConfigError, ExperimentConfig, RunManifest, apply_overrides,
+    RUNNER_ERROR, ConfigError, ExperimentConfig, RunManifest, apply_overrides,
     emit_plotdata, run, validate_config,
 )
 
@@ -25,8 +29,6 @@ def _load_config(args):
         cfg.out_dir = args.out
     if args.workers is not None:
         cfg.workers = args.workers
-    elif os.environ.get("ACOUZ_WORKERS"):
-        cfg.workers = int(os.environ["ACOUZ_WORKERS"])
     return cfg
 
 
@@ -36,20 +38,16 @@ def main(argv=None):
                                                  "/ acoustic experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute an experiment config")
-    p_run.add_argument("config")
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--workers", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--override", action="append", default=[],
-                       metavar="KEY=VALUE", help="dotted-path config override")
-
-    p_val = sub.add_parser("validate", help="validate a config, list all errors")
-    p_val.add_argument("config")
-    p_val.add_argument("--out", default=None)
-    p_val.add_argument("--workers", type=int, default=None)
-    p_val.add_argument("--seed", type=int, default=None)
-    p_val.add_argument("--override", action="append", default=[])
+    config_args = argparse.ArgumentParser(add_help=False)
+    config_args.add_argument("config")
+    config_args.add_argument("--out", default=None, help="output directory")
+    config_args.add_argument("--workers", type=int, default=None)
+    config_args.add_argument("--seed", type=int, default=None)
+    config_args.add_argument("--override", action="append", default=[],
+                             metavar="KEY=VALUE", help="dotted-path config override")
+    sub.add_parser("run", parents=[config_args], help="execute an experiment config")
+    sub.add_parser("validate", parents=[config_args],
+                   help="validate a config, list all errors")
 
     p_plot = sub.add_parser("emit-plot", help="emit long-format plot data")
     p_plot.add_argument("manifest")
@@ -95,7 +93,9 @@ def main(argv=None):
         args.out or os.path.join(cfg.out_dir,
                                  f"{cfg.experiment}_{cfg.content_hash()[:10]}"),
         "manifest.json"))
-    return 0 if manifest.passed else 2
+    if manifest.passed:
+        return 0
+    return 3 if any(a["name"] == RUNNER_ERROR for a in manifest.assertions) else 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import os
 import time
@@ -35,7 +36,10 @@ from .multipliers import (
 )
 from . import acoustic as ac
 
+log = logging.getLogger(__name__)
+
 SCHEMA_VERSION = 1
+RUNNER_ERROR = "runner_error"
 EXPERIMENTS = ("weyl", "fgf_convergence", "multiplier_profile",
                "impedance_check", "acoustic_spectrum", "monte_carlo")
 
@@ -211,28 +215,12 @@ def build_mesh(spec):
     return _mesh_kinds[spec["kind"]](spec)
 
 
-def load_or_build_spectrum(geom, N, cache_dir=None):
-    """Boundary spectrum truncated at N; only surface spectra are cached.
-
-    Curve spectra are analytic and built gridless in milliseconds, faster
-    than reading them back, so they are never cached.  Surface spectra (an
-    ARPACK solve) are cached as npz keyed by geometry hash + truncation.
-    """
+def build_spectrum(geom, N):
+    """Boundary spectrum truncated at N: analytic and gridless on curves,
+    the cotangent FEM eigensolve on surfaces."""
     if geom.dim_ambient == 2:
         return build_curve_spectrum(geom, N, store_modes=False)
-    key = f"{geom.content_hash()[:16]}_{N}"
-    if cache_dir:
-        path = os.path.join(cache_dir, f"spectrum_{key}.npz")
-        if os.path.exists(path):
-            from .boundary import BoundarySpectrum
-            cached = BoundarySpectrum.load_npz(path)
-            if cached.geometry.content_hash() == geom.content_hash():
-                return cached
-    spec = build_surface_spectrum(geom, N)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        spec.dump_npz(os.path.join(cache_dir, f"spectrum_{key}.npz"))
-    return spec
+    return build_surface_spectrum(geom, N)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +320,7 @@ def _run_weyl(run):
     p = cfg.params
     geom = build_geometry(cfg.geometry)
     N = p.get("N", 400)
-    spec = load_or_build_spectrum(geom, N, cache_dir=os.path.join(run.out_dir, "cache"))
+    spec = build_spectrum(geom, N)
     lo, hi = p.get("fit_range", [21, min(200, N)])
     diag = weyl_diagnostic(spec, (lo, hi))
     expect = p.get("expect_slope", 2.0 / (geom.dim_ambient - 1))
@@ -351,7 +339,7 @@ def _run_fgf(run):
     geom = build_geometry(cfg.geometry)
     checkpoints = p.get("checkpoints", [64, 128, 256, 512, 1024, 2048, 4096])
     N = max(checkpoints)
-    spec = load_or_build_spectrum(geom, N)
+    spec = build_spectrum(geom, N)
     d = geom.dim_ambient
     rows, verdicts = [], []
     all_match = True
@@ -381,8 +369,7 @@ def _run_multiplier(run):
     geom = build_geometry(cfg.geometry)
     truncs = p.get("truncations", [256, 512])
     N = int(2.2 * max(truncs)) + 8
-    spec = load_or_build_spectrum(geom, N,
-                                  cache_dir=os.path.join(run.out_dir, "cache"))
+    spec = build_spectrum(geom, N)
     tensor = TripleProductTensor(spec)
     phi = phi_from_config(spec, {"kind": "cantor", **p.get("phi", {})}, seed=cfg.seed)
     s1, s2 = p.get("s1", 0.5), p.get("s2", 0.5)
@@ -410,8 +397,7 @@ def _run_impedance(run):
     p = cfg.params
     geom = build_geometry(cfg.geometry)
     N = p.get("N", 128)
-    spec = load_or_build_spectrum(geom, N,
-                                  cache_dir=os.path.join(run.out_dir, "cache"))
+    spec = build_spectrum(geom, N)
     Z = impedance_from_config(spec, p["impedance"], N_trunc=p.get("N_trunc", 64))
     acc = is_accretive(Z)
     sa = selfadjointness_criterion(Z)
@@ -433,9 +419,7 @@ def _run_impedance(run):
 
 def _acoustic_setup(cfg, p):
     mesh = build_mesh(cfg.mesh)
-    geom = mesh.boundary_geometry()
-    spec = build_curve_spectrum(geom, p.get("N_spec", 160))
-    return mesh, spec
+    return mesh, build_spectrum(mesh.boundary_geometry(), p.get("N_spec", 160))
 
 
 def _run_acoustic(run):
@@ -500,7 +484,8 @@ _RUNNERS = {"weyl": _run_weyl, "fgf_convergence": _run_fgf,
 
 
 def run(config, out_dir=None):
-    """Execute one experiment; returns the saved RunManifest."""
+    """Execute one experiment; returns the saved RunManifest.  An exception
+    inside the runner becomes the failed assertion ``runner_error``."""
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
@@ -509,7 +494,11 @@ def run(config, out_dir=None):
                                       f"{config.experiment}_{config.content_hash()[:10]}")
     started = time.time()
     r = _Run(config, out_dir)
-    _RUNNERS[config.experiment](r)
+    try:
+        _RUNNERS[config.experiment](r)
+    except Exception as err:    # fail closed: the manifest is still written
+        log.exception("%s runner failed", config.experiment)
+        r.check(RUNNER_ERROR, False, f"{type(err).__name__}: {err}")
     manifest = RunManifest(config_hash=config.content_hash(),
                            version=__version__, started=started,
                            finished=time.time(), artifacts=r.artifacts,

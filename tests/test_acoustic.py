@@ -17,6 +17,32 @@ def constant_z(spec, N_trunc, z0=1.0):
     return impedance_from_config(spec, {"kind": "constant", "z0": z0}, N_trunc=N_trunc)
 
 
+def per_edge_moment_matrix(mesh, spec, N_b):
+    """T[n, k] by one Gauss-Legendre rule per boundary edge, edge by edge:
+    the loop that ``moment_matrix`` replaced, kept as its reference."""
+    bdofs = [int(x) for loop in mesh.boundary_loops for x in loop]
+    pos = {d: i for i, d in enumerate(bdofs)}
+    x, w = np.polynomial.legendre.leggauss(8)
+    T = np.zeros((N_b, len(bdofs)))
+    for comp, loop in enumerate(mesh.boundary_loops):
+        pts = mesh.vertices[np.asarray(loop)]
+        seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        scum = np.concatenate([[0.0], np.cumsum(seg)])
+        for i in range(len(loop)):
+            a, b = int(loop[i]), int(loop[(i + 1) % len(loop)])
+            sq = scum[i] + 0.5 * seg[i] * (x + 1.0)
+            wq = 0.5 * seg[i] * w
+            Y = spec.evaluate_curve_modes(comp, sq)[:N_b]
+            lam_b = (sq - scum[i]) / seg[i]
+            T[:, pos[a]] += Y @ (wq * (1.0 - lam_b))
+            T[:, pos[b]] += Y @ (wq * lam_b)
+    return T, bdofs
+
+
+def regular_polygon_area(n, r):
+    return 0.5 * n * r ** 2 * math.sin(2 * math.pi / n)
+
+
 class TestEigenReport:
     def test_q_factor_uses_halfplane_tolerance(self):
         # a real eigenvalue with round-off in Im is not decaying: q = inf;
@@ -29,6 +55,58 @@ class TestEigenReport:
         assert [r[3] for r in rows] == [math.inf, 2.0, 1.5]
         assert [r[4] for r in rows] == [1, 1, 0]
         assert all(r[5] == 4 for r in rows)
+
+
+class TestAssemblyOracles:
+    @pytest.mark.parametrize("make_mesh", [lambda: ac.disk_mesh(0.12),
+                                           lambda: ac.annulus_mesh(0.12)],
+                             ids=["disk", "annulus"])
+    def test_moment_matrix_matches_per_edge_loop(self, make_mesh):
+        mesh = make_mesh()
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        N_b = ac.default_N_b(mesh, spec)
+        T, bdofs = ac.moment_matrix(mesh, spec, N_b)
+        T_ref, bdofs_ref = per_edge_moment_matrix(mesh, spec, N_b)
+        assert list(bdofs) == bdofs_ref
+        assert np.abs(T - T_ref).max() <= 1e-13 * np.abs(T_ref).max()
+
+    def test_full_trace_reproduces_boundary_mass(self):
+        # at N_b = n_bdofs the docstring's identity P^t (z0 I) P = z0 Mb
+        mesh = ac.disk_mesh(0.3)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        n_bdofs = sum(len(loop) for loop in mesh.boundary_loops)
+        P, bdofs = ac.trace_projection(mesh, spec, n_bdofs)
+        Mb, bdofs_mb = ac.boundary_mass_matrix(mesh)
+        assert list(bdofs) == list(bdofs_mb)
+        z0 = 1.0 + 0.5j
+        PZP = P.T @ (z0 * np.eye(n_bdofs)) @ P
+        assert np.abs(PZP - z0 * Mb).max() <= 1e-12 * np.abs(Mb).max()
+
+    @pytest.mark.parametrize("alpha", [None, "scalar", "tensor"])
+    def test_stiffness_kills_constants(self, alpha):
+        mesh = ac.annulus_mesh(0.2)
+        m = mesh.triangles.shape[0]
+        if alpha == "scalar":
+            mesh.alpha = np.linspace(0.5, 2.0, m)
+        elif alpha == "tensor":
+            mesh.alpha = np.tile([[2.0, 0.3], [0.3, 1.0]], (m, 1, 1))
+        K = ac.stiffness_matrix(mesh)
+        assert np.abs(K @ np.ones(mesh.n_vertices)).max() <= 1e-12 * abs(K).max()
+        assert abs(K - K.T).max() <= 1e-14 * abs(K).max()
+
+    def test_masses_integrate_one(self):
+        disk, annulus = ac.disk_mesh(0.2), ac.annulus_mesh(0.2)
+        n_disk = len(disk.boundary_loops[0])
+        n_ann = len(annulus.boundary_loops[0])
+        areas = [regular_polygon_area(n_disk, 1.0),
+                 regular_polygon_area(n_ann, 1.0) - regular_polygon_area(n_ann, 0.5)]
+        for mesh, area in zip((disk, annulus), areas):
+            one = np.ones(mesh.n_vertices)
+            assert one @ ac.mass_matrix_2d(mesh) @ one == pytest.approx(area, rel=1e-13)
+            Mb, bdofs = ac.boundary_mass_matrix(mesh)
+            one_b = np.ones(len(bdofs))
+            length = mesh.boundary_geometry().total_measure
+            assert one_b @ Mb @ one_b == pytest.approx(length, rel=1e-13)
 
 
 class TestNeumannDisk:

@@ -112,6 +112,18 @@ class TestCurveSpectrum:
         assert circle_spec.mode_kind[2] == bd.KIND_SIN
         assert circle_spec.mode_freq[3] == 2
 
+    def test_grid_equals_analytic_modes(self):
+        geoms = [shapes.scaled_circle_by_perimeter(2 * np.pi),
+                 shapes.scaled_circle_by_perimeter(np.pi)]
+        comps = (geoms[0].components[0],
+                 geoms[1].components[0] + np.array([10.0, 0.0]))
+        geom = bd.BoundaryGeometry(dim_ambient=2, components=comps)
+        spec = bd.build_curve_spectrum(geom, 41)
+        for j in range(2):
+            on = spec.quad_comp == j
+            Y = spec.evaluate_curve_modes(j, spec.quad_arclength[on])
+            assert np.array_equal(Y, spec.modes[:, on])
+
     def test_store_modes_false_matches(self, unit_circle_geom, circle_spec):
         lean = bd.build_curve_spectrum(unit_circle_geom, 65, store_modes=False)
         assert np.array_equal(lean.mu, circle_spec.mu)
@@ -152,6 +164,16 @@ class TestSurfaceSpectrum:
     def test_consistent_mass_option(self):
         spec = bd.build_surface_spectrum(shapes.icosphere(3), 5, lumped_mass=False)
         assert np.abs(spec.mu[1:4] - 2).max() / 2 < 0.02
+
+    def test_fem_matrices_on_constants(self):
+        g = shapes.icosphere(3)
+        v, t = g.vertices, g.triangles
+        S = bd.cotangent_stiffness(v, t)
+        one = np.ones(v.shape[0])
+        assert np.abs(S @ one).max() <= 1e-12 * abs(S).max()
+        for lumped in (True, False):
+            M = bd.mass_matrix(v, t, lumped=lumped)
+            assert one @ M @ one == pytest.approx(g.total_measure, rel=1e-13)
 
     def test_npz_roundtrip(self, tmp_path, sphere_spec):
         p = tmp_path / "spec.npz"

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from acouz import harness
+from acouz import cli, harness
 
 
 def _content_hash(config, workers, out_dir):
@@ -20,3 +22,68 @@ def test_same_config_same_checksums(config, tmp_path):
     hashes = {_content_hash(config, workers, tmp_path / f"{workers}_{rep}")
               for workers in (1, 2) for rep in range(2)}
     assert len(hashes) == 1
+
+
+WEYL_CIRCLE = {"experiment": "weyl", "geometry": {"kind": "circle"},
+               "params": {"N": 400}}
+BOGUS_IMPEDANCE = {"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
+                   "params": {"impedance": {"kind": "bogus"}}}
+
+
+def test_runner_error_writes_failed_manifest(tmp_path):
+    cfg = harness.ExperimentConfig.from_dict(BOGUS_IMPEDANCE)
+    manifest = harness.run(cfg, str(tmp_path))
+    saved = json.loads((tmp_path / "manifest.json").read_text())
+    assert saved["passed"] is False and not manifest.passed
+    [error] = [a for a in saved["assertions"] if a["name"] == harness.RUNNER_ERROR]
+    assert not error["passed"]
+    assert error["detail"] == "SpectrumError: unknown impedance kind 'bogus'"
+
+
+@pytest.mark.parametrize("config, code", [
+    (WEYL_CIRCLE, 0),
+    ({**WEYL_CIRCLE, "experiment": "no_such_experiment"}, 1),
+    ({**WEYL_CIRCLE, "params": {"N": 400, "expect_slope": 3.0}}, 2),
+    (BOGUS_IMPEDANCE, 3),
+], ids=["passed", "config_error", "failed_assertion", "runner_error"])
+def test_cli_exit_codes(config, code, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+
+
+@pytest.mark.parametrize("config, artifacts", [
+    (WEYL_CIRCLE, {"spectrum", "weyl"}),
+    ({"experiment": "fgf_convergence", "geometry": {"kind": "circle"},
+      "params": {"seeds": 30, "s_values": [1.0]}}, {"ratios", "verdicts"}),
+    ({"experiment": "multiplier_profile", "geometry": {"kind": "circle"},
+      "params": {"phi": {"kind": "cantor", "samples": 10000},
+                 "truncations": [32, 64], "ranks": [1, 2, 4]}},
+     {"profile", "summary"}),
+    ({"experiment": "impedance_check", "geometry": {"kind": "circle"},
+      "params": {"N": 64, "N_trunc": 32, "impedance": {"kind": "constant"}}},
+     {"impedance"}),
+], ids=["weyl", "fgf_convergence", "multiplier_profile", "impedance_check"])
+def test_manifest_roundtrip(config, artifacts, tmp_path):
+    cfg = harness.ExperimentConfig.from_dict(config)
+    manifest = harness.run(cfg, str(tmp_path))
+    assert manifest.passed, manifest.assertions
+    assert {a["id"] for a in manifest.artifacts} == artifacts
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{a['id']}.{a['path'].rsplit('.', 1)[1]}" for a in manifest.artifacts]
+        + ["manifest.json"])
+    back = harness.RunManifest.load(tmp_path / "manifest.json")
+    assert back.content_hash() == manifest.content_hash()
+
+
+def test_monte_carlo_accretive_side_has_no_real_spectrum(tmp_path):
+    cfg = harness.ExperimentConfig.from_dict({
+        "experiment": "monte_carlo", "mesh": {"kind": "disk", "h": 0.3},
+        "params": {"n_samples": 3,
+                   "rspec": {"c": 1.0, "s": 0.3, "kernel_weights": [1.0]}}})
+    manifest = harness.run(cfg, str(tmp_path))
+    assert manifest.passed, manifest.assertions
+    summary = json.loads((tmp_path / "ensemble.json").read_text())
+    assert summary["n_solved"] == 3
+    assert summary["fraction_real_spectrum"] == 0
+    assert summary["fraction_halfplane"] == 1
