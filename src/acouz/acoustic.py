@@ -16,8 +16,8 @@ quadratic pencil is linearized as
 
     [[K, 0], [0, M]] y = lambda [[i B_Z, M], [M, 0]] y,     y = (p, lambda p),
 
-which stays generalized-symmetric when Z = 0, and is solved by shift-invert
-Arnoldi with residual certification on the original pencil.
+and solved by shift-invert Arnoldi, through one n x n LU of P(shift), with
+residual certification on the original pencil.
 
 The scalar model lambda^2 m + i lambda b - k = 0 with m > 0, k >= 0 and
 Re b >= 0 has both roots in the closed lower half-plane; accretive Z pushes
@@ -49,6 +49,10 @@ from .multipliers import TripleProductTensor
 
 RESIDUAL_TOL = 1e-8
 HALFPLANE_TOL = 1e-8     # scaled by (1 + |lambda|)
+ARPACK_TOL = 1e-10
+# times lam_scale: lambda = 0 (K 1 = 0) is defective when 1^t B_Z 1 = 0, so
+# its computed value moves by ~sqrt(backward error)
+ZERO_TOL = math.sqrt(RESIDUAL_TOL)
 
 
 class MeshError(ValueError):
@@ -512,8 +516,6 @@ class EigenReport:
     eigenvalues: np.ndarray
     residuals: np.ndarray
     converged: np.ndarray
-    vectors: np.ndarray | None
-    shift: complex
     zero_tol: float
     residual_tol: float = RESIDUAL_TOL
     halfplane_tol: float = HALFPLANE_TOL
@@ -523,8 +525,6 @@ class EigenReport:
         self.eigenvalues = self.eigenvalues[order]
         self.residuals = self.residuals[order]
         self.converged = self.converged[order]
-        if self.vectors is not None:
-            self.vectors = self.vectors[:, order]
 
     @property
     def zero_cluster_size(self):
@@ -572,71 +572,39 @@ def neumann_scale(pencil):
     return float(np.sqrt(pos[0])) if pos.size else 1.0
 
 
-def solve_pencil(pencil, n_wanted=12, tol=1e-10, zero_tol=None):
-    """Eigenvalues of P(lambda) nearest the shift, residual-certified.
-
-    Neumann pencils go through the symmetric (K, M) eigensolve with
-    lambda = +-sqrt(nu); everything else through the block linearization
-    at the shift 0.6i lam_scale.  Non-converged Ritz values are reported
-    with ``converged=False``, never dropped.
+def solve_pencil(pencil, n_wanted=12):
+    """Eigenvalues of P(lambda) nearest the shift 0.6i lam_scale, with their
+    residuals on P.  Every impedance, Z = 0 included, takes one path:
+    shift-invert Arnoldi on the linearization through one sparse LU of
+    P(shift), since block elimination gives, for y = (p, q),
+    (A - shift B_blk)^-1 B_blk y = (x, shift x + p) with
+    x = P(shift)^-1 (i B_Z p + M (q + shift p)).  Non-converged Ritz values
+    are reported with ``converged=False``, never dropped.
     """
-    lam_scale = pencil.lam_scale
-    if zero_tol is None:
-        zero_tol = 1e-7 * lam_scale
+    n, K, M, B = pencil.n, pencil.K, pencil.M, pencil.B
+    shift = 0.6j * pencil.lam_scale
+    lu = spla.splu((K - 1j * shift * B - shift ** 2 * M).tocsc())
 
-    if pencil.Zhat is None:
-        k = min(max(2, n_wanted // 2 + 2), pencil.n - 2)
-        sigma = -1e-3 * lam_scale ** 2
-        nu, X = spla.eigsh(pencil.K, k=k, M=pencil.M, sigma=sigma, which="LM",
-                           v0=arpack_start(pencil.n))
-        lams, vecs = [], []
-        for j, v in enumerate(nu):
-            v = max(v, 0.0)
-            root = math.sqrt(v)
-            lams.append(root)
-            vecs.append(X[:, j])
-            if root > zero_tol:
-                lams.append(-root)
-                vecs.append(X[:, j])
-        lam = np.array(lams, dtype=complex)
-        V = np.array(vecs).T
-        res = np.array([np.linalg.norm(pencil.evaluate(l, V[:, j]))
-                        / np.linalg.norm(V[:, j]) for j, l in enumerate(lam)])
-        conv = np.ones(lam.size, dtype=bool)
-        order = np.argsort(np.abs(lam), kind="stable")[:n_wanted]
-        return EigenReport(eigenvalues=lam[order], residuals=res[order],
-                           converged=conv[order], vectors=V[:, order],
-                           shift=complex(sigma), zero_tol=zero_tol)
+    def matvec(y):
+        p, q = y[:n], y[n:]
+        x = lu.solve(1j * (B @ p) + M @ (q + shift * p))
+        return np.concatenate([x, shift * x + p])
 
-    n = pencil.n
-    shift = 0.6j * lam_scale
-    A_blk = sp.bmat([[pencil.K, None], [None, pencil.M]], format="csc").astype(complex)
-    B_blk = sp.bmat([[1j * pencil.B, pencil.M], [pencil.M, None]], format="csc").astype(complex)
-    k = min(n_wanted, 2 * n - 2)
-    lu = spla.splu((A_blk - shift * B_blk).tocsc())
-    op = spla.LinearOperator(dtype=complex, shape=(2 * n, 2 * n),
-                             matvec=lambda x: lu.solve(B_blk @ x))
+    op = spla.LinearOperator(dtype=complex, shape=(2 * n, 2 * n), matvec=matvec)
     converged = True
     try:
-        w, Y = spla.eigs(op, k=k, which="LM", tol=tol, v0=arpack_start(2 * n))
+        w, Y = spla.eigs(op, k=min(n_wanted, 2 * n - 2), which="LM",
+                         tol=ARPACK_TOL, v0=arpack_start(2 * n))
     except spla.ArpackNoConvergence as err:
         w, Y = err.eigenvalues, err.eigenvectors
         converged = False
         if w.size == 0:
             raise SpectrumError("eigen-solver returned no converged pairs") from err
-    lam = shift + 1.0 / w
-    X = Y[:n, :]
-    res = np.empty(lam.size)
-    for j, l in enumerate(lam):
-        x = X[:, j]
-        nrm = np.linalg.norm(x)
-        if nrm < 1e-13:           # pure (0, q) mode: use the second block
-            x = Y[n:, j]
-            nrm = np.linalg.norm(x)
-        res[j] = np.linalg.norm(pencil.evaluate(l, x)) / nrm
-    conv = np.full(lam.size, converged)
-    return EigenReport(eigenvalues=lam, residuals=res, converged=conv,
-                       vectors=X, shift=complex(shift), zero_tol=zero_tol)
+    lam, X = shift + 1.0 / w, Y[:n]     # eigenvectors are (p, lambda p)
+    res = np.linalg.norm(pencil.evaluate(lam, X), axis=0) / np.linalg.norm(X, axis=0)
+    return EigenReport(eigenvalues=lam, residuals=res,
+                       converged=np.full(lam.size, converged),
+                       zero_tol=ZERO_TOL * pencil.lam_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -739,16 +707,13 @@ def refinement_study(levels, z_maker=None, n_track=5, n_wanted=18, N_b=None,
     """
     if len(levels) < 3:
         raise MeshError("refinement study needs at least 3 mesh levels")
-    tracks, flags = None, []
-    per_level = []
+    flags, per_level = [], []
     for mesh, spec in levels:
         Z = z_maker(spec) if z_maker is not None else None
         pencil = assemble_pencil(mesh, spec, N_b=N_b).with_impedance(Z)
         report = solve_pencil(pencil, n_wanted=n_wanted)
         lam = report.certified()
-        lam = lam[lam.real >= -report.zero_tol]
-        lam = lam[np.argsort(np.abs(lam), kind="stable")]
-        per_level.append(lam)
+        per_level.append(lam[lam.real >= -report.zero_tol])   # sorted by |lambda|
     tracks = [per_level[0][:n_track]]
     for lv in range(1, len(per_level)):
         matched, amb = _match_eigen(tracks[-1], per_level[lv])
@@ -821,9 +786,8 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
         "n_samples": n_samples,
         "n_solved": n_done,
         "failures": failures,
-        "fraction_halfplane": (sum(r["halfplane"] for r in done) / n_done) if n_done else 0.0,
-        "fraction_real_spectrum": (sum(r["real_spectrum"] for r in done) / n_done) if n_done else 0.0,
-        "fraction_accretive": (sum(r["accretive"] for r in done) / n_done) if n_done else 0.0,
+        **{f"fraction_{key}": sum(r[key] for r in done) / max(n_done, 1)
+           for key in ("halfplane", "real_spectrum", "accretive")},
         "min_zero_cluster": min((r["zero_cluster"] for r in done), default=0),
     }
     return {"summary": summary, "samples": done}

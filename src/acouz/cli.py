@@ -85,14 +85,12 @@ def main(argv=None):
         for e in errors:
             print("config error:", e, file=sys.stderr)
         return 1
-    manifest = run(cfg, out_dir=args.out)
+    out_dir = args.out or cfg.run_dir()
+    manifest = run(cfg, out_dir=out_dir)
     for a in manifest.assertions:
         status = "pass" if a["passed"] else "FAIL"
         print(f"[{status}] {a['name']}: {a['detail']}")
-    print("manifest:", os.path.join(
-        args.out or os.path.join(cfg.out_dir,
-                                 f"{cfg.experiment}_{cfg.content_hash()[:10]}"),
-        "manifest.json"))
+    print("manifest:", os.path.join(out_dir, "manifest.json"))
     if manifest.passed:
         return 0
     return 3 if any(a["name"] == RUNNER_ERROR for a in manifest.assertions) else 2

@@ -27,8 +27,8 @@ from .boundary import (
 )
 from .fgf import RandomImpedanceSpec, convergence_classifier
 from .impedance import (
-    cayley, impedance_from_config, inverse_cayley, is_accretive,
-    phi_from_config, selfadjointness_criterion,
+    IMPEDANCE_KINDS, cayley, impedance_from_config, inverse_cayley,
+    is_accretive, phi_from_config, selfadjointness_criterion,
 )
 from .multipliers import (
     TripleProductTensor, build_multiplier, compactness_profile, multiplier_norm,
@@ -107,6 +107,11 @@ class ExperimentConfig:
     def content_hash(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
+    def run_dir(self):
+        """Where a run writes when no output directory is given."""
+        return os.path.join(self.out_dir,
+                            f"{self.experiment}_{self.content_hash()[:10]}")
+
 
 def validate_config(config):
     """All validation errors at once; empty list means runnable."""
@@ -132,6 +137,12 @@ def validate_config(config):
                 errors.append(f"{block}.kind must be one of {sorted(builder)}")
             elif kind == "file" and not os.path.exists(spec.get("path", "")):
                 errors.append(f"{block} file {spec.get('path')!r} does not exist")
+    impedance = config.params.get("impedance")
+    if config.experiment == "impedance_check" and impedance is None:
+        errors.append("experiment 'impedance_check' needs params.impedance")
+    if impedance is not None and (not isinstance(impedance, dict)
+                                  or impedance.get("kind") not in IMPEDANCE_KINDS):
+        errors.append(f"params.impedance.kind must be one of {list(IMPEDANCE_KINDS)}")
     if config.workers < 1:
         errors.append("workers must be >= 1")
     for key in ("s_values", "t_offsets", "truncations", "ranks"):
@@ -490,8 +501,7 @@ def run(config, out_dir=None):
     if errors:
         raise ConfigError(errors)
     from . import __version__
-    out_dir = out_dir or os.path.join(config.out_dir,
-                                      f"{config.experiment}_{config.content_hash()[:10]}")
+    out_dir = out_dir or config.run_dir()
     started = time.time()
     r = _Run(config, out_dir)
     try:

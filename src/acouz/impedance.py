@@ -115,6 +115,9 @@ def phi_from_config(spec, config, seed=0):
     raise SpectrumError(f"unknown multiplier kind {kind!r}")
 
 
+IMPEDANCE_KINDS = ("zero", "constant", "multiplier", "cantor", "symbol", "matrix")
+
+
 def impedance_from_config(spec, config, N_trunc=None, tensor=None):
     """Build an operator from its JSON-config description.
 

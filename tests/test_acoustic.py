@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from acouz import acoustic as ac
 from acouz import boundary as bd
 from acouz import harness
 from acouz.fgf import RandomImpedanceSpec, impedance_coefficients, sample_random_impedance
-from acouz.impedance import impedance_from_config, multiplier_impedance, zero_impedance
+from acouz.impedance import (
+    impedance_from_config, is_accretive, multiplier_impedance, zero_impedance,
+)
 from acouz.multipliers import TripleProductTensor
 
 J1P_1 = 1.8411837813406593      # first zero of J_1': the smallest Neumann disk eigenvalue
@@ -39,6 +43,31 @@ def per_edge_moment_matrix(mesh, spec, N_b):
     return T, bdofs
 
 
+def block_lu_eigenvalues(pencil, n_wanted):
+    """Shift-invert Arnoldi on the 2n x 2n linearization, factored as one
+    block LU: the path that ``solve_pencil`` replaced, kept as its reference."""
+    n = pencil.n
+    shift = 0.6j * pencil.lam_scale
+    A_blk = sp.bmat([[pencil.K, None], [None, pencil.M]], format="csc").astype(complex)
+    B_blk = sp.bmat([[1j * pencil.B, pencil.M], [pencil.M, None]],
+                    format="csc").astype(complex)
+    lu = spla.splu((A_blk - shift * B_blk).tocsc())
+    op = spla.LinearOperator(dtype=complex, shape=(2 * n, 2 * n),
+                             matvec=lambda x: lu.solve(B_blk @ x))
+    w = spla.eigs(op, k=n_wanted, which="LM", tol=1e-10,
+                  v0=bd.arpack_start(2 * n), return_eigenvectors=False)
+    return shift + 1.0 / w
+
+
+def folded_distance(got, ref):
+    """Largest distance from an eigenvalue in ``got`` to the nearest in
+    ``ref``, relative to its modulus, both folded to |Re| + i Im (the
+    pencils are real: lambda and -conj(lambda) pair up)."""
+    g = np.abs(got.real) + 1j * got.imag
+    r = np.abs(ref.real) + 1j * ref.imag
+    return (np.abs(g[:, None] - r[None, :]).min(axis=1) / np.abs(g)).max()
+
+
 def regular_polygon_area(n, r):
     return 0.5 * n * r ** 2 * math.sin(2 * math.pi / n)
 
@@ -50,7 +79,7 @@ class TestEigenReport:
         lam = np.array([1 - 1e-15j, 2 - 0.5j, 3 - 1j])
         report = ac.EigenReport(eigenvalues=lam, residuals=np.zeros(3),
                                 converged=np.array([True, True, False]),
-                                vectors=None, shift=0j, zero_tol=1e-7)
+                                zero_tol=1e-7)
         rows = report.rows(sample_id=4)
         assert [r[3] for r in rows] == [math.inf, 2.0, 1.5]
         assert [r[4] for r in rows] == [1, 1, 0]
@@ -200,3 +229,76 @@ class TestMonteCarlo:
             report = ac.solve_pencil(base.with_impedance(Z), n_wanted=14)
             assert np.array_equal(report.eigenvalues, sample["eigenvalues"])
             assert np.array_equal(other["eigenvalues"], sample["eigenvalues"])
+
+
+QUAD = [[0, 0], [1, 0], [1.2, 0.8], [0.1, 1]]
+
+
+def accretive_random_z(spec, N_b):
+    rspec = RandomImpedanceSpec(c=1.0, s=0.3, kernel_weights=(1.0,))
+    zeta = sample_random_impedance(spec, rspec, spec.count, 0)
+    return multiplier_impedance(impedance_coefficients(zeta), N_b,
+                                tensor=TripleProductTensor(spec))
+
+
+class TestOneSolver:
+    @pytest.mark.parametrize("make_mesh, make_z", [
+        (lambda: ac.disk_mesh(0.12), constant_z),
+        (lambda: ac.convex_polygon_mesh(QUAD, 0.08), accretive_random_z),
+    ], ids=["disk_constant", "polygon_accretive"])
+    def test_matches_block_lu(self, make_mesh, make_z):
+        mesh = make_mesh()
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        base = ac.assemble_pencil(mesh, spec)
+        Z = make_z(spec, base.N_b)
+        assert is_accretive(Z)["verdict"]
+        pencil = base.with_impedance(Z)
+        report = ac.solve_pencil(pencil, n_wanted=14)
+        ref = block_lu_eigenvalues(pencil, 14)
+        ref = ref[np.abs(ref) > report.zero_tol]
+        lam = report.certified()
+        assert lam.size == ref.size == 13
+        assert folded_distance(lam, ref) <= 1e-10
+        assert folded_distance(ref, lam) <= 1e-10
+
+    @pytest.mark.parametrize("make_mesh", [lambda: ac.disk_mesh(0.12),
+                                           lambda: ac.annulus_mesh(0.12)],
+                             ids=["disk", "annulus"])
+    def test_neumann_matches_symmetric_eigensolve(self, make_mesh):
+        mesh = make_mesh()
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        pencil = ac.assemble_pencil(mesh, spec)
+        report = ac.solve_pencil(pencil, n_wanted=12)
+        lam = report.certified()
+        assert lam.size == 10
+        nu = spla.eigsh(pencil.K, k=8, M=pencil.M, sigma=-1e-3 * pencil.lam_scale ** 2,
+                        which="LM", v0=bd.arpack_start(pencil.n),
+                        return_eigenvectors=False)
+        roots = np.sqrt(nu[nu > 1e-8 * nu.max()]).astype(complex)
+        assert folded_distance(lam, roots) <= 1e-10
+        inside = roots[roots.real < np.abs(lam).max() * (1 - 1e-6)]
+        assert inside.size >= 3
+        assert folded_distance(inside, lam) <= 1e-10
+
+
+class TestZeroCluster:
+    def test_skew_sample_on_annulus_keeps_real_spectrum(self):
+        # the defective zero of a skew Z moves by ~sqrt(backward error):
+        # 1.6e-7 here, above a tolerance of 1e-7 lam_scale
+        mesh = ac.annulus_mesh(0.04)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        out = ac.monte_carlo_spectrum(mesh, spec, RandomImpedanceSpec(c=1.0, s=0.3),
+                                      n_samples=1, seed0=0)
+        summary = out["summary"]
+        assert summary["n_solved"] == 1
+        assert summary["fraction_halfplane"] == 1.0
+        assert summary["fraction_real_spectrum"] == 1.0
+        assert summary["min_zero_cluster"] == 2
+
+    def test_neumann_zero_is_a_pair(self):
+        mesh = ac.annulus_mesh(0.06)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        pencil = ac.assemble_pencil(mesh, spec)
+        report = ac.solve_pencil(pencil, n_wanted=14)
+        assert report.zero_cluster_size == 2
+        assert np.all(np.abs(report.certified()) >= 0.5 * pencil.lam_scale)

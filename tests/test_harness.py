@@ -1,8 +1,11 @@
 import json
+import os
 
 import pytest
 
 from acouz import cli, harness
+from acouz.harness import build_geometry, build_spectrum
+from acouz.impedance import IMPEDANCE_KINDS, impedance_from_config
 
 
 def _content_hash(config, workers, out_dir):
@@ -28,28 +31,74 @@ WEYL_CIRCLE = {"experiment": "weyl", "geometry": {"kind": "circle"},
                "params": {"N": 400}}
 BOGUS_IMPEDANCE = {"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
                    "params": {"impedance": {"kind": "bogus"}}}
+# Valid, but a 1x1 matrix is shorter than the pencil's N_b: only the run finds it.
+SHORT_IMPEDANCE = {**BOGUS_IMPEDANCE,
+                   "params": {"impedance": {"kind": "matrix", "re": [[1.0]]}}}
 
 
 def test_runner_error_writes_failed_manifest(tmp_path):
-    cfg = harness.ExperimentConfig.from_dict(BOGUS_IMPEDANCE)
+    cfg = harness.ExperimentConfig.from_dict(SHORT_IMPEDANCE)
     manifest = harness.run(cfg, str(tmp_path))
     saved = json.loads((tmp_path / "manifest.json").read_text())
     assert saved["passed"] is False and not manifest.passed
     [error] = [a for a in saved["assertions"] if a["name"] == harness.RUNNER_ERROR]
     assert not error["passed"]
-    assert error["detail"] == "SpectrumError: unknown impedance kind 'bogus'"
+    assert error["detail"] == "SpectrumError: impedance truncation 1 below N_b=10"
 
 
 @pytest.mark.parametrize("config, code", [
     (WEYL_CIRCLE, 0),
     ({**WEYL_CIRCLE, "experiment": "no_such_experiment"}, 1),
     ({**WEYL_CIRCLE, "params": {"N": 400, "expect_slope": 3.0}}, 2),
-    (BOGUS_IMPEDANCE, 3),
-], ids=["passed", "config_error", "failed_assertion", "runner_error"])
+    (SHORT_IMPEDANCE, 3),
+    (BOGUS_IMPEDANCE, 1),
+], ids=["passed", "config_error", "failed_assertion", "runner_error",
+        "impedance_kind"])
 def test_cli_exit_codes(config, code, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+
+
+def test_validate_rejects_bad_impedance_blocks(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BOGUS_IMPEDANCE))
+    assert cli.main(["validate", str(path)]) == 1
+    missing = harness.ExperimentConfig.from_dict(
+        {"experiment": "impedance_check", "geometry": {"kind": "circle"}})
+    assert harness.validate_config(missing) == [
+        "experiment 'impedance_check' needs params.impedance"]
+
+
+MINIMAL_IMPEDANCE = {
+    "zero": {},
+    "constant": {},
+    "multiplier": {"coeffs_re": [1.0], "coeffs_im": [0.5]},
+    "cantor": {"samples": 1000},
+    "symbol": {"c1": 1.0, "c2": 1.0, "t": 0.5},
+    "matrix": {"re": [[1.0, 0.0], [0.0, 2.0]]},
+}
+
+
+@pytest.mark.parametrize("kind", IMPEDANCE_KINDS)
+def test_every_impedance_kind_validates_and_builds(kind):
+    impedance = {"kind": kind, **MINIMAL_IMPEDANCE[kind]}
+    cfg = harness.ExperimentConfig.from_dict({
+        "experiment": "impedance_check", "geometry": {"kind": "circle"},
+        "params": {"impedance": impedance}})
+    assert harness.validate_config(cfg) == []
+    spec = build_spectrum(build_geometry(cfg.geometry), 16)
+    assert impedance_from_config(spec, impedance, N_trunc=2).N_trunc == 2
+
+
+def test_run_without_out_prints_existing_manifest(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**WEYL_CIRCLE, "out_dir": str(tmp_path / "runs")}))
+    assert cli.main(["run", str(path)]) == 0
+    [line] = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("manifest: ")]
+    manifest = line.removeprefix("manifest: ")
+    assert manifest.startswith(str(tmp_path / "runs")) and os.path.exists(manifest)
 
 
 @pytest.mark.parametrize("config, artifacts", [
