@@ -19,11 +19,13 @@ quadratic pencil is linearized as
 and solved by shift-invert Arnoldi, through one n x n LU of P(shift), with
 residual certification on the original pencil.
 
-The scalar model lambda^2 m + i lambda b - k = 0 with m > 0, k >= 0 and
-Re b >= 0 has both roots in the closed lower half-plane; accretive Z pushes
-the whole certified spectrum there, which is what verify_mdissipativity
-asserts, together with the first-order resolvent bound
-||(A_h - z)^-1|| <= 1 / Im z rendered in energy coordinates.
+In energy coordinates x = (a, L^t q), ||x||^2 = |a|^2 + q^H M q, the
+linearized operator A_h has Im <A_h x, x> = -q^H Herm(B_Z) q, so its
+numerical range lies in Im <= omega_h = max(0, -mu_min), mu_min the smallest
+eigenvalue of Herm(B_Z) q = mu M q.  By Lumer-Phillips,
+||(A_h - z)^-1|| <= 1 / (Im z - omega_h) on all of Im z > omega_h, and A_h is
+m-dissipative exactly when omega_h <= 0, which is what verify_mdissipativity
+certifies for accretive Z.
 """
 
 from __future__ import annotations
@@ -445,12 +447,6 @@ class AcousticPencil:
     def n(self):
         return self.K.shape[0]
 
-    def boundary_block(self):
-        """Dense B_Z restricted to boundary dofs (T^t Zhat T)."""
-        if self.Zhat is None:
-            return np.zeros((len(self.bdofs), len(self.bdofs)), dtype=complex)
-        return self.trace.T @ self.Zhat @ self.trace
-
     def with_impedance(self, Z):
         """This pencil with B_Z = T^t Zhat T for Zhat = Z compressed to N_b.
 
@@ -612,15 +608,16 @@ def solve_pencil(pencil, n_wanted=12):
 # ---------------------------------------------------------------------------
 
 def _energy_reduction(pencil, kernel_tol=1e-10):
-    """A_h in energy coordinates, kernel of K deflated.
+    """A_h in energy coordinates, kernel of K deflated: the dense test oracle.
 
     With K = U diag(kappa) U^t (kappa > 0 kept), M = L L^t, the state
     (a, b) = (sqrt(kappa) U^t p, L^t q) renders the linearization as
 
         A_hat = [[0, C], [C^H, -i L^-1 B L^-t]],  C = sqrt(kappa) U^t L^-t,
 
-    whose imaginary part is -Herm(B) conjugated: dissipative exactly when
-    Herm(B_Z) is PSD, giving ||(A_hat - z)^-1|| <= 1/Im z on the nose.
+    whose imaginary part is -Herm(B) conjugated.  Nothing in the package
+    calls it: it is O(n^3) and serves the tests as the reference for
+    verify_mdissipativity, and keeps its name for the benchmark's tracing.
     """
     K = pencil.K.toarray()
     M = pencil.M.toarray()
@@ -640,41 +637,29 @@ def _energy_reduction(pencil, kernel_tol=1e-10):
     return A
 
 
-def verify_mdissipativity(pencil, report, n_grid_points=9, resolvent=True):
-    """Half-plane and resolvent-bound diagnostics for a solved pencil.
+def verify_mdissipativity(pencil, report):
+    """Lumer-Phillips certificate and half-plane diagnostics of a solve.
 
-    ``herm_check``: smallest eigenvalue of Herm(B_Z) on the trace block
-    (>= -tol when the impedance is accretive).  ``halfplane_check``: largest
-    Im(lambda) over certified eigenvalues (<= +tol then).  When
-    ``resolvent`` is on, the first-order bound ||(A_h - z)^-1|| <= 1/Im z is
-    checked at a grid of z in the upper half-plane in the energy norm;
-    ``resolvent_violation`` is the largest positive excess.
+    ``omega_h`` = max(0, -mu_min) bounds the numerical range of A_h,
+    Im <= omega_h, so ||(A_h - z)^-1|| <= 1 / (Im z - omega_h) for every
+    Im z > omega_h; omega_h = 0 is m-dissipativity.  B_Z = T^t Zhat T has
+    rank N_b, so the nonzero mu of Herm(B_Z) q = mu M q are, by congruence,
+    the eigenvalues of R^t Herm(Zhat) R with S = T M^-1 T^t = R R^t: one
+    sparse LU of M, N_b solves and an N_b x N_b ``eigvalsh``.  ``mu_min`` is
+    the smallest of them and ``s_norm`` = ||S||_2 scales the tolerance.
+    ``halfplane_check``: largest Im(lambda) over certified eigenvalues.
     """
-    Bb = pencil.boundary_block()
-    herm = 0.5 * (Bb + Bb.conj().T)
-    herm_check = float(np.linalg.eigvalsh(herm)[0]) if Bb.size else 0.0
+    Tt = np.zeros((pencil.n, pencil.N_b))
+    Tt[pencil.bdofs] = pencil.trace.T
+    S = pencil.trace @ spla.splu(pencil.M.tocsc()).solve(Tt)[pencil.bdofs]
+    R = np.linalg.cholesky(S)
+    Zhat = np.zeros((pencil.N_b, pencil.N_b)) if pencil.Zhat is None else pencil.Zhat
+    mu = np.linalg.eigvalsh(R.T @ (0.5 * (Zhat + Zhat.conj().T)) @ R)
     lam = report.certified()
-    halfplane_check = float(lam.imag.max()) if lam.size else 0.0
-
-    out = {"herm_check": herm_check, "halfplane_check": halfplane_check,
-           "halfplane_ok": report.in_lower_halfplane()}
-    if resolvent:
-        A = _energy_reduction(pencil)
-        scale = max(np.linalg.norm(A, 2), 1.0)
-        side = int(round(math.sqrt(n_grid_points)))
-        res = []
-        I = np.eye(A.shape[0])
-        for re in np.linspace(0.0, 1.0, side) * scale:
-            for im in np.geomspace(0.25, 1.0, side) * scale:
-                z = re + 1j * im
-                smin = np.linalg.svd(A - z * I, compute_uv=False)[-1]
-                res.append({"z_re": re, "z_im": im,
-                            "bound": 1.0 / im,
-                            "norm": 1.0 / smin,
-                            "violation": max(0.0, 1.0 / smin - 1.0 / im)})
-        out["resolvent_grid"] = res
-        out["resolvent_violation"] = max(r["violation"] for r in res)
-    return out
+    return {"omega_h": max(0.0, -float(mu[0])), "mu_min": float(mu[0]),
+            "s_norm": float(np.linalg.eigvalsh(S)[-1]),
+            "halfplane_check": float(lam.imag.max()) if lam.size else 0.0,
+            "halfplane_ok": report.in_lower_halfplane()}
 
 
 # ---------------------------------------------------------------------------

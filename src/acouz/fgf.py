@@ -94,20 +94,27 @@ class FgfSample:
                 "coeffs": self.coeffs.tolist()}
 
 
-def sample_fgf(spec, s, N_trunc, seed):
-    """Draw Xi_s truncated to the first N_trunc modes of ``spec``."""
+def field_scales(spec, s, N_trunc):
+    """mu_n^(-s/2) on the first N_trunc modes, zero on kernel modes."""
     if N_trunc > spec.count:
         raise SpectrumError(f"truncation {N_trunc} exceeds the spectrum ({spec.count})")
     b0 = spec.b0
     if N_trunc > b0 and spec.mu[b0] <= 0:
         raise SpectrumError("spectrum has no positive eigenvalues past the kernel")
+    scales = np.zeros(N_trunc)
+    scales[b0:] = spec.mu[b0:N_trunc] ** (-s / 2.0)
+    return scales
+
+
+def sample_fgf(spec, s, N_trunc, seed, scales=None):
+    """Draw Xi_s truncated to the first N_trunc modes of ``spec``; ``scales``
+    is ``field_scales(spec, s, N_trunc)`` when the caller already has it."""
+    if scales is None:
+        scales = field_scales(spec, s, N_trunc)
     xi = gaussian_stream(seed, N_trunc)
-    xi[:b0] = 0.0
-    coeffs = np.zeros(N_trunc)
-    pos = np.arange(N_trunc) >= b0
-    coeffs[pos] = xi[pos] * spec.mu[:N_trunc][pos] ** (-s / 2.0)
+    xi[:spec.b0] = 0.0
     return FgfSample(spectrum=spec, s=s, N_trunc=N_trunc, seed=seed,
-                     xi=xi, coeffs=coeffs)
+                     xi=xi, coeffs=xi * scales)
 
 
 def partial_sum_norms(spec, s, seed, t, checkpoints):
@@ -116,14 +123,23 @@ def partial_sum_norms(spec, s, seed, t, checkpoints):
     The xi_n are drawn once for the largest checkpoint; earlier checkpoints
     are prefixes of the same path, never redrawn.
     """
+    return _partial_sum_norms(spec, s, [seed], t, checkpoints)[0]
+
+
+def _partial_sum_norms(spec, s, seeds, t, checkpoints):
+    """partial_sum_norms for each seed, with the H^t weights and the field
+    scales computed once for all of them."""
     checkpoints = list(checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     N_max = checkpoints[-1]
-    sample = sample_fgf(spec, s, N_max, seed)
+    scales = field_scales(spec, s, N_max)
     w = ht_weights(spec, t)[:N_max]
-    acc = np.cumsum((w * sample.coeffs) ** 2)
-    return [float(np.sqrt(acc[N - 1])) for N in checkpoints]
+    out = []
+    for seed in seeds:
+        acc = np.cumsum((w * sample_fgf(spec, s, N_max, seed, scales).coeffs) ** 2)
+        out.append([float(np.sqrt(acc[N - 1])) for N in checkpoints])
+    return out
 
 
 def convergence_classifier(spec, s, t, seeds=50, checkpoints=(64, 128, 256, 512,
@@ -148,10 +164,8 @@ def convergence_classifier(spec, s, t, seeds=50, checkpoints=(64, 128, 256, 512,
         raise ValueError("the last two checkpoints must be a doubling")
 
     threshold = s - (spec.dim - 1) / 2.0
-    ratios = []
-    for i in range(seeds):
-        norms = partial_sum_norms(spec, s, seed0 + i, t, checkpoints)
-        ratios.append(norms[-1] / norms[-2])
+    ratios = [norms[-1] / norms[-2] for norms in _partial_sum_norms(
+        spec, s, range(seed0, seed0 + seeds), t, checkpoints)]
     median_ratio = float(np.median(ratios))
 
     # strict interior of the band, with slack so |t - threshold| == margin

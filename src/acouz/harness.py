@@ -32,7 +32,7 @@ from .impedance import (
 )
 from .multipliers import (
     TripleProductTensor, build_multiplier, compactness_profile, multiplier_norm,
-    positivity_test,
+    positivity_test, psd_tolerance,
 )
 from . import acoustic as ac
 
@@ -442,22 +442,19 @@ def _run_acoustic(run):
                               N_trunc=pencil.N_b)
     pencil = pencil.with_impedance(Z)
     report = ac.solve_pencil(pencil, n_wanted=p.get("n_wanted", 14))
-    ver = ac.verify_mdissipativity(pencil, report,
-                                   resolvent=p.get("resolvent", True))
+    ver = ac.verify_mdissipativity(pencil, report)
     run.add_csv("eigenvalues", ["re", "im", "residual", "q_factor", "certified",
                                  "sample_id"], report.rows())
-    run.add_json("mdiss", {k: v for k, v in ver.items() if k != "resolvent_grid"}
-                 | {"zero_cluster": report.zero_cluster_size,
-                    "resolvent_grid": ver.get("resolvent_grid", [])})
+    run.add_json("mdiss", ver | {"zero_cluster": report.zero_cluster_size})
     run.check("residuals_certified",
               bool(np.all(report.residuals <= report.residual_tol)),
               f"max residual {report.residuals.max():.2e}")
     if is_accretive(Z)["verdict"]:
         run.check("halfplane_confinement", report.in_lower_halfplane(),
                   f"max Im = {ver['halfplane_check']:.2e}")
-        if "resolvent_violation" in ver:
-            run.check("resolvent_bound", ver["resolvent_violation"] <= 1e-6,
-                      f"violation {ver['resolvent_violation']:.2e}")
+        tol = psd_tolerance(ver["s_norm"] * float(np.linalg.norm(Z.matrix, 2)))
+        run.check("resolvent_bound", ver["omega_h"] <= tol,
+                  f"omega_h {ver['omega_h']:.2e}, tolerance {tol:.2e}")
 
 
 def _run_monte_carlo(run):

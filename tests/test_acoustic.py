@@ -12,13 +12,27 @@ from acouz.fgf import RandomImpedanceSpec, impedance_coefficients, sample_random
 from acouz.impedance import (
     impedance_from_config, is_accretive, multiplier_impedance, zero_impedance,
 )
-from acouz.multipliers import TripleProductTensor
+from acouz.multipliers import TripleProductTensor, psd_tolerance
 
 J1P_1 = 1.8411837813406593      # first zero of J_1': the smallest Neumann disk eigenvalue
 
 
 def constant_z(spec, N_trunc, z0=1.0):
     return impedance_from_config(spec, {"kind": "constant", "z0": z0}, N_trunc=N_trunc)
+
+
+def random_z(spec, N_b, kernel_weight, seed=0, sign=1.0, tensor=None):
+    """sign * Z(zeta) for a random zeta: skew for kernel_weight 0, accretive
+    for a positive one when sign is +1."""
+    rspec = RandomImpedanceSpec(c=1.0, s=0.3,
+                                kernel_weights=(kernel_weight,) * spec.b0)
+    phi = impedance_coefficients(sample_random_impedance(spec, rspec, spec.count, seed))
+    return multiplier_impedance(bd.SpectralFunction(spec, sign * phi.coeffs), N_b,
+                                tensor=tensor or TripleProductTensor(spec))
+
+
+def accretive_random_z(spec, N_b):
+    return random_z(spec, N_b, 1.0)
 
 
 def per_edge_moment_matrix(mesh, spec, N_b):
@@ -57,6 +71,18 @@ def block_lu_eigenvalues(pencil, n_wanted):
     w = spla.eigs(op, k=n_wanted, which="LM", tol=1e-10,
                   v0=bd.arpack_start(2 * n), return_eigenvectors=False)
     return shift + 1.0 / w
+
+
+def certificate_tol(pencil, ver):
+    """The slack the harness grants omega_h for an accretive impedance."""
+    return psd_tolerance(ver["s_norm"] * np.linalg.norm(pencil.Zhat, 2))
+
+
+def dense_trace_gram(pencil):
+    """S = T M^-1 T^t by a dense solve with the trace scattered to all dofs."""
+    Tt = np.zeros((pencil.n, pencil.N_b))
+    Tt[pencil.bdofs] = pencil.trace.T
+    return Tt.T @ np.linalg.solve(pencil.M.toarray(), Tt)
 
 
 def folded_distance(got, ref):
@@ -154,7 +180,7 @@ class TestWithImpedance:
             constant_z(spec, 40, z0=1.0 + 0.5j))
         idx = np.asarray(pencil.bdofs)
         assert np.array_equal(pencil.B.toarray()[np.ix_(idx, idx)],
-                              pencil.boundary_block())
+                              pencil.trace.T @ pencil.Zhat @ pencil.trace)
         assert pencil.B.nnz == idx.size ** 2
 
     def test_zero_impedance_is_neumann(self, disk_setup):
@@ -186,8 +212,87 @@ class TestWithImpedance:
         assert np.all(report.certified().imag < 0)
         ver = ac.verify_mdissipativity(pencil, report)
         assert ver["halfplane_ok"]
-        assert ver["herm_check"] >= -1e-10
-        assert ver["resolvent_violation"] <= 1e-6
+        assert ver["omega_h"] <= certificate_tol(pencil, ver)
+
+
+@pytest.fixture(scope="module", params=["disk", "annulus"])
+def certificate_base(request):
+    """The acoustic benchmark's small pencils: disk h=0.12 at the default N_b
+    and annulus h=0.12 at N_b=26, with their boundary spectra."""
+    if request.param == "disk":
+        mesh, N_b = ac.disk_mesh(0.12), None
+    else:
+        mesh, N_b = ac.annulus_mesh(0.12), 26
+    spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+    return ac.assemble_pencil(mesh, spec, N_b=N_b)
+
+
+def certify(pencil):
+    return ac.verify_mdissipativity(pencil, ac.solve_pencil(pencil, n_wanted=10))
+
+
+class TestCertificate:
+    """omega_h against the dense energy-coordinate operator A_hat."""
+
+    @pytest.mark.parametrize("make_z, dissipative", [
+        (lambda spec, N_b: constant_z(spec, N_b, 1.0), True),
+        (lambda spec, N_b: constant_z(spec, N_b, -0.5), False),
+        (lambda spec, N_b: random_z(spec, N_b, 1.0, sign=-1.0), False),
+    ], ids=["z0=1", "z0=-0.5", "negated_sample"])
+    def test_matches_dense_numerical_range(self, certificate_base, make_z, dissipative):
+        pencil = certificate_base.with_impedance(
+            make_z(certificate_base.spectrum, certificate_base.N_b))
+        omega = certify(pencil)["omega_h"]
+        A = ac._energy_reduction(pencil)
+        dense = np.linalg.eigvalsh((A - A.conj().T) / 2j)[-1]
+        assert abs(omega - dense) <= 1e-10 * max(1.0, abs(omega))
+        assert (omega == 0.0) == dissipative
+
+    def test_dense_resolvent_within_shifted_bound(self, certificate_base):
+        pencil = certificate_base.with_impedance(
+            constant_z(certificate_base.spectrum, certificate_base.N_b, -0.5))
+        omega = certify(pencil)["omega_h"]
+        A = ac._energy_reduction(pencil)
+        scale = np.linalg.norm(A, 2)
+        I = np.eye(A.shape[0])
+        for re in np.linspace(0.0, 1.0, 3) * scale:
+            for im in omega + np.geomspace(0.25, 1.0, 3) * scale:
+                smin = np.linalg.svd(A - (re + 1j * im) * I, compute_uv=False)[-1]
+                assert 1.0 / smin <= (1.0 + 1e-10) / (im - omega)
+
+    @pytest.mark.parametrize("z0", [1.0, -0.5, -2.0])
+    def test_constant_impedance_scales_trace_gram(self, certificate_base, z0):
+        pencil = certificate_base.with_impedance(
+            constant_z(certificate_base.spectrum, certificate_base.N_b, z0))
+        ver = certify(pencil)
+        s_max = np.linalg.eigvalsh(dense_trace_gram(pencil))[-1]
+        assert ver["s_norm"] == pytest.approx(s_max, rel=1e-12)
+        assert ver["omega_h"] == pytest.approx(max(0.0, -z0) * s_max, rel=1e-12)
+
+    def test_zero_iff_accretive(self, certificate_base):
+        # Sylvester: R^t Herm(Zhat) R and Herm(Zhat) share their inertia
+        spec, N_b = certificate_base.spectrum, certificate_base.N_b
+        tensor = TripleProductTensor(spec)
+        verdicts = []
+        for kernel_weight in (0.0, 1.0):
+            for seed in range(2):
+                for sign in (1.0, -1.0):
+                    Z = random_z(spec, N_b, kernel_weight, seed, sign, tensor)
+                    pencil = certificate_base.with_impedance(Z)
+                    ver = certify(pencil)
+                    accretive = is_accretive(Z)["verdict"]
+                    assert (ver["omega_h"] <= certificate_tol(pencil, ver)) == accretive
+                    verdicts.append(accretive)
+        assert verdicts == [True] * 4 + [True, False] * 2
+
+    def test_scales_past_the_dense_oracle(self):
+        mesh = ac.disk_mesh_family(0.25, 4)[-1]
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        base = ac.assemble_pencil(mesh, spec)
+        ver = certify(base.with_impedance(constant_z(spec, base.N_b)))
+        assert base.n == 3269
+        assert ver["omega_h"] == 0.0
+        assert ver["halfplane_ok"]
 
 
 class TestDefaultNb:
@@ -232,13 +337,6 @@ class TestMonteCarlo:
 
 
 QUAD = [[0, 0], [1, 0], [1.2, 0.8], [0.1, 1]]
-
-
-def accretive_random_z(spec, N_b):
-    rspec = RandomImpedanceSpec(c=1.0, s=0.3, kernel_weights=(1.0,))
-    zeta = sample_random_impedance(spec, rspec, spec.count, 0)
-    return multiplier_impedance(impedance_coefficients(zeta), N_b,
-                                tensor=TripleProductTensor(spec))
 
 
 class TestOneSolver:

@@ -136,3 +136,36 @@ def test_monte_carlo_accretive_side_has_no_real_spectrum(tmp_path):
     assert summary["n_solved"] == 3
     assert summary["fraction_real_spectrum"] == 0
     assert summary["fraction_halfplane"] == 1
+
+
+EMIT_PLOT_RUNS = [
+    ("spectrum", WEYL_CIRCLE),
+    ("ratios", {"experiment": "fgf_convergence", "geometry": {"kind": "circle"},
+                "params": {"seeds": 30, "s_values": [1.0]}}),
+    ("profile", {"experiment": "multiplier_profile", "geometry": {"kind": "circle"},
+                 "params": {"phi": {"kind": "cantor", "samples": 10000},
+                            "truncations": [32, 64], "ranks": [1, 2, 4]}}),
+    ("eigenvalues", {"experiment": "acoustic_spectrum",
+                     "mesh": {"kind": "disk", "h": 0.3},
+                     "params": {"impedance": {"kind": "constant"}}}),
+    ("cloud", {"experiment": "monte_carlo", "mesh": {"kind": "disk", "h": 0.3},
+               "params": {"n_samples": 2, "rspec": {"c": 1.0, "s": 0.3}}}),
+]
+
+
+@pytest.mark.parametrize("artifact, config", EMIT_PLOT_RUNS,
+                         ids=[a for a, _ in EMIT_PLOT_RUNS])
+def test_emit_plot_writes_long_format(artifact, config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    manifest = str(tmp_path / "out" / "manifest.json")
+    capsys.readouterr()
+    assert cli.main(["emit-plot", manifest, artifact]) == 0
+    plot = capsys.readouterr().out.strip()
+    assert plot == str(tmp_path / "out" / f"plot_{artifact}.csv")
+    with open(plot) as f:
+        header, *rows = f.read().splitlines()
+    assert header == "series,x,y"
+    assert len(rows) > 0
+    assert cli.main(["emit-plot", manifest, "no_such_artifact"]) == 1
