@@ -389,8 +389,8 @@ def _run_multiplier(run):
     for Nt in truncs:
         A = build_multiplier(phi, s1, s2, Nt, tensor=tensor)
         norms.append(multiplier_norm(A))
-        for k, sv in zip(ranks, compactness_profile(A, [r for r in ranks if r <= Nt])):
-            rows.append((k, sv, Nt))
+        kept = [r for r in ranks if r <= Nt]
+        rows.extend((k, sv, Nt) for k, sv in zip(kept, compactness_profile(A, kept)))
     pos = positivity_test(phi, min(truncs), tensor=tensor,
                           tol=cfg.tolerances.get("psd_tol"))
     run.add_csv("profile", ["k", "sigma_k", "N_trunc"], rows)

@@ -19,6 +19,7 @@ and refinement in N stands in for the infinite-dimensional claims.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -177,13 +178,22 @@ class TripleProductTensor:
 # multiplier matrices
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _real_if_exact(X):
+    """X.real when the imaginary part of X is exactly zero, else X: LAPACK
+    then runs in real arithmetic on real data at no loss of accuracy."""
+    return X if np.any(X.imag) else X.real
+
+
+@dataclass(frozen=True)
 class MultiplierMatrix:
     """Compression P_N M_phi P_N with Sobolev-exponent bookkeeping.
 
     ``matrix[m, n] = <M_phi Y_n, Y_m> = integral(phi Y_n Y_m)``; the target
-    mapping H^{s1} -> H^{-s2} only enters through the diagonal weights used
-    by :func:`multiplier_norm` and :func:`compactness_profile`.
+    mapping H^{s1} -> H^{-s2} only enters through the diagonal weights of
+    :meth:`weighted`.  The singular values of the weighted matrix, which
+    :func:`multiplier_norm` and :func:`compactness_profile` both read, are
+    computed once per compression, in real arithmetic when the compression
+    is real (a real phi).  Immutable, so that cache stays valid.
     """
 
     spectrum: BoundarySpectrum
@@ -197,11 +207,13 @@ class MultiplierMatrix:
         d2 = ht_weights(self.spectrum, -self.s2)[:self.N_trunc]
         return d2[:, None] * self.matrix * d1[None, :]
 
+    @functools.cached_property
+    def singular_values(self):
+        """Singular values of D(-s2) A D(-s1), in descending order."""
+        return np.linalg.svd(_real_if_exact(self.weighted()), compute_uv=False)
+
     def hermitian_part(self):
         return 0.5 * (self.matrix + self.matrix.conj().T)
-
-    def norm(self):
-        return float(np.linalg.norm(self.matrix, 2))
 
 
 def build_multiplier(phi, s1, s2, N_trunc, tensor=None):
@@ -216,8 +228,10 @@ def build_multiplier(phi, s1, s2, N_trunc, tensor=None):
 
 def multiplier_norm(A: MultiplierMatrix):
     """Largest singular value of D(-s2) A D(-s1): the truncated operator
-    norm H^{s1} -> H^{-s2}."""
-    return float(np.linalg.norm(A.weighted(), 2))
+    norm H^{s1} -> H^{-s2}.  Shares one singular-value solve per
+    compression with :func:`compactness_profile`, in real arithmetic when
+    the compression is real."""
+    return float(A.singular_values[0])
 
 
 def compactness_profile(A: MultiplierMatrix, ranks):
@@ -225,9 +239,11 @@ def compactness_profile(A: MultiplierMatrix, ranks):
 
     A numerically compact multiplier shows sigma_k -> 0 with growing k,
     stably under truncation refinement; an identity-weighted symbol stays
-    bounded away from zero.
+    bounded away from zero.  The singular values are those of
+    ``A.singular_values``: one solve per compression, shared with
+    :func:`multiplier_norm`, in real arithmetic when the compression is real.
     """
-    sv = np.linalg.svd(A.weighted(), compute_uv=False)
+    sv = A.singular_values
     out = []
     for k in ranks:
         if not 1 <= k <= sv.size:
@@ -242,14 +258,19 @@ def positivity_test(phi, N_trunc=None, tol=None, tensor=None):
     phi >= 0 as a measure/distribution iff the Hermitian part of its
     multiplication operator is positive semidefinite; at truncation this is
     tested on the compression with slack ``tol`` (default scales with the
-    matrix norm).
+    matrix norm).  The curve contraction is exactly symmetric, so Herm(A) =
+    Re(A) and its eigenvalues are taken in real arithmetic.  For a real A
+    they also give ||A||_2 = max |e|; only a complex A needs a singular
+    value (the weights are ones at s1 = s2 = 0).
     """
     N_trunc = N_trunc or phi.n_coeffs
     A = build_multiplier(phi, 0.0, 0.0, N_trunc, tensor=tensor)
-    H = A.hermitian_part()
-    min_eig = float(np.linalg.eigvalsh(H)[0]) if N_trunc else 0.0
+    H = _real_if_exact(A.hermitian_part())
+    eigs = np.linalg.eigvalsh(H) if N_trunc else np.zeros(1)
+    min_eig = float(eigs[0])
     if tol is None:
-        tol = psd_tolerance(A.norm())
+        real = not np.any(A.matrix.imag)
+        tol = psd_tolerance(float(np.abs(eigs).max() if real else A.singular_values[0]))
     return {"is_nonneg": bool(min_eig >= -tol), "min_eig": min_eig, "tol": tol}
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -123,6 +124,24 @@ def test_manifest_roundtrip(config, artifacts, tmp_path):
         + ["manifest.json"])
     back = harness.RunManifest.load(tmp_path / "manifest.json")
     assert back.content_hash() == manifest.content_hash()
+
+
+def test_profile_rows_labelled_with_their_rank(tmp_path):
+    # ranks past the smaller truncation are dropped, and not in ascending order
+    cfg = harness.ExperimentConfig.from_dict({
+        "experiment": "multiplier_profile", "geometry": {"kind": "circle"},
+        "params": {"phi": {"kind": "cantor", "samples": 1000},
+                   "truncations": [16, 32], "ranks": [32, 1]}})
+    manifest = harness.run(cfg, str(tmp_path))
+    assert manifest.passed, manifest.assertions
+    with open(tmp_path / "profile.csv") as f:
+        rows = list(csv.DictReader(f))
+    norms = json.loads((tmp_path / "summary.json").read_text())["norms"]
+    assert [(r["k"], r["N_trunc"]) for r in rows] == [("1", "16"), ("32", "32"),
+                                                      ("1", "32")]
+    for r in rows:
+        if r["k"] == "1":
+            assert float(r["sigma_k"]) == pytest.approx(norms[r["N_trunc"]], rel=1e-12)
 
 
 def test_monte_carlo_accretive_side_has_no_real_spectrum(tmp_path):

@@ -49,6 +49,27 @@ def mean_zero_oscillation(spec, rng, band=12):
     return bd.SpectralFunction(spec, c)
 
 
+@pytest.fixture(scope="module")
+def cantor_400(circle_spec_400):
+    return mp.cantor_measure_coeffs(circle_spec_400, 1 / 3, oracle_samples=2**14)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record the dtype of every array passed to np.linalg.svd, also by
+    np.linalg.norm(x, 2), which calls svd through its own module's globals."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setitem(getattr(svd, "__wrapped__", svd).__globals__, "svd", counting)
+    return calls
+
+
 class TestBuildMultiplier:
     def test_identity(self, circle_spec, circle_tensor):
         one = bd.constant_function(circle_spec)
@@ -229,6 +250,43 @@ class TestNormsAndCompactness:
             mp.compactness_profile(A, [9])
 
 
+class TestSingularValues:
+    """One singular-value solve per compression, real when phi is real."""
+
+    @pytest.mark.parametrize("N_trunc", [64, 128])
+    @pytest.mark.parametrize("s1, s2", [(0.5, 0.5), (0.3, 0.8)])
+    def test_real_path_matches_complex_svd(self, cantor_400, N_trunc, s1, s2,
+                                           svd_calls):
+        A = mp.build_multiplier(cantor_400, s1, s2, N_trunc)
+        sv = A.singular_values
+        assert svd_calls == [np.float64]
+        ref = np.linalg.svd(A.weighted(), compute_uv=False)
+        assert np.abs(sv - ref).max() <= 1e-13 * ref[0]
+
+    def test_complex_phi_keeps_complex_arithmetic(self, circle_spec, circle_tensor,
+                                                  svd_calls):
+        phi = 1j * bd.unit_mode(circle_spec, 4)
+        A = mp.build_multiplier(phi, 0.5, 0.3, 32, tensor=circle_tensor)
+        sv = A.singular_values
+        assert svd_calls == [np.complex128]
+        ref = np.linalg.svd(A.weighted(), compute_uv=False)
+        assert np.abs(sv - ref).max() <= 1e-13 * ref[0]
+
+    def test_norm_and_profile_share_one_solve(self, cantor_400, svd_calls):
+        A = mp.build_multiplier(cantor_400, 0.5, 0.5, 64)
+        norm = mp.multiplier_norm(A)
+        prof = mp.compactness_profile(A, [1, 8, 64])
+        assert len(svd_calls) == 1
+        assert prof[0] == norm
+
+    def test_positivity_takes_no_svd_on_real_phi(self, cantor_400, circle_spec,
+                                                 circle_tensor, svd_calls):
+        mp.positivity_test(cantor_400, 64)
+        assert svd_calls == []
+        mp.positivity_test(1j * bd.unit_mode(circle_spec, 3), 16, tensor=circle_tensor)
+        assert svd_calls == [np.complex128]
+
+
 class TestPositivity:
     def test_constant_positive(self, circle_spec, circle_tensor):
         res = mp.positivity_test(bd.constant_function(circle_spec), 16,
@@ -244,6 +302,24 @@ class TestPositivity:
         res = mp.positivity_test(bd.dirac_coeffs(circle_spec, 0, 0.7), 20,
                                  tensor=circle_tensor)
         assert res["is_nonneg"]
+
+    @pytest.mark.parametrize("make_phi, N_trunc", [
+        (bd.constant_function, 16),
+        (lambda spec: bd.unit_mode(spec, 2), 16),
+        (lambda spec: bd.dirac_coeffs(spec, 0, 0.7), 20),
+        (lambda spec: mp.cantor_measure_coeffs(spec, 1 / 3, oracle_samples=2**14), 24),
+        (lambda spec: 1j * bd.unit_mode(spec, 2), 16),
+    ], ids=["constant", "unit_mode", "dirac", "cantor", "imaginary"])
+    def test_matches_complex_hermitian_oracle(self, circle_spec, circle_tensor,
+                                              make_phi, N_trunc):
+        phi = make_phi(circle_spec)
+        A = mp.build_multiplier(phi, 0.0, 0.0, N_trunc, tensor=circle_tensor)
+        min_eig = np.linalg.eigvalsh(0.5 * (A.matrix + A.matrix.conj().T))[0]
+        tol = mp.psd_tolerance(np.linalg.norm(A.matrix, 2))
+        res = mp.positivity_test(phi, N_trunc, tensor=circle_tensor)
+        assert res["min_eig"] == pytest.approx(min_eig, abs=1e-13)
+        assert res["tol"] == pytest.approx(tol, rel=1e-12)
+        assert res["is_nonneg"] == (min_eig >= -tol)
 
     def test_fejer_riesz_family_psd(self, circle_spec, circle_tensor):
         rng = np.random.default_rng(11)
