@@ -748,7 +748,7 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
             phi = impedance_coefficients(zeta)
             Z = multiplier_impedance(phi, base.N_b, tensor=tensor)
             report = solve_pencil(base.with_impedance(Z), n_wanted=n_wanted)
-            accretive = is_accretive(Z)["verdict"]
+            accretive = is_accretive(Z)["nonneg"]
         except Exception as err:   # per-sample failure: count, go on
             return None, {"sample": i, "error": str(err)}
         return {"seed": seed,

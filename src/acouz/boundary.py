@@ -275,13 +275,6 @@ class BoundarySpectrum:
 
     # -- persistence ---------------------------------------------------------
 
-    def export_csv(self, path):
-        """Write the eigenvalue table (n, mu_n) as CSV."""
-        with open(path, "w") as f:
-            f.write("n,mu_n\n")
-            for n, m in enumerate(self.mu, start=1):
-                f.write(f"{n},{m!r}\n")
-
     def dump_npz(self, path):
         np.savez_compressed(
             path, mu=self.mu, modes=self.modes, b0=self.b0,

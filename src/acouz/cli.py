@@ -18,8 +18,11 @@ from .harness import (
 
 
 def _load_config(args):
-    with open(args.config) as f:
-        raw = json.load(f)
+    try:
+        with open(args.config) as f:
+            raw = json.load(f)
+    except (OSError, ValueError) as err:    # unreadable file or invalid JSON
+        raise ConfigError([f"cannot load {args.config}: {err}"]) from None
     if args.override:
         raw = apply_overrides(raw, args.override)
     cfg = ExperimentConfig.from_dict(raw)
@@ -68,23 +71,16 @@ def main(argv=None):
 
     try:
         cfg = _load_config(args)
+        errors = validate_config(cfg)
     except ConfigError as err:
-        for e in err.errors:
-            print("config error:", e, file=sys.stderr)
-        return 1
-
-    errors = validate_config(cfg)
-    if args.command == "validate":
-        for e in errors:
-            print("config error:", e, file=sys.stderr)
-        if not errors:
-            print("ok")
-        return 1 if errors else 0
-
+        errors = err.errors
+    for e in errors:
+        print("config error:", e, file=sys.stderr)
     if errors:
-        for e in errors:
-            print("config error:", e, file=sys.stderr)
         return 1
+    if args.command == "validate":
+        print("ok")
+        return 0
     out_dir = args.out or cfg.run_dir()
     manifest = run(cfg, out_dir=out_dir)
     for a in manifest.assertions:

@@ -40,8 +40,6 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 RUNNER_ERROR = "runner_error"
-EXPERIMENTS = ("weyl", "fgf_convergence", "multiplier_profile",
-               "impedance_check", "acoustic_spectrum", "monte_carlo")
 
 
 class ConfigError(ValueError):
@@ -77,24 +75,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError([f"config must be a JSON object, not {type(d).__name__}"])
         known = {"schema_version", "experiment", "params", "geometry", "mesh",
                  "seed", "tolerances", "out_dir", "workers"}
         unknown = set(d) - known
         if unknown:
             raise ConfigError([f"unknown config keys: {sorted(unknown)}"])
+        errors = [f"{key} must be a JSON object"
+                  for key in ("params", "geometry", "mesh", "tolerances")
+                  if not isinstance(d.get(key), (dict, type(None)))]
+        if not isinstance(d.get("out_dir", ""), str):
+            errors.append("out_dir must be a string")
+        ints = {}
+        for key, default in (("seed", 0), ("workers", 1),
+                             ("schema_version", SCHEMA_VERSION)):
+            try:
+                ints[key] = int(d.get(key, default))
+            except (TypeError, ValueError):
+                errors.append(f"{key} must be an integer, not {d[key]!r}")
+        if errors:
+            raise ConfigError(errors)
         return cls(experiment=d.get("experiment", ""),
                    params=d.get("params", {}) or {},
                    geometry=d.get("geometry"), mesh=d.get("mesh"),
-                   seed=int(d.get("seed", 0)),
                    tolerances=d.get("tolerances", {}) or {},
-                   out_dir=d.get("out_dir", "runs"),
-                   workers=int(d.get("workers", 1)),
-                   schema_version=int(d.get("schema_version", SCHEMA_VERSION)))
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+                   out_dir=d.get("out_dir", "runs"), **ints)
 
     def canonical_json(self):
         """Experiment identity: excludes output location and worker count,
@@ -121,14 +127,10 @@ def validate_config(config):
     if config.experiment not in EXPERIMENTS:
         errors.append(f"unknown experiment {config.experiment!r} "
                       f"(choose from {', '.join(EXPERIMENTS)})")
-    needs_mesh = config.experiment in ("acoustic_spectrum", "monte_carlo")
-    if needs_mesh and not config.mesh:
-        errors.append(f"experiment {config.experiment!r} needs a mesh block")
-    if not needs_mesh and config.experiment in ("weyl", "fgf_convergence",
-                                                "multiplier_profile",
-                                                "impedance_check") \
-            and not config.geometry:
-        errors.append(f"experiment {config.experiment!r} needs a geometry block")
+    else:
+        block = _RUNNERS[config.experiment][1]
+        if not getattr(config, block):
+            errors.append(f"experiment {config.experiment!r} needs a {block} block")
     for block, builder in (("geometry", _geometry_kinds), ("mesh", _mesh_kinds)):
         spec = getattr(config, block)
         if spec is not None:
@@ -162,10 +164,13 @@ def apply_overrides(config_dict, overrides):
         except json.JSONDecodeError:
             value = raw
         node = config_dict
-        keys = path.split(".")
-        for k in keys[:-1]:
-            node = node.setdefault(k, {})
-        node[keys[-1]] = value
+        *parents, last = path.split(".")
+        for k in parents:
+            node = node.setdefault(k, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise ConfigError([f"override {item!r} sets a key inside a value "
+                               f"that is not a JSON object"])
+        node[last] = value
     return config_dict
 
 
@@ -391,12 +396,12 @@ def _run_multiplier(run):
         norms.append(multiplier_norm(A))
         kept = [r for r in ranks if r <= Nt]
         rows.extend((k, sv, Nt) for k, sv in zip(kept, compactness_profile(A, kept)))
-    pos = positivity_test(phi, min(truncs), tensor=tensor,
-                          tol=cfg.tolerances.get("psd_tol"))
+        if Nt == min(truncs):
+            pos = positivity_test(A, tol=cfg.tolerances.get("psd_tol"))
     run.add_csv("profile", ["k", "sigma_k", "N_trunc"], rows)
     run.add_json("summary", {"norms": dict(zip(map(str, truncs), norms)),
                              "norm": norms[-1], "min_eig": pos["min_eig"],
-                             "is_nonneg": pos["is_nonneg"], "s1": s1, "s2": s2})
+                             "is_nonneg": pos["nonneg"], "s1": s1, "s2": s2})
     if len(norms) >= 2 and "stability_tol" in p:
         rel = abs(norms[-1] - norms[-2]) / norms[-2]
         run.check("norm_stabilizes", rel <= p["stability_tol"],
@@ -412,7 +417,7 @@ def _run_impedance(run):
     Z = impedance_from_config(spec, p["impedance"], N_trunc=p.get("N_trunc", 64))
     acc = is_accretive(Z)
     sa = selfadjointness_criterion(Z)
-    report = {"accretive": acc["verdict"], "min_herm_eig": acc["min_herm_eig"],
+    report = {"accretive": acc["nonneg"], "min_herm_eig": acc["min_eig"],
               "selfadjoint": sa}
     try:
         cp = cayley(Z)
@@ -420,11 +425,11 @@ def _run_impedance(run):
                    / max(1.0, np.linalg.norm(cp.Z_tilde, 2)))
         report.update({"cayley_norm": cp.norm_K, "cayley_roundtrip": rt})
         run.check("cayley_contraction_iff_accretive",
-                  (cp.norm_K <= 1 + 1e-10) == acc["verdict"],
+                  (cp.norm_K <= 1 + 1e-10) == acc["nonneg"],
                   f"|K|={cp.norm_K:.6f}")
     except Exception as err:
         report["cayley_error"] = str(err)
-        run.check("cayley_defined_for_accretive", not acc["verdict"], str(err))
+        run.check("cayley_defined_for_accretive", not acc["nonneg"], str(err))
     run.add_json("impedance", report)
 
 
@@ -449,10 +454,11 @@ def _run_acoustic(run):
     run.check("residuals_certified",
               bool(np.all(report.residuals <= report.residual_tol)),
               f"max residual {report.residuals.max():.2e}")
-    if is_accretive(Z)["verdict"]:
+    acc = is_accretive(Z)
+    if acc["nonneg"]:
         run.check("halfplane_confinement", report.in_lower_halfplane(),
                   f"max Im = {ver['halfplane_check']:.2e}")
-        tol = psd_tolerance(ver["s_norm"] * float(np.linalg.norm(Z.matrix, 2)))
+        tol = psd_tolerance(ver["s_norm"] * acc["norm"])
         run.check("resolvent_bound", ver["omega_h"] <= tol,
                   f"omega_h {ver['omega_h']:.2e}, tolerance {tol:.2e}")
 
@@ -484,11 +490,14 @@ def _run_monte_carlo(run):
               f"got {s['fraction_real_spectrum']}, expect {expect_real}")
 
 
-_RUNNERS = {"weyl": _run_weyl, "fgf_convergence": _run_fgf,
-            "multiplier_profile": _run_multiplier,
-            "impedance_check": _run_impedance,
-            "acoustic_spectrum": _run_acoustic,
-            "monte_carlo": _run_monte_carlo}
+# Each experiment once: its runner and the config block it builds from.
+_RUNNERS = {"weyl": (_run_weyl, "geometry"),
+            "fgf_convergence": (_run_fgf, "geometry"),
+            "multiplier_profile": (_run_multiplier, "geometry"),
+            "impedance_check": (_run_impedance, "geometry"),
+            "acoustic_spectrum": (_run_acoustic, "mesh"),
+            "monte_carlo": (_run_monte_carlo, "mesh")}
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config, out_dir=None):
@@ -502,7 +511,7 @@ def run(config, out_dir=None):
     started = time.time()
     r = _Run(config, out_dir)
     try:
-        _RUNNERS[config.experiment](r)
+        _RUNNERS[config.experiment][0](r)
     except Exception as err:    # fail closed: the manifest is still written
         log.exception("%s runner failed", config.experiment)
         r.check(RUNNER_ERROR, False, f"{type(err).__name__}: {err}")

@@ -16,10 +16,15 @@ The dissipativity theory runs through the diagonal congruence
 which maps the H^{1/2} -> H^{-1/2} picture to L^2: accretivity of Zhat,
 positive semidefiniteness of Herm(Ztilde), and contractivity of the Cayley
 transform K = (Ztilde - I)(Ztilde + I)^(-1) are three independently
-computable, provably equivalent checks.  At finite truncation every
-accretive matrix is maximal accretive and every bounded nonnegative
-operator is its own Friedrichs extension; the corresponding operations
-exist to document the degeneracy, not to hide it.
+computable, provably equivalent checks.  The first two are one decision,
+``multipliers.hermitian_check`` (smallest eigenvalue of the Hermitian part
+against the shared PSD slack), which :func:`is_accretive`,
+:func:`selfadjointness_criterion`, :func:`friedrichs_conjugated` and
+``multipliers.positivity_test`` all call; the Cayley transform is the
+independent third.  At finite truncation every accretive matrix is maximal
+accretive and every bounded nonnegative operator is its own Friedrichs
+extension; the corresponding operations exist to document the degeneracy,
+not to hide it.
 """
 
 from __future__ import annotations
@@ -32,32 +37,30 @@ import numpy as np
 from .boundary import (
     SpectralFunction, SpectrumError, constant_function, fractional_power_weights,
 )
-from .multipliers import build_multiplier, cantor_measure_coeffs, psd_tolerance
+from .multipliers import build_multiplier, cantor_measure_coeffs, hermitian_check
 
 CAYLEY_CONTRACTION_SLACK = 1e-10
 
 
 @dataclass
 class ImpedanceOperator:
-    """A realized boundary operator in the Y-basis (immutable after build)."""
+    """A realized boundary operator in the Y-basis (immutable after build).
 
-    kind: str                      # "multiplier" | "symbol" | "matrix" | "zero"
+    Whatever recipe built it, the operator is its matrix Zhat: every check
+    below reads ``matrix`` only, and accretivity is decided by
+    ``multipliers.hermitian_check``.
+    """
+
     spectrum: object
     N_trunc: int
-    matrix: np.ndarray             # (N_trunc, N_trunc) complex, cached
-    phi: SpectralFunction | None = None
-    symbol: dict | None = None
-
-    def hermitian_part(self):
-        return 0.5 * (self.matrix + self.matrix.conj().T)
+    matrix: np.ndarray             # (N_trunc, N_trunc) complex
 
 
 def multiplier_impedance(phi, N_trunc=None, tensor=None):
     """Z = M_phi compressed to the first N_trunc modes (unit weights)."""
     N_trunc = N_trunc or phi.n_coeffs
     A = build_multiplier(phi, 0.0, 0.0, N_trunc, tensor=tensor)
-    return ImpedanceOperator(kind="multiplier", spectrum=phi.spectrum,
-                             N_trunc=N_trunc, matrix=A.matrix, phi=phi)
+    return ImpedanceOperator(spectrum=phi.spectrum, N_trunc=N_trunc, matrix=A.matrix)
 
 
 def symbol_impedance(spec, N_trunc, c1, c2, t, imaginary=False, sign=1):
@@ -67,10 +70,8 @@ def symbol_impedance(spec, N_trunc, c1, c2, t, imaginary=False, sign=1):
     g = sign * c2 * (spec.mu[:N_trunc] + c1) ** (t / 2.0)
     if imaginary:
         g = 1j * g
-    return ImpedanceOperator(kind="symbol", spectrum=spec, N_trunc=N_trunc,
-                             matrix=np.diag(g.astype(complex)),
-                             symbol={"c1": c1, "c2": c2, "t": t,
-                                     "imaginary": imaginary, "sign": sign})
+    return ImpedanceOperator(spectrum=spec, N_trunc=N_trunc,
+                             matrix=np.diag(g.astype(complex)))
 
 
 def matrix_impedance(spec, Zhat):
@@ -79,12 +80,11 @@ def matrix_impedance(spec, Zhat):
         raise SpectrumError("impedance matrix must be square")
     if Zhat.shape[0] > spec.count:
         raise SpectrumError("impedance matrix larger than the spectrum")
-    return ImpedanceOperator(kind="matrix", spectrum=spec,
-                             N_trunc=Zhat.shape[0], matrix=Zhat)
+    return ImpedanceOperator(spectrum=spec, N_trunc=Zhat.shape[0], matrix=Zhat)
 
 
 def zero_impedance(spec, N_trunc):
-    return ImpedanceOperator(kind="zero", spectrum=spec, N_trunc=N_trunc,
+    return ImpedanceOperator(spectrum=spec, N_trunc=N_trunc,
                              matrix=np.zeros((N_trunc, N_trunc), dtype=complex))
 
 
@@ -118,7 +118,7 @@ def phi_from_config(spec, config, seed=0):
 IMPEDANCE_KINDS = ("zero", "constant", "multiplier", "cantor", "symbol", "matrix")
 
 
-def impedance_from_config(spec, config, N_trunc=None, tensor=None):
+def impedance_from_config(spec, config, N_trunc=None):
     """Build an operator from its JSON-config description.
 
     ``{"kind": "zero"}``; ``{"kind": "constant", "z0": ...}``;
@@ -133,8 +133,7 @@ def impedance_from_config(spec, config, N_trunc=None, tensor=None):
     if kind == "zero":
         return zero_impedance(spec, N_trunc)
     if kind in ("constant", "multiplier", "cantor"):
-        return multiplier_impedance(phi_from_config(spec, config), N_trunc,
-                                    tensor=tensor)
+        return multiplier_impedance(phi_from_config(spec, config), N_trunc)
     if kind == "symbol":
         if "expr" in config:
             m = _SYMBOL_RE.match(config["expr"])
@@ -170,37 +169,30 @@ def conjugate_to_l2(Z):
 
 
 def is_accretive(Z, tol=None):
-    """Smallest eigenvalue of Herm(Zhat) against the shared PSD slack."""
-    H = Z.hermitian_part()
-    min_eig = float(np.linalg.eigvalsh(H)[0])
-    if tol is None:
-        tol = psd_tolerance(float(np.linalg.norm(Z.matrix, 2)))
-    return {"verdict": bool(min_eig >= -tol), "min_herm_eig": min_eig, "tol": tol}
+    """``hermitian_check`` of Zhat: Herm(Zhat) >= 0 up to the shared PSD
+    slack; ``norm`` is ||Zhat||_2."""
+    return hermitian_check(Z.matrix, tol)
 
 
 def natural_adjoint(Z):
     """The adjoint w.r.t. the boundary pairing: the conjugate transpose.
 
-    For multiplier operators this is exactly the operator of conj(phi).
+    For a multiplier operator this is exactly the operator of conj(phi),
+    because the triple-product contraction is symmetric in (m, n).
     """
-    if Z.kind == "multiplier":
-        out = multiplier_impedance(Z.phi.conj(), Z.N_trunc)
-        # entrywise identity with the transpose; keep the cached route
-        return out
-    return ImpedanceOperator(kind=Z.kind, spectrum=Z.spectrum, N_trunc=Z.N_trunc,
-                             matrix=Z.matrix.conj().T.copy(), phi=None,
-                             symbol=Z.symbol)
+    return ImpedanceOperator(spectrum=Z.spectrum, N_trunc=Z.N_trunc,
+                             matrix=Z.matrix.conj().T)
 
 
-def selfadjointness_criterion(Z, tol=None):
-    """True iff Z^natural = -Z, i.e. ||Zhat + Zhat*|| below the PSD slack.
+def selfadjointness_criterion(Z):
+    """True iff Z^natural = -Z, i.e. ||Zhat + Zhat*||_2 = 2 max|eig Herm(Zhat)|
+    below the PSD slack of Zhat.
 
     When true, the acoustic pencil built from Z must produce a real
     spectrum (cross-module contract, tested in the acoustic module).
     """
-    if tol is None:
-        tol = psd_tolerance(float(np.linalg.norm(Z.matrix, 2)))
-    return bool(np.linalg.norm(Z.matrix + Z.matrix.conj().T, 2) <= tol)
+    c = hermitian_check(Z.matrix)
+    return bool(2.0 * max(-c["min_eig"], c["max_eig"]) <= c["tol"])
 
 
 @dataclass
@@ -238,10 +230,7 @@ def friedrichs_conjugated(Z, tol=None, check_tol=1e-12):
     assertion documents the degeneracy instead of hiding it.
     """
     Zt = conjugate_to_l2(Z)
-    H = 0.5 * (Zt + Zt.conj().T)
-    if tol is None:
-        tol = psd_tolerance(float(np.linalg.norm(Zt, 2)))
-    if np.linalg.eigvalsh(H)[0] < -tol:
+    if not hermitian_check(Zt, tol)["nonneg"]:
         raise SpectrumError("Friedrichs construction needs a PSD Hermitian part")
     d = fractional_power_weights(Z.spectrum, 0.5, 1.0)[:Z.N_trunc]
     back = d[:, None] * Zt * d[None, :]

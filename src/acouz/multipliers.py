@@ -212,9 +212,6 @@ class MultiplierMatrix:
         """Singular values of D(-s2) A D(-s1), in descending order."""
         return np.linalg.svd(_real_if_exact(self.weighted()), compute_uv=False)
 
-    def hermitian_part(self):
-        return 0.5 * (self.matrix + self.matrix.conj().T)
-
 
 def build_multiplier(phi, s1, s2, N_trunc, tensor=None):
     """Truncated matrix of multiplication by phi in the eigenbasis."""
@@ -252,26 +249,36 @@ def compactness_profile(A: MultiplierMatrix, ranks):
     return out
 
 
-def positivity_test(phi, N_trunc=None, tol=None, tensor=None):
-    """Multiplicative positivity of phi: PSD Hermitian part of M_phi.
+def hermitian_check(X, tol=None):
+    """Herm(X) = (X + X*)/2 >= 0 up to the PSD slack: the one accretivity
+    decision, shared by multiplier positivity, impedance accretivity and the
+    Friedrichs precondition.
 
-    phi >= 0 as a measure/distribution iff the Hermitian part of its
-    multiplication operator is positive semidefinite; at truncation this is
-    tested on the compression with slack ``tol`` (default scales with the
-    matrix norm).  The curve contraction is exactly symmetric, so Herm(A) =
-    Re(A) and its eigenvalues are taken in real arithmetic.  For a real A
-    they also give ||A||_2 = max |e|; only a complex A needs a singular
-    value (the weights are ones at s1 = s2 = 0).
+    Returns ``nonneg``, the extreme eigenvalues ``min_eig`` and ``max_eig``
+    of Herm(X), ``tol`` (default ``psd_tolerance(norm)``) and ``norm`` =
+    ||X||_2.  The eigenvalues are taken in real arithmetic when Herm(X) is
+    exactly real; ||X||_2 is read from them when X is exactly Hermitian, and
+    only a non-Hermitian X takes one singular-value solve.
     """
-    N_trunc = N_trunc or phi.n_coeffs
-    A = build_multiplier(phi, 0.0, 0.0, N_trunc, tensor=tensor)
-    H = _real_if_exact(A.hermitian_part())
-    eigs = np.linalg.eigvalsh(H) if N_trunc else np.zeros(1)
-    min_eig = float(eigs[0])
-    if tol is None:
-        real = not np.any(A.matrix.imag)
-        tol = psd_tolerance(float(np.abs(eigs).max() if real else A.singular_values[0]))
-    return {"is_nonneg": bool(min_eig >= -tol), "min_eig": min_eig, "tol": tol}
+    eigs = np.linalg.eigvalsh(_real_if_exact(0.5 * (X + X.conj().T)))
+    if np.array_equal(X, X.conj().T):
+        norm = float(np.abs(eigs).max())
+    else:
+        norm = float(np.linalg.svd(_real_if_exact(X), compute_uv=False)[0])
+    tol = psd_tolerance(norm) if tol is None else tol
+    return {"nonneg": bool(eigs[0] >= -tol), "min_eig": float(eigs[0]),
+            "max_eig": float(eigs[-1]), "tol": tol, "norm": norm}
+
+
+def positivity_test(A: MultiplierMatrix, tol=None):
+    """Multiplicative positivity of phi from its compression A = P_N M_phi P_N.
+
+    phi >= 0 as a measure/distribution iff the Hermitian part of M_phi is
+    positive semidefinite; at truncation this is :func:`hermitian_check` of
+    ``A.matrix`` (the Sobolev weights of A play no part).  A real phi has an
+    exactly symmetric curve contraction, so no singular value is taken.
+    """
+    return hermitian_check(A.matrix, tol)
 
 
 def accretivity_integral_test(z, test_count=32, seed=0, tensor=None):
@@ -289,9 +296,8 @@ def accretivity_integral_test(z, test_count=32, seed=0, tensor=None):
     tensor = tensor or TripleProductTensor(spec)
 
     A = tensor.contract(re_c, N)
-    H = 0.5 * (A + A.conj().T)
-    tol = psd_tolerance(float(np.linalg.norm(A, 2)))
-    _, eigvecs = np.linalg.eigh(H)
+    tol = hermitian_check(A)["tol"]
+    _, eigvecs = np.linalg.eigh(0.5 * (A + A.conj().T))
 
     rng = np.random.default_rng(seed)
     probes = []

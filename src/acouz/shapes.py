@@ -7,19 +7,12 @@ import numpy as np
 from .boundary import BoundaryGeometry
 
 
-def circle_geometry(radius=1.0, n_segments=256, center=(0.0, 0.0)):
-    """A circle approximated by a regular n-gon polyline.
+def regular_polygon_geometry(n_sides, circumradius=1.0, center=(0.0, 0.0)):
+    """A regular n-gon polyline; with many sides, the stock circle.
 
     The polyline perimeter is the exact boundary measure used downstream;
     for spectral purposes only the total length matters.
     """
-    th = 2 * np.pi * np.arange(n_segments) / n_segments
-    pts = np.column_stack([center[0] + radius * np.cos(th),
-                           center[1] + radius * np.sin(th)])
-    return BoundaryGeometry(dim_ambient=2, components=(pts,))
-
-
-def regular_polygon_geometry(n_sides, circumradius=1.0, center=(0.0, 0.0)):
     th = 2 * np.pi * np.arange(n_sides) / n_sides
     pts = np.column_stack([center[0] + circumradius * np.cos(th),
                            center[1] + circumradius * np.sin(th)])
@@ -36,7 +29,7 @@ def scaled_circle_by_perimeter(perimeter, n_segments=256):
     """Circle-shaped polyline whose *polyline* length equals ``perimeter``."""
     # a regular n-gon of circumradius R has perimeter 2 n R sin(pi/n)
     R = perimeter / (2 * n_segments * np.sin(np.pi / n_segments))
-    return circle_geometry(radius=R, n_segments=n_segments)
+    return regular_polygon_geometry(n_segments, circumradius=R)
 
 
 # ---------------------------------------------------------------------------

@@ -313,10 +313,3 @@ class TestSpectralFunction:
         back = bd.SpectralFunction.from_dict(circle_spec, json.loads(
             json.dumps(f.to_dict())))
         assert np.array_equal(back.coeffs, f.coeffs)
-
-    def test_csv_export(self, tmp_path, circle_spec):
-        p = tmp_path / "spec.csv"
-        circle_spec.export_csv(p)
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == "n,mu_n"
-        assert len(lines) == circle_spec.count + 1

@@ -7,6 +7,7 @@ import pytest
 from acouz import cli, harness
 from acouz.harness import build_geometry, build_spectrum
 from acouz.impedance import IMPEDANCE_KINDS, impedance_from_config
+from acouz.multipliers import TripleProductTensor
 
 
 def _content_hash(config, workers, out_dir):
@@ -69,6 +70,27 @@ def test_validate_rejects_bad_impedance_blocks(tmp_path):
         {"experiment": "impedance_check", "geometry": {"kind": "circle"}})
     assert harness.validate_config(missing) == [
         "experiment 'impedance_check' needs params.impedance"]
+
+
+@pytest.mark.parametrize("command, text, extra", [
+    ("run", json.dumps({**WEYL_CIRCLE, "seed": "abc"}), []),
+    ("run", json.dumps({**WEYL_CIRCLE, "params": [1, 2]}), []),
+    ("run", json.dumps({**WEYL_CIRCLE, "out_dir": 5}), []),
+    ("validate", json.dumps({**WEYL_CIRCLE, "geometry": "circle"}), []),
+    ("run", json.dumps(WEYL_CIRCLE), ["--override", "seed.x=1"]),
+    ("run", json.dumps(WEYL_CIRCLE), ["--override", "params.N.x=3"]),
+    ("run", "{not json", []),
+    ("run", None, []),
+], ids=["seed_string", "params_list", "out_dir_number", "geometry_string",
+        "override_seed", "override_through_int", "invalid_json", "missing_file"])
+def test_malformed_config_is_a_config_error(command, text, extra, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    argv = [command, str(path), *extra]
+    assert cli.main(argv) == 1
+    assert any(line.startswith("config error: ")
+               for line in capsys.readouterr().err.splitlines())
 
 
 MINIMAL_IMPEDANCE = {
@@ -142,6 +164,25 @@ def test_profile_rows_labelled_with_their_rank(tmp_path):
     for r in rows:
         if r["k"] == "1":
             assert float(r["sigma_k"]) == pytest.approx(norms[r["N_trunc"]], rel=1e-12)
+
+
+def test_one_contraction_per_truncation(tmp_path, monkeypatch):
+    # positivity reads the compression the profile loop built at min(truncations)
+    calls = []
+    contract = TripleProductTensor.contract
+
+    def counting(self, coeffs, N_trunc):
+        calls.append(N_trunc)
+        return contract(self, coeffs, N_trunc)
+
+    monkeypatch.setattr(TripleProductTensor, "contract", counting)
+    cfg = harness.ExperimentConfig.from_dict({
+        "experiment": "multiplier_profile", "geometry": {"kind": "circle"},
+        "params": {"phi": {"kind": "cantor", "samples": 1000},
+                   "truncations": [16, 32], "ranks": [1, 2]}})
+    manifest = harness.run(cfg, str(tmp_path))
+    assert manifest.passed, manifest.assertions
+    assert calls == [16, 32]
 
 
 def test_monte_carlo_accretive_side_has_no_real_spectrum(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from acouz import boundary as bd
+from acouz import impedance as imp
 from acouz import multipliers as mp
 from acouz import shapes
 
@@ -281,51 +282,74 @@ class TestSingularValues:
 
     def test_positivity_takes_no_svd_on_real_phi(self, cantor_400, circle_spec,
                                                  circle_tensor, svd_calls):
-        mp.positivity_test(cantor_400, 64)
+        mp.positivity_test(mp.build_multiplier(cantor_400, 0.0, 0.0, 64))
         assert svd_calls == []
-        mp.positivity_test(1j * bd.unit_mode(circle_spec, 3), 16, tensor=circle_tensor)
+        mp.positivity_test(mp.build_multiplier(1j * bd.unit_mode(circle_spec, 3),
+                                               0.0, 0.0, 16, tensor=circle_tensor))
         assert svd_calls == [np.complex128]
 
 
 class TestPositivity:
     def test_constant_positive(self, circle_spec, circle_tensor):
-        res = mp.positivity_test(bd.constant_function(circle_spec), 16,
-                                 tensor=circle_tensor)
-        assert res["is_nonneg"] and res["min_eig"] == pytest.approx(1.0)
+        res = mp.positivity_test(mp.build_multiplier(
+            bd.constant_function(circle_spec), 0.0, 0.0, 16, tensor=circle_tensor))
+        assert res["nonneg"] and res["min_eig"] == pytest.approx(1.0)
 
     def test_mean_zero_oscillation_fails(self, circle_spec, circle_tensor):
-        res = mp.positivity_test(bd.unit_mode(circle_spec, 2), 16,
-                                 tensor=circle_tensor)
-        assert not res["is_nonneg"] and res["min_eig"] < -0.1
+        res = mp.positivity_test(mp.build_multiplier(
+            bd.unit_mode(circle_spec, 2), 0.0, 0.0, 16, tensor=circle_tensor))
+        assert not res["nonneg"] and res["min_eig"] < -0.1
 
     def test_dirac_psd(self, circle_spec, circle_tensor):
-        res = mp.positivity_test(bd.dirac_coeffs(circle_spec, 0, 0.7), 20,
-                                 tensor=circle_tensor)
-        assert res["is_nonneg"]
+        res = mp.positivity_test(mp.build_multiplier(
+            bd.dirac_coeffs(circle_spec, 0, 0.7), 0.0, 0.0, 20, tensor=circle_tensor))
+        assert res["nonneg"]
 
-    @pytest.mark.parametrize("make_phi, N_trunc", [
-        (bd.constant_function, 16),
-        (lambda spec: bd.unit_mode(spec, 2), 16),
-        (lambda spec: bd.dirac_coeffs(spec, 0, 0.7), 20),
-        (lambda spec: mp.cantor_measure_coeffs(spec, 1 / 3, oracle_samples=2**14), 24),
-        (lambda spec: 1j * bd.unit_mode(spec, 2), 16),
-    ], ids=["constant", "unit_mode", "dirac", "cantor", "imaginary"])
-    def test_matches_complex_hermitian_oracle(self, circle_spec, circle_tensor,
-                                              make_phi, N_trunc):
-        phi = make_phi(circle_spec)
-        A = mp.build_multiplier(phi, 0.0, 0.0, N_trunc, tensor=circle_tensor)
-        min_eig = np.linalg.eigvalsh(0.5 * (A.matrix + A.matrix.conj().T))[0]
-        tol = mp.psd_tolerance(np.linalg.norm(A.matrix, 2))
-        res = mp.positivity_test(phi, N_trunc, tensor=circle_tensor)
-        assert res["min_eig"] == pytest.approx(min_eig, abs=1e-13)
-        assert res["tol"] == pytest.approx(tol, rel=1e-12)
-        assert res["is_nonneg"] == (min_eig >= -tol)
+    @pytest.mark.parametrize("make_z", [
+        lambda spec, T: imp.multiplier_impedance(bd.constant_function(spec), 16,
+                                                 tensor=T),
+        lambda spec, T: imp.multiplier_impedance(bd.unit_mode(spec, 2), 16, tensor=T),
+        lambda spec, T: imp.multiplier_impedance(bd.dirac_coeffs(spec, 0, 0.7), 20,
+                                                 tensor=T),
+        lambda spec, T: imp.multiplier_impedance(
+            mp.cantor_measure_coeffs(spec, 1 / 3, oracle_samples=2**14), 24, tensor=T),
+        lambda spec, T: imp.multiplier_impedance(1j * bd.unit_mode(spec, 2), 16,
+                                                 tensor=T),
+        lambda spec, T: imp.symbol_impedance(spec, 16, c1=1.0, c2=1.0, t=1.0,
+                                             imaginary=True),
+        lambda spec, T: imp.matrix_impedance(
+            spec, random_coeffs(np.random.default_rng(7), (12, 12))),
+    ], ids=["constant", "unit_mode", "dirac", "cantor", "imaginary",
+            "imaginary_symbol", "random_matrix"])
+    def test_matches_complex_hermitian_oracle(self, circle_spec, circle_tensor, make_z):
+        # every caller of hermitian_check against the complex formulas it replaced
+        Z = make_z(circle_spec, circle_tensor)
+        X = Z.matrix
+        min_eig = np.linalg.eigvalsh(0.5 * (X + X.conj().T))[0]
+        norm = np.linalg.norm(X, 2)
+        tol = mp.psd_tolerance(norm)
+        A = mp.MultiplierMatrix(circle_spec, X, 0.0, 0.0, Z.N_trunc)
+        for res in (mp.positivity_test(A), imp.is_accretive(Z)):
+            assert res["min_eig"] == pytest.approx(min_eig, abs=1e-13)
+            assert res["norm"] == pytest.approx(norm, rel=1e-12)
+            assert res["tol"] == pytest.approx(tol, rel=1e-12)
+            assert res["nonneg"] == (min_eig >= -tol)
+        assert imp.selfadjointness_criterion(Z) == (
+            np.linalg.norm(X + X.conj().T, 2) <= tol)
+        Zt = imp.conjugate_to_l2(Z)
+        if np.linalg.eigvalsh(0.5 * (Zt + Zt.conj().T))[0] >= -mp.psd_tolerance(
+                np.linalg.norm(Zt, 2)):
+            assert np.allclose(imp.friedrichs_conjugated(Z), X, rtol=0, atol=1e-12)
+        else:
+            with pytest.raises(bd.SpectrumError):
+                imp.friedrichs_conjugated(Z)
 
     def test_fejer_riesz_family_psd(self, circle_spec, circle_tensor):
         rng = np.random.default_rng(11)
         for _ in range(10):
             phi, _ = fejer_riesz_positive(circle_spec, deg=6, rng=rng)
-            res = mp.positivity_test(phi, 24, tensor=circle_tensor)
+            res = mp.positivity_test(mp.build_multiplier(phi, 0.0, 0.0, 24,
+                                                         tensor=circle_tensor))
             assert res["min_eig"] >= -1e-10
 
     def test_toeplitz_cross_check(self, circle_spec):
@@ -374,8 +398,8 @@ class TestAccretivityAgreement:
             z = bd.SpectralFunction(circle_spec, c)
             a = mp.accretivity_integral_test(z, 12, seed=trial,
                                              tensor=circle_tensor)["nonneg"]
-            b = mp.positivity_test(z.real(), z.n_coeffs,
-                                   tensor=circle_tensor)["is_nonneg"]
+            b = mp.positivity_test(mp.build_multiplier(
+                z.real(), 0.0, 0.0, z.n_coeffs, tensor=circle_tensor))["nonneg"]
             agree += (a == b)
         assert agree == 40
 
@@ -451,8 +475,9 @@ class TestCantor:
 
     def test_positivity_of_cantor_measure(self, circle_spec, circle_tensor):
         phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3, oracle_samples=2**18)
-        res = mp.positivity_test(phi, 24, tensor=circle_tensor, tol=1e-6)
-        assert res["is_nonneg"]
+        res = mp.positivity_test(mp.build_multiplier(phi, 0.0, 0.0, 24,
+                                                     tensor=circle_tensor), tol=1e-6)
+        assert res["nonneg"]
 
     def test_second_component_support(self):
         comps = (shapes.scaled_circle_by_perimeter(2 * np.pi).components[0],
