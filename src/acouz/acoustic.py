@@ -16,8 +16,11 @@ quadratic pencil is linearized as
 
     [[K, 0], [0, M]] y = lambda [[i B_Z, M], [M, 0]] y,     y = (p, lambda p),
 
-and solved by shift-invert Arnoldi, through one n x n LU of P(shift), with
-residual certification on the original pencil.
+and solved by shift-invert Arnoldi with residual certification on the
+original pencil.  The shift is purely imaginary, so P(shift) = A0 + T^t Zs T
+with A0 = K - shift^2 M real SPD and Zs = -i shift Zhat: one real LU of A0 per
+mesh serves every impedance, and Zs enters through an N_b x N_b capacitance
+matrix (Sherman-Morrison-Woodbury).
 
 In energy coordinates x = (a, L^t q), ||x||^2 = |a|^2 + q^H M q, the
 linearized operator A_h has Im <A_h x, x> = -q^H Herm(B_Z) q, so its
@@ -55,6 +58,9 @@ ARPACK_TOL = 1e-10
 # times lam_scale: lambda = 0 (K 1 = 0) is defective when 1^t B_Z 1 = 0, so
 # its computed value moves by ~sqrt(backward error)
 ZERO_TOL = math.sqrt(RESIDUAL_TOL)
+# Above it the Woodbury correction of a solve loses more than RESIDUAL_TOL to
+# rounding: the capacitance matrix, and so P(shift), is numerically singular.
+CAPACITANCE_COND_MAX = RESIDUAL_TOL / np.finfo(float).eps
 
 
 class MeshError(ValueError):
@@ -429,7 +435,8 @@ class AcousticPencil:
     """Matrices of P(lambda) = K - i lambda B_Z - lambda^2 M.
 
     ``assemble_pencil`` builds the geometry-dependent parts once (the Neumann
-    pencil); ``with_impedance`` plugs in Zhat and shares them.
+    pencil and the factor of A0 = K - shift^2 M); ``with_impedance`` plugs in
+    Zhat and shares them.
     """
 
     mesh: DomainMesh
@@ -442,10 +449,24 @@ class AcousticPencil:
     trace: np.ndarray           # T, (N_b, n_bdofs)
     bdofs: list
     lam_scale: float = 1.0      # smallest nonzero Neumann eigenvalue
+    shifted_lu: object = None   # sparse LU of the real SPD A0
+    W: np.ndarray | None = None     # A0^-1 T^t, (n, N_b)
+    S0: np.ndarray | None = None    # T A0^-1 T^t, (N_b, N_b)
 
     @property
     def n(self):
         return self.K.shape[0]
+
+    @property
+    def shift(self):
+        """The shift-invert point 0.6i lam_scale of every solve."""
+        return 0.6j * self.lam_scale
+
+    def trace_scatter(self):
+        """T^t on all dofs: the (n, N_b) array whose row bdofs[k] is T[:, k]."""
+        Tt = np.zeros((self.n, self.N_b))
+        Tt[self.bdofs] = self.trace.T
+        return Tt
 
     def with_impedance(self, Z):
         """This pencil with B_Z = T^t Zhat T for Zhat = Z compressed to N_b.
@@ -488,8 +509,10 @@ def default_N_b(mesh, spec):
 def assemble_pencil(mesh, spec, N_b=None):
     """The Neumann pencil K - lambda^2 M with its trace projection.
 
-    K, M, T and lam_scale depend on the mesh only; ``with_impedance``
-    reuses them for every impedance operator.
+    K, M, T, lam_scale and the shifted factor depend on the mesh only;
+    ``with_impedance`` reuses them for every impedance operator.  The
+    factor is one sparse LU of the real SPD A0 = K - shift^2 M, with
+    W = A0^-1 T^t and S0 = T W for the rank-N_b boundary term.
     """
     check_geometry_match(mesh, spec)
     if N_b is None:
@@ -502,6 +525,12 @@ def assemble_pencil(mesh, spec, N_b=None):
                             B=sp.csr_matrix((n, n), dtype=complex), N_b=N_b,
                             Zhat=None, trace=T, bdofs=bdofs)
     pencil.lam_scale = neumann_scale(pencil)
+    # SPD, so diagonal pivots on a symmetric ordering are stable
+    pencil.shifted_lu = spla.splu((K - (pencil.shift ** 2).real * M).tocsc(),
+                                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                  options={"SymmetricMode": True})
+    pencil.W = pencil.shifted_lu.solve(pencil.trace_scatter())
+    pencil.S0 = T @ pencil.W[bdofs]
     return pencil
 
 
@@ -571,19 +600,36 @@ def neumann_scale(pencil):
 def solve_pencil(pencil, n_wanted=12):
     """Eigenvalues of P(lambda) nearest the shift 0.6i lam_scale, with their
     residuals on P.  Every impedance, Z = 0 included, takes one path:
-    shift-invert Arnoldi on the linearization through one sparse LU of
-    P(shift), since block elimination gives, for y = (p, q),
-    (A - shift B_blk)^-1 B_blk y = (x, shift x + p) with
-    x = P(shift)^-1 (i B_Z p + M (q + shift p)).  Non-converged Ritz values
-    are reported with ``converged=False``, never dropped.
+    shift-invert Arnoldi on the linearization, since block elimination
+    gives, for y = (p, q), (A - shift B_blk)^-1 B_blk y = (x, shift x + p)
+    with x = P(shift)^-1 (i B_Z p + M (q + shift p)).  P(shift)^-1 is applied
+    by Woodbury from the pencil's shared factor of A0: with
+    Zs = -i shift Zhat and the capacitance C = I + Zs S0,
+    x = x0 - W C^-1 Zs T x0 for x0 = A0^-1 r, in real solves.  A numerically
+    singular C means P(shift) is singular: SpectrumError.  Non-converged
+    Ritz values are reported with ``converged=False``, never dropped.
     """
-    n, K, M, B = pencil.n, pencil.K, pencil.M, pencil.B
-    shift = 0.6j * pencil.lam_scale
-    lu = spla.splu((K - 1j * shift * B - shift ** 2 * M).tocsc())
+    n, M, B, shift = pencil.n, pencil.M, pencil.B, pencil.shift
+    lu0, W, T = pencil.shifted_lu, pencil.W, pencil.trace
+    bdofs = np.asarray(pencil.bdofs)
+    Zhat = np.zeros((pencil.N_b, pencil.N_b)) if pencil.Zhat is None else pencil.Zhat
+    Zs = -1j * shift * Zhat
+    C = np.eye(pencil.N_b) + Zs @ pencil.S0
+    cond = np.linalg.cond(C)
+    if not cond <= CAPACITANCE_COND_MAX:
+        raise SpectrumError(f"P(shift) is singular: capacitance condition {cond:.2e}")
+    F = np.linalg.solve(C, Zs)
+
+    def solve_shifted(r):
+        x0 = lu0.solve(np.column_stack([r.real, r.imag]))
+        t = T @ x0[bdofs]
+        d = F @ (t[:, 0] + 1j * t[:, 1])
+        x = x0 - W @ np.column_stack([d.real, d.imag])    # W stays real
+        return x[:, 0] + 1j * x[:, 1]
 
     def matvec(y):
         p, q = y[:n], y[n:]
-        x = lu.solve(1j * (B @ p) + M @ (q + shift * p))
+        x = solve_shifted(1j * (B @ p) + M @ (q + shift * p))
         return np.concatenate([x, shift * x + p])
 
     op = spla.LinearOperator(dtype=complex, shape=(2 * n, 2 * n), matvec=matvec)
@@ -649,9 +695,8 @@ def verify_mdissipativity(pencil, report):
     the smallest of them and ``s_norm`` = ||S||_2 scales the tolerance.
     ``halfplane_check``: largest Im(lambda) over certified eigenvalues.
     """
-    Tt = np.zeros((pencil.n, pencil.N_b))
-    Tt[pencil.bdofs] = pencil.trace.T
-    S = pencil.trace @ spla.splu(pencil.M.tocsc()).solve(Tt)[pencil.bdofs]
+    S = pencil.trace @ spla.splu(pencil.M.tocsc()).solve(
+        pencil.trace_scatter())[pencil.bdofs]
     R = np.linalg.cholesky(S)
     Zhat = np.zeros((pencil.N_b, pencil.N_b)) if pencil.Zhat is None else pencil.Zhat
     mu = np.linalg.eigvalsh(R.T @ (0.5 * (Zhat + Zhat.conj().T)) @ R)
@@ -734,8 +779,9 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
     Per sample: zeta drawn by the counter-based sampler, mapped to boundary
     operator coefficients (field part skew, kernel part nonnegative),
     compressed to N_b modes, solved, classified.  Failures are counted and
-    the run continues; reports merge in sample order regardless of worker
-    scheduling.
+    the run continues; so are solved samples whose ARPACK run did not
+    converge (``n_unconverged``).  Reports merge in sample order regardless
+    of worker scheduling.  Every sample shares the mesh's one factor of A0.
     """
     base = assemble_pencil(mesh, spec, N_b=N_b)
     tensor = TripleProductTensor(spec)
@@ -757,7 +803,8 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
                 "halfplane": report.in_lower_halfplane(),
                 "real_spectrum": report.real_within_tol(),
                 "zero_cluster": report.zero_cluster_size,
-                "accretive": accretive}, None
+                "accretive": accretive,
+                "unconverged": not report.converged.all()}, None
 
     if workers == 1:
         outcomes = list(map(attempt, range(n_samples)))
@@ -770,6 +817,7 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
     summary = {
         "n_samples": n_samples,
         "n_solved": n_done,
+        "n_unconverged": sum(r["unconverged"] for r in done),
         "failures": failures,
         **{f"fraction_{key}": sum(r[key] for r in done) / max(n_done, 1)
            for key in ("halfplane", "real_spectrum", "accretive")},

@@ -60,7 +60,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "emit-plot":
-        manifest = RunManifest.load(args.manifest)
+        try:
+            manifest = RunManifest.load(args.manifest)
+        except (OSError, ValueError, KeyError) as err:   # unreadable, not a manifest
+            print(f"error: cannot load {args.manifest}: {err}", file=sys.stderr)
+            return 1
         try:
             path = emit_plotdata(manifest, args.artifact, out_path=args.out)
         except ConfigError as err:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from acouz import boundary as bd
 from acouz import harness
 from acouz.fgf import RandomImpedanceSpec, impedance_coefficients, sample_random_impedance
 from acouz.impedance import (
-    impedance_from_config, is_accretive, multiplier_impedance, zero_impedance,
+    impedance_from_config, is_accretive, matrix_impedance, multiplier_impedance,
+    zero_impedance,
 )
 from acouz.multipliers import TripleProductTensor, psd_tolerance
 
@@ -335,16 +337,118 @@ class TestMonteCarlo:
             assert np.array_equal(report.eigenvalues, sample["eigenvalues"])
             assert np.array_equal(other["eigenvalues"], sample["eigenvalues"])
 
+    def test_shared_factor_under_thread_contention(self):
+        # every sample solves with the mesh's one factor of A0: one worker per
+        # sample and a short switch interval must not change a bit
+        mesh = ac.disk_mesh(0.3)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        rspec = RandomImpedanceSpec(c=1.0, s=0.3, kernel_weights=(1.0,))
+        serial = ac.monte_carlo_spectrum(mesh, spec, rspec, n_samples=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = ac.monte_carlo_spectrum(mesh, spec, rspec, n_samples=8,
+                                               workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded["summary"]["n_solved"] == 8
+        for a, b in zip(serial["samples"], threaded["samples"], strict=True):
+            assert np.array_equal(a["eigenvalues"], b["eigenvalues"])
+
+    def test_one_factor_per_mesh(self, monkeypatch):
+        calls = []
+
+        class CountingSparseLinalg:
+            """scipy.sparse.linalg as the acoustic module sees it, splu counted."""
+
+            def splu(self, *args, **kwargs):
+                calls.append(args[0].shape)
+                return spla.splu(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(spla, name)
+
+        monkeypatch.setattr(ac, "spla", CountingSparseLinalg())
+        mesh = ac.disk_mesh(0.3)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        out = ac.monte_carlo_spectrum(mesh, spec, RandomImpedanceSpec(c=1.0, s=0.3),
+                                      n_samples=5)
+        assert out["summary"]["n_solved"] == 5
+        assert calls == [(mesh.n_vertices, mesh.n_vertices)]
+
+    def test_unconverged_samples_counted(self, monkeypatch):
+        eigs, calls = spla.eigs, []
+
+        def eigs_failing_second(*args, **kwargs):
+            calls.append(1)
+            w, Y = eigs(*args, **kwargs)
+            if len(calls) == 2:
+                raise spla.ArpackNoConvergence("no convergence", w[:5], Y[:, :5])
+            return w, Y
+
+        monkeypatch.setattr(ac.spla, "eigs", eigs_failing_second)
+        mesh = ac.disk_mesh(0.3)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        out = ac.monte_carlo_spectrum(mesh, spec, RandomImpedanceSpec(c=1.0, s=0.3),
+                                      n_samples=3)
+        summary = out["summary"]
+        assert summary["n_solved"] == 3 and summary["failures"] == []
+        assert summary["n_unconverged"] == 1
+        assert out["samples"][1]["unconverged"]
+        assert out["samples"][1]["eigenvalues"].size == 5
+
+
+def singular_capacitance_z(pencil):
+    """Zhat = -u u^t / (0.6 lam_scale u^t S0 u): the capacitance
+    C = I + Zs S0, with Zs = -i shift Zhat = 0.6 lam_scale Zhat, maps u
+    to zero, so P(shift) is singular."""
+    u = np.ones(pencil.N_b)
+    Zhat = -np.outer(u, u) / (0.6 * pencil.lam_scale * (u @ pencil.S0 @ u))
+    return matrix_impedance(pencil.spectrum, Zhat)
+
+
+class TestSingularShift:
+    def test_solve_raises(self):
+        mesh = ac.disk_mesh(0.3)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        base = ac.assemble_pencil(mesh, spec)
+        pencil = base.with_impedance(singular_capacitance_z(base))
+        with pytest.raises(bd.SpectrumError, match="singular"):
+            ac.solve_pencil(pencil)
+
+    def test_monte_carlo_counts_a_failure(self, monkeypatch):
+        mesh = ac.disk_mesh(0.3)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        base = ac.assemble_pencil(mesh, spec)
+        build, calls = ac.multiplier_impedance, []
+
+        def singular_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                return singular_capacitance_z(base)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ac, "multiplier_impedance", singular_second)
+        out = ac.monte_carlo_spectrum(mesh, spec, RandomImpedanceSpec(c=1.0, s=0.3),
+                                      n_samples=3)
+        summary = out["summary"]
+        assert summary["n_solved"] == 2
+        assert [f["sample"] for f in summary["failures"]] == [1]
+        assert "singular" in summary["failures"][0]["error"]
+
 
 QUAD = [[0, 0], [1, 0], [1.2, 0.8], [0.1, 1]]
 
 
 class TestOneSolver:
-    @pytest.mark.parametrize("make_mesh, make_z", [
-        (lambda: ac.disk_mesh(0.12), constant_z),
-        (lambda: ac.convex_polygon_mesh(QUAD, 0.08), accretive_random_z),
-    ], ids=["disk_constant", "polygon_accretive"])
-    def test_matches_block_lu(self, make_mesh, make_z):
+    # a skew Z keeps lambda = 0 a (defective) pair, so one nonzero fewer
+    @pytest.mark.parametrize("make_mesh, make_z, n_nonzero", [
+        (lambda: ac.disk_mesh(0.12), constant_z, 13),
+        (lambda: ac.convex_polygon_mesh(QUAD, 0.08), accretive_random_z, 13),
+        (lambda: ac.disk_mesh(0.12), lambda spec, N_b: random_z(spec, N_b, 0.0), 12),
+        (lambda: ac.annulus_mesh(0.12), constant_z, 13),
+    ], ids=["disk_constant", "polygon_accretive", "disk_skew", "annulus_constant"])
+    def test_matches_block_lu(self, make_mesh, make_z, n_nonzero):
         mesh = make_mesh()
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         base = ac.assemble_pencil(mesh, spec)
@@ -355,7 +459,7 @@ class TestOneSolver:
         ref = block_lu_eigenvalues(pencil, 14)
         ref = ref[np.abs(ref) > report.zero_tol]
         lam = report.certified()
-        assert lam.size == ref.size == 13
+        assert lam.size == ref.size == n_nonzero
         assert folded_distance(lam, ref) <= 1e-10
         assert folded_distance(ref, lam) <= 1e-10
 

@@ -229,3 +229,13 @@ def test_emit_plot_writes_long_format(artifact, config, tmp_path, capsys):
     assert header == "series,x,y"
     assert len(rows) > 0
     assert cli.main(["emit-plot", manifest, "no_such_artifact"]) == 1
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "{}"],
+                         ids=["missing", "invalid_json", "not_a_manifest"])
+def test_emit_plot_bad_manifest_is_an_error(text, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["emit-plot", str(path), "spectrum"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot load {path}: ")
