@@ -482,7 +482,8 @@ def arpack_start(size):
     return np.random.default_rng(0).standard_normal(size)
 
 
-def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10):
+def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10,
+                           store_modes=True):
     """Smallest-N eigenpairs of the cotangent Laplacian on a closed surface.
 
     Generalized symmetric problem S x = mu M x solved by shift-invert
@@ -490,6 +491,11 @@ def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10):
     replaced by the exact per-component indicator constants so that zero
     modes are the nonnegative locally constant functions, and the remaining
     modes are re-orthogonalized against them.
+
+    ``store_modes=False`` asks ARPACK for the eigenvalues only (no Ritz
+    vectors) and returns a gridless spectrum, as ``build_curve_spectrum``
+    does: mu-only work (Weyl fits, H^t weights, field sampling) runs, grid
+    transforms and triple products raise ``SpectrumError``.
     """
     if geom.dim_ambient != 3:
         raise SpectrumError("build_surface_spectrum needs a d=3 geometry")
@@ -504,12 +510,13 @@ def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10):
     # headroom past N so high-multiplicity clusters are not truncated mid-way
     k = min(N + max(8, N // 4), n - 2)
     try:
-        mu, X = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM", tol=tol,
-                           v0=arpack_start(n))
+        eig = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM", tol=tol,
+                         v0=arpack_start(n), return_eigenvectors=store_modes)
     except spla.ArpackNoConvergence as err:
         raise SpectrumError(f"eigen-solver did not converge: {err}") from err
+    mu = eig[0] if store_modes else eig
     order = np.argsort(mu)[:N]
-    mu, X = mu[order], X[:, order]
+    mu = mu[order]
 
     b0 = geom.n_components
     gap = mu[b0] if N > b0 else np.inf
@@ -517,8 +524,14 @@ def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10):
         raise SpectrumError("kernel dimension does not match the component count")
     mu[:b0] = 0.0
     mu[b0:] = np.maximum(mu[b0:], 0.0)
+    if not store_modes:
+        return BoundarySpectrum(
+            geometry=geom, count=N, mu=mu, modes=np.zeros((N, 0)), b0=b0,
+            quad_points=np.zeros((0, 3)), quad_weights=np.zeros(0),
+            quad_comp=np.zeros(0, dtype=int))
 
     # exact kernel: indicator / sqrt(area) per component, M-orthonormal
+    X = eig[1][:, order]
     labels = geom._component_labels
     measures = geom.component_measures
     for j in range(min(b0, N)):

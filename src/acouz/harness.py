@@ -231,12 +231,13 @@ def build_mesh(spec):
     return _mesh_kinds[spec["kind"]](spec)
 
 
-def build_spectrum(geom, N):
+def build_spectrum(geom, N, modes=False):
     """Boundary spectrum truncated at N: analytic and gridless on curves,
-    the cotangent FEM eigensolve on surfaces."""
+    the cotangent FEM eigensolve on surfaces, with its Ritz vectors only
+    when ``modes`` asks for them (surface triple products need them)."""
     if geom.dim_ambient == 2:
         return build_curve_spectrum(geom, N, store_modes=False)
-    return build_surface_spectrum(geom, N)
+    return build_surface_spectrum(geom, N, store_modes=modes)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def _run_multiplier(run):
     geom = build_geometry(cfg.geometry)
     truncs = p.get("truncations", [256, 512])
     N = int(2.2 * max(truncs)) + 8
-    spec = build_spectrum(geom, N)
+    spec = build_spectrum(geom, N, modes=True)
     tensor = TripleProductTensor(spec)
     phi = phi_from_config(spec, {"kind": "cantor", **p.get("phi", {})}, seed=cfg.seed)
     s1, s2 = p.get("s1", 0.5), p.get("s2", 0.5)
@@ -413,7 +414,7 @@ def _run_impedance(run):
     p = cfg.params
     geom = build_geometry(cfg.geometry)
     N = p.get("N", 128)
-    spec = build_spectrum(geom, N)
+    spec = build_spectrum(geom, N, modes=True)
     Z = impedance_from_config(spec, p["impedance"], N_trunc=p.get("N_trunc", 64))
     acc = is_accretive(Z)
     sa = selfadjointness_criterion(Z)

@@ -69,6 +69,9 @@ class TripleProductTensor:
     def __init__(self, spec: BoundarySpectrum):
         self.spec = spec
         if spec.mode_comp is None:
+            if not spec.has_grid:
+                raise SpectrumError("surface triple products need the modes: "
+                                    "build the spectrum with store_modes=True")
             v = spec.geometry.vertices
             t = spec.geometry.triangles
             from .boundary import _triangle_areas
@@ -388,6 +391,75 @@ def lq_embedding_case(query: LqEmbeddingQuery, eq_tol=1e-12):
 # Cantor-measure impedance coefficients
 # ---------------------------------------------------------------------------
 
+# samples per block of the power sums: the (B, chunk) and (m, chunk) power
+# tables stay near 1.6 MB at the benchmark's kmax = 567
+POWER_CHUNK = 2048
+# samples per block of the stratified sampler's random remainder
+_SAMPLER_CHUNK = 1 << 14
+
+
+def _cantor_points(r, n_samples, rng, stratified):
+    """Sample points of the symmetric Cantor measure with dissection ratio r.
+
+    Every point is summed bit by bit in ascending order, so the stratified
+    prefixes (built by doubling: the points with bit i set are the first
+    2^i shifted by its weight) and the chunked random remainder give the
+    same floats as a whole-array loop; besides x, only the random draw w is
+    n-sized.
+    """
+    scale = 1.0 - r
+    if stratified:
+        J = max(1, min(22, int(math.floor(math.log2(max(2, n_samples))))))
+        # random Cantor-distributed remainder of depth ~40 inside each leaf
+        extra = max(8, min(48, int(math.ceil(-40.0 / math.log10(r)))))
+        weight = [scale * r ** i for i in range(J + extra)]
+        x = np.zeros(1 << J)
+        for i in range(J):
+            np.add(x[:1 << i], weight[i], out=x[1 << i:2 << i])
+        w = rng.integers(0, 2 ** 62, size=x.size, dtype=np.uint64)
+        for start in range(0, x.size, _SAMPLER_CHUNK):
+            xc = x[start:start + _SAMPLER_CHUNK]
+            wc = w[start:start + _SAMPLER_CHUNK]
+            for i in range(extra):
+                bit = ((wc >> np.uint64(i)) & np.uint64(1)).astype(float)
+                xc += bit * weight[J + i]
+        return x
+    n = int(n_samples)
+    depth = max(8, min(60, int(math.ceil(-18.0 / math.log10(r)))))
+    x = np.zeros(n)
+    for i in range(depth):
+        bit = rng.integers(0, 2, size=n).astype(float)
+        x += bit * (scale * r ** i)
+    return x
+
+
+def _power_means(x, kmax):
+    """mean(z^k) over the sample for k = 0..kmax, z = exp(2 pi i x).
+
+    With B = isqrt(kmax) + 1 and m = kmax // B + 1 every power is
+    z^(qB + b) = (z^B)^q z^b, b < B, q < m.  Per chunk of POWER_CHUNK
+    samples the rows A[b] = z^b and C[q] = (z^B)^q come from repeated
+    multiplication, and table += C @ A^T sums all m*B > kmax powers in one
+    matrix product, so table.ravel()[k] = sum z^k.  A power takes at most
+    B + m multiplications, not k, and no n x B temporary is formed.
+    """
+    B = math.isqrt(kmax) + 1
+    m = kmax // B + 1
+    table = np.zeros((m, B), dtype=complex)
+    for start in range(0, x.size, POWER_CHUNK):
+        z = np.exp(2j * np.pi * x[start:start + POWER_CHUNK])
+        A = np.empty((B, z.size), dtype=complex)
+        C = np.empty((m, z.size), dtype=complex)
+        A[0] = C[0] = 1.0
+        for b in range(1, B):
+            np.multiply(A[b - 1], z, out=A[b])
+        zB = A[B - 1] * z
+        for q in range(1, m):
+            np.multiply(C[q - 1], zB, out=C[q])
+        table += C @ A.T
+    return table.ravel()[:kmax + 1] / x.size
+
+
 def cantor_exponential_moments(r, freqs, n_samples=10**6, seed=0, stratified=True):
     """E[exp(2 pi i k X)] for X distributed per the symmetric Cantor measure
     with dissection ratio r on [0, 1].
@@ -397,51 +469,27 @@ def cantor_exponential_moments(r, freqs, n_samples=10**6, seed=0, stratified=Tru
     randomizes the remainder, so the leading J bits carry no sampling error
     at all; the plain sampler draws every bit independently (the brute-force
     oracle).
+
+    A dense band of frequencies (max |k| at most 4 per requested frequency)
+    reads every moment off one table of power sums: with B = isqrt(kmax) + 1,
+    z^(qB + b) = (z^B)^q z^b, accumulated as a small matrix product over
+    chunks of POWER_CHUNK samples (``_power_means``).  Sparse frequency sets
+    take exp(2 pi i k x).mean() per frequency.  Negative frequencies return
+    the conjugate of the moment at |k| in both branches.
     """
     if not 0.0 < r < 0.5:
         raise ValueError("dissection ratio must lie in (0, 1/2)")
     freqs = np.asarray(freqs, dtype=int)
-    rng = np.random.default_rng(seed)
-    scale = 1.0 - r
+    absk = np.abs(freqs)
+    x = _cantor_points(r, n_samples, np.random.default_rng(seed), stratified)
 
-    if stratified:
-        J = max(1, min(22, int(math.floor(math.log2(max(2, n_samples))))))
-        n = 1 << J
-        idx = np.arange(n, dtype=np.uint64)
-        x = np.zeros(n)
-        for i in range(J):
-            bit = ((idx >> np.uint64(i)) & np.uint64(1)).astype(float)
-            x += bit * (scale * r ** i)
-        # random Cantor-distributed remainder of depth ~40 inside each leaf
-        extra = max(8, min(48, int(math.ceil(-40.0 / math.log10(r)))))
-        w = rng.integers(0, 2 ** 62, size=n, dtype=np.uint64)
-        for i in range(extra):
-            bit = ((w >> np.uint64(i)) & np.uint64(1)).astype(float)
-            x += bit * (scale * r ** (J + i))
-    else:
-        n = int(n_samples)
-        depth = max(8, min(60, int(math.ceil(-18.0 / math.log10(r)))))
-        x = np.zeros(n)
-        for i in range(depth):
-            bit = rng.integers(0, 2, size=n).astype(float)
-            x += bit * (scale * r ** i)
-
-    out = np.empty(freqs.size, dtype=complex)
-    kmax = int(freqs.max()) if freqs.size else 0
+    kmax = int(absk.max()) if freqs.size else 0
     if freqs.size and kmax <= 4 * freqs.size:
-        # dense band: iterate powers of exp(2 pi i x)
-        z = np.exp(2j * np.pi * x)
-        zk = np.ones_like(z)
-        table = {}
-        for k in range(1, kmax + 1):
-            zk = zk * z
-            table[k] = zk.mean()
-        for j, k in enumerate(freqs):
-            out[j] = 1.0 if k == 0 else table[int(k)]
+        out = _power_means(x, kmax)[absk]
     else:
-        for j, k in enumerate(freqs):
-            out[j] = np.exp(2j * np.pi * k * x).mean()
-    return out
+        out = np.array([np.exp(2j * np.pi * k * x).mean() for k in absk],
+                       dtype=complex)
+    return np.where(freqs < 0, out.conj(), out)
 
 
 def cantor_measure_coeffs(spec, r, target_component=0, N_trunc=None,

@@ -5,6 +5,7 @@ import pytest
 
 from acouz import boundary as bd
 from acouz import shapes
+from acouz.multipliers import TripleProductTensor
 
 
 def fd_curve_matrix(total_length, n_grid):
@@ -174,6 +175,15 @@ class TestSurfaceSpectrum:
         for lumped in (True, False):
             M = bd.mass_matrix(v, t, lumped=lumped)
             assert one @ M @ one == pytest.approx(g.total_measure, rel=1e-13)
+
+    def test_store_modes_false_is_gridless(self):
+        geom = shapes.icosphere(2)
+        lean = bd.build_surface_spectrum(geom, 16, store_modes=False)
+        assert not lean.has_grid and lean.b0 == 1 and lean.mu[0] == 0.0
+        with pytest.raises(bd.SpectrumError):
+            lean.coeffs_from_values(np.ones(geom.vertices.shape[0]))
+        with pytest.raises(bd.SpectrumError):
+            TripleProductTensor(lean)
 
     def test_npz_roundtrip(self, tmp_path, sphere_spec):
         p = tmp_path / "spec.npz"

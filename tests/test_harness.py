@@ -2,9 +2,11 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from acouz import cli, harness
+from acouz.boundary import weyl_diagnostic
 from acouz.harness import build_geometry, build_spectrum
 from acouz.impedance import IMPEDANCE_KINDS, impedance_from_config
 from acouz.multipliers import TripleProductTensor
@@ -135,7 +137,11 @@ def test_run_without_out_prints_existing_manifest(tmp_path, capsys):
     ({"experiment": "impedance_check", "geometry": {"kind": "circle"},
       "params": {"N": 64, "N_trunc": 32, "impedance": {"kind": "constant"}}},
      {"impedance"}),
-], ids=["weyl", "fgf_convergence", "multiplier_profile", "impedance_check"])
+    ({"experiment": "impedance_check", "geometry": {"kind": "sphere", "subdivisions": 2},
+      "params": {"N": 16, "N_trunc": 8, "impedance": {"kind": "constant"}}},
+     {"impedance"}),
+], ids=["weyl", "fgf_convergence", "multiplier_profile", "impedance_check",
+        "impedance_check_sphere"])
 def test_manifest_roundtrip(config, artifacts, tmp_path):
     cfg = harness.ExperimentConfig.from_dict(config)
     manifest = harness.run(cfg, str(tmp_path))
@@ -146,6 +152,16 @@ def test_manifest_roundtrip(config, artifacts, tmp_path):
         + ["manifest.json"])
     back = harness.RunManifest.load(tmp_path / "manifest.json")
     assert back.content_hash() == manifest.content_hash()
+
+
+def test_weyl_on_surface_reads_mu_without_modes():
+    geom = build_geometry({"kind": "sphere", "subdivisions": 3})
+    lean, full = build_spectrum(geom, 64), build_spectrum(geom, 64, modes=True)
+    assert not lean.has_grid and full.has_grid
+    assert np.abs(lean.mu - full.mu).max() <= 1e-12 * full.mu.max()
+    fit = (21, 64)
+    assert weyl_diagnostic(lean, fit)["slope"] == pytest.approx(
+        weyl_diagnostic(full, fit)["slope"], abs=1e-12)
 
 
 def test_profile_rows_labelled_with_their_rank(tmp_path):

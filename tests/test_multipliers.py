@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +480,19 @@ class TestCantor:
                                                      tensor=circle_tensor), tol=1e-6)
         assert res["nonneg"]
 
+    def test_negative_frequencies_are_conjugates(self):
+        mo = mp.cantor_exponential_moments(1 / 3, np.array([-1, 1, 2]),
+                                           n_samples=2**12)
+        assert mo[0] == np.conj(mo[1])
+
+    def test_branches_agree_on_mixed_signs(self):
+        freqs = np.array([-5, -2, 0, 1, 2, 5])
+        dense = mp.cantor_exponential_moments(1 / 3, freqs, n_samples=2**12)
+        # one far frequency sends the set to the per-frequency branch
+        sparse = mp.cantor_exponential_moments(1 / 3, np.append(freqs, 1000),
+                                               n_samples=2**12)[:-1]
+        assert np.abs(dense - sparse).max() <= 1e-13
+
     def test_second_component_support(self):
         comps = (shapes.scaled_circle_by_perimeter(2 * np.pi).components[0],
                  shapes.scaled_circle_by_perimeter(2.0).components[0] + 8.0)
@@ -488,3 +502,63 @@ class TestCantor:
                                        oracle_samples=2**12)
         on0 = spec.mode_comp == 0
         assert np.abs(phi.coeffs[on0]).max() == 0.0
+
+
+def whole_array_cantor_points(r, n_samples, seed):
+    """The stratified Cantor sampler written as one loop over whole arrays."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 - r
+    J = max(1, min(22, int(math.floor(math.log2(max(2, n_samples))))))
+    idx = np.arange(1 << J, dtype=np.uint64)
+    x = np.zeros(1 << J)
+    for i in range(J):
+        x += ((idx >> np.uint64(i)) & np.uint64(1)).astype(float) * (scale * r ** i)
+    extra = max(8, min(48, int(math.ceil(-40.0 / math.log10(r)))))
+    w = rng.integers(0, 2 ** 62, size=x.size, dtype=np.uint64)
+    for i in range(extra):
+        x += ((w >> np.uint64(i)) & np.uint64(1)).astype(float) * (scale * r ** (J + i))
+    return x
+
+
+class TestCantorPowerSums:
+    """The blocked power sums behind the dense band of Cantor moments."""
+
+    @pytest.mark.parametrize("r", [1 / 3, 0.1, 0.45])
+    @pytest.mark.parametrize("n_samples", [2, 2**15 + 3, 2**17])
+    def test_sampler_bitwise_equals_whole_array_loop(self, r, n_samples):
+        x = mp._cantor_points(r, n_samples, np.random.default_rng(7), True)
+        assert np.array_equal(x, whole_array_cantor_points(r, n_samples, 7))
+
+    # B = isqrt(kmax) + 1 steps from 24 to 25 between 24**2 - 1 and 24**2
+    @pytest.mark.parametrize("kmax", [0, 1, 24**2 - 1, 24**2])
+    @pytest.mark.parametrize("n_samples, stratified", [(2**12, True),
+                                                       (10**4 + 7, False)],
+                             ids=["stratified", "plain_ragged_chunk"])
+    def test_matches_per_frequency_means(self, kmax, n_samples, stratified):
+        x = mp._cantor_points(1 / 3, n_samples, np.random.default_rng(5), stratified)
+        ref = np.array([np.exp(2j * np.pi * k * x).mean() for k in range(kmax + 1)])
+        got = mp.cantor_exponential_moments(1 / 3, np.arange(kmax + 1),
+                                            n_samples=n_samples, seed=5,
+                                            stratified=stratified)
+        assert np.abs(got - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("chunk", [7, 1000, 2**20])
+    def test_chunk_size_does_not_matter(self, chunk, monkeypatch):
+        freqs = np.arange(1, 568)
+        kwargs = {"n_samples": 10**4 + 7, "stratified": False}
+        ref = mp.cantor_exponential_moments(1 / 3, freqs, **kwargs)
+        monkeypatch.setattr(mp, "POWER_CHUNK", chunk)
+        got = mp.cantor_exponential_moments(1 / 3, freqs, **kwargs)
+        assert np.abs(got - ref).max() <= 1e-13
+
+    def test_peak_memory_below_three_samples(self):
+        # no n x B or n x kmax temporary: the whole call stays below three
+        # copies of the sample x (numpy reports its buffers to tracemalloc)
+        n = 2**18
+        tracemalloc.start()
+        try:
+            mp.cantor_exponential_moments(1 / 3, np.arange(1, 568), n_samples=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * np.dtype(float).itemsize
