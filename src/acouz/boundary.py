@@ -242,24 +242,26 @@ class BoundarySpectrum:
     def has_grid(self):
         return self.modes.shape[1] > 0
 
-    def gram_defect(self):
-        """Max deviation of the quadrature Gram matrix from the identity."""
+    def _grid_modes(self):
+        """The modes on the quadrature grid; a gridless spectrum raises."""
         if not self.has_grid:
             raise SpectrumError("spectrum was built without grid storage")
-        g = (self.modes * self.quad_weights) @ self.modes.T
+        return self.modes
+
+    def gram_defect(self):
+        """Max deviation of the quadrature Gram matrix from the identity."""
+        Y = self._grid_modes()
+        g = (Y * self.quad_weights) @ Y.T
         return float(np.abs(g - np.eye(self.count)).max())
 
     # -- coefficient transforms --------------------------------------------
 
     def coeffs_from_values(self, values):
         """L2 projection of a grid function onto the retained modes."""
-        if not self.has_grid:
-            raise SpectrumError("spectrum was built without grid storage")
-        values = np.asarray(values)
-        return self.modes @ (self.quad_weights * values)
+        return self._grid_modes() @ (self.quad_weights * np.asarray(values))
 
     def values_from_coeffs(self, coeffs):
-        return np.asarray(coeffs) @ self.modes
+        return np.asarray(coeffs) @ self._grid_modes()
 
     def evaluate_curve_modes(self, comp, s):
         """Evaluate all modes analytically at arclengths ``s`` on component ``comp``.

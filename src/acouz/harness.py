@@ -27,8 +27,8 @@ from .boundary import (
 )
 from .fgf import RandomImpedanceSpec, convergence_classifier
 from .impedance import (
-    IMPEDANCE_KINDS, cayley, impedance_from_config, inverse_cayley,
-    is_accretive, phi_from_config, selfadjointness_criterion,
+    IMPEDANCE_KINDS, MULTIPLIER_KINDS, cayley, impedance_from_config,
+    inverse_cayley, is_accretive, phi_from_config, selfadjointness_criterion,
 )
 from .multipliers import (
     TripleProductTensor, build_multiplier, compactness_profile, multiplier_norm,
@@ -119,6 +119,17 @@ class ExperimentConfig:
                             f"{self.experiment}_{self.content_hash()[:10]}")
 
 
+def _phi_errors(name, block, kinds):
+    """Errors of an impedance or phi block: its kind, and a Cantor ratio."""
+    if not isinstance(block, dict) or block.get("kind") not in kinds:
+        return [f"{name}.kind must be one of {list(kinds)}"]
+    ratio = block.get("ratio", 1.0 / 3.0)
+    if block["kind"] == "cantor" and not (isinstance(ratio, (int, float))
+                                          and 0.0 < ratio < 0.5):
+        return [f"{name}.ratio must lie in (0, 1/2), not {ratio!r}"]
+    return []
+
+
 def validate_config(config):
     """All validation errors at once; empty list means runnable."""
     errors = []
@@ -142,9 +153,12 @@ def validate_config(config):
     impedance = config.params.get("impedance")
     if config.experiment == "impedance_check" and impedance is None:
         errors.append("experiment 'impedance_check' needs params.impedance")
-    if impedance is not None and (not isinstance(impedance, dict)
-                                  or impedance.get("kind") not in IMPEDANCE_KINDS):
-        errors.append(f"params.impedance.kind must be one of {list(IMPEDANCE_KINDS)}")
+    if impedance is not None:
+        errors += _phi_errors("params.impedance", impedance, IMPEDANCE_KINDS)
+    if "phi" in config.params:      # a phi without a kind runs as cantor
+        phi = config.params["phi"]
+        errors += _phi_errors("params.phi", {"kind": "cantor", **phi}
+                              if isinstance(phi, dict) else phi, MULTIPLIER_KINDS)
     if config.workers < 1:
         errors.append("workers must be >= 1")
     for key in ("s_values", "t_offsets", "truncations", "ranks"):
@@ -388,7 +402,7 @@ def _run_multiplier(run):
     N = int(2.2 * max(truncs)) + 8
     spec = build_spectrum(geom, N, modes=True)
     tensor = TripleProductTensor(spec)
-    phi = phi_from_config(spec, {"kind": "cantor", **p.get("phi", {})}, seed=cfg.seed)
+    phi = phi_from_config(spec, {"kind": "cantor", **p.get("phi", {})})
     s1, s2 = p.get("s1", 0.5), p.get("s2", 0.5)
     ranks = p.get("ranks", [1, 2, 4, 8, 16, 32, 64])
     rows, norms = [], []

@@ -93,11 +93,16 @@ _SYMBOL_RE = re.compile(
     r"\(\s*mu\s*\+\s*(?P<c1>[\d.eE+-]+)\s*\)\s*\^\s*\(\s*(?P<t>[\d.eE+-]+)\s*/\s*2\s*\)\s*$")
 
 
-def phi_from_config(spec, config, seed=0):
+MULTIPLIER_KINDS = ("constant", "multiplier", "cantor")
+IMPEDANCE_KINDS = ("zero", *MULTIPLIER_KINDS, "symbol", "matrix")
+
+
+def phi_from_config(spec, config):
     """Multiplier coefficients phi from a ``constant``, ``multiplier`` or
     ``cantor`` config (see ``impedance_from_config``).
 
-    The Cantor sampler takes ``config["seed"]`` when given, else ``seed``.
+    The Cantor coefficients are exact, so a ``cantor`` config still accepts
+    the keys ``samples`` and ``seed`` of the former sampler and ignores them.
     """
     kind = config["kind"]
     if kind == "constant":
@@ -106,16 +111,10 @@ def phi_from_config(spec, config, seed=0):
     if kind == "multiplier":
         return SpectralFunction.from_dict(spec, config)
     if kind == "cantor":
-        phi = cantor_measure_coeffs(
-            spec, config.get("ratio", 1.0 / 3.0),
-            target_component=config.get("component", 0),
-            oracle_samples=config.get("samples", 10**6),
-            seed=config.get("seed", seed))
+        phi = cantor_measure_coeffs(spec, config.get("ratio", 1.0 / 3.0),
+                                    target_component=config.get("component", 0))
         return complex(config.get("scale_re", 1.0), config.get("scale_im", 0.0)) * phi
     raise SpectrumError(f"unknown multiplier kind {kind!r}")
-
-
-IMPEDANCE_KINDS = ("zero", "constant", "multiplier", "cantor", "symbol", "matrix")
 
 
 def impedance_from_config(spec, config, N_trunc=None):
@@ -132,7 +131,7 @@ def impedance_from_config(spec, config, N_trunc=None):
     kind = config["kind"]
     if kind == "zero":
         return zero_impedance(spec, N_trunc)
-    if kind in ("constant", "multiplier", "cantor"):
+    if kind in MULTIPLIER_KINDS:
         return multiplier_impedance(phi_from_config(spec, config), N_trunc)
     if kind == "symbol":
         if "expr" in config:

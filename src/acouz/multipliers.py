@@ -196,7 +196,8 @@ class MultiplierMatrix:
     :meth:`weighted`.  The singular values of the weighted matrix, which
     :func:`multiplier_norm` and :func:`compactness_profile` both read, are
     computed once per compression, in real arithmetic when the compression
-    is real (a real phi).  Immutable, so that cache stays valid.
+    is real (a real phi), and from a symmetric eigensolve when the weighted
+    matrix is Hermitian.  Immutable, so that cache stays valid.
     """
 
     spectrum: BoundarySpectrum
@@ -212,8 +213,16 @@ class MultiplierMatrix:
 
     @functools.cached_property
     def singular_values(self):
-        """Singular values of D(-s2) A D(-s1), in descending order."""
-        return np.linalg.svd(_real_if_exact(self.weighted()), compute_uv=False)
+        """Singular values of D(-s2) A D(-s1), in descending order.
+
+        With s1 == s2 and A exactly Hermitian the weighted matrix is a
+        congruence D A D, Hermitian too, and its singular values are the
+        absolute eigenvalues: one ``eigvalsh`` in place of an SVD.
+        """
+        W = _real_if_exact(self.weighted())
+        if self.s1 == self.s2 and np.array_equal(self.matrix, self.matrix.conj().T):
+            return np.sort(np.abs(np.linalg.eigvalsh(W)))[::-1]
+        return np.linalg.svd(W, compute_uv=False)
 
 
 def build_multiplier(phi, s1, s2, N_trunc, tensor=None):
@@ -229,8 +238,8 @@ def build_multiplier(phi, s1, s2, N_trunc, tensor=None):
 def multiplier_norm(A: MultiplierMatrix):
     """Largest singular value of D(-s2) A D(-s1): the truncated operator
     norm H^{s1} -> H^{-s2}.  Shares one singular-value solve per
-    compression with :func:`compactness_profile`, in real arithmetic when
-    the compression is real."""
+    compression with :func:`compactness_profile` (see
+    ``MultiplierMatrix.singular_values``)."""
     return float(A.singular_values[0])
 
 
@@ -241,7 +250,7 @@ def compactness_profile(A: MultiplierMatrix, ranks):
     stably under truncation refinement; an identity-weighted symbol stays
     bounded away from zero.  The singular values are those of
     ``A.singular_values``: one solve per compression, shared with
-    :func:`multiplier_norm`, in real arithmetic when the compression is real.
+    :func:`multiplier_norm`.
     """
     sv = A.singular_values
     out = []
@@ -391,136 +400,52 @@ def lq_embedding_case(query: LqEmbeddingQuery, eq_tol=1e-12):
 # Cantor-measure impedance coefficients
 # ---------------------------------------------------------------------------
 
-# samples per block of the power sums: the (B, chunk) and (m, chunk) power
-# tables stay near 1.6 MB at the benchmark's kmax = 567
-POWER_CHUNK = 2048
-# samples per block of the stratified sampler's random remainder
-_SAMPLER_CHUNK = 1 << 14
+# cos(x) rounds to 1 in double precision below this argument
+_RIESZ_TAIL = 1e-8
 
 
-def _cantor_points(r, n_samples, rng, stratified):
-    """Sample points of the symmetric Cantor measure with dissection ratio r.
-
-    Every point is summed bit by bit in ascending order, so the stratified
-    prefixes (built by doubling: the points with bit i set are the first
-    2^i shifted by its weight) and the chunked random remainder give the
-    same floats as a whole-array loop; besides x, only the random draw w is
-    n-sized.
-    """
-    scale = 1.0 - r
-    if stratified:
-        J = max(1, min(22, int(math.floor(math.log2(max(2, n_samples))))))
-        # random Cantor-distributed remainder of depth ~40 inside each leaf
-        extra = max(8, min(48, int(math.ceil(-40.0 / math.log10(r)))))
-        weight = [scale * r ** i for i in range(J + extra)]
-        x = np.zeros(1 << J)
-        for i in range(J):
-            np.add(x[:1 << i], weight[i], out=x[1 << i:2 << i])
-        w = rng.integers(0, 2 ** 62, size=x.size, dtype=np.uint64)
-        for start in range(0, x.size, _SAMPLER_CHUNK):
-            xc = x[start:start + _SAMPLER_CHUNK]
-            wc = w[start:start + _SAMPLER_CHUNK]
-            for i in range(extra):
-                bit = ((wc >> np.uint64(i)) & np.uint64(1)).astype(float)
-                xc += bit * weight[J + i]
-        return x
-    n = int(n_samples)
-    depth = max(8, min(60, int(math.ceil(-18.0 / math.log10(r)))))
-    x = np.zeros(n)
-    for i in range(depth):
-        bit = rng.integers(0, 2, size=n).astype(float)
-        x += bit * (scale * r ** i)
-    return x
-
-
-def _power_means(x, kmax):
-    """mean(z^k) over the sample for k = 0..kmax, z = exp(2 pi i x).
-
-    With B = isqrt(kmax) + 1 and m = kmax // B + 1 every power is
-    z^(qB + b) = (z^B)^q z^b, b < B, q < m.  Per chunk of POWER_CHUNK
-    samples the rows A[b] = z^b and C[q] = (z^B)^q come from repeated
-    multiplication, and table += C @ A^T sums all m*B > kmax powers in one
-    matrix product, so table.ravel()[k] = sum z^k.  A power takes at most
-    B + m multiplications, not k, and no n x B temporary is formed.
-    """
-    B = math.isqrt(kmax) + 1
-    m = kmax // B + 1
-    table = np.zeros((m, B), dtype=complex)
-    for start in range(0, x.size, POWER_CHUNK):
-        z = np.exp(2j * np.pi * x[start:start + POWER_CHUNK])
-        A = np.empty((B, z.size), dtype=complex)
-        C = np.empty((m, z.size), dtype=complex)
-        A[0] = C[0] = 1.0
-        for b in range(1, B):
-            np.multiply(A[b - 1], z, out=A[b])
-        zB = A[B - 1] * z
-        for q in range(1, m):
-            np.multiply(C[q - 1], zB, out=C[q])
-        table += C @ A.T
-    return table.ravel()[:kmax + 1] / x.size
-
-
-def cantor_exponential_moments(r, freqs, n_samples=10**6, seed=0, stratified=True):
+def cantor_exponential_moments(r, freqs):
     """E[exp(2 pi i k X)] for X distributed per the symmetric Cantor measure
-    with dissection ratio r on [0, 1].
+    with dissection ratio r on [0, 1], exactly.
 
-    X = (1-r) * sum_i eps_i r^i with i.i.d. fair bits eps_i.  The stratified
-    sampler enumerates all prefixes of depth J = floor(log2(n_samples)) and
-    randomizes the remainder, so the leading J bits carry no sampling error
-    at all; the plain sampler draws every bit independently (the brute-force
-    oracle).
+    X = (1-r) * sum_i eps_i r^i with i.i.d. fair bits eps_i, so the moment
+    factors into the Riesz product
 
-    A dense band of frequencies (max |k| at most 4 per requested frequency)
-    reads every moment off one table of power sums: with B = isqrt(kmax) + 1,
-    z^(qB + b) = (z^B)^q z^b, accumulated as a small matrix product over
-    chunks of POWER_CHUNK samples (``_power_means``).  Sparse frequency sets
-    take exp(2 pi i k x).mean() per frequency.  Negative frequencies return
-    the conjugate of the moment at |k| in both branches.
+        E exp(2 pi i k X) = (-1)^k prod_{i>=0} cos(pi k (1-r) r^i)
+
+    (Strichartz, Indiana Univ. Math. J. 39, 1990).  It is real, because the
+    measure is symmetric about 1/2, and even in k.  The product stops at the
+    first factor whose argument falls below ``_RIESZ_TAIL`` for the largest
+    |k|: every later factor rounds to 1.
     """
     if not 0.0 < r < 0.5:
         raise ValueError("dissection ratio must lie in (0, 1/2)")
-    freqs = np.asarray(freqs, dtype=int)
-    absk = np.abs(freqs)
-    x = _cantor_points(r, n_samples, np.random.default_rng(seed), stratified)
-
-    kmax = int(absk.max()) if freqs.size else 0
-    if freqs.size and kmax <= 4 * freqs.size:
-        out = _power_means(x, kmax)[absk]
-    else:
-        out = np.array([np.exp(2j * np.pi * k * x).mean() for k in absk],
-                       dtype=complex)
-    return np.where(freqs < 0, out.conj(), out)
+    absk = np.abs(np.asarray(freqs, dtype=int))
+    top = np.pi * (1.0 - r) * max(1, int(absk.max(initial=0)))
+    depth = max(0, math.ceil(math.log(_RIESZ_TAIL / top) / math.log(r))) + 1
+    args = np.pi * (1.0 - r) * r ** np.arange(depth)
+    prod = np.cos(np.multiply.outer(absk, args)).prod(axis=1)
+    return np.where(absk % 2 == 1, -prod, prod)
 
 
-def cantor_measure_coeffs(spec, r, target_component=0, N_trunc=None,
-                          oracle_samples=10**6, seed=0, stratified=True):
+def cantor_measure_coeffs(spec, r, target_component=0, N_trunc=None):
     """Eigenbasis coefficients of a Cantor measure pushed onto one component.
 
     The unit-mass measure on [0, 1] is transported by the arclength
     parametrization x -> s = x * L of the closed component, so that
-    c_n = integral(Y_n dmu); the constant mode picks up measure^(-1/2).
+    c_n = integral(Y_n dmu); the constant mode picks up measure^(-1/2), a
+    cos mode sqrt(2/L) times the real moment, and a sin mode exactly 0.
     """
     if spec.mode_comp is None:
         raise SpectrumError("cantor_measure_coeffs needs a curve spectrum")
     N_trunc = N_trunc or spec.count
     L = spec.geometry.component_lengths()[target_component]
-
-    idx = np.arange(N_trunc)
     on = spec.mode_comp[:N_trunc] == target_component
-    freqs = sorted({int(k) for k in spec.mode_freq[:N_trunc][on] if k > 0})
-    moments = cantor_exponential_moments(r, np.array(freqs, dtype=int),
-                                         n_samples=oracle_samples, seed=seed,
-                                         stratified=stratified)
-    table = dict(zip(freqs, moments))
+    kind = spec.mode_kind[:N_trunc]
+    cos = on & (kind == KIND_COS)
 
     c = np.zeros(N_trunc, dtype=complex)
-    for n in idx[on]:
-        kind = spec.mode_kind[n]
-        k = int(spec.mode_freq[n])
-        if kind == KIND_CONST:
-            c[n] = 1.0 / math.sqrt(L)
-        elif kind == KIND_COS:
-            c[n] = math.sqrt(2.0 / L) * table[k].real
-        else:
-            c[n] = math.sqrt(2.0 / L) * table[k].imag
+    c[cos] = math.sqrt(2.0 / L) * cantor_exponential_moments(
+        r, spec.mode_freq[:N_trunc][cos])
+    c[on & (kind == KIND_CONST)] = 1.0 / math.sqrt(L)
     return SpectralFunction(spec, c)

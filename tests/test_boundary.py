@@ -131,6 +131,8 @@ class TestCurveSpectrum:
         assert not lean.has_grid
         with pytest.raises(bd.SpectrumError):
             lean.gram_defect()
+        with pytest.raises(bd.SpectrumError):
+            lean.values_from_coeffs(np.ones(lean.count))
 
 
 class TestSurfaceSpectrum:
@@ -182,6 +184,8 @@ class TestSurfaceSpectrum:
         assert not lean.has_grid and lean.b0 == 1 and lean.mu[0] == 0.0
         with pytest.raises(bd.SpectrumError):
             lean.coeffs_from_values(np.ones(geom.vertices.shape[0]))
+        with pytest.raises(bd.SpectrumError):
+            lean.values_from_coeffs(np.ones(16))
         with pytest.raises(bd.SpectrumError):
             TripleProductTensor(lean)
 

@@ -74,6 +74,46 @@ def test_validate_rejects_bad_impedance_blocks(tmp_path):
         "experiment 'impedance_check' needs params.impedance"]
 
 
+PROFILE = {"experiment": "multiplier_profile", "geometry": {"kind": "circle"},
+           "params": {"truncations": [16, 32], "ranks": [1, 2]}}
+
+
+@pytest.mark.parametrize("block", [
+    {"phi": {"ratio": 0.6}},
+    {"phi": {"kind": "cantor", "ratio": 0.0}},
+    {"phi": {"kind": "cantor", "ratio": "third"}},
+    {"phi": {"kind": "bogus"}},
+    {"phi": {"kind": "symbol", "c1": 1.0, "c2": 1.0, "t": 0.5}},
+    {"phi": [1, 2]},
+    {"impedance": {"kind": "cantor", "ratio": 0.5}},
+], ids=["phi_ratio", "phi_ratio_zero", "phi_ratio_string", "phi_kind",
+        "phi_not_a_multiplier", "phi_list", "impedance_ratio"])
+def test_validate_rejects_bad_phi_blocks(block, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**PROFILE, "params": {**PROFILE["params"], **block}}))
+    assert cli.main(["validate", str(path)]) == 1
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    name = "params." + next(iter(block))
+    assert any(line.startswith("config error: ") and name in line
+               for line in capsys.readouterr().err.splitlines())
+
+
+def test_multiplier_profile_ignores_the_seed(tmp_path):
+    # the Cantor coefficients are exact: the former sampler keys are accepted
+    # and ignored, and every artifact is the same at any seed (the manifest's
+    # content_hash also covers the config, and so the seed)
+    config = {**PROFILE, "params": {**PROFILE["params"],
+                                    "phi": {"kind": "cantor", "samples": 1000}}}
+    artifacts = []
+    for seed in (0, 5):
+        cfg = harness.ExperimentConfig.from_dict({**config, "seed": seed})
+        manifest = harness.run(cfg, str(tmp_path / str(seed)))
+        assert manifest.passed, manifest.assertions
+        artifacts.append([(a["id"], a["sha256"]) for a in manifest.artifacts])
+    assert artifacts[0] == artifacts[1]
+
+
 @pytest.mark.parametrize("command, text, extra", [
     ("run", json.dumps({**WEYL_CIRCLE, "seed": "abc"}), []),
     ("run", json.dumps({**WEYL_CIRCLE, "params": [1, 2]}), []),
@@ -131,7 +171,7 @@ def test_run_without_out_prints_existing_manifest(tmp_path, capsys):
     ({"experiment": "fgf_convergence", "geometry": {"kind": "circle"},
       "params": {"seeds": 30, "s_values": [1.0]}}, {"ratios", "verdicts"}),
     ({"experiment": "multiplier_profile", "geometry": {"kind": "circle"},
-      "params": {"phi": {"kind": "cantor", "samples": 10000},
+      "params": {"phi": {"kind": "cantor"},
                  "truncations": [32, 64], "ranks": [1, 2, 4]}},
      {"profile", "summary"}),
     ({"experiment": "impedance_check", "geometry": {"kind": "circle"},
@@ -168,7 +208,7 @@ def test_profile_rows_labelled_with_their_rank(tmp_path):
     # ranks past the smaller truncation are dropped, and not in ascending order
     cfg = harness.ExperimentConfig.from_dict({
         "experiment": "multiplier_profile", "geometry": {"kind": "circle"},
-        "params": {"phi": {"kind": "cantor", "samples": 1000},
+        "params": {"phi": {"kind": "cantor"},
                    "truncations": [16, 32], "ranks": [32, 1]}})
     manifest = harness.run(cfg, str(tmp_path))
     assert manifest.passed, manifest.assertions
@@ -194,7 +234,7 @@ def test_one_contraction_per_truncation(tmp_path, monkeypatch):
     monkeypatch.setattr(TripleProductTensor, "contract", counting)
     cfg = harness.ExperimentConfig.from_dict({
         "experiment": "multiplier_profile", "geometry": {"kind": "circle"},
-        "params": {"phi": {"kind": "cantor", "samples": 1000},
+        "params": {"phi": {"kind": "cantor"},
                    "truncations": [16, 32], "ranks": [1, 2]}})
     manifest = harness.run(cfg, str(tmp_path))
     assert manifest.passed, manifest.assertions
@@ -219,7 +259,7 @@ EMIT_PLOT_RUNS = [
     ("ratios", {"experiment": "fgf_convergence", "geometry": {"kind": "circle"},
                 "params": {"seeds": 30, "s_values": [1.0]}}),
     ("profile", {"experiment": "multiplier_profile", "geometry": {"kind": "circle"},
-                 "params": {"phi": {"kind": "cantor", "samples": 10000},
+                 "params": {"phi": {"kind": "cantor"},
                             "truncations": [32, 64], "ranks": [1, 2, 4]}}),
     ("eigenvalues", {"experiment": "acoustic_spectrum",
                      "mesh": {"kind": "disk", "h": 0.3},

@@ -93,7 +93,7 @@ class TestAccretivity:
         assert res["nonneg"] and res["min_eig"] == 0.0
 
     def test_cantor_multiplier_accretive(self, circle_spec, circle_tensor):
-        phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3, oracle_samples=2**16)
+        phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3)
         Z = imp.multiplier_impedance(phi, 20, tensor=circle_tensor)
         assert imp.is_accretive(Z, tol=1e-8)["nonneg"]
 
@@ -206,7 +206,7 @@ class TestFriedrichs:
         assert np.abs(imp.friedrichs_conjugated(Z) - np.eye(12)).max() < 1e-12
 
     def test_cantor_fixed_point(self, circle_spec, circle_tensor):
-        phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3, oracle_samples=2**16)
+        phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3)
         Z = imp.multiplier_impedance(phi, 16, tensor=circle_tensor)
         out = imp.friedrichs_conjugated(Z, tol=1e-8)
         assert np.allclose(out, Z.matrix, atol=1e-12)

@@ -1,8 +1,8 @@
 import json
 import math
 import os
-import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -53,7 +53,7 @@ def mean_zero_oscillation(spec, rng, band=12):
 
 @pytest.fixture(scope="module")
 def cantor_400(circle_spec_400):
-    return mp.cantor_measure_coeffs(circle_spec_400, 1 / 3, oracle_samples=2**14)
+    return mp.cantor_measure_coeffs(circle_spec_400, 1 / 3)
 
 
 @pytest.fixture
@@ -69,6 +69,21 @@ def svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     monkeypatch.setitem(getattr(svd, "__wrapped__", svd).__globals__, "svd", counting)
+    return calls
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Record (name, dtype) of every np.linalg.svd and np.linalg.eigvalsh call."""
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _fn=fn, **kwargs):
+            calls.append((_name, np.asarray(a).dtype))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
@@ -253,17 +268,24 @@ class TestNormsAndCompactness:
 
 
 class TestSingularValues:
-    """One singular-value solve per compression, real when phi is real."""
+    """One singular-value solve per compression, real when phi is real, and
+    a symmetric eigensolve when the weighted compression is Hermitian."""
 
     @pytest.mark.parametrize("N_trunc", [64, 128])
     @pytest.mark.parametrize("s1, s2", [(0.5, 0.5), (0.3, 0.8)])
     def test_real_path_matches_complex_svd(self, cantor_400, N_trunc, s1, s2,
-                                           svd_calls):
+                                           solve_calls):
         A = mp.build_multiplier(cantor_400, s1, s2, N_trunc)
         sv = A.singular_values
-        assert svd_calls == [np.float64]
+        assert solve_calls == [("eigvalsh" if s1 == s2 else "svd", np.float64)]
         ref = np.linalg.svd(A.weighted(), compute_uv=False)
         assert np.abs(sv - ref).max() <= 1e-13 * ref[0]
+
+    @pytest.mark.parametrize("N_trunc", [256, 400])
+    def test_eigvalsh_path_matches_svd_at_large_truncation(self, cantor_400, N_trunc):
+        A = mp.build_multiplier(cantor_400, 0.5, 0.5, N_trunc)
+        ref = np.linalg.svd(A.weighted(), compute_uv=False)
+        assert np.abs(A.singular_values - ref).max() <= 1e-13 * ref[0]
 
     def test_complex_phi_keeps_complex_arithmetic(self, circle_spec, circle_tensor,
                                                   svd_calls):
@@ -274,11 +296,24 @@ class TestSingularValues:
         ref = np.linalg.svd(A.weighted(), compute_uv=False)
         assert np.abs(sv - ref).max() <= 1e-13 * ref[0]
 
-    def test_norm_and_profile_share_one_solve(self, cantor_400, svd_calls):
+    def test_norm_and_profile_share_one_solve(self, cantor_400, solve_calls):
         A = mp.build_multiplier(cantor_400, 0.5, 0.5, 64)
         norm = mp.multiplier_norm(A)
         prof = mp.compactness_profile(A, [1, 8, 64])
-        assert len(svd_calls) == 1
+        assert solve_calls == [("eigvalsh", np.float64)]
+        assert prof[0] == norm
+
+    @pytest.mark.parametrize("imaginary, s1, s2", [(False, 0.3, 0.8),
+                                                   (True, 0.5, 0.5)],
+                             ids=["unequal_exponents", "non_hermitian"])
+    def test_one_svd_unless_hermitian_congruence(self, cantor_400, imaginary, s1, s2,
+                                                 solve_calls):
+        phi = 1j * cantor_400 if imaginary else cantor_400
+        A = mp.build_multiplier(phi, s1, s2, 64)
+        norm = mp.multiplier_norm(A)
+        prof = mp.compactness_profile(A, [1, 8, 64])
+        dtype = np.complex128 if imaginary else np.float64
+        assert solve_calls == [("svd", dtype)]
         assert prof[0] == norm
 
     def test_positivity_takes_no_svd_on_real_phi(self, cantor_400, circle_spec,
@@ -313,7 +348,7 @@ class TestPositivity:
         lambda spec, T: imp.multiplier_impedance(bd.dirac_coeffs(spec, 0, 0.7), 20,
                                                  tensor=T),
         lambda spec, T: imp.multiplier_impedance(
-            mp.cantor_measure_coeffs(spec, 1 / 3, oracle_samples=2**14), 24, tensor=T),
+            mp.cantor_measure_coeffs(spec, 1 / 3), 24, tensor=T),
         lambda spec, T: imp.multiplier_impedance(1j * bd.unit_mode(spec, 2), 16,
                                                  tensor=T),
         lambda spec, T: imp.symbol_impedance(spec, 16, c1=1.0, c2=1.0, t=1.0,
@@ -440,125 +475,103 @@ class TestLqCases:
             assert got["embeds"] == (True if row["case"] != "none" else "unknown")
 
 
+def mpmath_cantor_moment(r, k, factors=80):
+    """(-1)^k prod_{i<80} cos(pi k (1-r) r^i) at 30 digits, for the float r."""
+    with mpmath.workdps(30):
+        r = mpmath.mpf(r)
+        p = mpmath.fprod(mpmath.cos(mpmath.pi * k * (1 - r) * r ** i)
+                         for i in range(factors))
+        return float((-1) ** k * p)
+
+
+def plain_cantor_moments(r, freqs, n, seed, chunk=10**6):
+    """Monte Carlo means and standard errors of cos and sin(2 pi k X).
+
+    Each point X = (1-r) sum_{i<64} eps_i r^i takes its 64 fair bits from one
+    random uint64, summed one byte at a time through 256-entry tables.
+    """
+    rng = np.random.default_rng(seed)
+    weights = (1.0 - r) * r ** np.arange(64.0)
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    tables = [byte_bits @ weights[8 * b:8 * b + 8] for b in range(8)]
+    sums = np.zeros((4, len(freqs)))
+    for start in range(0, n, chunk):
+        w = rng.integers(0, 2**64, size=min(chunk, n - start), dtype=np.uint64)
+        octets = w.view(np.uint8).reshape(-1, 8)
+        x = sum(tables[b][octets[:, b]] for b in range(8))
+        for j, k in enumerate(freqs):
+            c, sn = np.cos(2 * np.pi * k * x), np.sin(2 * np.pi * k * x)
+            sums[:, j] += c.sum(), (c * c).sum(), sn.sum(), (sn * sn).sum()
+    mean_c, mean_s = sums[0] / n, sums[2] / n
+    se_c = np.sqrt((sums[1] / n - mean_c**2) / n)
+    se_s = np.sqrt((sums[3] / n - mean_s**2) / n)
+    return mean_c, se_c, mean_s, se_s
+
+
 class TestCantor:
     def test_ratio_validation(self, circle_spec):
         with pytest.raises(ValueError):
             mp.cantor_measure_coeffs(circle_spec, 0.6)
 
     def test_unit_mass_constant_coefficient(self, circle_spec):
-        phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3, oracle_samples=2**14)
+        phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3)
         L = circle_spec.geometry.total_measure
         assert phi.coeffs[0].real == pytest.approx(1 / np.sqrt(L), abs=1e-12)
 
     def test_self_similarity_non_decay(self):
-        # for r = 1/3 the exponential moments at 3^j all equal the moment at
-        # k = 1 (exact self-similarity); no Rajchman decay on that subsequence
-        mo = mp.cantor_exponential_moments(1 / 3, np.array([1, 3, 9, 27, 81, 243]),
-                                           n_samples=10**6, seed=3)
-        assert np.abs(mo - mo[0]).max() < 1e-6
-        assert np.abs(mo[0]) > 0.3
+        # for r = 1/3, mu(3k) = mu(k) (exact self-similarity): the moments at
+        # 3^j all equal the moment at k = 1; no Rajchman decay on them
+        k = np.arange(1, 190)
+        assert np.abs(mp.cantor_exponential_moments(1 / 3, 3 * k)
+                      - mp.cantor_exponential_moments(1 / 3, k)).max() <= 1e-13
+        mo = mp.cantor_exponential_moments(1 / 3, np.array([1, 3, 9, 27, 81, 243]))
+        assert np.abs(mo - 0.371437).max() < 5e-7
 
-    def test_stratified_vs_brute_force(self):
-        freqs = np.array([1, 3, 9, 27])
-        a = mp.cantor_exponential_moments(1 / 3, freqs, n_samples=2**17, seed=1)
-        b = mp.cantor_exponential_moments(1 / 3, freqs, n_samples=2 * 10**5,
-                                          seed=9, stratified=False)
-        assert np.abs(a - b).max() < 5e-3
+    @pytest.mark.parametrize("r", [0.1, 1 / 3, 0.45])
+    def test_matches_mpmath_product(self, r):
+        # the error grows like k * eps from rounding pi k (1-r) r^i
+        k = np.unique(np.r_[0:40, np.geomspace(40, 1990, 30).astype(int), 1990:2001])
+        ref = np.array([mpmath_cantor_moment(r, int(j)) for j in k])
+        assert np.abs(mp.cantor_exponential_moments(r, k) - ref).max() <= 1e-12
 
     @pytest.mark.slow
     def test_brute_force_oracle_ten_million(self):
         freqs = np.array([1, 3, 9, 27, 81, 243])
-        a = mp.cantor_exponential_moments(1 / 3, freqs, n_samples=2**20, seed=1)
-        b = mp.cantor_exponential_moments(1 / 3, freqs, n_samples=10**7, seed=4,
-                                          stratified=False)
-        assert np.abs(a - b).max() < 2e-3
-        assert np.abs(b).min() > 0.3      # non-decay confirmed by brute force
+        exact = mp.cantor_exponential_moments(1 / 3, freqs)
+        mean_c, se_c, mean_s, se_s = plain_cantor_moments(1 / 3, freqs, 10**7, seed=4)
+        assert np.all(np.abs(mean_c - exact) <= 5 * se_c)
+        assert np.all(np.abs(mean_s) <= 5 * se_s)
+        assert np.abs(mean_c).min() > 0.3      # non-decay confirmed by brute force
 
     def test_positivity_of_cantor_measure(self, circle_spec, circle_tensor):
-        phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3, oracle_samples=2**18)
+        phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3)
         res = mp.positivity_test(mp.build_multiplier(phi, 0.0, 0.0, 24,
                                                      tensor=circle_tensor), tol=1e-6)
         assert res["nonneg"]
 
     def test_negative_frequencies_are_conjugates(self):
-        mo = mp.cantor_exponential_moments(1 / 3, np.array([-1, 1, 2]),
-                                           n_samples=2**12)
-        assert mo[0] == np.conj(mo[1])
+        # the moments are real, so the conjugate at -k is the value at k
+        mo = mp.cantor_exponential_moments(1 / 3, np.array([-1, 1, 2]))
+        assert mo[0] == np.conj(mo[1]) == mo[1]
 
-    def test_branches_agree_on_mixed_signs(self):
-        freqs = np.array([-5, -2, 0, 1, 2, 5])
-        dense = mp.cantor_exponential_moments(1 / 3, freqs, n_samples=2**12)
-        # one far frequency sends the set to the per-frequency branch
-        sparse = mp.cantor_exponential_moments(1 / 3, np.append(freqs, 1000),
-                                               n_samples=2**12)[:-1]
-        assert np.abs(dense - sparse).max() <= 1e-13
+    @pytest.mark.parametrize("r", [0.1, 1 / 3, 0.45])
+    def test_moments_real_bounded_and_even(self, r):
+        k = np.arange(-600, 601)
+        mo = mp.cantor_exponential_moments(r, k)
+        assert mo.dtype == np.float64 and np.abs(mo).max() <= 1.0
+        assert np.array_equal(mo, mo[::-1]) and mo[600] == 1.0
+
+    def test_sin_coefficients_are_exactly_zero(self, circle_spec_400):
+        phi = mp.cantor_measure_coeffs(circle_spec_400, 0.45)
+        sin = circle_spec_400.mode_kind == bd.KIND_SIN
+        assert sin.any() and np.all(phi.coeffs[sin] == 0)
+        assert np.all(phi.coeffs.imag == 0)
 
     def test_second_component_support(self):
         comps = (shapes.scaled_circle_by_perimeter(2 * np.pi).components[0],
                  shapes.scaled_circle_by_perimeter(2.0).components[0] + 8.0)
         geom = bd.BoundaryGeometry(dim_ambient=2, components=comps)
         spec = bd.build_curve_spectrum(geom, 20)
-        phi = mp.cantor_measure_coeffs(spec, 1 / 3, target_component=1,
-                                       oracle_samples=2**12)
+        phi = mp.cantor_measure_coeffs(spec, 1 / 3, target_component=1)
         on0 = spec.mode_comp == 0
         assert np.abs(phi.coeffs[on0]).max() == 0.0
-
-
-def whole_array_cantor_points(r, n_samples, seed):
-    """The stratified Cantor sampler written as one loop over whole arrays."""
-    rng = np.random.default_rng(seed)
-    scale = 1.0 - r
-    J = max(1, min(22, int(math.floor(math.log2(max(2, n_samples))))))
-    idx = np.arange(1 << J, dtype=np.uint64)
-    x = np.zeros(1 << J)
-    for i in range(J):
-        x += ((idx >> np.uint64(i)) & np.uint64(1)).astype(float) * (scale * r ** i)
-    extra = max(8, min(48, int(math.ceil(-40.0 / math.log10(r)))))
-    w = rng.integers(0, 2 ** 62, size=x.size, dtype=np.uint64)
-    for i in range(extra):
-        x += ((w >> np.uint64(i)) & np.uint64(1)).astype(float) * (scale * r ** (J + i))
-    return x
-
-
-class TestCantorPowerSums:
-    """The blocked power sums behind the dense band of Cantor moments."""
-
-    @pytest.mark.parametrize("r", [1 / 3, 0.1, 0.45])
-    @pytest.mark.parametrize("n_samples", [2, 2**15 + 3, 2**17])
-    def test_sampler_bitwise_equals_whole_array_loop(self, r, n_samples):
-        x = mp._cantor_points(r, n_samples, np.random.default_rng(7), True)
-        assert np.array_equal(x, whole_array_cantor_points(r, n_samples, 7))
-
-    # B = isqrt(kmax) + 1 steps from 24 to 25 between 24**2 - 1 and 24**2
-    @pytest.mark.parametrize("kmax", [0, 1, 24**2 - 1, 24**2])
-    @pytest.mark.parametrize("n_samples, stratified", [(2**12, True),
-                                                       (10**4 + 7, False)],
-                             ids=["stratified", "plain_ragged_chunk"])
-    def test_matches_per_frequency_means(self, kmax, n_samples, stratified):
-        x = mp._cantor_points(1 / 3, n_samples, np.random.default_rng(5), stratified)
-        ref = np.array([np.exp(2j * np.pi * k * x).mean() for k in range(kmax + 1)])
-        got = mp.cantor_exponential_moments(1 / 3, np.arange(kmax + 1),
-                                            n_samples=n_samples, seed=5,
-                                            stratified=stratified)
-        assert np.abs(got - ref).max() <= 1e-13
-
-    @pytest.mark.parametrize("chunk", [7, 1000, 2**20])
-    def test_chunk_size_does_not_matter(self, chunk, monkeypatch):
-        freqs = np.arange(1, 568)
-        kwargs = {"n_samples": 10**4 + 7, "stratified": False}
-        ref = mp.cantor_exponential_moments(1 / 3, freqs, **kwargs)
-        monkeypatch.setattr(mp, "POWER_CHUNK", chunk)
-        got = mp.cantor_exponential_moments(1 / 3, freqs, **kwargs)
-        assert np.abs(got - ref).max() <= 1e-13
-
-    def test_peak_memory_below_three_samples(self):
-        # no n x B or n x kmax temporary: the whole call stays below three
-        # copies of the sample x (numpy reports its buffers to tracemalloc)
-        n = 2**18
-        tracemalloc.start()
-        try:
-            mp.cantor_exponential_moments(1 / 3, np.arange(1, 568), n_samples=n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * n * np.dtype(float).itemsize
