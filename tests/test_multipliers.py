@@ -484,11 +484,28 @@ def mpmath_cantor_moment(r, k, factors=80):
         return float((-1) ** k * p)
 
 
+def _moment_sums(x, freqs):
+    """Per-frequency sums of cos, cos^2, sin and sin^2 of 2 pi k x."""
+    sums = np.zeros((4, len(freqs)))
+    for j, k in enumerate(freqs):
+        c, sn = np.cos(2 * np.pi * k * x), np.sin(2 * np.pi * k * x)
+        sums[:, j] = c.sum(), (c * c).sum(), sn.sum(), (sn * sn).sum()
+    return sums
+
+
+def _means_and_errors(sums, n):
+    mean_c, mean_s = sums[0] / n, sums[2] / n
+    se_c = np.sqrt(np.maximum(sums[1] / n - mean_c**2, 0.0) / n)
+    se_s = np.sqrt(np.maximum(sums[3] / n - mean_s**2, 0.0) / n)
+    return mean_c, se_c, mean_s, se_s
+
+
 def plain_cantor_moments(r, freqs, n, seed, chunk=10**6):
     """Monte Carlo means and standard errors of cos and sin(2 pi k X).
 
     Each point X = (1-r) sum_{i<64} eps_i r^i takes its 64 fair bits from one
-    random uint64, summed one byte at a time through 256-entry tables.
+    random uint64, summed one byte at a time through 256-entry tables; the
+    points are drawn and summed ``chunk`` at a time.
     """
     rng = np.random.default_rng(seed)
     weights = (1.0 - r) * r ** np.arange(64.0)
@@ -498,14 +515,29 @@ def plain_cantor_moments(r, freqs, n, seed, chunk=10**6):
     for start in range(0, n, chunk):
         w = rng.integers(0, 2**64, size=min(chunk, n - start), dtype=np.uint64)
         octets = w.view(np.uint8).reshape(-1, 8)
-        x = sum(tables[b][octets[:, b]] for b in range(8))
-        for j, k in enumerate(freqs):
-            c, sn = np.cos(2 * np.pi * k * x), np.sin(2 * np.pi * k * x)
-            sums[:, j] += c.sum(), (c * c).sum(), sn.sum(), (sn * sn).sum()
-    mean_c, mean_s = sums[0] / n, sums[2] / n
-    se_c = np.sqrt((sums[1] / n - mean_c**2) / n)
-    se_s = np.sqrt((sums[3] / n - mean_s**2) / n)
-    return mean_c, se_c, mean_s, se_s
+        sums += _moment_sums(sum(tables[b][octets[:, b]] for b in range(8)), freqs)
+    return _means_and_errors(sums, n)
+
+
+def stratified_cantor_moments(r, freqs, n, seed):
+    """Monte Carlo means and standard errors over a stratified Cantor sample.
+
+    All 2^J prefixes of the first J = floor(log2 n) digits (J <= 22) appear
+    once; the remaining digits, down to r^i ~ 1e-40, are random bits.  The
+    standard errors are those of a plain sample, an upper bound here.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 1.0 - r
+    J = max(1, min(22, int(math.floor(math.log2(max(2, n))))))
+    idx = np.arange(1 << J, dtype=np.uint64)
+    x = np.zeros(1 << J)
+    for i in range(J):
+        x += ((idx >> np.uint64(i)) & np.uint64(1)).astype(float) * (scale * r ** i)
+    extra = max(8, min(48, int(math.ceil(-40.0 / math.log10(r)))))
+    w = rng.integers(0, 2 ** 62, size=x.size, dtype=np.uint64)
+    for i in range(extra):
+        x += ((w >> np.uint64(i)) & np.uint64(1)).astype(float) * (scale * r ** (J + i))
+    return _means_and_errors(_moment_sums(x, freqs), x.size)
 
 
 class TestCantor:
@@ -534,6 +566,16 @@ class TestCantor:
         ref = np.array([mpmath_cantor_moment(r, int(j)) for j in k])
         assert np.abs(mp.cantor_exponential_moments(r, k) - ref).max() <= 1e-12
 
+    def test_stratified_vs_brute_force(self):
+        # the two Monte Carlo oracles agree with each other and with the product
+        freqs = np.array([1, 3, 9, 27])
+        exact = mp.cantor_exponential_moments(1 / 3, freqs)
+        a, se_a, _, _ = stratified_cantor_moments(1 / 3, freqs, 2**17, seed=1)
+        b, se_b, _, _ = plain_cantor_moments(1 / 3, freqs, 2 * 10**5, seed=9)
+        assert np.abs(a - b).max() < 5e-3
+        assert np.all(np.abs(a - exact) <= 5 * se_a)
+        assert np.all(np.abs(b - exact) <= 5 * se_b)
+
     @pytest.mark.slow
     def test_brute_force_oracle_ten_million(self):
         freqs = np.array([1, 3, 9, 27, 81, 243])
@@ -553,6 +595,15 @@ class TestCantor:
         # the moments are real, so the conjugate at -k is the value at k
         mo = mp.cantor_exponential_moments(1 / 3, np.array([-1, 1, 2]))
         assert mo[0] == np.conj(mo[1]) == mo[1]
+
+    def test_branches_agree_on_mixed_signs(self):
+        # one far frequency deepens the product for the whole set; the extra
+        # factors round to 1 and leave the near moments as they were
+        freqs = np.array([-5, -2, 0, 1, 2, 5])
+        near = mp.cantor_exponential_moments(1 / 3, freqs)
+        deep = mp.cantor_exponential_moments(1 / 3, np.append(freqs, 1000))[:-1]
+        assert np.abs(near - deep).max() <= 1e-13
+        assert np.array_equal(near, mp.cantor_exponential_moments(1 / 3, np.abs(freqs)))
 
     @pytest.mark.parametrize("r", [0.1, 1 / 3, 0.45])
     def test_moments_real_bounded_and_even(self, r):
@@ -575,3 +626,35 @@ class TestCantor:
         phi = mp.cantor_measure_coeffs(spec, 1 / 3, target_component=1)
         on0 = spec.mode_comp == 0
         assert np.abs(phi.coeffs[on0]).max() == 0.0
+
+
+class TestCantorPowerSums:
+    """The exact moments against Monte Carlo power sums (1/n) sum_j z_j^k,
+    z_j = exp(2 pi i X_j), taken one frequency at a time."""
+
+    # from the trivial k = 0 to past the 567 moments of a 400-mode circle
+    @pytest.mark.parametrize("kmax", [0, 1, 24**2 - 1, 24**2])
+    @pytest.mark.parametrize("n_samples, stratified", [(2**12, True),
+                                                       (10**4 + 7, False)],
+                             ids=["stratified", "plain_ragged_chunk"])
+    def test_matches_per_frequency_means(self, kmax, n_samples, stratified):
+        freqs = np.arange(kmax + 1)
+        if stratified:
+            mean_c, se_c, mean_s, se_s = stratified_cantor_moments(
+                1 / 3, freqs, n_samples, seed=5)
+        else:
+            mean_c, se_c, mean_s, se_s = plain_cantor_moments(
+                1 / 3, freqs, n_samples, seed=5, chunk=1000)
+        got = mp.cantor_exponential_moments(1 / 3, freqs)
+        assert got[0] == mean_c[0] == 1.0
+        assert np.all(np.abs(got - mean_c) <= 5 * se_c)
+        assert np.all(np.abs(mean_s) <= 5 * se_s)
+
+    @pytest.mark.parametrize("chunk", [7, 1000, 2**20])
+    def test_chunk_size_does_not_matter(self, chunk):
+        # the plain oracle draws the same points however it splits them
+        freqs = np.array([1, 3, 9, 27, 81, 243, 567])
+        ref = plain_cantor_moments(1 / 3, freqs, 10**4 + 7, seed=2)
+        got = plain_cantor_moments(1 / 3, freqs, 10**4 + 7, seed=2, chunk=chunk)
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-13
