@@ -782,7 +782,10 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
     the run continues; so are solved samples whose ARPACK run did not
     converge (``n_unconverged``).  Reports merge in sample order regardless
     of worker scheduling.  Every sample shares the mesh's one factor of A0.
+    A kernel-weight count that does not match the boundary's b0 fails every
+    sample alike, so it raises ValueError before any sampling.
     """
+    rspec.check_kernel_weights(spec.b0)
     base = assemble_pencil(mesh, spec, N_b=N_b)
     tensor = TripleProductTensor(spec)
 

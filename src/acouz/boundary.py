@@ -4,9 +4,12 @@ A boundary is either a collection of closed polygonal curves in the plane
 (d = 2) or a closed triangulated surface in space (d = 3).  The surface
 Laplacian on a closed curve is -d^2/ds^2 in arclength, so curve spectra are
 computed analytically per component: eigenvalues (2*pi*k/L)^2 with one
-constant mode and cos/sin pairs.  Surface spectra use the cotangent
+constant mode and cos/sin pairs, each mode described by its (component,
+kind, frequency) and evaluated by :func:`curve_modes` wherever values are
+needed; a curve spectrum stores no grid.  Surface spectra use the cotangent
 stiffness matrix with a lumped (optionally consistent) mass matrix and an
-ARPACK shift-invert solve.
+ARPACK shift-invert solve, and store the eigenvectors at the mesh vertices
+when asked to.
 
 Scalar functions and distributions on the boundary are stored as
 coefficient vectors in the resulting orthonormal eigenbasis; the Sobolev
@@ -22,7 +25,6 @@ the pivot at t = 0.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -35,10 +37,6 @@ KIND_CONST = 0
 KIND_COS = 1
 KIND_SIN = 2
 
-# Orthonormality tolerances: curve modes are exact up to quadrature,
-# FEM surface modes carry solver error.
-TOL_ORTH_CURVE = 1e-10
-TOL_ORTH_SURFACE = 1e-8
 EIG_RESIDUAL_TOL = 1e-8
 
 
@@ -48,10 +46,6 @@ class GeometryError(ValueError):
 
 class SpectrumError(ValueError):
     """Invalid spectral request (truncation, range, ...)."""
-
-
-class TruncationExceeded(SpectrumError):
-    """A query reached beyond the computed part of the spectrum."""
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +108,6 @@ class BoundaryGeometry:
         np.add.at(out, tri_label, areas)
         return out
 
-    @property
-    def total_measure(self):
-        return float(self.component_measures.sum())
-
     def component_lengths(self):
         if self.dim_ambient != 2:
             raise GeometryError("component_lengths is a curve-only notion")
@@ -146,18 +136,6 @@ class BoundaryGeometry:
     def load_json(cls, path):
         with open(path) as f:
             return cls.from_dict(json.load(f))
-
-    def content_hash(self):
-        """Stable hash of the geometry (vertices and connectivity)."""
-        h = hashlib.sha256()
-        h.update(str(self.dim_ambient).encode())
-        if self.dim_ambient == 2:
-            for c in self.components:
-                h.update(np.ascontiguousarray(c).tobytes())
-        else:
-            h.update(np.ascontiguousarray(self.vertices).tobytes())
-            h.update(np.ascontiguousarray(self.triangles).tobytes())
-        return h.hexdigest()
 
 
 def _segment_lengths(c):
@@ -211,25 +189,21 @@ def _vertex_components(n_vertices, t):
 class BoundarySpectrum:
     """The first N Laplace-Beltrami eigenpairs of a closed boundary.
 
-    ``modes`` holds the eigenfunctions sampled on a quadrature grid
-    (arclength midpoints for curves, mesh vertices for surfaces) and
-    ``quad_weights`` the matching weights, so that
-    ``modes @ (quad_weights * f_grid)`` is the vector of L2 coefficients of
-    a grid function f.  For curves, ``mode_comp/mode_kind/mode_freq`` carry
-    the analytic descriptor of each mode, which downstream code uses for
-    exact trigonometric products.
+    Curve spectra are gridless: ``mode_comp/mode_kind/mode_freq`` carry the
+    analytic descriptor of each mode, which downstream code uses for exact
+    trigonometric products and evaluates by :func:`curve_modes`.  Surface
+    spectra built with ``store_modes=True`` hold the M-orthonormal
+    eigenvectors at the mesh vertices in ``modes`` (N, n_vertices), which
+    surface triple products integrate, and their ``residuals``; otherwise
+    ``modes`` is None.
     """
 
     geometry: BoundaryGeometry
     count: int
     mu: np.ndarray                 # (N,) nondecreasing, mu[:b0] == 0
-    modes: np.ndarray              # (N, n_grid)
     b0: int
-    quad_points: np.ndarray        # grid coordinates (n_grid, dim)
-    quad_weights: np.ndarray       # (n_grid,)
-    quad_comp: np.ndarray          # component index per grid point
-    quad_arclength: np.ndarray | None = None   # d=2: arclength per grid point
-    mode_comp: np.ndarray | None = None
+    modes: np.ndarray | None = None         # d=3: (N, n_vertices)
+    mode_comp: np.ndarray | None = None     # d=2 mode descriptors
     mode_kind: np.ndarray | None = None
     mode_freq: np.ndarray | None = None
     residuals: np.ndarray | None = None
@@ -238,55 +212,16 @@ class BoundarySpectrum:
     def dim(self):
         return self.geometry.dim_ambient
 
-    @property
-    def has_grid(self):
-        return self.modes.shape[1] > 0
-
-    def _grid_modes(self):
-        """The modes on the quadrature grid; a gridless spectrum raises."""
-        if not self.has_grid:
-            raise SpectrumError("spectrum was built without grid storage")
-        return self.modes
-
-    def gram_defect(self):
-        """Max deviation of the quadrature Gram matrix from the identity."""
-        Y = self._grid_modes()
-        g = (Y * self.quad_weights) @ Y.T
-        return float(np.abs(g - np.eye(self.count)).max())
-
-    # -- coefficient transforms --------------------------------------------
-
-    def coeffs_from_values(self, values):
-        """L2 projection of a grid function onto the retained modes."""
-        return self._grid_modes() @ (self.quad_weights * np.asarray(values))
-
-    def values_from_coeffs(self, coeffs):
-        return np.asarray(coeffs) @ self._grid_modes()
-
-    def evaluate_curve_modes(self, comp, s):
-        """Evaluate all modes analytically at arclengths ``s`` on component ``comp``.
-
-        Returns an (N, len(s)) array; modes living on other components are zero.
-        Curve spectra only.
-        """
-        if self.mode_comp is None:
-            raise SpectrumError("analytic evaluation is available for curve spectra only")
-        return curve_modes(self.mode_comp, self.mode_kind, self.mode_freq, comp,
-                           self.geometry.component_lengths()[comp],
-                           np.asarray(s, dtype=float))
-
     # -- persistence ---------------------------------------------------------
 
     def dump_npz(self, path):
+        def arr(a):
+            return a if a is not None else np.array([])
+
         np.savez_compressed(
-            path, mu=self.mu, modes=self.modes, b0=self.b0,
-            quad_points=self.quad_points, quad_weights=self.quad_weights,
-            quad_comp=self.quad_comp,
-            quad_arclength=(self.quad_arclength if self.quad_arclength is not None else np.array([])),
-            mode_comp=(self.mode_comp if self.mode_comp is not None else np.array([])),
-            mode_kind=(self.mode_kind if self.mode_kind is not None else np.array([])),
-            mode_freq=(self.mode_freq if self.mode_freq is not None else np.array([])),
-            residuals=(self.residuals if self.residuals is not None else np.array([])),
+            path, mu=self.mu, b0=self.b0, modes=arr(self.modes),
+            mode_comp=arr(self.mode_comp), mode_kind=arr(self.mode_kind),
+            mode_freq=arr(self.mode_freq), residuals=arr(self.residuals),
             geometry_json=np.frombuffer(json.dumps(self.geometry.to_dict()).encode(), dtype=np.uint8),
         )
 
@@ -303,28 +238,25 @@ class BoundarySpectrum:
             return a.astype(dtype) if dtype else a
 
         return cls(
-            geometry=geom, count=int(z["mu"].shape[0]), mu=z["mu"], modes=z["modes"],
-            b0=int(z["b0"]), quad_points=z["quad_points"], quad_weights=z["quad_weights"],
-            quad_comp=z["quad_comp"], quad_arclength=opt("quad_arclength"),
-            mode_comp=opt("mode_comp", int), mode_kind=opt("mode_kind", int),
-            mode_freq=opt("mode_freq", int), residuals=opt("residuals"))
+            geometry=geom, count=int(z["mu"].shape[0]), mu=z["mu"], b0=int(z["b0"]),
+            modes=opt("modes"), mode_comp=opt("mode_comp", int),
+            mode_kind=opt("mode_kind", int), mode_freq=opt("mode_freq", int),
+            residuals=opt("residuals"))
 
 
 # ---------------------------------------------------------------------------
 # curve spectra (exact arclength Fourier)
 # ---------------------------------------------------------------------------
 
-def build_curve_spectrum(geom, N, store_modes=True):
+def build_curve_spectrum(geom, N):
     """Exact spectrum of -d^2/ds^2 on a union of closed curves.
 
     Per component of length L the eigenvalues are 0 and (2*pi*k/L)^2 with a
     cos/sin pair each; the N smallest are merged across components and
     sorted, ties broken by (component index, cos before sin, k ascending).
-    Zero modes are the per-component constants measure^(-1/2) >= 0.
-
-    ``store_modes=False`` skips the quadrature grid (memory O(N^2) at large
-    truncations); coefficient-space operations (H^t norms, multipliers,
-    field sampling) still work, grid synthesis does not.
+    Zero modes are the per-component constants measure^(-1/2) >= 0.  The
+    spectrum is gridless: the modes are kept as (component, kind, frequency)
+    descriptors for :func:`curve_modes`.
     """
     if geom.dim_ambient != 2:
         raise SpectrumError("build_curve_spectrum needs a d=2 geometry")
@@ -349,46 +281,9 @@ def build_curve_spectrum(geom, N, store_modes=True):
     mode_kind = np.array([e[2] for e in entries], dtype=int)
     mode_freq = np.array([e[3] for e in entries], dtype=int)
 
-    if not store_modes:
-        empty = np.zeros((0,))
-        return BoundarySpectrum(
-            geometry=geom, count=N, mu=mu, modes=np.zeros((N, 0)), b0=b0,
-            quad_points=np.zeros((0, 2)), quad_weights=empty,
-            quad_comp=np.zeros(0, dtype=int), quad_arclength=empty,
-            mode_comp=mode_comp, mode_kind=mode_kind, mode_freq=mode_freq)
-
-    # midpoint arclength grid per component, dense enough that triple
-    # products of retained modes are integrated exactly
-    kmax_per_comp = np.zeros(b0, dtype=int)
-    for j in range(b0):
-        on = mode_freq[mode_comp == j]
-        kmax_per_comp[j] = on.max() if on.size else 0
-    pts, wts, comp_id, arcl = [], [], [], []
-    for j, L in enumerate(lengths):
-        M = int(4 * max(kmax_per_comp[j], 1) + 16)
-        s = (np.arange(M) + 0.5) * (L / M)
-        xy = _arclength_to_xy(geom.components[j], s)
-        pts.append(xy)
-        wts.append(np.full(M, L / M))
-        comp_id.append(np.full(M, j, dtype=int))
-        arcl.append(s)
-    quad_points = np.vstack(pts)
-    quad_weights = np.concatenate(wts)
-    quad_comp = np.concatenate(comp_id)
-    quad_arclength = np.concatenate(arcl)
-
-    modes = np.zeros((N, quad_weights.size))
-    for j, L in enumerate(lengths):
-        on = quad_comp == j
-        modes[:, on] = curve_modes(mode_comp, mode_kind, mode_freq, j, L,
-                                   quad_arclength[on])
-    _fix_signs(modes)
-
-    return BoundarySpectrum(
-        geometry=geom, count=N, mu=mu, modes=modes, b0=b0,
-        quad_points=quad_points, quad_weights=quad_weights, quad_comp=quad_comp,
-        quad_arclength=quad_arclength, mode_comp=mode_comp, mode_kind=mode_kind,
-        mode_freq=mode_freq)
+    return BoundarySpectrum(geometry=geom, count=N, mu=mu, b0=b0,
+                            mode_comp=mode_comp, mode_kind=mode_kind,
+                            mode_freq=mode_freq)
 
 
 def curve_modes(mode_comp, mode_kind, mode_freq, comp, L, s):
@@ -408,17 +303,8 @@ def curve_modes(mode_comp, mode_kind, mode_freq, comp, L, s):
     return out
 
 
-def _arclength_to_xy(polyline, s):
-    seg = _segment_lengths(polyline)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    closed = np.vstack([polyline, polyline[:1]])
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg) - 1)
-    frac = (s - cum[idx]) / seg[idx]
-    return closed[idx] + frac[:, None] * (closed[idx + 1] - closed[idx])
-
-
 def _fix_signs(modes):
-    """Make the first nonzero grid coefficient of every mode positive."""
+    """Make the first nonzero vertex value of every mode positive."""
     for n in range(modes.shape[0]):
         row = modes[n]
         nz = np.flatnonzero(np.abs(row) > 1e-8 * np.abs(row).max())
@@ -495,9 +381,9 @@ def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10,
     modes are re-orthogonalized against them.
 
     ``store_modes=False`` asks ARPACK for the eigenvalues only (no Ritz
-    vectors) and returns a gridless spectrum, as ``build_curve_spectrum``
-    does: mu-only work (Weyl fits, H^t weights, field sampling) runs, grid
-    transforms and triple products raise ``SpectrumError``.
+    vectors) and returns a spectrum with ``modes`` None: mu-only work (Weyl
+    fits, H^t weights, field sampling) runs, triple products raise
+    ``SpectrumError``.
     """
     if geom.dim_ambient != 3:
         raise SpectrumError("build_surface_spectrum needs a d=3 geometry")
@@ -527,10 +413,7 @@ def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10,
     mu[:b0] = 0.0
     mu[b0:] = np.maximum(mu[b0:], 0.0)
     if not store_modes:
-        return BoundarySpectrum(
-            geometry=geom, count=N, mu=mu, modes=np.zeros((N, 0)), b0=b0,
-            quad_points=np.zeros((0, 3)), quad_weights=np.zeros(0),
-            quad_comp=np.zeros(0, dtype=int))
+        return BoundarySpectrum(geometry=geom, count=N, mu=mu, b0=b0)
 
     # exact kernel: indicator / sqrt(area) per component, M-orthonormal
     X = eig[1][:, order]
@@ -550,11 +433,8 @@ def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10,
     modes = X.T.copy()
     _fix_signs(modes)
 
-    weights = M.diagonal() if lumped_mass else mass_matrix(v, t, lumped=True).diagonal()
-    return BoundarySpectrum(
-        geometry=geom, count=N, mu=mu, modes=modes, b0=b0,
-        quad_points=v, quad_weights=weights, quad_comp=labels,
-        residuals=res)
+    return BoundarySpectrum(geometry=geom, count=N, mu=mu, b0=b0, modes=modes,
+                            residuals=res)
 
 
 # ---------------------------------------------------------------------------
@@ -574,40 +454,12 @@ class SpectralFunction:
             raise SpectrumError("coefficient vector longer than the spectrum")
         self.coeffs = c
 
-    @property
-    def n_coeffs(self):
-        return self.coeffs.size
-
-    def conj(self):
-        return SpectralFunction(self.spectrum, np.conj(self.coeffs))
-
-    def real(self):
-        return SpectralFunction(self.spectrum, self.coeffs.real.astype(complex))
-
-    def imag(self):
-        return SpectralFunction(self.spectrum, self.coeffs.imag.astype(complex))
-
-    def __add__(self, other):
-        n = max(self.n_coeffs, other.n_coeffs)
-        c = np.zeros(n, dtype=complex)
-        c[:self.n_coeffs] += self.coeffs
-        c[:other.n_coeffs] += other.coeffs
-        return SpectralFunction(self.spectrum, c)
-
     def __rmul__(self, scalar):
         return SpectralFunction(self.spectrum, scalar * self.coeffs)
 
-    def values(self):
-        """Synthesize the function on the quadrature grid."""
-        return self.spectrum.values_from_coeffs(
-            np.pad(self.coeffs, (0, self.spectrum.count - self.n_coeffs)))
-
-    def to_dict(self):
-        return {"coeffs_re": self.coeffs.real.tolist(),
-                "coeffs_im": self.coeffs.imag.tolist()}
-
     @classmethod
     def from_dict(cls, spectrum, d):
+        """From the ``coeffs_re``/``coeffs_im`` lists of a ``multiplier`` config."""
         return cls(spectrum, np.asarray(d["coeffs_re"]) + 1j * np.asarray(d["coeffs_im"]))
 
 
@@ -616,22 +468,6 @@ def constant_function(spec):
     c = np.zeros(spec.count, dtype=complex)
     c[:spec.b0] = np.sqrt(spec.geometry.component_measures)
     return SpectralFunction(spec, c)
-
-
-def unit_mode(spec, n, n_coeffs=None):
-    """The basis function Y_n (1-based index) as a SpectralFunction."""
-    size = n_coeffs or spec.count
-    c = np.zeros(size, dtype=complex)
-    c[n - 1] = 1.0
-    return SpectralFunction(spec, c)
-
-
-def dirac_coeffs(spec, comp, s0, n_coeffs=None):
-    """Truncated point mass at arclength s0 on a curve component:
-    c_n = Y_n(x0)."""
-    size = n_coeffs or spec.count
-    vals = spec.evaluate_curve_modes(comp, np.array([s0]))[:, 0]
-    return SpectralFunction(spec, vals[:size].astype(complex))
 
 
 def ht_weights(spec, t):
@@ -644,12 +480,6 @@ def ht_weights(spec, t):
         pos = mu > 0
         w[pos] = (mu[pos] ** (-t) + 1.0) ** (-0.5)
     return w
-
-
-def ht_norm(f, t):
-    """Graph norm of f in H^t: (sum w_n(t)^2 |c_n|^2)^(1/2)."""
-    w = ht_weights(f.spectrum, t)[:f.n_coeffs]
-    return float(np.linalg.norm(w * f.coeffs))
 
 
 def fractional_power_weights(spec, s, c):
@@ -683,12 +513,3 @@ def weyl_diagnostic(spec, fit_range):
     ratio = mu / n ** (2.0 / (spec.dim - 1))
     return {"slope": slope, "c_lower": float(ratio.min()), "c_upper": float(ratio.max())}
 
-
-def counting_function(spec, lam):
-    """N(lam) = #{n : mu_n <= lam} on the computed part of the spectrum."""
-    if lam < 0:
-        raise SpectrumError("the counting function is defined for lam >= 0")
-    if lam >= spec.mu[-1]:
-        raise TruncationExceeded(
-            f"lam={lam} reaches beyond the computed spectrum (mu_N={spec.mu[-1]})")
-    return int(np.searchsorted(spec.mu, lam, side="right"))

@@ -49,19 +49,13 @@ def gaussian_stream(seed, count, stream=STREAM_GAUSS):
     return ndtri(_raw_uniforms(seed, stream, count))
 
 
-def positive_stream(seed, count, law="exponential", stream=STREAM_KERNEL):
-    """Positive draws for the kernel-mode weights.
+def positive_stream(seed, count, stream=STREAM_KERNEL):
+    """Exp(1) draws -log(u) for the kernel-mode weights.
 
-    Any positive law with finite mean is acceptable; the default is Exp(1).
-    A callable maps the underlying uniforms to draws.
+    The top uniform rounds to 1, whose draw is 0: ValueError, since a kernel
+    weight must be strictly positive.
     """
-    u = _raw_uniforms(seed, stream, count)
-    if callable(law):
-        draws = np.asarray(law(u), dtype=float)
-    elif law == "exponential":
-        draws = -np.log(u)
-    else:
-        raise ValueError(f"unknown kernel law {law!r}")
+    draws = -np.log(_raw_uniforms(seed, stream, count))
     if np.any(draws <= 0):
         raise ValueError("kernel law produced non-positive draws")
     return draws
@@ -81,17 +75,6 @@ class FgfSample:
     seed: int
     xi: np.ndarray       # (N_trunc,) with zeros on kernel modes
     coeffs: np.ndarray   # xi_n mu_n^(-s/2), zero on kernel modes
-
-    @property
-    def hurst(self):
-        return self.s - (self.spectrum.dim - 1) / 2.0
-
-    def function(self):
-        return SpectralFunction(self.spectrum, self.coeffs.astype(complex))
-
-    def to_dict(self):
-        return {"s": self.s, "seed": self.seed, "N_trunc": self.N_trunc,
-                "coeffs": self.coeffs.tolist()}
 
 
 def field_scales(spec, s, N_trunc):
@@ -117,18 +100,14 @@ def sample_fgf(spec, s, N_trunc, seed, scales=None):
                      xi=xi, coeffs=xi * scales)
 
 
-def partial_sum_norms(spec, s, seed, t, checkpoints):
-    """|S_N|_t along one consistently extended realization.
-
-    The xi_n are drawn once for the largest checkpoint; earlier checkpoints
-    are prefixes of the same path, never redrawn.
-    """
-    return _partial_sum_norms(spec, s, [seed], t, checkpoints)[0]
-
-
 def _partial_sum_norms(spec, s, seeds, t, checkpoints):
-    """partial_sum_norms for each seed, with the H^t weights and the field
-    scales computed once for all of them."""
+    """|S_N|_t at every checkpoint N, along one consistently extended
+    realization per seed.
+
+    The xi_n of a seed are drawn once for the largest checkpoint; earlier
+    checkpoints are prefixes of the same path, never redrawn.  The H^t
+    weights and the field scales are computed once for all seeds.
+    """
     checkpoints = list(checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
@@ -196,17 +175,16 @@ def convergence_classifier(spec, s, t, seeds=50, checkpoints=(64, 128, 256, 512,
 class RandomImpedanceSpec:
     """Recipe zeta = c * Xi_s + sum_{n<=b0} c_n eta_n Y_n.
 
-    The c_n weight nonnegative kernel modes; eta_n are i.i.d. positive draws
-    (Exp(1) by default, any positive finite-mean law accepted).  The field
-    part enters the boundary operator skew-adjointly (see
+    The c_n weight nonnegative kernel modes; eta_n are i.i.d. Exp(1) draws.
+    The field part enters the boundary operator skew-adjointly (see
     ``impedance_coefficients``), so the real part of the operator is carried
-    entirely by the kernel sum: it vanishes iff all c_n are zero.
+    entirely by the kernel sum: it vanishes iff all c_n are zero.  There are
+    zero c_n or exactly b0 of them, one per kernel mode.
     """
 
     c: float
     s: float
     kernel_weights: tuple = ()
-    kernel_law: object = "exponential"
 
     def __post_init__(self):
         if self.s <= 0:
@@ -215,6 +193,12 @@ class RandomImpedanceSpec:
         if any(w < 0 for w in kw):
             raise ValueError("kernel weights must be nonnegative")
         object.__setattr__(self, "kernel_weights", kw)
+
+    def check_kernel_weights(self, b0):
+        """Raise ValueError unless there are zero or exactly b0 kernel weights."""
+        if len(self.kernel_weights) not in (0, b0):
+            raise ValueError(f"need zero or exactly b0={b0} kernel weights, "
+                             f"got {len(self.kernel_weights)}")
 
 
 def sample_random_impedance(spec, rspec, N_trunc, seed):
@@ -225,12 +209,11 @@ def sample_random_impedance(spec, rspec, N_trunc, seed):
     supporting theory is out of regime; callers may check ``spec.dim``.
     """
     b0 = spec.b0
-    if len(rspec.kernel_weights) not in (0, b0):
-        raise ValueError(f"need zero or exactly b0={b0} kernel weights")
+    rspec.check_kernel_weights(b0)
     fgf = sample_fgf(spec, rspec.s, N_trunc, seed)
     coeffs = rspec.c * fgf.coeffs
     if rspec.kernel_weights:
-        eta = positive_stream(seed, b0, law=rspec.kernel_law)
+        eta = positive_stream(seed, b0)
         coeffs[:b0] = np.array(rspec.kernel_weights) * eta
     return SpectralFunction(spec, coeffs.astype(complex))
 

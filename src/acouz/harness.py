@@ -22,7 +22,7 @@ import numpy as np
 
 from . import shapes
 from .boundary import (
-    BoundaryGeometry, build_curve_spectrum, build_surface_spectrum,
+    BoundaryGeometry, SpectrumError, build_curve_spectrum, build_surface_spectrum,
     weyl_diagnostic,
 )
 from .fgf import RandomImpedanceSpec, convergence_classifier
@@ -250,7 +250,7 @@ def build_spectrum(geom, N, modes=False):
     the cotangent FEM eigensolve on surfaces, with its Ritz vectors only
     when ``modes`` asks for them (surface triple products need them)."""
     if geom.dim_ambient == 2:
-        return build_curve_spectrum(geom, N, store_modes=False)
+        return build_curve_spectrum(geom, N)
     return build_surface_spectrum(geom, N, store_modes=modes)
 
 
@@ -442,7 +442,7 @@ def _run_impedance(run):
         run.check("cayley_contraction_iff_accretive",
                   (cp.norm_K <= 1 + 1e-10) == acc["nonneg"],
                   f"|K|={cp.norm_K:.6f}")
-    except Exception as err:
+    except (SpectrumError, np.linalg.LinAlgError) as err:
         report["cayley_error"] = str(err)
         run.check("cayley_defined_for_accretive", not acc["nonneg"], str(err))
     run.add_json("impedance", report)

@@ -19,12 +19,11 @@ transform K = (Ztilde - I)(Ztilde + I)^(-1) are three independently
 computable, provably equivalent checks.  The first two are one decision,
 ``multipliers.hermitian_check`` (smallest eigenvalue of the Hermitian part
 against the shared PSD slack), which :func:`is_accretive`,
-:func:`selfadjointness_criterion`, :func:`friedrichs_conjugated` and
-``multipliers.positivity_test`` all call; the Cayley transform is the
-independent third.  At finite truncation every accretive matrix is maximal
-accretive and every bounded nonnegative operator is its own Friedrichs
-extension; the corresponding operations exist to document the degeneracy,
-not to hide it.
+:func:`selfadjointness_criterion` and ``multipliers.positivity_test`` all
+call; the Cayley transform is the independent third.  At finite truncation
+every accretive matrix is maximal accretive and every bounded nonnegative
+operator is its own Friedrichs extension, so neither needs a check beyond
+accretivity.
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ class ImpedanceOperator:
     matrix: np.ndarray             # (N_trunc, N_trunc) complex
 
 
-def multiplier_impedance(phi, N_trunc=None, tensor=None):
+def multiplier_impedance(phi, N_trunc, tensor=None):
     """Z = M_phi compressed to the first N_trunc modes (unit weights)."""
-    N_trunc = N_trunc or phi.n_coeffs
     A = build_multiplier(phi, 0.0, 0.0, N_trunc, tensor=tensor)
     return ImpedanceOperator(spectrum=phi.spectrum, N_trunc=N_trunc, matrix=A.matrix)
 
@@ -173,19 +171,10 @@ def is_accretive(Z, tol=None):
     return hermitian_check(Z.matrix, tol)
 
 
-def natural_adjoint(Z):
-    """The adjoint w.r.t. the boundary pairing: the conjugate transpose.
-
-    For a multiplier operator this is exactly the operator of conj(phi),
-    because the triple-product contraction is symmetric in (m, n).
-    """
-    return ImpedanceOperator(spectrum=Z.spectrum, N_trunc=Z.N_trunc,
-                             matrix=Z.matrix.conj().T)
-
-
 def selfadjointness_criterion(Z):
-    """True iff Z^natural = -Z, i.e. ||Zhat + Zhat*||_2 = 2 max|eig Herm(Zhat)|
-    below the PSD slack of Zhat.
+    """True iff Z^natural = -Z, where the natural adjoint (w.r.t. the boundary
+    pairing) is the conjugate transpose Zhat*: ||Zhat + Zhat*||_2 =
+    2 max|eig Herm(Zhat)| below the PSD slack of Zhat.
 
     When true, the acoustic pencil built from Z must produce a real
     spectrum (cross-module contract, tested in the acoustic module).
@@ -220,20 +209,3 @@ def inverse_cayley(K):
     ImK = np.eye(n) - K
     return np.linalg.solve(ImK.T, (np.eye(n) + K).T).T
 
-
-def friedrichs_conjugated(Z, tol=None, check_tol=1e-12):
-    """De-conjugated Friedrichs extension of an accretive truncation.
-
-    Bounded everywhere-defined operators coincide with their Friedrichs
-    extension, so at finite truncation this map returns Zhat itself; the
-    assertion documents the degeneracy instead of hiding it.
-    """
-    Zt = conjugate_to_l2(Z)
-    if not hermitian_check(Zt, tol)["nonneg"]:
-        raise SpectrumError("Friedrichs construction needs a PSD Hermitian part")
-    d = fractional_power_weights(Z.spectrum, 0.5, 1.0)[:Z.N_trunc]
-    back = d[:, None] * Zt * d[None, :]
-    scale = max(1.0, float(np.linalg.norm(Z.matrix, "fro")))
-    if np.linalg.norm(back - Z.matrix, "fro") > check_tol * scale:
-        raise SpectrumError("conjugation round-trip failed")
-    return back

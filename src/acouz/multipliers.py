@@ -69,7 +69,7 @@ class TripleProductTensor:
     def __init__(self, spec: BoundarySpectrum):
         self.spec = spec
         if spec.mode_comp is None:
-            if not spec.has_grid:
+            if spec.modes is None:
                 raise SpectrumError("surface triple products need the modes: "
                                     "build the spectrum with store_modes=True")
             v = spec.geometry.vertices
@@ -127,36 +127,6 @@ class TripleProductTensor:
         k_s[other] = -1
         k_d[other | const | (cos_sin & equal)] = -1
         return k_s, coef_s, k_d, coef_d
-
-    def product_coefficients(self, coeffs_m, coeffs_n=None):
-        """Coefficients of the pointwise product f*g of two coefficient vectors.
-
-        The result is indexed like the spectrum (length N); contributions to
-        modes beyond the stored truncation are dropped, mirroring the
-        compression semantics of the multiplier matrices.
-        """
-        a = np.asarray(coeffs_m, dtype=complex)
-        b = a if coeffs_n is None else np.asarray(coeffs_n, dtype=complex)
-        if self._qmodes is not None:
-            fa = a @ self._qmodes[:a.size]
-            fb = b @ self._qmodes[:b.size]
-            return self._qmodes @ (self._qw * fa * fb)
-        m, n = (g.ravel() for g in np.meshgrid(np.flatnonzero(a), np.flatnonzero(b),
-                                                indexing="ij"))
-        k_s, coef_s, k_d, coef_d = self._curve_terms(m, n)
-        out = np.zeros(self.spec.count, dtype=complex)
-        for k, coef in ((k_s, coef_s), (k_d, coef_d)):
-            keep = k >= 0
-            np.add.at(out, k[keep], coef[keep] * a[m[keep]] * b[n[keep]])
-        return out
-
-    def entry(self, k, m, n):
-        """G[k, m, n] (0-based indices)."""
-        if self._qmodes is not None:
-            return float(np.sum(self._qw * self._qmodes[k] * self._qmodes[m]
-                                * self._qmodes[n]))
-        k_s, coef_s, k_d, coef_d = self._curve_terms(np.array([m]), np.array([n]))
-        return float(coef_s[0] if k_s[0] == k else coef_d[0] if k_d[0] == k else 0.0)
 
     def contract(self, coeffs, N_trunc):
         """A[m, n] = sum_k coeffs[k] G[k, m, n] for m, n < N_trunc."""
@@ -264,7 +234,7 @@ def compactness_profile(A: MultiplierMatrix, ranks):
 def hermitian_check(X, tol=None):
     """Herm(X) = (X + X*)/2 >= 0 up to the PSD slack: the one accretivity
     decision, shared by multiplier positivity, impedance accretivity and the
-    Friedrichs precondition.
+    self-adjointness criterion.
 
     Returns ``nonneg``, the extreme eigenvalues ``min_eig`` and ``max_eig``
     of Herm(X), ``tol`` (default ``psd_tolerance(norm)``) and ``norm`` =
@@ -291,47 +261,6 @@ def positivity_test(A: MultiplierMatrix, tol=None):
     exactly symmetric curve contraction, so no singular value is taken.
     """
     return hermitian_check(A.matrix, tol)
-
-
-def accretivity_integral_test(z, test_count=32, seed=0, tensor=None):
-    """Check integral(re(z) |g|^2) >= 0 over probe functions g.
-
-    Probes are ``test_count`` random band-limited functions plus the
-    Rayleigh minimizer of the Hermitian part, so the outcome is exact and
-    agrees with :func:`positivity_test` applied to re(z).  Each value is
-    computed through the triple-product expansion of |g|^2, not through the
-    multiplier matrix.
-    """
-    spec = z.spectrum
-    N = z.n_coeffs
-    re_c = z.coeffs.real.astype(complex)
-    tensor = tensor or TripleProductTensor(spec)
-
-    A = tensor.contract(re_c, N)
-    tol = hermitian_check(A)["tol"]
-    _, eigvecs = np.linalg.eigh(0.5 * (A + A.conj().T))
-
-    rng = np.random.default_rng(seed)
-    probes = []
-    for _ in range(test_count):
-        width = int(rng.integers(1, min(12, N) + 1))
-        start = int(rng.integers(0, N - width + 1))
-        g = np.zeros(N, dtype=complex)
-        g[start:start + width] = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        g /= np.linalg.norm(g)
-        probes.append(g)
-    probes.append(eigvecs[:, 0].astype(complex))
-
-    ok = True
-    values = []
-    for g in probes:
-        sq = tensor.product_coefficients(g, np.conj(g))
-        val = np.dot(re_c, sq[:re_c.size])
-        if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
-            raise SpectrumError("integral of re(z)|g|^2 came out non-real")
-        values.append(float(val.real))
-        ok = ok and (val.real >= -tol)
-    return {"nonneg": bool(ok), "values": values, "tol": tol}
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,6 @@ def regular_polygon_geometry(n_sides, circumradius=1.0, center=(0.0, 0.0)):
     return BoundaryGeometry(dim_ambient=2, components=(pts,))
 
 
-def square_geometry(side=1.0):
-    s = side
-    pts = np.array([[0.0, 0.0], [s, 0.0], [s, s], [0.0, s]])
-    return BoundaryGeometry(dim_ambient=2, components=(pts,))
-
-
 def scaled_circle_by_perimeter(perimeter, n_segments=256):
     """Circle-shaped polyline whose *polyline* length equals ``perimeter``."""
     # a regular n-gon of circumradius R has perimeter 2 n R sin(pi/n)
@@ -80,12 +74,3 @@ def _subdivide(v, t):
         new_t += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
     return np.array(verts), np.array(new_t, dtype=int)
 
-
-def two_spheres(subdivisions=2, radius=1.0, spacing=4.0):
-    """Two disjoint icospheres as one triangulation (two components)."""
-    g1 = icosphere(subdivisions, radius, center=(0.0, 0.0, 0.0))
-    g2 = icosphere(subdivisions, radius, center=(spacing, 0.0, 0.0))
-    n1 = g1.vertices.shape[0]
-    v = np.vstack([g1.vertices, g2.vertices])
-    t = np.vstack([g1.triangles, g2.triangles + n1])
-    return BoundaryGeometry(dim_ambient=3, vertices=v, triangles=t)

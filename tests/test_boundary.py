@@ -7,6 +7,8 @@ from acouz import boundary as bd
 from acouz import shapes
 from acouz.multipliers import TripleProductTensor
 
+import oracles
+
 
 def fd_curve_matrix(total_length, n_grid):
     """Dense periodic finite differences for -d^2/ds^2 on a closed curve."""
@@ -36,7 +38,7 @@ class TestGeometry:
     def test_total_measure_is_sum_of_segments(self, unit_circle_geom):
         seg = np.diff(np.vstack([unit_circle_geom.components[0],
                                  unit_circle_geom.components[0][:1]]), axis=0)
-        assert unit_circle_geom.total_measure == pytest.approx(
+        assert unit_circle_geom.component_measures.sum() == pytest.approx(
             np.hypot(seg[:, 0], seg[:, 1]).sum(), abs=1e-14)
 
     def test_open_surface_rejected(self):
@@ -56,7 +58,8 @@ class TestGeometry:
         p = tmp_path / "geom.json"
         unit_circle_geom.save_json(p)
         back = bd.BoundaryGeometry.load_json(p)
-        assert back.content_hash() == unit_circle_geom.content_hash()
+        assert len(back.components) == 1
+        assert np.array_equal(back.components[0], unit_circle_geom.components[0])
 
 
 class TestCurveSpectrum:
@@ -83,7 +86,7 @@ class TestCurveSpectrum:
                            rtol=0, atol=1e-10)
 
     def test_square_vs_finite_differences(self):
-        spec = bd.build_curve_spectrum(shapes.square_geometry(1.0), 7)
+        spec = bd.build_curve_spectrum(oracles.square_geometry(1.0), 7)
         exact = (2 * np.pi / 4.0) ** 2
         assert spec.mu[1] == pytest.approx(exact, rel=1e-14)
         assert spec.mu[2] == pytest.approx(exact, rel=1e-14)
@@ -99,14 +102,14 @@ class TestCurveSpectrum:
                                 unit_circle_geom.components[0] + 10.0)), 1)
 
     def test_orthonormal_and_signed(self, circle_spec):
-        assert circle_spec.gram_defect() < bd.TOL_ORTH_CURVE
-        for row in circle_spec.modes:
+        assert oracles.gram_defect(circle_spec) < oracles.TOL_ORTH_CURVE
+        for row in oracles.curve_grid(circle_spec).modes:
             nz = np.flatnonzero(np.abs(row) > 1e-8 * np.abs(row).max())
             assert row[nz[0]] > 0
 
     def test_kernel_mode_is_constant(self, circle_spec):
-        L = circle_spec.geometry.total_measure
-        assert np.allclose(circle_spec.modes[0], 1 / np.sqrt(L))
+        L = circle_spec.geometry.component_measures.sum()
+        assert np.allclose(oracles.curve_grid(circle_spec).modes[0], 1 / np.sqrt(L))
 
     def test_tie_order_cos_before_sin(self, circle_spec):
         assert circle_spec.mode_kind[1] == bd.KIND_COS
@@ -114,25 +117,27 @@ class TestCurveSpectrum:
         assert circle_spec.mode_freq[3] == 2
 
     def test_grid_equals_analytic_modes(self):
+        # curve_modes against the normalized trigonometric functions written
+        # out per mode, on two circles, zero off each mode's own component
         geoms = [shapes.scaled_circle_by_perimeter(2 * np.pi),
                  shapes.scaled_circle_by_perimeter(np.pi)]
         comps = (geoms[0].components[0],
                  geoms[1].components[0] + np.array([10.0, 0.0]))
         geom = bd.BoundaryGeometry(dim_ambient=2, components=comps)
         spec = bd.build_curve_spectrum(geom, 41)
-        for j in range(2):
-            on = spec.quad_comp == j
-            Y = spec.evaluate_curve_modes(j, spec.quad_arclength[on])
-            assert np.array_equal(Y, spec.modes[:, on])
-
-    def test_store_modes_false_matches(self, unit_circle_geom, circle_spec):
-        lean = bd.build_curve_spectrum(unit_circle_geom, 65, store_modes=False)
-        assert np.array_equal(lean.mu, circle_spec.mu)
-        assert not lean.has_grid
-        with pytest.raises(bd.SpectrumError):
-            lean.gram_defect()
-        with pytest.raises(bd.SpectrumError):
-            lean.values_from_coeffs(np.ones(lean.count))
+        assert spec.modes is None
+        for j, L in enumerate(geom.component_lengths()):
+            s = np.linspace(0.0, L, 13)
+            Y = oracles.curve_mode_values(spec, j, s)
+            for n in range(spec.count):
+                k = spec.mode_freq[n]
+                expect = {bd.KIND_CONST: np.full(s.size, 1 / np.sqrt(L)),
+                          bd.KIND_COS: np.sqrt(2 / L) * np.cos(2 * np.pi * k * s / L),
+                          bd.KIND_SIN: np.sqrt(2 / L) * np.sin(2 * np.pi * k * s / L),
+                          }[spec.mode_kind[n]]
+                if spec.mode_comp[n] != j:
+                    expect = np.zeros(s.size)
+                assert np.allclose(Y[n], expect, rtol=0, atol=1e-14)
 
 
 class TestSurfaceSpectrum:
@@ -144,7 +149,7 @@ class TestSurfaceSpectrum:
         assert rel.max() < 0.02
         assert sphere_spec.mu[0] == 0.0
         assert np.all(sphere_spec.residuals <= bd.EIG_RESIDUAL_TOL)
-        assert sphere_spec.gram_defect() < bd.TOL_ORTH_SURFACE
+        assert oracles.gram_defect(sphere_spec) < oracles.TOL_ORTH_SURFACE
 
     def test_kernel_constant_vector(self):
         spec = bd.build_surface_spectrum(shapes.icosphere(2), 1)
@@ -153,7 +158,7 @@ class TestSurfaceSpectrum:
         assert np.allclose(v, v[0]) and v[0] > 0
 
     def test_two_spheres_two_kernel_modes(self):
-        spec = bd.build_surface_spectrum(shapes.two_spheres(2), 2)
+        spec = bd.build_surface_spectrum(oracles.two_spheres(2), 2)
         assert np.array_equal(spec.mu, [0.0, 0.0])
         assert spec.b0 == 2
         # indicator modes: supported on one component each, nonnegative
@@ -176,16 +181,12 @@ class TestSurfaceSpectrum:
         assert np.abs(S @ one).max() <= 1e-12 * abs(S).max()
         for lumped in (True, False):
             M = bd.mass_matrix(v, t, lumped=lumped)
-            assert one @ M @ one == pytest.approx(g.total_measure, rel=1e-13)
+            assert one @ M @ one == pytest.approx(g.component_measures.sum(), rel=1e-13)
 
     def test_store_modes_false_is_gridless(self):
         geom = shapes.icosphere(2)
         lean = bd.build_surface_spectrum(geom, 16, store_modes=False)
-        assert not lean.has_grid and lean.b0 == 1 and lean.mu[0] == 0.0
-        with pytest.raises(bd.SpectrumError):
-            lean.coeffs_from_values(np.ones(geom.vertices.shape[0]))
-        with pytest.raises(bd.SpectrumError):
-            lean.values_from_coeffs(np.ones(16))
+        assert lean.modes is None and lean.b0 == 1 and lean.mu[0] == 0.0
         with pytest.raises(bd.SpectrumError):
             TripleProductTensor(lean)
 
@@ -199,36 +200,34 @@ class TestSurfaceSpectrum:
 
 
 class TestHtScale:
+    # the H^t norm of the unit mode Y_n is the weight w_n(t)
     def test_kernel_mode_unit_weight_any_t(self, circle_spec):
-        y1 = bd.unit_mode(circle_spec, 1)
         for t in [-2.0, -0.5, 0.0, 0.5, 3.0]:
-            assert bd.ht_norm(y1, t) == pytest.approx(1.0, abs=1e-15)
+            assert bd.ht_weights(circle_spec, t)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_positive_t_graph_norm(self, circle_spec):
         n = 10
         mu = circle_spec.mu[n - 1]
-        y = bd.unit_mode(circle_spec, n)
         for t in [0.5, 1.0, 2.0]:
-            assert bd.ht_norm(y, t) == pytest.approx(np.sqrt(mu ** t + 1))
+            assert bd.ht_weights(circle_spec, t)[n - 1] == pytest.approx(
+                np.sqrt(mu ** t + 1))
 
     def test_negative_t_dual_norm(self, circle_spec):
         n = 10
         mu = circle_spec.mu[n - 1]
-        y = bd.unit_mode(circle_spec, n)
         for t in [0.5, 1.0, 2.0]:
-            assert bd.ht_norm(y, -t) == pytest.approx((mu ** t + 1) ** -0.5)
+            assert bd.ht_weights(circle_spec, -t)[n - 1] == pytest.approx(
+                (mu ** t + 1) ** -0.5)
 
     def test_duality_product_one(self, circle_spec):
-        for n in [2, 7, 30]:
-            y = bd.unit_mode(circle_spec, n)
-            for t in [0.25, 1.0, 3.0]:
-                assert bd.ht_norm(y, t) * bd.ht_norm(y, -t) == pytest.approx(1.0)
+        for t in [0.25, 1.0, 3.0]:
+            prod = bd.ht_weights(circle_spec, t) * bd.ht_weights(circle_spec, -t)
+            assert prod[[1, 6, 29]] == pytest.approx(1.0)
 
     def test_monotone_in_t_above_mu_one(self, circle_spec):
         # modes with mu >= 1: weight nondecreasing along the whole scale
-        y = bd.unit_mode(circle_spec, 12)
         ts = np.linspace(-3, 3, 25)
-        vals = [bd.ht_norm(y, t) for t in ts]
+        vals = [bd.ht_weights(circle_spec, t)[11] for t in ts]
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_fractional_power_weights(self, circle_spec):
@@ -244,12 +243,12 @@ class TestHtScale:
     def test_fractional_weights_match_discrete_shifted_laplacian(self, circle_spec):
         # (mu+1) weights == Rayleigh quotients of the FD (Delta + 1) applied
         # to the modes on a fine arclength grid
-        L = circle_spec.geometry.total_measure
+        L = circle_spec.geometry.component_measures.sum()
         M = 4096
         s = (np.arange(M) + 0.5) * L / M
         h = L / M
         for n in [2, 5, 9]:
-            y = circle_spec.evaluate_curve_modes(0, s)[n - 1]
+            y = oracles.curve_mode_values(circle_spec, 0, s)[n - 1]
             lap = (2 * y - np.roll(y, 1) - np.roll(y, -1)) / h ** 2
             rq = np.dot(y, lap + y) / np.dot(y, y)
             w2 = bd.fractional_power_weights(circle_spec, 2.0, 1.0)[n - 1]
@@ -273,57 +272,17 @@ class TestDiagnostics:
         with pytest.raises(bd.SpectrumError):
             bd.weyl_diagnostic(circle_spec_400, (21, 30))    # too short
 
-    def test_counting_function_examples(self, circle_spec):
-        assert bd.counting_function(circle_spec, 0.0) == 1
-        assert bd.counting_function(circle_spec, 1.0) == 3
-        assert bd.counting_function(circle_spec, 4.5) == 5
-
-    def test_counting_against_enumeration(self, circle_spec):
-        # independent enumeration of (2 pi k / L)^2 <= lam
-        L = circle_spec.geometry.total_measure
-        for lam in [0.5, 2.0, 17.3, 26.0]:
-            count = 1 + 2 * sum(1 for k in range(1, 100)
-                                if (2 * np.pi * k / L) ** 2 <= lam)
-            assert bd.counting_function(circle_spec, lam) == count
-
-    def test_counting_monotone_and_jump(self, circle_spec):
-        mu = circle_spec.mu
-        for n in [2, 4, 6, 10]:
-            assert bd.counting_function(circle_spec, mu[n - 1]) >= n
-            gap = mu[n - 1] - mu[n - 2]    # gap down to the previous eigenvalue
-            if gap > 0:
-                assert bd.counting_function(circle_spec, mu[n - 1] - gap / 2) < n
-
-    def test_counting_truncation_exceeded(self, circle_spec):
-        with pytest.raises(bd.TruncationExceeded):
-            bd.counting_function(circle_spec, circle_spec.mu[-1])
-        with pytest.raises(bd.SpectrumError):
-            bd.counting_function(circle_spec, -1.0)
-
 
 class TestSpectralFunction:
     def test_constant_function_coefficients(self, circle_spec):
         one = bd.constant_function(circle_spec)
-        L = circle_spec.geometry.total_measure
+        L = circle_spec.geometry.component_measures.sum()
         assert one.coeffs[0] == pytest.approx(np.sqrt(L))
         assert np.allclose(one.coeffs[1:], 0)
-        assert np.allclose(one.values(), 1.0)
-
-    def test_projection_roundtrip(self, circle_spec):
-        rng = np.random.default_rng(3)
-        c = rng.standard_normal(20)
-        f = bd.SpectralFunction(circle_spec, np.pad(c, (0, 45)).astype(complex))
-        back = circle_spec.coeffs_from_values(f.values())
-        assert np.allclose(back[:20], c, atol=1e-12)
-
-    def test_conj_and_parts(self, circle_spec):
-        c = np.array([1 + 2j, 0.5 - 1j, 3.0])
-        f = bd.SpectralFunction(circle_spec, c)
-        assert np.array_equal(f.conj().coeffs, np.conj(c))
-        assert np.array_equal(f.real().coeffs + 1j * f.imag().coeffs, c)
+        assert np.allclose(oracles.curve_grid(circle_spec).values(one.coeffs), 1.0)
 
     def test_json_dict_roundtrip(self, circle_spec):
-        f = bd.SpectralFunction(circle_spec, np.array([1 + 2j, -0.5j]))
-        back = bd.SpectralFunction.from_dict(circle_spec, json.loads(
-            json.dumps(f.to_dict())))
-        assert np.array_equal(back.coeffs, f.coeffs)
+        # the coefficient lists of a `multiplier` config
+        d = json.loads(json.dumps({"coeffs_re": [1.0, 0.0], "coeffs_im": [2.0, -0.5]}))
+        back = bd.SpectralFunction.from_dict(circle_spec, d)
+        assert np.array_equal(back.coeffs, np.array([1 + 2j, -0.5j]))

@@ -24,7 +24,11 @@ def _content_hash(config, workers, out_dir):
      "params": {"n_samples": 4, "rspec": {"c": 1.0, "s": 0.3}}},
     {"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
      "params": {"impedance": {"kind": "constant"}}},
-], ids=["monte_carlo", "acoustic_spectrum"])
+    # two boundary components, one kernel weight each
+    {"experiment": "monte_carlo", "mesh": {"kind": "annulus", "h": 0.2},
+     "params": {"n_samples": 3,
+                "rspec": {"c": 1.0, "s": 0.3, "kernel_weights": [1.0, 1.0]}}},
+], ids=["monte_carlo", "acoustic_spectrum", "monte_carlo_annulus"])
 def test_same_config_same_checksums(config, tmp_path):
     hashes = {_content_hash(config, workers, tmp_path / f"{workers}_{rep}")
               for workers in (1, 2) for rep in range(2)}
@@ -62,6 +66,50 @@ def test_cli_exit_codes(config, code, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+
+
+def _run_cli(config, tmp_path):
+    """Exit code of `acouz run` on ``config`` and the assertions it saved."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    return code, saved["assertions"]
+
+
+@pytest.mark.parametrize("error, code", [(None, 0), (TypeError, 3)],
+                         ids=["singular_shift", "bug_in_cayley"])
+def test_impedance_check_catches_only_solver_errors(error, code, tmp_path,
+                                                    monkeypatch):
+    # z0 = -1 puts the eigenvalue -1 on Ztilde + I: cayley raises
+    # SpectrumError, which a non-accretive Z may do; any other exception
+    # from cayley is a bug and fails the run
+    if error is not None:
+        def broken(Z):
+            raise error("planted")
+        monkeypatch.setattr(harness, "cayley", broken)
+    code_got, assertions = _run_cli(
+        {"experiment": "impedance_check", "geometry": {"kind": "circle"},
+         "params": {"impedance": {"kind": "constant", "z0": -1.0}}}, tmp_path)
+    assert code_got == code
+    names = [a["name"] for a in assertions]
+    assert names == (["cayley_defined_for_accretive"] if error is None
+                     else [harness.RUNNER_ERROR])
+
+
+def test_kernel_weight_count_is_one_runner_error(tmp_path):
+    # the annulus has b0 = 2: one kernel weight is a config fault, reported
+    # once before any sample is drawn, not as a failure of every sample
+    code, assertions = _run_cli(
+        {"experiment": "monte_carlo", "mesh": {"kind": "annulus", "h": 0.2},
+         "params": {"n_samples": 3,
+                    "rspec": {"c": 1.0, "s": 0.3, "kernel_weights": [1.0]}}},
+        tmp_path)
+    assert code == 3
+    [error] = assertions
+    assert error["name"] == harness.RUNNER_ERROR
+    assert error["detail"] == ("ValueError: need zero or exactly b0=2 kernel "
+                               "weights, got 1")
 
 
 def test_validate_rejects_bad_impedance_blocks(tmp_path):
@@ -197,7 +245,7 @@ def test_manifest_roundtrip(config, artifacts, tmp_path):
 def test_weyl_on_surface_reads_mu_without_modes():
     geom = build_geometry({"kind": "sphere", "subdivisions": 3})
     lean, full = build_spectrum(geom, 64), build_spectrum(geom, 64, modes=True)
-    assert not lean.has_grid and full.has_grid
+    assert lean.modes is None and full.modes is not None
     assert np.abs(lean.mu - full.mu).max() <= 1e-12 * full.mu.max()
     fit = (21, 64)
     assert weyl_diagnostic(lean, fit)["slope"] == pytest.approx(

@@ -99,50 +99,28 @@ class TestAccretivity:
 
 
 class TestNaturalAdjoint:
+    """The natural adjoint w.r.t. the boundary pairing is the conjugate
+    transpose of Zhat; these are its closed forms per recipe."""
+
     def test_real_multiplier_selfadjoint_matrix(self, circle_spec, circle_tensor):
         rng = np.random.default_rng(1)
         phi = bd.SpectralFunction(circle_spec, rng.standard_normal(24))
         Z = imp.multiplier_impedance(phi, 16, tensor=circle_tensor)
-        Zn = imp.natural_adjoint(Z)
-        assert np.array_equal(Zn.matrix, Z.matrix)
+        assert np.array_equal(Z.matrix.conj().T, Z.matrix)
 
     def test_imaginary_symbol_antisymmetric(self, circle_spec):
         Z = imp.symbol_impedance(circle_spec, 12, c1=0.5, c2=2.0, t=0.8,
                                  imaginary=True)
-        assert np.abs(imp.natural_adjoint(Z).matrix + Z.matrix).max() < 1e-15
-
-    def test_involution(self, circle_spec):
-        rng = np.random.default_rng(2)
-        Z = imp.matrix_impedance(circle_spec,
-                                 rng.standard_normal((10, 10))
-                                 + 1j * rng.standard_normal((10, 10)))
-        assert np.array_equal(imp.natural_adjoint(imp.natural_adjoint(Z)).matrix,
-                              Z.matrix)
+        assert np.abs(Z.matrix.conj().T + Z.matrix).max() < 1e-15
 
     def test_multiplier_adjoint_is_conj_phi(self, circle_spec, circle_tensor):
         rng = np.random.default_rng(3)
-        phi = bd.SpectralFunction(circle_spec,
-                                  rng.standard_normal(24)
-                                  + 1j * rng.standard_normal(24))
-        Z = imp.multiplier_impedance(phi, 16, tensor=circle_tensor)
-        Zn = imp.natural_adjoint(Z)
-        assert np.array_equal(Zn.matrix, Z.matrix.conj().T)
-        direct = imp.multiplier_impedance(phi.conj(), 16, tensor=circle_tensor)
-        assert np.array_equal(Zn.matrix, direct.matrix)
-
-    def test_builds_no_tensor(self, circle_spec, circle_tensor, monkeypatch):
-        phi = bd.SpectralFunction(circle_spec, 1j * bd.unit_mode(circle_spec, 3).coeffs)
-        Z = imp.multiplier_impedance(phi, 16, tensor=circle_tensor)
-        built = []
-        init = mp.TripleProductTensor.__init__
-
-        def counting(self, spec):
-            built.append(spec)
-            init(self, spec)
-
-        monkeypatch.setattr(mp.TripleProductTensor, "__init__", counting)
-        assert np.array_equal(imp.natural_adjoint(Z).matrix, Z.matrix.conj().T)
-        assert built == []
+        c = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        Z = imp.multiplier_impedance(bd.SpectralFunction(circle_spec, c), 16,
+                                     tensor=circle_tensor)
+        direct = imp.multiplier_impedance(bd.SpectralFunction(circle_spec, np.conj(c)),
+                                          16, tensor=circle_tensor)
+        assert np.array_equal(Z.matrix.conj().T, direct.matrix)
 
 
 class TestSelfadjointness:
@@ -188,9 +166,8 @@ class TestCayley:
         # Cayley of the adjoint is the adjoint of the Cayley, unconditionally
         rng = np.random.default_rng(5)
         Zm = random_impedance_matrix(20, rng, accretive=True)
-        Z = imp.matrix_impedance(circle_spec, Zm)
-        K1 = imp.cayley(imp.natural_adjoint(Z)).K
-        K2 = imp.cayley(Z).K.conj().T
+        K1 = imp.cayley(imp.matrix_impedance(circle_spec, Zm.conj().T)).K
+        K2 = imp.cayley(imp.matrix_impedance(circle_spec, Zm)).K.conj().T
         assert np.abs(K1 - K2).max() < 1e-11
 
     def test_singular_shift_reported(self, circle_spec):
@@ -199,20 +176,3 @@ class TestCayley:
         with pytest.raises(bd.SpectrumError):
             imp.cayley(imp.matrix_impedance(circle_spec, np.array([[-1.0]])))
 
-
-class TestFriedrichs:
-    def test_identity_fixed_point(self, circle_spec):
-        Z = imp.matrix_impedance(circle_spec, np.eye(12))
-        assert np.abs(imp.friedrichs_conjugated(Z) - np.eye(12)).max() < 1e-12
-
-    def test_cantor_fixed_point(self, circle_spec, circle_tensor):
-        phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3)
-        Z = imp.multiplier_impedance(phi, 16, tensor=circle_tensor)
-        out = imp.friedrichs_conjugated(Z, tol=1e-8)
-        assert np.allclose(out, Z.matrix, atol=1e-12)
-
-    def test_rejects_non_psd(self, circle_spec):
-        rng = np.random.default_rng(6)
-        Zm = random_impedance_matrix(12, rng, accretive=False)
-        with pytest.raises(bd.SpectrumError):
-            imp.friedrichs_conjugated(imp.matrix_impedance(circle_spec, Zm))
