@@ -5,14 +5,17 @@ The pressure form of the acoustic system on a polygonal domain G is
     -div(alpha^-1 grad p) = lambda^2 beta p         in G,
     gamma_n(alpha^-1 grad p) = i lambda Z gamma_0(p)  on dG,
 
-discretized with P1 elements.  The boundary operator acts through the
+discretized with the P1 stiffness and mass of ``boundary`` (the ones the
+surface spectra use).  The boundary operator acts through the
 spectral projector onto the first N_b boundary eigenmodes, so distributional
 and nonlocal Z enter exactly as their Y-basis matrices:
 
     P(lambda) = K - i lambda B_Z - lambda^2 M,      B_Z = T^t Zhat T,
 
-with T[n, dof] = integral(Y_n phi_dof dSigma) over the boundary.  The
-quadratic pencil is linearized as
+with T[n, dof] = integral(Y_n phi_dof dSigma) over the boundary.  B_Z has
+rank at most N_b and is never assembled: it is applied through its factor
+as T^t (Zhat (T x)) on the boundary dofs.  The quadratic pencil is
+linearized as
 
     [[K, 0], [0, M]] y = lambda [[i B_Z, M], [M, 0]] y,     y = (p, lambda p),
 
@@ -45,8 +48,8 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay
 
 from .boundary import (
-    BoundaryGeometry, SpectrumError, arpack_start, assemble_p1, curve_modes,
-    p1_mass,
+    BoundaryGeometry, SpectrumError, arpack_start, curve_modes, midpoint_subdivide,
+    p1_mass, p1_stiffness, triangle_areas,
 )
 from .fgf import impedance_coefficients, sample_random_impedance
 from .impedance import is_accretive, multiplier_impedance
@@ -90,13 +93,13 @@ class DomainMesh:
 
     def __post_init__(self):
         v, t = self.vertices, self.triangles
-        areas = _signed_areas(v, t)
+        areas = triangle_areas(v, t)
         flip = areas < 0
         if np.any(flip):
             t = t.copy()
             t[flip] = t[flip][:, [0, 2, 1]]
             self.triangles = t
-        if np.any(np.abs(_signed_areas(v, t)) < 1e-14):
+        if np.any(np.abs(areas) < 1e-14):
             raise MeshError("mesh contains degenerate triangles")
         if self.alpha is not None:
             a = np.asarray(self.alpha, dtype=float)
@@ -146,13 +149,7 @@ class DomainMesh:
             return cls.from_dict(json.load(f))
 
 
-def _signed_areas(v, t):
-    a = v[t[:, 1]] - v[t[:, 0]]
-    b = v[t[:, 2]] - v[t[:, 0]]
-    return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-
-
-def disk_mesh(h, radius=1.0, center=(0.0, 0.0)):
+def disk_mesh(h, radius=1.0):
     """Unstructured disk mesh: staggered concentric rings + Delaunay.
 
     The boundary is the inscribed regular n-gon with n ~ 2 pi R / h; the
@@ -160,13 +157,12 @@ def disk_mesh(h, radius=1.0, center=(0.0, 0.0)):
     """
     n_b = max(12, int(round(2 * np.pi * radius / h)))
     n_r = max(2, int(round(radius / h)))
-    pts = [np.array(center, dtype=float)[None, :]]
+    pts = [np.zeros((1, 2))]
     for j in range(1, n_r + 1):
         r = radius * j / n_r
         n_j = n_b if j == n_r else max(6, int(round(n_b * j / n_r)))
         th = 2 * np.pi * (np.arange(n_j) + 0.5 * (j % 2)) / n_j
-        pts.append(np.column_stack([center[0] + r * np.cos(th),
-                                    center[1] + r * np.sin(th)]))
+        pts.append(r * np.column_stack([np.cos(th), np.sin(th)]))
     v = np.vstack(pts)
     tri = Delaunay(v)
     outer_start = v.shape[0] - n_b
@@ -175,7 +171,7 @@ def disk_mesh(h, radius=1.0, center=(0.0, 0.0)):
                       boundary_loops=[loop])
 
 
-def annulus_mesh(h, r_inner=0.5, r_outer=1.0, center=(0.0, 0.0)):
+def annulus_mesh(h, r_inner=0.5, r_outer=1.0):
     """Structured annulus mesh; boundary components: outer loop then inner."""
     if not 0 < r_inner < r_outer:
         raise MeshError("need 0 < r_inner < r_outer")
@@ -183,8 +179,7 @@ def annulus_mesh(h, r_inner=0.5, r_outer=1.0, center=(0.0, 0.0)):
     n_r = max(2, int(round((r_outer - r_inner) / h)))
     radii = np.linspace(r_inner, r_outer, n_r + 1)
     th = 2 * np.pi * np.arange(n_t) / n_t
-    rings = [np.column_stack([center[0] + r * np.cos(th),
-                              center[1] + r * np.sin(th)]) for r in radii]
+    rings = [r * np.column_stack([np.cos(th), np.sin(th)]) for r in radii]
     v = np.vstack(rings)
     tris = []
     for j in range(n_r):
@@ -236,64 +231,38 @@ def _inside_convex(pts, corners, margin):
 
 
 def uniform_refine(mesh, boundary_project=None):
-    """Midpoint refinement (triangle -> 4).
+    """Midpoint refinement (triangle -> 4) by ``midpoint_subdivide``.
 
-    Boundary-edge midpoints are appended to the loops; ``boundary_project``
-    (e.g. a snap onto the circumscribing circle) may relocate them so the
-    refined family converges to a curved domain.  Material fields are
-    inherited by the four children.
+    Boundary-edge midpoints are inserted into the loops; ``boundary_project``
+    (e.g. a snap onto the circumscribing circle) maps the (k, 2) array of
+    them to new positions so the refined family converges to a curved
+    domain.  Material fields are inherited by the four children.
     """
-    v = list(mesh.vertices)
-    t = mesh.triangles
-    boundary_mid = {}
-    midpoint = {}
-
-    bedges = set()
-    for loop in mesh.boundary_loops:
-        for i in range(len(loop)):
-            a, b = int(loop[i]), int(loop[(i + 1) % len(loop)])
-            bedges.add((min(a, b), max(a, b)))
-
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in midpoint:
-            p = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-            if key in bedges and boundary_project is not None:
-                p = boundary_project(p)
-            midpoint[key] = len(v)
-            v.append(p)
-            if key in bedges:
-                boundary_mid[key] = midpoint[key]
-        return midpoint[key]
-
-    new_t, parent = [], []
-    for idx, (a, b, c) in enumerate(t):
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_t += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        parent += [idx] * 4
-
+    n = mesh.n_vertices
+    v, t, edges = midpoint_subdivide(mesh.vertices, mesh.triangles)
+    keys = edges[:, 0] * n + edges[:, 1]
+    order = np.argsort(keys)
     loops = []
     for loop in mesh.boundary_loops:
-        newloop = []
-        for i in range(len(loop)):
-            a, b = int(loop[i]), int(loop[(i + 1) % len(loop)])
-            newloop.append(a)
-            newloop.append(boundary_mid[(min(a, b), max(a, b))])
-        loops.append(np.array(newloop, dtype=int))
-
-    parent = np.array(parent)
+        loop = np.asarray(loop, dtype=int)
+        nxt = np.roll(loop, -1)
+        key = np.minimum(loop, nxt) * n + np.maximum(loop, nxt)
+        mid = n + order[np.searchsorted(keys, key, sorter=order)]
+        loops.append(np.column_stack([loop, mid]).ravel())
+    if boundary_project is not None:
+        mids = np.concatenate([loop[1::2] for loop in loops])
+        v[mids] = boundary_project(v[mids])
+    parent = np.repeat(np.arange(mesh.triangles.shape[0]), 4)
     alpha = None if mesh.alpha is None else np.asarray(mesh.alpha)[parent]
     beta = None if mesh.beta is None else np.asarray(mesh.beta)[parent]
-    return DomainMesh(vertices=np.array(v), triangles=np.array(new_t, dtype=int),
-                      boundary_loops=loops, alpha=alpha, beta=beta)
+    return DomainMesh(vertices=v, triangles=t, boundary_loops=loops,
+                      alpha=alpha, beta=beta)
 
 
-def circle_projector(radius=1.0, center=(0.0, 0.0)):
-    c = np.asarray(center, dtype=float)
-
+def circle_projector(radius=1.0):
+    """Radial projection of (k, 2) points onto the circle about the origin."""
     def proj(p):
-        d = p - c
-        return c + d * (radius / np.linalg.norm(d))
+        return p * (radius / np.linalg.norm(p, axis=1, keepdims=True))
     return proj
 
 
@@ -316,32 +285,19 @@ def disk_mesh_family(h, levels, radius=1.0):
 
 def stiffness_matrix(mesh):
     """K[i, j] = integral(alpha^-1 grad phi_i . grad phi_j)."""
-    v, t = mesh.vertices, mesh.triangles
-    areas = np.abs(_signed_areas(v, t))
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    # grad of barycentric functions: rotated opposite edges / (2A)
-    g = np.stack([p1 - p2, p2 - p0, p0 - p1], axis=1)       # (m, 3, 2)
-    grads = np.stack([g[:, :, 1], -g[:, :, 0]], axis=2) / (2 * areas)[:, None, None]
-    a = mesh.alpha
-    if a is None:
-        prod = np.einsum("mik,mjk->mij", grads, grads)
-    elif a.ndim == 1:
-        prod = (1.0 / a)[:, None, None] * np.einsum("mik,mjk->mij", grads, grads)
-    else:
-        prod = np.einsum("mik,mkl,mjl->mij", grads, np.linalg.inv(a), grads)
-    return assemble_p1(t, areas[:, None, None] * prod, mesh.n_vertices)
+    return p1_stiffness(mesh.vertices, mesh.triangles, mesh.alpha)
 
 
 def mass_matrix_2d(mesh):
     """Consistent mass M[i, j] = integral(beta phi_i phi_j)."""
-    areas = np.abs(_signed_areas(mesh.vertices, mesh.triangles))
+    areas = triangle_areas(mesh.vertices, mesh.triangles)
     if mesh.beta is not None:
         areas = mesh.beta * areas
-    return assemble_p1(mesh.triangles, p1_mass(areas, 3), mesh.n_vertices)
+    return p1_mass(mesh.triangles, areas, mesh.n_vertices)
 
 
 def _boundary_dofs(mesh):
-    return [int(x) for loop in mesh.boundary_loops for x in loop]
+    return np.concatenate(mesh.boundary_loops).astype(int)
 
 
 def _boundary_edges(mesh):
@@ -365,7 +321,7 @@ def _boundary_edges(mesh):
 def boundary_mass_matrix(mesh):
     """Lumped-free 1-D mass of the boundary trace space (dense, bdof order)."""
     a, b, ell = _boundary_edges(mesh)
-    Mb = assemble_p1(np.column_stack([a, b]), p1_mass(ell, 2), a.size)
+    Mb = p1_mass(np.column_stack([a, b]), ell, a.size)
     return Mb.toarray(), _boundary_dofs(mesh)
 
 
@@ -436,18 +392,18 @@ class AcousticPencil:
 
     ``assemble_pencil`` builds the geometry-dependent parts once (the Neumann
     pencil and the factor of A0 = K - shift^2 M); ``with_impedance`` plugs in
-    Zhat and shares them.
+    Zhat and shares them.  B_Z = T^t Zhat T has rank at most N_b and is never
+    assembled: ``apply_B`` applies it through its factors on the bdofs.
     """
 
     mesh: DomainMesh
     spectrum: object
     K: sp.csr_matrix
     M: sp.csr_matrix
-    B: sp.csr_matrix            # complex; zero when Z = 0
     N_b: int
-    Zhat: np.ndarray | None
+    Zhat: np.ndarray            # (N_b, N_b); zeros for the Neumann pencil
     trace: np.ndarray           # T, (N_b, n_bdofs)
-    bdofs: list
+    bdofs: np.ndarray           # vertex of every boundary dof, loop by loop
     lam_scale: float = 1.0      # smallest nonzero Neumann eigenvalue
     shifted_lu: object = None   # sparse LU of the real SPD A0
     W: np.ndarray | None = None     # A0^-1 T^t, (n, N_b)
@@ -469,7 +425,7 @@ class AcousticPencil:
         return Tt
 
     def with_impedance(self, Z):
-        """This pencil with B_Z = T^t Zhat T for Zhat = Z compressed to N_b.
+        """This pencil with Zhat = Z compressed to N_b.
 
         Z = None or a zero operator returns this (Neumann) pencil itself.
         """
@@ -477,16 +433,17 @@ class AcousticPencil:
             return self
         if Z.N_trunc < self.N_b:
             raise SpectrumError(f"impedance truncation {Z.N_trunc} below N_b={self.N_b}")
-        Zhat = Z.matrix[:self.N_b, :self.N_b]
-        Bb = self.trace.T @ Zhat @ self.trace
-        idx = np.asarray(self.bdofs)
-        B = sp.coo_matrix((Bb.ravel(),
-                           (np.repeat(idx, len(idx)), np.tile(idx, len(idx)))),
-                          shape=(self.n, self.n)).tocsr()
-        return replace(self, B=B, Zhat=Zhat)
+        return replace(self, Zhat=Z.matrix[:self.N_b, :self.N_b])
+
+    def apply_B(self, x):
+        """B_Z x = T^t (Zhat (T x[bdofs])) for x of shape (n,) or (n, k):
+        O(n_bdofs N_b) work, zero off the bdofs."""
+        out = np.zeros(x.shape, dtype=complex)
+        out[self.bdofs] = self.trace.T @ (self.Zhat @ (self.trace @ x[self.bdofs]))
+        return out
 
     def evaluate(self, lam, x):
-        return self.K @ x - 1j * lam * (self.B @ x) - lam ** 2 * (self.M @ x)
+        return self.K @ x - 1j * lam * self.apply_B(x) - lam ** 2 * (self.M @ x)
 
 
 def check_geometry_match(mesh, spec, tol=1e-10):
@@ -520,10 +477,8 @@ def assemble_pencil(mesh, spec, N_b=None):
     K = stiffness_matrix(mesh)
     M = mass_matrix_2d(mesh)
     T, bdofs = trace_projection(mesh, spec, N_b)
-    n = mesh.n_vertices
-    pencil = AcousticPencil(mesh=mesh, spectrum=spec, K=K, M=M,
-                            B=sp.csr_matrix((n, n), dtype=complex), N_b=N_b,
-                            Zhat=None, trace=T, bdofs=bdofs)
+    pencil = AcousticPencil(mesh=mesh, spectrum=spec, K=K, M=M, N_b=N_b,
+                            Zhat=np.zeros((N_b, N_b)), trace=T, bdofs=bdofs)
     pencil.lam_scale = neumann_scale(pencil)
     # SPD, so diagonal pivots on a symmetric ordering are stable
     pencil.shifted_lu = spla.splu((K - (pencil.shift ** 2).real * M).tocsc(),
@@ -609,11 +564,9 @@ def solve_pencil(pencil, n_wanted=12):
     singular C means P(shift) is singular: SpectrumError.  Non-converged
     Ritz values are reported with ``converged=False``, never dropped.
     """
-    n, M, B, shift = pencil.n, pencil.M, pencil.B, pencil.shift
-    lu0, W, T = pencil.shifted_lu, pencil.W, pencil.trace
-    bdofs = np.asarray(pencil.bdofs)
-    Zhat = np.zeros((pencil.N_b, pencil.N_b)) if pencil.Zhat is None else pencil.Zhat
-    Zs = -1j * shift * Zhat
+    n, M, shift = pencil.n, pencil.M, pencil.shift
+    lu0, W, T, bdofs = pencil.shifted_lu, pencil.W, pencil.trace, pencil.bdofs
+    Zs = -1j * shift * pencil.Zhat
     C = np.eye(pencil.N_b) + Zs @ pencil.S0
     cond = np.linalg.cond(C)
     if not cond <= CAPACITANCE_COND_MAX:
@@ -629,7 +582,7 @@ def solve_pencil(pencil, n_wanted=12):
 
     def matvec(y):
         p, q = y[:n], y[n:]
-        x = solve_shifted(1j * (B @ p) + M @ (q + shift * p))
+        x = solve_shifted(1j * pencil.apply_B(p) + M @ (q + shift * p))
         return np.concatenate([x, shift * x + p])
 
     op = spla.LinearOperator(dtype=complex, shape=(2 * n, 2 * n), matvec=matvec)
@@ -674,7 +627,8 @@ def _energy_reduction(pencil, kernel_tol=1e-10):
     L = np.linalg.cholesky(M)
     Linv = sla.solve_triangular(L, np.eye(L.shape[0]), lower=True)
     C = (sq[:, None] * Uk.T) @ Linv.T
-    Bt = Linv @ pencil.B.toarray() @ Linv.T
+    LT = Linv @ pencil.trace_scatter()
+    Bt = LT @ pencil.Zhat @ LT.T
     n1, n2 = C.shape
     A = np.zeros((n1 + n2, n1 + n2), dtype=complex)
     A[:n1, n1:] = C
@@ -698,7 +652,7 @@ def verify_mdissipativity(pencil, report):
     S = pencil.trace @ spla.splu(pencil.M.tocsc()).solve(
         pencil.trace_scatter())[pencil.bdofs]
     R = np.linalg.cholesky(S)
-    Zhat = np.zeros((pencil.N_b, pencil.N_b)) if pencil.Zhat is None else pencil.Zhat
+    Zhat = pencil.Zhat
     mu = np.linalg.eigvalsh(R.T @ (0.5 * (Zhat + Zhat.conj().T)) @ R)
     lam = report.certified()
     return {"omega_h": max(0.0, -float(mu[0])), "mu_min": float(mu[0]),

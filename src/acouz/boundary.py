@@ -6,10 +6,12 @@ Laplacian on a closed curve is -d^2/ds^2 in arclength, so curve spectra are
 computed analytically per component: eigenvalues (2*pi*k/L)^2 with one
 constant mode and cos/sin pairs, each mode described by its (component,
 kind, frequency) and evaluated by :func:`curve_modes` wherever values are
-needed; a curve spectrum stores no grid.  Surface spectra use the cotangent
-stiffness matrix with a lumped (optionally consistent) mass matrix and an
+needed; a curve spectrum stores no grid.  Surface spectra use the P1
+stiffness matrix, which on a triangulated surface is the cotangent
+Laplacian, with a lumped (optionally consistent) P1 mass matrix and an
 ARPACK shift-invert solve, and store the eigenvectors at the mesh vertices
-when asked to.
+when asked to.  The P1 stiffness, mass and midpoint subdivision here serve
+the 2-D acoustic domain as well.
 
 Scalar functions and distributions on the boundary are stored as
 coefficient vectors in the resulting orthonormal eigenbasis; the Sobolev
@@ -38,6 +40,9 @@ KIND_COS = 1
 KIND_SIN = 2
 
 EIG_RESIDUAL_TOL = 1e-8
+# shift-invert point and ARPACK tolerance of the surface eigensolve
+SURFACE_SIGMA = -1e-2
+SURFACE_TOL = 1e-10
 
 
 class GeometryError(ValueError):
@@ -102,7 +107,7 @@ class BoundaryGeometry:
         """Length (d=2) or area (d=3) of every connected component."""
         if self.dim_ambient == 2:
             return np.array([_polyline_length(c) for c in self.components])
-        areas = _triangle_areas(self.vertices, self.triangles)
+        areas = triangle_areas(self.vertices, self.triangles)
         tri_label = self._component_labels[self.triangles[:, 0]]
         out = np.zeros(self.n_components)
         np.add.at(out, tri_label, areas)
@@ -145,12 +150,6 @@ def _segment_lengths(c):
 
 def _polyline_length(c):
     return float(_segment_lengths(c).sum())
-
-
-def _triangle_areas(v, t):
-    a = v[t[:, 1]] - v[t[:, 0]]
-    b = v[t[:, 2]] - v[t[:, 0]]
-    return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
 
 
 def _check_closed_oriented(t):
@@ -313,8 +312,18 @@ def _fix_signs(modes):
 
 
 # ---------------------------------------------------------------------------
-# P1 finite elements
+# P1 finite elements, shared by surfaces and 2-D domains
 # ---------------------------------------------------------------------------
+
+def triangle_areas(v, t):
+    """Areas of the triangles t of vertices v: signed in 2-D (positive for
+    counterclockwise corners), positive in 3-D."""
+    a = v[t[:, 1]] - v[t[:, 0]]
+    b = v[t[:, 2]] - v[t[:, 0]]
+    if v.shape[1] == 2:
+        return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+
 
 def assemble_p1(simplices, local, n):
     """Sum the per-simplex matrices local[e, i, j] into an (n, n) CSR matrix
@@ -327,42 +336,70 @@ def assemble_p1(simplices, local, n):
                          shape=(n, n)).tocsr()
 
 
-def p1_mass(measure, k):
-    """Local P1 mass matrices |e| (1 + delta_ij) / (k (k + 1)) of k-vertex
-    simplices with measures |e| (edges k=2, triangles k=3)."""
-    return measure[:, None, None] * (1.0 + np.eye(k)) / (k * (k + 1))
+def p1_stiffness(v, t, alpha=None):
+    """P1 Galerkin stiffness of a triangle mesh in 2-D or on a surface in 3-D.
 
-
-# ---------------------------------------------------------------------------
-# surface spectra (cotangent FEM)
-# ---------------------------------------------------------------------------
-
-def cotangent_stiffness(v, t):
-    """Sparse cotangent stiffness matrix of a triangulated surface."""
-    local = np.zeros((t.shape[0], 3, 3))
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        u1 = v[t[:, b]] - v[t[:, a]]
-        u2 = v[t[:, c]] - v[t[:, a]]
-        cos = np.einsum("ij,ij->i", u1, u2)
-        sin = np.linalg.norm(np.cross(u1, u2), axis=1)
-        # opposite edge (b, c) gets cot(angle at a) / 2
-        w = 0.5 * cos / np.maximum(sin, 1e-300)
-        local[:, [b, c], [c, b]] -= w[:, None]
-        local[:, [b, c], [b, c]] += w[:, None]
+    With e_a the edge opposite vertex a, grad phi_a is e_a turned a quarter
+    in the triangle's plane over 2|T|, so K_ab = e_a^t G e_b / (4 |T|): the
+    cotangent Laplacian on a surface.  G is I, I / alpha for a scalar alpha
+    per triangle, or alpha / det(alpha) = R^t alpha^-1 R for a (m, 2, 2)
+    tensor in 2-D.  Degenerate surface triangles get a finite (huge) weight.
+    """
+    e = v[t[:, [1, 2, 0]]] - v[t[:, [2, 0, 1]]]          # (m, 3, d)
+    scale = 4.0 * np.maximum(np.abs(triangle_areas(v, t)), 1e-300)
+    if alpha is not None and alpha.ndim == 3:
+        det = alpha[:, 0, 0] * alpha[:, 1, 1] - alpha[:, 0, 1] * alpha[:, 1, 0]
+        local = np.einsum("mai,mij,mbj->mab", e, alpha / det[:, None, None], e)
+    else:
+        local = np.einsum("mai,mbi->mab", e, e)
+        if alpha is not None:
+            scale = scale * alpha
+    local /= scale[:, None, None]
     return assemble_p1(t, local, v.shape[0])
 
 
-def mass_matrix(v, t, lumped=True):
-    areas = _triangle_areas(v, t)
-    n = v.shape[0]
+def p1_mass(simplices, measure, n, lumped=False):
+    """P1 mass matrix of k-vertex simplices (edges k=2, triangles k=3) with
+    measures |e| (times a density): locally |e| (1 + delta_ij) / (k (k + 1)),
+    or its row sums |e| / k on the diagonal when ``lumped``."""
+    k = simplices.shape[1]
     if lumped:
-        diag = np.zeros(n)
-        for i in range(3):
-            np.add.at(diag, t[:, i], areas / 3.0)
+        diag = np.bincount(simplices.ravel(), np.repeat(measure / k, k), n)
         return sp.diags(diag).tocsr()
-    return assemble_p1(t, p1_mass(areas, 3), n)
+    local = measure[:, None, None] * (1.0 + np.eye(k)) / (k * (k + 1))
+    return assemble_p1(simplices, local, n)
 
+
+def midpoint_subdivide(v, t):
+    """Split every triangle (a, b, c) into [a, ab, ca], [b, bc, ab],
+    [c, ca, bc], [ab, bc, ca] at its edge midpoints.
+
+    The midpoints follow the vertices v, numbered in the order their edges
+    first appear in t (triangle by triangle, edges ab, bc, ca).  Returns the
+    new vertices and triangles, and the (n_edges, 2) sorted endpoints of the
+    edge that each midpoint splits.
+    """
+    n = v.shape[0]
+    ends = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)        # ab, bc, ca per triangle
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    keys, first, inverse = np.unique(lo * n + hi, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    ab, bc, ca = (n + rank[inverse].reshape(-1, 3)).T
+    edges = np.column_stack([keys // n, keys % n])[order]
+    a, b, c = t.T
+    new_t = np.stack([np.column_stack(tri) for tri in
+                      ((a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca))],
+                     axis=1).reshape(-1, 3)
+    new_v = np.vstack([v, 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])])
+    return new_v, new_t, edges
+
+
+# ---------------------------------------------------------------------------
+# surface spectra (P1 FEM)
+# ---------------------------------------------------------------------------
 
 def arpack_start(size):
     """Fixed ARPACK start vector: without one, scipy draws it from OS entropy
@@ -370,9 +407,8 @@ def arpack_start(size):
     return np.random.default_rng(0).standard_normal(size)
 
 
-def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10,
-                           store_modes=True):
-    """Smallest-N eigenpairs of the cotangent Laplacian on a closed surface.
+def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True):
+    """Smallest-N eigenpairs of the P1 (cotangent) Laplacian on a closed surface.
 
     Generalized symmetric problem S x = mu M x solved by shift-invert
     Lanczos; eigenvectors come back M-orthonormal.  The kernel block is
@@ -392,13 +428,13 @@ def build_surface_spectrum(geom, N, lumped_mass=True, sigma=-1e-2, tol=1e-10,
     if N > n // 10:
         raise SpectrumError(f"N={N} too large for a mesh with {n} vertices "
                             "(need N <= vertices/10)")
-    S = cotangent_stiffness(v, t)
-    M = mass_matrix(v, t, lumped=lumped_mass)
+    S = p1_stiffness(v, t)
+    M = p1_mass(t, triangle_areas(v, t), n, lumped=lumped_mass)
 
     # headroom past N so high-multiplicity clusters are not truncated mid-way
     k = min(N + max(8, N // 4), n - 2)
     try:
-        eig = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM", tol=tol,
+        eig = spla.eigsh(S, k=k, M=M, sigma=SURFACE_SIGMA, which="LM", tol=SURFACE_TOL,
                          v0=arpack_start(n), return_eigenvectors=store_modes)
     except spla.ArpackNoConvergence as err:
         raise SpectrumError(f"eigen-solver did not converge: {err}") from err

@@ -34,14 +34,17 @@ MARGIN_DEFAULT = 0.1
 
 
 def _raw_uniforms(seed, stream, count):
-    """First ``count`` uniforms of the Philox stream keyed by (seed, stream).
+    """First ``count`` uniforms in (0, 1) of the Philox stream keyed by
+    (seed, stream).
 
     Word i depends only on (seed, stream, i): extending ``count`` never
-    changes earlier values.
+    changes earlier values.  The top 53 bits k map to (k + 1/2) 2^-53, which
+    rounds to 1.0 for the top word alone; that one is mapped just below 1.
     """
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     raw = Philox(key=key).random_raw(count)
-    return (raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54
+    u = (raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54
+    return np.minimum(u, np.nextafter(1.0, 0.0))
 
 
 def gaussian_stream(seed, count, stream=STREAM_GAUSS):
@@ -50,32 +53,14 @@ def gaussian_stream(seed, count, stream=STREAM_GAUSS):
 
 
 def positive_stream(seed, count, stream=STREAM_KERNEL):
-    """Exp(1) draws -log(u) for the kernel-mode weights.
-
-    The top uniform rounds to 1, whose draw is 0: ValueError, since a kernel
-    weight must be strictly positive.
-    """
-    draws = -np.log(_raw_uniforms(seed, stream, count))
-    if np.any(draws <= 0):
-        raise ValueError("kernel law produced non-positive draws")
-    return draws
+    """Exp(1) draws -log(u) for the kernel-mode weights: strictly positive,
+    since every uniform lies below 1."""
+    return -np.log(_raw_uniforms(seed, stream, count))
 
 
 # ---------------------------------------------------------------------------
 # field samples
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FgfSample:
-    """One realization of the index-s field, truncated at N_trunc modes."""
-
-    spectrum: object
-    s: float
-    N_trunc: int
-    seed: int
-    xi: np.ndarray       # (N_trunc,) with zeros on kernel modes
-    coeffs: np.ndarray   # xi_n mu_n^(-s/2), zero on kernel modes
-
 
 def field_scales(spec, s, N_trunc):
     """mu_n^(-s/2) on the first N_trunc modes, zero on kernel modes."""
@@ -90,14 +75,14 @@ def field_scales(spec, s, N_trunc):
 
 
 def sample_fgf(spec, s, N_trunc, seed, scales=None):
-    """Draw Xi_s truncated to the first N_trunc modes of ``spec``; ``scales``
-    is ``field_scales(spec, s, N_trunc)`` when the caller already has it."""
+    """Coefficients xi_n mu_n^(-s/2) of Xi_s on the first N_trunc modes of
+    ``spec``, zero on kernel modes; ``scales`` is ``field_scales(spec, s,
+    N_trunc)`` when the caller already has it."""
     if scales is None:
         scales = field_scales(spec, s, N_trunc)
     xi = gaussian_stream(seed, N_trunc)
     xi[:spec.b0] = 0.0
-    return FgfSample(spectrum=spec, s=s, N_trunc=N_trunc, seed=seed,
-                     xi=xi, coeffs=xi * scales)
+    return xi * scales
 
 
 def _partial_sum_norms(spec, s, seeds, t, checkpoints):
@@ -116,7 +101,7 @@ def _partial_sum_norms(spec, s, seeds, t, checkpoints):
     w = ht_weights(spec, t)[:N_max]
     out = []
     for seed in seeds:
-        acc = np.cumsum((w * sample_fgf(spec, s, N_max, seed, scales).coeffs) ** 2)
+        acc = np.cumsum((w * sample_fgf(spec, s, N_max, seed, scales)) ** 2)
         out.append([float(np.sqrt(acc[N - 1])) for N in checkpoints])
     return out
 
@@ -210,8 +195,7 @@ def sample_random_impedance(spec, rspec, N_trunc, seed):
     """
     b0 = spec.b0
     rspec.check_kernel_weights(b0)
-    fgf = sample_fgf(spec, rspec.s, N_trunc, seed)
-    coeffs = rspec.c * fgf.coeffs
+    coeffs = rspec.c * sample_fgf(spec, rspec.s, N_trunc, seed)
     if rspec.kernel_weights:
         eta = positive_stream(seed, b0)
         coeffs[:b0] = np.array(rspec.kernel_weights) * eta

@@ -27,7 +27,7 @@ import numpy as np
 
 from .boundary import (
     KIND_CONST, KIND_COS, KIND_SIN,
-    BoundarySpectrum, SpectralFunction, SpectrumError, ht_weights,
+    BoundarySpectrum, SpectralFunction, SpectrumError, ht_weights, triangle_areas,
 )
 
 PSD_TOL_FACTOR = 1e-10   # shared with the impedance module
@@ -72,10 +72,8 @@ class TripleProductTensor:
             if spec.modes is None:
                 raise SpectrumError("surface triple products need the modes: "
                                     "build the spectrum with store_modes=True")
-            v = spec.geometry.vertices
             t = spec.geometry.triangles
-            from .boundary import _triangle_areas
-            areas = _triangle_areas(v, t)
+            areas = triangle_areas(spec.geometry.vertices, t)
             self._qw = (areas[:, None] * _DEG4_W[None, :]).ravel()
             # modes interpolated to quadrature points: (N, n_tri * 6)
             vals = spec.modes[:, t]                    # (N, n_tri, 3)

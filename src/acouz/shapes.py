@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boundary import BoundaryGeometry
+from .boundary import BoundaryGeometry, midpoint_subdivide
 
 
-def regular_polygon_geometry(n_sides, circumradius=1.0, center=(0.0, 0.0)):
+def regular_polygon_geometry(n_sides, circumradius=1.0):
     """A regular n-gon polyline; with many sides, the stock circle.
 
     The polyline perimeter is the exact boundary measure used downstream;
     for spectral purposes only the total length matters.
     """
     th = 2 * np.pi * np.arange(n_sides) / n_sides
-    pts = np.column_stack([center[0] + circumradius * np.cos(th),
-                           center[1] + circumradius * np.sin(th)])
+    pts = circumradius * np.column_stack([np.cos(th), np.sin(th)])
     return BoundaryGeometry(dim_ambient=2, components=(pts,))
 
 
@@ -50,27 +49,8 @@ def icosphere(subdivisions=3, radius=1.0, center=(0.0, 0.0, 0.0)):
     ], dtype=int)
 
     for _ in range(subdivisions):
-        v, t = _subdivide(v, t)
+        v, t, _ = midpoint_subdivide(v, t)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
 
     v = v * radius + np.asarray(center)
     return BoundaryGeometry(dim_ambient=3, vertices=v, triangles=t)
-
-
-def _subdivide(v, t):
-    verts = list(v)
-    midpoint = {}
-
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in midpoint:
-            midpoint[key] = len(verts)
-            verts.append(0.5 * (verts[a] + verts[b]))
-        return midpoint[key]
-
-    new_t = []
-    for a, b, c in t:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_t += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-    return np.array(verts), np.array(new_t, dtype=int)
-

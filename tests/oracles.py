@@ -1,16 +1,19 @@
 """Test-only oracles: the curve midpoint grid and what is computed on it,
-single modes and point masses as coefficient vectors, and geometries that
-only tests build.
+single modes and point masses as coefficient vectors, geometries that only
+tests build, and the P1 element written the long way.
 
 The package computes every curve quantity exactly from the mode
 descriptors (component, kind, frequency) and stores no grid; these grid
-versions are the independent references the tests compare against.
+versions are the independent references the tests compare against.  It
+also writes each P1 formula once for surfaces and domains; the cotangent,
+gradient and dict-keyed midpoint forms here are the references for those.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from acouz import acoustic as ac
 from acouz import boundary as bd
 from acouz import shapes
 from acouz.multipliers import hermitian_check
@@ -76,7 +79,8 @@ def gram_defect(spec):
     else:
         geom = spec.geometry
         Y = spec.modes
-        w = bd.mass_matrix(geom.vertices, geom.triangles, lumped=True).diagonal()
+        w = bd.p1_mass(geom.triangles, bd.triangle_areas(geom.vertices, geom.triangles),
+                       geom.vertices.shape[0], lumped=True).diagonal()
     return float(np.abs((Y * w) @ Y.T - np.eye(spec.count)).max())
 
 
@@ -144,3 +148,91 @@ def two_spheres(subdivisions=2, radius=1.0, spacing=4.0):
     return bd.BoundaryGeometry(dim_ambient=3,
                                vertices=np.vstack([g1.vertices, g2.vertices]),
                                triangles=np.vstack([g1.triangles, g2.triangles + n1]))
+
+
+# ---------------------------------------------------------------------------
+# the P1 element the long way
+# ---------------------------------------------------------------------------
+
+def cotangent_stiffness(v, t):
+    """Cotangent Laplacian of a triangulated surface, angle by angle: the
+    edge opposite the angle at a gets cot(angle) / 2."""
+    local = np.zeros((t.shape[0], 3, 3))
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        u1 = v[t[:, b]] - v[t[:, a]]
+        u2 = v[t[:, c]] - v[t[:, a]]
+        cos = np.einsum("ij,ij->i", u1, u2)
+        sin = np.linalg.norm(np.cross(u1, u2), axis=1)
+        w = 0.5 * cos / np.maximum(sin, 1e-300)
+        local[:, [b, c], [c, b]] -= w[:, None]
+        local[:, [b, c], [b, c]] += w[:, None]
+    return bd.assemble_p1(t, local, v.shape[0])
+
+
+def gradient_stiffness(mesh):
+    """integral(alpha^-1 grad phi_i . grad phi_j) of a 2-D mesh from the
+    barycentric gradients, with alpha inverted per triangle."""
+    v, t = mesh.vertices, mesh.triangles
+    areas = np.abs(bd.triangle_areas(v, t))
+    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    g = np.stack([p1 - p2, p2 - p0, p0 - p1], axis=1)
+    grads = np.stack([g[:, :, 1], -g[:, :, 0]], axis=2) / (2 * areas)[:, None, None]
+    a = mesh.alpha
+    if a is None:
+        prod = np.einsum("mik,mjk->mij", grads, grads)
+    elif a.ndim == 1:
+        prod = (1.0 / a)[:, None, None] * np.einsum("mik,mjk->mij", grads, grads)
+    else:
+        prod = np.einsum("mik,mkl,mjl->mij", grads, np.linalg.inv(a), grads)
+    return bd.assemble_p1(t, areas[:, None, None] * prod, mesh.n_vertices)
+
+
+def dict_midpoint_split(v, t):
+    """Midpoint split (triangle -> 4) edge by edge through a dict keyed on
+    the sorted edge; returns the vertices, triangles and that dict."""
+    verts = list(v)
+    midpoint = {}
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint:
+            midpoint[key] = len(verts)
+            verts.append(0.5 * (verts[a] + verts[b]))
+        return midpoint[key]
+
+    new_t = []
+    for a, b, c in t:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        new_t += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+    return np.array(verts), np.array(new_t, dtype=int), midpoint
+
+
+def dict_icosphere(subdivisions):
+    """The unit icosphere from the icosahedron by ``dict_midpoint_split``."""
+    g = shapes.icosphere(0)
+    v, t = g.vertices, g.triangles
+    for _ in range(subdivisions):
+        v, t, _ = dict_midpoint_split(v, t)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v, t
+
+
+def dict_uniform_refine(mesh, boundary_project=None):
+    """``acoustic.uniform_refine`` by ``dict_midpoint_split``, projecting
+    the boundary midpoints one at a time."""
+    v, t, midpoint = dict_midpoint_split(mesh.vertices, mesh.triangles)
+    loops = []
+    for loop in mesh.boundary_loops:
+        new = []
+        for a, b in zip(loop, np.roll(loop, -1)):
+            m = midpoint[(min(a, b), max(a, b))]
+            if boundary_project is not None:
+                v[m] = boundary_project(v[m][None])[0]
+            new += [int(a), m]
+        loops.append(np.array(new, dtype=int))
+    parent = np.repeat(np.arange(t.shape[0] // 4), 4)
+    alpha = None if mesh.alpha is None else np.asarray(mesh.alpha)[parent]
+    beta = None if mesh.beta is None else np.asarray(mesh.beta)[parent]
+    return ac.DomainMesh(vertices=v, triangles=t, boundary_loops=loops,
+                         alpha=alpha, beta=beta)

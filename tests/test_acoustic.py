@@ -16,7 +16,7 @@ from acouz.impedance import (
 )
 from acouz.multipliers import TripleProductTensor, psd_tolerance
 
-from oracles import curve_mode_values
+from oracles import curve_mode_values, dict_uniform_refine, gradient_stiffness
 
 J1P_1 = 1.8411837813406593      # first zero of J_1': the smallest Neumann disk eigenvalue
 
@@ -61,13 +61,22 @@ def per_edge_moment_matrix(mesh, spec, N_b):
     return T, bdofs
 
 
+def assembled_B(pencil):
+    """B_Z as a sparse n x n matrix: the block T^t Zhat T on the bdofs."""
+    idx = pencil.bdofs
+    block = pencil.trace.T @ pencil.Zhat @ pencil.trace
+    return sp.coo_matrix((block.ravel(), (np.repeat(idx, idx.size), np.tile(idx, idx.size))),
+                         shape=(pencil.n, pencil.n)).tocsr()
+
+
 def block_lu_eigenvalues(pencil, n_wanted):
-    """Shift-invert Arnoldi on the 2n x 2n linearization, factored as one
-    block LU: the path that ``solve_pencil`` replaced, kept as its reference."""
+    """Shift-invert Arnoldi on the 2n x 2n linearization with B_Z assembled,
+    factored as one block LU: the path that ``solve_pencil`` replaced, kept
+    as its reference."""
     n = pencil.n
     shift = 0.6j * pencil.lam_scale
     A_blk = sp.bmat([[pencil.K, None], [None, pencil.M]], format="csc").astype(complex)
-    B_blk = sp.bmat([[1j * pencil.B, pencil.M], [pencil.M, None]],
+    B_blk = sp.bmat([[1j * assembled_B(pencil), pencil.M], [pencil.M, None]],
                     format="csc").astype(complex)
     lu = spla.splu((A_blk - shift * B_blk).tocsc())
     op = spla.LinearOperator(dtype=complex, shape=(2 * n, 2 * n),
@@ -153,6 +162,32 @@ class TestAssemblyOracles:
         assert np.abs(K @ np.ones(mesh.n_vertices)).max() <= 1e-12 * abs(K).max()
         assert abs(K - K.T).max() <= 1e-14 * abs(K).max()
 
+    @pytest.mark.parametrize("alpha", [None, "scalar", "tensor"])
+    def test_stiffness_matches_gradient_form(self, alpha):
+        # the edge form with alpha / det(alpha) against inv(alpha) between
+        # barycentric gradients
+        mesh = ac.disk_mesh(0.06)
+        m = mesh.triangles.shape[0]
+        rng = np.random.default_rng(1)
+        if alpha == "scalar":
+            mesh.alpha = rng.uniform(0.5, 2.0, m)
+        elif alpha == "tensor":
+            a = rng.uniform(-0.5, 0.5, (m, 2, 2))
+            mesh.alpha = np.eye(2) + a @ a.transpose(0, 2, 1)
+        K = ac.stiffness_matrix(mesh)
+        ref = gradient_stiffness(mesh)
+        assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
+
+    def test_refinement_matches_dict_split(self):
+        family = ac.disk_mesh_family(0.25, 3)
+        proj = ac.circle_projector(1.0)
+        for coarse, fine in zip(family, family[1:]):
+            ref = dict_uniform_refine(coarse, proj)
+            assert np.array_equal(fine.vertices, ref.vertices)
+            assert np.array_equal(fine.triangles, ref.triangles)
+            for loop, ref_loop in zip(fine.boundary_loops, ref.boundary_loops, strict=True):
+                assert np.array_equal(loop, ref_loop)
+
     def test_masses_integrate_one(self):
         disk, annulus = ac.disk_mesh(0.2), ac.annulus_mesh(0.2)
         n_disk = len(disk.boundary_loops[0])
@@ -179,18 +214,25 @@ class TestNeumannDisk:
 
 class TestWithImpedance:
     def test_scatter_matches_boundary_block(self, disk_setup):
+        # B_Z applied through its rank-N_b factor is the dense T^t Zhat T on
+        # the bdofs and zero elsewhere
         mesh, spec = disk_setup
         pencil = ac.assemble_pencil(mesh, spec).with_impedance(
             constant_z(spec, 40, z0=1.0 + 0.5j))
-        idx = np.asarray(pencil.bdofs)
-        assert np.array_equal(pencil.B.toarray()[np.ix_(idx, idx)],
-                              pencil.trace.T @ pencil.Zhat @ pencil.trace)
-        assert pencil.B.nnz == idx.size ** 2
+        idx = pencil.bdofs
+        dense = pencil.trace.T @ pencil.Zhat @ pencil.trace
+        applied = pencil.apply_B(np.eye(pencil.n)[:, idx])
+        assert np.abs(applied[idx] - dense).max() <= 1e-15 * np.abs(dense).max()
+        assert not np.any(np.delete(applied, idx, axis=0))
+        x = np.random.default_rng(0).standard_normal(pencil.n)
+        ref = assembled_B(pencil) @ x
+        assert np.abs(pencil.apply_B(x) - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_zero_impedance_is_neumann(self, disk_setup):
         mesh, spec = disk_setup
         base = ac.assemble_pencil(mesh, spec)
-        assert base.Zhat is None and base.B.nnz == 0
+        assert base.Zhat.shape == (base.N_b, base.N_b) and not np.any(base.Zhat)
+        assert not np.any(base.apply_B(np.ones(base.n)))
         assert base.with_impedance(None) is base
         assert base.with_impedance(zero_impedance(spec, base.N_b)) is base
 

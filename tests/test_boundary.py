@@ -176,11 +176,11 @@ class TestSurfaceSpectrum:
     def test_fem_matrices_on_constants(self):
         g = shapes.icosphere(3)
         v, t = g.vertices, g.triangles
-        S = bd.cotangent_stiffness(v, t)
+        S = bd.p1_stiffness(v, t)
         one = np.ones(v.shape[0])
         assert np.abs(S @ one).max() <= 1e-12 * abs(S).max()
         for lumped in (True, False):
-            M = bd.mass_matrix(v, t, lumped=lumped)
+            M = bd.p1_mass(t, bd.triangle_areas(v, t), v.shape[0], lumped=lumped)
             assert one @ M @ one == pytest.approx(g.component_measures.sum(), rel=1e-13)
 
     def test_store_modes_false_is_gridless(self):
@@ -197,6 +197,41 @@ class TestSurfaceSpectrum:
         assert np.array_equal(back.mu, sphere_spec.mu)
         assert np.array_equal(back.modes, sphere_spec.modes)
         assert back.b0 == sphere_spec.b0
+
+
+class TestP1Element:
+    """The shared P1 formulas against their long forms in ``oracles``."""
+
+    @pytest.mark.parametrize("subdivisions", [3, 4])
+    def test_stiffness_is_cotangent_laplacian(self, subdivisions):
+        g = shapes.icosphere(subdivisions)
+        S = bd.p1_stiffness(g.vertices, g.triangles)
+        ref = oracles.cotangent_stiffness(g.vertices, g.triangles)
+        assert abs(S - ref).max() <= 1e-14 * abs(ref).max()
+
+    def test_lumped_mass_is_row_sum_of_consistent(self):
+        g = shapes.icosphere(2)
+        t, n = g.triangles, g.vertices.shape[0]
+        areas = bd.triangle_areas(g.vertices, t)
+        lumped = bd.p1_mass(t, areas, n, lumped=True).toarray()
+        row_sums = bd.p1_mass(t, areas, n).toarray().sum(axis=1)
+        assert np.array_equal(lumped, np.diag(np.diag(lumped)))
+        assert np.allclose(np.diag(lumped), row_sums, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("subdivisions", range(6))
+    def test_icosphere_matches_dict_split(self, subdivisions):
+        g = shapes.icosphere(subdivisions)
+        v, t = oracles.dict_icosphere(subdivisions)
+        assert np.array_equal(g.vertices, v)
+        assert np.array_equal(g.triangles, t)
+
+    def test_midpoint_edges(self):
+        g = shapes.icosphere(1)
+        v, t, edges = bd.midpoint_subdivide(g.vertices, g.triangles)
+        _, _, midpoint = oracles.dict_midpoint_split(g.vertices, g.triangles)
+        assert [tuple(e) for e in edges] == list(midpoint)
+        n = g.vertices.shape[0]
+        assert np.array_equal(v[n:], 0.5 * (v[edges[:, 0]] + v[edges[:, 1]]))
 
 
 class TestHtScale:

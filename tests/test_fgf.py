@@ -16,23 +16,25 @@ class TestSampling:
     def test_bit_identical_reproduction(self, circle_spec):
         a = fgf.sample_fgf(circle_spec, 1.0, 48, seed=42)
         b = fgf.sample_fgf(circle_spec, 1.0, 48, seed=42)
-        assert np.array_equal(a.coeffs, b.coeffs)
-        assert np.array_equal(a.xi, b.xi)
+        assert np.array_equal(a, b)
+        assert np.array_equal(fgf.gaussian_stream(42, 48), fgf.gaussian_stream(42, 48))
 
     def test_truncation_extension_is_prefix(self, circle_spec):
         a = fgf.sample_fgf(circle_spec, 0.7, 24, seed=5)
         b = fgf.sample_fgf(circle_spec, 0.7, 60, seed=5)
-        assert np.array_equal(a.coeffs, b.coeffs[:24])
+        assert np.array_equal(a, b[:24])
 
     def test_kernel_purity(self, circle_spec):
-        s = fgf.sample_fgf(circle_spec, 1.2, 40, seed=9)
-        assert np.all(s.coeffs[:circle_spec.b0] == 0.0)
-        assert np.all(s.xi[:circle_spec.b0] == 0.0)
-        assert np.isrealobj(s.coeffs)
+        coeffs = fgf.sample_fgf(circle_spec, 1.2, 40, seed=9)
+        b0 = circle_spec.b0
+        assert np.all(coeffs[:b0] == 0.0)
+        assert np.array_equal(coeffs[b0:], fgf.gaussian_stream(9, 40)[b0:]
+                              * fgf.field_scales(circle_spec, 1.2, 40)[b0:])
+        assert np.isrealobj(coeffs)
 
     def test_white_noise_at_s_zero(self, circle_spec):
-        s = fgf.sample_fgf(circle_spec, 0.0, 32, seed=1)
-        assert np.array_equal(s.coeffs[1:], s.xi[1:])
+        coeffs = fgf.sample_fgf(circle_spec, 0.0, 32, seed=1)
+        assert np.array_equal(coeffs[1:], fgf.gaussian_stream(1, 32)[1:])
 
     def test_hurst_parameter(self, circle_spec, sphere_spec):
         # the boundary Hurst parameter s - (d-1)/2 is the classifier's threshold
@@ -47,7 +49,7 @@ class TestSampling:
 
     def test_variance_law_quick(self, circle_spec):
         M = 3000
-        sams = np.array([fgf.sample_fgf(circle_spec, 1.0, 24, seed=i).coeffs
+        sams = np.array([fgf.sample_fgf(circle_spec, 1.0, 24, seed=i)
                          for i in range(M)])
         for n in [3, 8, 15]:
             var = sams[:, n - 1].var()
@@ -58,6 +60,26 @@ class TestSampling:
         xi = fgf.gaussian_stream(123, 200000)
         assert abs(xi.mean()) < 0.01
         assert abs(xi.var() - 1.0) < 0.01
+
+    def test_gaussian_stream_pinned(self):
+        # the first draws of seed 0, fixed across versions
+        assert fgf.gaussian_stream(0, 8).tolist() == [
+            -2.271884148324594, -0.701327920628698, -1.218980191079758,
+            0.16217155791645022, 0.005964818724655495, -0.5899694163636463,
+            1.612232229200595, 2.1991464939613485]
+
+    def test_extreme_words_stay_finite(self, monkeypatch):
+        # the top word's uniform (2^53 - 1/2) 2^-53 rounds to 1.0, whose
+        # Gaussian draw would be inf and Exp(1) draw 0
+        class ExtremePhilox(fgf.Philox):
+            def random_raw(self, size=None, output=True):
+                return np.array([0, 2 ** 64 - 1], dtype=np.uint64)
+
+        monkeypatch.setattr(fgf, "Philox", ExtremePhilox)
+        u = fgf._raw_uniforms(0, 0, 2)
+        assert u[0] == 2.0 ** -54 and u[1] == np.nextafter(1.0, 0.0)
+        assert np.all(np.isfinite(fgf.gaussian_stream(0, 2)))
+        assert np.all(fgf.positive_stream(0, 2) > 0)
 
     def test_positive_stream_laws(self):
         # Exp(1): mean and variance 1
@@ -86,7 +108,7 @@ class TestPartialSums:
         one_shot = fgf.sample_fgf(deep_circle_spec, 1.0, 512, 3)
         w = bd.ht_weights(deep_circle_spec, 0.0)[:512]
         assert norms[-1] == pytest.approx(
-            float(np.linalg.norm(w * one_shot.coeffs)))
+            float(np.linalg.norm(w * one_shot)))
         assert np.all(np.diff(norms) >= 0)
 
     def test_checkpoint_validation(self, circle_spec):

@@ -125,8 +125,8 @@ class TestNaturalAdjoint:
 
 class TestSelfadjointness:
     def test_fgf_multiplier_selfadjoint(self, circle_spec, circle_tensor):
-        sam = fgf.sample_fgf(circle_spec, 0.5, 32, seed=6)
-        phi = bd.SpectralFunction(circle_spec, 1j * 2.0 * sam.coeffs)
+        coeffs = fgf.sample_fgf(circle_spec, 0.5, 32, seed=6)
+        phi = bd.SpectralFunction(circle_spec, 1j * 2.0 * coeffs)
         Z = imp.multiplier_impedance(phi, 24, tensor=circle_tensor)
         assert imp.selfadjointness_criterion(Z)
 
