@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -726,6 +727,19 @@ def refinement_study(levels, z_maker=None, n_track=5, n_wanted=18, N_b=None,
     return table
 
 
+_sample = None    # the Monte Carlo sample closure of a forked worker
+
+
+def _install_sample(attempt):
+    """Worker initializer: the forked child keeps the sample closure."""
+    global _sample
+    _sample = attempt
+
+
+def _run_sample(i):
+    return _sample(i)
+
+
 def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
                          n_wanted=14, workers=1):
     """Ensemble of pencil solves over sampled random impedances.
@@ -734,10 +748,18 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
     operator coefficients (field part skew, kernel part nonnegative),
     compressed to N_b modes, solved, classified.  Failures are counted and
     the run continues; so are solved samples whose ARPACK run did not
-    converge (``n_unconverged``).  Reports merge in sample order regardless
-    of worker scheduling.  Every sample shares the mesh's one factor of A0.
-    A kernel-weight count that does not match the boundary's b0 fails every
-    sample alike, so it raises ValueError before any sampling.
+    converge (``n_unconverged``).  A kernel-weight count that does not match
+    the boundary's b0 fails every sample alike, so it raises ValueError
+    before any sampling.
+
+    Every sample shares the mesh's one factor of A0.  With ``workers`` > 1
+    the samples are solved in min(workers, n_samples) processes forked after
+    that set-up: each child inherits the assembled pencil, its SuperLU
+    factor, W, S0 and the triple-product tensor, receives only sample
+    indices and returns one result dict per sample.  Results come back in
+    sample order, so the worker count does not change them.  A child that
+    dies breaks the pool, which raises; the pool is joined either way.
+    Where ``fork`` is not available the samples run serially.
     """
     rspec.check_kernel_weights(spec.b0)
     base = assemble_pencil(mesh, spec, N_b=N_b)
@@ -763,11 +785,14 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
                 "accretive": accretive,
                 "unconverged": not report.converged.all()}, None
 
-    if workers == 1:
-        outcomes = list(map(attempt, range(n_samples)))
+    processes = min(workers, n_samples)
+    if processes > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
+                                 initializer=_install_sample,
+                                 initargs=(attempt,)) as ex:
+            outcomes = list(ex.map(_run_sample, range(n_samples)))
     else:
-        with ThreadPoolExecutor(workers) as ex:
-            outcomes = list(ex.map(attempt, range(n_samples)))
+        outcomes = list(map(attempt, range(n_samples)))
     done = [r for r, _ in outcomes if r is not None]
     failures = [f for _, f in outcomes if f is not None]
     n_done = len(done)

@@ -153,31 +153,34 @@ def _polyline_length(c):
 
 
 def _check_closed_oriented(t):
-    """Every edge shared by exactly two triangles, with opposite directions."""
-    edges = {}
-    for tri in t:
-        for i in range(3):
-            e = (int(tri[i]), int(tri[(i + 1) % 3]))
-            if e in edges:
-                raise GeometryError("surface is not consistently oriented "
-                                    f"(directed edge {e} repeated)")
-            edges[e] = edges.get(e, 0) + 1
-    for (a, b) in edges:
-        if (b, a) not in edges:
-            raise GeometryError(f"surface is not closed (edge {(a, b)} unmatched)")
+    """Every edge shared by exactly two triangles, with opposite directions:
+    no directed edge repeats, and the reversed edges are the same set."""
+    ends = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)        # ab, bc, ca per triangle
+    n = int(t.max(initial=0)) + 1
+    keys = ends[:, 0] * n + ends[:, 1]
+    unique, first = np.unique(keys, return_index=True)
+    if unique.size < keys.size:
+        repeated = np.ones(keys.size, dtype=bool)
+        repeated[first] = False
+        e = tuple(ends[np.argmax(repeated)].tolist())
+        raise GeometryError("surface is not consistently oriented "
+                            f"(directed edge {e} repeated)")
+    reverse = ends[:, 1] * n + ends[:, 0]
+    if not np.array_equal(unique, np.sort(reverse)):
+        e = tuple(ends[np.argmax(~np.isin(reverse, unique))].tolist())
+        raise GeometryError(f"surface is not closed (edge {e} unmatched)")
 
 
 def _vertex_components(n_vertices, t):
     rows = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
     cols = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
     g = sp.coo_matrix((np.ones_like(rows), (rows, cols)), shape=(n_vertices, n_vertices))
-    n, labels = connected_components(g, directed=False)
+    _, labels = connected_components(g, directed=False)
     # relabel in order of first appearance so component indices are stable
-    order = {}
-    for lab in labels:
-        if lab not in order:
-            order[lab] = len(order)
-    return np.array([order[lab] for lab in labels])
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[labels]
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +410,28 @@ def arpack_start(size):
     return np.random.default_rng(0).standard_normal(size)
 
 
+def _count_below(S, M, cut):
+    """Eigenvalues of S x = mu M x below ``cut`` (S, M symmetric, M > 0), by
+    Sylvester's law of inertia: with diagonal pivots in a symmetric order,
+    S - cut M = P L D L^t P^t and the count is that of the negative D."""
+    lu = spla.splu((S - cut * M).tocsc(), permc_spec="COLAMD",
+                   diag_pivot_thresh=0, options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SpectrumError("inertia count needs a symmetric pivot order")
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _all_found_below(S, M, mu, N):
+    """Whether the sorted Ritz values ``mu`` hold every eigenvalue below a
+    cut in the first relative gap >= 1e-8 above mu[N-1]: a cut inside a
+    cluster would count copies that were rightly left out."""
+    gap = np.flatnonzero(np.diff(mu[N - 1:]) >= 1e-8 * np.abs(mu[N:]))
+    if gap.size == 0:
+        return False
+    j = N - 1 + gap[0]
+    return _count_below(S, M, 0.5 * (mu[j] + mu[j + 1])) == j + 1
+
+
 def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True):
     """Smallest-N eigenpairs of the P1 (cotangent) Laplacian on a closed surface.
 
@@ -431,14 +456,23 @@ def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True):
     S = p1_stiffness(v, t)
     M = p1_mass(t, triangle_areas(v, t), n, lumped=lumped_mass)
 
-    # headroom past N so high-multiplicity clusters are not truncated mid-way
+    # headroom past N so high-multiplicity clusters are not truncated mid-way;
+    # Lanczos can still miss copies inside a cluster, which the inertia
+    # count catches: then once more with twice the headroom
     k = min(N + max(8, N // 4), n - 2)
-    try:
-        eig = spla.eigsh(S, k=k, M=M, sigma=SURFACE_SIGMA, which="LM", tol=SURFACE_TOL,
-                         v0=arpack_start(n), return_eigenvectors=store_modes)
-    except spla.ArpackNoConvergence as err:
-        raise SpectrumError(f"eigen-solver did not converge: {err}") from err
-    mu = eig[0] if store_modes else eig
+    for k in (k, min(2 * k, n - 2)):
+        try:
+            eig = spla.eigsh(S, k=k, M=M, sigma=SURFACE_SIGMA, which="LM",
+                             tol=SURFACE_TOL, v0=arpack_start(n),
+                             return_eigenvectors=store_modes)
+        except spla.ArpackNoConvergence as err:
+            raise SpectrumError(f"eigen-solver did not converge: {err}") from err
+        mu = eig[0] if store_modes else eig
+        if _all_found_below(S, M, np.sort(mu), N):
+            break
+    else:
+        raise SpectrumError(f"the eigen-solver missed eigenvalues among the "
+                            f"smallest {N} (inertia count), also with k={k}")
     order = np.argsort(mu)[:N]
     mu = mu[order]
 

@@ -13,7 +13,7 @@ import sys
 
 from .harness import (
     RUNNER_ERROR, ConfigError, ExperimentConfig, RunManifest, apply_overrides,
-    emit_plotdata, run, validate_config,
+    emit_plotdata, run, usable_cpus, validate_config,
 )
 
 
@@ -44,7 +44,11 @@ def main(argv=None):
     config_args = argparse.ArgumentParser(add_help=False)
     config_args.add_argument("config")
     config_args.add_argument("--out", default=None, help="output directory")
-    config_args.add_argument("--workers", type=int, default=None)
+    config_args.add_argument(
+        "--workers", type=int, default=None,
+        help="processes that solve Monte Carlo samples; the worker count does "
+             "not change results (default: the config's workers, else the "
+             f"CPUs this process may use, {usable_cpus()} here)")
     config_args.add_argument("--seed", type=int, default=None)
     config_args.add_argument("--override", action="append", default=[],
                              metavar="KEY=VALUE", help="dotted-path config override")

@@ -13,7 +13,7 @@ guessing.
 
 Randomness is counter-based: the Gaussian for mode n of stream (seed, j) is
 a fixed word of a Philox stream, so coefficients are bit-identical across
-runs, truncations, and thread schedules.
+runs, truncations, and worker schedules.
 """
 
 from __future__ import annotations

@@ -54,6 +54,11 @@ class ConfigError(ValueError):
 # config
 # ---------------------------------------------------------------------------
 
+def usable_cpus():
+    """The default worker count: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -63,7 +68,7 @@ class ExperimentConfig:
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
     out_dir: str = "runs"
-    workers: int = 1
+    workers: int = field(default_factory=usable_cpus)
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self):
@@ -88,10 +93,11 @@ class ExperimentConfig:
         if not isinstance(d.get("out_dir", ""), str):
             errors.append("out_dir must be a string")
         ints = {}
-        for key, default in (("seed", 0), ("workers", 1),
-                             ("schema_version", SCHEMA_VERSION)):
+        for key in ("seed", "workers", "schema_version"):
+            if key not in d:        # the dataclass default
+                continue
             try:
-                ints[key] = int(d.get(key, default))
+                ints[key] = int(d[key])
             except (TypeError, ValueError):
                 errors.append(f"{key} must be an integer, not {d[key]!r}")
         if errors:

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,18 @@ from acouz import acoustic as ac
 from acouz import boundary as bd
 from acouz import shapes
 from acouz.multipliers import TripleProductTensor
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test that leaves a child process running, e.g. a pool that
+    was not joined; the children are ended so later tests start clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Test-only oracles: the curve midpoint grid and what is computed on it,
 single modes and point masses as coefficient vectors, geometries that only
-tests build, and the P1 element written the long way.
+tests build, the surface checks edge by edge, and the P1 element written
+the long way.
 
 The package computes every curve quantity exactly from the mode
 descriptors (component, kind, frequency) and stores no grid; these grid
@@ -12,6 +13,8 @@ gradient and dict-keyed midpoint forms here are the references for those.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from acouz import acoustic as ac
 from acouz import boundary as bd
@@ -148,6 +151,36 @@ def two_spheres(subdivisions=2, radius=1.0, spacing=4.0):
     return bd.BoundaryGeometry(dim_ambient=3,
                                vertices=np.vstack([g1.vertices, g2.vertices]),
                                triangles=np.vstack([g1.triangles, g2.triangles + n1]))
+
+
+def dict_check_closed_oriented(t):
+    """``boundary._check_closed_oriented`` edge by edge through a dict of
+    directed edges."""
+    edges = {}
+    for tri in t:
+        for i in range(3):
+            e = (int(tri[i]), int(tri[(i + 1) % 3]))
+            if e in edges:
+                raise bd.GeometryError("surface is not consistently oriented "
+                                       f"(directed edge {e} repeated)")
+            edges[e] = edges.get(e, 0) + 1
+    for (a, b) in edges:
+        if (b, a) not in edges:
+            raise bd.GeometryError(f"surface is not closed (edge {(a, b)} unmatched)")
+
+
+def dict_vertex_components(n_vertices, t):
+    """``boundary._vertex_components`` relabelled through a dict, in order
+    of first appearance."""
+    rows = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+    cols = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+    g = sp.coo_matrix((np.ones_like(rows), (rows, cols)), shape=(n_vertices, n_vertices))
+    _, labels = connected_components(g, directed=False)
+    order = {}
+    for lab in labels:
+        if lab not in order:
+            order[lab] = len(order)
+    return np.array([order[lab] for lab in labels])
 
 
 # ---------------------------------------------------------------------------

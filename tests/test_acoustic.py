@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -368,12 +370,12 @@ class TestMonteCarlo:
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         rspec = RandomImpedanceSpec(c=1.0, s=0.3)
         out = ac.monte_carlo_spectrum(mesh, spec, rspec, n_samples=3, seed0=5)
-        threaded = ac.monte_carlo_spectrum(mesh, spec, rspec, n_samples=3,
-                                           seed0=5, workers=2)
+        forked = ac.monte_carlo_spectrum(mesh, spec, rspec, n_samples=3,
+                                         seed0=5, workers=2)
         base = ac.assemble_pencil(mesh, spec)
         tensor = TripleProductTensor(spec)
         assert out["summary"]["fraction_real_spectrum"] == 1.0
-        for sample, other in zip(out["samples"], threaded["samples"], strict=True):
+        for sample, other in zip(out["samples"], forked["samples"], strict=True):
             zeta = sample_random_impedance(spec, rspec, spec.count, sample["seed"])
             Z = multiplier_impedance(impedance_coefficients(zeta), base.N_b,
                                      tensor=tensor)
@@ -382,8 +384,9 @@ class TestMonteCarlo:
             assert np.array_equal(other["eigenvalues"], sample["eigenvalues"])
 
     def test_shared_factor_under_thread_contention(self):
-        # every sample solves with the mesh's one factor of A0: one worker per
-        # sample and a short switch interval must not change a bit
+        # every sample solves with the mesh's one factor of A0, which each
+        # forked worker inherits: one process per sample, and a short switch
+        # interval in the parent that feeds them, must not change a bit
         mesh = ac.disk_mesh(0.3)
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         rspec = RandomImpedanceSpec(c=1.0, s=0.3, kernel_weights=(1.0,))
@@ -398,6 +401,55 @@ class TestMonteCarlo:
         assert threaded["summary"]["n_solved"] == 8
         for a, b in zip(serial["samples"], threaded["samples"], strict=True):
             assert np.array_equal(a["eigenvalues"], b["eigenvalues"])
+
+    @pytest.mark.parametrize("kernel_weights", [(), (1.0,)],
+                             ids=["skew", "accretive"])
+    def test_worker_count_changes_no_bit(self, kernel_weights):
+        mesh = ac.disk_mesh(0.3)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        rspec = RandomImpedanceSpec(c=1.0, s=0.3, kernel_weights=kernel_weights)
+        serial, *forked = [ac.monte_carlo_spectrum(mesh, spec, rspec, n_samples=5,
+                                                   seed0=2, workers=workers)
+                           for workers in (1, 2, 3)]
+        assert serial["summary"]["n_solved"] == 5
+        for out in forked:
+            assert out["summary"] == serial["summary"]
+            for a, b in zip(serial["samples"], out["samples"], strict=True):
+                assert a.keys() == b.keys()
+                for key in a:   # arrays and rows by their bytes, NaN included
+                    assert np.asarray(a[key]).tobytes() == np.asarray(b[key]).tobytes()
+
+    def test_pool_no_larger_than_the_sample_count(self, monkeypatch):
+        started = []
+
+        class Recording(ac.ProcessPoolExecutor):
+            def __exit__(self, *exc):
+                started.append(len(multiprocessing.active_children()))
+                return super().__exit__(*exc)
+
+        monkeypatch.setattr(ac, "ProcessPoolExecutor", Recording)
+        mesh = ac.disk_mesh(0.3)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        out = ac.monte_carlo_spectrum(mesh, spec, RandomImpedanceSpec(c=1.0, s=0.3),
+                                      n_samples=3, workers=8)
+        assert out["summary"]["n_solved"] == 3
+        [children] = started
+        assert 1 <= children <= 3
+
+    def test_sample_raising_in_a_child_is_a_failure(self, monkeypatch):
+        def raising(pencil, n_wanted=12):
+            raise RuntimeError(f"planted in process {os.getpid()}")
+
+        monkeypatch.setattr(ac, "solve_pencil", raising)
+        mesh = ac.disk_mesh(0.3)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        out = ac.monte_carlo_spectrum(mesh, spec, RandomImpedanceSpec(c=1.0, s=0.3),
+                                      n_samples=3, workers=2)
+        summary = out["summary"]
+        assert summary["n_solved"] == 0 and out["samples"] == []
+        assert [f["sample"] for f in summary["failures"]] == [0, 1, 2]
+        pids = {int(f["error"].split()[-1]) for f in summary["failures"]}
+        assert os.getpid() not in pids
 
     def test_one_factor_per_mesh(self, monkeypatch):
         calls = []

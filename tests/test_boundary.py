@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from acouz import boundary as bd
 from acouz import shapes
@@ -53,6 +54,37 @@ class TestGeometry:
         t[0] = t[0][[0, 2, 1]]
         with pytest.raises(bd.GeometryError):
             bd.BoundaryGeometry(dim_ambient=3, vertices=g.vertices, triangles=t)
+
+    @pytest.mark.parametrize("case", ["intact", "flipped", "removed",
+                                      "two_spheres"])
+    def test_edge_check_matches_dict_oracle(self, case):
+        t = shapes.icosphere(2).triangles.copy()
+        if case == "flipped":
+            t[5] = t[5][[0, 2, 1]]
+        elif case == "removed":
+            t = np.delete(t, 5, axis=0)
+        elif case == "two_spheres":
+            t = oracles.two_spheres(1).triangles
+
+        def verdict(check):
+            try:
+                check(t)
+            except bd.GeometryError as err:
+                return str(err)
+            return None
+
+        got = verdict(bd._check_closed_oriented)
+        assert got == verdict(oracles.dict_check_closed_oriented)
+        assert (got is None) == (case in ("intact", "two_spheres"))
+
+    def test_components_match_dict_oracle(self):
+        g = oracles.two_spheres(1)
+        n = g.vertices.shape[0]
+        relabel = np.random.default_rng(0).permutation(n)
+        for t in (g.triangles, relabel[g.triangles]):
+            labels = bd._vertex_components(n, t)
+            assert np.array_equal(labels, oracles.dict_vertex_components(n, t))
+            assert labels.max() == 1
 
     def test_json_roundtrip(self, tmp_path, unit_circle_geom):
         p = tmp_path / "geom.json"
@@ -156,6 +188,36 @@ class TestSurfaceSpectrum:
         assert spec.mu[0] == 0.0
         v = spec.modes[0]
         assert np.allclose(v, v[0]) and v[0] > 0
+
+    def test_keeps_every_member_of_a_cluster(self):
+        # the default Lanczos headroom on icosphere(3) returns 3 of the 4
+        # copies of one eigenvalue cluster and 3 of the 5 of the next, and
+        # fills the list from above; the inertia count asks for more
+        g = shapes.icosphere(3)
+        v, t = g.vertices, g.triangles
+        S = bd.p1_stiffness(v, t).toarray()
+        d = bd.p1_mass(t, bd.triangle_areas(v, t), v.shape[0], lumped=True).diagonal()
+        dense = np.linalg.eigvalsh(S / np.sqrt(np.outer(d, d)))[:60]
+        dense[0] = 0.0
+        spec = bd.build_surface_spectrum(g, 60, store_modes=False)
+        assert np.all(np.abs(spec.mu - dense) <= 1e-9 * np.maximum(dense, 1.0))
+
+    @pytest.mark.parametrize("store_modes", [False, True])
+    def test_missed_eigenvalue_raises(self, monkeypatch, store_modes):
+        eigsh = spla.eigsh
+
+        def dropping_one(*args, **kwargs):
+            out = eigsh(*args, **kwargs)
+            w = out[0] if kwargs["return_eigenvectors"] else out
+            keep = np.delete(np.arange(w.size), np.argsort(w)[10])
+            if kwargs["return_eigenvectors"]:
+                return w[keep], out[1][:, keep]
+            return w[keep]
+
+        monkeypatch.setattr(bd.spla, "eigsh", dropping_one)
+        with pytest.raises(bd.SpectrumError, match="inertia count"):
+            bd.build_surface_spectrum(shapes.icosphere(2), 16,
+                                      store_modes=store_modes)
 
     def test_two_spheres_two_kernel_modes(self):
         spec = bd.build_surface_spectrum(oracles.two_spheres(2), 2)

@@ -1,10 +1,12 @@
 import csv
 import json
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from acouz import acoustic as ac
 from acouz import cli, harness
 from acouz.boundary import weyl_diagnostic
 from acouz.harness import build_geometry, build_spectrum
@@ -110,6 +112,40 @@ def test_kernel_weight_count_is_one_runner_error(tmp_path):
     assert error["name"] == harness.RUNNER_ERROR
     assert error["detail"] == ("ValueError: need zero or exactly b0=2 kernel "
                                "weights, got 1")
+
+
+def test_child_that_dies_is_a_runner_error(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def dying(pencil, n_wanted=12):
+        if os.getpid() == parent:
+            raise AssertionError("a sample was solved in the parent process")
+        os._exit(7)
+
+    monkeypatch.setattr(ac, "solve_pencil", dying)
+    code, assertions = _run_cli(
+        {"experiment": "monte_carlo", "mesh": {"kind": "disk", "h": 0.3},
+         "workers": 2, "params": {"n_samples": 3, "rspec": {"c": 1.0, "s": 0.3}}},
+        tmp_path)
+    assert code == 3
+    [error] = assertions
+    assert error["name"] == harness.RUNNER_ERROR
+    assert error["detail"].startswith("BrokenProcessPool: ")
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_default_to_the_usable_cpus(monkeypatch):
+    assert (harness.ExperimentConfig.from_dict(WEYL_CIRCLE).workers
+            == len(os.sched_getaffinity(0)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    default = harness.ExperimentConfig.from_dict(WEYL_CIRCLE)
+    assert default.workers == harness.ExperimentConfig("weyl").workers == 3
+    one = harness.ExperimentConfig.from_dict({**WEYL_CIRCLE, "workers": 1})
+    assert one.workers == 1
+    assert one.content_hash() == default.content_hash()
+    assert harness.validate_config(
+        harness.ExperimentConfig.from_dict({**WEYL_CIRCLE, "workers": 0})
+    ) == ["workers must be >= 1"]
 
 
 def test_validate_rejects_bad_impedance_blocks(tmp_path):
