@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,8 +47,8 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay
 
 from .boundary import (
-    BoundaryGeometry, SpectrumError, arpack_start, curve_modes, midpoint_subdivide,
-    p1_mass, p1_stiffness, triangle_areas,
+    BoundaryGeometry, SpectrumError, arpack_start, curve_modes, forked_map,
+    midpoint_subdivide, p1_mass, p1_stiffness, triangle_areas,
 )
 from .fgf import impedance_coefficients, sample_random_impedance
 from .impedance import is_accretive, multiplier_impedance
@@ -727,19 +725,6 @@ def refinement_study(levels, z_maker=None, n_track=5, n_wanted=18, N_b=None,
     return table
 
 
-_sample = None    # the Monte Carlo sample closure of a forked worker
-
-
-def _install_sample(attempt):
-    """Worker initializer: the forked child keeps the sample closure."""
-    global _sample
-    _sample = attempt
-
-
-def _run_sample(i):
-    return _sample(i)
-
-
 def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
                          n_wanted=14, workers=1):
     """Ensemble of pencil solves over sampled random impedances.
@@ -752,14 +737,12 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
     the boundary's b0 fails every sample alike, so it raises ValueError
     before any sampling.
 
-    Every sample shares the mesh's one factor of A0.  With ``workers`` > 1
-    the samples are solved in min(workers, n_samples) processes forked after
-    that set-up: each child inherits the assembled pencil, its SuperLU
-    factor, W, S0 and the triple-product tensor, receives only sample
-    indices and returns one result dict per sample.  Results come back in
-    sample order, so the worker count does not change them.  A child that
-    dies breaks the pool, which raises; the pool is joined either way.
-    Where ``fork`` is not available the samples run serially.
+    Every sample shares the mesh's one factor of A0.  The samples are
+    solved by :func:`~acouz.boundary.forked_map` in ``workers`` processes
+    forked after that set-up: each child inherits the assembled pencil, its
+    SuperLU factor, W, S0 and the triple-product tensor, and returns one
+    result dict per sample, in sample order, so the worker count does not
+    change the results.  A child that dies breaks the pool, which raises.
     """
     rspec.check_kernel_weights(spec.b0)
     base = assemble_pencil(mesh, spec, N_b=N_b)
@@ -785,14 +768,7 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
                 "accretive": accretive,
                 "unconverged": not report.converged.all()}, None
 
-    processes = min(workers, n_samples)
-    if processes > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
-                                 initializer=_install_sample,
-                                 initargs=(attempt,)) as ex:
-            outcomes = list(ex.map(_run_sample, range(n_samples)))
-    else:
-        outcomes = list(map(attempt, range(n_samples)))
+    outcomes = forked_map(attempt, range(n_samples), workers)
     done = [r for r, _ in outcomes if r is not None]
     failures = [f for _, f in outcomes if f is not None]
     n_done = len(done)

@@ -8,10 +8,14 @@ constant mode and cos/sin pairs, each mode described by its (component,
 kind, frequency) and evaluated by :func:`curve_modes` wherever values are
 needed; a curve spectrum stores no grid.  Surface spectra use the P1
 stiffness matrix, which on a triangulated surface is the cotangent
-Laplacian, with a lumped (optionally consistent) P1 mass matrix and an
-ARPACK shift-invert solve, and store the eigenvectors at the mesh vertices
-when asked to.  The P1 stiffness, mass and midpoint subdivision here serve
-the 2-D acoustic domain as well.
+Laplacian, with a lumped (optionally consistent) P1 mass matrix, and are
+solved by spectrum slicing: the Weyl law mu_n ~ 4 pi n / area places the
+top cut, equal-width windows below it each take one ARPACK shift-invert
+solve, a Sylvester inertia count fixes how many eigenvalues every window
+must return, and the windows run side by side in forked processes
+(:func:`forked_map`).  The eigenvectors at the mesh vertices are stored
+when asked for.  The P1 stiffness, mass and midpoint subdivision here
+serve the 2-D acoustic domain as well.
 
 Scalar functions and distributions on the boundary are stored as
 coefficient vectors in the resulting orthonormal eigenbasis; the Sobolev
@@ -28,6 +32,8 @@ the pivot at t = 0.
 from __future__ import annotations
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +46,14 @@ KIND_COS = 1
 KIND_SIN = 2
 
 EIG_RESIDUAL_TOL = 1e-8
-# shift-invert point and ARPACK tolerance of the surface eigensolve
+# shift-invert point of the lowest window and ARPACK tolerance of the
+# surface eigensolve, the eigenvalues per window of a sliced surface
+# spectrum (never the worker count: results must not depend on it), and the
+# relative distance from a window cut inside which a Ritz value is ambiguous
 SURFACE_SIGMA = -1e-2
 SURFACE_TOL = 1e-10
+SURFACE_WINDOW = 64
+CUT_RTOL = 1e-8
 
 
 class GeometryError(ValueError):
@@ -410,6 +421,57 @@ def arpack_start(size):
     return np.random.default_rng(0).standard_normal(size)
 
 
+_forked = None    # (fn, items) of a forked worker
+
+
+def _install_forked(fn, items):
+    """Worker initializer: the forked child keeps fn and the items."""
+    global _forked
+    _forked = fn, items
+
+
+def _run_forked(i):
+    fn, items = _forked
+    return fn(items[i])
+
+
+def forked_map(fn, items, workers):
+    """``[fn(x) for x in items]`` in at most min(workers, len(items))
+    processes forked from this one.
+
+    The children inherit fn, the items and all they reach (closures,
+    assembled matrices, SuperLU factors), so none of these is pickled: only
+    item indices go out, and fn's results come back.  That is why the
+    children are forked, not spawned: a closure or a SuperLU factor cannot
+    be pickled.  Results are in item
+    order, so the worker count does not change them.  An exception raised
+    by fn is raised here; a child that dies breaks the pool, which raises
+    ``BrokenProcessPool``.  The children are joined either way.  With one
+    worker, or where ``fork`` is not available, the map runs serially in
+    this process.
+    """
+    items = list(items)
+    processes = min(workers, len(items))
+    if processes <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(fn, items))
+    with ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
+                             initializer=_install_forked,
+                             initargs=(fn, items)) as ex:
+        return list(ex.map(_run_forked, range(len(items))))
+
+
+def surface_truncation_cap(n_vertices):
+    """The largest truncation N a surface mesh with n_vertices supports."""
+    return n_vertices // 10
+
+
+def check_surface_truncation(N, n_vertices):
+    """Raise SpectrumError when N exceeds :func:`surface_truncation_cap`."""
+    if N > surface_truncation_cap(n_vertices):
+        raise SpectrumError(f"N={N} too large for a mesh with {n_vertices} "
+                            "vertices (need N <= vertices/10)")
+
+
 def _count_below(S, M, cut):
     """Eigenvalues of S x = mu M x below ``cut`` (S, M symmetric, M > 0), by
     Sylvester's law of inertia: with diagonal pivots in a symmetric order,
@@ -421,25 +483,76 @@ def _count_below(S, M, cut):
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _all_found_below(S, M, mu, N):
-    """Whether the sorted Ritz values ``mu`` hold every eigenvalue below a
-    cut in the first relative gap >= 1e-8 above mu[N-1]: a cut inside a
-    cluster would count copies that were rightly left out."""
-    gap = np.flatnonzero(np.diff(mu[N - 1:]) >= 1e-8 * np.abs(mu[N:]))
-    if gap.size == 0:
-        return False
-    j = N - 1 + gap[0]
-    return _count_below(S, M, 0.5 * (mu[j] + mu[j + 1])) == j + 1
+def _window_cuts(S, M, N, area):
+    """Upper cuts c_1 < ... < c_W of the windows [c_(j-1), c_j) of a sliced
+    solve, c_0 = -inf: the top cut starts at the Weyl guess 4 pi N / area
+    and grows by 10% until more than N eigenvalues lie below it; the others
+    divide [0, top] evenly, which by Weyl gives the windows about equal
+    counts, SURFACE_WINDOW each."""
+    top = 4 * np.pi * N / area
+    while (count := _count_below(S, M, top)) <= N:
+        top *= 1.1
+    W = -(-count // SURFACE_WINDOW)
+    return top * np.arange(1, W + 1) / W
 
 
-def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True):
+def _solve_window(S, M, lo, hi, store_modes):
+    """The eigenpairs with mu in [lo, hi), lo None for -inf, sorted.
+
+    The inertia counts at both cuts give their number m; one shift-invert
+    solve at the window's midpoint (SURFACE_SIGMA for the lowest window)
+    asks for m + max(8, m // 4) pairs, and once more with twice as many if
+    the window does not hold exactly m Ritz values.  A Ritz value within
+    CUT_RTOL of a cut cannot be placed against the count and raises.
+    """
+    n = S.shape[0]
+    m = _count_below(S, M, hi) - (_count_below(S, M, lo) if lo is not None else 0)
+    sigma = SURFACE_SIGMA if lo is None else 0.5 * (lo + hi)
+    cuts = (hi,) if lo is None else (lo, hi)
+    lo = -np.inf if lo is None else lo
+    k = m + max(8, m // 4)
+    for k in (min(k, n - 2), min(2 * k, n - 2)):
+        try:
+            eig = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM",
+                             tol=SURFACE_TOL, v0=arpack_start(n),
+                             return_eigenvectors=store_modes)
+        except spla.ArpackNoConvergence as err:
+            raise SpectrumError(f"eigen-solver did not converge: {err}") from err
+        mu = eig[0] if store_modes else eig
+        for cut in cuts:
+            near = np.abs(mu - cut) <= CUT_RTOL * abs(cut)
+            if near.any():
+                raise SpectrumError(f"eigenvalue {mu[near][0]!r} lies on the "
+                                    f"window cut {cut!r} (within {CUT_RTOL:g} "
+                                    "relative): the inertia count cannot place it")
+        inside = np.flatnonzero((mu >= lo) & (mu < hi))
+        if inside.size == m:
+            break
+    else:
+        raise SpectrumError(f"the eigen-solver found {inside.size} eigenvalues in "
+                            f"[{lo:g}, {hi:g}) where the inertia count has {m}, "
+                            f"also with k={k}")
+    inside = inside[np.argsort(mu[inside])]
+    return mu[inside], eig[1][:, inside] if store_modes else None
+
+
+def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True, workers=1):
     """Smallest-N eigenpairs of the P1 (cotangent) Laplacian on a closed surface.
 
-    Generalized symmetric problem S x = mu M x solved by shift-invert
-    Lanczos; eigenvectors come back M-orthonormal.  The kernel block is
-    replaced by the exact per-component indicator constants so that zero
-    modes are the nonnegative locally constant functions, and the remaining
-    modes are re-orthogonalized against them.
+    The generalized symmetric problem S x = mu M x is solved by spectrum
+    slicing.  The Weyl law places the top cut, which rises until more than
+    N eigenvalues lie below it; equal-width windows below it hold about
+    SURFACE_WINDOW eigenvalues each, however many ``workers`` there are.
+    Each window takes one shift-invert Lanczos solve and must return
+    exactly as many eigenvalues as the Sylvester inertia counts at its two
+    cuts give, else it is solved once more with twice the headroom, and then
+    ``SpectrumError`` is raised.  The windows are solved in ``workers``
+    forked processes (:func:`forked_map`); the result does not depend on
+    their number.  Eigenvectors come back M-orthonormal.  On the merged
+    pairs, the kernel block is replaced by the exact per-component
+    indicator constants so that zero modes are the nonnegative locally
+    constant functions, and the remaining modes are re-orthogonalized
+    against them.
 
     ``store_modes=False`` asks ARPACK for the eigenvalues only (no Ritz
     vectors) and returns a spectrum with ``modes`` None: mu-only work (Weyl
@@ -450,31 +563,14 @@ def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True):
         raise SpectrumError("build_surface_spectrum needs a d=3 geometry")
     v, t = geom.vertices, geom.triangles
     n = v.shape[0]
-    if N > n // 10:
-        raise SpectrumError(f"N={N} too large for a mesh with {n} vertices "
-                            "(need N <= vertices/10)")
+    check_surface_truncation(N, n)
     S = p1_stiffness(v, t)
     M = p1_mass(t, triangle_areas(v, t), n, lumped=lumped_mass)
 
-    # headroom past N so high-multiplicity clusters are not truncated mid-way;
-    # Lanczos can still miss copies inside a cluster, which the inertia
-    # count catches: then once more with twice the headroom
-    k = min(N + max(8, N // 4), n - 2)
-    for k in (k, min(2 * k, n - 2)):
-        try:
-            eig = spla.eigsh(S, k=k, M=M, sigma=SURFACE_SIGMA, which="LM",
-                             tol=SURFACE_TOL, v0=arpack_start(n),
-                             return_eigenvectors=store_modes)
-        except spla.ArpackNoConvergence as err:
-            raise SpectrumError(f"eigen-solver did not converge: {err}") from err
-        mu = eig[0] if store_modes else eig
-        if _all_found_below(S, M, np.sort(mu), N):
-            break
-    else:
-        raise SpectrumError(f"the eigen-solver missed eigenvalues among the "
-                            f"smallest {N} (inertia count), also with k={k}")
-    order = np.argsort(mu)[:N]
-    mu = mu[order]
+    cuts = _window_cuts(S, M, N, geom.component_measures.sum())
+    parts = forked_map(lambda w: _solve_window(S, M, *w, store_modes),
+                       zip([None, *cuts[:-1]], cuts), workers)
+    mu = np.concatenate([p[0] for p in parts])[:N]
 
     b0 = geom.n_components
     gap = mu[b0] if N > b0 else np.inf
@@ -486,7 +582,7 @@ def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True):
         return BoundarySpectrum(geometry=geom, count=N, mu=mu, b0=b0)
 
     # exact kernel: indicator / sqrt(area) per component, M-orthonormal
-    X = eig[1][:, order]
+    X = np.hstack([p[1] for p in parts])[:, :N]
     labels = geom._component_labels
     measures = geom.component_measures
     for j in range(min(b0, N)):

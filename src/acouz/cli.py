@@ -46,9 +46,10 @@ def main(argv=None):
     config_args.add_argument("--out", default=None, help="output directory")
     config_args.add_argument(
         "--workers", type=int, default=None,
-        help="processes that solve Monte Carlo samples; the worker count does "
-             "not change results (default: the config's workers, else the "
-             f"CPUs this process may use, {usable_cpus()} here)")
+        help="processes that solve Monte Carlo samples and surface spectrum "
+             "windows; the worker count does not change results (default: "
+             "the config's workers, else the CPUs this process may use, "
+             f"{usable_cpus()} here)")
     config_args.add_argument("--seed", type=int, default=None)
     config_args.add_argument("--override", action="append", default=[],
                              metavar="KEY=VALUE", help="dotted-path config override")

@@ -4,8 +4,10 @@ A run takes one JSON config, executes the named experiment, writes CSV/JSON
 artifacts plus a manifest with per-file checksums, and fails closed: any
 violated built-in assertion makes the run (and the CLI) report failure.
 Identical config + seed reproduce identical artifact checksums at any worker
-count: random draws come from a counter-based sampler, and every ARPACK solve
-starts from a fixed vector.
+count: random draws come from a counter-based sampler, every ARPACK solve
+starts from a fixed vector, and the workers only share out Monte Carlo
+samples and surface spectrum windows whose number the worker count never
+sets.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import shapes
 from .boundary import (
     BoundaryGeometry, SpectrumError, build_curve_spectrum, build_surface_spectrum,
-    weyl_diagnostic,
+    check_surface_truncation, surface_truncation_cap, weyl_diagnostic,
 )
 from .fgf import RandomImpedanceSpec, convergence_classifier
 from .impedance import (
@@ -167,10 +169,38 @@ def validate_config(config):
                               if isinstance(phi, dict) else phi, MULTIPLIER_KINDS)
     if config.workers < 1:
         errors.append("workers must be >= 1")
-    for key in ("s_values", "t_offsets", "truncations", "ranks"):
+    for key in ("s_values", "t_offsets", "checkpoints", "truncations", "ranks"):
         if key in config.params and not config.params[key]:
             errors.append(f"params.{key} must be non-empty")
+    if not errors and config.experiment in _TRUNCATIONS:
+        errors += _truncation_errors(config)
     return errors
+
+
+def _surface_vertices(spec):
+    """Vertex count of a surface geometry block, None for a curve: 10 4^k + 2
+    for icosphere(k), the loaded mesh for a file."""
+    if spec["kind"] == "sphere":
+        return 10 * 4 ** spec.get("subdivisions", 4) + 2
+    if spec["kind"] == "file":
+        geom = _geom_file(spec)
+        return geom.vertices.shape[0] if geom.dim_ambient == 3 else None
+    return None
+
+
+def _truncation_errors(config):
+    """The surface cap on the spectrum a geometry runner will build, checked
+    from the config before any work."""
+    try:
+        vertices = _surface_vertices(config.geometry)
+        if vertices is not None:
+            check_surface_truncation(_TRUNCATIONS[config.experiment](
+                config.params, surface_truncation_cap(vertices)), vertices)
+    except SpectrumError as err:
+        return [str(err)]
+    except (OSError, KeyError, TypeError, ValueError) as err:
+        return [f"cannot size the surface spectrum: {type(err).__name__}: {err}"]
+    return []
 
 
 def apply_overrides(config_dict, overrides):
@@ -251,13 +281,37 @@ def build_mesh(spec):
     return _mesh_kinds[spec["kind"]](spec)
 
 
-def build_spectrum(geom, N, modes=False):
-    """Boundary spectrum truncated at N: analytic and gridless on curves,
-    the cotangent FEM eigensolve on surfaces, with its Ritz vectors only
-    when ``modes`` asks for them (surface triple products need them)."""
+def build_spectrum(geom, N, modes=False, workers=1):
+    """Boundary spectrum truncated at N: analytic and gridless on curves;
+    on surfaces the cotangent FEM eigensolve, sliced into windows that
+    ``workers`` forked processes solve, with its Ritz vectors only when
+    ``modes`` asks for them (surface triple products need them)."""
     if geom.dim_ambient == 2:
         return build_curve_spectrum(geom, N)
-    return build_surface_spectrum(geom, N, store_modes=modes)
+    return build_surface_spectrum(geom, N, store_modes=modes, workers=workers)
+
+
+FGF_CHECKPOINTS = [64, 128, 256, 512, 1024, 2048, 4096]
+PROFILE_TRUNCATIONS = [256, 512]
+# The truncation N each geometry runner builds its spectrum at, from its
+# params and the largest N its geometry allows (math.inf on a curve).
+_TRUNCATIONS = {
+    "weyl": lambda p, cap: p.get("N", min(400, cap)),
+    "fgf_convergence": lambda p, cap: max(p.get("checkpoints", FGF_CHECKPOINTS)),
+    "multiplier_profile":
+        lambda p, cap: int(2.2 * max(p.get("truncations", PROFILE_TRUNCATIONS))) + 8,
+    "impedance_check": lambda p, cap: p.get("N", 128),
+}
+
+
+def _geometry_spectrum(cfg, modes=False):
+    """The geometry of a runner's config and its spectrum, at the runner's
+    truncation."""
+    geom = build_geometry(cfg.geometry)
+    cap = (surface_truncation_cap(geom.vertices.shape[0])
+           if geom.dim_ambient == 3 else math.inf)
+    N = _TRUNCATIONS[cfg.experiment](cfg.params, cap)
+    return geom, build_spectrum(geom, N, modes=modes, workers=cfg.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +409,8 @@ class _Run:
 def _run_weyl(run):
     cfg = run.config
     p = cfg.params
-    geom = build_geometry(cfg.geometry)
-    N = p.get("N", 400)
-    spec = build_spectrum(geom, N)
-    lo, hi = p.get("fit_range", [21, min(200, N)])
+    geom, spec = _geometry_spectrum(cfg)
+    lo, hi = p.get("fit_range", [21, min(200, spec.count)])
     diag = weyl_diagnostic(spec, (lo, hi))
     expect = p.get("expect_slope", 2.0 / (geom.dim_ambient - 1))
     tol = p.get("slope_tol", 0.05 if geom.dim_ambient == 2 else 0.15)
@@ -373,10 +425,8 @@ def _run_weyl(run):
 def _run_fgf(run):
     cfg = run.config
     p = cfg.params
-    geom = build_geometry(cfg.geometry)
-    checkpoints = p.get("checkpoints", [64, 128, 256, 512, 1024, 2048, 4096])
-    N = max(checkpoints)
-    spec = build_spectrum(geom, N)
+    geom, spec = _geometry_spectrum(cfg)
+    checkpoints = p.get("checkpoints", FGF_CHECKPOINTS)
     d = geom.dim_ambient
     rows, verdicts = [], []
     all_match = True
@@ -403,10 +453,8 @@ def _run_fgf(run):
 def _run_multiplier(run):
     cfg = run.config
     p = cfg.params
-    geom = build_geometry(cfg.geometry)
-    truncs = p.get("truncations", [256, 512])
-    N = int(2.2 * max(truncs)) + 8
-    spec = build_spectrum(geom, N, modes=True)
+    _, spec = _geometry_spectrum(cfg, modes=True)
+    truncs = p.get("truncations", PROFILE_TRUNCATIONS)
     tensor = TripleProductTensor(spec)
     phi = phi_from_config(spec, {"kind": "cantor", **p.get("phi", {})})
     s1, s2 = p.get("s1", 0.5), p.get("s2", 0.5)
@@ -432,9 +480,7 @@ def _run_multiplier(run):
 def _run_impedance(run):
     cfg = run.config
     p = cfg.params
-    geom = build_geometry(cfg.geometry)
-    N = p.get("N", 128)
-    spec = build_spectrum(geom, N, modes=True)
+    _, spec = _geometry_spectrum(cfg, modes=True)
     Z = impedance_from_config(spec, p["impedance"], N_trunc=p.get("N_trunc", 64))
     acc = is_accretive(Z)
     sa = selfadjointness_criterion(Z)
@@ -456,7 +502,8 @@ def _run_impedance(run):
 
 def _acoustic_setup(cfg, p):
     mesh = build_mesh(cfg.mesh)
-    return mesh, build_spectrum(mesh.boundary_geometry(), p.get("N_spec", 160))
+    return mesh, build_spectrum(mesh.boundary_geometry(), p.get("N_spec", 160),
+                                workers=cfg.workers)
 
 
 def _run_acoustic(run):

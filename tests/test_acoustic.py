@@ -422,12 +422,12 @@ class TestMonteCarlo:
     def test_pool_no_larger_than_the_sample_count(self, monkeypatch):
         started = []
 
-        class Recording(ac.ProcessPoolExecutor):
+        class Recording(bd.ProcessPoolExecutor):
             def __exit__(self, *exc):
                 started.append(len(multiprocessing.active_children()))
                 return super().__exit__(*exc)
 
-        monkeypatch.setattr(ac, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(bd, "ProcessPoolExecutor", Recording)
         mesh = ac.disk_mesh(0.3)
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         out = ac.monte_carlo_spectrum(mesh, spec, RandomImpedanceSpec(c=1.0, s=0.3),

@@ -1,7 +1,11 @@
+import functools
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from acouz import boundary as bd
@@ -170,6 +174,114 @@ class TestCurveSpectrum:
                 if spec.mode_comp[n] != j:
                     expect = np.zeros(s.size)
                 assert np.allclose(Y[n], expect, rtol=0, atol=1e-14)
+
+
+def dense_surface_eigenvalues(geom, N):
+    """The N smallest eigenvalues of S x = mu D x with the lumped mass D,
+    from the dense symmetric matrix D^-1/2 S D^-1/2."""
+    v, t = geom.vertices, geom.triangles
+    S = bd.p1_stiffness(v, t).toarray()
+    d = bd.p1_mass(t, bd.triangle_areas(v, t), v.shape[0], lumped=True).diagonal()
+    return sla.eigh(S / np.sqrt(np.outer(d, d)), eigvals_only=True,
+                    subset_by_index=[0, N - 1])
+
+
+@functools.cache
+def sliced(case, store_modes, workers):
+    """A sliced surface spectrum of the named case: icosphere(4) with N=200
+    or two_spheres(3) with N=128, each several windows deep."""
+    geom, N = {"icosphere4": (shapes.icosphere(4), 200),
+               "two_spheres3": (oracles.two_spheres(3), 128)}[case]
+    return bd.build_surface_spectrum(geom, N, store_modes=store_modes, workers=workers)
+
+
+def window_count(geom, N):
+    v, t = geom.vertices, geom.triangles
+    S = bd.p1_stiffness(v, t)
+    M = bd.p1_mass(t, bd.triangle_areas(v, t), v.shape[0], lumped=True)
+    return len(bd._window_cuts(S, M, N, geom.component_measures.sum()))
+
+
+class TestSlicedSurfaceSpectrum:
+    def test_windows_match_dense_oracle(self):
+        geom = shapes.icosphere(4)
+        assert window_count(geom, 200) >= 3
+        dense = dense_surface_eigenvalues(geom, 200)
+        dense[0] = 0.0
+        mu = sliced("icosphere4", False, 2).mu
+        assert np.all(np.abs(mu - dense) <= 1e-9 * np.maximum(dense, 1.0))
+
+    def test_two_components_kernel_in_the_lowest_window(self):
+        geom = oracles.two_spheres(3)
+        assert window_count(geom, 128) >= 2
+        spec = sliced("two_spheres3", True, 2)
+        dense = dense_surface_eigenvalues(geom, 128)
+        dense[:2] = 0.0
+        assert spec.b0 == 2 and np.array_equal(spec.mu[:2], [0.0, 0.0])
+        assert np.all(np.abs(spec.mu - dense) <= 1e-9 * np.maximum(dense, 1.0))
+        labels = geom._component_labels
+        for j, row in enumerate(spec.modes[:2]):
+            assert row.min() >= 0.0
+            assert np.array_equal(row > 0, labels == j)
+        assert np.all(spec.residuals <= bd.EIG_RESIDUAL_TOL)
+        assert oracles.gram_defect(spec) < oracles.TOL_ORTH_SURFACE
+
+    @pytest.mark.parametrize("case, store_modes", [
+        ("icosphere4", False), ("icosphere4", True), ("two_spheres3", True)])
+    def test_worker_count_changes_no_bit(self, case, store_modes):
+        serial = sliced(case, store_modes, 1)
+        for workers in (2, 3):
+            forked = sliced(case, store_modes, workers)
+            for key in ("mu", "modes", "residuals"):
+                assert (np.asarray(getattr(serial, key)).tobytes()
+                        == np.asarray(getattr(forked, key)).tobytes()), key
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_missed_eigenvalue_in_a_middle_window_raises(self, monkeypatch, workers):
+        cuts = []
+        window_cuts, eigsh = bd._window_cuts, spla.eigsh
+
+        def recording(*args):
+            cuts.extend(window_cuts(*args))
+            return np.array(cuts)
+
+        def dropping_one(*args, **kwargs):
+            w = eigsh(*args, **kwargs)
+            if kwargs["sigma"] != 0.5 * (cuts[0] + cuts[1]):
+                return w
+            return np.delete(w, np.argmin(np.abs(w - kwargs["sigma"])))
+
+        monkeypatch.setattr(bd, "_window_cuts", recording)
+        monkeypatch.setattr(bd.spla, "eigsh", dropping_one)
+        with pytest.raises(bd.SpectrumError, match="inertia count"):
+            bd.build_surface_spectrum(oracles.two_spheres(3), 128,
+                                      store_modes=False, workers=workers)
+        assert len(cuts) >= 3       # window 1 lies between two others
+
+    def test_no_convergence_in_a_child_is_a_spectrum_error(self, monkeypatch):
+        parent = os.getpid()
+        eigsh = spla.eigsh
+
+        def failing_in_children(*args, **kwargs):
+            if os.getpid() != parent:
+                raise spla.ArpackNoConvergence("planted", np.zeros(0), np.zeros((0, 0)))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(bd.spla, "eigsh", failing_in_children)
+        with pytest.raises(bd.SpectrumError, match="did not converge: .*planted"):
+            bd.build_surface_spectrum(oracles.two_spheres(3), 128, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_ritz_value_on_a_cut_raises(self, monkeypatch):
+        # a cut on an eigenvalue, up to rounding: the inertia count and the
+        # Ritz value may place it on different sides, so the solve refuses
+        geom = shapes.icosphere(3)
+        mu = bd.build_surface_spectrum(geom, 60, store_modes=False).mu
+        monkeypatch.setattr(bd, "_window_cuts", lambda *args: np.array(
+            [mu[30] * (1 + 1e-11), 1.2 * mu[-1]]))
+        with pytest.raises(bd.SpectrumError, match="lies on the window cut"):
+            bd.build_surface_spectrum(geom, 60, store_modes=False)
 
 
 class TestSurfaceSpectrum:

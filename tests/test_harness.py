@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from acouz import acoustic as ac
-from acouz import cli, harness
+from acouz import cli, harness, shapes
 from acouz.boundary import weyl_diagnostic
 from acouz.harness import build_geometry, build_spectrum
 from acouz.impedance import IMPEDANCE_KINDS, impedance_from_config
@@ -156,6 +156,62 @@ def test_validate_rejects_bad_impedance_blocks(tmp_path):
         {"experiment": "impedance_check", "geometry": {"kind": "circle"}})
     assert harness.validate_config(missing) == [
         "experiment 'impedance_check' needs params.impedance"]
+
+
+SPHERE_FILE = "sphere2.json"     # icosphere(2), 162 vertices: N <= 16
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"experiment": "weyl", "geometry": {"kind": "sphere", "subdivisions": 3},
+      "params": {"N": 400}}, "N=400 too large for a mesh with 642 vertices"),
+    ({"experiment": "fgf_convergence", "geometry": {"kind": "sphere"}},
+     "N=4096 too large for a mesh with 2562 vertices"),
+    ({"experiment": "multiplier_profile",
+      "geometry": {"kind": "sphere", "subdivisions": 3},
+      "params": {"truncations": [32, 64]}},
+     "N=148 too large for a mesh with 642 vertices"),
+    ({"experiment": "weyl", "geometry": {"kind": "file", "path": SPHERE_FILE},
+      "params": {"N": 40}}, "N=40 too large for a mesh with 162 vertices"),
+    ({"experiment": "weyl", "geometry": {"kind": "file", "path": "broken.json"}},
+     "cannot size the surface spectrum: JSONDecodeError"),
+], ids=["weyl", "fgf_default_checkpoints", "multiplier_profile", "weyl_file",
+        "unreadable_file"])
+def test_surface_truncation_rejected_before_the_run(config, message, tmp_path,
+                                                    monkeypatch, capsys):
+    # the n/10 cap of build_surface_spectrum, read from the config alone
+    monkeypatch.chdir(tmp_path)
+    shapes.icosphere(2).save_json(SPHERE_FILE)
+    (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    for command in ("validate", "run"):
+        assert cli.main([command, "config.json", "--out", "out"]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
+
+
+def test_default_sphere_weyl_runs_at_the_cap(tmp_path):
+    # N defaults to min(400, vertices/10) on a surface: 256 on icosphere(4)
+    code, assertions = _run_cli({"experiment": "weyl", "geometry": {"kind": "sphere"}},
+                                tmp_path)
+    assert code == 0, assertions
+    with open(tmp_path / "out" / "spectrum.csv") as f:
+        assert len(list(csv.DictReader(f))) == 256
+
+
+def test_worker_count_changes_no_surface_hash(tmp_path):
+    # the benchmark's weyl_sphere4 op: one window per child at two workers
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "weyl",
+                                "geometry": {"kind": "sphere", "subdivisions": 4},
+                                "params": {"N": 200}}))
+    hashes = set()
+    for workers in (1, 2):
+        out = tmp_path / str(workers)
+        assert cli.main(["run", str(path), "--seed", "3", "--workers", str(workers),
+                         "--out", str(out)]) == 0
+        hashes.add(json.loads((out / "manifest.json").read_text())["content_hash"])
+        assert multiprocessing.active_children() == []
+    assert len(hashes) == 1
 
 
 PROFILE = {"experiment": "multiplier_profile", "geometry": {"kind": "circle"},
