@@ -11,11 +11,11 @@ stiffness matrix, which on a triangulated surface is the cotangent
 Laplacian, with a lumped (optionally consistent) P1 mass matrix, and are
 solved by spectrum slicing: the Weyl law mu_n ~ 4 pi n / area places the
 top cut, equal-width windows below it each take one ARPACK shift-invert
-solve, a Sylvester inertia count fixes how many eigenvalues every window
-must return, and the windows run side by side in forked processes
-(:func:`forked_map`).  The eigenvectors at the mesh vertices are stored
-when asked for.  The P1 stiffness, mass and midpoint subdivision here
-serve the 2-D acoustic domain as well.
+solve, a Sylvester inertia count taken once per cut fixes how many
+eigenvalues every window must return, and the counts and the windows run
+in forked processes (:func:`forked_map`).  The eigenvectors at the mesh
+vertices are stored when asked for.  The P1 stiffness, mass and midpoint
+subdivision here serve the 2-D acoustic domain as well.
 
 Scalar functions and distributions on the boundary are stored as
 coefficient vectors in the resulting orthonormal eigenbasis; the Sobolev
@@ -483,33 +483,31 @@ def _count_below(S, M, cut):
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _window_cuts(S, M, N, area):
-    """Upper cuts c_1 < ... < c_W of the windows [c_(j-1), c_j) of a sliced
-    solve, c_0 = -inf: the top cut starts at the Weyl guess 4 pi N / area
-    and grows by 10% until more than N eigenvalues lie below it; the others
-    divide [0, top] evenly, which by Weyl gives the windows about equal
-    counts, SURFACE_WINDOW each."""
+def _window_cuts(S, M, N, area, workers):
+    """Cuts -inf = c_0 < ... < c_W of the windows [c_(j-1), c_j) of a sliced
+    solve, each with its inertia count, taken once: the top cut starts at the
+    Weyl guess 4 pi N / area and grows by 10% until more than N eigenvalues
+    lie below it; the others divide [0, top] evenly, about SURFACE_WINDOW
+    eigenvalues a window by Weyl, and are counted in forked processes."""
     top = 4 * np.pi * N / area
     while (count := _count_below(S, M, top)) <= N:
         top *= 1.1
     W = -(-count // SURFACE_WINDOW)
-    return top * np.arange(1, W + 1) / W
+    inner = top * np.arange(1, W) / W
+    counts = forked_map(lambda c: _count_below(S, M, c), inner, workers)
+    return np.hstack([-np.inf, inner, top]), [0, *counts, count]
 
 
-def _solve_window(S, M, lo, hi, store_modes):
-    """The eigenpairs with mu in [lo, hi), lo None for -inf, sorted.
-
-    The inertia counts at both cuts give their number m; one shift-invert
-    solve at the window's midpoint (SURFACE_SIGMA for the lowest window)
-    asks for m + max(8, m // 4) pairs, and once more with twice as many if
-    the window does not hold exactly m Ritz values.  A Ritz value within
+def _solve_window(S, M, lo, hi, m, store_modes):
+    """The m eigenpairs with mu in [lo, hi), sorted, m the difference of the
+    inertia counts at the cuts.  One shift-invert solve at the window's
+    midpoint (SURFACE_SIGMA for the lowest window, lo = -inf) asks for
+    m + max(8, m // 4) pairs, and once more with twice as many if the
+    window does not hold exactly m Ritz values.  A Ritz value within
     CUT_RTOL of a cut cannot be placed against the count and raises.
     """
     n = S.shape[0]
-    m = _count_below(S, M, hi) - (_count_below(S, M, lo) if lo is not None else 0)
-    sigma = SURFACE_SIGMA if lo is None else 0.5 * (lo + hi)
-    cuts = (hi,) if lo is None else (lo, hi)
-    lo = -np.inf if lo is None else lo
+    sigma = SURFACE_SIGMA if lo == -np.inf else 0.5 * (lo + hi)
     k = m + max(8, m // 4)
     for k in (min(k, n - 2), min(2 * k, n - 2)):
         try:
@@ -519,8 +517,8 @@ def _solve_window(S, M, lo, hi, store_modes):
         except spla.ArpackNoConvergence as err:
             raise SpectrumError(f"eigen-solver did not converge: {err}") from err
         mu = eig[0] if store_modes else eig
-        for cut in cuts:
-            near = np.abs(mu - cut) <= CUT_RTOL * abs(cut)
+        for cut in (lo, hi):
+            near = np.isclose(mu, cut, rtol=CUT_RTOL, atol=0)
             if near.any():
                 raise SpectrumError(f"eigenvalue {mu[near][0]!r} lies on the "
                                     f"window cut {cut!r} (within {CUT_RTOL:g} "
@@ -544,9 +542,9 @@ def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True, workers=
     N eigenvalues lie below it; equal-width windows below it hold about
     SURFACE_WINDOW eigenvalues each, however many ``workers`` there are.
     Each window takes one shift-invert Lanczos solve and must return
-    exactly as many eigenvalues as the Sylvester inertia counts at its two
-    cuts give, else it is solved once more with twice the headroom, and then
-    ``SpectrumError`` is raised.  The windows are solved in ``workers``
+    exactly as many eigenvalues as the Sylvester inertia counts (one per
+    cut) give, else it is solved once more with twice the headroom, and then
+    ``SpectrumError`` is raised.  Counts and windows run in ``workers``
     forked processes (:func:`forked_map`); the result does not depend on
     their number.  Eigenvectors come back M-orthonormal.  On the merged
     pairs, the kernel block is replaced by the exact per-component
@@ -567,9 +565,9 @@ def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True, workers=
     S = p1_stiffness(v, t)
     M = p1_mass(t, triangle_areas(v, t), n, lumped=lumped_mass)
 
-    cuts = _window_cuts(S, M, N, geom.component_measures.sum())
+    cuts, counts = _window_cuts(S, M, N, geom.component_measures.sum(), workers)
     parts = forked_map(lambda w: _solve_window(S, M, *w, store_modes),
-                       zip([None, *cuts[:-1]], cuts), workers)
+                       zip(cuts[:-1], cuts[1:], np.diff(counts).tolist()), workers)
     mu = np.concatenate([p[0] for p in parts])[:N]
 
     b0 = geom.n_components

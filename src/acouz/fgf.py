@@ -106,6 +106,19 @@ def _partial_sum_norms(spec, s, seeds, t, checkpoints):
     return out
 
 
+def check_classifier_schedule(seeds, checkpoints):
+    """Raise ValueError unless the doubling statistic of
+    :func:`convergence_classifier` is resolvable: at least 30 seeds, at least
+    4 doublings among the checkpoints, and a doubling as the last pair."""
+    if seeds < 30:
+        raise ValueError("need at least 30 seeds")
+    doublings = sum(1 for a, b in zip(checkpoints, checkpoints[1:]) if b == 2 * a)
+    if doublings < 4:
+        raise ValueError("need at least 4 doubling checkpoints")
+    if checkpoints[-1] != 2 * checkpoints[-2]:
+        raise ValueError("the last two checkpoints must be a doubling")
+
+
 def convergence_classifier(spec, s, t, seeds=50, checkpoints=(64, 128, 256, 512,
                                                               1024, 2048, 4096),
                            eps_conv=EPS_CONV_DEFAULT, margin=MARGIN_DEFAULT,
@@ -119,13 +132,7 @@ def convergence_classifier(spec, s, t, seeds=50, checkpoints=(64, 128, 256, 512,
     reported as indeterminate rather than silently coerced.
     """
     checkpoints = list(checkpoints)
-    if seeds < 30:
-        raise ValueError("need at least 30 seeds")
-    doublings = sum(1 for a, b in zip(checkpoints, checkpoints[1:]) if b == 2 * a)
-    if doublings < 4:
-        raise ValueError("need at least 4 doubling checkpoints")
-    if checkpoints[-1] != 2 * checkpoints[-2]:
-        raise ValueError("the last two checkpoints must be a doubling")
+    check_classifier_schedule(seeds, checkpoints)
 
     threshold = s - (spec.dim - 1) / 2.0
     ratios = [norms[-1] / norms[-2] for norms in _partial_sum_norms(

@@ -27,7 +27,7 @@ from .boundary import (
     BoundaryGeometry, SpectrumError, build_curve_spectrum, build_surface_spectrum,
     check_surface_truncation, surface_truncation_cap, weyl_diagnostic,
 )
-from .fgf import RandomImpedanceSpec, convergence_classifier
+from .fgf import RandomImpedanceSpec, check_classifier_schedule, convergence_classifier
 from .impedance import (
     IMPEDANCE_KINDS, MULTIPLIER_KINDS, cayley, impedance_from_config,
     inverse_cayley, is_accretive, phi_from_config, selfadjointness_criterion,
@@ -174,6 +174,12 @@ def validate_config(config):
             errors.append(f"params.{key} must be non-empty")
     if not errors and config.experiment in _TRUNCATIONS:
         errors += _truncation_errors(config)
+    if not errors and config.experiment == "fgf_convergence":
+        try:
+            check_classifier_schedule(config.params.get("seeds", 50), list(
+                config.params.get("checkpoints", FGF_CHECKPOINTS)))
+        except (TypeError, ValueError) as err:
+            errors.append(str(err))
     return errors
 
 

@@ -187,11 +187,17 @@ def dense_surface_eigenvalues(geom, N):
 
 
 @functools.cache
+def sliced_case(case):
+    """The named case: icosphere(4) with N=200 or two_spheres(3) with N=128,
+    each several windows deep."""
+    return {"icosphere4": (shapes.icosphere(4), 200),
+            "two_spheres3": (oracles.two_spheres(3), 128)}[case]
+
+
+@functools.cache
 def sliced(case, store_modes, workers):
-    """A sliced surface spectrum of the named case: icosphere(4) with N=200
-    or two_spheres(3) with N=128, each several windows deep."""
-    geom, N = {"icosphere4": (shapes.icosphere(4), 200),
-               "two_spheres3": (oracles.two_spheres(3), 128)}[case]
+    """A sliced surface spectrum of the named case."""
+    geom, N = sliced_case(case)
     return bd.build_surface_spectrum(geom, N, store_modes=store_modes, workers=workers)
 
 
@@ -199,7 +205,8 @@ def window_count(geom, N):
     v, t = geom.vertices, geom.triangles
     S = bd.p1_stiffness(v, t)
     M = bd.p1_mass(t, bd.triangle_areas(v, t), v.shape[0], lumped=True)
-    return len(bd._window_cuts(S, M, N, geom.component_measures.sum()))
+    cuts, _ = bd._window_cuts(S, M, N, geom.component_measures.sum(), 1)
+    return len(cuts) - 1        # cuts[0] is -inf
 
 
 class TestSlicedSurfaceSpectrum:
@@ -237,18 +244,35 @@ class TestSlicedSurfaceSpectrum:
                         == np.asarray(getattr(forked, key)).tobytes()), key
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("case", ["icosphere4", "two_spheres3"])
+    def test_every_cut_factored_once(self, monkeypatch, case):
+        # at one worker the counts run in this process, so all are recorded
+        geom, N = sliced_case(case)
+        windows = window_count(geom, N)
+        factored, count_below = [], bd._count_below
+
+        def recording(S, M, cut):
+            factored.append(cut)
+            return count_below(S, M, cut)
+
+        monkeypatch.setattr(bd, "_count_below", recording)
+        bd.build_surface_spectrum(geom, N, store_modes=False, workers=1)
+        assert len(factored) >= windows
+        assert len(factored) == len(set(factored))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_missed_eigenvalue_in_a_middle_window_raises(self, monkeypatch, workers):
         cuts = []
         window_cuts, eigsh = bd._window_cuts, spla.eigsh
 
         def recording(*args):
-            cuts.extend(window_cuts(*args))
-            return np.array(cuts)
+            out = window_cuts(*args)
+            cuts.extend(out[0])         # -inf, c_1, ..., c_W
+            return out
 
         def dropping_one(*args, **kwargs):
             w = eigsh(*args, **kwargs)
-            if kwargs["sigma"] != 0.5 * (cuts[0] + cuts[1]):
+            if kwargs["sigma"] != 0.5 * (cuts[1] + cuts[2]):
                 return w
             return np.delete(w, np.argmin(np.abs(w - kwargs["sigma"])))
 
@@ -257,7 +281,7 @@ class TestSlicedSurfaceSpectrum:
         with pytest.raises(bd.SpectrumError, match="inertia count"):
             bd.build_surface_spectrum(oracles.two_spheres(3), 128,
                                       store_modes=False, workers=workers)
-        assert len(cuts) >= 3       # window 1 lies between two others
+        assert len(cuts) >= 4       # window 1 lies between two others
 
     def test_no_convergence_in_a_child_is_a_spectrum_error(self, monkeypatch):
         parent = os.getpid()
@@ -278,8 +302,12 @@ class TestSlicedSurfaceSpectrum:
         # Ritz value may place it on different sides, so the solve refuses
         geom = shapes.icosphere(3)
         mu = bd.build_surface_spectrum(geom, 60, store_modes=False).mu
-        monkeypatch.setattr(bd, "_window_cuts", lambda *args: np.array(
-            [mu[30] * (1 + 1e-11), 1.2 * mu[-1]]))
+
+        def planted(S, M, *args):
+            cuts = np.array([-np.inf, mu[30] * (1 + 1e-11), 1.2 * mu[-1]])
+            return cuts, [0, *(bd._count_below(S, M, c) for c in cuts[1:])]
+
+        monkeypatch.setattr(bd, "_window_cuts", planted)
         with pytest.raises(bd.SpectrumError, match="lies on the window cut"):
             bd.build_surface_spectrum(geom, 60, store_modes=False)
 

@@ -189,6 +189,25 @@ def test_surface_truncation_rejected_before_the_run(config, message, tmp_path,
     assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"seeds": 10}, "need at least 30 seeds"),
+    ({"checkpoints": [64, 128, 256, 512]}, "need at least 4 doubling checkpoints"),
+    ({"checkpoints": [64, 128, 256, 512, 1024, 1500]},
+     "the last two checkpoints must be a doubling"),
+], ids=["seeds", "doublings", "last_pair"])
+def test_classifier_schedule_rejected_before_the_run(params, message, tmp_path,
+                                                     monkeypatch, capsys):
+    # the seed and doubling rules of convergence_classifier, read from the config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"experiment": "fgf_convergence", "geometry": {"kind": "circle"},
+         "params": params}))
+    for command in ("validate", "run"):
+        assert cli.main([command, "config.json", "--out", "out"]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
+
+
 def test_default_sphere_weyl_runs_at_the_cap(tmp_path):
     # N defaults to min(400, vertices/10) on a surface: 256 on icosphere(4)
     code, assertions = _run_cli({"experiment": "weyl", "geometry": {"kind": "sphere"}},
