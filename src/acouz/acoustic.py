@@ -327,6 +327,13 @@ def boundary_mass_matrix(mesh):
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
 
+def check_trace_truncation(N_b, spectrum_count):
+    """Raise SpectrumError unless the N_b trace modes lie in the boundary
+    spectrum of ``spectrum_count`` modes."""
+    if N_b > spectrum_count:
+        raise SpectrumError(f"N_b={N_b} exceeds the boundary spectrum ({spectrum_count})")
+
+
 def moment_matrix(mesh, spec, N_b):
     """T[n, k] = integral(Y_n phi_k dSigma) over boundary dofs k.
 
@@ -335,8 +342,7 @@ def moment_matrix(mesh, spec, N_b):
     All edges of a loop are evaluated at once; the hat function of vertex i
     collects the falling half of edge i and the rising half of edge i - 1.
     """
-    if N_b > spec.count:
-        raise SpectrumError(f"N_b={N_b} exceeds the boundary spectrum ({spec.count})")
+    check_trace_truncation(N_b, spec.count)
     _, _, ell = _boundary_edges(mesh)
     lengths = spec.geometry.component_lengths()
     T = np.zeros((N_b, ell.size))

@@ -31,6 +31,8 @@ STREAM_KERNEL = 1      # eta_n draws (kernel-mode law)
 
 EPS_CONV_DEFAULT = 0.01
 MARGIN_DEFAULT = 0.1
+FGF_SEEDS = 50
+FGF_CHECKPOINTS = (64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def _raw_uniforms(seed, stream, count):
@@ -50,6 +52,12 @@ def _raw_uniforms(seed, stream, count):
 def gaussian_stream(seed, count, stream=STREAM_GAUSS):
     """Standard-normal draws xi_1..xi_count of the (seed, stream) stream."""
     return ndtri(_raw_uniforms(seed, stream, count))
+
+
+def gaussian_paths(seeds, count):
+    """The draws xi_1..xi_count of every seed's Gaussian stream, one row
+    per seed."""
+    return np.array([gaussian_stream(seed, count) for seed in seeds])
 
 
 def positive_stream(seed, count, stream=STREAM_KERNEL):
@@ -85,23 +93,30 @@ def sample_fgf(spec, s, N_trunc, seed, scales=None):
     return xi * scales
 
 
-def _partial_sum_norms(spec, s, seeds, t, checkpoints):
+def _partial_sum_norms(spec, s, seeds, t, checkpoints, paths=None):
     """|S_N|_t at every checkpoint N, along one consistently extended
     realization per seed.
 
     The xi_n of a seed are drawn once for the largest checkpoint; earlier
-    checkpoints are prefixes of the same path, never redrawn.  The H^t
-    weights and the field scales are computed once for all seeds.
+    checkpoints are prefixes of the same path, never redrawn.  ``paths`` is
+    ``gaussian_paths(seeds, checkpoints[-1])`` when the caller already drew
+    them.  The H^t weights and the field scales are computed once for all
+    seeds; the scales are 0 on kernel modes, so those draws drop out.
     """
     checkpoints = list(checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     N_max = checkpoints[-1]
+    if paths is None:
+        paths = gaussian_paths(seeds, N_max)
+    if paths.shape != (len(seeds), N_max):
+        raise ValueError(f"need {len(seeds)} Gaussian paths of {N_max} draws, "
+                         f"got shape {paths.shape}")
     scales = field_scales(spec, s, N_max)
     w = ht_weights(spec, t)[:N_max]
     out = []
-    for seed in seeds:
-        acc = np.cumsum((w * sample_fgf(spec, s, N_max, seed, scales)) ** 2)
+    for xi in paths:
+        acc = np.cumsum((w * (xi * scales)) ** 2)
         out.append([float(np.sqrt(acc[N - 1])) for N in checkpoints])
     return out
 
@@ -119,24 +134,25 @@ def check_classifier_schedule(seeds, checkpoints):
         raise ValueError("the last two checkpoints must be a doubling")
 
 
-def convergence_classifier(spec, s, t, seeds=50, checkpoints=(64, 128, 256, 512,
-                                                              1024, 2048, 4096),
+def convergence_classifier(spec, s, t, seeds=FGF_SEEDS, checkpoints=FGF_CHECKPOINTS,
                            eps_conv=EPS_CONV_DEFAULT, margin=MARGIN_DEFAULT,
-                           seed0=0):
+                           seed0=0, paths=None):
     """Empirical convergence/divergence verdict for Xi_s in H^t.
 
     Converges iff the median over seeds of |S_2N|_t / |S_N|_t at the last
     doubling is <= 1 + eps_conv.  Inputs with |t - threshold| < margin sit
     inside the band where the doubling statistic cannot separate log-type
     divergence from slow convergence at any affordable truncation; they are
-    reported as indeterminate rather than silently coerced.
+    reported as indeterminate rather than silently coerced.  ``paths`` is
+    ``gaussian_paths(range(seed0, seed0 + seeds), checkpoints[-1])`` when
+    the caller classifies several (s, t) along the same draws.
     """
     checkpoints = list(checkpoints)
     check_classifier_schedule(seeds, checkpoints)
 
     threshold = s - (spec.dim - 1) / 2.0
     ratios = [norms[-1] / norms[-2] for norms in _partial_sum_norms(
-        spec, s, range(seed0, seed0 + seeds), t, checkpoints)]
+        spec, s, range(seed0, seed0 + seeds), t, checkpoints, paths)]
     median_ratio = float(np.median(ratios))
 
     # strict interior of the band, with slack so |t - threshold| == margin

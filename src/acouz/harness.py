@@ -27,7 +27,10 @@ from .boundary import (
     BoundaryGeometry, SpectrumError, build_curve_spectrum, build_surface_spectrum,
     check_surface_truncation, surface_truncation_cap, weyl_diagnostic,
 )
-from .fgf import RandomImpedanceSpec, check_classifier_schedule, convergence_classifier
+from .fgf import (
+    FGF_CHECKPOINTS, FGF_SEEDS, RandomImpedanceSpec, check_classifier_schedule,
+    convergence_classifier, gaussian_paths,
+)
 from .impedance import (
     IMPEDANCE_KINDS, MULTIPLIER_KINDS, cayley, impedance_from_config,
     inverse_cayley, is_accretive, phi_from_config, selfadjointness_criterion,
@@ -176,9 +179,16 @@ def validate_config(config):
         errors += _truncation_errors(config)
     if not errors and config.experiment == "fgf_convergence":
         try:
-            check_classifier_schedule(config.params.get("seeds", 50), list(
+            check_classifier_schedule(config.params.get("seeds", FGF_SEEDS), list(
                 config.params.get("checkpoints", FGF_CHECKPOINTS)))
         except (TypeError, ValueError) as err:
+            errors.append(str(err))
+    if (not errors and _RUNNERS[config.experiment][1] == "mesh"
+            and config.params.get("N_b") is not None):
+        try:
+            ac.check_trace_truncation(config.params["N_b"],
+                                      config.params.get("N_spec", N_SPEC))
+        except (TypeError, SpectrumError) as err:
             errors.append(str(err))
     return errors
 
@@ -297,8 +307,8 @@ def build_spectrum(geom, N, modes=False, workers=1):
     return build_surface_spectrum(geom, N, store_modes=modes, workers=workers)
 
 
-FGF_CHECKPOINTS = [64, 128, 256, 512, 1024, 2048, 4096]
 PROFILE_TRUNCATIONS = [256, 512]
+N_SPEC = 160        # boundary spectrum of the acoustic and Monte Carlo runs
 # The truncation N each geometry runner builds its spectrum at, from its
 # params and the largest N its geometry allows (math.inf on a curve).
 _TRUNCATIONS = {
@@ -433,6 +443,9 @@ def _run_fgf(run):
     p = cfg.params
     geom, spec = _geometry_spectrum(cfg)
     checkpoints = p.get("checkpoints", FGF_CHECKPOINTS)
+    seeds = p.get("seeds", FGF_SEEDS)
+    # every (s, t) cell reads the same Gaussian paths: drawn once per run
+    paths = gaussian_paths(range(cfg.seed, cfg.seed + seeds), checkpoints[-1])
     d = geom.dim_ambient
     rows, verdicts = [], []
     all_match = True
@@ -440,8 +453,9 @@ def _run_fgf(run):
         threshold = s - (d - 1) / 2.0
         for t in p.get("t_values", [threshold + off for off in
                                     p.get("t_offsets", [-0.3, -0.25, 0.25, 0.3])]):
-            r = convergence_classifier(spec, s, t, seeds=p.get("seeds", 50),
-                                       checkpoints=checkpoints, seed0=cfg.seed)
+            r = convergence_classifier(spec, s, t, seeds=seeds,
+                                       checkpoints=checkpoints, seed0=cfg.seed,
+                                       paths=paths)
             theory = "converges" if t < threshold else "diverges"
             in_band = abs(t - threshold) < r["margin"] - 1e-9
             match = True if in_band else (r["verdict"] == theory)
@@ -508,7 +522,7 @@ def _run_impedance(run):
 
 def _acoustic_setup(cfg, p):
     mesh = build_mesh(cfg.mesh)
-    return mesh, build_spectrum(mesh.boundary_geometry(), p.get("N_spec", 160),
+    return mesh, build_spectrum(mesh.boundary_geometry(), p.get("N_spec", N_SPEC),
                                 workers=cfg.workers)
 
 

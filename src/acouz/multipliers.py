@@ -8,8 +8,12 @@ In the orthonormal basis {Y_n} the truncated operator has entries
 
 with G[k, m, n] = integral(Y_k Y_m Y_n) the fully symmetric triple-product
 tensor.  On curves the products of trigonometric modes expand exactly by
-product-to-sum identities, so G carries no quadrature error; on surfaces
-the products are integrated per triangle with a degree-4 rule.
+product-to-sum identities, so G carries no quadrature error, and a Fourier
+product is a convolution: each component's compression is a constant row
+and column plus Toeplitz-plus-Hankel blocks in the real cos/sin basis,
+built from the coefficients of phi in O(N^2) without any pairwise index
+arithmetic.  On surfaces the products are integrated per triangle with a
+degree-4 rule.
 
 All norm and compactness statements are about compressions P_N M_phi P_N:
 the operator norm from H^{s1} to H^{-s2} of the compression is the largest
@@ -24,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .boundary import (
     KIND_CONST, KIND_COS, KIND_SIN,
@@ -59,11 +64,14 @@ class TripleProductTensor:
     On a curve component of length L, Y_m Y_n is exactly a sum of at most
     two modes, at the sum and the difference of the two frequencies, with
     coefficient +-1/sqrt(2L) on a cos/sin mode and 1/sqrt(L) on the
-    constant: index arithmetic on (kind, frequency), vectorised over all
-    pairs through a dense (comp, kind, freq) -> index table (-1 where a
-    mode is not stored, so such terms drop out).  Modes on different
-    components multiply to zero.  Surface spectra use a degree-4
-    quadrature on every triangle.  Immutable after construction.
+    constant.  So a compression is built one component at a time, from the
+    coefficients g_kind[f] of phi along each kind (0 where a mode is not
+    stored): the constant row and column, and three trigonometric blocks
+    cos x cos, sin x sin and cos x sin, each a Hankel matrix g[p + q] plus
+    a Toeplitz matrix g[|p - q|] (odd-signed for cos x sin), both views of
+    one vector.  Modes on different components multiply to zero.  Surface
+    spectra use a degree-4 quadrature on every triangle.  Immutable after
+    construction.
     """
 
     def __init__(self, spec: BoundarySpectrum):
@@ -84,47 +92,12 @@ class TripleProductTensor:
             lengths = spec.geometry.component_lengths()
             self._a = 1.0 / np.sqrt(lengths)          # on the component constant
             self._b = 1.0 / np.sqrt(2.0 * lengths)    # on a cos/sin mode
+            # (comp, kind, freq) -> mode index, -1 where a mode is not stored;
             # sum frequencies reach twice the largest stored one
             fmax = int(spec.mode_freq.max())
             self._index = np.full((lengths.size, 3, 2 * fmax + 1), -1, dtype=np.intp)
             self._index[spec.mode_comp, spec.mode_kind, spec.mode_freq] = \
                 np.arange(spec.count)
-
-    def _curve_terms(self, m, n):
-        """Expansion Y_m * Y_n = coef_s * Y_{k_s} + coef_d * Y_{k_d}.
-
-        For index arrays m, n returns (k_s, coef_s, k_d, coef_d): the sum
-        frequency term and the difference frequency term of every pair, with
-        k = -1 where the term is absent or its mode is not stored.
-        """
-        spec = self.spec
-        comp = spec.mode_comp[m]
-        tm, tn = spec.mode_kind[m], spec.mode_kind[n]
-        km, kn = spec.mode_freq[m], spec.mode_freq[n]
-        swap = (tm > tn) | ((tm == tn) & (km > kn))        # canonical order
-        tm, tn = np.where(swap, tn, tm), np.where(swap, tm, tn)
-        km, kn = np.where(swap, kn, km), np.where(swap, km, kn)
-        a, b = self._a[comp], self._b[comp]
-        const = tm == KIND_CONST                  # Y_const * Y_n = a Y_n
-        cos_sin = (tm == KIND_COS) & (tn == KIND_SIN)
-        equal = km == kn
-
-        # cos(j)cos(k) = [cos(j+k) + cos(j-k)]/2, sin(j)sin(k) =
-        # [cos(j-k) - cos(j+k)]/2, cos(j)sin(k) = [sin(k+j) + sin(k-j)]/2;
-        # at j = k the difference term lands on the constant mode
-        kind_s = np.where(const, tn, np.where(cos_sin, KIND_SIN, KIND_COS))
-        freq_s = np.where(const, kn, km + kn)
-        coef_s = np.where(const, a, np.where(tm == KIND_SIN, -b, b))
-        kind_d = np.where(equal, KIND_CONST, np.where(cos_sin, KIND_SIN, KIND_COS))
-        freq_d = np.where(equal, 0, np.abs(kn - km))
-        coef_d = np.where(equal, a, np.where(cos_sin & (kn < km), -b, b))
-
-        k_s = self._index[comp, kind_s, freq_s]
-        k_d = self._index[comp, kind_d, freq_d]
-        other = spec.mode_comp[n] != comp
-        k_s[other] = -1
-        k_d[other | const | (cos_sin & equal)] = -1
-        return k_s, coef_s, k_d, coef_d
 
     def contract(self, coeffs, N_trunc):
         """A[m, n] = sum_k coeffs[k] G[k, m, n] for m, n < N_trunc."""
@@ -133,26 +106,84 @@ class TripleProductTensor:
             phi_q = c @ self._qmodes[:c.size]
             Yq = self._qmodes[:N_trunc]
             return (Yq * (self._qw * phi_q)[None, :]) @ Yq.T
-        m, n = np.triu_indices(N_trunc)
-        k_s, coef_s, k_d, coef_d = self._curve_terms(m, n)
         # zero past c and in slot -1: absent terms and modes past c add nothing
         c0 = np.zeros(self.spec.count + 1, dtype=complex)
         c0[:c.size] = c
-        vals = coef_s * c0[k_s] + coef_d * c0[k_d]
         A = np.zeros((N_trunc, N_trunc), dtype=complex)
-        A[m, n] = vals
-        A[n, m] = vals      # G is symmetric in (m, n)
+        for j in range(self._a.size):
+            self._add_component(A, c0, j)
         return A
+
+    def _add_component(self, A, c0, j):
+        """Write the block of component j into A.
+
+        Every entry is coef_s * c[k_s] + coef_d * c[k_d], the sum-frequency
+        term first, as written out by product-to-sum:
+        cos(p)cos(q) = [cos(p+q) + cos(p-q)]/2,
+        sin(p)sin(q) = [cos(p-q) - cos(p+q)]/2,
+        cos(p)sin(q) = [sin(q+p) + sin(q-p)]/2;
+        at p = q the difference term lands on the constant mode (none for
+        cos x sin, whose g_sin[0] is the absent 0).  An absent term adds the
+        +0 that the coefficient times the zero slot of c0 gives.
+        """
+        N = A.shape[0]
+        # mode indices grow with the frequency within a kind, so the modes
+        # below N of a kind are its lowest frequencies, in order (1..P)
+        const, cos, sin = (ix[(ix >= 0) & (ix < N)] for ix in self._index[j])
+        a, b = self._a[j], self._b[j]
+        if const.size:      # Y_const Y_n = a Y_n: the row holds a c[n]
+            modes = np.concatenate([const, cos, sin])
+            row = a * c0[modes] + 0.0
+            A[const[0], modes] = row
+            A[modes, const[0]] = row
+        g_cos, g_sin = c0[self._index[j, KIND_COS]], c0[self._index[j, KIND_SIN]]
+        bc, bs = b * g_cos, b * g_sin
+        c_const = a * c0[self._index[j, KIND_CONST, :1]]
+        for rows, cols, h, lower, upper in ((cos, cos, bc, bc, bc),
+                                            (sin, sin, -b * g_cos, bc, bc),
+                                            (cos, sin, bs, -b * g_sin, bs)):
+            P, Q = rows.size, cols.size
+            if not (P and Q):
+                continue
+            block = _hankel_plus_toeplitz(h, lower, upper, P, Q)
+            if rows is cols:    # at p = q the difference term is c_const
+                block.flat[::P + 1] = h[2:2 * P + 1:2] + c_const
+                A[np.ix_(rows, rows)] = block
+            else:
+                A[np.ix_(rows, cols)] = block
+                A[np.ix_(cols, rows)] = block.T
+
+
+def _hankel_plus_toeplitz(h, lower, upper, P, Q):
+    """B[p, q] = h[p + q] + t(q - p) for frequencies p = 1..P, q = 1..Q, with
+    t(d) = upper[d] for d >= 0 and lower[-d] for d < 0; h, lower and upper
+    are indexed by frequency.  Both terms are views of one vector each."""
+    t = np.concatenate([lower[P - 1:0:-1], upper[:Q]])     # t(d) at d + P - 1
+    return (sliding_window_view(h[2:P + Q + 1], Q)
+            + sliding_window_view(t, Q)[::-1])
 
 
 # ---------------------------------------------------------------------------
 # multiplier matrices
 # ---------------------------------------------------------------------------
 
+def _is_real(X):
+    """X has a real dtype or an imaginary part that is exactly zero."""
+    return np.isrealobj(X) or not np.any(X.imag)
+
+
 def _real_if_exact(X):
     """X.real when the imaginary part of X is exactly zero, else X: LAPACK
     then runs in real arithmetic on real data at no loss of accuracy."""
-    return X if np.any(X.imag) else X.real
+    return X.real if _is_real(X) else X
+
+
+def _is_hermitian(X):
+    """``np.array_equal(X, X.conj().T)`` without a conjugate copy of X: the
+    real part symmetric and the imaginary part antisymmetric, exactly."""
+    if not np.array_equal(X.real, X.real.T):
+        return False
+    return _is_real(X) or np.array_equal(X.imag, -X.imag.T)
 
 
 @dataclass(frozen=True)
@@ -175,9 +206,12 @@ class MultiplierMatrix:
     N_trunc: int
 
     def weighted(self):
+        """D(-s2) A D(-s1), real when A is exactly real."""
         d1 = ht_weights(self.spectrum, -self.s1)[:self.N_trunc]
         d2 = ht_weights(self.spectrum, -self.s2)[:self.N_trunc]
-        return d2[:, None] * self.matrix * d1[None, :]
+        W = d2[:, None] * _real_if_exact(self.matrix)
+        W *= d1[None, :]
+        return W
 
     @functools.cached_property
     def singular_values(self):
@@ -187,8 +221,8 @@ class MultiplierMatrix:
         congruence D A D, Hermitian too, and its singular values are the
         absolute eigenvalues: one ``eigvalsh`` in place of an SVD.
         """
-        W = _real_if_exact(self.weighted())
-        if self.s1 == self.s2 and np.array_equal(self.matrix, self.matrix.conj().T):
+        W = self.weighted()
+        if self.s1 == self.s2 and _is_hermitian(self.matrix):
             return np.sort(np.abs(np.linalg.eigvalsh(W)))[::-1]
         return np.linalg.svd(W, compute_uv=False)
 
@@ -238,12 +272,14 @@ def hermitian_check(X, tol=None):
     of Herm(X), ``tol`` (default ``psd_tolerance(norm)``) and ``norm`` =
     ||X||_2.  The eigenvalues are taken in real arithmetic when Herm(X) is
     exactly real; ||X||_2 is read from them when X is exactly Hermitian, and
-    only a non-Hermitian X takes one singular-value solve.
+    only a non-Hermitian X takes one singular-value solve.  An exactly
+    Hermitian X is its own Hermitian part and is not copied.
     """
-    eigs = np.linalg.eigvalsh(_real_if_exact(0.5 * (X + X.conj().T)))
-    if np.array_equal(X, X.conj().T):
+    if _is_hermitian(X):
+        eigs = np.linalg.eigvalsh(_real_if_exact(X))
         norm = float(np.abs(eigs).max())
     else:
+        eigs = np.linalg.eigvalsh(_real_if_exact(0.5 * (X + X.conj().T)))
         norm = float(np.linalg.svd(_real_if_exact(X), compute_uv=False)[0])
     tol = psd_tolerance(norm) if tol is None else tol
     return {"nonneg": bool(eigs[0] >= -tol), "min_eig": float(eigs[0]),

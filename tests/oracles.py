@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from acouz import acoustic as ac
 from acouz import boundary as bd
 from acouz import shapes
-from acouz.multipliers import hermitian_check
+from acouz.multipliers import hermitian_check, psd_tolerance
 
 # Orthonormality tolerances: curve modes are exact up to quadrature, FEM
 # surface modes carry solver error.
@@ -92,6 +92,77 @@ def quadrature_contract(spec, c, N_trunc):
     grid = curve_grid(spec)
     Y = grid.modes[:N_trunc]
     return (Y * (grid.weights * grid.values(c))) @ Y.T
+
+
+def pairwise_curve_contract(tensor, coeffs, N_trunc):
+    """The curve compression of ``tensor`` entry by entry: index arithmetic
+    on (kind, frequency) over every pair m <= n, mirrored.  The byte-equality
+    reference for ``TripleProductTensor.contract``, which builds the same
+    entries as Toeplitz-plus-Hankel blocks."""
+    spec = tensor.spec
+    m, n = np.triu_indices(N_trunc)
+    comp = spec.mode_comp[m]
+    tm, tn = spec.mode_kind[m], spec.mode_kind[n]
+    km, kn = spec.mode_freq[m], spec.mode_freq[n]
+    swap = (tm > tn) | ((tm == tn) & (km > kn))        # canonical order
+    tm, tn = np.where(swap, tn, tm), np.where(swap, tm, tn)
+    km, kn = np.where(swap, kn, km), np.where(swap, km, kn)
+    a, b = tensor._a[comp], tensor._b[comp]
+    const = tm == bd.KIND_CONST               # Y_const * Y_n = a Y_n
+    cos_sin = (tm == bd.KIND_COS) & (tn == bd.KIND_SIN)
+    equal = km == kn
+
+    # Y_m * Y_n = coef_s * Y_{k_s} + coef_d * Y_{k_d}: the sum and the
+    # difference frequency term, k = -1 where absent or not stored
+    kind_s = np.where(const, tn, np.where(cos_sin, bd.KIND_SIN, bd.KIND_COS))
+    freq_s = np.where(const, kn, km + kn)
+    coef_s = np.where(const, a, np.where(tm == bd.KIND_SIN, -b, b))
+    kind_d = np.where(equal, bd.KIND_CONST,
+                      np.where(cos_sin, bd.KIND_SIN, bd.KIND_COS))
+    freq_d = np.where(equal, 0, np.abs(kn - km))
+    coef_d = np.where(equal, a, np.where(cos_sin & (kn < km), -b, b))
+    k_s = tensor._index[comp, kind_s, freq_s]
+    k_d = tensor._index[comp, kind_d, freq_d]
+    other = spec.mode_comp[n] != comp
+    k_s[other] = -1
+    k_d[other | const | (cos_sin & equal)] = -1
+
+    c = np.asarray(coeffs, dtype=complex)
+    c0 = np.zeros(spec.count + 1, dtype=complex)
+    c0[:c.size] = c
+    vals = coef_s * c0[k_s] + coef_d * c0[k_d]
+    A = np.zeros((N_trunc, N_trunc), dtype=complex)
+    A[m, n] = vals
+    A[n, m] = vals
+    return A
+
+
+def _real_if_exact(X):
+    return X if np.any(X.imag) else X.real
+
+
+def conjugate_singular_values(A):
+    """``MultiplierMatrix.singular_values`` through full complex copies:
+    the weights applied in complex arithmetic and Hermitian-ness tested
+    against ``A.matrix.conj().T``."""
+    d1 = bd.ht_weights(A.spectrum, -A.s1)[:A.N_trunc]
+    d2 = bd.ht_weights(A.spectrum, -A.s2)[:A.N_trunc]
+    W = _real_if_exact(d2[:, None] * A.matrix * d1[None, :])
+    if A.s1 == A.s2 and np.array_equal(A.matrix, A.matrix.conj().T):
+        return np.sort(np.abs(np.linalg.eigvalsh(W)))[::-1]
+    return np.linalg.svd(W, compute_uv=False)
+
+
+def conjugate_hermitian_check(X, tol=None):
+    """``hermitian_check`` through full complex copies of X.conj().T."""
+    eigs = np.linalg.eigvalsh(_real_if_exact(0.5 * (X + X.conj().T)))
+    if np.array_equal(X, X.conj().T):
+        norm = float(np.abs(eigs).max())
+    else:
+        norm = float(np.linalg.svd(_real_if_exact(X), compute_uv=False)[0])
+    tol = psd_tolerance(norm) if tol is None else tol
+    return {"nonneg": bool(eigs[0] >= -tol), "min_eig": float(eigs[0]),
+            "max_eig": float(eigs[-1]), "tol": tol, "norm": norm}
 
 
 def accretivity_integral_test(z, test_count=32, seed=0):

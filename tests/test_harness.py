@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from acouz import acoustic as ac
-from acouz import cli, harness, shapes
+from acouz import cli, fgf, harness, shapes
 from acouz.boundary import weyl_diagnostic
 from acouz.harness import build_geometry, build_spectrum
 from acouz.impedance import IMPEDANCE_KINDS, impedance_from_config
@@ -206,6 +206,67 @@ def test_classifier_schedule_rejected_before_the_run(params, message, tmp_path,
         assert cli.main([command, "config.json", "--out", "out"]) == 1
         assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("experiment", ["acoustic_spectrum", "monte_carlo"])
+def test_trace_truncation_rejected_before_the_run(experiment, tmp_path, capsys,
+                                                  monkeypatch):
+    # N_b above the boundary spectrum (N_spec, default 160), read from the config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"experiment": experiment, "mesh": {"kind": "disk", "h": 0.3},
+         "params": {"N_b": 500}}))
+    for command in ("validate", "run"):
+        assert cli.main([command, "config.json", "--out", "out"]) == 1
+        assert "N_b=500 exceeds the boundary spectrum (160)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
+
+
+def test_fgf_defaults_read_once_by_validate_and_run(tmp_path, monkeypatch):
+    # the seed count and checkpoints that validate checks are those run uses
+    checked, classified = [], []
+    schedule, classifier = harness.check_classifier_schedule, harness.convergence_classifier
+
+    def checking(seeds, checkpoints):
+        checked.append((seeds, list(checkpoints)))
+        return schedule(seeds, checkpoints)
+
+    def classifying(spec, s, t, seeds, checkpoints, **kwargs):
+        classified.append((seeds, list(checkpoints)))
+        return classifier(spec, s, t, seeds=seeds, checkpoints=checkpoints, **kwargs)
+
+    monkeypatch.setattr(harness, "check_classifier_schedule", checking)
+    monkeypatch.setattr(harness, "convergence_classifier", classifying)
+    code, assertions = _run_cli({"experiment": "fgf_convergence",
+                                 "geometry": {"kind": "circle"},
+                                 "params": {"s_values": [1.0]}}, tmp_path)
+    assert code == 0, assertions
+    defaults = (fgf.FGF_SEEDS, list(fgf.FGF_CHECKPOINTS))
+    assert checked and set(map(repr, checked)) == {repr(defaults)}
+    assert len(classified) == 4 and set(map(repr, classified)) == {repr(defaults)}
+
+
+def test_fgf_run_draws_each_path_once(tmp_path, monkeypatch):
+    # one Gaussian stream per seed for all (s, t) cells, and the ratios of
+    # a classifier that draws its own paths, byte for byte
+    config = {"experiment": "fgf_convergence", "geometry": {"kind": "circle"},
+              "seed": 7, "params": {"seeds": 30, "s_values": [1.0, 2.0]}}
+    drawn = []
+    stream = fgf.gaussian_stream
+    monkeypatch.setattr(fgf, "gaussian_stream",
+                        lambda seed, count: drawn.append(seed) or stream(seed, count))
+    code, assertions = _run_cli(config, tmp_path)
+    assert code == 0, assertions
+    assert drawn == list(range(7, 37))
+    with open(tmp_path / "out" / "ratios.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 8
+    spec = build_spectrum(build_geometry(config["geometry"]), 4096)
+    for row in rows:
+        r = fgf.convergence_classifier(spec, float(row["s"]), float(row["t"]),
+                                       seeds=30, seed0=7)
+        assert row["median_ratio"] == repr(r["median_ratio"])
+        assert row["verdict"] == r["verdict"]
 
 
 def test_default_sphere_weyl_runs_at_the_cap(tmp_path):

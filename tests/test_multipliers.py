@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -256,6 +257,48 @@ class TestNormsAndCompactness:
             mp.compactness_profile(A, [9])
 
 
+def curve_geometry(components):
+    """Closed curves of perimeters 2 pi, 3 and 5.5: the first ``components``."""
+    comps = tuple(shapes.scaled_circle_by_perimeter(perimeter).components[0] + 10.0 * j
+                  for j, perimeter in enumerate((2 * np.pi, 3.0, 5.5)[:components]))
+    return bd.BoundaryGeometry(dim_ambient=2, components=comps)
+
+
+class TestBlockContraction:
+    """The Toeplitz-plus-Hankel curve contraction against the pairwise one."""
+
+    # a spectrum holds at least one mode per component
+    @pytest.mark.parametrize("components, N", [
+        (k, N) for k in (1, 2, 3) for N in (1, 2, 3, 7, 8, 40, 41, 131) if N >= k])
+    def test_byte_equal_to_pairwise_oracle(self, components, N):
+        spec = bd.build_curve_spectrum(curve_geometry(components), N)
+        tensor = mp.TripleProductTensor(spec)
+        rng = np.random.default_rng(N)
+        short = max(1, N // 3)
+        coeffs = {"real": rng.standard_normal(N),
+                  "complex": random_coeffs(rng, N),
+                  "short_real": rng.standard_normal(short),
+                  "short_complex": random_coeffs(rng, short)}
+        for N_trunc in sorted({1, 2, 3, N // 2, N} & set(range(1, N + 1))):
+            for name, c in coeffs.items():
+                A = tensor.contract(c, N_trunc)
+                ref = oracles.pairwise_curve_contract(tensor, c, N_trunc)
+                assert A.tobytes() == ref.tobytes(), (name, N_trunc)
+
+    def test_peak_memory_of_contract(self, unit_circle_geom):
+        # the pairwise build peaked at 4.7 A.nbytes
+        spec = bd.build_curve_spectrum(unit_circle_geom, 1134)
+        tensor = mp.TripleProductTensor(spec)
+        c = mp.cantor_measure_coeffs(spec, 1 / 3).coeffs
+        tracemalloc.start()
+        try:
+            A = tensor.contract(c, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * A.nbytes
+
+
 class TestSingularValues:
     """One singular-value solve per compression, real when phi is real, and
     a symmetric eigensolve when the weighted compression is Hermitian."""
@@ -267,13 +310,13 @@ class TestSingularValues:
         A = mp.build_multiplier(cantor_400, s1, s2, N_trunc)
         sv = A.singular_values
         assert solve_calls == [("eigvalsh" if s1 == s2 else "svd", np.float64)]
-        ref = np.linalg.svd(A.weighted(), compute_uv=False)
+        ref = np.linalg.svd(A.weighted().astype(complex), compute_uv=False)
         assert np.abs(sv - ref).max() <= 1e-13 * ref[0]
 
     @pytest.mark.parametrize("N_trunc", [256, 400])
     def test_eigvalsh_path_matches_svd_at_large_truncation(self, cantor_400, N_trunc):
         A = mp.build_multiplier(cantor_400, 0.5, 0.5, N_trunc)
-        ref = np.linalg.svd(A.weighted(), compute_uv=False)
+        ref = np.linalg.svd(A.weighted().astype(complex), compute_uv=False)
         assert np.abs(A.singular_values - ref).max() <= 1e-13 * ref[0]
 
     def test_complex_phi_keeps_complex_arithmetic(self, circle_spec, circle_tensor,
@@ -312,6 +355,40 @@ class TestSingularValues:
         mp.positivity_test(mp.build_multiplier(1j * unit_mode(circle_spec, 3),
                                                0.0, 0.0, 16, tensor=circle_tensor))
         assert svd_calls == [np.complex128]
+
+
+def hermitian_kinds(rng, n=48):
+    """A real symmetric, a complex Hermitian and a non-Hermitian matrix."""
+    G = random_coeffs(rng, (n, n))
+    return {"real_symmetric": (G.real + G.real.T).astype(complex),
+            "complex_hermitian": G + G.conj().T,
+            "non_hermitian": G}
+
+
+class TestCopyFreeHermitianTest:
+    """The Hermitian test without X.conj().T gives the results of the one
+    with it, byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["real_symmetric", "complex_hermitian",
+                                      "non_hermitian"])
+    def test_matches_conjugate_path(self, circle_spec, kind):
+        X = hermitian_kinds(np.random.default_rng(11))[kind]
+        for s1, s2 in ((0.5, 0.5), (0.3, 0.8)):
+            A = mp.MultiplierMatrix(spectrum=circle_spec, matrix=X, s1=s1, s2=s2,
+                                    N_trunc=X.shape[0])
+            assert (A.singular_values.tobytes()
+                    == oracles.conjugate_singular_values(A).tobytes())
+        for Y in (X, X.real) if kind == "real_symmetric" else (X,):
+            assert repr(mp.hermitian_check(Y)) == repr(oracles.conjugate_hermitian_check(Y))
+
+    def test_one_ulp_off_is_not_hermitian(self):
+        X = hermitian_kinds(np.random.default_rng(12))["complex_hermitian"]
+        for part in ("real", "imag"):
+            Y = X.copy()
+            getattr(Y, part)[3, 5] = np.nextafter(getattr(Y, part)[3, 5], np.inf)
+            assert not mp._is_hermitian(Y)
+            assert repr(mp.hermitian_check(Y)) == repr(oracles.conjugate_hermitian_check(Y))
+        assert mp._is_hermitian(X)
 
 
 class TestPositivity:
