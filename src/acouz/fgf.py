@@ -82,36 +82,31 @@ def field_scales(spec, s, N_trunc):
     return scales
 
 
-def sample_fgf(spec, s, N_trunc, seed, scales=None):
+def sample_fgf(spec, s, N_trunc, seed):
     """Coefficients xi_n mu_n^(-s/2) of Xi_s on the first N_trunc modes of
-    ``spec``, zero on kernel modes; ``scales`` is ``field_scales(spec, s,
-    N_trunc)`` when the caller already has it."""
-    if scales is None:
-        scales = field_scales(spec, s, N_trunc)
+    ``spec``, zero on kernel modes."""
     xi = gaussian_stream(seed, N_trunc)
     xi[:spec.b0] = 0.0
-    return xi * scales
+    return xi * field_scales(spec, s, N_trunc)
 
 
-def _partial_sum_norms(spec, s, seeds, t, checkpoints, paths=None):
+def _partial_sum_norms(spec, s, paths, t, checkpoints):
     """|S_N|_t at every checkpoint N, along one consistently extended
-    realization per seed.
+    realization per row of ``paths``.
 
-    The xi_n of a seed are drawn once for the largest checkpoint; earlier
-    checkpoints are prefixes of the same path, never redrawn.  ``paths`` is
-    ``gaussian_paths(seeds, checkpoints[-1])`` when the caller already drew
-    them.  The H^t weights and the field scales are computed once for all
-    seeds; the scales are 0 on kernel modes, so those draws drop out.
+    Each row holds the xi_n of one seed up to the largest checkpoint (see
+    :func:`gaussian_paths`); earlier checkpoints are prefixes of the same
+    path, never redrawn.  The H^t weights and the field scales are computed
+    once for all rows; the scales are 0 on kernel modes, so those draws drop
+    out.
     """
     checkpoints = list(checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     N_max = checkpoints[-1]
-    if paths is None:
-        paths = gaussian_paths(seeds, N_max)
-    if paths.shape != (len(seeds), N_max):
-        raise ValueError(f"need {len(seeds)} Gaussian paths of {N_max} draws, "
-                         f"got shape {paths.shape}")
+    if np.ndim(paths) != 2 or np.shape(paths)[1] != N_max:
+        raise ValueError(f"need Gaussian paths of {N_max} draws, "
+                         f"got shape {np.shape(paths)}")
     scales = field_scales(spec, s, N_max)
     w = ht_weights(spec, t)[:N_max]
     out = []
@@ -134,25 +129,37 @@ def check_classifier_schedule(seeds, checkpoints):
         raise ValueError("the last two checkpoints must be a doubling")
 
 
-def convergence_classifier(spec, s, t, seeds=FGF_SEEDS, checkpoints=FGF_CHECKPOINTS,
+def convergence_classifier(spec, s, t, seeds=None, checkpoints=FGF_CHECKPOINTS,
                            eps_conv=EPS_CONV_DEFAULT, margin=MARGIN_DEFAULT,
-                           seed0=0, paths=None):
+                           seed0=None, paths=None):
     """Empirical convergence/divergence verdict for Xi_s in H^t.
 
     Converges iff the median over seeds of |S_2N|_t / |S_N|_t at the last
     doubling is <= 1 + eps_conv.  Inputs with |t - threshold| < margin sit
     inside the band where the doubling statistic cannot separate log-type
     divergence from slow convergence at any affordable truncation; they are
-    reported as indeterminate rather than silently coerced.  ``paths`` is
-    ``gaussian_paths(range(seed0, seed0 + seeds), checkpoints[-1])`` when
-    the caller classifies several (s, t) along the same draws.
+    reported as indeterminate rather than silently coerced.
+
+    The draws are those of ``seeds`` streams (default FGF_SEEDS) from seed
+    ``seed0`` (default 0) on, or else the rows of ``paths``, one per seed
+    and ``checkpoints[-1]`` long, when the caller classifies several (s, t)
+    along the same draws.  Give one or the other, not both.
     """
     checkpoints = list(checkpoints)
-    check_classifier_schedule(seeds, checkpoints)
+    if paths is None:
+        seeds = FGF_SEEDS if seeds is None else seeds
+        seed0 = 0 if seed0 is None else seed0
+        check_classifier_schedule(seeds, checkpoints)
+        paths = gaussian_paths(range(seed0, seed0 + seeds), checkpoints[-1])
+    elif seeds is not None or seed0 is not None:
+        raise ValueError("give either the seeds or the Gaussian paths, not both")
+    else:
+        seeds = len(paths)
+        check_classifier_schedule(seeds, checkpoints)
 
     threshold = s - (spec.dim - 1) / 2.0
-    ratios = [norms[-1] / norms[-2] for norms in _partial_sum_norms(
-        spec, s, range(seed0, seed0 + seeds), t, checkpoints, paths)]
+    ratios = [norms[-1] / norms[-2]
+              for norms in _partial_sum_norms(spec, s, paths, t, checkpoints)]
     median_ratio = float(np.median(ratios))
 
     # strict interior of the band, with slack so |t - threshold| == margin

@@ -453,8 +453,7 @@ def _run_fgf(run):
         threshold = s - (d - 1) / 2.0
         for t in p.get("t_values", [threshold + off for off in
                                     p.get("t_offsets", [-0.3, -0.25, 0.25, 0.3])]):
-            r = convergence_classifier(spec, s, t, seeds=seeds,
-                                       checkpoints=checkpoints, seed0=cfg.seed,
+            r = convergence_classifier(spec, s, t, checkpoints=checkpoints,
                                        paths=paths)
             theory = "converges" if t < threshold else "diverges"
             in_band = abs(t - threshold) < r["margin"] - 1e-9

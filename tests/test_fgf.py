@@ -96,14 +96,16 @@ class TestPartialSums:
         s, t = 1.0, 0.3
         checkpoints = [8, 16, 32, 64]
         monkeypatch.setattr(fgf, "gaussian_stream", lambda seed, count: np.ones(count))
-        [norms] = fgf._partial_sum_norms(circle_spec, s, [0], t, checkpoints)
+        [norms] = fgf._partial_sum_norms(
+            circle_spec, s, fgf.gaussian_paths([0], 64), t, checkpoints)
         w = bd.ht_weights(circle_spec, t)
         mu = circle_spec.mu
         direct = [np.sqrt(np.sum(w[1:N] ** 2 * mu[1:N] ** -s)) for N in checkpoints]
         assert np.allclose(norms, direct, rtol=1e-14)
 
     def test_path_consistency_across_checkpoints(self, deep_circle_spec):
-        [norms] = fgf._partial_sum_norms(deep_circle_spec, 1.0, [3], 0.0,
+        [norms] = fgf._partial_sum_norms(deep_circle_spec, 1.0,
+                                         fgf.gaussian_paths([3], 512), 0.0,
                                          [64, 128, 256, 512])
         one_shot = fgf.sample_fgf(deep_circle_spec, 1.0, 512, 3)
         w = bd.ht_weights(deep_circle_spec, 0.0)[:512]
@@ -113,7 +115,8 @@ class TestPartialSums:
 
     def test_checkpoint_validation(self, circle_spec):
         with pytest.raises(ValueError):
-            fgf._partial_sum_norms(circle_spec, 1.0, [0], 0.0, [32, 16])
+            fgf._partial_sum_norms(circle_spec, 1.0, fgf.gaussian_paths([0], 16),
+                                   0.0, [32, 16])
 
 
 class TestClassifier:
@@ -123,6 +126,24 @@ class TestClassifier:
         with pytest.raises(ValueError):
             fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, seeds=40,
                                        checkpoints=[64, 100, 130, 190, 200])
+
+    def test_paths_or_seeds(self, deep_circle_spec):
+        # the rows of paths are the draws of seeds from seed0, byte for byte;
+        # giving both, or paths of the wrong length, is an error
+        paths = fgf.gaussian_paths(range(4, 34), 4096)
+        drawn = fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, seeds=30,
+                                           seed0=4)
+        given = fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, paths=paths)
+        assert repr(given) == repr(drawn) and given["seeds"] == 30
+        for kwargs in ({"seeds": 30}, {"seed0": 4}):
+            with pytest.raises(ValueError, match="not both"):
+                fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, paths=paths,
+                                           **kwargs)
+        with pytest.raises(ValueError, match="need at least 30 seeds"):
+            fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, paths=paths[:20])
+        with pytest.raises(ValueError, match="4096 draws"):
+            fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0,
+                                       paths=paths[:, :2048])
 
     def test_clear_cases(self, deep_circle_spec):
         r = fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, seeds=40)

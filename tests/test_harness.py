@@ -231,9 +231,9 @@ def test_fgf_defaults_read_once_by_validate_and_run(tmp_path, monkeypatch):
         checked.append((seeds, list(checkpoints)))
         return schedule(seeds, checkpoints)
 
-    def classifying(spec, s, t, seeds, checkpoints, **kwargs):
-        classified.append((seeds, list(checkpoints)))
-        return classifier(spec, s, t, seeds=seeds, checkpoints=checkpoints, **kwargs)
+    def classifying(spec, s, t, checkpoints, paths, **kwargs):
+        classified.append((len(paths), list(checkpoints)))
+        return classifier(spec, s, t, checkpoints=checkpoints, paths=paths, **kwargs)
 
     monkeypatch.setattr(harness, "check_classifier_schedule", checking)
     monkeypatch.setattr(harness, "convergence_classifier", classifying)
