@@ -14,16 +14,16 @@ and nonlocal Z enter exactly as their Y-basis matrices:
 
 with T[n, dof] = integral(Y_n phi_dof dSigma) over the boundary.  B_Z has
 rank at most N_b and is never assembled: it is applied through its factor
-as T^t (Zhat (T x)) on the boundary dofs.  The quadratic pencil is
-linearized as
+as T^t (Zhat (T x)) on the boundary dofs.  In mu = -i lambda, P is the
+quadratic K + mu B_Z + mu^2 M, real for a real Zhat, and is linearized as
 
-    [[K, 0], [0, M]] y = lambda [[i B_Z, M], [M, 0]] y,     y = (p, lambda p),
+    [[-K, 0], [0, M]] y = mu [[B_Z, M], [M, 0]] y,     y = (p, mu p),
 
-and solved by shift-invert Arnoldi with residual certification on the
-original pencil.  The shift is purely imaginary, so P(shift) = A0 + T^t Zs T
-with A0 = K - shift^2 M real SPD and Zs = -i shift Zhat: one real LU of A0 per
-mesh serves every impedance, and Zs enters through an N_b x N_b capacitance
-matrix (Sherman-Morrison-Woodbury).
+then solved by shift-invert Arnoldi at the real shift tau = 0.6 lam_scale
+with residual certification on P.  P(i tau) = A0 + T^t (tau Zhat) T with
+A0 = K + tau^2 M real SPD: one real LU of A0 per mesh serves every
+impedance, and tau Zhat enters through an N_b x N_b capacitance matrix
+(Sherman-Morrison-Woodbury).
 
 In energy coordinates x = (a, L^t q), ||x||^2 = |a|^2 + q^H M q, the
 linearized operator A_h has Im <A_h x, x> = -q^H Herm(B_Z) q, so its
@@ -52,7 +52,7 @@ from .boundary import (
 )
 from .fgf import impedance_coefficients, sample_random_impedance
 from .impedance import is_accretive, multiplier_impedance
-from .multipliers import TripleProductTensor
+from .multipliers import TripleProductTensor, _real_if_exact
 
 RESIDUAL_TOL = 1e-8
 HALFPLANE_TOL = 1e-8     # scaled by (1 + |lambda|)
@@ -148,13 +148,19 @@ class DomainMesh:
             return cls.from_dict(json.load(f))
 
 
+def ring_size(h, radius):
+    """Vertices of a mesh ring of this radius at spacing ~h (at least 12):
+    the boundary dofs of a disk, and of each loop of an annulus."""
+    return max(12, int(round(2 * np.pi * radius / h)))
+
+
 def disk_mesh(h, radius=1.0):
     """Unstructured disk mesh: staggered concentric rings + Delaunay.
 
-    The boundary is the inscribed regular n-gon with n ~ 2 pi R / h; the
-    same polyline is the reference curve for the boundary spectrum.
+    The boundary is the inscribed regular n-gon with n = ring_size(h, R);
+    the same polyline is the reference curve for the boundary spectrum.
     """
-    n_b = max(12, int(round(2 * np.pi * radius / h)))
+    n_b = ring_size(h, radius)
     n_r = max(2, int(round(radius / h)))
     pts = [np.zeros((1, 2))]
     for j in range(1, n_r + 1):
@@ -174,7 +180,7 @@ def annulus_mesh(h, r_inner=0.5, r_outer=1.0):
     """Structured annulus mesh; boundary components: outer loop then inner."""
     if not 0 < r_inner < r_outer:
         raise MeshError("need 0 < r_inner < r_outer")
-    n_t = max(12, int(round(2 * np.pi * r_outer / h)))
+    n_t = ring_size(h, r_outer)
     n_r = max(2, int(round((r_outer - r_inner) / h)))
     radii = np.linspace(r_inner, r_outer, n_r + 1)
     th = 2 * np.pi * np.arange(n_t) / n_t
@@ -327,11 +333,14 @@ def boundary_mass_matrix(mesh):
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
 
-def check_trace_truncation(N_b, spectrum_count):
+def check_trace_truncation(N_b, spectrum_count, n_bdofs):
     """Raise SpectrumError unless the N_b trace modes lie in the boundary
-    spectrum of ``spectrum_count`` modes."""
+    spectrum of ``spectrum_count`` modes, MeshError unless they fit in the
+    ``n_bdofs`` boundary dofs."""
     if N_b > spectrum_count:
         raise SpectrumError(f"N_b={N_b} exceeds the boundary spectrum ({spectrum_count})")
+    if N_b > n_bdofs:
+        raise MeshError(f"N_b={N_b} exceeds the {n_bdofs} boundary dofs")
 
 
 def moment_matrix(mesh, spec, N_b):
@@ -342,8 +351,8 @@ def moment_matrix(mesh, spec, N_b):
     All edges of a loop are evaluated at once; the hat function of vertex i
     collects the falling half of edge i and the rising half of edge i - 1.
     """
-    check_trace_truncation(N_b, spec.count)
     _, _, ell = _boundary_edges(mesh)
+    check_trace_truncation(N_b, spec.count, ell.size)
     lengths = spec.geometry.component_lengths()
     T = np.zeros((N_b, ell.size))
     off = 0
@@ -375,8 +384,6 @@ def trace_projection(mesh, spec, N_b):
     inherits the accretivity of Zhat.
     """
     T, bdofs = moment_matrix(mesh, spec, N_b)
-    if N_b > len(bdofs):
-        raise MeshError(f"N_b={N_b} exceeds the {len(bdofs)} boundary dofs")
     Mb, _ = boundary_mass_matrix(mesh)
     G = T @ np.linalg.solve(Mb, T.T)
     gvals, gvecs = np.linalg.eigh(G)
@@ -420,7 +427,8 @@ class AcousticPencil:
 
     @property
     def shift(self):
-        """The shift-invert point 0.6i lam_scale of every solve."""
+        """The shift-invert point i tau of every solve, tau = 0.6 lam_scale:
+        ``solve_pencil`` works in mu = -i lambda at the real shift tau."""
         return 0.6j * self.lam_scale
 
     def trace_scatter(self):
@@ -558,39 +566,43 @@ def neumann_scale(pencil):
 
 
 def solve_pencil(pencil, n_wanted=12):
-    """Eigenvalues of P(lambda) nearest the shift 0.6i lam_scale, with their
-    residuals on P.  Every impedance, Z = 0 included, takes one path:
-    shift-invert Arnoldi on the linearization, since block elimination
-    gives, for y = (p, q), (A - shift B_blk)^-1 B_blk y = (x, shift x + p)
-    with x = P(shift)^-1 (i B_Z p + M (q + shift p)).  P(shift)^-1 is applied
-    by Woodbury from the pencil's shared factor of A0: with
-    Zs = -i shift Zhat and the capacitance C = I + Zs S0,
-    x = x0 - W C^-1 Zs T x0 for x0 = A0^-1 r, in real solves.  A numerically
-    singular C means P(shift) is singular: SpectrumError.  Non-converged
-    Ritz values are reported with ``converged=False``, never dropped.
+    """Eigenvalues of P(lambda) nearest the shift i tau, with their residuals
+    on P.  Every impedance, Z = 0 included, takes one path: shift-invert
+    Arnoldi at tau on the linearization A y = mu B_blk y in mu = -i lambda,
+    since block elimination gives, for y = (p, q), (A - tau B_blk)^-1 B_blk y
+    = (x, p + tau x) with x = -P(i tau)^-1 (B_Z p + M (q + tau p)).  By
+    Woodbury from the shared factor of A0, with C = I + tau Zhat S0 and
+    u = A0^-1 M (q + tau p), x = -(u + W C^-1 Zhat T (p - tau u)).  The
+    operator is real (ARPACK's dnaupd, one-column LU solves) when Zhat is,
+    and complex otherwise, with real and imaginary parts as two real
+    columns: W, T and M never meet a complex array.  A numerically singular
+    C means P(i tau) is singular: SpectrumError.  Non-converged Ritz values
+    are reported with ``converged=False``, never dropped.
     """
-    n, M, shift = pencil.n, pencil.M, pencil.shift
+    n, M, tau = pencil.n, pencil.M, pencil.shift.imag
     lu0, W, T, bdofs = pencil.shifted_lu, pencil.W, pencil.trace, pencil.bdofs
-    Zs = -1j * shift * pencil.Zhat
-    C = np.eye(pencil.N_b) + Zs @ pencil.S0
+    Zhat = _real_if_exact(pencil.Zhat)
+    C = np.eye(pencil.N_b) + tau * Zhat @ pencil.S0
     cond = np.linalg.cond(C)
     if not cond <= CAPACITANCE_COND_MAX:
         raise SpectrumError(f"P(shift) is singular: capacitance condition {cond:.2e}")
-    F = np.linalg.solve(C, Zs)
+    G = np.linalg.solve(C, Zhat)
+    dtype, k = G.dtype, G.itemsize // 8     # k real columns per vector
 
-    def solve_shifted(r):
-        x0 = lu0.solve(np.column_stack([r.real, r.imag]))
-        t = T @ x0[bdofs]
-        d = F @ (t[:, 0] + 1j * t[:, 1])
-        x = x0 - W @ np.column_stack([d.real, d.imag])    # W stays real
-        return x[:, 0] + 1j * x[:, 1]
+    def cols(v):        # (m,) of the operator's dtype as a real (m, k) view
+        return np.ascontiguousarray(v).view(float).reshape(-1, k)
+
+    def vec(X):
+        return np.ascontiguousarray(X).view(dtype).ravel()
 
     def matvec(y):
         p, q = y[:n], y[n:]
-        x = solve_shifted(1j * pencil.apply_B(p) + M @ (q + shift * p))
-        return np.concatenate([x, shift * x + p])
+        U = lu0.solve(cols(M @ (q + tau * p)))
+        c = G @ vec(T @ (cols(p)[bdofs] - tau * U[bdofs]))
+        x = -vec(U + W @ cols(c))
+        return np.concatenate([x, p + tau * x])
 
-    op = spla.LinearOperator(dtype=complex, shape=(2 * n, 2 * n), matvec=matvec)
+    op = spla.LinearOperator(dtype=dtype, shape=(2 * n, 2 * n), matvec=matvec)
     converged = True
     try:
         w, Y = spla.eigs(op, k=min(n_wanted, 2 * n - 2), which="LM",
@@ -600,7 +612,7 @@ def solve_pencil(pencil, n_wanted=12):
         converged = False
         if w.size == 0:
             raise SpectrumError("eigen-solver returned no converged pairs") from err
-    lam, X = shift + 1.0 / w, Y[:n]     # eigenvectors are (p, lambda p)
+    lam, X = 1j * (tau + 1.0 / w), Y[:n]     # eigenvectors are (p, mu p)
     res = np.linalg.norm(pencil.evaluate(lam, X), axis=0) / np.linalg.norm(X, axis=0)
     return EigenReport(eigenvalues=lam, residuals=res,
                        converged=np.full(lam.size, converged),

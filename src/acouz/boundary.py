@@ -657,6 +657,16 @@ def fractional_power_weights(spec, s, c):
 # asymptotic diagnostics
 # ---------------------------------------------------------------------------
 
+def check_fit_range(fit_range, b0, N):
+    """Raise SpectrumError unless the fit range lies inside (b0, N] and
+    spans at least 20 indices."""
+    lo, hi = fit_range
+    if lo <= b0 or hi > N:
+        raise SpectrumError("fit range must lie inside (b0, N]")
+    if hi - lo + 1 < 20:
+        raise SpectrumError("fit range too short (need >= 20 indices)")
+
+
 def weyl_diagnostic(spec, fit_range):
     """Log-log growth diagnostics of the eigenvalue sequence.
 
@@ -664,11 +674,8 @@ def weyl_diagnostic(spec, fit_range):
     (b0, N].  Returns the least-squares slope of log(mu_n) against log(n),
     plus the min/max of mu_n / n^(2/(d-1)) over the range.
     """
+    check_fit_range(fit_range, spec.b0, spec.count)
     lo, hi = fit_range
-    if lo <= spec.b0 or hi > spec.count:
-        raise SpectrumError("fit range must lie inside (b0, N]")
-    if hi - lo + 1 < 20:
-        raise SpectrumError("fit range too short (need >= 20 indices)")
     n = np.arange(lo, hi + 1, dtype=float)
     mu = spec.mu[lo - 1:hi]
     if np.any(mu <= 0):

@@ -18,14 +18,15 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import shapes
 from .boundary import (
     BoundaryGeometry, SpectrumError, build_curve_spectrum, build_surface_spectrum,
-    check_surface_truncation, surface_truncation_cap, weyl_diagnostic,
+    check_fit_range, check_surface_truncation, surface_truncation_cap,
+    weyl_diagnostic,
 )
 from .fgf import (
     FGF_CHECKPOINTS, FGF_SEEDS, RandomImpedanceSpec, check_classifier_schedule,
@@ -76,20 +77,11 @@ class ExperimentConfig:
     workers: int = field(default_factory=usable_cpus)
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self):
-        return {"schema_version": self.schema_version,
-                "experiment": self.experiment, "params": self.params,
-                "geometry": self.geometry, "mesh": self.mesh,
-                "seed": self.seed, "tolerances": self.tolerances,
-                "out_dir": self.out_dir, "workers": self.workers}
-
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ConfigError([f"config must be a JSON object, not {type(d).__name__}"])
-        known = {"schema_version", "experiment", "params", "geometry", "mesh",
-                 "seed", "tolerances", "out_dir", "workers"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError([f"unknown config keys: {sorted(unknown)}"])
         errors = [f"{key} must be a JSON object"
@@ -116,9 +108,8 @@ class ExperimentConfig:
     def canonical_json(self):
         """Experiment identity: excludes output location and worker count,
         neither of which may influence results."""
-        d = self.to_dict()
-        d.pop("out_dir", None)
-        d.pop("workers", None)
+        d = asdict(self)
+        del d["out_dir"], d["workers"]
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     def content_hash(self):
@@ -187,31 +178,39 @@ def validate_config(config):
             and config.params.get("N_b") is not None):
         try:
             ac.check_trace_truncation(config.params["N_b"],
-                                      config.params.get("N_spec", N_SPEC))
-        except (TypeError, SpectrumError) as err:
+                                      config.params.get("N_spec", N_SPEC),
+                                      _boundary_dof_count(config.mesh))
+        except (TypeError, SpectrumError, ac.MeshError) as err:
             errors.append(str(err))
+        except (OSError, KeyError, ValueError) as err:
+            errors.append(f"cannot count the boundary dofs: {type(err).__name__}: {err}")
     return errors
 
 
-def _surface_vertices(spec):
-    """Vertex count of a surface geometry block, None for a curve: 10 4^k + 2
-    for icosphere(k), the loaded mesh for a file."""
-    if spec["kind"] == "sphere":
-        return 10 * 4 ** spec.get("subdivisions", 4) + 2
+def _geometry_size(spec):
+    """Vertex count (None for a curve) and component count b0 of a geometry
+    block: 10 4^k + 2 vertices for icosphere(k), the loaded geometry for a
+    file, one component otherwise."""
     if spec["kind"] == "file":
         geom = _geom_file(spec)
-        return geom.vertices.shape[0] if geom.dim_ambient == 3 else None
-    return None
+        return (geom.vertices.shape[0] if geom.dim_ambient == 3 else None,
+                geom.n_components)
+    if spec["kind"] == "sphere":
+        return 10 * 4 ** spec.get("subdivisions", 4) + 2, 1
+    return None, 1
 
 
 def _truncation_errors(config):
-    """The surface cap on the spectrum a geometry runner will build, checked
-    from the config before any work."""
+    """The surface cap on the spectrum a geometry runner will build, and the
+    Weyl fit range inside it, checked from the config before any work."""
     try:
-        vertices = _surface_vertices(config.geometry)
+        vertices, b0 = _geometry_size(config.geometry)
+        cap = math.inf if vertices is None else surface_truncation_cap(vertices)
+        N = _TRUNCATIONS[config.experiment](config.params, cap)
         if vertices is not None:
-            check_surface_truncation(_TRUNCATIONS[config.experiment](
-                config.params, surface_truncation_cap(vertices)), vertices)
+            check_surface_truncation(N, vertices)
+        if config.experiment == "weyl":
+            check_fit_range(_fit_range(config.params, N), b0, N)
     except SpectrumError as err:
         return [str(err)]
     except (OSError, KeyError, TypeError, ValueError) as err:
@@ -297,6 +296,17 @@ def build_mesh(spec):
     return _mesh_kinds[spec["kind"]](spec)
 
 
+def _boundary_dof_count(spec):
+    """Boundary dofs of the mesh a mesh block builds: the ring sizes of a disk
+    and an annulus (two loops), the built or loaded mesh otherwise."""
+    h = spec.get("h", 0.1)
+    if spec["kind"] == "disk":
+        return ac.ring_size(h, spec.get("radius", 1.0))
+    if spec["kind"] == "annulus":
+        return 2 * ac.ring_size(h, spec.get("r_outer", 1.0))
+    return sum(len(loop) for loop in build_mesh(spec).boundary_loops)
+
+
 def build_spectrum(geom, N, modes=False, workers=1):
     """Boundary spectrum truncated at N: analytic and gridless on curves;
     on surfaces the cotangent FEM eigensolve, sliced into windows that
@@ -318,6 +328,11 @@ _TRUNCATIONS = {
         lambda p, cap: int(2.2 * max(p.get("truncations", PROFILE_TRUNCATIONS))) + 8,
     "impedance_check": lambda p, cap: p.get("N", 128),
 }
+
+
+def _fit_range(p, N):
+    """The Weyl fit range, 1-based and inclusive, of a spectrum of N modes."""
+    return p.get("fit_range", [21, min(200, N)])
 
 
 def _geometry_spectrum(cfg, modes=False):
@@ -377,22 +392,15 @@ class RunManifest:
             sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def to_dict(self):
-        return {"config_hash": self.config_hash, "version": self.version,
-                "started": self.started, "finished": self.finished,
-                "artifacts": self.artifacts, "assertions": self.assertions,
-                "passed": self.passed, "content_hash": self.content_hash()}
-
     def save(self, path):
-        _write_json(path, self.to_dict())
+        _write_json(path, {**asdict(self), "passed": self.passed,
+                           "content_hash": self.content_hash()})
 
     @classmethod
     def load(cls, path):
         with open(path) as f:
             d = json.load(f)
-        return cls(config_hash=d["config_hash"], version=d["version"],
-                   started=d["started"], finished=d["finished"],
-                   artifacts=d["artifacts"], assertions=d["assertions"])
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 class _Run:
@@ -426,7 +434,7 @@ def _run_weyl(run):
     cfg = run.config
     p = cfg.params
     geom, spec = _geometry_spectrum(cfg)
-    lo, hi = p.get("fit_range", [21, min(200, spec.count)])
+    lo, hi = _fit_range(p, spec.count)
     diag = weyl_diagnostic(spec, (lo, hi))
     expect = p.get("expect_slope", 2.0 / (geom.dim_ambient - 1))
     tol = p.get("slope_tol", 0.05 if geom.dim_ambient == 2 else 0.15)

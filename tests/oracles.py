@@ -1,7 +1,7 @@
 """Test-only oracles: the curve midpoint grid and what is computed on it,
 single modes and point masses as coefficient vectors, geometries that only
-tests build, the surface checks edge by edge, and the P1 element written
-the long way.
+tests build, the surface checks edge by edge, the P1 element written
+the long way, and the acoustic pencil solved in complex arithmetic.
 
 The package computes every curve quantity exactly from the mode
 descriptors (component, kind, frequency) and stores no grid; these grid
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from acouz import acoustic as ac
@@ -135,6 +136,40 @@ def pairwise_curve_contract(tensor, coeffs, N_trunc):
     A[m, n] = vals
     A[n, m] = vals
     return A
+
+
+def lambda_form_solve(pencil, n_wanted=12):
+    """Shift-invert Arnoldi on the linearization in lambda itself, complex
+    for every impedance: the path that ``solve_pencil`` replaced by its real
+    form in mu = -i lambda, kept as its reference.  For y = (p, q) the
+    operator is (x, shift x + p) with x = P(shift)^-1 (i B_Z p + M (q +
+    shift p)), P(shift)^-1 applied by Woodbury with Zs = -i shift Zhat, and
+    every LU solve takes the real and imaginary parts as two columns."""
+    n, M, shift = pencil.n, pencil.M, pencil.shift
+    lu0, W, T, bdofs = pencil.shifted_lu, pencil.W, pencil.trace, pencil.bdofs
+    Zs = -1j * shift * pencil.Zhat
+    F = np.linalg.solve(np.eye(pencil.N_b) + Zs @ pencil.S0, Zs)
+
+    def solve_shifted(r):
+        x0 = lu0.solve(np.column_stack([r.real, r.imag]))
+        t = T @ x0[bdofs]
+        d = F @ (t[:, 0] + 1j * t[:, 1])
+        x = x0 - W @ np.column_stack([d.real, d.imag])
+        return x[:, 0] + 1j * x[:, 1]
+
+    def matvec(y):
+        p, q = y[:n], y[n:]
+        x = solve_shifted(1j * pencil.apply_B(p) + M @ (q + shift * p))
+        return np.concatenate([x, shift * x + p])
+
+    op = spla.LinearOperator(dtype=complex, shape=(2 * n, 2 * n), matvec=matvec)
+    w, Y = spla.eigs(op, k=min(n_wanted, 2 * n - 2), which="LM",
+                     tol=ac.ARPACK_TOL, v0=bd.arpack_start(2 * n))
+    lam, X = shift + 1.0 / w, Y[:n]
+    res = np.linalg.norm(pencil.evaluate(lam, X), axis=0) / np.linalg.norm(X, axis=0)
+    return ac.EigenReport(eigenvalues=lam, residuals=res,
+                          converged=np.ones(lam.size, dtype=bool),
+                          zero_tol=ac.ZERO_TOL * pencil.lam_scale)
 
 
 def _real_if_exact(X):

@@ -2,6 +2,8 @@ import math
 import multiprocessing
 import os
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from acouz.impedance import (
 )
 from acouz.multipliers import TripleProductTensor, psd_tolerance
 
-from oracles import curve_mode_values, dict_uniform_refine, gradient_stiffness
+from oracles import (
+    curve_mode_values, dict_uniform_refine, gradient_stiffness, lambda_form_solve,
+)
 
 J1P_1 = 1.8411837813406593      # first zero of J_1': the smallest Neumann disk eigenvalue
 
@@ -39,6 +43,10 @@ def random_z(spec, N_b, kernel_weight, seed=0, sign=1.0, tensor=None):
 
 def accretive_random_z(spec, N_b):
     return random_z(spec, N_b, 1.0)
+
+
+def skew_random_z(spec, N_b):
+    return random_z(spec, N_b, 0.0)
 
 
 def per_edge_moment_matrix(mesh, spec, N_b):
@@ -495,9 +503,9 @@ class TestMonteCarlo:
 
 
 def singular_capacitance_z(pencil):
-    """Zhat = -u u^t / (0.6 lam_scale u^t S0 u): the capacitance
-    C = I + Zs S0, with Zs = -i shift Zhat = 0.6 lam_scale Zhat, maps u
-    to zero, so P(shift) is singular."""
+    """Zhat = -u u^t / (tau u^t S0 u), tau = 0.6 lam_scale: the capacitance
+    C = I + tau Zhat S0 maps u to zero, so P(shift) is singular.  Zhat is
+    real, so the solve takes the real path."""
     u = np.ones(pencil.N_b)
     Zhat = -np.outer(u, u) / (0.6 * pencil.lam_scale * (u @ pencil.S0 @ u))
     return matrix_impedance(pencil.spectrum, Zhat)
@@ -537,27 +545,34 @@ QUAD = [[0, 0], [1, 0], [1.2, 0.8], [0.1, 1]]
 
 
 class TestOneSolver:
-    # a skew Z keeps lambda = 0 a (defective) pair, so one nonzero fewer
+    # Z = 0 and a skew Z keep lambda = 0 a pair, so one nonzero fewer; zero
+    # and constant Z are real, the FGF samples complex
     @pytest.mark.parametrize("make_mesh, make_z, n_nonzero", [
+        (lambda: ac.disk_mesh(0.12), None, 12),
         (lambda: ac.disk_mesh(0.12), constant_z, 13),
         (lambda: ac.convex_polygon_mesh(QUAD, 0.08), accretive_random_z, 13),
-        (lambda: ac.disk_mesh(0.12), lambda spec, N_b: random_z(spec, N_b, 0.0), 12),
+        (lambda: ac.disk_mesh(0.12), skew_random_z, 12),
         (lambda: ac.annulus_mesh(0.12), constant_z, 13),
-    ], ids=["disk_constant", "polygon_accretive", "disk_skew", "annulus_constant"])
+    ], ids=["disk_zero", "disk_constant", "polygon_accretive", "disk_skew",
+            "annulus_constant"])
     def test_matches_block_lu(self, make_mesh, make_z, n_nonzero):
+        # the real form in mu against the complex lambda form it replaced
+        # and the assembled block LU before that
         mesh = make_mesh()
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         base = ac.assemble_pencil(mesh, spec)
-        Z = make_z(spec, base.N_b)
-        assert is_accretive(Z)["nonneg"]
+        Z = make_z and make_z(spec, base.N_b)
+        assert Z is None or is_accretive(Z)["nonneg"]
         pencil = base.with_impedance(Z)
         report = ac.solve_pencil(pencil, n_wanted=14)
-        ref = block_lu_eigenvalues(pencil, 14)
-        ref = ref[np.abs(ref) > report.zero_tol]
+        assert np.all(report.residuals <= ac.RESIDUAL_TOL)
         lam = report.certified()
-        assert lam.size == ref.size == n_nonzero
-        assert folded_distance(lam, ref) <= 1e-10
-        assert folded_distance(ref, lam) <= 1e-10
+        blk = block_lu_eigenvalues(pencil, 14)
+        for ref in (lambda_form_solve(pencil, n_wanted=14).certified(),
+                    blk[np.abs(blk) > report.zero_tol]):
+            assert lam.size == ref.size == n_nonzero
+            assert folded_distance(lam, ref) <= 1e-10
+            assert folded_distance(ref, lam) <= 1e-10
 
     @pytest.mark.parametrize("make_mesh", [lambda: ac.disk_mesh(0.12),
                                            lambda: ac.annulus_mesh(0.12)],
@@ -577,6 +592,68 @@ class TestOneSolver:
         inside = roots[roots.real < np.abs(lam).max() * (1 - 1e-6)]
         assert inside.size >= 3
         assert folded_distance(inside, lam) <= 1e-10
+
+
+class SpyFactor:
+    """The shared factor of A0, recording the right-hand sides it solves."""
+
+    def __init__(self, lu):
+        self.lu, self.rhs = lu, []
+
+    def solve(self, b):
+        self.rhs.append((b.shape, b.dtype))
+        return self.lu.solve(b)
+
+
+@pytest.fixture
+def spy_eigs(monkeypatch):
+    """Every operator ``solve_pencil`` hands to ARPACK, in call order."""
+    eigs, ops = spla.eigs, []
+
+    def spy(op, *args, **kwargs):
+        ops.append(op)
+        return eigs(op, *args, **kwargs)
+
+    monkeypatch.setattr(ac.spla, "eigs", spy)
+    return ops
+
+
+def spied_solve(pencil):
+    spy = SpyFactor(pencil.shifted_lu)
+    ac.solve_pencil(replace(pencil, shifted_lu=spy), n_wanted=10)
+    return {shape[1] for shape, _ in spy.rhs}, {dtype for _, dtype in spy.rhs}
+
+
+class TestRealForm:
+    def test_arithmetic_follows_zhat(self, spy_eigs):
+        mesh = ac.disk_mesh(0.12)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        base = ac.assemble_pencil(mesh, spec)
+        real = base.with_impedance(constant_z(spec, base.N_b))
+        assert spied_solve(real) == ({1}, {np.dtype(float)})
+        skew = base.with_impedance(skew_random_z(spec, base.N_b))
+        assert spied_solve(skew) == ({2}, {np.dtype(float)})
+        assert [op.dtype for op in spy_eigs] == [np.dtype(float), np.dtype(complex)]
+
+    def test_complex_matvec_makes_no_complex_copy_of_w(self, spy_eigs):
+        # W = A0^-1 T^t is (n, N_b): a complex copy of it would take 2 W.nbytes
+        mesh = ac.disk_mesh(0.06)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        base = ac.assemble_pencil(mesh, spec)
+        ac.solve_pencil(base.with_impedance(accretive_random_z(spec, base.N_b)),
+                        n_wanted=4)
+        op = spy_eigs[0]
+        assert op.dtype == complex
+        rng = np.random.default_rng(1)
+        y = rng.standard_normal(2 * base.n) + 1j * rng.standard_normal(2 * base.n)
+        op.matvec(y)
+        tracemalloc.start()
+        try:
+            op.matvec(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < base.W.nbytes
 
 
 class TestZeroCluster:

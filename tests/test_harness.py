@@ -222,6 +222,48 @@ def test_trace_truncation_rejected_before_the_run(experiment, tmp_path, capsys,
     assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
 
 
+ANNULUS_FILE = "annulus.json"     # two boundary components: b0 = 2
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"experiment": "weyl", "geometry": {"kind": "circle"}, "params": {"N": 30}},
+     "fit range too short"),
+    ({"experiment": "weyl", "geometry": {"kind": "circle"},
+      "params": {"N": 30, "fit_range": [21, 30]}}, "fit range too short"),
+    ({"experiment": "weyl", "geometry": {"kind": "file", "path": ANNULUS_FILE},
+      "params": {"N": 40, "fit_range": [2, 40]}}, "fit range must lie inside (b0, N]"),
+    ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
+      "params": {"N_b": 100}}, "N_b=100 exceeds the 21 boundary dofs"),
+    ({"experiment": "monte_carlo", "mesh": {"kind": "annulus", "h": 0.3},
+      "params": {"N_b": 50}}, "N_b=50 exceeds the 42 boundary dofs"),
+    ({"experiment": "acoustic_spectrum",
+      "mesh": {"kind": "polygon", "h": 0.3,
+               "corners": [[0, 0], [1, 0], [1.2, 0.8], [0.1, 1]]},
+      "params": {"N_b": 14}}, "N_b=14 exceeds the 13 boundary dofs"),
+], ids=["weyl_default_fit_range", "weyl_fit_range", "weyl_file_b0", "disk_N_b",
+        "annulus_N_b", "polygon_N_b"])
+def test_runner_preconditions_rejected_before_the_run(config, message, tmp_path,
+                                                      monkeypatch, capsys):
+    # the fit range of weyl_diagnostic and the boundary dofs of
+    # trace_projection, read from the config
+    monkeypatch.chdir(tmp_path)
+    ac.annulus_mesh(0.3).boundary_geometry().save_json(ANNULUS_FILE)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    for command in ("validate", "run"):
+        assert cli.main([command, "config.json", "--out", "out"]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "disk", "h": 0.3}, {"kind": "disk", "h": 0.07, "radius": 0.8},
+    {"kind": "annulus", "h": 0.12}, {"kind": "annulus", "h": 0.05, "r_outer": 1.5},
+])
+def test_boundary_dofs_counted_without_the_mesh(spec):
+    mesh = harness.build_mesh(spec)
+    assert harness._boundary_dof_count(spec) == len(np.concatenate(mesh.boundary_loops))
+
+
 def test_fgf_defaults_read_once_by_validate_and_run(tmp_path, monkeypatch):
     # the seed count and checkpoints that validate checks are those run uses
     checked, classified = [], []
