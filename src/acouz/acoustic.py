@@ -148,19 +148,13 @@ class DomainMesh:
             return cls.from_dict(json.load(f))
 
 
-def ring_size(h, radius):
-    """Vertices of a mesh ring of this radius at spacing ~h (at least 12):
-    the boundary dofs of a disk, and of each loop of an annulus."""
-    return max(12, int(round(2 * np.pi * radius / h)))
-
-
 def disk_mesh(h, radius=1.0):
     """Unstructured disk mesh: staggered concentric rings + Delaunay.
 
-    The boundary is the inscribed regular n-gon with n = ring_size(h, R);
-    the same polyline is the reference curve for the boundary spectrum.
+    The boundary is the inscribed regular n-gon with n ~ 2 pi R / h; the
+    same polyline is the reference curve for the boundary spectrum.
     """
-    n_b = ring_size(h, radius)
+    n_b = max(12, int(round(2 * np.pi * radius / h)))
     n_r = max(2, int(round(radius / h)))
     pts = [np.zeros((1, 2))]
     for j in range(1, n_r + 1):
@@ -180,7 +174,7 @@ def annulus_mesh(h, r_inner=0.5, r_outer=1.0):
     """Structured annulus mesh; boundary components: outer loop then inner."""
     if not 0 < r_inner < r_outer:
         raise MeshError("need 0 < r_inner < r_outer")
-    n_t = ring_size(h, r_outer)
+    n_t = max(12, int(round(2 * np.pi * r_outer / h)))
     n_r = max(2, int(round((r_outer - r_inner) / h)))
     radii = np.linspace(r_inner, r_outer, n_r + 1)
     th = 2 * np.pi * np.arange(n_t) / n_t
@@ -334,13 +328,21 @@ _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
 
 def check_trace_truncation(N_b, spectrum_count, n_bdofs):
-    """Raise SpectrumError unless the N_b trace modes lie in the boundary
-    spectrum of ``spectrum_count`` modes, MeshError unless they fit in the
-    ``n_bdofs`` boundary dofs."""
+    """Raise SpectrumError unless 1 <= N_b <= ``spectrum_count``, so that the
+    N_b trace modes lie in the boundary spectrum, MeshError unless they fit
+    in the ``n_bdofs`` boundary dofs."""
+    if N_b < 1:
+        raise SpectrumError(f"N_b={N_b} must be at least 1")
     if N_b > spectrum_count:
         raise SpectrumError(f"N_b={N_b} exceeds the boundary spectrum ({spectrum_count})")
     if N_b > n_bdofs:
         raise MeshError(f"N_b={N_b} exceeds the {n_bdofs} boundary dofs")
+
+
+def check_impedance_truncation(N_trunc, N_b):
+    """Raise SpectrumError unless N_trunc impedance modes cover N_b trace modes."""
+    if N_trunc < N_b:
+        raise SpectrumError(f"impedance truncation {N_trunc} below N_b={N_b}")
 
 
 def moment_matrix(mesh, spec, N_b):
@@ -444,8 +446,7 @@ class AcousticPencil:
         """
         if Z is None or not np.any(Z.matrix):
             return self
-        if Z.N_trunc < self.N_b:
-            raise SpectrumError(f"impedance truncation {Z.N_trunc} below N_b={self.N_b}")
+        check_impedance_truncation(Z.N_trunc, self.N_b)
         return replace(self, Zhat=Z.matrix[:self.N_b, :self.N_b])
 
     def apply_B(self, x):
@@ -576,8 +577,8 @@ def solve_pencil(pencil, n_wanted=12):
     operator is real (ARPACK's dnaupd, one-column LU solves) when Zhat is,
     and complex otherwise, with real and imaginary parts as two real
     columns: W, T and M never meet a complex array.  A numerically singular
-    C means P(i tau) is singular: SpectrumError.  Non-converged Ritz values
-    are reported with ``converged=False``, never dropped.
+    C means P(i tau) is singular: SpectrumError.  If ARPACK stops before all
+    k pairs converge, it returns only those that did, with ``converged=False``.
     """
     n, M, tau = pencil.n, pencil.M, pencil.shift.imag
     lu0, W, T, bdofs = pencil.shifted_lu, pencil.W, pencil.trace, pencil.bdofs
@@ -750,10 +751,10 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
     Per sample: zeta drawn by the counter-based sampler, mapped to boundary
     operator coefficients (field part skew, kernel part nonnegative),
     compressed to N_b modes, solved, classified.  Failures are counted and
-    the run continues; so are solved samples whose ARPACK run did not
-    converge (``n_unconverged``).  A kernel-weight count that does not match
-    the boundary's b0 fails every sample alike, so it raises ValueError
-    before any sampling.
+    the run continues; so are solved samples that keep only the pairs
+    ARPACK converged before it stopped (``n_unconverged``).  A kernel-weight
+    count that does not match the boundary's b0 fails every sample alike, so
+    it raises ValueError before any sampling.
 
     Every sample shares the mesh's one factor of A0.  The samples are
     solved by :func:`~acouz.boundary.forked_map` in ``workers`` processes

@@ -460,16 +460,23 @@ def forked_map(fn, items, workers):
         return list(ex.map(_run_forked, range(len(items))))
 
 
-def surface_truncation_cap(n_vertices):
-    """The largest truncation N a surface mesh with n_vertices supports."""
-    return n_vertices // 10
+def surface_truncation_cap(geom):
+    """The largest truncation N the boundary ``geom`` supports: a tenth of
+    the vertices of a surface mesh, unbounded on a curve."""
+    return geom.vertices.shape[0] // 10 if geom.dim_ambient == 3 else np.inf
 
 
-def check_surface_truncation(N, n_vertices):
+def check_surface_truncation(N, geom):
     """Raise SpectrumError when N exceeds :func:`surface_truncation_cap`."""
-    if N > surface_truncation_cap(n_vertices):
-        raise SpectrumError(f"N={N} too large for a mesh with {n_vertices} "
-                            "vertices (need N <= vertices/10)")
+    if N > surface_truncation_cap(geom):
+        raise SpectrumError(f"N={N} too large for a mesh with "
+                            f"{geom.vertices.shape[0]} vertices (need N <= vertices/10)")
+
+
+def check_truncation(N_trunc, count):
+    """Raise SpectrumError when N_trunc modes exceed a spectrum of count."""
+    if N_trunc > count:
+        raise SpectrumError(f"truncation {N_trunc} exceeds the spectrum ({count})")
 
 
 def _count_below(S, M, cut):
@@ -561,7 +568,7 @@ def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True, workers=
         raise SpectrumError("build_surface_spectrum needs a d=3 geometry")
     v, t = geom.vertices, geom.triangles
     n = v.shape[0]
-    check_surface_truncation(N, n)
+    check_surface_truncation(N, geom)
     S = p1_stiffness(v, t)
     M = p1_mass(t, triangle_areas(v, t), n, lumped=lumped_mass)
 

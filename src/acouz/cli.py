@@ -78,9 +78,14 @@ def main(argv=None):
         print(path)
         return 0
 
+    errors = []
     try:
         cfg = _load_config(args)
-        errors = validate_config(cfg)
+        if args.command == "validate":
+            errors = validate_config(cfg)
+        else:   # run checks the config before it writes anything
+            out_dir = args.out or cfg.run_dir()
+            manifest = run(cfg, out_dir=out_dir)
     except ConfigError as err:
         errors = err.errors
     for e in errors:
@@ -90,8 +95,6 @@ def main(argv=None):
     if args.command == "validate":
         print("ok")
         return 0
-    out_dir = args.out or cfg.run_dir()
-    manifest = run(cfg, out_dir=out_dir)
     for a in manifest.assertions:
         status = "pass" if a["passed"] else "FAIL"
         print(f"[{status}] {a['name']}: {a['detail']}")

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .boundary import SpectralFunction, SpectrumError, ht_weights
+from .boundary import SpectralFunction, SpectrumError, check_truncation, ht_weights
 
 STREAM_GAUSS = 0       # xi_n draws
 STREAM_KERNEL = 1      # eta_n draws (kernel-mode law)
@@ -72,8 +72,7 @@ def positive_stream(seed, count, stream=STREAM_KERNEL):
 
 def field_scales(spec, s, N_trunc):
     """mu_n^(-s/2) on the first N_trunc modes, zero on kernel modes."""
-    if N_trunc > spec.count:
-        raise SpectrumError(f"truncation {N_trunc} exceeds the spectrum ({spec.count})")
+    check_truncation(N_trunc, spec.count)
     b0 = spec.b0
     if N_trunc > b0 and spec.mu[b0] <= 0:
         raise SpectrumError("spectrum has no positive eigenvalues past the kernel")
@@ -94,15 +93,12 @@ def _partial_sum_norms(spec, s, paths, t, checkpoints):
     """|S_N|_t at every checkpoint N, along one consistently extended
     realization per row of ``paths``.
 
-    Each row holds the xi_n of one seed up to the largest checkpoint (see
-    :func:`gaussian_paths`); earlier checkpoints are prefixes of the same
-    path, never redrawn.  The H^t weights and the field scales are computed
-    once for all rows; the scales are 0 on kernel modes, so those draws drop
-    out.
+    Each row holds the xi_n of one seed up to the last of the increasing
+    checkpoints (see :func:`gaussian_paths`); earlier checkpoints are
+    prefixes of the same path, never redrawn.  The H^t weights and the field
+    scales are computed once for all rows; the scales are 0 on kernel modes,
+    so those draws drop out.
     """
-    checkpoints = list(checkpoints)
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
     N_max = checkpoints[-1]
     if np.ndim(paths) != 2 or np.shape(paths)[1] != N_max:
         raise ValueError(f"need Gaussian paths of {N_max} draws, "
@@ -118,10 +114,13 @@ def _partial_sum_norms(spec, s, paths, t, checkpoints):
 
 def check_classifier_schedule(seeds, checkpoints):
     """Raise ValueError unless the doubling statistic of
-    :func:`convergence_classifier` is resolvable: at least 30 seeds, at least
-    4 doublings among the checkpoints, and a doubling as the last pair."""
+    :func:`convergence_classifier` is resolvable: at least 30 seeds, strictly
+    increasing checkpoints with at least 4 doublings among them, and a
+    doubling as the last pair."""
     if seeds < 30:
         raise ValueError("need at least 30 seeds")
+    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
     doublings = sum(1 for a, b in zip(checkpoints, checkpoints[1:]) if b == 2 * a)
     if doublings < 4:
         raise ValueError("need at least 4 doubling checkpoints")
@@ -129,9 +128,8 @@ def check_classifier_schedule(seeds, checkpoints):
         raise ValueError("the last two checkpoints must be a doubling")
 
 
-def convergence_classifier(spec, s, t, seeds=None, checkpoints=FGF_CHECKPOINTS,
-                           eps_conv=EPS_CONV_DEFAULT, margin=MARGIN_DEFAULT,
-                           seed0=None, paths=None):
+def convergence_classifier(spec, s, t, paths, checkpoints=FGF_CHECKPOINTS,
+                           eps_conv=EPS_CONV_DEFAULT, margin=MARGIN_DEFAULT):
     """Empirical convergence/divergence verdict for Xi_s in H^t.
 
     Converges iff the median over seeds of |S_2N|_t / |S_N|_t at the last
@@ -140,22 +138,12 @@ def convergence_classifier(spec, s, t, seeds=None, checkpoints=FGF_CHECKPOINTS,
     divergence from slow convergence at any affordable truncation; they are
     reported as indeterminate rather than silently coerced.
 
-    The draws are those of ``seeds`` streams (default FGF_SEEDS) from seed
-    ``seed0`` (default 0) on, or else the rows of ``paths``, one per seed
-    and ``checkpoints[-1]`` long, when the caller classifies several (s, t)
-    along the same draws.  Give one or the other, not both.
+    The draws are the rows of ``paths``, one per seed and
+    ``checkpoints[-1]`` long (see :func:`gaussian_paths`), so that a caller
+    classifies several (s, t) along the same draws.
     """
     checkpoints = list(checkpoints)
-    if paths is None:
-        seeds = FGF_SEEDS if seeds is None else seeds
-        seed0 = 0 if seed0 is None else seed0
-        check_classifier_schedule(seeds, checkpoints)
-        paths = gaussian_paths(range(seed0, seed0 + seeds), checkpoints[-1])
-    elif seeds is not None or seed0 is not None:
-        raise ValueError("give either the seeds or the Gaussian paths, not both")
-    else:
-        seeds = len(paths)
-        check_classifier_schedule(seeds, checkpoints)
+    check_classifier_schedule(len(paths), checkpoints)
 
     threshold = s - (spec.dim - 1) / 2.0
     ratios = [norms[-1] / norms[-2]
@@ -177,7 +165,7 @@ def convergence_classifier(spec, s, t, seeds=None, checkpoints=FGF_CHECKPOINTS,
         "threshold": threshold,
         "eps_conv": eps_conv,
         "margin": margin,
-        "seeds": seeds,
+        "seeds": len(paths),
         "checkpoints": checkpoints,
     }
 

@@ -33,8 +33,9 @@ from .fgf import (
     convergence_classifier, gaussian_paths,
 )
 from .impedance import (
-    IMPEDANCE_KINDS, MULTIPLIER_KINDS, cayley, impedance_from_config,
-    inverse_cayley, is_accretive, phi_from_config, selfadjointness_criterion,
+    IMPEDANCE_KINDS, MULTIPLIER_KINDS, cayley, check_impedance_config,
+    impedance_from_config, inverse_cayley, is_accretive, phi_from_config,
+    selfadjointness_criterion,
 )
 from .multipliers import (
     TripleProductTensor, build_multiplier, compactness_profile, multiplier_norm,
@@ -132,8 +133,8 @@ def _phi_errors(name, block, kinds):
     return []
 
 
-def validate_config(config):
-    """All validation errors at once; empty list means runnable."""
+def _config_errors(config):
+    """The errors found in the config alone, all at once."""
     errors = []
     if config.schema_version != SCHEMA_VERSION:
         errors.append(f"unsupported schema_version {config.schema_version}")
@@ -146,12 +147,8 @@ def validate_config(config):
             errors.append(f"experiment {config.experiment!r} needs a {block} block")
     for block, builder in (("geometry", _geometry_kinds), ("mesh", _mesh_kinds)):
         spec = getattr(config, block)
-        if spec is not None:
-            kind = spec.get("kind")
-            if kind not in builder:
-                errors.append(f"{block}.kind must be one of {sorted(builder)}")
-            elif kind == "file" and not os.path.exists(spec.get("path", "")):
-                errors.append(f"{block} file {spec.get('path')!r} does not exist")
+        if spec is not None and spec.get("kind") not in builder:
+            errors.append(f"{block}.kind must be one of {sorted(builder)}")
     impedance = config.params.get("impedance")
     if config.experiment == "impedance_check" and impedance is None:
         errors.append("experiment 'impedance_check' needs params.impedance")
@@ -166,55 +163,35 @@ def validate_config(config):
     for key in ("s_values", "t_offsets", "checkpoints", "truncations", "ranks"):
         if key in config.params and not config.params[key]:
             errors.append(f"params.{key} must be non-empty")
-    if not errors and config.experiment in _TRUNCATIONS:
-        errors += _truncation_errors(config)
-    if not errors and config.experiment == "fgf_convergence":
-        try:
-            check_classifier_schedule(config.params.get("seeds", FGF_SEEDS), list(
-                config.params.get("checkpoints", FGF_CHECKPOINTS)))
-        except (TypeError, ValueError) as err:
-            errors.append(str(err))
-    if (not errors and _RUNNERS[config.experiment][1] == "mesh"
-            and config.params.get("N_b") is not None):
-        try:
-            ac.check_trace_truncation(config.params["N_b"],
-                                      config.params.get("N_spec", N_SPEC),
-                                      _boundary_dof_count(config.mesh))
-        except (TypeError, SpectrumError, ac.MeshError) as err:
-            errors.append(str(err))
-        except (OSError, KeyError, ValueError) as err:
-            errors.append(f"cannot count the boundary dofs: {type(err).__name__}: {err}")
     return errors
 
 
-def _geometry_size(spec):
-    """Vertex count (None for a curve) and component count b0 of a geometry
-    block: 10 4^k + 2 vertices for icosphere(k), the loaded geometry for a
-    file, one component otherwise."""
-    if spec["kind"] == "file":
-        geom = _geom_file(spec)
-        return (geom.vertices.shape[0] if geom.dim_ambient == 3 else None,
-                geom.n_components)
-    if spec["kind"] == "sphere":
-        return 10 * 4 ** spec.get("subdivisions", 4) + 2, 1
-    return None, 1
-
-
-def _truncation_errors(config):
-    """The surface cap on the spectrum a geometry runner will build, and the
-    Weyl fit range inside it, checked from the config before any work."""
+def prepare(config):
+    """The keyword arguments of the config's runner, or ConfigError: builds
+    the geometry or mesh once, resolves each default of the runner once and
+    checks the runner's preconditions on them, before anything is written."""
+    errors = _config_errors(config)
+    if errors:
+        raise ConfigError(errors)
+    _, block, prepare_runner = _RUNNERS[config.experiment]
     try:
-        vertices, b0 = _geometry_size(config.geometry)
-        cap = math.inf if vertices is None else surface_truncation_cap(vertices)
-        N = _TRUNCATIONS[config.experiment](config.params, cap)
-        if vertices is not None:
-            check_surface_truncation(N, vertices)
-        if config.experiment == "weyl":
-            check_fit_range(_fit_range(config.params, N), b0, N)
-    except SpectrumError as err:
-        return [str(err)]
-    except (OSError, KeyError, TypeError, ValueError) as err:
-        return [f"cannot size the surface spectrum: {type(err).__name__}: {err}"]
+        built = (build_geometry if block == "geometry" else build_mesh)(
+            getattr(config, block))
+    except (OSError, LookupError, TypeError, ValueError) as err:
+        raise ConfigError([f"cannot build the {block} block: "
+                           f"{type(err).__name__}: {err}"]) from None
+    try:
+        return prepare_runner(config.params, built)
+    except (LookupError, TypeError, ValueError) as err:
+        raise ConfigError([f"{type(err).__name__}: {err}"]) from None
+
+
+def validate_config(config):
+    """All validation errors at once; empty list means runnable."""
+    try:
+        prepare(config)
+    except ConfigError as err:
+        return err.errors
     return []
 
 
@@ -296,17 +273,6 @@ def build_mesh(spec):
     return _mesh_kinds[spec["kind"]](spec)
 
 
-def _boundary_dof_count(spec):
-    """Boundary dofs of the mesh a mesh block builds: the ring sizes of a disk
-    and an annulus (two loops), the built or loaded mesh otherwise."""
-    h = spec.get("h", 0.1)
-    if spec["kind"] == "disk":
-        return ac.ring_size(h, spec.get("radius", 1.0))
-    if spec["kind"] == "annulus":
-        return 2 * ac.ring_size(h, spec.get("r_outer", 1.0))
-    return sum(len(loop) for loop in build_mesh(spec).boundary_loops)
-
-
 def build_spectrum(geom, N, modes=False, workers=1):
     """Boundary spectrum truncated at N: analytic and gridless on curves;
     on surfaces the cotangent FEM eigensolve, sliced into windows that
@@ -315,34 +281,6 @@ def build_spectrum(geom, N, modes=False, workers=1):
     if geom.dim_ambient == 2:
         return build_curve_spectrum(geom, N)
     return build_surface_spectrum(geom, N, store_modes=modes, workers=workers)
-
-
-PROFILE_TRUNCATIONS = [256, 512]
-N_SPEC = 160        # boundary spectrum of the acoustic and Monte Carlo runs
-# The truncation N each geometry runner builds its spectrum at, from its
-# params and the largest N its geometry allows (math.inf on a curve).
-_TRUNCATIONS = {
-    "weyl": lambda p, cap: p.get("N", min(400, cap)),
-    "fgf_convergence": lambda p, cap: max(p.get("checkpoints", FGF_CHECKPOINTS)),
-    "multiplier_profile":
-        lambda p, cap: int(2.2 * max(p.get("truncations", PROFILE_TRUNCATIONS))) + 8,
-    "impedance_check": lambda p, cap: p.get("N", 128),
-}
-
-
-def _fit_range(p, N):
-    """The Weyl fit range, 1-based and inclusive, of a spectrum of N modes."""
-    return p.get("fit_range", [21, min(200, N)])
-
-
-def _geometry_spectrum(cfg, modes=False):
-    """The geometry of a runner's config and its spectrum, at the runner's
-    truncation."""
-    geom = build_geometry(cfg.geometry)
-    cap = (surface_truncation_cap(geom.vertices.shape[0])
-           if geom.dim_ambient == 3 else math.inf)
-    N = _TRUNCATIONS[cfg.experiment](cfg.params, cap)
-    return geom, build_spectrum(geom, N, modes=modes, workers=cfg.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +368,18 @@ class _Run:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _run_weyl(run):
-    cfg = run.config
-    p = cfg.params
-    geom, spec = _geometry_spectrum(cfg)
-    lo, hi = _fit_range(p, spec.count)
+def _prepare_weyl(p, geom):
+    N = p.get("N", min(400, surface_truncation_cap(geom)))
+    fit_range = p.get("fit_range", [21, min(200, N)])
+    check_surface_truncation(N, geom)
+    check_fit_range(fit_range, geom.n_components, N)
+    return {"geom": geom, "N": N, "fit_range": fit_range}
+
+
+def _run_weyl(run, geom, N, fit_range):
+    p = run.config.params
+    spec = build_spectrum(geom, N, workers=run.config.workers)
+    lo, hi = fit_range
     diag = weyl_diagnostic(spec, (lo, hi))
     expect = p.get("expect_slope", 2.0 / (geom.dim_ambient - 1))
     tol = p.get("slope_tol", 0.05 if geom.dim_ambient == 2 else 0.15)
@@ -446,12 +391,17 @@ def _run_weyl(run):
               f"slope={diag['slope']:.4f} expect {expect}+-{tol}")
 
 
-def _run_fgf(run):
+def _prepare_fgf(p, geom):
+    seeds, checkpoints = p.get("seeds", FGF_SEEDS), p.get("checkpoints", FGF_CHECKPOINTS)
+    check_surface_truncation(checkpoints[-1], geom)
+    check_classifier_schedule(seeds, checkpoints)
+    return {"geom": geom, "seeds": seeds, "checkpoints": checkpoints}
+
+
+def _run_fgf(run, geom, seeds, checkpoints):
     cfg = run.config
     p = cfg.params
-    geom, spec = _geometry_spectrum(cfg)
-    checkpoints = p.get("checkpoints", FGF_CHECKPOINTS)
-    seeds = p.get("seeds", FGF_SEEDS)
+    spec = build_spectrum(geom, checkpoints[-1], workers=cfg.workers)
     # every (s, t) cell reads the same Gaussian paths: drawn once per run
     paths = gaussian_paths(range(cfg.seed, cfg.seed + seeds), checkpoints[-1])
     d = geom.dim_ambient
@@ -461,8 +411,7 @@ def _run_fgf(run):
         threshold = s - (d - 1) / 2.0
         for t in p.get("t_values", [threshold + off for off in
                                     p.get("t_offsets", [-0.3, -0.25, 0.25, 0.3])]):
-            r = convergence_classifier(spec, s, t, checkpoints=checkpoints,
-                                       paths=paths)
+            r = convergence_classifier(spec, s, t, paths=paths, checkpoints=checkpoints)
             theory = "converges" if t < threshold else "diverges"
             in_band = abs(t - threshold) < r["margin"] - 1e-9
             match = True if in_band else (r["verdict"] == theory)
@@ -477,13 +426,20 @@ def _run_fgf(run):
               f"{sum(v['verdict'] == v['theory'] for v in verdicts)}/{len(verdicts)}")
 
 
-def _run_multiplier(run):
+def _prepare_multiplier(p, geom):
+    truncs = p.get("truncations", [256, 512])
+    N, phi = int(2.2 * max(truncs)) + 8, {"kind": "cantor", **p.get("phi", {})}
+    check_surface_truncation(N, geom)
+    check_impedance_config(phi, N, N, geom)
+    return {"geom": geom, "N": N, "truncs": truncs, "phi": phi}
+
+
+def _run_multiplier(run, geom, N, truncs, phi):
     cfg = run.config
     p = cfg.params
-    _, spec = _geometry_spectrum(cfg, modes=True)
-    truncs = p.get("truncations", PROFILE_TRUNCATIONS)
+    spec = build_spectrum(geom, N, modes=True, workers=cfg.workers)
     tensor = TripleProductTensor(spec)
-    phi = phi_from_config(spec, {"kind": "cantor", **p.get("phi", {})})
+    phi = phi_from_config(spec, phi)
     s1, s2 = p.get("s1", 0.5), p.get("s2", 0.5)
     ranks = p.get("ranks", [1, 2, 4, 8, 16, 32, 64])
     rows, norms = [], []
@@ -504,11 +460,16 @@ def _run_multiplier(run):
                   f"rel change {rel:.4f}")
 
 
-def _run_impedance(run):
-    cfg = run.config
-    p = cfg.params
-    _, spec = _geometry_spectrum(cfg, modes=True)
-    Z = impedance_from_config(spec, p["impedance"], N_trunc=p.get("N_trunc", 64))
+def _prepare_impedance(p, geom):
+    N, N_trunc = p.get("N", 128), p.get("N_trunc", 64)
+    check_surface_truncation(N, geom)
+    check_impedance_config(p["impedance"], N_trunc, N, geom)
+    return {"geom": geom, "N": N, "N_trunc": N_trunc, "impedance": p["impedance"]}
+
+
+def _run_impedance(run, geom, N, N_trunc, impedance):
+    spec = build_spectrum(geom, N, modes=True, workers=run.config.workers)
+    Z = impedance_from_config(spec, impedance, N_trunc=N_trunc)
     acc = is_accretive(Z)
     sa = selfadjointness_criterion(Z)
     report = {"accretive": acc["nonneg"], "min_herm_eig": acc["min_eig"],
@@ -527,19 +488,30 @@ def _run_impedance(run):
     run.add_json("impedance", report)
 
 
-def _acoustic_setup(cfg, p):
-    mesh = build_mesh(cfg.mesh)
-    return mesh, build_spectrum(mesh.boundary_geometry(), p.get("N_spec", N_SPEC),
-                                workers=cfg.workers)
+def _prepare_mesh(p, mesh):
+    """The mesh, its analytic boundary spectrum (N_spec modes, default 160)
+    and the trace truncation N_b, checked against both."""
+    spec = build_spectrum(mesh.boundary_geometry(), p.get("N_spec", 160))
+    N_b = p.get("N_b")
+    N_b = ac.default_N_b(mesh, spec) if N_b is None else N_b
+    ac.check_trace_truncation(N_b, spec.count,
+                              sum(len(loop) for loop in mesh.boundary_loops))
+    return {"mesh": mesh, "spec": spec, "N_b": N_b}
 
 
-def _run_acoustic(run):
-    cfg = run.config
-    p = cfg.params
-    mesh, spec = _acoustic_setup(cfg, p)
-    pencil = ac.assemble_pencil(mesh, spec, N_b=p.get("N_b"))
-    Z = impedance_from_config(spec, p.get("impedance", {"kind": "zero"}),
-                              N_trunc=pencil.N_b)
+def _prepare_acoustic(p, mesh):
+    inputs = _prepare_mesh(p, mesh)
+    spec, N_b = inputs["spec"], inputs["N_b"]
+    impedance = p.get("impedance", {"kind": "zero"})
+    N_trunc = check_impedance_config(impedance, N_b, spec.count, spec.geometry)
+    ac.check_impedance_truncation(N_trunc, N_b)
+    return {**inputs, "impedance": impedance}
+
+
+def _run_acoustic(run, mesh, spec, N_b, impedance):
+    p = run.config.params
+    pencil = ac.assemble_pencil(mesh, spec, N_b=N_b)
+    Z = impedance_from_config(spec, impedance, N_trunc=N_b)
     pencil = pencil.with_impedance(Z)
     report = ac.solve_pencil(pencil, n_wanted=p.get("n_wanted", 14))
     ver = ac.verify_mdissipativity(pencil, report)
@@ -558,16 +530,20 @@ def _run_acoustic(run):
                   f"omega_h {ver['omega_h']:.2e}, tolerance {tol:.2e}")
 
 
-def _run_monte_carlo(run):
-    cfg = run.config
-    p = cfg.params
-    mesh, spec = _acoustic_setup(cfg, p)
+def _prepare_monte_carlo(p, mesh):
     r = p.get("rspec", {})
     rspec = RandomImpedanceSpec(c=r.get("c", 1.0), s=r.get("s", 0.3),
                                 kernel_weights=tuple(r.get("kernel_weights", [])))
+    rspec.check_kernel_weights(len(mesh.boundary_loops))
+    return {**_prepare_mesh(p, mesh), "rspec": rspec}
+
+
+def _run_monte_carlo(run, mesh, spec, N_b, rspec):
+    cfg = run.config
+    p = cfg.params
     out = ac.monte_carlo_spectrum(mesh, spec, rspec,
                                   n_samples=p.get("n_samples", 50),
-                                  seed0=cfg.seed, N_b=p.get("N_b"),
+                                  seed0=cfg.seed, N_b=N_b,
                                   n_wanted=p.get("n_wanted", 14),
                                   workers=cfg.workers)
     rows = [row for s in out["samples"] for row in s["rows"]]
@@ -585,28 +561,29 @@ def _run_monte_carlo(run):
               f"got {s['fraction_real_spectrum']}, expect {expect_real}")
 
 
-# Each experiment once: its runner and the config block it builds from.
-_RUNNERS = {"weyl": (_run_weyl, "geometry"),
-            "fgf_convergence": (_run_fgf, "geometry"),
-            "multiplier_profile": (_run_multiplier, "geometry"),
-            "impedance_check": (_run_impedance, "geometry"),
-            "acoustic_spectrum": (_run_acoustic, "mesh"),
-            "monte_carlo": (_run_monte_carlo, "mesh")}
+# Each experiment once: its runner, the config block it builds from, and
+# its prepare step, which turns the params and the built block into the
+# runner's keyword arguments and applies the runner's precondition check.
+_RUNNERS = {"weyl": (_run_weyl, "geometry", _prepare_weyl),
+            "fgf_convergence": (_run_fgf, "geometry", _prepare_fgf),
+            "multiplier_profile": (_run_multiplier, "geometry", _prepare_multiplier),
+            "impedance_check": (_run_impedance, "geometry", _prepare_impedance),
+            "acoustic_spectrum": (_run_acoustic, "mesh", _prepare_acoustic),
+            "monte_carlo": (_run_monte_carlo, "mesh", _prepare_monte_carlo)}
 EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config, out_dir=None):
-    """Execute one experiment; returns the saved RunManifest.  An exception
+    """Execute one experiment; returns the saved RunManifest.  A config that
+    cannot run raises ConfigError before anything is written; an exception
     inside the runner becomes the failed assertion ``runner_error``."""
-    errors = validate_config(config)
-    if errors:
-        raise ConfigError(errors)
+    inputs = prepare(config)
     from . import __version__
     out_dir = out_dir or config.run_dir()
     started = time.time()
     r = _Run(config, out_dir)
     try:
-        _RUNNERS[config.experiment][0](r)
+        _RUNNERS[config.experiment][0](r, **inputs)
     except Exception as err:    # fail closed: the manifest is still written
         log.exception("%s runner failed", config.experiment)
         r.check(RUNNER_ERROR, False, f"{type(err).__name__}: {err}")

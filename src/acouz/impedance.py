@@ -34,9 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import (
-    SpectralFunction, SpectrumError, constant_function, fractional_power_weights,
+    SpectralFunction, SpectrumError, check_truncation, constant_function,
+    fractional_power_weights,
 )
-from .multipliers import build_multiplier, cantor_measure_coeffs, hermitian_check
+from .multipliers import (
+    build_multiplier, cantor_measure_coeffs, check_cantor_target, hermitian_check,
+)
 
 CAYLEY_CONTRACTION_SLACK = 1e-10
 
@@ -76,8 +79,7 @@ def matrix_impedance(spec, Zhat):
     Zhat = np.asarray(Zhat, dtype=complex)
     if Zhat.shape[0] != Zhat.shape[1]:
         raise SpectrumError("impedance matrix must be square")
-    if Zhat.shape[0] > spec.count:
-        raise SpectrumError("impedance matrix larger than the spectrum")
+    check_truncation(Zhat.shape[0], spec.count)
     return ImpedanceOperator(spectrum=spec, N_trunc=Zhat.shape[0], matrix=Zhat)
 
 
@@ -115,6 +117,17 @@ def phi_from_config(spec, config):
     raise SpectrumError(f"unknown multiplier kind {kind!r}")
 
 
+def check_impedance_config(config, N_trunc, count, geom):
+    """The truncation of the operator ``impedance_from_config`` builds from
+    ``config`` at N_trunc (a matrix's size, else N_trunc); SpectrumError unless
+    it fits a spectrum of ``count`` modes on the boundary ``geom``."""
+    if config["kind"] == "cantor":
+        check_cantor_target(geom, config.get("component", 0))
+    N = len(config["re"]) if config["kind"] == "matrix" else N_trunc
+    check_truncation(N, count)
+    return N
+
+
 def impedance_from_config(spec, config, N_trunc=None):
     """Build an operator from its JSON-config description.
 
@@ -126,6 +139,7 @@ def impedance_from_config(spec, config, N_trunc=None):
     ``{"kind": "matrix", "re": [[..]], "im": [[..]]}``.
     """
     N_trunc = N_trunc or spec.count
+    check_impedance_config(config, N_trunc, spec.count, spec.geometry)
     kind = config["kind"]
     if kind == "zero":
         return zero_impedance(spec, N_trunc)

@@ -32,7 +32,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .boundary import (
     KIND_CONST, KIND_COS, KIND_SIN,
-    BoundarySpectrum, SpectralFunction, SpectrumError, ht_weights, triangle_areas,
+    BoundarySpectrum, SpectralFunction, SpectrumError, check_truncation, ht_weights,
+    triangle_areas,
 )
 
 PSD_TOL_FACTOR = 1e-10   # shared with the impedance module
@@ -230,8 +231,7 @@ class MultiplierMatrix:
 def build_multiplier(phi, s1, s2, N_trunc, tensor=None):
     """Truncated matrix of multiplication by phi in the eigenbasis."""
     spec = phi.spectrum
-    if N_trunc > spec.count:
-        raise SpectrumError(f"truncation {N_trunc} exceeds the spectrum ({spec.count})")
+    check_truncation(N_trunc, spec.count)
     tensor = tensor or TripleProductTensor(spec)
     A = tensor.contract(phi.coeffs, N_trunc)
     return MultiplierMatrix(spectrum=spec, matrix=A, s1=s1, s2=s2, N_trunc=N_trunc)
@@ -391,6 +391,16 @@ def cantor_exponential_moments(r, freqs):
     return np.where(absk % 2 == 1, -prod, prod)
 
 
+def check_cantor_target(geom, component):
+    """Raise SpectrumError unless a Cantor measure fits on ``component`` of
+    the boundary ``geom``: a curve, with 0 <= component < b0."""
+    if geom.dim_ambient != 2:
+        raise SpectrumError("cantor_measure_coeffs needs a curve spectrum")
+    if not 0 <= component < geom.n_components:
+        raise SpectrumError(f"component {component} is not one of the "
+                            f"{geom.n_components} boundary components")
+
+
 def cantor_measure_coeffs(spec, r, target_component=0, N_trunc=None):
     """Eigenbasis coefficients of a Cantor measure pushed onto one component.
 
@@ -399,8 +409,7 @@ def cantor_measure_coeffs(spec, r, target_component=0, N_trunc=None):
     c_n = integral(Y_n dmu); the constant mode picks up measure^(-1/2), a
     cos mode sqrt(2/L) times the real moment, and a sin mode exactly 0.
     """
-    if spec.mode_comp is None:
-        raise SpectrumError("cantor_measure_coeffs needs a curve spectrum")
+    check_cantor_target(spec.geometry, target_component)
     N_trunc = N_trunc or spec.count
     L = spec.geometry.component_lengths()[target_component]
     on = spec.mode_comp[:N_trunc] == target_component

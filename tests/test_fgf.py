@@ -12,6 +12,11 @@ def deep_circle_spec(unit_circle_geom):
     return bd.build_curve_spectrum(unit_circle_geom, 4096)
 
 
+def _paths(seeds, N=fgf.FGF_CHECKPOINTS[-1]):
+    """The draws of seeds 0..seeds-1 up to mode N, one row per seed."""
+    return fgf.gaussian_paths(range(seeds), N)
+
+
 class TestSampling:
     def test_bit_identical_reproduction(self, circle_spec):
         a = fgf.sample_fgf(circle_spec, 1.0, 48, seed=42)
@@ -39,7 +44,7 @@ class TestSampling:
     def test_hurst_parameter(self, circle_spec, sphere_spec):
         # the boundary Hurst parameter s - (d-1)/2 is the classifier's threshold
         for spec, hurst in ((circle_spec, 0.5), (sphere_spec, 0.0)):
-            r = fgf.convergence_classifier(spec, 1.0, -1.0, seeds=30,
+            r = fgf.convergence_classifier(spec, 1.0, -1.0, _paths(30, 16),
                                            checkpoints=[1, 2, 4, 8, 16])
             assert r["threshold"] == pytest.approx(hurst)
 
@@ -113,32 +118,26 @@ class TestPartialSums:
             float(np.linalg.norm(w * one_shot)))
         assert np.all(np.diff(norms) >= 0)
 
-    def test_checkpoint_validation(self, circle_spec):
-        with pytest.raises(ValueError):
-            fgf._partial_sum_norms(circle_spec, 1.0, fgf.gaussian_paths([0], 16),
-                                   0.0, [32, 16])
+    def test_checkpoint_validation(self):
+        # the partial sums read increasing checkpoints; the schedule check
+        # that the classifier and the harness apply rejects any other list
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fgf.check_classifier_schedule(30, [32, 16])
 
 
 class TestClassifier:
     def test_preconditions(self, deep_circle_spec):
         with pytest.raises(ValueError):
-            fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, seeds=10)
+            fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, _paths(10))
         with pytest.raises(ValueError):
-            fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, seeds=40,
+            fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, _paths(40, 200),
                                        checkpoints=[64, 100, 130, 190, 200])
 
-    def test_paths_or_seeds(self, deep_circle_spec):
-        # the rows of paths are the draws of seeds from seed0, byte for byte;
-        # giving both, or paths of the wrong length, is an error
+    def test_paths_rows_and_length(self, deep_circle_spec):
+        # one row of paths per seed, each as long as the last checkpoint
         paths = fgf.gaussian_paths(range(4, 34), 4096)
-        drawn = fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, seeds=30,
-                                           seed0=4)
         given = fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, paths=paths)
-        assert repr(given) == repr(drawn) and given["seeds"] == 30
-        for kwargs in ({"seeds": 30}, {"seed0": 4}):
-            with pytest.raises(ValueError, match="not both"):
-                fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, paths=paths,
-                                           **kwargs)
+        assert given["seeds"] == 30
         with pytest.raises(ValueError, match="need at least 30 seeds"):
             fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, paths=paths[:20])
         with pytest.raises(ValueError, match="4096 draws"):
@@ -146,20 +145,20 @@ class TestClassifier:
                                        paths=paths[:, :2048])
 
     def test_clear_cases(self, deep_circle_spec):
-        r = fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, seeds=40)
+        r = fgf.convergence_classifier(deep_circle_spec, 1.0, 0.0, _paths(40))
         assert r["verdict"] == "converges"           # threshold 1/2
-        r = fgf.convergence_classifier(deep_circle_spec, 1.0, 1.0, seeds=40)
+        r = fgf.convergence_classifier(deep_circle_spec, 1.0, 1.0, _paths(40))
         assert r["verdict"] == "diverges"
 
     def test_indeterminate_in_margin_band(self, deep_circle_spec):
-        r = fgf.convergence_classifier(deep_circle_spec, 1.0, 0.55, seeds=40)
+        r = fgf.convergence_classifier(deep_circle_spec, 1.0, 0.55, _paths(40))
         assert r["verdict"] == "indeterminate"
         assert r["threshold"] == pytest.approx(0.5)
 
     def test_sphere_threshold_shift(self):
         # d = 3: threshold t < s - 1; s = 1, t = -0.5 converges
         spec = bd.build_surface_spectrum(shapes.icosphere(4), 256)
-        r = fgf.convergence_classifier(spec, 1.0, -0.5, seeds=30,
+        r = fgf.convergence_classifier(spec, 1.0, -0.5, _paths(30, 256),
                                        checkpoints=[16, 32, 64, 128, 256],
                                        eps_conv=0.05)
         assert r["verdict"] == "converges"
@@ -178,7 +177,7 @@ class TestClassifier:
         for s in [0.5, 1.0, 2.0]:
             for off in [-0.1, 0.1]:
                 t = (s - 0.5) + off
-                r = fgf.convergence_classifier(spec, s, t, seeds=40,
+                r = fgf.convergence_classifier(spec, s, t, _paths(40, cps[-1]),
                                                checkpoints=cps)
                 want = "converges" if off < 0 else "diverges"
                 assert r["verdict"] == want, (s, off, r)

@@ -41,30 +41,38 @@ WEYL_CIRCLE = {"experiment": "weyl", "geometry": {"kind": "circle"},
                "params": {"N": 400}}
 BOGUS_IMPEDANCE = {"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
                    "params": {"impedance": {"kind": "bogus"}}}
-# Valid, but a 1x1 matrix is shorter than the pencil's N_b: only the run finds it.
+# A 1x1 matrix is shorter than the pencil's N_b: a config error.
 SHORT_IMPEDANCE = {**BOGUS_IMPEDANCE,
                    "params": {"impedance": {"kind": "matrix", "re": [[1.0]]}}}
 
 
-def test_runner_error_writes_failed_manifest(tmp_path):
-    cfg = harness.ExperimentConfig.from_dict(SHORT_IMPEDANCE)
+def _planted_failure(*args, **kwargs):
+    raise RuntimeError("planted")
+
+
+def test_runner_error_writes_failed_manifest(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "weyl_diagnostic", _planted_failure)
+    cfg = harness.ExperimentConfig.from_dict(WEYL_CIRCLE)
     manifest = harness.run(cfg, str(tmp_path))
     saved = json.loads((tmp_path / "manifest.json").read_text())
     assert saved["passed"] is False and not manifest.passed
     [error] = [a for a in saved["assertions"] if a["name"] == harness.RUNNER_ERROR]
     assert not error["passed"]
-    assert error["detail"] == "SpectrumError: impedance truncation 1 below N_b=10"
+    assert error["detail"] == "RuntimeError: planted"
 
 
 @pytest.mark.parametrize("config, code", [
     (WEYL_CIRCLE, 0),
     ({**WEYL_CIRCLE, "experiment": "no_such_experiment"}, 1),
     ({**WEYL_CIRCLE, "params": {"N": 400, "expect_slope": 3.0}}, 2),
-    (SHORT_IMPEDANCE, 3),
+    (WEYL_CIRCLE, 3),
     (BOGUS_IMPEDANCE, 1),
+    (SHORT_IMPEDANCE, 1),
 ], ids=["passed", "config_error", "failed_assertion", "runner_error",
-        "impedance_kind"])
-def test_cli_exit_codes(config, code, tmp_path):
+        "impedance_kind", "short_impedance"])
+def test_cli_exit_codes(config, code, tmp_path, monkeypatch):
+    if code == 3:   # a failure inside the runner
+        monkeypatch.setattr(harness, "weyl_diagnostic", _planted_failure)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == code
@@ -99,19 +107,18 @@ def test_impedance_check_catches_only_solver_errors(error, code, tmp_path,
                      else [harness.RUNNER_ERROR])
 
 
-def test_kernel_weight_count_is_one_runner_error(tmp_path):
+def test_kernel_weight_count_is_a_config_error(tmp_path, capsys):
     # the annulus has b0 = 2: one kernel weight is a config fault, reported
-    # once before any sample is drawn, not as a failure of every sample
-    code, assertions = _run_cli(
+    # before the run, not as a failure of every sample
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
         {"experiment": "monte_carlo", "mesh": {"kind": "annulus", "h": 0.2},
          "params": {"n_samples": 3,
-                    "rspec": {"c": 1.0, "s": 0.3, "kernel_weights": [1.0]}}},
-        tmp_path)
-    assert code == 3
-    [error] = assertions
-    assert error["name"] == harness.RUNNER_ERROR
-    assert error["detail"] == ("ValueError: need zero or exactly b0=2 kernel "
-                               "weights, got 1")
+                    "rspec": {"c": 1.0, "s": 0.3, "kernel_weights": [1.0]}}}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("config error: ValueError: need zero or "
+                                       "exactly b0=2 kernel weights, got 1\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_child_that_dies_is_a_runner_error(tmp_path, monkeypatch):
@@ -173,7 +180,7 @@ SPHERE_FILE = "sphere2.json"     # icosphere(2), 162 vertices: N <= 16
     ({"experiment": "weyl", "geometry": {"kind": "file", "path": SPHERE_FILE},
       "params": {"N": 40}}, "N=40 too large for a mesh with 162 vertices"),
     ({"experiment": "weyl", "geometry": {"kind": "file", "path": "broken.json"}},
-     "cannot size the surface spectrum: JSONDecodeError"),
+     "cannot build the geometry block: JSONDecodeError"),
 ], ids=["weyl", "fgf_default_checkpoints", "multiplier_profile", "weyl_file",
         "unreadable_file"])
 def test_surface_truncation_rejected_before_the_run(config, message, tmp_path,
@@ -194,10 +201,13 @@ def test_surface_truncation_rejected_before_the_run(config, message, tmp_path,
     ({"checkpoints": [64, 128, 256, 512]}, "need at least 4 doubling checkpoints"),
     ({"checkpoints": [64, 128, 256, 512, 1024, 1500]},
      "the last two checkpoints must be a doubling"),
-], ids=["seeds", "doublings", "last_pair"])
+    ({"checkpoints": [2048, 64, 128, 256, 512, 1024, 2048]},
+     "checkpoints must be strictly increasing"),
+], ids=["seeds", "doublings", "last_pair", "increasing"])
 def test_classifier_schedule_rejected_before_the_run(params, message, tmp_path,
                                                      monkeypatch, capsys):
-    # the seed and doubling rules of convergence_classifier, read from the config
+    # the seed, order and doubling rules of convergence_classifier, read from
+    # the config
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(
         {"experiment": "fgf_convergence", "geometry": {"kind": "circle"},
@@ -240,12 +250,45 @@ ANNULUS_FILE = "annulus.json"     # two boundary components: b0 = 2
       "mesh": {"kind": "polygon", "h": 0.3,
                "corners": [[0, 0], [1, 0], [1.2, 0.8], [0.1, 1]]},
       "params": {"N_b": 14}}, "N_b=14 exceeds the 13 boundary dofs"),
+    ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
+      "params": {"N_b": 0}}, "N_b=0 must be at least 1"),
+    ({"experiment": "monte_carlo", "mesh": {"kind": "disk", "h": 0.2},
+      "params": {"rspec": {"c": 1.0, "s": 0.3, "kernel_weights": [1.0, 1.0]}}},
+     "need zero or exactly b0=1 kernel weights, got 2"),
+    ({"experiment": "monte_carlo", "mesh": {"kind": "disk", "h": 0.2},
+      "params": {"rspec": {"s": -1}}}, "the field index s must be positive"),
+    ({"experiment": "acoustic_spectrum",
+      "mesh": {"kind": "annulus", "h": 0.2, "r_inner": 1.2}},
+     "cannot build the mesh block: MeshError: need 0 < r_inner < r_outer"),
+    ({"experiment": "impedance_check", "geometry": {"kind": "circle"},
+      "params": {"N": 64, "N_trunc": 100, "impedance": {"kind": "constant"}}},
+     "truncation 100 exceeds the spectrum (64)"),
+    ({"experiment": "impedance_check", "geometry": {"kind": "circle"},
+      "params": {"N": 64, "N_trunc": 100,
+                 "impedance": {"kind": "symbol", "c1": 1.0, "c2": 1.0, "t": 0.5}}},
+     "truncation 100 exceeds the spectrum (64)"),
+    ({"experiment": "impedance_check", "geometry": {"kind": "circle"},
+      "params": {"N": 4, "impedance": {"kind": "matrix", "re": np.eye(5).tolist()}}},
+     "truncation 5 exceeds the spectrum (4)"),
+    ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.2},
+      "params": {"impedance": {"kind": "matrix", "re": np.eye(2).tolist()}}},
+     "impedance truncation 2 below N_b=15"),
+    ({"experiment": "multiplier_profile", "geometry": {"kind": "circle"},
+      "params": {"phi": {"component": 3}}},
+     "component 3 is not one of the 1 boundary components"),
+    ({"experiment": "multiplier_profile",
+      "geometry": {"kind": "sphere", "subdivisions": 3},
+      "params": {"truncations": [16, 24]}},
+     "cantor_measure_coeffs needs a curve spectrum"),
 ], ids=["weyl_default_fit_range", "weyl_fit_range", "weyl_file_b0", "disk_N_b",
-        "annulus_N_b", "polygon_N_b"])
+        "annulus_N_b", "polygon_N_b", "zero_N_b", "kernel_weight_count",
+        "negative_field_index", "annulus_radii", "constant_N_trunc",
+        "symbol_N_trunc", "matrix_size", "matrix_below_N_b", "cantor_component",
+        "cantor_on_sphere"])
 def test_runner_preconditions_rejected_before_the_run(config, message, tmp_path,
                                                       monkeypatch, capsys):
-    # the fit range of weyl_diagnostic and the boundary dofs of
-    # trace_projection, read from the config
+    # each precondition of a runner that a config can break, checked on the
+    # built geometry or mesh before the run
     monkeypatch.chdir(tmp_path)
     ac.annulus_mesh(0.3).boundary_geometry().save_json(ANNULUS_FILE)
     (tmp_path / "config.json").write_text(json.dumps(config))
@@ -255,13 +298,32 @@ def test_runner_preconditions_rejected_before_the_run(config, message, tmp_path,
     assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("spec", [
-    {"kind": "disk", "h": 0.3}, {"kind": "disk", "h": 0.07, "radius": 0.8},
-    {"kind": "annulus", "h": 0.12}, {"kind": "annulus", "h": 0.05, "r_outer": 1.5},
-])
-def test_boundary_dofs_counted_without_the_mesh(spec):
-    mesh = harness.build_mesh(spec)
-    assert harness._boundary_dof_count(spec) == len(np.concatenate(mesh.boundary_loops))
+def test_run_builds_and_checks_once(tmp_path, monkeypatch):
+    # one precondition pass per run: the polygon mesh built once, the file
+    # geometry loaded once
+    calls = []
+
+    def counting(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "prepare", counting("prepare", harness.prepare))
+    monkeypatch.setattr(ac, "convex_polygon_mesh",
+                        counting("polygon", ac.convex_polygon_mesh))
+    monkeypatch.setattr(harness.BoundaryGeometry, "load_json",
+                        counting("file", harness.BoundaryGeometry.load_json))
+    shapes.regular_polygon_geometry(12).save_json(tmp_path / "polygon.json")
+    for config, built in [
+        ({"experiment": "acoustic_spectrum",
+          "mesh": {"kind": "polygon", "h": 0.3,
+                   "corners": [[0, 0], [1, 0], [1.2, 0.8], [0.1, 1]]}}, "polygon"),
+        ({"experiment": "weyl", "geometry": {"kind": "file",
+                                             "path": str(tmp_path / "polygon.json")}},
+         "file")]:
+        calls.clear()
+        (tmp_path / built).mkdir()
+        code, assertions = _run_cli(config, tmp_path / built)
+        assert code == 0, assertions
+        assert calls == ["prepare", built]
 
 
 def test_fgf_defaults_read_once_by_validate_and_run(tmp_path, monkeypatch):
@@ -306,7 +368,7 @@ def test_fgf_run_draws_each_path_once(tmp_path, monkeypatch):
     spec = build_spectrum(build_geometry(config["geometry"]), 4096)
     for row in rows:
         r = fgf.convergence_classifier(spec, float(row["s"]), float(row["t"]),
-                                       seeds=30, seed0=7)
+                                       fgf.gaussian_paths(range(7, 37), 4096))
         assert row["median_ratio"] == repr(r["median_ratio"])
         assert row["verdict"] == r["verdict"]
 
