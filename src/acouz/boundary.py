@@ -474,9 +474,18 @@ def check_surface_truncation(N, geom):
 
 
 def check_truncation(N_trunc, count):
-    """Raise SpectrumError when N_trunc modes exceed a spectrum of count."""
+    """Raise SpectrumError unless 1 <= N_trunc <= count."""
+    if N_trunc < 1:
+        raise SpectrumError(f"truncation {N_trunc} must be at least 1")
     if N_trunc > count:
         raise SpectrumError(f"truncation {N_trunc} exceeds the spectrum ({count})")
+
+
+def check_coefficients(coeffs, count):
+    """Raise SpectrumError unless ``coeffs`` is a vector of at most count."""
+    if np.ndim(coeffs) != 1 or np.size(coeffs) > count:
+        raise SpectrumError(f"coefficient vector of shape {np.shape(coeffs)} does "
+                            f"not fit the spectrum ({count})")
 
 
 def _count_below(S, M, cut):
@@ -620,18 +629,11 @@ class SpectralFunction:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size > self.spectrum.count:
-            raise SpectrumError("coefficient vector longer than the spectrum")
-        self.coeffs = c
+        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        check_coefficients(self.coeffs, self.spectrum.count)
 
     def __rmul__(self, scalar):
         return SpectralFunction(self.spectrum, scalar * self.coeffs)
-
-    @classmethod
-    def from_dict(cls, spectrum, d):
-        """From the ``coeffs_re``/``coeffs_im`` lists of a ``multiplier`` config."""
-        return cls(spectrum, np.asarray(d["coeffs_re"]) + 1j * np.asarray(d["coeffs_im"]))
 
 
 def constant_function(spec):

@@ -55,7 +55,8 @@ def main(argv=None):
                              metavar="KEY=VALUE", help="dotted-path config override")
     sub.add_parser("run", parents=[config_args], help="execute an experiment config")
     sub.add_parser("validate", parents=[config_args],
-                   help="validate a config, list all errors")
+                   help="validate a config: list its config errors, else the "
+                        "first precondition its built geometry or mesh breaks")
 
     p_plot = sub.add_parser("emit-plot", help="emit long-format plot data")
     p_plot.add_argument("manifest")

@@ -25,21 +25,20 @@ import numpy as np
 from . import shapes
 from .boundary import (
     BoundaryGeometry, SpectrumError, build_curve_spectrum, build_surface_spectrum,
-    check_fit_range, check_surface_truncation, surface_truncation_cap,
-    weyl_diagnostic,
+    check_fit_range, check_surface_truncation, check_truncation,
+    surface_truncation_cap, weyl_diagnostic,
 )
 from .fgf import (
     FGF_CHECKPOINTS, FGF_SEEDS, RandomImpedanceSpec, check_classifier_schedule,
     convergence_classifier, gaussian_paths,
 )
 from .impedance import (
-    IMPEDANCE_KINDS, MULTIPLIER_KINDS, cayley, check_impedance_config,
-    impedance_from_config, inverse_cayley, is_accretive, phi_from_config,
-    selfadjointness_criterion,
+    cayley, check_impedance_config, impedance_from_config, inverse_cayley,
+    is_accretive, param_block, phi_from_config, selfadjointness_criterion,
 )
 from .multipliers import (
-    TripleProductTensor, build_multiplier, compactness_profile, multiplier_norm,
-    positivity_test, psd_tolerance,
+    TripleProductTensor, build_multiplier, check_ranks, compactness_profile,
+    multiplier_norm, positivity_test, psd_tolerance,
 )
 from . import acoustic as ac
 
@@ -122,17 +121,6 @@ class ExperimentConfig:
                             f"{self.experiment}_{self.content_hash()[:10]}")
 
 
-def _phi_errors(name, block, kinds):
-    """Errors of an impedance or phi block: its kind, and a Cantor ratio."""
-    if not isinstance(block, dict) or block.get("kind") not in kinds:
-        return [f"{name}.kind must be one of {list(kinds)}"]
-    ratio = block.get("ratio", 1.0 / 3.0)
-    if block["kind"] == "cantor" and not (isinstance(ratio, (int, float))
-                                          and 0.0 < ratio < 0.5):
-        return [f"{name}.ratio must lie in (0, 1/2), not {ratio!r}"]
-    return []
-
-
 def _config_errors(config):
     """The errors found in the config alone, all at once."""
     errors = []
@@ -149,15 +137,13 @@ def _config_errors(config):
         spec = getattr(config, block)
         if spec is not None and spec.get("kind") not in builder:
             errors.append(f"{block}.kind must be one of {sorted(builder)}")
-    impedance = config.params.get("impedance")
-    if config.experiment == "impedance_check" and impedance is None:
+    if config.experiment == "impedance_check" and "impedance" not in config.params:
         errors.append("experiment 'impedance_check' needs params.impedance")
-    if impedance is not None:
-        errors += _phi_errors("params.impedance", impedance, IMPEDANCE_KINDS)
-    if "phi" in config.params:      # a phi without a kind runs as cantor
-        phi = config.params["phi"]
-        errors += _phi_errors("params.phi", {"kind": "cantor", **phi}
-                              if isinstance(phi, dict) else phi, MULTIPLIER_KINDS)
+    for name in ("impedance", "phi"):
+        try:
+            param_block(config.params, name)
+        except (LookupError, TypeError, ValueError) as err:
+            errors.append(f"params.{name}: {type(err).__name__}: {err}")
     if config.workers < 1:
         errors.append("workers must be >= 1")
     for key in ("s_values", "t_offsets", "checkpoints", "truncations", "ranks"):
@@ -187,7 +173,8 @@ def prepare(config):
 
 
 def validate_config(config):
-    """All validation errors at once; empty list means runnable."""
+    """Every error of the config alone, else the first precondition the built
+    geometry or mesh breaks; an empty list means runnable."""
     try:
         prepare(config)
     except ConfigError as err:
@@ -412,10 +399,9 @@ def _run_fgf(run, geom, seeds, checkpoints):
         for t in p.get("t_values", [threshold + off for off in
                                     p.get("t_offsets", [-0.3, -0.25, 0.25, 0.3])]):
             r = convergence_classifier(spec, s, t, paths=paths, checkpoints=checkpoints)
-            theory = "converges" if t < threshold else "diverges"
-            in_band = abs(t - threshold) < r["margin"] - 1e-9
-            match = True if in_band else (r["verdict"] == theory)
-            all_match = all_match and match
+            theory = "converges" if t < r["threshold"] else "diverges"
+            in_band = r["verdict"] == "indeterminate"
+            all_match = all_match and (in_band or r["verdict"] == theory)
             verdicts.append({"s": s, "t": t, "verdict": r["verdict"],
                              "theory": theory, "median_ratio": r["median_ratio"],
                              "in_margin_band": in_band})
@@ -428,20 +414,23 @@ def _run_fgf(run, geom, seeds, checkpoints):
 
 def _prepare_multiplier(p, geom):
     truncs = p.get("truncations", [256, 512])
-    N, phi = int(2.2 * max(truncs)) + 8, {"kind": "cantor", **p.get("phi", {})}
+    ranks = p.get("ranks", [1, 2, 4, 8, 16, 32, 64])
+    N, phi = int(2.2 * max(truncs)) + 8, param_block(p, "phi")
     check_surface_truncation(N, geom)
+    for Nt in truncs:
+        check_truncation(Nt, N)
+        check_ranks([r for r in ranks if r <= Nt], Nt)
     check_impedance_config(phi, N, N, geom)
-    return {"geom": geom, "N": N, "truncs": truncs, "phi": phi}
+    return {"geom": geom, "N": N, "truncs": truncs, "ranks": ranks, "phi": phi}
 
 
-def _run_multiplier(run, geom, N, truncs, phi):
+def _run_multiplier(run, geom, N, truncs, ranks, phi):
     cfg = run.config
     p = cfg.params
     spec = build_spectrum(geom, N, modes=True, workers=cfg.workers)
     tensor = TripleProductTensor(spec)
     phi = phi_from_config(spec, phi)
     s1, s2 = p.get("s1", 0.5), p.get("s2", 0.5)
-    ranks = p.get("ranks", [1, 2, 4, 8, 16, 32, 64])
     rows, norms = [], []
     for Nt in truncs:
         A = build_multiplier(phi, s1, s2, Nt, tensor=tensor)
@@ -488,32 +477,39 @@ def _run_impedance(run, geom, N, N_trunc, impedance):
     run.add_json("impedance", report)
 
 
+def _at_least_one(p, key, default):
+    value = p.get(key, default)
+    if not value >= 1:
+        raise ValueError(f"params.{key} must be at least 1, not {value!r}")
+    return value
+
+
 def _prepare_mesh(p, mesh):
-    """The mesh, its analytic boundary spectrum (N_spec modes, default 160)
-    and the trace truncation N_b, checked against both."""
+    """The mesh, its analytic boundary spectrum (N_spec modes, default 160),
+    the trace truncation N_b checked against both, and n_wanted (default 14)."""
     spec = build_spectrum(mesh.boundary_geometry(), p.get("N_spec", 160))
     N_b = p.get("N_b")
     N_b = ac.default_N_b(mesh, spec) if N_b is None else N_b
     ac.check_trace_truncation(N_b, spec.count,
                               sum(len(loop) for loop in mesh.boundary_loops))
-    return {"mesh": mesh, "spec": spec, "N_b": N_b}
+    return {"mesh": mesh, "spec": spec, "N_b": N_b,
+            "n_wanted": _at_least_one(p, "n_wanted", 14)}
 
 
 def _prepare_acoustic(p, mesh):
     inputs = _prepare_mesh(p, mesh)
     spec, N_b = inputs["spec"], inputs["N_b"]
-    impedance = p.get("impedance", {"kind": "zero"})
+    impedance = param_block(p, "impedance")
     N_trunc = check_impedance_config(impedance, N_b, spec.count, spec.geometry)
     ac.check_impedance_truncation(N_trunc, N_b)
     return {**inputs, "impedance": impedance}
 
 
-def _run_acoustic(run, mesh, spec, N_b, impedance):
-    p = run.config.params
+def _run_acoustic(run, mesh, spec, N_b, n_wanted, impedance):
     pencil = ac.assemble_pencil(mesh, spec, N_b=N_b)
     Z = impedance_from_config(spec, impedance, N_trunc=N_b)
     pencil = pencil.with_impedance(Z)
-    report = ac.solve_pencil(pencil, n_wanted=p.get("n_wanted", 14))
+    report = ac.solve_pencil(pencil, n_wanted=n_wanted)
     ver = ac.verify_mdissipativity(pencil, report)
     run.add_csv("eigenvalues", ["re", "im", "residual", "q_factor", "certified",
                                  "sample_id"], report.rows())
@@ -535,16 +531,14 @@ def _prepare_monte_carlo(p, mesh):
     rspec = RandomImpedanceSpec(c=r.get("c", 1.0), s=r.get("s", 0.3),
                                 kernel_weights=tuple(r.get("kernel_weights", [])))
     rspec.check_kernel_weights(len(mesh.boundary_loops))
-    return {**_prepare_mesh(p, mesh), "rspec": rspec}
+    return {**_prepare_mesh(p, mesh), "rspec": rspec,
+            "n_samples": _at_least_one(p, "n_samples", 50)}
 
 
-def _run_monte_carlo(run, mesh, spec, N_b, rspec):
+def _run_monte_carlo(run, mesh, spec, N_b, n_wanted, rspec, n_samples):
     cfg = run.config
-    p = cfg.params
-    out = ac.monte_carlo_spectrum(mesh, spec, rspec,
-                                  n_samples=p.get("n_samples", 50),
-                                  seed0=cfg.seed, N_b=N_b,
-                                  n_wanted=p.get("n_wanted", 14),
+    out = ac.monte_carlo_spectrum(mesh, spec, rspec, n_samples=n_samples,
+                                  seed0=cfg.seed, N_b=N_b, n_wanted=n_wanted,
                                   workers=cfg.workers)
     rows = [row for s in out["samples"] for row in s["rows"]]
     run.add_csv("cloud", ["re", "im", "residual", "q_factor", "certified",

@@ -28,14 +28,15 @@ accretivity.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import (
-    SpectralFunction, SpectrumError, check_truncation, constant_function,
-    fractional_power_weights,
+    SpectralFunction, SpectrumError, check_coefficients, check_truncation,
+    constant_function, fractional_power_weights,
 )
 from .multipliers import (
     build_multiplier, cantor_measure_coeffs, check_cantor_target, hermitian_check,
@@ -64,10 +65,14 @@ def multiplier_impedance(phi, N_trunc, tensor=None):
     return ImpedanceOperator(spectrum=phi.spectrum, N_trunc=N_trunc, matrix=A.matrix)
 
 
-def symbol_impedance(spec, N_trunc, c1, c2, t, imaginary=False, sign=1):
-    """Z = [i] * sign * c2 * (Delta + c1)^(t/2), diagonal in the Y-basis."""
+def _check_shift(c1):
     if c1 < 0:
         raise SpectrumError("symbol shift c1 must be nonnegative")
+
+
+def symbol_impedance(spec, N_trunc, c1, c2, t, imaginary=False, sign=1):
+    """Z = [i] * sign * c2 * (Delta + c1)^(t/2), diagonal in the Y-basis."""
+    _check_shift(c1)
     g = sign * c2 * (spec.mu[:N_trunc] + c1) ** (t / 2.0)
     if imaginary:
         g = 1j * g
@@ -75,10 +80,15 @@ def symbol_impedance(spec, N_trunc, c1, c2, t, imaginary=False, sign=1):
                              matrix=np.diag(g.astype(complex)))
 
 
-def matrix_impedance(spec, Zhat):
+def _square(Zhat):
     Zhat = np.asarray(Zhat, dtype=complex)
-    if Zhat.shape[0] != Zhat.shape[1]:
+    if Zhat.ndim != 2 or Zhat.shape[0] != Zhat.shape[1]:
         raise SpectrumError("impedance matrix must be square")
+    return Zhat
+
+
+def matrix_impedance(spec, Zhat):
+    Zhat = _square(Zhat)
     check_truncation(Zhat.shape[0], spec.count)
     return ImpedanceOperator(spectrum=spec, N_trunc=Zhat.shape[0], matrix=Zhat)
 
@@ -91,10 +101,72 @@ def zero_impedance(spec, N_trunc):
 _SYMBOL_RE = re.compile(
     r"^\s*(?P<sign>[+-])?\s*(?P<imag>i\*)?\s*(?P<c2>[\d.eE+-]+)\s*\*\s*"
     r"\(\s*mu\s*\+\s*(?P<c1>[\d.eE+-]+)\s*\)\s*\^\s*\(\s*(?P<t>[\d.eE+-]+)\s*/\s*2\s*\)\s*$")
-
-
 MULTIPLIER_KINDS = ("constant", "multiplier", "cantor")
 IMPEDANCE_KINDS = ("zero", *MULTIPLIER_KINDS, "symbol", "matrix")
+
+
+def _complex(re_, im, keys):
+    re_, im = np.asarray(re_, dtype=float), np.asarray(im, dtype=float)
+    if re_.shape != im.shape:
+        raise SpectrumError(f"{keys} differ in shape: {re_.shape} and {im.shape}")
+    return re_ + 1j * im
+
+
+def _block_args(config, kinds):
+    """What ``config`` of one of ``kinds`` builds from, read alike by its check
+    and its build; raises unless every rule that needs no spectrum holds."""
+    if not isinstance(config, dict) or config.get("kind") not in kinds:
+        raise SpectrumError(f"kind must be one of {list(kinds)}")
+    kind = config["kind"]
+    if kind == "constant":
+        return complex(config.get("z0", 1.0))
+    if kind == "multiplier":
+        return _complex(config["coeffs_re"], config["coeffs_im"], "coeffs_re and coeffs_im")
+    if kind == "matrix":
+        im = config.get("im", np.zeros(np.shape(config["re"])))
+        return _square(_complex(config["re"], im, "re and im"))
+    if kind == "cantor":
+        ratio = config.get("ratio", 1.0 / 3.0)
+        if not (isinstance(ratio, (int, float)) and 0.0 < ratio < 0.5):
+            raise SpectrumError(f"ratio must lie in (0, 1/2), not {ratio!r}")
+        return (ratio, operator.index(config.get("component", 0)),
+                complex(config.get("scale_re", 1.0), config.get("scale_im", 0.0)))
+    if kind == "symbol":
+        if "expr" in config:
+            m = _SYMBOL_RE.match(config["expr"])
+            if not m:
+                raise SpectrumError(f"cannot parse symbol {config['expr']!r}")
+            config = {**m.groupdict(), "imaginary": m["imag"],
+                      "sign": -1 if m["sign"] == "-" else 1}
+        args = {key: float(config[key]) for key in ("c1", "c2", "t")}
+        _check_shift(args["c1"])
+        return {**args, "imaginary": bool(config.get("imaginary")),
+                "sign": float(config.get("sign", 1))}
+    return None
+
+
+def param_block(params, name):
+    """``params[name]``, an experiment's ``impedance`` (zero when absent) or
+    ``phi`` (Cantor unless it names a kind), read by :func:`_block_args`."""
+    block = params.get(name, {"kind": "zero"} if name == "impedance" else {})
+    if name == "phi" and isinstance(block, dict):
+        block = {"kind": "cantor", **block}
+    _block_args(block, IMPEDANCE_KINDS if name == "impedance" else MULTIPLIER_KINDS)
+    return block
+
+
+def check_impedance_config(config, N_trunc, count, geom):
+    """The truncation of the operator ``impedance_from_config`` builds from
+    ``config`` at N_trunc (a matrix's size, else N_trunc); raises unless
+    ``config`` reads and fits a spectrum of ``count`` modes on ``geom``."""
+    args = _block_args(config, IMPEDANCE_KINDS)
+    if config["kind"] == "multiplier":
+        check_coefficients(args, count)
+    if config["kind"] == "cantor":
+        check_cantor_target(geom, args[1])
+    N = len(args) if config["kind"] == "matrix" else N_trunc
+    check_truncation(N, count)
+    return N
 
 
 def phi_from_config(spec, config):
@@ -104,28 +176,13 @@ def phi_from_config(spec, config):
     The Cantor coefficients are exact, so a ``cantor`` config still accepts
     the keys ``samples`` and ``seed`` of the former sampler and ignores them.
     """
-    kind = config["kind"]
-    if kind == "constant":
-        return SpectralFunction(spec, complex(config.get("z0", 1.0))
-                                * constant_function(spec).coeffs)
-    if kind == "multiplier":
-        return SpectralFunction.from_dict(spec, config)
-    if kind == "cantor":
-        phi = cantor_measure_coeffs(spec, config.get("ratio", 1.0 / 3.0),
-                                    target_component=config.get("component", 0))
-        return complex(config.get("scale_re", 1.0), config.get("scale_im", 0.0)) * phi
-    raise SpectrumError(f"unknown multiplier kind {kind!r}")
-
-
-def check_impedance_config(config, N_trunc, count, geom):
-    """The truncation of the operator ``impedance_from_config`` builds from
-    ``config`` at N_trunc (a matrix's size, else N_trunc); SpectrumError unless
-    it fits a spectrum of ``count`` modes on the boundary ``geom``."""
-    if config["kind"] == "cantor":
-        check_cantor_target(geom, config.get("component", 0))
-    N = len(config["re"]) if config["kind"] == "matrix" else N_trunc
-    check_truncation(N, count)
-    return N
+    args = _block_args(config, MULTIPLIER_KINDS)
+    if config["kind"] == "constant":
+        return SpectralFunction(spec, args * constant_function(spec).coeffs)
+    if config["kind"] == "multiplier":
+        return SpectralFunction(spec, args)
+    ratio, component, scale = args
+    return scale * cantor_measure_coeffs(spec, ratio, target_component=component)
 
 
 def impedance_from_config(spec, config, N_trunc=None):
@@ -133,36 +190,26 @@ def impedance_from_config(spec, config, N_trunc=None):
 
     ``{"kind": "zero"}``; ``{"kind": "constant", "z0": ...}``;
     ``{"kind": "multiplier", "coeffs_re": [...], "coeffs_im": [...]}``;
-    ``{"kind": "cantor", "ratio": r, ...}``;
+    ``{"kind": "cantor", "ratio": r, "component": j, ...}``;
     ``{"kind": "symbol", "c1": .., "c2": .., "t": .., "imaginary": bool,
     "sign": +-1}`` or ``{"kind": "symbol", "expr": "i*c2*(mu+c1)^(t/2)"}``;
-    ``{"kind": "matrix", "re": [[..]], "im": [[..]]}``.
+    ``{"kind": "matrix", "re": [[..]], "im": [[..]]}``.  Raises on what
+    ``check_impedance_config`` rejects: coefficient lists of unequal lengths or
+    past the spectrum, a Cantor ratio outside (0, 1/2) or a missing component,
+    an unparsable ``expr``, c1 < 0, an ``im`` unlike ``re`` or a ``re`` not
+    square, a truncation outside 1..spec.count.
     """
-    N_trunc = N_trunc or spec.count
-    check_impedance_config(config, N_trunc, spec.count, spec.geometry)
+    N_trunc = check_impedance_config(config, N_trunc or spec.count, spec.count,
+                                     spec.geometry)
     kind = config["kind"]
     if kind == "zero":
         return zero_impedance(spec, N_trunc)
     if kind in MULTIPLIER_KINDS:
         return multiplier_impedance(phi_from_config(spec, config), N_trunc)
+    args = _block_args(config, IMPEDANCE_KINDS)
     if kind == "symbol":
-        if "expr" in config:
-            m = _SYMBOL_RE.match(config["expr"])
-            if not m:
-                raise SpectrumError(f"cannot parse symbol {config['expr']!r}")
-            return symbol_impedance(
-                spec, N_trunc, c1=float(m["c1"]), c2=float(m["c2"]),
-                t=float(m["t"]), imaginary=bool(m["imag"]),
-                sign=-1 if m["sign"] == "-" else 1)
-        return symbol_impedance(spec, N_trunc, c1=config["c1"], c2=config["c2"],
-                                t=config["t"],
-                                imaginary=config.get("imaginary", False),
-                                sign=config.get("sign", 1))
-    if kind == "matrix":
-        Z = np.asarray(config["re"], dtype=float) + 1j * np.asarray(
-            config.get("im", np.zeros_like(config["re"])), dtype=float)
-        return matrix_impedance(spec, Z)
-    raise SpectrumError(f"unknown impedance kind {kind!r}")
+        return symbol_impedance(spec, N_trunc, **args)
+    return matrix_impedance(spec, args)
 
 
 # ---------------------------------------------------------------------------

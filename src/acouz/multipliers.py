@@ -255,12 +255,15 @@ def compactness_profile(A: MultiplierMatrix, ranks):
     :func:`multiplier_norm`.
     """
     sv = A.singular_values
-    out = []
+    check_ranks(ranks, sv.size)
+    return [float(sv[k - 1]) for k in ranks]
+
+
+def check_ranks(ranks, n):
+    """Raise SpectrumError unless every rank lies in 1..n."""
     for k in ranks:
-        if not 1 <= k <= sv.size:
-            raise SpectrumError(f"rank {k} outside 1..{sv.size}")
-        out.append(float(sv[k - 1]))
-    return out
+        if not 1 <= k <= n:
+            raise SpectrumError(f"rank {k} outside 1..{n}")
 
 
 def hermitian_check(X, tol=None):

@@ -1,5 +1,4 @@
 import functools
-import json
 import multiprocessing
 import os
 
@@ -517,9 +516,3 @@ class TestSpectralFunction:
         assert one.coeffs[0] == pytest.approx(np.sqrt(L))
         assert np.allclose(one.coeffs[1:], 0)
         assert np.allclose(oracles.curve_grid(circle_spec).values(one.coeffs), 1.0)
-
-    def test_json_dict_roundtrip(self, circle_spec):
-        # the coefficient lists of a `multiplier` config
-        d = json.loads(json.dumps({"coeffs_re": [1.0, 0.0], "coeffs_im": [2.0, -0.5]}))
-        back = bd.SpectralFunction.from_dict(circle_spec, d)
-        assert np.array_equal(back.coeffs, np.array([1 + 2j, -0.5j]))

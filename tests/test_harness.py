@@ -423,6 +423,53 @@ def test_validate_rejects_bad_phi_blocks(block, tmp_path, capsys):
                for line in capsys.readouterr().err.splitlines())
 
 
+IMPEDANCE_N8 = {"experiment": "impedance_check", "geometry": {"kind": "circle"},
+                "params": {"N": 8, "N_trunc": 8}}
+
+
+def _params(config, **params):
+    return {**config, "params": {**config["params"], **params}}
+
+
+@pytest.mark.parametrize("config, message", [
+    (_params(IMPEDANCE_N8, impedance={"kind": "multiplier", "coeffs_re": [1.0] * 10,
+                                      "coeffs_im": [0.0] * 10}),
+     "coefficient vector of shape (10,) does not fit the spectrum (8)"),
+    (_params(IMPEDANCE_N8, impedance={"kind": "multiplier", "coeffs_re": [1.0, 0.0, 0.0],
+                                      "coeffs_im": [0.0, 0.0]}),
+     "params.impedance: SpectrumError: coeffs_re and coeffs_im differ in shape"),
+    (_params(IMPEDANCE_N8, impedance={"kind": "matrix", "re": [[1, 0, 0], [0, 1, 0]]}),
+     "params.impedance: SpectrumError: impedance matrix must be square"),
+    (_params(IMPEDANCE_N8, impedance={"kind": "symbol", "expr": "mu^2"}),
+     "params.impedance: SpectrumError: cannot parse symbol 'mu^2'"),
+    (_params(IMPEDANCE_N8, impedance={"kind": "symbol", "c1": -1, "c2": 1, "t": 1}),
+     "params.impedance: SpectrumError: symbol shift c1 must be nonnegative"),
+    # a 1x2 im used to broadcast row-wise onto the 2x2 re, and the run passed
+    (_params(IMPEDANCE_N8, impedance={"kind": "matrix", "re": [[1, 0], [0, 1]],
+                                      "im": [[1, 2]]}),
+     "params.impedance: SpectrumError: re and im differ in shape"),
+    (_params(PROFILE, ranks=[0, 1]), "rank 0 outside 1..16"),
+    (_params(PROFILE, truncations=[0, 16]), "truncation 0 must be at least 1"),
+    ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
+      "params": {"n_wanted": 0}}, "params.n_wanted must be at least 1"),
+    ({"experiment": "monte_carlo", "mesh": {"kind": "disk", "h": 0.3},
+      "params": {"n_samples": 0, "rspec": {"c": 1.0, "s": 0.3}}},
+     "params.n_samples must be at least 1"),
+], ids=["coeffs_past_spectrum", "coeffs_unequal", "matrix_not_square",
+        "symbol_expr", "symbol_shift", "matrix_im_shape", "rank_zero",
+        "truncation_zero", "n_wanted_zero", "n_samples_zero"])
+def test_block_and_count_rules_rejected_before_the_run(config, message, tmp_path,
+                                                       monkeypatch, capsys):
+    # each config printed `ok` from validate, and its run failed or, for the
+    # im of another shape, built an operator the config does not describe
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    for command in ("validate", "run"):
+        assert cli.main([command, "config.json", "--out", "out"]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
+
+
 def test_multiplier_profile_ignores_the_seed(tmp_path):
     # the Cantor coefficients are exact: the former sampler keys are accepted
     # and ignored, and every artifact is the same at any seed (the manifest's

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,39 @@ class TestConstruction:
     def test_matrix_kind_validation(self, circle_spec):
         with pytest.raises(bd.SpectrumError):
             imp.matrix_impedance(circle_spec, np.ones((3, 4)))
+
+    def test_json_dict_roundtrip(self, circle_spec):
+        # the coefficient lists of a `multiplier` config
+        d = json.loads(json.dumps({"kind": "multiplier", "coeffs_re": [1.0, 0.0],
+                                   "coeffs_im": [2.0, -0.5]}))
+        back = imp.phi_from_config(circle_spec, d)
+        assert np.array_equal(back.coeffs, np.array([1 + 2j, -0.5j]))
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "bogus"},
+        {"kind": "multiplier", "coeffs_re": [1.0] * 70, "coeffs_im": [0.0] * 70},
+        {"kind": "multiplier", "coeffs_re": [1.0, 0.0, 0.0], "coeffs_im": [0.0, 0.0]},
+        {"kind": "cantor", "ratio": 0.5},
+        {"kind": "cantor", "component": 1},
+        {"kind": "symbol", "c1": -1.0, "c2": 1.0, "t": 1.0},
+        {"kind": "matrix", "re": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+        {"kind": "matrix", "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[1.0, 2.0]]},
+    ], ids=["kind", "coeffs_past_spectrum", "coeffs_unequal", "cantor_ratio",
+            "cantor_component", "symbol_shift", "matrix_not_square", "matrix_im_shape"])
+    def test_build_applies_the_config_check(self, circle_spec, config):
+        # impedance_from_config runs check_impedance_config: what validate
+        # rejects never builds
+        with pytest.raises(bd.SpectrumError):
+            imp.check_impedance_config(config, 4, circle_spec.count, circle_spec.geometry)
+        with pytest.raises(bd.SpectrumError):
+            imp.impedance_from_config(circle_spec, config, N_trunc=4)
+
+    def test_phi_block_defaults_to_cantor(self):
+        assert imp.param_block({"phi": {"ratio": 0.25}}, "phi") == {
+            "kind": "cantor", "ratio": 0.25}
+        assert imp.param_block({}, "impedance") == {"kind": "zero"}
+        with pytest.raises(bd.SpectrumError):
+            imp.param_block({"phi": {"kind": "symbol", "c1": 1, "c2": 1, "t": 1}}, "phi")
 
     def test_config_round_trip(self, circle_spec):
         Z = imp.impedance_from_config(circle_spec, {"kind": "constant", "z0": 2.0},
