@@ -410,7 +410,6 @@ class AcousticPencil:
     assembled: ``apply_B`` applies it through its factors on the bdofs.
     """
 
-    mesh: DomainMesh
     spectrum: object
     K: sp.csr_matrix
     M: sp.csr_matrix
@@ -460,13 +459,13 @@ class AcousticPencil:
         return self.K @ x - 1j * lam * self.apply_B(x) - lam ** 2 * (self.M @ x)
 
 
-def check_geometry_match(mesh, spec, tol=1e-10):
+def check_geometry_match(mesh, spec):
     comps = spec.geometry.components
     if len(comps) != len(mesh.boundary_loops):
         raise MeshError("boundary component count differs between mesh and spectrum")
     for c, loop in zip(comps, mesh.boundary_loops):
         pts = mesh.vertices[np.asarray(loop)]
-        if c.shape != pts.shape or not np.allclose(c, pts, atol=tol, rtol=0.0):
+        if c.shape != pts.shape or not np.allclose(c, pts, atol=1e-10, rtol=0.0):
             raise MeshError("mesh boundary and spectrum geometry disagree "
                             "(vertices or arclengths differ)")
 
@@ -491,7 +490,7 @@ def assemble_pencil(mesh, spec, N_b=None):
     K = stiffness_matrix(mesh)
     M = mass_matrix_2d(mesh)
     T, bdofs = trace_projection(mesh, spec, N_b)
-    pencil = AcousticPencil(mesh=mesh, spectrum=spec, K=K, M=M, N_b=N_b,
+    pencil = AcousticPencil(spectrum=spec, K=K, M=M, N_b=N_b,
                             Zhat=np.zeros((N_b, N_b)), trace=T, bdofs=bdofs)
     pencil.lam_scale = neumann_scale(pencil)
     # SPD, so diagonal pivots on a symmetric ordering are stable
@@ -539,8 +538,11 @@ class EigenReport:
         lam = self.certified()
         return bool(np.all(np.abs(lam.imag) <= self.halfplane_tol * (1 + np.abs(lam))))
 
+    # the header of every eigenvalue CSV
+    COLUMNS = ("re", "im", "residual", "q_factor", "certified", "sample_id")
+
     def rows(self, sample_id=0):
-        """(re, im, residual, q_factor, certified, sample_id) per eigenvalue.
+        """One row of ``COLUMNS`` per eigenvalue.
 
         q = |Re lambda| / (-2 Im lambda) for a decaying lambda, i.e. Im lambda
         below -halfplane_tol * (1 + |lambda|), the tolerance of the
@@ -624,7 +626,7 @@ def solve_pencil(pencil, n_wanted=12):
 # m-dissipativity verification
 # ---------------------------------------------------------------------------
 
-def _energy_reduction(pencil, kernel_tol=1e-10):
+def _energy_reduction(pencil):
     """A_h in energy coordinates, kernel of K deflated: the dense test oracle.
 
     With K = U diag(kappa) U^t (kappa > 0 kept), M = L L^t, the state
@@ -639,7 +641,7 @@ def _energy_reduction(pencil, kernel_tol=1e-10):
     K = pencil.K.toarray()
     M = pencil.M.toarray()
     kappa, U = np.linalg.eigh(K)
-    keep = kappa > kernel_tol * max(kappa.max(), 1.0)
+    keep = kappa > 1e-10 * max(kappa.max(), 1.0)
     Uk = U[:, keep]
     sq = np.sqrt(kappa[keep])
     L = np.linalg.cholesky(M)

@@ -154,13 +154,9 @@ class BoundaryGeometry:
             return cls.from_dict(json.load(f))
 
 
-def _segment_lengths(c):
-    d = np.diff(np.vstack([c, c[:1]]), axis=0)
-    return np.hypot(d[:, 0], d[:, 1])
-
-
 def _polyline_length(c):
-    return float(_segment_lengths(c).sum())
+    d = np.diff(np.vstack([c, c[:1]]), axis=0)
+    return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
 
 def _check_closed_oriented(t):

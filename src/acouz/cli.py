@@ -28,8 +28,6 @@ def _load_config(args):
     cfg = ExperimentConfig.from_dict(raw)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.out:
-        cfg.out_dir = args.out
     if args.workers is not None:
         cfg.workers = args.workers
     return cfg

@@ -49,9 +49,9 @@ def _raw_uniforms(seed, stream, count):
     return np.minimum(u, np.nextafter(1.0, 0.0))
 
 
-def gaussian_stream(seed, count, stream=STREAM_GAUSS):
-    """Standard-normal draws xi_1..xi_count of the (seed, stream) stream."""
-    return ndtri(_raw_uniforms(seed, stream, count))
+def gaussian_stream(seed, count):
+    """Standard-normal draws xi_1..xi_count of the seed's Gaussian stream."""
+    return ndtri(_raw_uniforms(seed, STREAM_GAUSS, count))
 
 
 def gaussian_paths(seeds, count):
@@ -60,10 +60,10 @@ def gaussian_paths(seeds, count):
     return np.array([gaussian_stream(seed, count) for seed in seeds])
 
 
-def positive_stream(seed, count, stream=STREAM_KERNEL):
+def positive_stream(seed, count):
     """Exp(1) draws -log(u) for the kernel-mode weights: strictly positive,
     since every uniform lies below 1."""
-    return -np.log(_raw_uniforms(seed, stream, count))
+    return -np.log(_raw_uniforms(seed, STREAM_KERNEL, count))
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +129,15 @@ def check_classifier_schedule(seeds, checkpoints):
 
 
 def convergence_classifier(spec, s, t, paths, checkpoints=FGF_CHECKPOINTS,
-                           eps_conv=EPS_CONV_DEFAULT, margin=MARGIN_DEFAULT):
+                           eps_conv=EPS_CONV_DEFAULT):
     """Empirical convergence/divergence verdict for Xi_s in H^t.
 
     Converges iff the median over seeds of |S_2N|_t / |S_N|_t at the last
-    doubling is <= 1 + eps_conv.  Inputs with |t - threshold| < margin sit
-    inside the band where the doubling statistic cannot separate log-type
-    divergence from slow convergence at any affordable truncation; they are
-    reported as indeterminate rather than silently coerced.
+    doubling is <= 1 + eps_conv.  Inputs with |t - threshold| below the
+    margin MARGIN_DEFAULT sit inside the band where the doubling statistic
+    cannot separate log-type divergence from slow convergence at any
+    affordable truncation; they are reported as indeterminate rather than
+    silently coerced.
 
     The draws are the rows of ``paths``, one per seed and
     ``checkpoints[-1]`` long (see :func:`gaussian_paths`), so that a caller
@@ -152,7 +153,7 @@ def convergence_classifier(spec, s, t, paths, checkpoints=FGF_CHECKPOINTS,
 
     # strict interior of the band, with slack so |t - threshold| == margin
     # (up to roundoff) still gets a verdict
-    if abs(t - threshold) < margin - 1e-9:
+    if abs(t - threshold) < MARGIN_DEFAULT - 1e-9:
         verdict = "indeterminate"
     elif median_ratio <= 1.0 + eps_conv:
         verdict = "converges"
@@ -164,7 +165,7 @@ def convergence_classifier(spec, s, t, paths, checkpoints=FGF_CHECKPOINTS,
         "ratio_iqr": [float(np.percentile(ratios, 25)), float(np.percentile(ratios, 75))],
         "threshold": threshold,
         "eps_conv": eps_conv,
-        "margin": margin,
+        "margin": MARGIN_DEFAULT,
         "seeds": len(paths),
         "checkpoints": checkpoints,
     }

@@ -3,6 +3,9 @@
 A run takes one JSON config, executes the named experiment, writes CSV/JSON
 artifacts plus a manifest with per-file checksums, and fails closed: any
 violated built-in assertion makes the run (and the CLI) report failure.
+The prepare step (``prepare``) is the only reader of a config: it reads,
+defaults and checks each value once, and the runner takes the checked
+values, never the config.
 Identical config + seed reproduce identical artifact checksums at any worker
 count: random draws come from a counter-based sampler, every ARPACK solve
 starts from a fixed vector, and the workers only share out Monte Carlo
@@ -12,6 +15,7 @@ sets.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
@@ -33,8 +37,9 @@ from .fgf import (
     convergence_classifier, gaussian_paths,
 )
 from .impedance import (
-    cayley, check_impedance_config, impedance_from_config, inverse_cayley,
-    is_accretive, param_block, phi_from_config, selfadjointness_criterion,
+    CAYLEY_CONTRACTION_SLACK, cayley, check_impedance_config, impedance_from_config,
+    inverse_cayley, is_accretive, param_block, phi_from_config,
+    selfadjointness_criterion,
 )
 from .multipliers import (
     TripleProductTensor, build_multiplier, check_ranks, compactness_profile,
@@ -89,14 +94,10 @@ class ExperimentConfig:
                   if not isinstance(d.get(key), (dict, type(None)))]
         if not isinstance(d.get("out_dir", ""), str):
             errors.append("out_dir must be a string")
-        ints = {}
-        for key in ("seed", "workers", "schema_version"):
-            if key not in d:        # the dataclass default
-                continue
-            try:
-                ints[key] = int(d[key])
-            except (TypeError, ValueError):
-                errors.append(f"{key} must be an integer, not {d[key]!r}")
+        # absent keys take the dataclass defaults
+        ints = {key: d[key] for key in ("seed", "workers", "schema_version") if key in d}
+        errors += [f"{key} must be an integer, not {v!r}" for key, v in ints.items()
+                   if isinstance(v, bool) or not isinstance(v, int)]
         if errors:
             raise ConfigError(errors)
         return cls(experiment=d.get("experiment", ""),
@@ -141,21 +142,52 @@ def _config_errors(config):
         errors.append("experiment 'impedance_check' needs params.impedance")
     for name in ("impedance", "phi"):
         try:
-            param_block(config.params, name)
-        except (LookupError, TypeError, ValueError) as err:
-            errors.append(f"params.{name}: {type(err).__name__}: {err}")
+            _checked_block(config.params, name)
+        except ConfigError as err:
+            errors += err.errors
     if config.workers < 1:
         errors.append("workers must be >= 1")
-    for key in ("s_values", "t_offsets", "checkpoints", "truncations", "ranks"):
-        if key in config.params and not config.params[key]:
-            errors.append(f"params.{key} must be non-empty")
     return errors
 
 
+def _read(block, path, default, kind="real", many=False):
+    """The config value at ``path`` (its last key in ``block``, else
+    ``default``), checked once: a real number, an ``integer`` (its library
+    helper checks the range) or a ``count`` (an integer >= 1), or with
+    ``many`` a non-empty list of them, never a bool.  With a None default,
+    None (absent or given) means off."""
+    value = block.get(path.rpartition(".")[2], default)
+    if value is None and default is None:
+        return None
+    if many and not (isinstance(value, (list, tuple)) and value):
+        raise ConfigError([f"{path} must be a non-empty list, not {value!r}"])
+    real = kind == "real"
+    where = f"each entry of {path}" if many else path
+    for x in value if many else [value]:
+        if isinstance(x, bool) or not isinstance(x, (int, float) if real else int):
+            raise ConfigError([f"{where} must be "
+                               f"{'a real number' if real else 'an integer'}, not {x!r}"])
+        if kind == "count" and x < 1:
+            raise ConfigError([f"{where} must be at least 1, not {x!r}"])
+    return value
+
+
+def _checked_block(p, name, *fit):
+    """``param_block`` and, given ``fit`` = (N_trunc, count, geom), its
+    ``check_impedance_config`` truncation; its errors name ``params.<name>``."""
+    try:
+        block = param_block(p, name)
+        return block, check_impedance_config(block, *fit) if fit else None
+    except (LookupError, TypeError, ValueError) as err:
+        raise ConfigError([f"params.{name}: {type(err).__name__}: {err}"]) from None
+
+
 def prepare(config):
-    """The keyword arguments of the config's runner, or ConfigError: builds
-    the geometry or mesh once, resolves each default of the runner once and
-    checks the runner's preconditions on them, before anything is written."""
+    """The keyword arguments of the config's runner, or ConfigError.  The
+    only reader of a config: checks what the config alone decides, builds
+    the geometry or mesh once and runs the experiment's prepare step, which
+    reads, defaults and checks once each value its runner uses, and the
+    runner's preconditions on the built block, before anything is written."""
     errors = _config_errors(config)
     if errors:
         raise ConfigError(errors)
@@ -167,7 +199,9 @@ def prepare(config):
         raise ConfigError([f"cannot build the {block} block: "
                            f"{type(err).__name__}: {err}"]) from None
     try:
-        return prepare_runner(config.params, built)
+        return prepare_runner(config, built)
+    except ConfigError:
+        raise
     except (LookupError, TypeError, ValueError) as err:
         raise ConfigError([f"{type(err).__name__}: {err}"]) from None
 
@@ -207,53 +241,29 @@ def apply_overrides(config_dict, overrides):
 # geometry / mesh builders
 # ---------------------------------------------------------------------------
 
-def _geom_circle(spec):
-    return shapes.scaled_circle_by_perimeter(
-        spec.get("perimeter", 2 * math.pi), n_segments=spec.get("segments", 256))
-
-
-def _geom_polygon(spec):
-    return shapes.regular_polygon_geometry(
-        spec.get("sides", 12), circumradius=spec.get("circumradius", 1.0))
-
-
-def _geom_sphere(spec):
-    return shapes.icosphere(spec.get("subdivisions", 4),
-                            radius=spec.get("radius", 1.0))
-
-
-def _geom_file(spec):
-    return BoundaryGeometry.load_json(spec["path"])
-
-
-_geometry_kinds = {"circle": _geom_circle, "polygon": _geom_polygon,
-                   "sphere": _geom_sphere, "file": _geom_file}
+# kind -> builder of a geometry or a mesh block of that kind
+_geometry_kinds = {
+    "circle": lambda spec: shapes.scaled_circle_by_perimeter(
+        spec.get("perimeter", 2 * math.pi), n_segments=spec.get("segments", 256)),
+    "polygon": lambda spec: shapes.regular_polygon_geometry(
+        spec.get("sides", 12), circumradius=spec.get("circumradius", 1.0)),
+    "sphere": lambda spec: shapes.icosphere(spec.get("subdivisions", 4),
+                                            radius=spec.get("radius", 1.0)),
+    "file": lambda spec: BoundaryGeometry.load_json(spec["path"]),
+}
+_mesh_kinds = {
+    "disk": lambda spec: ac.disk_mesh(spec.get("h", 0.1), radius=spec.get("radius", 1.0)),
+    "annulus": lambda spec: ac.annulus_mesh(spec.get("h", 0.1),
+                                            r_inner=spec.get("r_inner", 0.5),
+                                            r_outer=spec.get("r_outer", 1.0)),
+    "polygon": lambda spec: ac.convex_polygon_mesh(
+        np.asarray(spec["corners"], dtype=float), spec.get("h", 0.1)),
+    "file": lambda spec: ac.DomainMesh.load_json(spec["path"]),
+}
 
 
 def build_geometry(spec):
     return _geometry_kinds[spec["kind"]](spec)
-
-
-def _mesh_disk(spec):
-    return ac.disk_mesh(spec.get("h", 0.1), radius=spec.get("radius", 1.0))
-
-
-def _mesh_annulus(spec):
-    return ac.annulus_mesh(spec.get("h", 0.1), r_inner=spec.get("r_inner", 0.5),
-                           r_outer=spec.get("r_outer", 1.0))
-
-
-def _mesh_polygon(spec):
-    return ac.convex_polygon_mesh(np.asarray(spec["corners"], dtype=float),
-                                  spec.get("h", 0.1))
-
-
-def _mesh_file(spec):
-    return ac.DomainMesh.load_json(spec["path"])
-
-
-_mesh_kinds = {"disk": _mesh_disk, "annulus": _mesh_annulus,
-               "polygon": _mesh_polygon, "file": _mesh_file}
 
 
 def build_mesh(spec):
@@ -275,11 +285,8 @@ def build_spectrum(geom, N, modes=False, workers=1):
 # ---------------------------------------------------------------------------
 
 def _sha256(path):
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _write_json(path, obj):
@@ -329,8 +336,7 @@ class RunManifest:
 
 
 class _Run:
-    def __init__(self, config, out_dir):
-        self.config = config
+    def __init__(self, out_dir):
         self.out_dir = out_dir
         self.artifacts = []
         self.assertions = []
@@ -355,82 +361,87 @@ class _Run:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _prepare_weyl(p, geom):
-    N = p.get("N", min(400, surface_truncation_cap(geom)))
-    fit_range = p.get("fit_range", [21, min(200, N)])
+def _prepare_weyl(config, geom):
+    p, d = config.params, geom.dim_ambient
+    N = _read(p, "params.N", min(400, surface_truncation_cap(geom)), "count")
+    fit_range = _read(p, "params.fit_range", [21, min(200, N)], "count", many=True)
     check_surface_truncation(N, geom)
     check_fit_range(fit_range, geom.n_components, N)
-    return {"geom": geom, "N": N, "fit_range": fit_range}
+    return {"geom": geom, "N": N, "fit_range": fit_range,
+            "expect": _read(p, "params.expect_slope", 2.0 / (d - 1)),
+            "tol": _read(p, "params.slope_tol", 0.05 if d == 2 else 0.15),
+            "workers": config.workers}
 
 
-def _run_weyl(run, geom, N, fit_range):
-    p = run.config.params
-    spec = build_spectrum(geom, N, workers=run.config.workers)
-    lo, hi = fit_range
-    diag = weyl_diagnostic(spec, (lo, hi))
-    expect = p.get("expect_slope", 2.0 / (geom.dim_ambient - 1))
-    tol = p.get("slope_tol", 0.05 if geom.dim_ambient == 2 else 0.15)
+def _run_weyl(run, geom, N, fit_range, expect, tol, workers):
+    spec = build_spectrum(geom, N, workers=workers)
+    diag = weyl_diagnostic(spec, fit_range)
     run.add_csv("spectrum", ["n", "mu_n"],
                 [(n + 1, float(m)) for n, m in enumerate(spec.mu)])
-    run.add_json("weyl", {**diag, "fit_range": [lo, hi], "expect_slope": expect,
+    run.add_json("weyl", {**diag, "fit_range": fit_range, "expect_slope": expect,
                           "slope_tol": tol, "dim": geom.dim_ambient})
     run.check("weyl_slope", abs(diag["slope"] - expect) <= tol,
               f"slope={diag['slope']:.4f} expect {expect}+-{tol}")
 
 
-def _prepare_fgf(p, geom):
-    seeds, checkpoints = p.get("seeds", FGF_SEEDS), p.get("checkpoints", FGF_CHECKPOINTS)
+def _prepare_fgf(config, geom):
+    """The classifier schedule and the (s, t) grid: each s of ``s_values`` with
+    each of ``t_values``, else with s - (d-1)/2 plus each of ``t_offsets``."""
+    p = config.params
+    seeds = _read(p, "params.seeds", FGF_SEEDS, "count")
+    checkpoints = _read(p, "params.checkpoints", FGF_CHECKPOINTS, "count", many=True)
     check_surface_truncation(checkpoints[-1], geom)
     check_classifier_schedule(seeds, checkpoints)
-    return {"geom": geom, "seeds": seeds, "checkpoints": checkpoints}
-
-
-def _run_fgf(run, geom, seeds, checkpoints):
-    cfg = run.config
-    p = cfg.params
-    spec = build_spectrum(geom, checkpoints[-1], workers=cfg.workers)
-    # every (s, t) cell reads the same Gaussian paths: drawn once per run
-    paths = gaussian_paths(range(cfg.seed, cfg.seed + seeds), checkpoints[-1])
+    t_values = _read(p, "params.t_values", None, many=True)
+    offsets = _read(p, "params.t_offsets", [-0.3, -0.25, 0.25, 0.3], many=True)
     d = geom.dim_ambient
+    cells = [(s, t) for s in _read(p, "params.s_values", [0.5, 1.0, 2.0], many=True)
+             for t in t_values or [s - (d - 1) / 2.0 + off for off in offsets]]
+    return {"geom": geom, "seeds": range(config.seed, config.seed + seeds),
+            "checkpoints": checkpoints, "cells": cells, "workers": config.workers}
+
+
+def _run_fgf(run, geom, seeds, checkpoints, cells, workers):
+    spec = build_spectrum(geom, checkpoints[-1], workers=workers)
+    # every (s, t) cell reads the same Gaussian paths: drawn once per run
+    paths = gaussian_paths(seeds, checkpoints[-1])
     rows, verdicts = [], []
-    all_match = True
-    for s in p.get("s_values", [0.5, 1.0, 2.0]):
-        threshold = s - (d - 1) / 2.0
-        for t in p.get("t_values", [threshold + off for off in
-                                    p.get("t_offsets", [-0.3, -0.25, 0.25, 0.3])]):
-            r = convergence_classifier(spec, s, t, paths=paths, checkpoints=checkpoints)
-            theory = "converges" if t < r["threshold"] else "diverges"
-            in_band = r["verdict"] == "indeterminate"
-            all_match = all_match and (in_band or r["verdict"] == theory)
-            verdicts.append({"s": s, "t": t, "verdict": r["verdict"],
-                             "theory": theory, "median_ratio": r["median_ratio"],
-                             "in_margin_band": in_band})
-            rows.append((s, t, r["median_ratio"], r["verdict"], theory))
+    for s, t in cells:
+        r = convergence_classifier(spec, s, t, paths=paths, checkpoints=checkpoints)
+        theory = "converges" if t < r["threshold"] else "diverges"
+        verdicts.append({"s": s, "t": t, "verdict": r["verdict"],
+                         "theory": theory, "median_ratio": r["median_ratio"],
+                         "in_margin_band": r["verdict"] == "indeterminate"})
+        rows.append((s, t, r["median_ratio"], r["verdict"], theory))
     run.add_csv("ratios", ["s", "t", "median_ratio", "verdict", "theory"], rows)
     run.add_json("verdicts", {"cells": verdicts, "checkpoints": checkpoints})
-    run.check("classifier_matches_theory", all_match,
+    run.check("classifier_matches_theory",
+              all(v["in_margin_band"] or v["verdict"] == v["theory"] for v in verdicts),
               f"{sum(v['verdict'] == v['theory'] for v in verdicts)}/{len(verdicts)}")
 
 
-def _prepare_multiplier(p, geom):
-    truncs = p.get("truncations", [256, 512])
-    ranks = p.get("ranks", [1, 2, 4, 8, 16, 32, 64])
-    N, phi = int(2.2 * max(truncs)) + 8, param_block(p, "phi")
+def _prepare_multiplier(config, geom):
+    p = config.params
+    truncs = _read(p, "params.truncations", [256, 512], "integer", many=True)
+    ranks = _read(p, "params.ranks", [1, 2, 4, 8, 16, 32, 64], "integer", many=True)
+    N = int(2.2 * max(truncs)) + 8
     check_surface_truncation(N, geom)
     for Nt in truncs:
         check_truncation(Nt, N)
         check_ranks([r for r in ranks if r <= Nt], Nt)
-    check_impedance_config(phi, N, N, geom)
-    return {"geom": geom, "N": N, "truncs": truncs, "ranks": ranks, "phi": phi}
+    phi, _ = _checked_block(p, "phi", N, N, geom)
+    return {"geom": geom, "N": N, "truncs": truncs, "ranks": ranks, "phi": phi,
+            "s1": _read(p, "params.s1", 0.5), "s2": _read(p, "params.s2", 0.5),
+            "stability_tol": _read(p, "params.stability_tol", None),
+            "psd_tol": _read(config.tolerances, "tolerances.psd_tol", None),
+            "workers": config.workers}
 
 
-def _run_multiplier(run, geom, N, truncs, ranks, phi):
-    cfg = run.config
-    p = cfg.params
-    spec = build_spectrum(geom, N, modes=True, workers=cfg.workers)
+def _run_multiplier(run, geom, N, truncs, ranks, phi, s1, s2, stability_tol,
+                    psd_tol, workers):
+    spec = build_spectrum(geom, N, modes=True, workers=workers)
     tensor = TripleProductTensor(spec)
     phi = phi_from_config(spec, phi)
-    s1, s2 = p.get("s1", 0.5), p.get("s2", 0.5)
     rows, norms = [], []
     for Nt in truncs:
         A = build_multiplier(phi, s1, s2, Nt, tensor=tensor)
@@ -438,26 +449,28 @@ def _run_multiplier(run, geom, N, truncs, ranks, phi):
         kept = [r for r in ranks if r <= Nt]
         rows.extend((k, sv, Nt) for k, sv in zip(kept, compactness_profile(A, kept)))
         if Nt == min(truncs):
-            pos = positivity_test(A, tol=cfg.tolerances.get("psd_tol"))
+            pos = positivity_test(A, tol=psd_tol)
     run.add_csv("profile", ["k", "sigma_k", "N_trunc"], rows)
     run.add_json("summary", {"norms": dict(zip(map(str, truncs), norms)),
                              "norm": norms[-1], "min_eig": pos["min_eig"],
                              "is_nonneg": pos["nonneg"], "s1": s1, "s2": s2})
-    if len(norms) >= 2 and "stability_tol" in p:
+    if len(norms) >= 2 and stability_tol is not None:
         rel = abs(norms[-1] - norms[-2]) / norms[-2]
-        run.check("norm_stabilizes", rel <= p["stability_tol"],
-                  f"rel change {rel:.4f}")
+        run.check("norm_stabilizes", rel <= stability_tol, f"rel change {rel:.4f}")
 
 
-def _prepare_impedance(p, geom):
-    N, N_trunc = p.get("N", 128), p.get("N_trunc", 64)
+def _prepare_impedance(config, geom):
+    p = config.params
+    N = _read(p, "params.N", 128, "count")
+    N_trunc = _read(p, "params.N_trunc", 64, "count")
     check_surface_truncation(N, geom)
-    check_impedance_config(p["impedance"], N_trunc, N, geom)
-    return {"geom": geom, "N": N, "N_trunc": N_trunc, "impedance": p["impedance"]}
+    impedance, _ = _checked_block(p, "impedance", N_trunc, N, geom)
+    return {"geom": geom, "N": N, "N_trunc": N_trunc, "impedance": impedance,
+            "workers": config.workers}
 
 
-def _run_impedance(run, geom, N, N_trunc, impedance):
-    spec = build_spectrum(geom, N, modes=True, workers=run.config.workers)
+def _run_impedance(run, geom, N, N_trunc, impedance, workers):
+    spec = build_spectrum(geom, N, modes=True, workers=workers)
     Z = impedance_from_config(spec, impedance, N_trunc=N_trunc)
     acc = is_accretive(Z)
     sa = selfadjointness_criterion(Z)
@@ -469,7 +482,7 @@ def _run_impedance(run, geom, N, N_trunc, impedance):
                    / max(1.0, np.linalg.norm(cp.Z_tilde, 2)))
         report.update({"cayley_norm": cp.norm_K, "cayley_roundtrip": rt})
         run.check("cayley_contraction_iff_accretive",
-                  (cp.norm_K <= 1 + 1e-10) == acc["nonneg"],
+                  (cp.norm_K <= 1 + CAYLEY_CONTRACTION_SLACK) == acc["nonneg"],
                   f"|K|={cp.norm_K:.6f}")
     except (SpectrumError, np.linalg.LinAlgError) as err:
         report["cayley_error"] = str(err)
@@ -477,30 +490,24 @@ def _run_impedance(run, geom, N, N_trunc, impedance):
     run.add_json("impedance", report)
 
 
-def _at_least_one(p, key, default):
-    value = p.get(key, default)
-    if not value >= 1:
-        raise ValueError(f"params.{key} must be at least 1, not {value!r}")
-    return value
-
-
 def _prepare_mesh(p, mesh):
     """The mesh, its analytic boundary spectrum (N_spec modes, default 160),
     the trace truncation N_b checked against both, and n_wanted (default 14)."""
-    spec = build_spectrum(mesh.boundary_geometry(), p.get("N_spec", 160))
-    N_b = p.get("N_b")
+    spec = build_spectrum(mesh.boundary_geometry(),
+                          _read(p, "params.N_spec", 160, "count"))
+    N_b = _read(p, "params.N_b", None, "integer")
     N_b = ac.default_N_b(mesh, spec) if N_b is None else N_b
     ac.check_trace_truncation(N_b, spec.count,
                               sum(len(loop) for loop in mesh.boundary_loops))
     return {"mesh": mesh, "spec": spec, "N_b": N_b,
-            "n_wanted": _at_least_one(p, "n_wanted", 14)}
+            "n_wanted": _read(p, "params.n_wanted", 14, "count")}
 
 
-def _prepare_acoustic(p, mesh):
-    inputs = _prepare_mesh(p, mesh)
+def _prepare_acoustic(config, mesh):
+    inputs = _prepare_mesh(config.params, mesh)
     spec, N_b = inputs["spec"], inputs["N_b"]
-    impedance = param_block(p, "impedance")
-    N_trunc = check_impedance_config(impedance, N_b, spec.count, spec.geometry)
+    impedance, N_trunc = _checked_block(config.params, "impedance", N_b, spec.count,
+                                        spec.geometry)
     ac.check_impedance_truncation(N_trunc, N_b)
     return {**inputs, "impedance": impedance}
 
@@ -511,8 +518,7 @@ def _run_acoustic(run, mesh, spec, N_b, n_wanted, impedance):
     pencil = pencil.with_impedance(Z)
     report = ac.solve_pencil(pencil, n_wanted=n_wanted)
     ver = ac.verify_mdissipativity(pencil, report)
-    run.add_csv("eigenvalues", ["re", "im", "residual", "q_factor", "certified",
-                                 "sample_id"], report.rows())
+    run.add_csv("eigenvalues", ac.EigenReport.COLUMNS, report.rows())
     run.add_json("mdiss", ver | {"zero_cluster": report.zero_cluster_size})
     run.check("residuals_certified",
               bool(np.all(report.residuals <= report.residual_tol)),
@@ -526,23 +532,26 @@ def _run_acoustic(run, mesh, spec, N_b, n_wanted, impedance):
                   f"omega_h {ver['omega_h']:.2e}, tolerance {tol:.2e}")
 
 
-def _prepare_monte_carlo(p, mesh):
+def _prepare_monte_carlo(config, mesh):
+    p = config.params
     r = p.get("rspec", {})
-    rspec = RandomImpedanceSpec(c=r.get("c", 1.0), s=r.get("s", 0.3),
+    if not isinstance(r, dict):
+        raise ConfigError(["params.rspec must be a JSON object"])
+    rspec = RandomImpedanceSpec(c=_read(r, "params.rspec.c", 1.0),
+                                s=_read(r, "params.rspec.s", 0.3),
                                 kernel_weights=tuple(r.get("kernel_weights", [])))
     rspec.check_kernel_weights(len(mesh.boundary_loops))
     return {**_prepare_mesh(p, mesh), "rspec": rspec,
-            "n_samples": _at_least_one(p, "n_samples", 50)}
+            "n_samples": _read(p, "params.n_samples", 50, "count"),
+            "seed0": config.seed, "workers": config.workers}
 
 
-def _run_monte_carlo(run, mesh, spec, N_b, n_wanted, rspec, n_samples):
-    cfg = run.config
+def _run_monte_carlo(run, mesh, spec, N_b, n_wanted, rspec, n_samples, seed0, workers):
     out = ac.monte_carlo_spectrum(mesh, spec, rspec, n_samples=n_samples,
-                                  seed0=cfg.seed, N_b=N_b, n_wanted=n_wanted,
-                                  workers=cfg.workers)
+                                  seed0=seed0, N_b=N_b, n_wanted=n_wanted,
+                                  workers=workers)
     rows = [row for s in out["samples"] for row in s["rows"]]
-    run.add_csv("cloud", ["re", "im", "residual", "q_factor", "certified",
-                           "sample_id"], rows)
+    run.add_csv("cloud", ac.EigenReport.COLUMNS, rows)
     run.add_json("ensemble", out["summary"])
     s = out["summary"]
     run.check("all_samples_solved", s["n_solved"] == s["n_samples"],
@@ -556,7 +565,7 @@ def _run_monte_carlo(run, mesh, spec, N_b, n_wanted, rspec, n_samples):
 
 
 # Each experiment once: its runner, the config block it builds from, and
-# its prepare step, which turns the params and the built block into the
+# its prepare step, which turns the config and the built block into the
 # runner's keyword arguments and applies the runner's precondition check.
 _RUNNERS = {"weyl": (_run_weyl, "geometry", _prepare_weyl),
             "fgf_convergence": (_run_fgf, "geometry", _prepare_fgf),
@@ -575,7 +584,7 @@ def run(config, out_dir=None):
     from . import __version__
     out_dir = out_dir or config.run_dir()
     started = time.time()
-    r = _Run(config, out_dir)
+    r = _Run(out_dir)
     try:
         _RUNNERS[config.experiment][0](r, **inputs)
     except Exception as err:    # fail closed: the manifest is still written
@@ -593,42 +602,35 @@ def run(config, out_dir=None):
 # plot-data emission
 # ---------------------------------------------------------------------------
 
+# artifact id -> (column, type) of the series, x and y of its plot data
+_PLOT_COLUMNS = {"eigenvalues": (("sample_id", int), ("re", float), ("im", float)),
+                 "profile": (("N_trunc", int), ("k", int), ("sigma_k", float))}
+_PLOT_COLUMNS["cloud"] = _PLOT_COLUMNS["eigenvalues"]
+
+
 def emit_plotdata(manifest, artifact_id, out_path=None):
     """Re-shape one artifact as long-format (series, x, y) CSV."""
     art = next((a for a in manifest.artifacts if a["id"] == artifact_id), None)
     if art is None:
         raise ConfigError([f"unknown artifact id {artifact_id!r} "
                            f"(have {[a['id'] for a in manifest.artifacts]})"])
-    rows = []
+    if artifact_id not in ("spectrum", "ratios", *_PLOT_COLUMNS):
+        raise ConfigError([f"artifact {artifact_id!r} has no plot-data mapping"])
+    with open(art["path"]) as f:
+        table = list(csv.DictReader(f))
     if artifact_id == "spectrum":
-        data = np.genfromtxt(art["path"], delimiter=",", names=True)
-        n, mu = data["n"], data["mu_n"]
-        rows += [("mu", int(a), float(b)) for a, b in zip(n, mu)]
+        n, mu = (np.array([float(r[c]) for r in table]) for c in ("n", "mu_n"))
+        rows = [("mu", int(a), float(b)) for a, b in zip(n, mu)]
         pos = mu > 0
         if pos.sum() >= 2:
             slope, logc = np.polyfit(np.log(n[pos]), np.log(mu[pos]), 1)
             rows += [("fit", int(a), float(math.exp(logc) * a ** slope))
                      for a in n[pos]]
-    elif artifact_id in ("eigenvalues", "cloud"):
-        data = np.genfromtxt(art["path"], delimiter=",", names=True)
-        for re_, im_, sid in zip(np.atleast_1d(data["re"]),
-                                 np.atleast_1d(data["im"]),
-                                 np.atleast_1d(data["sample_id"])):
-            rows.append((int(sid), float(re_), float(im_)))
-    elif artifact_id == "profile":
-        data = np.genfromtxt(art["path"], delimiter=",", names=True)
-        for k, sv, nt in zip(np.atleast_1d(data["k"]),
-                             np.atleast_1d(data["sigma_k"]),
-                             np.atleast_1d(data["N_trunc"])):
-            rows.append((int(nt), int(k), float(sv)))
     elif artifact_id == "ratios":
-        with open(art["path"]) as f:
-            next(f)
-            for line in f:
-                s, t, ratio = line.split(",")[:3]
-                rows.append((f"s={s}", float(t), float(ratio)))
+        rows = [(f"s={r['s']}", float(r["t"]), float(r["median_ratio"])) for r in table]
     else:
-        raise ConfigError([f"artifact {artifact_id!r} has no plot-data mapping"])
+        rows = [tuple(kind(r[c]) for c, kind in _PLOT_COLUMNS[artifact_id])
+                for r in table]
     out_path = out_path or os.path.join(os.path.dirname(art["path"]),
                                         f"plot_{artifact_id}.csv")
     _write_csv(out_path, ["series", "x", "y"], rows)

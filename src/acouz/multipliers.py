@@ -39,9 +39,10 @@ from .boundary import (
 PSD_TOL_FACTOR = 1e-10   # shared with the impedance module
 
 
-def psd_tolerance(matrix_norm, factor=PSD_TOL_FACTOR):
-    """Positive-semidefiniteness slack: factor * ||A||, floored at factor."""
-    return factor * max(1.0, matrix_norm)
+def psd_tolerance(matrix_norm):
+    """Positive-semidefiniteness slack: PSD_TOL_FACTOR * ||A||, floored at
+    PSD_TOL_FACTOR."""
+    return PSD_TOL_FACTOR * max(1.0, matrix_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +405,7 @@ def check_cantor_target(geom, component):
                             f"{geom.n_components} boundary components")
 
 
-def cantor_measure_coeffs(spec, r, target_component=0, N_trunc=None):
+def cantor_measure_coeffs(spec, r, target_component=0):
     """Eigenbasis coefficients of a Cantor measure pushed onto one component.
 
     The unit-mass measure on [0, 1] is transported by the arclength
@@ -413,14 +414,11 @@ def cantor_measure_coeffs(spec, r, target_component=0, N_trunc=None):
     cos mode sqrt(2/L) times the real moment, and a sin mode exactly 0.
     """
     check_cantor_target(spec.geometry, target_component)
-    N_trunc = N_trunc or spec.count
     L = spec.geometry.component_lengths()[target_component]
-    on = spec.mode_comp[:N_trunc] == target_component
-    kind = spec.mode_kind[:N_trunc]
-    cos = on & (kind == KIND_COS)
+    on = spec.mode_comp == target_component
+    cos = on & (spec.mode_kind == KIND_COS)
 
-    c = np.zeros(N_trunc, dtype=complex)
-    c[cos] = math.sqrt(2.0 / L) * cantor_exponential_moments(
-        r, spec.mode_freq[:N_trunc][cos])
-    c[on & (kind == KIND_CONST)] = 1.0 / math.sqrt(L)
+    c = np.zeros(spec.count, dtype=complex)
+    c[cos] = math.sqrt(2.0 / L) * cantor_exponential_moments(r, spec.mode_freq[cos])
+    c[on & (spec.mode_kind == KIND_CONST)] = 1.0 / math.sqrt(L)
     return SpectralFunction(spec, c)
