@@ -663,8 +663,10 @@ def fractional_power_weights(spec, s, c):
 # ---------------------------------------------------------------------------
 
 def check_fit_range(fit_range, b0, N):
-    """Raise SpectrumError unless the fit range lies inside (b0, N] and
-    spans at least 20 indices."""
+    """Raise SpectrumError unless the fit range is two indices [lo, hi]
+    that lie inside (b0, N] and span at least 20 indices."""
+    if len(fit_range) != 2:
+        raise SpectrumError(f"fit range needs two indices [lo, hi], not {fit_range}")
     lo, hi = fit_range
     if lo <= b0 or hi > N:
         raise SpectrumError("fit range must lie inside (b0, N]")

@@ -193,10 +193,9 @@ class RandomImpedanceSpec:
     def __post_init__(self):
         if self.s <= 0:
             raise ValueError("the field index s must be positive")
-        kw = tuple(float(w) for w in self.kernel_weights)
-        if any(w < 0 for w in kw):
+        self.kernel_weights = tuple(self.kernel_weights)
+        if any(w < 0 for w in self.kernel_weights):
             raise ValueError("kernel weights must be nonnegative")
-        object.__setattr__(self, "kernel_weights", kw)
 
     def check_kernel_weights(self, b0):
         """Raise ValueError unless there are zero or exactly b0 kernel weights."""

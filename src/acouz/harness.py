@@ -3,9 +3,9 @@
 A run takes one JSON config, executes the named experiment, writes CSV/JSON
 artifacts plus a manifest with per-file checksums, and fails closed: any
 violated built-in assertion makes the run (and the CLI) report failure.
-The prepare step (``prepare``) is the only reader of a config: it reads,
-defaults and checks each value once, and the runner takes the checked
-values, never the config.
+The prepare step (``prepare``) is the only reader of a config: every value
+of every block goes once through the one reader, ``config.read``, the only
+code that decides its type, and the runner takes the checked values.
 Identical config + seed reproduce identical artifact checksums at any worker
 count: random draws come from a counter-based sampler, every ARPACK solve
 starts from a fixed vector, and the workers only share out Monte Carlo
@@ -32,6 +32,7 @@ from .boundary import (
     check_fit_range, check_surface_truncation, check_truncation,
     surface_truncation_cap, weyl_diagnostic,
 )
+from .config import ConfigError, read
 from .fgf import (
     FGF_CHECKPOINTS, FGF_SEEDS, RandomImpedanceSpec, check_classifier_schedule,
     convergence_classifier, gaussian_paths,
@@ -51,14 +52,6 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 RUNNER_ERROR = "runner_error"
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; carries the full error list."""
-
-    def __init__(self, errors):
-        super().__init__("; ".join(errors))
-        self.errors = list(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -89,22 +82,15 @@ class ExperimentConfig:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError([f"unknown config keys: {sorted(unknown)}"])
-        errors = [f"{key} must be a JSON object"
-                  for key in ("params", "geometry", "mesh", "tolerances")
-                  if not isinstance(d.get(key), (dict, type(None)))]
-        if not isinstance(d.get("out_dir", ""), str):
-            errors.append("out_dir must be a string")
         # absent keys take the dataclass defaults
-        ints = {key: d[key] for key in ("seed", "workers", "schema_version") if key in d}
-        errors += [f"{key} must be an integer, not {v!r}" for key, v in ints.items()
-                   if isinstance(v, bool) or not isinstance(v, int)]
-        if errors:
-            raise ConfigError(errors)
-        return cls(experiment=d.get("experiment", ""),
-                   params=d.get("params", {}) or {},
-                   geometry=d.get("geometry"), mesh=d.get("mesh"),
-                   tolerances=d.get("tolerances", {}) or {},
-                   out_dir=d.get("out_dir", "runs"), **ints)
+        ints = {key: read(d, key, 0, "integer")
+                for key in ("seed", "workers", "schema_version") if key in d}
+        return cls(experiment=read(d, "experiment", "", "string"),
+                   params=read(d, "params", None, "object") or {},
+                   geometry=read(d, "geometry", None, "object"),
+                   mesh=read(d, "mesh", None, "object"),
+                   tolerances=read(d, "tolerances", None, "object") or {},
+                   out_dir=read(d, "out_dir", "runs", "string"), **ints)
 
     def canonical_json(self):
         """Experiment identity: excludes output location and worker count,
@@ -136,7 +122,8 @@ def _config_errors(config):
             errors.append(f"experiment {config.experiment!r} needs a {block} block")
     for block, builder in (("geometry", _geometry_kinds), ("mesh", _mesh_kinds)):
         spec = getattr(config, block)
-        if spec is not None and spec.get("kind") not in builder:
+        # a tuple compares the kind, so an unhashable one is an error, not a crash
+        if spec is not None and spec.get("kind") not in tuple(builder):
             errors.append(f"{block}.kind must be one of {sorted(builder)}")
     if config.experiment == "impedance_check" and "impedance" not in config.params:
         errors.append("experiment 'impedance_check' needs params.impedance")
@@ -148,28 +135,6 @@ def _config_errors(config):
     if config.workers < 1:
         errors.append("workers must be >= 1")
     return errors
-
-
-def _read(block, path, default, kind="real", many=False):
-    """The config value at ``path`` (its last key in ``block``, else
-    ``default``), checked once: a real number, an ``integer`` (its library
-    helper checks the range) or a ``count`` (an integer >= 1), or with
-    ``many`` a non-empty list of them, never a bool.  With a None default,
-    None (absent or given) means off."""
-    value = block.get(path.rpartition(".")[2], default)
-    if value is None and default is None:
-        return None
-    if many and not (isinstance(value, (list, tuple)) and value):
-        raise ConfigError([f"{path} must be a non-empty list, not {value!r}"])
-    real = kind == "real"
-    where = f"each entry of {path}" if many else path
-    for x in value if many else [value]:
-        if isinstance(x, bool) or not isinstance(x, (int, float) if real else int):
-            raise ConfigError([f"{where} must be "
-                               f"{'a real number' if real else 'an integer'}, not {x!r}"])
-        if kind == "count" and x < 1:
-            raise ConfigError([f"{where} must be at least 1, not {x!r}"])
-    return value
 
 
 def _checked_block(p, name, *fit):
@@ -244,21 +209,22 @@ def apply_overrides(config_dict, overrides):
 # kind -> builder of a geometry or a mesh block of that kind
 _geometry_kinds = {
     "circle": lambda spec: shapes.scaled_circle_by_perimeter(
-        spec.get("perimeter", 2 * math.pi), n_segments=spec.get("segments", 256)),
+        read(spec, "perimeter", 2 * math.pi),
+        n_segments=read(spec, "segments", 256, "count")),
     "polygon": lambda spec: shapes.regular_polygon_geometry(
-        spec.get("sides", 12), circumradius=spec.get("circumradius", 1.0)),
-    "sphere": lambda spec: shapes.icosphere(spec.get("subdivisions", 4),
-                                            radius=spec.get("radius", 1.0)),
-    "file": lambda spec: BoundaryGeometry.load_json(spec["path"]),
+        read(spec, "sides", 12, "count"), circumradius=read(spec, "circumradius", 1.0)),
+    "sphere": lambda spec: shapes.icosphere(read(spec, "subdivisions", 4, "integer"),
+                                            radius=read(spec, "radius", 1.0)),
+    "file": lambda spec: BoundaryGeometry.load_json(read(spec, "path", kind="string")),
 }
 _mesh_kinds = {
-    "disk": lambda spec: ac.disk_mesh(spec.get("h", 0.1), radius=spec.get("radius", 1.0)),
-    "annulus": lambda spec: ac.annulus_mesh(spec.get("h", 0.1),
-                                            r_inner=spec.get("r_inner", 0.5),
-                                            r_outer=spec.get("r_outer", 1.0)),
-    "polygon": lambda spec: ac.convex_polygon_mesh(
-        np.asarray(spec["corners"], dtype=float), spec.get("h", 0.1)),
-    "file": lambda spec: ac.DomainMesh.load_json(spec["path"]),
+    "disk": lambda spec: ac.disk_mesh(read(spec, "h", 0.1), radius=read(spec, "radius", 1.0)),
+    "annulus": lambda spec: ac.annulus_mesh(read(spec, "h", 0.1),
+                                            r_inner=read(spec, "r_inner", 0.5),
+                                            r_outer=read(spec, "r_outer", 1.0)),
+    "polygon": lambda spec: ac.convex_polygon_mesh(read(spec, "corners", many=2),
+                                                   read(spec, "h", 0.1)),
+    "file": lambda spec: ac.DomainMesh.load_json(read(spec, "path", kind="string")),
 }
 
 
@@ -363,13 +329,16 @@ class _Run:
 
 def _prepare_weyl(config, geom):
     p, d = config.params, geom.dim_ambient
-    N = _read(p, "params.N", min(400, surface_truncation_cap(geom)), "count")
-    fit_range = _read(p, "params.fit_range", [21, min(200, N)], "count", many=True)
+    N = read(p, "params.N", min(400, surface_truncation_cap(geom)), "count")
+    fit_range = read(p, "params.fit_range", [21, min(200, N)], "count", many=True)
     check_surface_truncation(N, geom)
-    check_fit_range(fit_range, geom.n_components, N)
+    try:
+        check_fit_range(fit_range, geom.n_components, N)
+    except SpectrumError as err:
+        raise ConfigError([f"params.fit_range: {err}"]) from None
     return {"geom": geom, "N": N, "fit_range": fit_range,
-            "expect": _read(p, "params.expect_slope", 2.0 / (d - 1)),
-            "tol": _read(p, "params.slope_tol", 0.05 if d == 2 else 0.15),
+            "expect": read(p, "params.expect_slope", 2.0 / (d - 1)),
+            "tol": read(p, "params.slope_tol", 0.05 if d == 2 else 0.15),
             "workers": config.workers}
 
 
@@ -388,14 +357,14 @@ def _prepare_fgf(config, geom):
     """The classifier schedule and the (s, t) grid: each s of ``s_values`` with
     each of ``t_values``, else with s - (d-1)/2 plus each of ``t_offsets``."""
     p = config.params
-    seeds = _read(p, "params.seeds", FGF_SEEDS, "count")
-    checkpoints = _read(p, "params.checkpoints", FGF_CHECKPOINTS, "count", many=True)
+    seeds = read(p, "params.seeds", FGF_SEEDS, "count")
+    checkpoints = read(p, "params.checkpoints", FGF_CHECKPOINTS, "count", many=True)
     check_surface_truncation(checkpoints[-1], geom)
     check_classifier_schedule(seeds, checkpoints)
-    t_values = _read(p, "params.t_values", None, many=True)
-    offsets = _read(p, "params.t_offsets", [-0.3, -0.25, 0.25, 0.3], many=True)
+    t_values = read(p, "params.t_values", None, many=True)
+    offsets = read(p, "params.t_offsets", [-0.3, -0.25, 0.25, 0.3], many=True)
     d = geom.dim_ambient
-    cells = [(s, t) for s in _read(p, "params.s_values", [0.5, 1.0, 2.0], many=True)
+    cells = [(s, t) for s in read(p, "params.s_values", [0.5, 1.0, 2.0], many=True)
              for t in t_values or [s - (d - 1) / 2.0 + off for off in offsets]]
     return {"geom": geom, "seeds": range(config.seed, config.seed + seeds),
             "checkpoints": checkpoints, "cells": cells, "workers": config.workers}
@@ -422,8 +391,8 @@ def _run_fgf(run, geom, seeds, checkpoints, cells, workers):
 
 def _prepare_multiplier(config, geom):
     p = config.params
-    truncs = _read(p, "params.truncations", [256, 512], "integer", many=True)
-    ranks = _read(p, "params.ranks", [1, 2, 4, 8, 16, 32, 64], "integer", many=True)
+    truncs = read(p, "params.truncations", [256, 512], "integer", many=True)
+    ranks = read(p, "params.ranks", [1, 2, 4, 8, 16, 32, 64], "integer", many=True)
     N = int(2.2 * max(truncs)) + 8
     check_surface_truncation(N, geom)
     for Nt in truncs:
@@ -431,9 +400,9 @@ def _prepare_multiplier(config, geom):
         check_ranks([r for r in ranks if r <= Nt], Nt)
     phi, _ = _checked_block(p, "phi", N, N, geom)
     return {"geom": geom, "N": N, "truncs": truncs, "ranks": ranks, "phi": phi,
-            "s1": _read(p, "params.s1", 0.5), "s2": _read(p, "params.s2", 0.5),
-            "stability_tol": _read(p, "params.stability_tol", None),
-            "psd_tol": _read(config.tolerances, "tolerances.psd_tol", None),
+            "s1": read(p, "params.s1", 0.5), "s2": read(p, "params.s2", 0.5),
+            "stability_tol": read(p, "params.stability_tol", None),
+            "psd_tol": read(config.tolerances, "tolerances.psd_tol", None),
             "workers": config.workers}
 
 
@@ -461,8 +430,8 @@ def _run_multiplier(run, geom, N, truncs, ranks, phi, s1, s2, stability_tol,
 
 def _prepare_impedance(config, geom):
     p = config.params
-    N = _read(p, "params.N", 128, "count")
-    N_trunc = _read(p, "params.N_trunc", 64, "count")
+    N = read(p, "params.N", 128, "count")
+    N_trunc = read(p, "params.N_trunc", 64, "count")
     check_surface_truncation(N, geom)
     impedance, _ = _checked_block(p, "impedance", N_trunc, N, geom)
     return {"geom": geom, "N": N, "N_trunc": N_trunc, "impedance": impedance,
@@ -494,13 +463,13 @@ def _prepare_mesh(p, mesh):
     """The mesh, its analytic boundary spectrum (N_spec modes, default 160),
     the trace truncation N_b checked against both, and n_wanted (default 14)."""
     spec = build_spectrum(mesh.boundary_geometry(),
-                          _read(p, "params.N_spec", 160, "count"))
-    N_b = _read(p, "params.N_b", None, "integer")
+                          read(p, "params.N_spec", 160, "count"))
+    N_b = read(p, "params.N_b", None, "integer")
     N_b = ac.default_N_b(mesh, spec) if N_b is None else N_b
     ac.check_trace_truncation(N_b, spec.count,
                               sum(len(loop) for loop in mesh.boundary_loops))
     return {"mesh": mesh, "spec": spec, "N_b": N_b,
-            "n_wanted": _read(p, "params.n_wanted", 14, "count")}
+            "n_wanted": read(p, "params.n_wanted", 14, "count")}
 
 
 def _prepare_acoustic(config, mesh):
@@ -534,15 +503,13 @@ def _run_acoustic(run, mesh, spec, N_b, n_wanted, impedance):
 
 def _prepare_monte_carlo(config, mesh):
     p = config.params
-    r = p.get("rspec", {})
-    if not isinstance(r, dict):
-        raise ConfigError(["params.rspec must be a JSON object"])
-    rspec = RandomImpedanceSpec(c=_read(r, "params.rspec.c", 1.0),
-                                s=_read(r, "params.rspec.s", 0.3),
-                                kernel_weights=tuple(r.get("kernel_weights", [])))
+    r = read(p, "params.rspec", {}, "object")
+    rspec = RandomImpedanceSpec(
+        c=read(r, "params.rspec.c", 1.0), s=read(r, "params.rspec.s", 0.3),
+        kernel_weights=read(r, "params.rspec.kernel_weights", (), many=True))
     rspec.check_kernel_weights(len(mesh.boundary_loops))
     return {**_prepare_mesh(p, mesh), "rspec": rspec,
-            "n_samples": _read(p, "params.n_samples", 50, "count"),
+            "n_samples": read(p, "params.n_samples", 50, "count"),
             "seed0": config.seed, "workers": config.workers}
 
 

@@ -28,8 +28,6 @@ accretivity.
 
 from __future__ import annotations
 
-import operator
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +36,7 @@ from .boundary import (
     SpectralFunction, SpectrumError, check_coefficients, check_truncation,
     constant_function, fractional_power_weights,
 )
+from .config import read
 from .multipliers import (
     build_multiplier, cantor_measure_coeffs, check_cantor_target, hermitian_check,
 )
@@ -98,9 +97,6 @@ def zero_impedance(spec, N_trunc):
                              matrix=np.zeros((N_trunc, N_trunc), dtype=complex))
 
 
-_SYMBOL_RE = re.compile(
-    r"^\s*(?P<sign>[+-])?\s*(?P<imag>i\*)?\s*(?P<c2>[\d.eE+-]+)\s*\*\s*"
-    r"\(\s*mu\s*\+\s*(?P<c1>[\d.eE+-]+)\s*\)\s*\^\s*\(\s*(?P<t>[\d.eE+-]+)\s*/\s*2\s*\)\s*$")
 MULTIPLIER_KINDS = ("constant", "multiplier", "cantor")
 IMPEDANCE_KINDS = ("zero", *MULTIPLIER_KINDS, "symbol", "matrix")
 
@@ -114,42 +110,39 @@ def _complex(re_, im, keys):
 
 def _block_args(config, kinds):
     """What ``config`` of one of ``kinds`` builds from, read alike by its check
-    and its build; raises unless every rule that needs no spectrum holds."""
+    and its build, each value by ``config.read``; raises unless every rule
+    that needs no spectrum holds."""
     if not isinstance(config, dict) or config.get("kind") not in kinds:
         raise SpectrumError(f"kind must be one of {list(kinds)}")
     kind = config["kind"]
     if kind == "constant":
-        return complex(config.get("z0", 1.0))
+        return complex(read(config, "z0", 1.0, "complex"))
     if kind == "multiplier":
-        return _complex(config["coeffs_re"], config["coeffs_im"], "coeffs_re and coeffs_im")
+        return _complex(read(config, "coeffs_re", many=True),
+                        read(config, "coeffs_im", many=True), "coeffs_re and coeffs_im")
     if kind == "matrix":
-        im = config.get("im", np.zeros(np.shape(config["re"])))
-        return _square(_complex(config["re"], im, "re and im"))
+        re_ = read(config, "re", many=2)
+        im = read(config, "im", [[0.0] * len(row) for row in re_], many=2)
+        return _square(_complex(re_, im, "re and im"))
     if kind == "cantor":
-        ratio = config.get("ratio", 1.0 / 3.0)
-        if not (isinstance(ratio, (int, float)) and 0.0 < ratio < 0.5):
+        ratio = read(config, "ratio", 1.0 / 3.0)
+        if not 0.0 < ratio < 0.5:
             raise SpectrumError(f"ratio must lie in (0, 1/2), not {ratio!r}")
-        return (ratio, operator.index(config.get("component", 0)),
-                complex(config.get("scale_re", 1.0), config.get("scale_im", 0.0)))
+        return (ratio, read(config, "component", 0, "integer"),
+                complex(read(config, "scale_re", 1.0), read(config, "scale_im", 0.0)))
     if kind == "symbol":
-        if "expr" in config:
-            m = _SYMBOL_RE.match(config["expr"])
-            if not m:
-                raise SpectrumError(f"cannot parse symbol {config['expr']!r}")
-            config = {**m.groupdict(), "imaginary": m["imag"],
-                      "sign": -1 if m["sign"] == "-" else 1}
-        args = {key: float(config[key]) for key in ("c1", "c2", "t")}
+        args = {key: read(config, key) for key in ("c1", "c2", "t")}
         _check_shift(args["c1"])
-        return {**args, "imaginary": bool(config.get("imaginary")),
-                "sign": float(config.get("sign", 1))}
+        return {**args, "imaginary": read(config, "imaginary", False, "bool"),
+                "sign": read(config, "sign", 1)}
     return None
 
 
 def param_block(params, name):
     """``params[name]``, an experiment's ``impedance`` (zero when absent) or
     ``phi`` (Cantor unless it names a kind), read by :func:`_block_args`."""
-    block = params.get(name, {"kind": "zero"} if name == "impedance" else {})
-    if name == "phi" and isinstance(block, dict):
+    block = read(params, name, {"kind": "zero"} if name == "impedance" else {}, "object")
+    if name == "phi":
         block = {"kind": "cantor", **block}
     _block_args(block, IMPEDANCE_KINDS if name == "impedance" else MULTIPLIER_KINDS)
     return block
@@ -192,12 +185,13 @@ def impedance_from_config(spec, config, N_trunc=None):
     ``{"kind": "multiplier", "coeffs_re": [...], "coeffs_im": [...]}``;
     ``{"kind": "cantor", "ratio": r, "component": j, ...}``;
     ``{"kind": "symbol", "c1": .., "c2": .., "t": .., "imaginary": bool,
-    "sign": +-1}`` or ``{"kind": "symbol", "expr": "i*c2*(mu+c1)^(t/2)"}``;
-    ``{"kind": "matrix", "re": [[..]], "im": [[..]]}``.  Raises on what
-    ``check_impedance_config`` rejects: coefficient lists of unequal lengths or
-    past the spectrum, a Cantor ratio outside (0, 1/2) or a missing component,
-    an unparsable ``expr``, c1 < 0, an ``im`` unlike ``re`` or a ``re`` not
-    square, a truncation outside 1..spec.count.
+    "sign": +-1}``; ``{"kind": "matrix", "re": [[..]], "im": [[..]]}``.
+    Raises on what ``check_impedance_config`` rejects: a value ``config.read``
+    rejects (a missing c1, c2, t, coeffs_re, coeffs_im or re; a string, bool or
+    list for a number; a non-integer component, a non-bool imaginary), coefficient
+    lists of unequal lengths or past the spectrum, a Cantor ratio outside
+    (0, 1/2) or a missing component, c1 < 0, an ``im`` unlike ``re`` or a ``re``
+    not square, a truncation outside 1..spec.count.
     """
     N_trunc = check_impedance_config(config, N_trunc or spec.count, spec.count,
                                      spec.geometry)

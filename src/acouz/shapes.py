@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boundary import BoundaryGeometry, midpoint_subdivide
+from .boundary import BoundaryGeometry, GeometryError, midpoint_subdivide
 
 
 def regular_polygon_geometry(n_sides, circumradius=1.0):
@@ -34,6 +34,8 @@ def icosphere(subdivisions=3, radius=1.0, center=(0.0, 0.0, 0.0)):
 
     Vertex counts: 12, 42, 162, 642, 2562, 10242, ... per level.
     """
+    if subdivisions < 0:
+        raise GeometryError(f"subdivisions must be >= 0, not {subdivisions}")
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     v = np.array([
         [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],

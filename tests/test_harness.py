@@ -11,7 +11,7 @@ from acouz import acoustic as ac
 from acouz import cli, fgf, harness, shapes
 from acouz.boundary import weyl_diagnostic
 from acouz.harness import build_geometry, build_spectrum
-from acouz.impedance import IMPEDANCE_KINDS, impedance_from_config
+from acouz.impedance import IMPEDANCE_KINDS, MULTIPLIER_KINDS, impedance_from_config
 from acouz.multipliers import TripleProductTensor
 
 
@@ -243,6 +243,10 @@ ANNULUS_FILE = "annulus.json"     # two boundary components: b0 = 2
       "params": {"N": 30, "fit_range": [21, 30]}}, "fit range too short"),
     ({"experiment": "weyl", "geometry": {"kind": "file", "path": ANNULUS_FILE},
       "params": {"N": 40, "fit_range": [2, 40]}}, "fit range must lie inside (b0, N]"),
+    # used to end in "ValueError: too many values to unpack", naming no key
+    ({"experiment": "weyl", "geometry": {"kind": "circle"},
+      "params": {"N": 400, "fit_range": [21, 100, 200]}},
+     "params.fit_range: fit range needs two indices [lo, hi]"),
     ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
       "params": {"N_b": 100}}, "N_b=100 exceeds the 21 boundary dofs"),
     ({"experiment": "monte_carlo", "mesh": {"kind": "annulus", "h": 0.3},
@@ -281,9 +285,9 @@ ANNULUS_FILE = "annulus.json"     # two boundary components: b0 = 2
       "geometry": {"kind": "sphere", "subdivisions": 3},
       "params": {"truncations": [16, 24]}},
      "cantor_measure_coeffs needs a curve spectrum"),
-], ids=["weyl_default_fit_range", "weyl_fit_range", "weyl_file_b0", "disk_N_b",
-        "annulus_N_b", "polygon_N_b", "zero_N_b", "kernel_weight_count",
-        "negative_field_index", "annulus_radii", "constant_N_trunc",
+], ids=["weyl_default_fit_range", "weyl_fit_range", "weyl_file_b0",
+        "weyl_fit_range_length", "disk_N_b", "annulus_N_b", "polygon_N_b", "zero_N_b",
+        "kernel_weight_count", "negative_field_index", "annulus_radii", "constant_N_trunc",
         "symbol_N_trunc", "matrix_size", "matrix_below_N_b", "cantor_component",
         "cantor_on_sphere"])
 def test_runner_preconditions_rejected_before_the_run(config, message, tmp_path,
@@ -441,8 +445,6 @@ def _params(config, **params):
      "params.impedance: SpectrumError: coeffs_re and coeffs_im differ in shape"),
     (_params(IMPEDANCE_N8, impedance={"kind": "matrix", "re": [[1, 0, 0], [0, 1, 0]]}),
      "params.impedance: SpectrumError: impedance matrix must be square"),
-    (_params(IMPEDANCE_N8, impedance={"kind": "symbol", "expr": "mu^2"}),
-     "params.impedance: SpectrumError: cannot parse symbol 'mu^2'"),
     (_params(IMPEDANCE_N8, impedance={"kind": "symbol", "c1": -1, "c2": 1, "t": 1}),
      "params.impedance: SpectrumError: symbol shift c1 must be nonnegative"),
     # a 1x2 im used to broadcast row-wise onto the 2x2 re, and the run passed
@@ -495,7 +497,7 @@ def _params(config, **params):
       "params": {"N_spec": 20, "impedance": {"kind": "matrix", "re": np.eye(21).tolist()}}},
      "params.impedance: SpectrumError: truncation 21 exceeds the spectrum (20)"),
 ], ids=["coeffs_past_spectrum", "coeffs_unequal", "matrix_not_square",
-        "symbol_expr", "symbol_shift", "matrix_im_shape", "rank_zero",
+        "symbol_shift", "matrix_im_shape", "rank_zero",
         "truncation_zero", "n_wanted_zero", "n_samples_zero", "rank_float",
         "n_wanted_float", "slope_tol_string", "seeds_float", "s_values_string",
         "s1_string", "n_samples_float", "N_trunc_float", "psd_tol_string",
@@ -553,12 +555,15 @@ def test_multiplier_profile_ignores_the_seed(tmp_path):
     ("run", json.dumps({**WEYL_CIRCLE, "params": [1, 2]}), []),
     ("run", json.dumps({**WEYL_CIRCLE, "out_dir": 5}), []),
     ("validate", json.dumps({**WEYL_CIRCLE, "geometry": "circle"}), []),
+    # an unhashable kind used to end in a TypeError traceback
+    ("validate", json.dumps({**WEYL_CIRCLE, "geometry": {"kind": ["circle"]}}), []),
     ("run", json.dumps(WEYL_CIRCLE), ["--override", "seed.x=1"]),
     ("run", json.dumps(WEYL_CIRCLE), ["--override", "params.N.x=3"]),
     ("run", "{not json", []),
     ("run", None, []),
 ], ids=["seed_string", "seed_float", "params_list", "out_dir_number", "geometry_string",
-        "override_seed", "override_through_int", "invalid_json", "missing_file"])
+        "geometry_kind_list", "override_seed", "override_through_int", "invalid_json",
+        "missing_file"])
 def test_malformed_config_is_a_config_error(command, text, extra, tmp_path, capsys):
     path = tmp_path / "config.json"
     if text is not None:
@@ -588,6 +593,116 @@ def test_every_impedance_kind_validates_and_builds(kind):
     assert harness.validate_config(cfg) == []
     spec = build_spectrum(build_geometry(cfg.geometry), 16)
     assert impedance_from_config(spec, impedance, N_trunc=2).N_trunc == 2
+
+
+CIRCLE_FILE, DISK_FILE = "circle.json", "disk.json"
+# (block, kind) -> each key the config reader types: a value that validates,
+# and its rule
+TYPED_KEYS = {
+    ("geometry", "circle"): {"perimeter": (6.0, "real"), "segments": (64, "integer")},
+    ("geometry", "polygon"): {"sides": (64, "integer"), "circumradius": (1.0, "real")},
+    ("geometry", "sphere"): {"subdivisions": (2, "integer"), "radius": (1.0, "real")},
+    ("geometry", "file"): {"path": (CIRCLE_FILE, "string")},
+    ("mesh", "disk"): {"h": (0.3, "real"), "radius": (1.0, "real")},
+    ("mesh", "annulus"): {"h": (0.3, "real"), "r_inner": (0.5, "real"),
+                          "r_outer": (1.0, "real")},
+    ("mesh", "polygon"): {"corners": ([[0, 0], [1, 0], [1, 1], [0, 1]], "list"),
+                          "h": (0.3, "real")},
+    ("mesh", "file"): {"path": (DISK_FILE, "string")},
+    ("impedance", "zero"): {},
+    ("impedance", "constant"): {"z0": (2.0, "real")},
+    ("impedance", "multiplier"): {"coeffs_re": ([1.0], "list"),
+                                  "coeffs_im": ([0.5], "list")},
+    ("impedance", "cantor"): {"ratio": (0.25, "real"), "component": (0, "integer"),
+                              "scale_re": (1.0, "real"), "scale_im": (0.0, "real")},
+    ("impedance", "symbol"): {"c1": (1.0, "real"), "c2": (1.0, "real"),
+                              "t": (0.5, "real"), "sign": (-1, "real"),
+                              "imaginary": (True, "bool")},
+    ("impedance", "matrix"): {"re": ([[1.0, 0.0], [0.0, 2.0]], "list"),
+                              "im": ([[0.0, 1.0], [-1.0, 0.0]], "list")},
+    ("rspec", None): {"c": (1.0, "real"), "s": (0.3, "real"),
+                      "kernel_weights": ([1.0], "list")},
+}
+TYPED_KEYS.update({("phi", kind): TYPED_KEYS["impedance", kind]
+                   for kind in MULTIPLIER_KINDS})
+
+
+def _first_number(value, bad):
+    """``value``, a number or a list of them (perhaps of lists), with its
+    first number set to ``bad``."""
+    return [_first_number(value[0], bad), *value[1:]] if isinstance(value, list) else bad
+
+
+# rule -> values of another type: a string or a number where the rule wants
+# the other, a bool, and a fraction or a negative where it wants an integer;
+# a list also takes a string and a bool as its first number
+BAD_VALUES = {"real": ["1.5", True], "integer": ["2", True, 2.5, -1],
+              "string": [0, True], "bool": ["false", 1], "list": ["1.5", True, 1.5]}
+
+
+def _typed_config(block, kind, **values):
+    """A config whose ``block`` of ``kind`` carries ``values`` over the
+    valid value of each typed key."""
+    spec = {**({} if kind is None else {"kind": kind}),
+            **{key: v for key, (v, _) in TYPED_KEYS[block, kind].items()}, **values}
+    if block == "geometry":
+        return {**_params(IMPEDANCE_N8, impedance={"kind": "zero"}), "geometry": spec}
+    if block == "mesh":
+        return {"experiment": "acoustic_spectrum", "mesh": spec}
+    if block == "rspec":
+        return {"experiment": "monte_carlo", "mesh": {"kind": "disk", "h": 0.3},
+                "params": {"rspec": spec}}
+    return _params(IMPEDANCE_N8 if block == "impedance" else PROFILE, **{block: spec})
+
+
+def _typed_cases():
+    for (block, kind), keys in TYPED_KEYS.items():
+        for key, (valid, rule) in keys.items():
+            entries = ([_first_number(valid, x) for x in ("1.5", True)]
+                       if rule == "list" else [])
+            for bad in BAD_VALUES[rule] + entries:
+                yield pytest.param(block, kind, key, bad,
+                                   id=f"{block}-{kind}-{key}-{json.dumps(bad)}")
+
+
+def _write_typed_files(tmp_path):
+    shapes.scaled_circle_by_perimeter(6.0, n_segments=64).save_json(
+        str(tmp_path / CIRCLE_FILE))
+    ac.disk_mesh(0.3).save_json(str(tmp_path / DISK_FILE))
+
+
+def test_typed_keys_cover_every_kind():
+    # a kind added later without its typed keys fails here
+    for name, kinds in (("geometry", harness._geometry_kinds),
+                        ("mesh", harness._mesh_kinds), ("impedance", IMPEDANCE_KINDS)):
+        assert {kind for block, kind in TYPED_KEYS if block == name} == set(kinds)
+
+
+@pytest.mark.parametrize("block, kind", list(TYPED_KEYS))
+def test_typed_keys_validate_as_given(block, kind, tmp_path, monkeypatch):
+    # the baseline of the next test: with every typed key valid, each config
+    # validates
+    monkeypatch.chdir(tmp_path)
+    _write_typed_files(tmp_path)
+    cfg = harness.ExperimentConfig.from_dict(_typed_config(block, kind))
+    assert harness.validate_config(cfg) == []
+
+
+@pytest.mark.parametrize("block, kind, key, bad", _typed_cases())
+def test_every_typed_key_rejects_another_type(block, kind, key, bad, tmp_path,
+                                              monkeypatch, capsys):
+    # most of these printed `ok` from validate before one reader typed every
+    # value (a "path": 0 read its JSON from stdin); the reader rejects each
+    # before anything is built or opened
+    monkeypatch.chdir(tmp_path)
+    _write_typed_files(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(_typed_config(block, kind,
+                                                                   **{key: bad})))
+    for command in ("validate", "run"):
+        assert cli.main([command, "config.json", "--out", "out"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and key in line, line
+    assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
 
 
 def test_run_without_out_prints_existing_manifest(tmp_path, capsys):

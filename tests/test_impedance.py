@@ -7,6 +7,7 @@ from acouz import boundary as bd
 from acouz import fgf
 from acouz import impedance as imp
 from acouz import multipliers as mp
+from acouz.config import ConfigError
 
 
 def random_impedance_matrix(n, rng, accretive):
@@ -82,12 +83,13 @@ class TestConstruction:
                                        "t": 1.0, "imaginary": True}, N_trunc=6)
         assert np.allclose(np.diag(Z.matrix), 1j * np.sqrt(circle_spec.mu[:6] + 1))
         Z = imp.impedance_from_config(circle_spec,
-                                      {"kind": "symbol",
-                                       "expr": "-i*2.0*(mu+0.5)^(1.0/2)"},
+                                      {"kind": "symbol", "sign": -1, "imaginary": True,
+                                       "c2": 2.0, "c1": 0.5, "t": 1.0},
                                       N_trunc=4)
         assert np.allclose(np.diag(Z.matrix),
                            -2j * np.sqrt(circle_spec.mu[:4] + 0.5))
-        with pytest.raises(bd.SpectrumError):
+        # the string spelling "expr" is gone: such a config lacks c1
+        with pytest.raises(ConfigError, match="c1 is required"):
             imp.impedance_from_config(circle_spec, {"kind": "symbol",
                                                     "expr": "mu^2"}, N_trunc=4)
 
