@@ -3,6 +3,7 @@
 _REQUIRED = object()
 # kind -> (the Python types it accepts, its name in a message)
 _KINDS = {"real": ((int, float), "a real number"),
+          "positive": ((int, float), "a real number"),
           "complex": ((int, float, complex), "a number"),
           "integer": (int, "an integer"), "count": (int, "an integer"),
           "bool": (bool, "true or false"), "string": (str, "a string"),
@@ -20,9 +21,10 @@ class ConfigError(ValueError):
 def read(block, path, default=_REQUIRED, kind="real", many=False):
     """The config value at ``path`` (its last key in ``block``, else
     ``default``, else required), checked once: a ``real`` number, a
-    ``complex`` one (library callers may pass a complex), an ``integer`` (its
-    library helper checks the range), a ``count`` (an integer >= 1), a JSON
-    ``bool``, ``string`` or ``object``; never a bool unless ``bool``.  With
+    ``complex`` one (library callers may pass a complex), a ``positive`` real
+    (> 0: a length or a mesh size), an ``integer`` (its library helper checks
+    the range), a ``count`` (an integer >= 1), a JSON ``bool``, ``string``
+    or ``object``; never a bool unless ``bool``.  With
     ``many`` a list of them, non-empty unless the default is ``()``, and with
     ``many=2`` a list of such lists.  A None default: None means off."""
     key = path.rpartition(".")[2]
@@ -43,4 +45,6 @@ def read(block, path, default=_REQUIRED, kind="real", many=False):
             raise ConfigError([f"{where} must be {name}, not {x!r}"])
         if kind == "count" and x < 1:
             raise ConfigError([f"{where} must be at least 1, not {x!r}"])
+        if kind == "positive" and not x > 0:
+            raise ConfigError([f"{where} must be positive, not {x!r}"])
     return value

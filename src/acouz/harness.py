@@ -209,21 +209,23 @@ def apply_overrides(config_dict, overrides):
 # kind -> builder of a geometry or a mesh block of that kind
 _geometry_kinds = {
     "circle": lambda spec: shapes.scaled_circle_by_perimeter(
-        read(spec, "perimeter", 2 * math.pi),
+        read(spec, "perimeter", 2 * math.pi, "positive"),
         n_segments=read(spec, "segments", 256, "count")),
     "polygon": lambda spec: shapes.regular_polygon_geometry(
-        read(spec, "sides", 12, "count"), circumradius=read(spec, "circumradius", 1.0)),
+        read(spec, "sides", 12, "count"),
+        circumradius=read(spec, "circumradius", 1.0, "positive")),
     "sphere": lambda spec: shapes.icosphere(read(spec, "subdivisions", 4, "integer"),
-                                            radius=read(spec, "radius", 1.0)),
+                                            radius=read(spec, "radius", 1.0, "positive")),
     "file": lambda spec: BoundaryGeometry.load_json(read(spec, "path", kind="string")),
 }
 _mesh_kinds = {
-    "disk": lambda spec: ac.disk_mesh(read(spec, "h", 0.1), radius=read(spec, "radius", 1.0)),
-    "annulus": lambda spec: ac.annulus_mesh(read(spec, "h", 0.1),
+    "disk": lambda spec: ac.disk_mesh(read(spec, "h", 0.1, "positive"),
+                                      radius=read(spec, "radius", 1.0, "positive")),
+    "annulus": lambda spec: ac.annulus_mesh(read(spec, "h", 0.1, "positive"),
                                             r_inner=read(spec, "r_inner", 0.5),
                                             r_outer=read(spec, "r_outer", 1.0)),
     "polygon": lambda spec: ac.convex_polygon_mesh(read(spec, "corners", many=2),
-                                                   read(spec, "h", 0.1)),
+                                                   read(spec, "h", 0.1, "positive")),
     "file": lambda spec: ac.DomainMesh.load_json(read(spec, "path", kind="string")),
 }
 

@@ -39,6 +39,7 @@ from .boundary import (
 from .config import read
 from .multipliers import (
     build_multiplier, cantor_measure_coeffs, check_cantor_target, hermitian_check,
+    svdvals_by_block,
 )
 
 CAYLEY_CONTRACTION_SLACK = 1e-10
@@ -246,16 +247,22 @@ class CayleyPair:
 
 
 def cayley(Z):
-    """K = (Ztilde - I)(Ztilde + I)^(-1); a contraction iff Z is accretive."""
+    """K = (Ztilde - I)(Ztilde + I)^(-1); a contraction iff Z is accretive.
+
+    Every singular value is taken one irreducible block at a time
+    (``multipliers.svdvals_by_block``), each matrix split by its own exact
+    zeros: the zero blocks of Zhat carry over to Ztilde, Ztilde + I and,
+    through the solve, to K.
+    """
     Zt = conjugate_to_l2(Z)
     n = Zt.shape[0]
     ZpI = Zt + np.eye(n)
-    sv_min = np.linalg.svd(ZpI, compute_uv=False)[-1]
-    if sv_min < 1e-12 * max(1.0, np.linalg.norm(Zt, 2)):
+    sv_min = svdvals_by_block(ZpI)[-1]
+    if sv_min < 1e-12 * max(1.0, svdvals_by_block(Zt)[0]):
         raise SpectrumError("Ztilde + I is singular: non-accretive input with "
                             "an eigenvalue -1 obstruction")
     K = np.linalg.solve(ZpI.T, (Zt - np.eye(n)).T).T
-    return CayleyPair(Z_tilde=Zt, K=K, norm_K=float(np.linalg.norm(K, 2)))
+    return CayleyPair(Z_tilde=Zt, K=K, norm_K=float(svdvals_by_block(K)[0]))
 
 
 def inverse_cayley(K):

@@ -19,6 +19,15 @@ All norm and compactness statements are about compressions P_N M_phi P_N:
 the operator norm from H^{s1} to H^{-s2} of the compression is the largest
 singular value of D(-s2) A D(-s1), with D(t) the diagonal of H^t weights,
 and refinement in N stands in for the infinite-dimensional claims.
+
+Every dense eigen- and singular-value solve of a compression runs once per
+irreducible block (:func:`diagonal_blocks`), and the maths puts exact zeros
+in these matrices from two sources: modes on different boundary components
+multiply to zero, and a reflection-symmetric phi has sine coefficients that
+are exactly 0, so its cos x sin blocks vanish and the compression splits by
+parity (the Cantor measure on a circle, at even N: blocks of N/2 + 1 and
+N/2 - 1).  An irreducible matrix is one block and takes one solve on the
+whole matrix.
 """
 
 from __future__ import annotations
@@ -180,6 +189,60 @@ def _real_if_exact(X):
     return X.real if _is_real(X) else X
 
 
+def diagonal_blocks(X):
+    """The irreducible diagonal blocks of the square X, as ascending index
+    vectors ordered by their first index.
+
+    A block is a connected component of the exact-nonzero pattern of X
+    symmetrized with X^T: after one permutation of rows and columns alike,
+    X is block diagonal, and its eigenvalues and singular values are those
+    of the blocks together.  The symmetrization keeps a block-triangular
+    pattern whole, which would not split singular values.  Found by a
+    breadth-first search over the rows of the pattern, each row expanded
+    once; an irreducible X is one block.
+    """
+    linked = X != 0
+    linked = linked | linked.T
+    np.fill_diagonal(linked, False)
+    todo = linked.any(axis=1)
+    blocks = [np.array([i]) for i in np.flatnonzero(~todo)]
+    while todo.any():
+        block = np.zeros_like(todo)
+        block[np.argmax(todo)] = True
+        frontier = block.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~block
+            block |= frontier
+        todo &= ~block
+        blocks.append(np.flatnonzero(block))
+    return sorted(blocks, key=lambda b: b[0])
+
+
+def _values_by_block(X, solve, single):
+    """``solve`` of each irreducible block of X larger than 1x1 (X itself
+    when it is one block) and ``single`` of each 1x1 block's entry, read
+    off the diagonal with no LAPACK call; all values, ascending."""
+    n = X.shape[0]
+    blocks = diagonal_blocks(X)
+    ones = np.array([b[0] for b in blocks if b.size == 1], dtype=np.intp)
+    parts = [solve(X if b.size == n else X[np.ix_(b, b)])
+             for b in blocks if b.size > 1]
+    return np.sort(np.concatenate([single(X[ones, ones]), *parts]))
+
+
+def eigvalsh_by_block(X):
+    """Eigenvalues of the Hermitian X, ascending: one ``eigvalsh`` per
+    irreducible block (see :func:`diagonal_blocks`)."""
+    return _values_by_block(X, np.linalg.eigvalsh, np.real)
+
+
+def svdvals_by_block(X):
+    """Singular values of X, descending: one SVD per irreducible block (see
+    :func:`diagonal_blocks`)."""
+    return _values_by_block(X, lambda B: np.linalg.svd(B, compute_uv=False),
+                            np.abs)[::-1]
+
+
 def _is_hermitian(X):
     """``np.array_equal(X, X.conj().T)`` without a conjugate copy of X: the
     real part symmetric and the imaginary part antisymmetric, exactly."""
@@ -196,8 +259,10 @@ class MultiplierMatrix:
     mapping H^{s1} -> H^{-s2} only enters through the diagonal weights of
     :meth:`weighted`.  The singular values of the weighted matrix, which
     :func:`multiplier_norm` and :func:`compactness_profile` both read, are
-    computed once per compression, in real arithmetic when the compression
-    is real (a real phi), and from a symmetric eigensolve when the weighted
+    computed once per compression, by one solve per irreducible block of
+    the weighted matrix (split by boundary component and by the parity of a
+    reflection-symmetric phi), in real arithmetic when the compression is
+    real (a real phi), and from symmetric eigensolves when the weighted
     matrix is Hermitian.  Immutable, so that cache stays valid.
     """
 
@@ -221,12 +286,13 @@ class MultiplierMatrix:
 
         With s1 == s2 and A exactly Hermitian the weighted matrix is a
         congruence D A D, Hermitian too, and its singular values are the
-        absolute eigenvalues: one ``eigvalsh`` in place of an SVD.
+        absolute eigenvalues: ``eigvalsh`` in place of an SVD, on each
+        irreducible block.
         """
         W = self.weighted()
         if self.s1 == self.s2 and _is_hermitian(self.matrix):
-            return np.sort(np.abs(np.linalg.eigvalsh(W)))[::-1]
-        return np.linalg.svd(W, compute_uv=False)
+            return np.sort(np.abs(eigvalsh_by_block(W)))[::-1]
+        return svdvals_by_block(W)
 
 
 def build_multiplier(phi, s1, s2, N_trunc, tensor=None):
@@ -240,8 +306,8 @@ def build_multiplier(phi, s1, s2, N_trunc, tensor=None):
 
 def multiplier_norm(A: MultiplierMatrix):
     """Largest singular value of D(-s2) A D(-s1): the truncated operator
-    norm H^{s1} -> H^{-s2}.  Shares one singular-value solve per
-    compression with :func:`compactness_profile` (see
+    norm H^{s1} -> H^{-s2}.  Shares the singular values of the compression,
+    one solve per irreducible block, with :func:`compactness_profile` (see
     ``MultiplierMatrix.singular_values``)."""
     return float(A.singular_values[0])
 
@@ -252,8 +318,8 @@ def compactness_profile(A: MultiplierMatrix, ranks):
     A numerically compact multiplier shows sigma_k -> 0 with growing k,
     stably under truncation refinement; an identity-weighted symbol stays
     bounded away from zero.  The singular values are those of
-    ``A.singular_values``: one solve per compression, shared with
-    :func:`multiplier_norm`.
+    ``A.singular_values``: one solve per irreducible block of the
+    compression, shared with :func:`multiplier_norm`.
     """
     sv = A.singular_values
     check_ranks(ranks, sv.size)
@@ -274,17 +340,19 @@ def hermitian_check(X, tol=None):
 
     Returns ``nonneg``, the extreme eigenvalues ``min_eig`` and ``max_eig``
     of Herm(X), ``tol`` (default ``psd_tolerance(norm)``) and ``norm`` =
-    ||X||_2.  The eigenvalues are taken in real arithmetic when Herm(X) is
-    exactly real; ||X||_2 is read from them when X is exactly Hermitian, and
-    only a non-Hermitian X takes one singular-value solve.  An exactly
-    Hermitian X is its own Hermitian part and is not copied.
+    ||X||_2.  Every solve runs once per irreducible block (exact zeros
+    split a compression by boundary component and by the parity of a
+    reflection-symmetric phi), in real arithmetic when its matrix is
+    exactly real; ||X||_2 is read from the eigenvalues when X is exactly
+    Hermitian, and only a non-Hermitian X takes singular-value solves.  An
+    exactly Hermitian X is its own Hermitian part and is not copied.
     """
     if _is_hermitian(X):
-        eigs = np.linalg.eigvalsh(_real_if_exact(X))
+        eigs = eigvalsh_by_block(_real_if_exact(X))
         norm = float(np.abs(eigs).max())
     else:
-        eigs = np.linalg.eigvalsh(_real_if_exact(0.5 * (X + X.conj().T)))
-        norm = float(np.linalg.svd(_real_if_exact(X), compute_uv=False)[0])
+        eigs = eigvalsh_by_block(_real_if_exact(0.5 * (X + X.conj().T)))
+        norm = float(svdvals_by_block(_real_if_exact(X))[0])
     tol = psd_tolerance(norm) if tol is None else tol
     return {"nonneg": bool(eigs[0] >= -tol), "min_eig": float(eigs[0]),
             "max_eig": float(eigs[-1]), "tol": tol, "norm": norm}
@@ -295,8 +363,9 @@ def positivity_test(A: MultiplierMatrix, tol=None):
 
     phi >= 0 as a measure/distribution iff the Hermitian part of M_phi is
     positive semidefinite; at truncation this is :func:`hermitian_check` of
-    ``A.matrix`` (the Sobolev weights of A play no part).  A real phi has an
-    exactly symmetric curve contraction, so no singular value is taken.
+    ``A.matrix`` (the Sobolev weights of A play no part): one ``eigvalsh``
+    per irreducible block.  A real phi has an exactly symmetric curve
+    contraction, so no singular value is taken.
     """
     return hermitian_check(A.matrix, tol)
 

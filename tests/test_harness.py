@@ -515,14 +515,25 @@ def test_block_and_count_rules_rejected_before_the_run(config, message, tmp_path
     assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
 
 
-def _benchmark_ops():
-    """(workload, op) of every op of ``perfbench/workloads.py``, read from
-    the file without importing the benchmark package."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, read from the file without importing the
+    benchmark package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(name, op) for name, w in module.WORKLOADS.items() for op in w["ops"]]
+    return module
+
+
+workloads = _perfbench_workloads()
+
+
+def _benchmark_ops():
+    """(workload, op) of every op of the benchmark."""
+    return [(name, op) for name, w in workloads.WORKLOADS.items() for op in w["ops"]]
 
 
 @pytest.mark.parametrize("workload, op", _benchmark_ops(),
@@ -532,6 +543,22 @@ def test_benchmark_configs_validate(workload, op):
     # "resolvent" and a Cantor "samples" that no code reads: a stricter
     # config reader must still accept every one
     assert harness.validate_config(harness.ExperimentConfig.from_dict(op["config"])) == []
+
+
+BENCHMARK_REFERENCES = workloads.load_references(
+    os.path.join(PERFBENCH, "references.json"))
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_REFERENCES))
+def test_benchmark_references_hold(name, tmp_path):
+    # every op with stored values, run and checked as the benchmark checks
+    # it, so that a drift past the benchmark's tolerance fails here
+    [op] = [op for _, op in _benchmark_ops() if op["name"] == name]
+    cfg = harness.ExperimentConfig.from_dict(op["config"])
+    manifest = harness.run(cfg, str(tmp_path))
+    assert manifest.passed, manifest.assertions
+    observed = workloads.observe(cfg.experiment, str(tmp_path))
+    assert workloads.check(observed, BENCHMARK_REFERENCES[name]) == []
 
 
 def test_multiplier_profile_ignores_the_seed(tmp_path):
@@ -599,15 +626,18 @@ CIRCLE_FILE, DISK_FILE = "circle.json", "disk.json"
 # (block, kind) -> each key the config reader types: a value that validates,
 # and its rule
 TYPED_KEYS = {
-    ("geometry", "circle"): {"perimeter": (6.0, "real"), "segments": (64, "integer")},
-    ("geometry", "polygon"): {"sides": (64, "integer"), "circumradius": (1.0, "real")},
-    ("geometry", "sphere"): {"subdivisions": (2, "integer"), "radius": (1.0, "real")},
+    ("geometry", "circle"): {"perimeter": (6.0, "positive"),
+                             "segments": (64, "integer")},
+    ("geometry", "polygon"): {"sides": (64, "integer"),
+                              "circumradius": (1.0, "positive")},
+    ("geometry", "sphere"): {"subdivisions": (2, "integer"),
+                             "radius": (1.0, "positive")},
     ("geometry", "file"): {"path": (CIRCLE_FILE, "string")},
-    ("mesh", "disk"): {"h": (0.3, "real"), "radius": (1.0, "real")},
-    ("mesh", "annulus"): {"h": (0.3, "real"), "r_inner": (0.5, "real"),
+    ("mesh", "disk"): {"h": (0.3, "positive"), "radius": (1.0, "positive")},
+    ("mesh", "annulus"): {"h": (0.3, "positive"), "r_inner": (0.5, "real"),
                           "r_outer": (1.0, "real")},
     ("mesh", "polygon"): {"corners": ([[0, 0], [1, 0], [1, 1], [0, 1]], "list"),
-                          "h": (0.3, "real")},
+                          "h": (0.3, "positive")},
     ("mesh", "file"): {"path": (DISK_FILE, "string")},
     ("impedance", "zero"): {},
     ("impedance", "constant"): {"z0": (2.0, "real")},
@@ -634,9 +664,11 @@ def _first_number(value, bad):
 
 
 # rule -> values of another type: a string or a number where the rule wants
-# the other, a bool, and a fraction or a negative where it wants an integer;
-# a list also takes a string and a bool as its first number
-BAD_VALUES = {"real": ["1.5", True], "integer": ["2", True, 2.5, -1],
+# the other, a bool, a fraction or a negative where it wants an integer, and
+# zero or a negative where it wants a length or a mesh size; a list also
+# takes a string and a bool as its first number
+BAD_VALUES = {"real": ["1.5", True], "positive": ["1.5", True, 0, -0.1, -1, -6.0],
+              "integer": ["2", True, 2.5, -1],
               "string": [0, True], "bool": ["false", 1], "list": ["1.5", True, 1.5]}
 
 

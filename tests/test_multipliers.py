@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from acouz import boundary as bd
+from acouz import harness
 from acouz import impedance as imp
 from acouz import multipliers as mp
 from acouz import shapes
@@ -72,13 +73,14 @@ def svd_calls(monkeypatch):
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Record (name, dtype) of every np.linalg.svd and np.linalg.eigvalsh call."""
+    """Record (name, dtype, size) of every np.linalg.svd and
+    np.linalg.eigvalsh call on a square matrix of that size."""
     calls = []
     for name in ("svd", "eigvalsh"):
         fn = getattr(np.linalg, name)
 
         def counting(a, *args, _name=name, _fn=fn, **kwargs):
-            calls.append((_name, np.asarray(a).dtype))
+            calls.append((_name, np.asarray(a).dtype, len(a)))
             return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
@@ -299,9 +301,17 @@ class TestBlockContraction:
         assert peak <= 3 * A.nbytes
 
 
+def parity_calls(name, dtype, N):
+    """The solves of a Cantor compression of even size N on the circle: one
+    per parity block, the constant and cosines first, then the sines."""
+    return [(name, dtype, N // 2 + 1), (name, dtype, N // 2 - 1)]
+
+
 class TestSingularValues:
-    """One singular-value solve per compression, real when phi is real, and
-    a symmetric eigensolve when the weighted compression is Hermitian."""
+    """One solve per irreducible block larger than 1x1 of each compression
+    (the Cantor phi is even, so its compression splits by parity), real when
+    phi is real, and a symmetric eigensolve when the weighted compression is
+    Hermitian."""
 
     @pytest.mark.parametrize("N_trunc", [64, 128])
     @pytest.mark.parametrize("s1, s2", [(0.5, 0.5), (0.3, 0.8)])
@@ -309,7 +319,8 @@ class TestSingularValues:
                                            solve_calls):
         A = mp.build_multiplier(cantor_400, s1, s2, N_trunc)
         sv = A.singular_values
-        assert solve_calls == [("eigvalsh" if s1 == s2 else "svd", np.float64)]
+        assert solve_calls == parity_calls("eigvalsh" if s1 == s2 else "svd",
+                                           np.float64, N_trunc)
         ref = np.linalg.svd(A.weighted().astype(complex), compute_uv=False)
         assert np.abs(sv - ref).max() <= 1e-13 * ref[0]
 
@@ -324,7 +335,7 @@ class TestSingularValues:
         phi = 1j * unit_mode(circle_spec, 4)
         A = mp.build_multiplier(phi, 0.5, 0.3, 32, tensor=circle_tensor)
         sv = A.singular_values
-        assert svd_calls == [np.complex128]
+        assert svd_calls and set(svd_calls) == {np.dtype(complex)}
         ref = np.linalg.svd(A.weighted(), compute_uv=False)
         assert np.abs(sv - ref).max() <= 1e-13 * ref[0]
 
@@ -332,7 +343,7 @@ class TestSingularValues:
         A = mp.build_multiplier(cantor_400, 0.5, 0.5, 64)
         norm = mp.multiplier_norm(A)
         prof = mp.compactness_profile(A, [1, 8, 64])
-        assert solve_calls == [("eigvalsh", np.float64)]
+        assert solve_calls == parity_calls("eigvalsh", np.float64, 64)
         assert prof[0] == norm
 
     @pytest.mark.parametrize("imaginary, s1, s2", [(False, 0.3, 0.8),
@@ -345,7 +356,7 @@ class TestSingularValues:
         norm = mp.multiplier_norm(A)
         prof = mp.compactness_profile(A, [1, 8, 64])
         dtype = np.complex128 if imaginary else np.float64
-        assert solve_calls == [("svd", dtype)]
+        assert solve_calls == parity_calls("svd", dtype, 64)
         assert prof[0] == norm
 
     def test_positivity_takes_no_svd_on_real_phi(self, cantor_400, circle_spec,
@@ -354,7 +365,155 @@ class TestSingularValues:
         assert svd_calls == []
         mp.positivity_test(mp.build_multiplier(1j * unit_mode(circle_spec, 3),
                                                0.0, 0.0, 16, tensor=circle_tensor))
-        assert svd_calls == [np.complex128]
+        assert svd_calls and set(svd_calls) == {np.dtype(complex)}
+
+    def test_benchmark_profile_solves_parity_blocks(self, tmp_path, solve_calls):
+        # the multiplier_profile config of the benchmark: each truncation's
+        # norm and profile, then the positivity test at the smallest one,
+        # solve the two parity blocks and nothing larger
+        config = {"experiment": "multiplier_profile",
+                  "geometry": {"kind": "circle", "segments": 256},
+                  "params": {"phi": {"kind": "cantor"}, "truncations": [256, 512]}}
+        manifest = harness.run(harness.ExperimentConfig.from_dict(config),
+                               str(tmp_path))
+        assert manifest.passed, manifest.assertions
+        assert solve_calls == (2 * parity_calls("eigvalsh", np.float64, 256)
+                               + parity_calls("eigvalsh", np.float64, 512))
+
+
+def random_blocks(rng, sizes, hermitian=False):
+    """A complex matrix, irreducible blocks of ``sizes`` on the diagonal,
+    its rows and columns shuffled alike; the blocks as index vectors."""
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    X = np.zeros((n, n), dtype=complex)
+    blocks, start = [], 0
+    for size in sizes:
+        b = np.sort(perm[start:start + size])
+        G = random_coeffs(rng, (size, size))
+        X[np.ix_(b, b)] = G + G.conj().T if hermitian else G
+        blocks.append(b)
+        start += size
+    return X, sorted(blocks, key=lambda b: b[0])
+
+
+def same_blocks(got, want):
+    return [b.tolist() for b in got] == [b.tolist() for b in want]
+
+
+class TestDiagonalBlocks:
+    """Each solve split by exact zeros gives the values of one solve on the
+    whole matrix, within 1e-13 of the largest."""
+
+    @staticmethod
+    def assert_close(values, ref):
+        assert values.shape == ref.shape
+        assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_two_circles_split_by_component(self, solve_calls):
+        spec = two_circles_spec(48)
+        rng = np.random.default_rng(21)
+        phi = bd.SpectralFunction(spec, rng.standard_normal(spec.count) + 0j)
+        A = mp.build_multiplier(phi, 0.5, 0.5, spec.count)
+        comps = [np.flatnonzero(spec.mode_comp == j) for j in range(2)]
+        assert same_blocks(mp.diagonal_blocks(A.matrix),
+                           sorted(comps, key=lambda b: b[0]))
+        sv = A.singular_values
+        assert sorted(size for _, _, size in solve_calls) == sorted(
+            b.size for b in comps)
+        self.assert_close(sv, np.linalg.svd(A.weighted(), compute_uv=False))
+
+    def test_cantor_splits_by_parity(self, cantor_400):
+        spec = cantor_400.spectrum
+        N = 96
+        A = mp.build_multiplier(cantor_400, 0.3, 0.8, N)
+        kind = spec.mode_kind[:N]
+        blocks = mp.diagonal_blocks(A.matrix)
+        assert same_blocks(blocks, [np.flatnonzero(kind != bd.KIND_SIN),
+                                    np.flatnonzero(kind == bd.KIND_SIN)])
+        assert [b.size for b in blocks] == [N // 2 + 1, N // 2 - 1]
+        self.assert_close(A.singular_values,
+                          np.linalg.svd(A.weighted(), compute_uv=False))
+        X = A.matrix.real
+        self.assert_close(mp.eigvalsh_by_block(X), np.linalg.eigvalsh(X))
+
+    @pytest.mark.parametrize("imaginary", [False, True])
+    def test_diagonal_symbol_takes_no_lapack_call(self, circle_spec, imaginary,
+                                                  solve_calls):
+        Z = imp.symbol_impedance(circle_spec, 16, c1=1.0, c2=1.0, t=1.0,
+                                 imaginary=imaginary)
+        g = Z.matrix.diagonal()
+        assert same_blocks(mp.diagonal_blocks(Z.matrix),
+                           [np.array([i]) for i in range(16)])
+        check = imp.is_accretive(Z)
+        A = mp.MultiplierMatrix(circle_spec, Z.matrix, 0.0, 0.0, 16)
+        sv = A.singular_values
+        assert solve_calls == []
+        assert np.array_equal(sv, np.sort(np.abs(g))[::-1])
+        assert (check["min_eig"], check["max_eig"]) == (g.real.min(), g.real.max())
+        assert check["norm"] == np.abs(g).max()
+
+    def test_random_complex_phi_is_one_block(self, circle_spec, circle_tensor,
+                                             solve_calls):
+        rng = np.random.default_rng(22)
+        phi = bd.SpectralFunction(circle_spec, random_coeffs(rng, circle_spec.count))
+        A = mp.build_multiplier(phi, 0.5, 0.3, 40, tensor=circle_tensor)
+        assert len(mp.diagonal_blocks(A.matrix)) == 1
+        sv = A.singular_values
+        assert solve_calls == [("svd", np.complex128, 40)]
+        assert np.array_equal(sv, np.linalg.svd(A.weighted(), compute_uv=False))
+
+    @pytest.mark.parametrize("sizes", [[1, 5, 12, 1, 9], [30], [1, 1, 1]])
+    def test_unequal_exponents_take_the_svd_path(self, circle_spec, sizes,
+                                                 solve_calls):
+        X, blocks = random_blocks(np.random.default_rng(23), sizes)
+        assert same_blocks(mp.diagonal_blocks(X), blocks)
+        A = mp.MultiplierMatrix(circle_spec, X, 0.3, 0.8, X.shape[0])
+        sv = A.singular_values
+        assert solve_calls == [("svd", np.complex128, b.size) for b in blocks
+                               if b.size > 1]
+        self.assert_close(sv, np.linalg.svd(A.weighted(), compute_uv=False))
+
+    def test_non_hermitian_hermitian_check(self):
+        X, _ = random_blocks(np.random.default_rng(24), [7, 1, 13, 4])
+        H = 0.5 * (X + X.conj().T)
+        eigs = np.linalg.eigvalsh(H)
+        norm = np.linalg.svd(X, compute_uv=False)[0]
+        check = mp.hermitian_check(X)
+        self.assert_close(np.array([check["min_eig"], check["max_eig"]]),
+                          eigs[[0, -1]])
+        assert abs(check["norm"] - norm) <= 1e-13 * norm
+        self.assert_close(mp.eigvalsh_by_block(H), eigs)
+
+    def test_hermitian_blocks(self):
+        X, blocks = random_blocks(np.random.default_rng(25), [6, 1, 11], hermitian=True)
+        assert same_blocks(mp.diagonal_blocks(X), blocks)
+        self.assert_close(mp.eigvalsh_by_block(X), np.linalg.eigvalsh(X))
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_block_triangular_is_not_split(self, upper):
+        # [[P, Q], [0, R]] and [[P, 0], [Q, R]] have the singular values of
+        # neither P nor R: the pattern symmetrized with its transpose keeps
+        # each one block
+        rng = np.random.default_rng(26)
+        X = random_coeffs(rng, (12, 12))
+        X[6:, :6] = 0.0
+        if not upper:
+            X = X.T.copy()
+        assert same_blocks(mp.diagonal_blocks(X), [np.arange(12)])
+        assert np.array_equal(mp.svdvals_by_block(X),
+                              np.linalg.svd(X, compute_uv=False))
+        split = np.sort(np.concatenate([np.linalg.svd(X[:6, :6], compute_uv=False),
+                                        np.linalg.svd(X[6:, 6:], compute_uv=False)]))
+        assert np.abs(split[::-1] - np.linalg.svd(X, compute_uv=False)).max() > 1e-3
+
+    def test_cayley_of_a_split_impedance(self, circle_spec, circle_tensor):
+        Z = imp.multiplier_impedance(mp.cantor_measure_coeffs(circle_spec, 1 / 3), 32,
+                                     tensor=circle_tensor)
+        cp = imp.cayley(Z)
+        ref = np.linalg.svd(cp.K, compute_uv=False)[0]
+        assert abs(cp.norm_K - ref) <= 1e-13 * ref
+        assert len(mp.diagonal_blocks(cp.K)) == 2
 
 
 def hermitian_kinds(rng, n=48):
