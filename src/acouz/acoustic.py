@@ -52,7 +52,7 @@ from .boundary import (
 )
 from .fgf import impedance_coefficients, sample_random_impedance
 from .impedance import is_accretive, multiplier_impedance
-from .multipliers import TripleProductTensor, _real_if_exact
+from .multipliers import TripleProductTensor
 
 RESIDUAL_TOL = 1e-8
 HALFPLANE_TOL = 1e-8     # scaled by (1 + |lambda|)
@@ -194,8 +194,23 @@ def annulus_mesh(h, r_inner=0.5, r_outer=1.0):
 
 
 def convex_polygon_mesh(corners, h):
-    """Delaunay mesh of a convex polygon with ~h boundary spacing."""
+    """Delaunay mesh of a convex polygon with ~h boundary spacing.
+
+    Raises MeshError unless the corners are at least 3 points of the plane
+    that form a strictly convex, counterclockwise polygon: every turn is
+    to the left, and the turns add up to one full turn.
+    """
     corners = np.asarray(corners, dtype=float)
+    if corners.ndim != 2 or corners.shape[0] < 3 or corners.shape[1] != 2:
+        raise MeshError(f"a polygon needs at least 3 corners (x, y), "
+                        f"not an array of shape {corners.shape}")
+    e = np.roll(corners, -1, axis=0) - corners
+    e_next = np.roll(e, -1, axis=0)
+    turns = np.arctan2(e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0],
+                       np.einsum("ij,ij->i", e, e_next))
+    if not (np.all(turns > 0) and turns.sum() < 3 * np.pi):
+        raise MeshError("polygon corners must form a strictly convex polygon "
+                        "in counterclockwise order")
     bpts = []
     n_c = corners.shape[0]
     for i in range(n_c):
@@ -576,20 +591,19 @@ def solve_pencil(pencil, n_wanted=12):
     = (x, p + tau x) with x = -P(i tau)^-1 (B_Z p + M (q + tau p)).  By
     Woodbury from the shared factor of A0, with C = I + tau Zhat S0 and
     u = A0^-1 M (q + tau p), x = -(u + W C^-1 Zhat T (p - tau u)).  The
-    operator is real (ARPACK's dnaupd, one-column LU solves) when Zhat is,
-    and complex otherwise, with real and imaginary parts as two real
-    columns: W, T and M never meet a complex array.  A numerically singular
+    operator has the dtype Zhat was made in, real (ARPACK's dnaupd and
+    one-column LU solves) or complex, with real and imaginary parts as two
+    real columns: W, T and M never meet a complex array.  A numerically singular
     C means P(i tau) is singular: SpectrumError.  If ARPACK stops before all
     k pairs converge, it returns only those that did, with ``converged=False``.
     """
     n, M, tau = pencil.n, pencil.M, pencil.shift.imag
     lu0, W, T, bdofs = pencil.shifted_lu, pencil.W, pencil.trace, pencil.bdofs
-    Zhat = _real_if_exact(pencil.Zhat)
-    C = np.eye(pencil.N_b) + tau * Zhat @ pencil.S0
+    C = np.eye(pencil.N_b) + tau * pencil.Zhat @ pencil.S0
     cond = np.linalg.cond(C)
     if not cond <= CAPACITANCE_COND_MAX:
         raise SpectrumError(f"P(shift) is singular: capacitance condition {cond:.2e}")
-    G = np.linalg.solve(C, Zhat)
+    G = np.linalg.solve(C, pencil.Zhat)
     dtype, k = G.dtype, G.itemsize // 8     # k real columns per vector
 
     def cols(v):        # (m,) of the operator's dtype as a real (m, k) view

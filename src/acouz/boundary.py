@@ -617,6 +617,16 @@ def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True, workers=
 # spectral functions and the H^t scale
 # ---------------------------------------------------------------------------
 
+def exact_dtype(a):
+    """``a`` as a float array unless some imaginary entry is nonzero, then as
+    a complex one: the one rule deciding an operator's arithmetic, applied
+    where it is made (``SpectralFunction``, ``impedance.ImpedanceOperator``)."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and np.any(a.imag):
+        return a.astype(complex, copy=False)
+    return np.ascontiguousarray(a.real, dtype=float)
+
+
 @dataclass
 class SpectralFunction:
     """A function/distribution on the boundary as eigenbasis coefficients."""
@@ -625,7 +635,7 @@ class SpectralFunction:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        self.coeffs = exact_dtype(self.coeffs)
         check_coefficients(self.coeffs, self.spectrum.count)
 
     def __rmul__(self, scalar):
@@ -634,7 +644,7 @@ class SpectralFunction:
 
 def constant_function(spec):
     """The function identically 1, i.e. sqrt(measure_j) on every kernel mode."""
-    c = np.zeros(spec.count, dtype=complex)
+    c = np.zeros(spec.count)
     c[:spec.b0] = np.sqrt(spec.geometry.component_measures)
     return SpectralFunction(spec, c)
 

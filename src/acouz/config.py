@@ -1,5 +1,7 @@
 """The one reader of config values: no other code decides a value's type."""
 
+import cmath
+
 _REQUIRED = object()
 # kind -> (the Python types it accepts, its name in a message)
 _KINDS = {"real": ((int, float), "a real number"),
@@ -22,7 +24,8 @@ def read(block, path, default=_REQUIRED, kind="real", many=False):
     """The config value at ``path`` (its last key in ``block``, else
     ``default``, else required), checked once: a ``real`` number, a
     ``complex`` one (library callers may pass a complex), a ``positive`` real
-    (> 0: a length or a mesh size), an ``integer`` (its library helper checks
+    (> 0: a length or a mesh size), each finite (``json.load`` accepts NaN,
+    Infinity and -Infinity), an ``integer`` (its library helper checks
     the range), a ``count`` (an integer >= 1), a JSON ``bool``, ``string``
     or ``object``; never a bool unless ``bool``.  With
     ``many`` a list of them, non-empty unless the default is ``()``, and with
@@ -43,6 +46,8 @@ def read(block, path, default=_REQUIRED, kind="real", many=False):
     for x in values:
         if isinstance(x, bool) != (kind == "bool") or not isinstance(x, types):
             raise ConfigError([f"{where} must be {name}, not {x!r}"])
+        if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+            raise ConfigError([f"{where} must be finite, not {x!r}"])
         if kind == "count" and x < 1:
             raise ConfigError([f"{where} must be at least 1, not {x!r}"])
         if kind == "positive" and not x > 0:

@@ -217,7 +217,7 @@ def sample_random_impedance(spec, rspec, N_trunc, seed):
     if rspec.kernel_weights:
         eta = positive_stream(seed, b0)
         coeffs[:b0] = np.array(rspec.kernel_weights) * eta
-    return SpectralFunction(spec, coeffs.astype(complex))
+    return SpectralFunction(spec, coeffs)
 
 
 def impedance_coefficients(zeta):
@@ -230,6 +230,6 @@ def impedance_coefficients(zeta):
     satisfies Z^natural = -Z exactly, hence a selfadjoint acoustic operator.
     """
     spec = zeta.spectrum
-    c = zeta.coeffs.astype(complex).copy()
+    c = zeta.coeffs.astype(complex)
     c[spec.b0:] = 1j * c[spec.b0:].real
     return SpectralFunction(spec, c)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .boundary import (
     SpectralFunction, SpectrumError, check_coefficients, check_truncation,
-    constant_function, fractional_power_weights,
+    constant_function, exact_dtype, fractional_power_weights,
 )
 from .config import read
 from .multipliers import (
@@ -56,7 +56,10 @@ class ImpedanceOperator:
 
     spectrum: object
     N_trunc: int
-    matrix: np.ndarray             # (N_trunc, N_trunc) complex
+    matrix: np.ndarray             # (N_trunc, N_trunc): float unless not real
+
+    def __post_init__(self):
+        self.matrix = exact_dtype(self.matrix)
 
 
 def multiplier_impedance(phi, N_trunc, tensor=None):
@@ -65,23 +68,27 @@ def multiplier_impedance(phi, N_trunc, tensor=None):
     return ImpedanceOperator(spectrum=phi.spectrum, N_trunc=N_trunc, matrix=A.matrix)
 
 
-def _check_shift(c1):
+def _check_shift(c1, t):
+    """Raise unless (mu + c1)^(t/2) is finite on every mode: c1 >= 0, and
+    c1 > 0 when t < 0, since every spectrum has mu = 0 modes."""
     if c1 < 0:
         raise SpectrumError("symbol shift c1 must be nonnegative")
+    if c1 == 0 and t < 0:
+        raise SpectrumError(f"symbol shift c1 must be positive when t < 0 "
+                            f"(t = {t!r}): (mu + c1)^(t/2) is infinite at mu = 0")
 
 
 def symbol_impedance(spec, N_trunc, c1, c2, t, imaginary=False, sign=1):
     """Z = [i] * sign * c2 * (Delta + c1)^(t/2), diagonal in the Y-basis."""
-    _check_shift(c1)
+    _check_shift(c1, t)
     g = sign * c2 * (spec.mu[:N_trunc] + c1) ** (t / 2.0)
     if imaginary:
         g = 1j * g
-    return ImpedanceOperator(spectrum=spec, N_trunc=N_trunc,
-                             matrix=np.diag(g.astype(complex)))
+    return ImpedanceOperator(spectrum=spec, N_trunc=N_trunc, matrix=np.diag(g))
 
 
 def _square(Zhat):
-    Zhat = np.asarray(Zhat, dtype=complex)
+    Zhat = np.asarray(Zhat)
     if Zhat.ndim != 2 or Zhat.shape[0] != Zhat.shape[1]:
         raise SpectrumError("impedance matrix must be square")
     return Zhat
@@ -95,7 +102,7 @@ def matrix_impedance(spec, Zhat):
 
 def zero_impedance(spec, N_trunc):
     return ImpedanceOperator(spectrum=spec, N_trunc=N_trunc,
-                             matrix=np.zeros((N_trunc, N_trunc), dtype=complex))
+                             matrix=np.zeros((N_trunc, N_trunc)))
 
 
 MULTIPLIER_KINDS = ("constant", "multiplier", "cantor")
@@ -133,7 +140,7 @@ def _block_args(config, kinds):
                 complex(read(config, "scale_re", 1.0), read(config, "scale_im", 0.0)))
     if kind == "symbol":
         args = {key: read(config, key) for key in ("c1", "c2", "t")}
-        _check_shift(args["c1"])
+        _check_shift(args["c1"], args["t"])
         return {**args, "imaginary": read(config, "imaginary", False, "bool"),
                 "sign": read(config, "sign", 1)}
     return None
@@ -191,8 +198,8 @@ def impedance_from_config(spec, config, N_trunc=None):
     rejects (a missing c1, c2, t, coeffs_re, coeffs_im or re; a string, bool or
     list for a number; a non-integer component, a non-bool imaginary), coefficient
     lists of unequal lengths or past the spectrum, a Cantor ratio outside
-    (0, 1/2) or a missing component, c1 < 0, an ``im`` unlike ``re`` or a ``re``
-    not square, a truncation outside 1..spec.count.
+    (0, 1/2) or a missing component, c1 < 0 or c1 = 0 with t < 0, an ``im``
+    unlike ``re`` or a ``re`` not square, a truncation outside 1..spec.count.
     """
     N_trunc = check_impedance_config(config, N_trunc or spec.count, spec.count,
                                      spec.geometry)

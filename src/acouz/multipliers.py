@@ -27,7 +27,7 @@ multiply to zero, and a reflection-symmetric phi has sine coefficients that
 are exactly 0, so its cos x sin blocks vanish and the compression splits by
 parity (the Cantor measure on a circle, at even N: blocks of N/2 + 1 and
 N/2 - 1).  An irreducible matrix is one block and takes one solve on the
-whole matrix.
+whole matrix.  Every solve runs in its matrix's dtype: real for a real phi.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .boundary import (
     KIND_CONST, KIND_COS, KIND_SIN,
-    BoundarySpectrum, SpectralFunction, SpectrumError, check_truncation, ht_weights,
-    triangle_areas,
+    BoundarySpectrum, SpectralFunction, SpectrumError, check_truncation, exact_dtype,
+    ht_weights, triangle_areas,
 )
 
 PSD_TOL_FACTOR = 1e-10   # shared with the impedance module
@@ -111,16 +111,16 @@ class TripleProductTensor:
                 np.arange(spec.count)
 
     def contract(self, coeffs, N_trunc):
-        """A[m, n] = sum_k coeffs[k] G[k, m, n] for m, n < N_trunc."""
-        c = np.asarray(coeffs, dtype=complex)
+        """A[m, n] = sum_k coeffs[k] G[k, m, n] for m, n < N_trunc, in their dtype."""
+        c = np.asarray(coeffs)
         if self._qmodes is not None:
             phi_q = c @ self._qmodes[:c.size]
             Yq = self._qmodes[:N_trunc]
             return (Yq * (self._qw * phi_q)[None, :]) @ Yq.T
         # zero past c and in slot -1: absent terms and modes past c add nothing
-        c0 = np.zeros(self.spec.count + 1, dtype=complex)
+        c0 = np.zeros(self.spec.count + 1, dtype=c.dtype)
         c0[:c.size] = c
-        A = np.zeros((N_trunc, N_trunc), dtype=complex)
+        A = np.zeros((N_trunc, N_trunc), dtype=c.dtype)
         for j in range(self._a.size):
             self._add_component(A, c0, j)
         return A
@@ -177,17 +177,6 @@ def _hankel_plus_toeplitz(h, lower, upper, P, Q):
 # ---------------------------------------------------------------------------
 # multiplier matrices
 # ---------------------------------------------------------------------------
-
-def _is_real(X):
-    """X has a real dtype or an imaginary part that is exactly zero."""
-    return np.isrealobj(X) or not np.any(X.imag)
-
-
-def _real_if_exact(X):
-    """X.real when the imaginary part of X is exactly zero, else X: LAPACK
-    then runs in real arithmetic on real data at no loss of accuracy."""
-    return X.real if _is_real(X) else X
-
 
 def diagonal_blocks(X):
     """The irreducible diagonal blocks of the square X, as ascending index
@@ -248,7 +237,7 @@ def _is_hermitian(X):
     real part symmetric and the imaginary part antisymmetric, exactly."""
     if not np.array_equal(X.real, X.real.T):
         return False
-    return _is_real(X) or np.array_equal(X.imag, -X.imag.T)
+    return np.isrealobj(X) or np.array_equal(X.imag, -X.imag.T)
 
 
 @dataclass(frozen=True)
@@ -261,9 +250,9 @@ class MultiplierMatrix:
     :func:`multiplier_norm` and :func:`compactness_profile` both read, are
     computed once per compression, by one solve per irreducible block of
     the weighted matrix (split by boundary component and by the parity of a
-    reflection-symmetric phi), in real arithmetic when the compression is
-    real (a real phi), and from symmetric eigensolves when the weighted
-    matrix is Hermitian.  Immutable, so that cache stays valid.
+    reflection-symmetric phi), in the dtype of the compression (real for a
+    real phi), and from symmetric eigensolves when the weighted matrix is
+    Hermitian.  Immutable, so that cache stays valid.
     """
 
     spectrum: BoundarySpectrum
@@ -273,10 +262,10 @@ class MultiplierMatrix:
     N_trunc: int
 
     def weighted(self):
-        """D(-s2) A D(-s1), real when A is exactly real."""
+        """D(-s2) A D(-s1), in the dtype of A."""
         d1 = ht_weights(self.spectrum, -self.s1)[:self.N_trunc]
         d2 = ht_weights(self.spectrum, -self.s2)[:self.N_trunc]
-        W = d2[:, None] * _real_if_exact(self.matrix)
+        W = d2[:, None] * self.matrix
         W *= d1[None, :]
         return W
 
@@ -342,17 +331,17 @@ def hermitian_check(X, tol=None):
     of Herm(X), ``tol`` (default ``psd_tolerance(norm)``) and ``norm`` =
     ||X||_2.  Every solve runs once per irreducible block (exact zeros
     split a compression by boundary component and by the parity of a
-    reflection-symmetric phi), in real arithmetic when its matrix is
-    exactly real; ||X||_2 is read from the eigenvalues when X is exactly
-    Hermitian, and only a non-Hermitian X takes singular-value solves.  An
-    exactly Hermitian X is its own Hermitian part and is not copied.
+    reflection-symmetric phi), in the dtype of X; a computed Herm(X) is
+    real unless some entry is not (``exact_dtype``).  ||X||_2 is read from
+    the eigenvalues of an exactly Hermitian X, which is its own Hermitian
+    part and is not copied; only a non-Hermitian X takes singular values.
     """
     if _is_hermitian(X):
-        eigs = eigvalsh_by_block(_real_if_exact(X))
+        eigs = eigvalsh_by_block(X)
         norm = float(np.abs(eigs).max())
     else:
-        eigs = eigvalsh_by_block(_real_if_exact(0.5 * (X + X.conj().T)))
-        norm = float(svdvals_by_block(_real_if_exact(X))[0])
+        eigs = eigvalsh_by_block(exact_dtype(0.5 * (X + X.conj().T)))
+        norm = float(svdvals_by_block(X)[0])
     tol = psd_tolerance(norm) if tol is None else tol
     return {"nonneg": bool(eigs[0] >= -tol), "min_eig": float(eigs[0]),
             "max_eig": float(eigs[-1]), "tol": tol, "norm": norm}
@@ -487,7 +476,7 @@ def cantor_measure_coeffs(spec, r, target_component=0):
     on = spec.mode_comp == target_component
     cos = on & (spec.mode_kind == KIND_COS)
 
-    c = np.zeros(spec.count, dtype=complex)
+    c = np.zeros(spec.count)
     c[cos] = math.sqrt(2.0 / L) * cantor_exponential_moments(r, spec.mode_freq[cos])
     c[on & (spec.mode_kind == KIND_CONST)] = 1.0 / math.sqrt(L)
     return SpectralFunction(spec, c)

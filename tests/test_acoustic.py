@@ -135,6 +135,31 @@ class TestEigenReport:
         assert all(r[5] == 4 for r in rows)
 
 
+class TestConvexPolygonMesh:
+    """Corners that are not a strictly convex counterclockwise polygon raise
+    MeshError: two corners or collinear ones ended in a QhullError, and
+    clockwise ones built a mesh with no interior vertex."""
+
+    SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+    def test_counterclockwise_square_has_interior_vertices(self):
+        mesh = ac.convex_polygon_mesh(self.SQUARE, 0.2)
+        assert mesh.n_vertices == 34 and len(mesh.boundary_loops[0]) == 20
+
+    @pytest.mark.parametrize("corners", [
+        [[0, 0], [1, 0]],
+        [[0, 0], [1, 0], [2, 0]],
+        SQUARE[::-1],
+        [[0, 0], [1, 0], [1, 1], [1, 1], [0, 1]],
+        [[math.cos(0.8 * math.pi * k), math.sin(0.8 * math.pi * k)] for k in range(5)],
+        [0.0, 1.0, 2.0],
+    ], ids=["two_corners", "collinear", "clockwise", "repeated_corner", "pentagram",
+            "not_points"])
+    def test_rejected(self, corners):
+        with pytest.raises(ac.MeshError):
+            ac.convex_polygon_mesh(corners, 0.2)
+
+
 class TestAssemblyOracles:
     @pytest.mark.parametrize("make_mesh", [lambda: ac.disk_mesh(0.12),
                                            lambda: ac.annulus_mesh(0.12)],

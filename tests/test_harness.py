@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import multiprocessing
 import os
 
@@ -496,13 +497,33 @@ def _params(config, **params):
     ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
       "params": {"N_spec": 20, "impedance": {"kind": "matrix", "re": np.eye(21).tolist()}}},
      "params.impedance: SpectrumError: truncation 21 exceeds the spectrum (20)"),
+    # (mu + 0)^(t/2) is infinite at mu = 0: the first wrote accretive and
+    # selfadjoint true, the second ended in a singular P(shift)
+    (_params(IMPEDANCE_N8, impedance={"kind": "symbol", "c1": 0, "c2": 1, "t": -1}),
+     "params.impedance: SpectrumError: symbol shift c1 must be positive when t < 0"),
+    ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
+      "params": {"impedance": {"kind": "symbol", "c1": 0.0, "c2": 1.0, "t": -1.0}}},
+     "params.impedance: SpectrumError: symbol shift c1 must be positive when t < 0"),
+    # the first two ended in a QhullError traceback, the third ran on a mesh
+    # with no interior vertex
+    ({"experiment": "acoustic_spectrum",
+      "mesh": {"kind": "polygon", "h": 0.2, "corners": [[0, 0], [1, 0]]}},
+     "cannot build the mesh block: MeshError: a polygon needs at least 3 corners"),
+    ({"experiment": "acoustic_spectrum",
+      "mesh": {"kind": "polygon", "h": 0.2, "corners": [[0, 0], [1, 0], [2, 0]]}},
+     "cannot build the mesh block: MeshError: polygon corners must form"),
+    ({"experiment": "acoustic_spectrum",
+      "mesh": {"kind": "polygon", "h": 0.2, "corners": [[0, 0], [0, 1], [1, 1], [1, 0]]}},
+     "cannot build the mesh block: MeshError: polygon corners must form"),
 ], ids=["coeffs_past_spectrum", "coeffs_unequal", "matrix_not_square",
         "symbol_shift", "matrix_im_shape", "rank_zero",
         "truncation_zero", "n_wanted_zero", "n_samples_zero", "rank_float",
         "n_wanted_float", "slope_tol_string", "seeds_float", "s_values_string",
         "s1_string", "n_samples_float", "N_trunc_float", "psd_tol_string",
         "stability_tol_list", "N_trunc_integral_float", "seeds_bool", "t_values_empty",
-        "rspec_list", "impedance_named", "phi_named", "acoustic_impedance_named"])
+        "rspec_list", "impedance_named", "phi_named", "acoustic_impedance_named",
+        "symbol_zero_shift_negative_t", "acoustic_symbol_zero_shift_negative_t",
+        "polygon_two_corners", "polygon_collinear", "polygon_clockwise"])
 def test_block_and_count_rules_rejected_before_the_run(config, message, tmp_path,
                                                        monkeypatch, capsys):
     # each config printed `ok` from validate, and its run failed or, for the
@@ -664,10 +685,13 @@ def _first_number(value, bad):
 
 
 # rule -> values of another type: a string or a number where the rule wants
-# the other, a bool, a fraction or a negative where it wants an integer, and
-# zero or a negative where it wants a length or a mesh size; a list also
+# the other, a bool, a fraction or a negative where it wants an integer, a
+# non-finite number (json.load reads NaN and Infinity) where it wants a real,
+# and zero or a negative where it wants a length or a mesh size; a list also
 # takes a string and a bool as its first number
-BAD_VALUES = {"real": ["1.5", True], "positive": ["1.5", True, 0, -0.1, -1, -6.0],
+NON_FINITE = [math.nan, math.inf, -math.inf]
+BAD_VALUES = {"real": ["1.5", True, *NON_FINITE],
+              "positive": ["1.5", True, 0, -0.1, -1, -6.0, *NON_FINITE],
               "integer": ["2", True, 2.5, -1],
               "string": [0, True], "bool": ["false", 1], "list": ["1.5", True, 1.5]}
 

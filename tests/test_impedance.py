@@ -55,10 +55,12 @@ class TestConstruction:
         {"kind": "cantor", "ratio": 0.5},
         {"kind": "cantor", "component": 1},
         {"kind": "symbol", "c1": -1.0, "c2": 1.0, "t": 1.0},
+        {"kind": "symbol", "c1": 0.0, "c2": 1.0, "t": -1.0},
         {"kind": "matrix", "re": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
         {"kind": "matrix", "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[1.0, 2.0]]},
     ], ids=["kind", "coeffs_past_spectrum", "coeffs_unequal", "cantor_ratio",
-            "cantor_component", "symbol_shift", "matrix_not_square", "matrix_im_shape"])
+            "cantor_component", "symbol_shift", "symbol_zero_shift_negative_t",
+            "matrix_not_square", "matrix_im_shape"])
     def test_build_applies_the_config_check(self, circle_spec, config):
         # impedance_from_config runs check_impedance_config: what validate
         # rejects never builds
@@ -92,6 +94,78 @@ class TestConstruction:
         with pytest.raises(ConfigError, match="c1 is required"):
             imp.impedance_from_config(circle_spec, {"kind": "symbol",
                                                     "expr": "mu^2"}, N_trunc=4)
+
+
+class TestSymbolShift:
+    def test_zero_shift_needs_nonnegative_t(self, circle_spec):
+        # every spectrum has mu = 0 modes, where (mu + 0)^(t/2) is infinite
+        # for t < 0; t >= 0 at c1 = 0 stays finite
+        with pytest.raises(bd.SpectrumError, match="c1 must be positive"):
+            imp.symbol_impedance(circle_spec, 8, c1=0.0, c2=1.0, t=-1.0)
+        for t in (0.0, 0.5):
+            Z = imp.symbol_impedance(circle_spec, 8, c1=0.0, c2=1.0, t=t)
+            assert np.all(np.isfinite(Z.matrix))
+        Z = imp.symbol_impedance(circle_spec, 8, c1=1e-3, c2=1.0, t=-1.0)
+        assert np.all(np.isfinite(Z.matrix))
+
+
+class TestArithmeticDecidedWhereMade:
+    """An operator is float64 unless some imaginary entry is nonzero: the
+    rule ``boundary.exact_dtype`` applies it once, in ``SpectralFunction``
+    and ``ImpedanceOperator``, and every consumer reads the dtype it gets."""
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "zero"},
+        {"kind": "constant", "z0": 2.0},
+        {"kind": "cantor", "scale_re": 2.0},
+        {"kind": "multiplier", "coeffs_re": [1.0, 0.5], "coeffs_im": [0.0, 0.0]},
+        {"kind": "symbol", "c1": 1.0, "c2": 1.0, "t": 0.5},
+        {"kind": "symbol", "c1": 1.0, "c2": 0.0, "t": 0.5, "imaginary": True},
+        {"kind": "matrix", "re": [[1.0, 2.0], [0.0, 1.0]]},
+        {"kind": "matrix", "re": [[1.0, 2.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    ], ids=["zero", "constant", "cantor", "multiplier", "symbol", "symbol_zero_c2",
+            "matrix", "matrix_zero_im"])
+    def test_real_impedances_are_float(self, circle_spec, config):
+        Z = imp.impedance_from_config(circle_spec, config, N_trunc=16)
+        assert Z.matrix.dtype == np.float64
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "constant", "z0": 1.0 + 0.5j},
+        {"kind": "cantor", "scale_im": 1.0},
+        {"kind": "multiplier", "coeffs_re": [1.0, 0.5], "coeffs_im": [0.0, 0.25]},
+        {"kind": "symbol", "c1": 1.0, "c2": 1.0, "t": 0.5, "imaginary": True},
+        {"kind": "matrix", "re": [[1.0, 2.0], [0.0, 1.0]], "im": [[0.0, 0.0], [1.0, 0.0]]},
+    ], ids=["constant", "cantor", "multiplier", "symbol", "matrix"])
+    def test_complex_impedances_are_complex(self, circle_spec, config):
+        Z = imp.impedance_from_config(circle_spec, config, N_trunc=16)
+        assert Z.matrix.dtype == np.complex128
+
+    def test_cantor_compression_is_float(self, circle_spec, circle_tensor):
+        phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3)
+        A = mp.build_multiplier(phi, 0.5, 0.5, 32, tensor=circle_tensor)
+        assert phi.coeffs.dtype == A.matrix.dtype == A.weighted().dtype == np.float64
+        assert bd.constant_function(circle_spec).coeffs.dtype == np.float64
+
+    def test_fgf_impedance_is_complex(self, circle_spec, circle_tensor):
+        # zeta is real; only its i * field part makes the operator complex
+        for c, dtype in ((1.0, np.complex128), (0.0, np.float64)):
+            r = fgf.RandomImpedanceSpec(c=c, s=0.3, kernel_weights=(1.5,))
+            zeta = fgf.sample_random_impedance(circle_spec, r, 32, seed=7)
+            phi = fgf.impedance_coefficients(zeta)
+            Z = imp.multiplier_impedance(phi, 16, tensor=circle_tensor)
+            assert zeta.coeffs.dtype == np.float64
+            assert phi.coeffs.dtype == Z.matrix.dtype == dtype
+
+    def test_complex_typed_real_input_becomes_float(self, circle_spec):
+        rng = np.random.default_rng(13)
+        G = rng.standard_normal((16, 16))
+        X = (G + G.T).astype(complex)
+        f = bd.SpectralFunction(circle_spec, X[0])
+        Z = imp.ImpedanceOperator(spectrum=circle_spec, N_trunc=16, matrix=X)
+        assert f.coeffs.dtype == Z.matrix.dtype == np.float64
+        assert f.coeffs.tobytes() == X[0].real.tobytes()
+        assert Z.matrix.tobytes() == X.real.tobytes()
+        assert Z.matrix.flags.c_contiguous
 
 
 class TestConjugation:

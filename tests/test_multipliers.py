@@ -285,6 +285,9 @@ class TestBlockContraction:
             for name, c in coeffs.items():
                 A = tensor.contract(c, N_trunc)
                 ref = oracles.pairwise_curve_contract(tensor, c, N_trunc)
+                if np.isrealobj(c):     # a real phi builds in real arithmetic
+                    assert np.all(ref.imag == 0.0), (name, N_trunc)
+                    ref = ref.real
                 assert A.tobytes() == ref.tobytes(), (name, N_trunc)
 
     def test_peak_memory_of_contract(self, unit_circle_geom):
@@ -519,7 +522,7 @@ class TestDiagonalBlocks:
 def hermitian_kinds(rng, n=48):
     """A real symmetric, a complex Hermitian and a non-Hermitian matrix."""
     G = random_coeffs(rng, (n, n))
-    return {"real_symmetric": (G.real + G.real.T).astype(complex),
+    return {"real_symmetric": G.real + G.real.T,
             "complex_hermitian": G + G.conj().T,
             "non_hermitian": G}
 
@@ -537,8 +540,17 @@ class TestCopyFreeHermitianTest:
                                     N_trunc=X.shape[0])
             assert (A.singular_values.tobytes()
                     == oracles.conjugate_singular_values(A).tobytes())
-        for Y in (X, X.real) if kind == "real_symmetric" else (X,):
-            assert repr(mp.hermitian_check(Y)) == repr(oracles.conjugate_hermitian_check(Y))
+        assert repr(mp.hermitian_check(X)) == repr(oracles.conjugate_hermitian_check(X))
+
+    def test_real_hermitian_part_is_solved_real(self, solve_calls):
+        # S + iA with S, A real symmetric is not Hermitian, and its computed
+        # Hermitian part S is real: eigvalsh runs in float64
+        S, A = (G + G.T for G in np.random.default_rng(14).standard_normal((2, 24, 24)))
+        X = S + 1j * A
+        res = mp.hermitian_check(X)
+        assert [c for c in solve_calls if c[0] == "eigvalsh"] == [
+            ("eigvalsh", np.float64, 24)]
+        assert repr(res) == repr(oracles.conjugate_hermitian_check(X))
 
     def test_one_ulp_off_is_not_hermitian(self):
         X = hermitian_kinds(np.random.default_rng(12))["complex_hermitian"]

@@ -22,11 +22,11 @@ ALLOWLIST = {
                                   "the tests; perfbench/tracing.py wraps it by name",
     "boundary.BoundarySpectrum.dump_npz": "perfbench/tracing.py wraps it by name",
     "boundary.BoundarySpectrum.load_npz": "perfbench/tracing.py wraps it by name",
-    "acoustic.refinement_study": "Direction 5 (acoustic_refinement runner)",
-    "acoustic._match_eigen": "Direction 5 (acoustic_refinement runner)",
-    "acoustic.uniform_refine": "Direction 5 (acoustic_refinement runner)",
-    "acoustic.circle_projector": "Direction 5 (acoustic_refinement runner)",
-    "acoustic.disk_mesh_family": "Direction 5 (acoustic_refinement runner)",
+    "acoustic.refinement_study": "Direction 6 (acoustic_refinement runner)",
+    "acoustic._match_eigen": "Direction 6 (acoustic_refinement runner)",
+    "acoustic.uniform_refine": "Direction 6 (acoustic_refinement runner)",
+    "acoustic.circle_projector": "Direction 6 (acoustic_refinement runner)",
+    "acoustic.disk_mesh_family": "Direction 6 (acoustic_refinement runner)",
     "multipliers.lq_embedding_case": "states the paper's L^q multiplier "
                                      "embedding theorem; checked against "
                                      "tests/fixtures/lq_reference.json",
