@@ -47,8 +47,8 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay
 
 from .boundary import (
-    BoundaryGeometry, SpectrumError, arpack_start, curve_modes, forked_map,
-    midpoint_subdivide, p1_mass, p1_stiffness, triangle_areas,
+    BoundaryGeometry, SpectrumError, arpack_start, curve_modes, exact_dtype,
+    forked_map, p1_mass, p1_stiffness, triangle_areas,
 )
 from .fgf import impedance_coefficients, sample_random_impedance
 from .impedance import is_accretive, multiplier_impedance
@@ -60,6 +60,9 @@ ARPACK_TOL = 1e-10
 # times lam_scale: lambda = 0 (K 1 = 0) is defective when 1^t B_Z 1 = 0, so
 # its computed value moves by ~sqrt(backward error)
 ZERO_TOL = math.sqrt(RESIDUAL_TOL)
+# eigenvalues a pencil solve asks for, and Monte Carlo samples, by default
+N_WANTED = 14
+N_SAMPLES = 50
 # Above it the Woodbury correction of a solve loses more than RESIDUAL_TOL to
 # rounding: the capacitance matrix, and so P(shift), is numerically singular.
 CAPACITANCE_COND_MAX = RESIDUAL_TOL / np.finfo(float).eps
@@ -244,55 +247,6 @@ def _inside_convex(pts, corners, margin):
     return ok
 
 
-def uniform_refine(mesh, boundary_project=None):
-    """Midpoint refinement (triangle -> 4) by ``midpoint_subdivide``.
-
-    Boundary-edge midpoints are inserted into the loops; ``boundary_project``
-    (e.g. a snap onto the circumscribing circle) maps the (k, 2) array of
-    them to new positions so the refined family converges to a curved
-    domain.  Material fields are inherited by the four children.
-    """
-    n = mesh.n_vertices
-    v, t, edges = midpoint_subdivide(mesh.vertices, mesh.triangles)
-    keys = edges[:, 0] * n + edges[:, 1]
-    order = np.argsort(keys)
-    loops = []
-    for loop in mesh.boundary_loops:
-        loop = np.asarray(loop, dtype=int)
-        nxt = np.roll(loop, -1)
-        key = np.minimum(loop, nxt) * n + np.maximum(loop, nxt)
-        mid = n + order[np.searchsorted(keys, key, sorter=order)]
-        loops.append(np.column_stack([loop, mid]).ravel())
-    if boundary_project is not None:
-        mids = np.concatenate([loop[1::2] for loop in loops])
-        v[mids] = boundary_project(v[mids])
-    parent = np.repeat(np.arange(mesh.triangles.shape[0]), 4)
-    alpha = None if mesh.alpha is None else np.asarray(mesh.alpha)[parent]
-    beta = None if mesh.beta is None else np.asarray(mesh.beta)[parent]
-    return DomainMesh(vertices=v, triangles=t, boundary_loops=loops,
-                      alpha=alpha, beta=beta)
-
-
-def circle_projector(radius=1.0):
-    """Radial projection of (k, 2) points onto the circle about the origin."""
-    def proj(p):
-        return p * (radius / np.linalg.norm(p, axis=1, keepdims=True))
-    return proj
-
-
-def disk_mesh_family(h, levels, radius=1.0):
-    """Nested-vertex disk meshes whose boundary snaps to the circle.
-
-    Domain and FEM error both shrink at second order, so eigenvalues
-    converge to the true disk values along the family.
-    """
-    out = [disk_mesh(h, radius=radius)]
-    proj = circle_projector(radius)
-    for _ in range(levels - 1):
-        out.append(uniform_refine(out[-1], boundary_project=proj))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # FEM assembly
 # ---------------------------------------------------------------------------
@@ -454,14 +408,15 @@ class AcousticPencil:
         return Tt
 
     def with_impedance(self, Z):
-        """This pencil with Zhat = Z compressed to N_b.
+        """This pencil with Zhat = Z compressed to N_b, real unless some kept
+        entry is not (``exact_dtype``).
 
         Z = None or a zero operator returns this (Neumann) pencil itself.
         """
         if Z is None or not np.any(Z.matrix):
             return self
         check_impedance_truncation(Z.N_trunc, self.N_b)
-        return replace(self, Zhat=Z.matrix[:self.N_b, :self.N_b])
+        return replace(self, Zhat=exact_dtype(Z.matrix[:self.N_b, :self.N_b]))
 
     def apply_B(self, x):
         """B_Z x = T^t (Zhat (T x[bdofs])) for x of shape (n,) or (n, k):
@@ -583,7 +538,7 @@ def neumann_scale(pencil):
     return float(np.sqrt(pos[0])) if pos.size else 1.0
 
 
-def solve_pencil(pencil, n_wanted=12):
+def solve_pencil(pencil, n_wanted=N_WANTED):
     """Eigenvalues of P(lambda) nearest the shift i tau, with their residuals
     on P.  Every impedance, Z = 0 included, takes one path: shift-invert
     Arnoldi at tau on the linearization A y = mu B_blk y in mu = -i lambda,
@@ -696,72 +651,11 @@ def verify_mdissipativity(pencil, report):
 
 
 # ---------------------------------------------------------------------------
-# refinement and Monte Carlo
+# Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _match_eigen(prev, curr, gap_ratio=0.5):
-    """Match prev eigenvalues to nearest in curr with a gap-ratio guard."""
-    matched, flags = [], []
-    for lam in prev:
-        d = np.abs(curr - lam)
-        j = int(np.argmin(d))
-        d_sorted = np.sort(d)
-        ambiguous = d_sorted.size > 1 and d_sorted[0] > gap_ratio * d_sorted[1]
-        matched.append(curr[j])
-        flags.append(bool(ambiguous))
-    return np.array(matched), flags
-
-
-def refinement_study(levels, z_maker=None, n_track=5, n_wanted=18, N_b=None,
-                     oracle=None):
-    """Track eigenvalues across a mesh family and estimate convergence order.
-
-    ``levels`` is a list of (mesh, spectrum) pairs (at least 3);
-    ``z_maker(spec)`` builds the impedance operator per level (None for
-    Neumann).  Tracked eigenvalues are the n_track smallest nonzero ones
-    with nonnegative real part on the coarsest level, followed through the
-    family by nearest-neighbor matching with a gap-ratio guard of 0.5.
-    Observed order against ``oracle`` (if given) or by self-convergence.
-    """
-    if len(levels) < 3:
-        raise MeshError("refinement study needs at least 3 mesh levels")
-    flags, per_level = [], []
-    for mesh, spec in levels:
-        Z = z_maker(spec) if z_maker is not None else None
-        pencil = assemble_pencil(mesh, spec, N_b=N_b).with_impedance(Z)
-        report = solve_pencil(pencil, n_wanted=n_wanted)
-        lam = report.certified()
-        per_level.append(lam[lam.real >= -report.zero_tol])   # sorted by |lambda|
-    tracks = [per_level[0][:n_track]]
-    for lv in range(1, len(per_level)):
-        matched, amb = _match_eigen(tracks[-1], per_level[lv])
-        tracks.append(matched)
-        flags.append(amb)
-    tracks = np.array(tracks)       # (levels, n_track)
-
-    table = {"tracked": tracks, "ambiguous": flags}
-    if oracle is not None:
-        oracle = np.asarray(oracle, dtype=complex)[:n_track]
-        err = np.abs(tracks - oracle[None, :])
-        with np.errstate(divide="ignore"):
-            orders = np.log2(err[:-1] / err[1:])
-        table["errors"] = err
-        table["orders"] = orders
-    diffs = np.abs(np.diff(tracks, axis=0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table["self_orders"] = np.log2(diffs[:-1] / diffs[1:])
-    table["last_rel_change"] = np.abs(tracks[-1] - tracks[-2]) / np.abs(tracks[-1])
-    gaps = []
-    for row in tracks:
-        d = np.abs(row[:, None] - row[None, :])
-        d[np.diag_indices(row.size)] = np.inf
-        gaps.append(float(d.min()))
-    table["min_pairwise_gap"] = min(gaps)
-    return table
-
-
-def monte_carlo_spectrum(mesh, spec, rspec, n_samples=50, seed0=0, N_b=None,
-                         n_wanted=14, workers=1):
+def monte_carlo_spectrum(mesh, spec, rspec, n_samples=N_SAMPLES, seed0=0, N_b=None,
+                         n_wanted=N_WANTED, workers=1):
     """Ensemble of pencil solves over sampled random impedances.
 
     Per sample: zeta drawn by the counter-based sampler, mapped to boundary

@@ -620,7 +620,9 @@ def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True, workers=
 def exact_dtype(a):
     """``a`` as a float array unless some imaginary entry is nonzero, then as
     a complex one: the one rule deciding an operator's arithmetic, applied
-    where it is made (``SpectralFunction``, ``impedance.ImpedanceOperator``)."""
+    where it is made (``SpectralFunction``, ``impedance.ImpedanceOperator``)
+    and where it is truncated (``multipliers.build_multiplier``,
+    ``acoustic.AcousticPencil.with_impedance``)."""
     a = np.asarray(a)
     if np.iscomplexobj(a) and np.any(a.imag):
         return a.astype(complex, copy=False)

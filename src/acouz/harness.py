@@ -391,11 +391,19 @@ def _run_fgf(run, geom, seeds, checkpoints, cells, workers):
               f"{sum(v['verdict'] == v['theory'] for v in verdicts)}/{len(verdicts)}")
 
 
+def _compression_modes(N_trunc):
+    """The spectrum size that compressing a phi to N_trunc modes needs when
+    phi has modes past any spectrum, as a Cantor measure does: the products
+    of the kept modes reach twice their frequency, and a positive measure
+    cut below that compresses to a matrix that is not positive."""
+    return int(2.2 * N_trunc) + 8
+
+
 def _prepare_multiplier(config, geom):
     p = config.params
     truncs = read(p, "params.truncations", [256, 512], "integer", many=True)
     ranks = read(p, "params.ranks", [1, 2, 4, 8, 16, 32, 64], "integer", many=True)
-    N = int(2.2 * max(truncs)) + 8
+    N = _compression_modes(max(truncs))
     check_surface_truncation(N, geom)
     for Nt in truncs:
         check_truncation(Nt, N)
@@ -463,7 +471,8 @@ def _run_impedance(run, geom, N, N_trunc, impedance, workers):
 
 def _prepare_mesh(p, mesh):
     """The mesh, its analytic boundary spectrum (N_spec modes, default 160),
-    the trace truncation N_b checked against both, and n_wanted (default 14)."""
+    the trace truncation N_b checked against both, and n_wanted (default
+    ``acoustic.N_WANTED``)."""
     spec = build_spectrum(mesh.boundary_geometry(),
                           read(p, "params.N_spec", 160, "count"))
     N_b = read(p, "params.N_b", None, "integer")
@@ -471,15 +480,23 @@ def _prepare_mesh(p, mesh):
     ac.check_trace_truncation(N_b, spec.count,
                               sum(len(loop) for loop in mesh.boundary_loops))
     return {"mesh": mesh, "spec": spec, "N_b": N_b,
-            "n_wanted": read(p, "params.n_wanted", 14, "count")}
+            "n_wanted": read(p, "params.n_wanted", ac.N_WANTED, "count")}
 
 
 def _prepare_acoustic(config, mesh):
+    """``_prepare_mesh`` and the impedance, whose truncation covers N_b; a
+    ``cantor`` impedance also needs ``_compression_modes(N_b)`` in the
+    spectrum.  A ``constant`` or ``multiplier`` one has all its modes in the
+    spectrum, so its compression is exact at any N_spec."""
     inputs = _prepare_mesh(config.params, mesh)
     spec, N_b = inputs["spec"], inputs["N_b"]
     impedance, N_trunc = _checked_block(config.params, "impedance", N_b, spec.count,
                                         spec.geometry)
     ac.check_impedance_truncation(N_trunc, N_b)
+    need = _compression_modes(N_b)
+    if impedance["kind"] == "cantor" and spec.count < need:
+        raise ConfigError([f"params.N_spec: a cantor impedance compressed to "
+                           f"N_b={N_b} modes needs N_spec >= {need}, not {spec.count}"])
     return {**inputs, "impedance": impedance}
 
 
@@ -511,7 +528,7 @@ def _prepare_monte_carlo(config, mesh):
         kernel_weights=read(r, "params.rspec.kernel_weights", (), many=True))
     rspec.check_kernel_weights(len(mesh.boundary_loops))
     return {**_prepare_mesh(p, mesh), "rspec": rspec,
-            "n_samples": read(p, "params.n_samples", 50, "count"),
+            "n_samples": read(p, "params.n_samples", ac.N_SAMPLES, "count"),
             "seed0": config.seed, "workers": config.workers}
 
 

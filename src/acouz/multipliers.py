@@ -27,7 +27,8 @@ multiply to zero, and a reflection-symmetric phi has sine coefficients that
 are exactly 0, so its cos x sin blocks vanish and the compression splits by
 parity (the Cantor measure on a circle, at even N: blocks of N/2 + 1 and
 N/2 - 1).  An irreducible matrix is one block and takes one solve on the
-whole matrix.  Every solve runs in its matrix's dtype: real for a real phi.
+whole matrix.  Every solve runs in its matrix's dtype: real unless some
+kept entry is not.
 """
 
 from __future__ import annotations
@@ -250,8 +251,8 @@ class MultiplierMatrix:
     :func:`multiplier_norm` and :func:`compactness_profile` both read, are
     computed once per compression, by one solve per irreducible block of
     the weighted matrix (split by boundary component and by the parity of a
-    reflection-symmetric phi), in the dtype of the compression (real for a
-    real phi), and from symmetric eigensolves when the weighted matrix is
+    reflection-symmetric phi), in the dtype of the compression (real unless
+    some entry is not), and from symmetric eigensolves when the weighted matrix is
     Hermitian.  Immutable, so that cache stays valid.
     """
 
@@ -285,11 +286,13 @@ class MultiplierMatrix:
 
 
 def build_multiplier(phi, s1, s2, N_trunc, tensor=None):
-    """Truncated matrix of multiplication by phi in the eigenbasis."""
+    """Truncated matrix of multiplication by phi in the eigenbasis: real
+    unless some kept entry is not (``exact_dtype``), so a complex phi whose
+    compression is real is solved in real arithmetic."""
     spec = phi.spectrum
     check_truncation(N_trunc, spec.count)
     tensor = tensor or TripleProductTensor(spec)
-    A = tensor.contract(phi.coeffs, N_trunc)
+    A = exact_dtype(tensor.contract(phi.coeffs, N_trunc))
     return MultiplierMatrix(spectrum=spec, matrix=A, s1=s1, s2=s2, N_trunc=N_trunc)
 
 
@@ -357,68 +360,6 @@ def positivity_test(A: MultiplierMatrix, tol=None):
     contraction, so no singular value is taken.
     """
     return hermitian_check(A.matrix, tol)
-
-
-# ---------------------------------------------------------------------------
-# L^q embedding case analysis
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LqEmbeddingQuery:
-    """Exponent bookkeeping for L^q -> multiplier-space embeddings."""
-
-    d: int
-    s1: float
-    s2: float
-    q: float    # may be math.inf
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if not (0.0 <= self.s1 <= 1.0 and 0.0 <= self.s2 <= 1.0):
-            raise ValueError("exponents s1, s2 must lie in [0, 1]")
-        if not (self.q >= 1.0):
-            raise ValueError("q must lie in [1, inf]")
-
-    @property
-    def kappa(self):
-        return (2.0 * self.s1 / (self.d - 1), 2.0 * self.s2 / (self.d - 1))
-
-    @property
-    def pi(self):
-        k1, k2 = self.kappa
-        return ((1.0 - k1) / 2.0, (1.0 - k2) / 2.0)
-
-    @property
-    def pi0(self):
-        return (self.s1 + self.s2) / (self.d - 1)
-
-
-def lq_embedding_case(query: LqEmbeddingQuery, eq_tol=1e-12):
-    """First sufficient condition under which L^q multiplies H^{s1} -> H^{-s2}.
-
-    Pure arithmetic case analysis; returns ``{"case": "none", "embeds":
-    "unknown"}`` when no sufficient condition applies (which does not assert
-    a non-embedding).
-    """
-    k1, k2 = query.kappa
-    q = query.q
-    ssum = query.s1 + query.s2
-    q_crit = (query.d - 1) / ssum if ssum > 0 else math.inf
-
-    if k1 < 1 and k2 < 1 and q >= q_crit:
-        return {"case": "i", "embeds": True}
-    if k1 <= 1 and k2 <= 1 and (k1 - 1) * (k2 - 1) == 0 and q > q_crit:
-        return {"case": "ii", "embeds": True}
-    if min(k1, k2) < 1 < max(k1, k2):
-        q_iii = 2.0 * (query.d - 1) / (query.d - 1 + 2.0 * min(query.s1, query.s2))
-        if math.isfinite(q) and abs(q - q_iii) <= eq_tol:
-            return {"case": "iii", "embeds": True}
-    if k1 + k2 > 2 and (k1 - 1) * (k2 - 1) == 0 and q > 1:
-        return {"case": "iv", "embeds": True}
-    if k1 > 1 and k2 > 1 and math.isfinite(q) and abs(q - 1.0) <= eq_tol:
-        return {"case": "v", "embeds": True}
-    return {"case": "none", "embeds": "unknown"}
 
 
 # ---------------------------------------------------------------------------

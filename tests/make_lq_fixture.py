@@ -1,8 +1,9 @@
 """Regenerate the L^q embedding truth table fixture.
 
 The decision logic below is a deliberately independent, straight-line
-transcription of the five sufficient conditions, kept separate from the
-library implementation; anchor rows in test_multipliers verify it by hand.
+transcription of the five sufficient conditions, written apart from
+``studies.lq_embedding_case``, which test_multipliers checks against the
+table it writes; anchor rows in test_multipliers verify it by hand.
 
 Run:  python tests/make_lq_fixture.py
 """

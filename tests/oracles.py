@@ -358,7 +358,7 @@ def dict_icosphere(subdivisions):
 
 
 def dict_uniform_refine(mesh, boundary_project=None):
-    """``acoustic.uniform_refine`` by ``dict_midpoint_split``, projecting
+    """``studies.uniform_refine`` by ``dict_midpoint_split``, projecting
     the boundary midpoints one at a time."""
     v, t, midpoint = dict_midpoint_split(mesh.vertices, mesh.triangles)
     loops = []

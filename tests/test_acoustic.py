@@ -23,6 +23,7 @@ from acouz.multipliers import TripleProductTensor, psd_tolerance
 from oracles import (
     curve_mode_values, dict_uniform_refine, gradient_stiffness, lambda_form_solve,
 )
+from studies import circle_projector, disk_mesh_family, refinement_study
 
 J1P_1 = 1.8411837813406593      # first zero of J_1': the smallest Neumann disk eigenvalue
 
@@ -214,8 +215,8 @@ class TestAssemblyOracles:
         assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
 
     def test_refinement_matches_dict_split(self):
-        family = ac.disk_mesh_family(0.25, 3)
-        proj = ac.circle_projector(1.0)
+        family = disk_mesh_family(0.25, 3)
+        proj = circle_projector(1.0)
         for coarse, fine in zip(family, family[1:]):
             ref = dict_uniform_refine(coarse, proj)
             assert np.array_equal(fine.vertices, ref.vertices)
@@ -241,8 +242,8 @@ class TestAssemblyOracles:
 class TestNeumannDisk:
     def test_converges_to_bessel_root(self):
         levels = [(m, bd.build_curve_spectrum(m.boundary_geometry(), 64))
-                  for m in ac.disk_mesh_family(0.25, 3)]
-        table = ac.refinement_study(levels, n_track=1, n_wanted=6, oracle=[J1P_1])
+                  for m in disk_mesh_family(0.25, 3)]
+        table = refinement_study(levels, n_track=1, n_wanted=6, oracle=[J1P_1])
         assert table["errors"][-1, 0] < 2e-3
         assert np.all(table["orders"][:, 0] >= 1.6)
 
@@ -367,7 +368,7 @@ class TestCertificate:
         assert verdicts == [True] * 4 + [True, False] * 2
 
     def test_scales_past_the_dense_oracle(self):
-        mesh = ac.disk_mesh_family(0.25, 4)[-1]
+        mesh = disk_mesh_family(0.25, 4)[-1]
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         base = ac.assemble_pencil(mesh, spec)
         ver = certify(base.with_impedance(constant_z(spec, base.N_b)))
@@ -659,6 +660,21 @@ class TestRealForm:
         skew = base.with_impedance(skew_random_z(spec, base.N_b))
         assert spied_solve(skew) == ({2}, {np.dtype(float)})
         assert [op.dtype for op in spy_eigs] == [np.dtype(float), np.dtype(complex)]
+
+    def test_real_kept_block_of_a_complex_impedance_is_solved_real(self, spy_eigs):
+        # the one imaginary entry lies past N_b: the pencil keeps a real Zhat
+        mesh = ac.disk_mesh(0.12)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        base = ac.assemble_pencil(mesh, spec)
+        Zhat = np.eye(base.N_b + 2, dtype=complex)
+        Zhat[-1, -1] += 1j
+        Z = matrix_impedance(spec, Zhat)
+        pencil = base.with_impedance(Z)
+        assert Z.matrix.dtype == np.complex128
+        assert pencil.Zhat.dtype == np.float64
+        assert np.array_equal(pencil.Zhat, np.eye(base.N_b))
+        assert spied_solve(pencil) == ({1}, {np.dtype(float)})
+        assert [op.dtype for op in spy_eigs] == [np.dtype(float)]
 
     def test_complex_matvec_makes_no_complex_copy_of_w(self, spy_eigs):
         # W = A0^-1 T^t is (n, N_b): a complex copy of it would take 2 W.nbytes

@@ -109,6 +109,22 @@ def test_impedance_check_catches_only_solver_errors(error, code, tmp_path,
                      else [harness.RUNNER_ERROR])
 
 
+@pytest.mark.parametrize("params", [
+    {"impedance": {"kind": "constant", "z0": 0.5}},
+    {"N_b": 20, "N_spec": 52, "impedance": {"kind": "cantor"}},
+], ids=["constant", "cantor"])
+def test_accretive_impedance_reaches_every_check(params, tmp_path):
+    # the half-plane and resolvent checks run only for an accretive Z: an
+    # impedance accretive by construction must reach and pass all three
+    code, assertions = _run_cli({"experiment": "acoustic_spectrum",
+                                 "mesh": {"kind": "disk", "h": 0.3},
+                                 "params": params}, tmp_path)
+    assert code == 0
+    assert sorted(a["name"] for a in assertions) == [
+        "halfplane_confinement", "residuals_certified", "resolvent_bound"]
+    assert all(a["passed"] for a in assertions)
+
+
 def test_kernel_weight_count_is_a_config_error(tmp_path, capsys):
     # the annulus has b0 = 2: one kernel weight is a config fault, reported
     # before the run, not as a failure of every sample
@@ -504,6 +520,12 @@ def _params(config, **params):
     ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
       "params": {"impedance": {"kind": "symbol", "c1": 0.0, "c2": 1.0, "t": -1.0}}},
      "params.impedance: SpectrumError: symbol shift c1 must be positive when t < 0"),
+    # the Cantor compression to N_b modes needs int(2.2 N_b) + 8 = 52 modes:
+    # cut at 30 it was not accretive, and the run checked only its residuals
+    ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
+      "params": {"N_b": 20, "N_spec": 30, "impedance": {"kind": "cantor"}}},
+     "params.N_spec: a cantor impedance compressed to N_b=20 modes needs "
+     "N_spec >= 52, not 30"),
     # the first two ended in a QhullError traceback, the third ran on a mesh
     # with no interior vertex
     ({"experiment": "acoustic_spectrum",
@@ -523,7 +545,8 @@ def _params(config, **params):
         "stability_tol_list", "N_trunc_integral_float", "seeds_bool", "t_values_empty",
         "rspec_list", "impedance_named", "phi_named", "acoustic_impedance_named",
         "symbol_zero_shift_negative_t", "acoustic_symbol_zero_shift_negative_t",
-        "polygon_two_corners", "polygon_collinear", "polygon_clockwise"])
+        "cantor_below_twice_N_b", "polygon_two_corners", "polygon_collinear",
+        "polygon_clockwise"])
 def test_block_and_count_rules_rejected_before_the_run(config, message, tmp_path,
                                                        monkeypatch, capsys):
     # each config printed `ok` from validate, and its run failed or, for the

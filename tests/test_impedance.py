@@ -111,8 +111,9 @@ class TestSymbolShift:
 
 class TestArithmeticDecidedWhereMade:
     """An operator is float64 unless some imaginary entry is nonzero: the
-    rule ``boundary.exact_dtype`` applies it once, in ``SpectralFunction``
-    and ``ImpedanceOperator``, and every consumer reads the dtype it gets."""
+    rule ``boundary.exact_dtype`` applies it where an operator is made, in
+    ``SpectralFunction`` and ``ImpedanceOperator``, and where it is
+    truncated, and every consumer reads the dtype it gets."""
 
     @pytest.mark.parametrize("config", [
         {"kind": "zero"},
@@ -145,6 +146,18 @@ class TestArithmeticDecidedWhereMade:
         A = mp.build_multiplier(phi, 0.5, 0.5, 32, tensor=circle_tensor)
         assert phi.coeffs.dtype == A.matrix.dtype == A.weighted().dtype == np.float64
         assert bd.constant_function(circle_spec).coeffs.dtype == np.float64
+
+    def test_real_compression_of_a_complex_phi_is_float(self, circle_spec,
+                                                        circle_tensor):
+        # the imaginary part sits on the last mode, frequency 32: a
+        # compression to 16 modes (frequencies up to 8) never reaches it
+        c = mp.cantor_measure_coeffs(circle_spec, 1 / 3).coeffs.astype(complex)
+        c[-1] += 1e-3j
+        phi = bd.SpectralFunction(circle_spec, c)
+        assert phi.coeffs.dtype == np.complex128
+        for N_trunc, dtype in ((16, np.float64), (circle_spec.count, np.complex128)):
+            A = mp.build_multiplier(phi, 0.5, 0.5, N_trunc, tensor=circle_tensor)
+            assert A.matrix.dtype == A.weighted().dtype == dtype
 
     def test_fgf_impedance_is_complex(self, circle_spec, circle_tensor):
         # zeta is real; only its i * field part makes the operator complex

@@ -15,6 +15,7 @@ from acouz import shapes
 
 import oracles
 from oracles import dirac_coeffs, quadrature_contract, unit_mode
+from studies import LqEmbeddingQuery, lq_embedding_case
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -670,26 +671,26 @@ class TestAccretivityAgreement:
 
 class TestLqCases:
     def test_paper_anchor_points(self):
-        assert mp.lq_embedding_case(mp.LqEmbeddingQuery(3, .5, .5, 2.0)) == \
+        assert lq_embedding_case(LqEmbeddingQuery(3, .5, .5, 2.0)) == \
             {"case": "i", "embeds": True}
-        assert mp.lq_embedding_case(mp.LqEmbeddingQuery(2, .5, .5, 1.5)) == \
+        assert lq_embedding_case(LqEmbeddingQuery(2, .5, .5, 1.5)) == \
             {"case": "ii", "embeds": True}
-        assert mp.lq_embedding_case(mp.LqEmbeddingQuery(2, 1.0, 1.0, 1.0)) == \
+        assert lq_embedding_case(LqEmbeddingQuery(2, 1.0, 1.0, 1.0)) == \
             {"case": "v", "embeds": True}
 
     def test_derived_quantities(self):
-        q = mp.LqEmbeddingQuery(3, 0.5, 1.0, 2.0)
+        q = LqEmbeddingQuery(3, 0.5, 1.0, 2.0)
         assert q.kappa == (0.5, 1.0)
         assert q.pi == (0.25, 0.0)
         assert q.pi0 == pytest.approx(0.75)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mp.LqEmbeddingQuery(1, 0.5, 0.5, 2.0)
+            LqEmbeddingQuery(1, 0.5, 0.5, 2.0)
         with pytest.raises(ValueError):
-            mp.LqEmbeddingQuery(2, 1.5, 0.5, 2.0)
+            LqEmbeddingQuery(2, 1.5, 0.5, 2.0)
         with pytest.raises(ValueError):
-            mp.LqEmbeddingQuery(2, 0.5, 0.5, 0.5)
+            LqEmbeddingQuery(2, 0.5, 0.5, 0.5)
 
     def test_matches_reference_fixture(self):
         with open(os.path.join(FIXTURES, "lq_reference.json")) as f:
@@ -697,8 +698,8 @@ class TestLqCases:
         assert len(rows) == 200
         for row in rows:
             q = math.inf if row["q"] == "inf" else row["q"]
-            got = mp.lq_embedding_case(
-                mp.LqEmbeddingQuery(row["d"], row["s1"], row["s2"], q))
+            got = lq_embedding_case(
+                LqEmbeddingQuery(row["d"], row["s1"], row["s2"], q))
             assert got["case"] == row["case"], row
             assert got["embeds"] == (True if row["case"] != "none" else "unknown")
 

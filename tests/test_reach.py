@@ -6,12 +6,18 @@ definition, or it is a dunder of a reached class.  References are matched by
 bare name, so the check can only over-approximate what runs: a name it
 flags is referenced nowhere that runs.  Such a name is deleted, moved to
 tests/ as an oracle, or listed below with the reason it stays.
+
+A name moved to tests/ lives in one place: no function or class is defined
+both at the top level of a src/acouz module and of a test helper module
+(a tests/ module other than the test_* ones), so moving a name back into
+the package cannot leave a second copy behind.
 """
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "acouz")
+TESTS = os.path.dirname(__file__)
+SRC = os.path.join(TESTS, os.pardir, "src", "acouz")
 
 ENTRY_POINT = "cli.main"
 # qualified name -> why it stays although no program path references it;
@@ -22,15 +28,6 @@ ALLOWLIST = {
                                   "the tests; perfbench/tracing.py wraps it by name",
     "boundary.BoundarySpectrum.dump_npz": "perfbench/tracing.py wraps it by name",
     "boundary.BoundarySpectrum.load_npz": "perfbench/tracing.py wraps it by name",
-    "acoustic.refinement_study": "Direction 6 (acoustic_refinement runner)",
-    "acoustic._match_eigen": "Direction 6 (acoustic_refinement runner)",
-    "acoustic.uniform_refine": "Direction 6 (acoustic_refinement runner)",
-    "acoustic.circle_projector": "Direction 6 (acoustic_refinement runner)",
-    "acoustic.disk_mesh_family": "Direction 6 (acoustic_refinement runner)",
-    "multipliers.lq_embedding_case": "states the paper's L^q multiplier "
-                                     "embedding theorem; checked against "
-                                     "tests/fixtures/lq_reference.json",
-    "multipliers.LqEmbeddingQuery": "the exponents of lq_embedding_case",
     "boundary.BoundaryGeometry.save_json": "writes the JSON that a `file` "
                                            "geometry reads",
     "acoustic.DomainMesh.save_json": "writes the JSON that a `file` mesh reads",
@@ -119,3 +116,23 @@ def test_allowlist_entries_exist_and_are_otherwise_unreached():
     assert sorted(set(ALLOWLIST) - set(refs)) == []
     program = _reached(refs, by_name, roots, dunders, {ENTRY_POINT})
     assert sorted((set(ALLOWLIST) & program) - {ENTRY_POINT}) == []
+
+
+def _top_level_definitions(directory, keep):
+    """module -> names of the functions and classes defined at the top level
+    of each ``.py`` module in ``directory`` whose file name ``keep`` accepts."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = {}
+    for fname in sorted(os.listdir(directory)):
+        if fname.endswith(".py") and keep(fname):
+            with open(os.path.join(directory, fname)) as f:
+                tree = ast.parse(f.read())
+            out[fname[:-3]] = {n.name for n in tree.body if isinstance(n, defs)}
+    return out
+
+
+def test_no_name_defined_in_both_the_package_and_a_test_helper():
+    package = set().union(*_top_level_definitions(SRC, lambda f: True).values())
+    helpers = _top_level_definitions(TESTS, lambda f: not f.startswith("test_"))
+    assert sorted(f"{module}.{name}" for module, names in helpers.items()
+                  for name in names & package) == []
