@@ -47,8 +47,8 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay
 
 from .boundary import (
-    BoundaryGeometry, SpectrumError, arpack_start, curve_modes, exact_dtype,
-    forked_map, p1_mass, p1_stiffness, triangle_areas,
+    BoundaryGeometry, SpectrumError, arpack_start, check_truncation, curve_modes,
+    exact_dtype, forked_map, p1_mass, p1_stiffness, triangle_areas,
 )
 from .fgf import impedance_coefficients, sample_random_impedance
 from .impedance import is_accretive, multiplier_impedance
@@ -296,14 +296,11 @@ def boundary_mass_matrix(mesh):
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
 
-def check_trace_truncation(N_b, spectrum_count, n_bdofs):
-    """Raise SpectrumError unless 1 <= N_b <= ``spectrum_count``, so that the
-    N_b trace modes lie in the boundary spectrum, MeshError unless they fit
-    in the ``n_bdofs`` boundary dofs."""
+def check_trace_truncation(N_b, n_bdofs):
+    """Raise SpectrumError unless N_b >= 1, MeshError unless the N_b trace
+    modes fit in the ``n_bdofs`` boundary dofs."""
     if N_b < 1:
         raise SpectrumError(f"N_b={N_b} must be at least 1")
-    if N_b > spectrum_count:
-        raise SpectrumError(f"N_b={N_b} exceeds the boundary spectrum ({spectrum_count})")
     if N_b > n_bdofs:
         raise MeshError(f"N_b={N_b} exceeds the {n_bdofs} boundary dofs")
 
@@ -323,7 +320,8 @@ def moment_matrix(mesh, spec, N_b):
     collects the falling half of edge i and the rising half of edge i - 1.
     """
     _, _, ell = _boundary_edges(mesh)
-    check_trace_truncation(N_b, spec.count, ell.size)
+    check_truncation(N_b, spec.count)
+    check_trace_truncation(N_b, ell.size)
     lengths = spec.geometry.component_lengths()
     T = np.zeros((N_b, ell.size))
     off = 0
@@ -440,10 +438,10 @@ def check_geometry_match(mesh, spec):
                             "(vertices or arclengths differ)")
 
 
-def default_N_b(mesh, spec):
+def default_N_b(mesh):
     """Boundary modes kept by default: half the dofs of all boundary loops,
-    between 4 and 64, and no more than the spectrum holds."""
-    return min(64, max(4, len(_boundary_dofs(mesh)) // 2), spec.count)
+    between 4 and 64."""
+    return min(64, max(4, len(_boundary_dofs(mesh)) // 2))
 
 
 def assemble_pencil(mesh, spec, N_b=None):
@@ -456,7 +454,7 @@ def assemble_pencil(mesh, spec, N_b=None):
     """
     check_geometry_match(mesh, spec)
     if N_b is None:
-        N_b = default_N_b(mesh, spec)
+        N_b = default_N_b(mesh)
     K = stiffness_matrix(mesh)
     M = mass_matrix_2d(mesh)
     T, bdofs = trace_projection(mesh, spec, N_b)

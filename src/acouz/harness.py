@@ -40,7 +40,7 @@ from .fgf import (
 from .impedance import (
     CAYLEY_CONTRACTION_SLACK, cayley, check_impedance_config, impedance_from_config,
     inverse_cayley, is_accretive, param_block, phi_from_config,
-    selfadjointness_criterion,
+    selfadjointness_criterion, spectrum_modes,
 )
 from .multipliers import (
     TripleProductTensor, build_multiplier, check_ranks, compactness_profile,
@@ -137,14 +137,30 @@ def _config_errors(config):
     return errors
 
 
-def _checked_block(p, name, *fit):
-    """``param_block`` and, given ``fit`` = (N_trunc, count, geom), its
-    ``check_impedance_config`` truncation; its errors name ``params.<name>``."""
+def _checked_block(p, name, N_trunc=None, geom=None):
+    """``param_block`` and, given a truncation N_trunc on ``geom``, the
+    spectrum size its compression reads (``spectrum_modes``, within the
+    surface cap) and its ``check_impedance_config`` truncation there; its
+    errors name ``params.<name>``."""
     try:
         block = param_block(p, name)
-        return block, check_impedance_config(block, *fit) if fit else None
+        if geom is None:
+            return block, None, None
+        N = spectrum_modes(block, N_trunc, geom.n_components)
+        check_surface_truncation(N, geom)
+        return block, N, check_impedance_config(block, N_trunc, N, geom)
     except (LookupError, TypeError, ValueError) as err:
         raise ConfigError([f"params.{name}: {type(err).__name__}: {err}"]) from None
+
+
+def _stream_seeds(config, count, name):
+    """range(seed, seed + count), the keys of the ``count`` random streams a
+    run draws; ConfigError naming ``seed`` unless each is a uint64."""
+    last = config.seed + count - 1
+    if config.seed < 0 or last > np.iinfo(np.uint64).max:
+        raise ConfigError([f"seed: the stream keys seed..seed + {name} - 1 = "
+                           f"{config.seed}..{last} must lie in 0..2**64 - 1"])
+    return range(config.seed, last + 1)
 
 
 def prepare(config):
@@ -368,7 +384,7 @@ def _prepare_fgf(config, geom):
     d = geom.dim_ambient
     cells = [(s, t) for s in read(p, "params.s_values", [0.5, 1.0, 2.0], many=True)
              for t in t_values or [s - (d - 1) / 2.0 + off for off in offsets]]
-    return {"geom": geom, "seeds": range(config.seed, config.seed + seeds),
+    return {"geom": geom, "seeds": _stream_seeds(config, seeds, "params.seeds"),
             "checkpoints": checkpoints, "cells": cells, "workers": config.workers}
 
 
@@ -391,24 +407,14 @@ def _run_fgf(run, geom, seeds, checkpoints, cells, workers):
               f"{sum(v['verdict'] == v['theory'] for v in verdicts)}/{len(verdicts)}")
 
 
-def _compression_modes(N_trunc):
-    """The spectrum size that compressing a phi to N_trunc modes needs when
-    phi has modes past any spectrum, as a Cantor measure does: the products
-    of the kept modes reach twice their frequency, and a positive measure
-    cut below that compresses to a matrix that is not positive."""
-    return int(2.2 * N_trunc) + 8
-
-
 def _prepare_multiplier(config, geom):
     p = config.params
     truncs = read(p, "params.truncations", [256, 512], "integer", many=True)
     ranks = read(p, "params.ranks", [1, 2, 4, 8, 16, 32, 64], "integer", many=True)
-    N = _compression_modes(max(truncs))
-    check_surface_truncation(N, geom)
+    phi, N, _ = _checked_block(p, "phi", max(truncs), geom)
     for Nt in truncs:
         check_truncation(Nt, N)
         check_ranks([r for r in ranks if r <= Nt], Nt)
-    phi, _ = _checked_block(p, "phi", N, N, geom)
     return {"geom": geom, "N": N, "truncs": truncs, "ranks": ranks, "phi": phi,
             "s1": read(p, "params.s1", 0.5), "s2": read(p, "params.s2", 0.5),
             "stability_tol": read(p, "params.stability_tol", None),
@@ -440,10 +446,8 @@ def _run_multiplier(run, geom, N, truncs, ranks, phi, s1, s2, stability_tol,
 
 def _prepare_impedance(config, geom):
     p = config.params
-    N = read(p, "params.N", 128, "count")
     N_trunc = read(p, "params.N_trunc", 64, "count")
-    check_surface_truncation(N, geom)
-    impedance, _ = _checked_block(p, "impedance", N_trunc, N, geom)
+    impedance, N, _ = _checked_block(p, "impedance", N_trunc, geom)
     return {"geom": geom, "N": N, "N_trunc": N_trunc, "impedance": impedance,
             "workers": config.workers}
 
@@ -469,34 +473,26 @@ def _run_impedance(run, geom, N, N_trunc, impedance, workers):
     run.add_json("impedance", report)
 
 
-def _prepare_mesh(p, mesh):
-    """The mesh, its analytic boundary spectrum (N_spec modes, default 160),
-    the trace truncation N_b checked against both, and n_wanted (default
-    ``acoustic.N_WANTED``)."""
-    spec = build_spectrum(mesh.boundary_geometry(),
-                          read(p, "params.N_spec", 160, "count"))
-    N_b = read(p, "params.N_b", None, "integer")
-    N_b = ac.default_N_b(mesh, spec) if N_b is None else N_b
-    ac.check_trace_truncation(N_b, spec.count,
-                              sum(len(loop) for loop in mesh.boundary_loops))
-    return {"mesh": mesh, "spec": spec, "N_b": N_b,
+def _prepare_mesh(p, mesh, block):
+    """The mesh, the trace truncation N_b (default ``acoustic.default_N_b``)
+    checked against the boundary dofs, the boundary spectrum that the
+    compression of ``block`` to N_b reads (``spectrum_modes``; None for the
+    Monte Carlo field) and n_wanted (default ``acoustic.N_WANTED``)."""
+    N_b = read(p, "params.N_b", ac.default_N_b(mesh), "integer")
+    ac.check_trace_truncation(N_b, sum(len(loop) for loop in mesh.boundary_loops))
+    geom = mesh.boundary_geometry()
+    return {"mesh": mesh, "N_b": N_b,
+            "spec": build_spectrum(geom, spectrum_modes(block, N_b, geom.n_components)),
             "n_wanted": read(p, "params.n_wanted", ac.N_WANTED, "count")}
 
 
 def _prepare_acoustic(config, mesh):
-    """``_prepare_mesh`` and the impedance, whose truncation covers N_b; a
-    ``cantor`` impedance also needs ``_compression_modes(N_b)`` in the
-    spectrum.  A ``constant`` or ``multiplier`` one has all its modes in the
-    spectrum, so its compression is exact at any N_spec."""
-    inputs = _prepare_mesh(config.params, mesh)
-    spec, N_b = inputs["spec"], inputs["N_b"]
-    impedance, N_trunc = _checked_block(config.params, "impedance", N_b, spec.count,
-                                        spec.geometry)
+    """``_prepare_mesh`` and the impedance, whose truncation covers N_b."""
+    impedance = param_block(config.params, "impedance")
+    inputs = _prepare_mesh(config.params, mesh, impedance)
+    N_b, geom = inputs["N_b"], inputs["spec"].geometry
+    _, _, N_trunc = _checked_block(config.params, "impedance", N_b, geom)
     ac.check_impedance_truncation(N_trunc, N_b)
-    need = _compression_modes(N_b)
-    if impedance["kind"] == "cantor" and spec.count < need:
-        raise ConfigError([f"params.N_spec: a cantor impedance compressed to "
-                           f"N_b={N_b} modes needs N_spec >= {need}, not {spec.count}"])
     return {**inputs, "impedance": impedance}
 
 
@@ -527,9 +523,10 @@ def _prepare_monte_carlo(config, mesh):
         c=read(r, "params.rspec.c", 1.0), s=read(r, "params.rspec.s", 0.3),
         kernel_weights=read(r, "params.rspec.kernel_weights", (), many=True))
     rspec.check_kernel_weights(len(mesh.boundary_loops))
-    return {**_prepare_mesh(p, mesh), "rspec": rspec,
-            "n_samples": read(p, "params.n_samples", ac.N_SAMPLES, "count"),
-            "seed0": config.seed, "workers": config.workers}
+    n_samples = read(p, "params.n_samples", ac.N_SAMPLES, "count")
+    return {**_prepare_mesh(p, mesh, None), "rspec": rspec, "n_samples": n_samples,
+            "seed0": _stream_seeds(config, n_samples, "params.n_samples").start,
+            "workers": config.workers}
 
 
 def _run_monte_carlo(run, mesh, spec, N_b, n_wanted, rspec, n_samples, seed0, workers):

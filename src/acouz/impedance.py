@@ -55,17 +55,20 @@ class ImpedanceOperator:
     """
 
     spectrum: object
-    N_trunc: int
     matrix: np.ndarray             # (N_trunc, N_trunc): float unless not real
 
     def __post_init__(self):
         self.matrix = exact_dtype(self.matrix)
 
+    @property
+    def N_trunc(self):
+        return self.matrix.shape[0]
+
 
 def multiplier_impedance(phi, N_trunc, tensor=None):
     """Z = M_phi compressed to the first N_trunc modes (unit weights)."""
     A = build_multiplier(phi, 0.0, 0.0, N_trunc, tensor=tensor)
-    return ImpedanceOperator(spectrum=phi.spectrum, N_trunc=N_trunc, matrix=A.matrix)
+    return ImpedanceOperator(spectrum=phi.spectrum, matrix=A.matrix)
 
 
 def _check_shift(c1, t):
@@ -84,7 +87,7 @@ def symbol_impedance(spec, N_trunc, c1, c2, t, imaginary=False, sign=1):
     g = sign * c2 * (spec.mu[:N_trunc] + c1) ** (t / 2.0)
     if imaginary:
         g = 1j * g
-    return ImpedanceOperator(spectrum=spec, N_trunc=N_trunc, matrix=np.diag(g))
+    return ImpedanceOperator(spectrum=spec, matrix=np.diag(g))
 
 
 def _square(Zhat):
@@ -97,12 +100,11 @@ def _square(Zhat):
 def matrix_impedance(spec, Zhat):
     Zhat = _square(Zhat)
     check_truncation(Zhat.shape[0], spec.count)
-    return ImpedanceOperator(spectrum=spec, N_trunc=Zhat.shape[0], matrix=Zhat)
+    return ImpedanceOperator(spectrum=spec, matrix=Zhat)
 
 
 def zero_impedance(spec, N_trunc):
-    return ImpedanceOperator(spectrum=spec, N_trunc=N_trunc,
-                             matrix=np.zeros((N_trunc, N_trunc)))
+    return ImpedanceOperator(spectrum=spec, matrix=np.zeros((N_trunc, N_trunc)))
 
 
 MULTIPLIER_KINDS = ("constant", "multiplier", "cantor")
@@ -168,6 +170,21 @@ def check_impedance_config(config, N_trunc, count, geom):
     N = len(args) if config["kind"] == "matrix" else N_trunc
     check_truncation(N, count)
     return N
+
+
+def spectrum_modes(config, N_trunc, b0):
+    """The boundary modes, b0 at least, that the operator built from
+    ``config`` at N_trunc reads: the kept ones, and the coefficients of a
+    ``multiplier`` or the side of a ``matrix``.  A ``cantor`` measure, or with
+    ``config`` None the field of a Monte Carlo sample, has modes past any
+    spectrum: the products of the kept modes reach twice their frequency, and
+    a positive measure cut below that compresses to a matrix not positive."""
+    kind = None if config is None else config["kind"]
+    if kind in (None, "cantor"):
+        N_trunc = int(2.2 * N_trunc) + 8
+    elif kind in ("multiplier", "matrix"):
+        N_trunc = max(N_trunc, len(_block_args(config, IMPEDANCE_KINDS)))
+    return max(N_trunc, b0)
 
 
 def phi_from_config(spec, config):

@@ -260,7 +260,10 @@ class MultiplierMatrix:
     matrix: np.ndarray
     s1: float
     s2: float
-    N_trunc: int
+
+    @property
+    def N_trunc(self):
+        return self.matrix.shape[0]
 
     def weighted(self):
         """D(-s2) A D(-s1), in the dtype of A."""
@@ -293,7 +296,7 @@ def build_multiplier(phi, s1, s2, N_trunc, tensor=None):
     check_truncation(N_trunc, spec.count)
     tensor = tensor or TripleProductTensor(spec)
     A = exact_dtype(tensor.contract(phi.coeffs, N_trunc))
-    return MultiplierMatrix(spectrum=spec, matrix=A, s1=s1, s2=s2, N_trunc=N_trunc)
+    return MultiplierMatrix(spectrum=spec, matrix=A, s1=s1, s2=s2)
 
 
 def multiplier_norm(A: MultiplierMatrix):

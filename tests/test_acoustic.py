@@ -16,7 +16,7 @@ from acouz import harness
 from acouz.fgf import RandomImpedanceSpec, impedance_coefficients, sample_random_impedance
 from acouz.impedance import (
     impedance_from_config, is_accretive, matrix_impedance, multiplier_impedance,
-    zero_impedance,
+    spectrum_modes, zero_impedance,
 )
 from acouz.multipliers import TripleProductTensor, psd_tolerance
 
@@ -168,7 +168,7 @@ class TestAssemblyOracles:
     def test_moment_matrix_matches_per_edge_loop(self, make_mesh):
         mesh = make_mesh()
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
-        N_b = ac.default_N_b(mesh, spec)
+        N_b = ac.default_N_b(mesh)
         T, bdofs = ac.moment_matrix(mesh, spec, N_b)
         T_ref, bdofs_ref = per_edge_moment_matrix(mesh, spec, N_b)
         assert list(bdofs) == bdofs_ref
@@ -383,7 +383,7 @@ class TestDefaultNb:
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         n_bdofs = sum(len(loop) for loop in mesh.boundary_loops)
         assert len(mesh.boundary_loops) == 2
-        assert ac.default_N_b(mesh, spec) == n_bdofs // 2
+        assert ac.default_N_b(mesh) == n_bdofs // 2
         assert ac.assemble_pencil(mesh, spec).N_b == n_bdofs // 2
 
     def test_annulus_default_config_passes(self, tmp_path):
@@ -396,6 +396,32 @@ class TestDefaultNb:
         assert {"residuals_certified", "halfplane_confinement",
                 "resolvent_bound"} <= names
         assert manifest.passed, manifest.assertions
+
+
+class TestSpectrumSize:
+    # a spectrum past the modes a compression reads changes no bit of a
+    # result, so the harness builds only those (impedance.spectrum_modes)
+    def test_constant_impedance_reads_N_b_modes(self):
+        mesh = ac.disk_mesh(0.3)
+        N_b = ac.default_N_b(mesh)
+        eigenvalues = []
+        for count in (N_b, 160):
+            spec = bd.build_curve_spectrum(mesh.boundary_geometry(), count)
+            pencil = ac.assemble_pencil(mesh, spec).with_impedance(constant_z(spec, N_b))
+            eigenvalues.append(ac.solve_pencil(pencil).eigenvalues)
+        assert np.array_equal(*eigenvalues)
+
+    def test_monte_carlo_field_reads_its_compression_modes(self):
+        mesh = ac.disk_mesh(0.3)
+        N_b = ac.default_N_b(mesh)
+        rspec = RandomImpedanceSpec(c=1.0, s=0.3, kernel_weights=(1.0,))
+        clouds = []
+        for count in (spectrum_modes(None, N_b, 1), 160):
+            spec = bd.build_curve_spectrum(mesh.boundary_geometry(), count)
+            out = ac.monte_carlo_spectrum(mesh, spec, rspec, n_samples=2)
+            assert out["summary"]["n_solved"] == 2
+            clouds.append(np.concatenate([s["eigenvalues"] for s in out["samples"]]))
+        assert np.array_equal(*clouds)
 
 
 class TestMonteCarlo:

@@ -111,7 +111,7 @@ def test_impedance_check_catches_only_solver_errors(error, code, tmp_path,
 
 @pytest.mark.parametrize("params", [
     {"impedance": {"kind": "constant", "z0": 0.5}},
-    {"N_b": 20, "N_spec": 52, "impedance": {"kind": "cantor"}},
+    {"N_b": 20, "impedance": {"kind": "cantor"}},
 ], ids=["constant", "cantor"])
 def test_accretive_impedance_reaches_every_check(params, tmp_path):
     # the half-plane and resolvent checks run only for an accretive Z: an
@@ -123,6 +123,59 @@ def test_accretive_impedance_reaches_every_check(params, tmp_path):
     assert sorted(a["name"] for a in assertions) == [
         "halfplane_confinement", "residuals_certified", "resolvent_bound"]
     assert all(a["passed"] for a in assertions)
+
+
+@pytest.mark.parametrize("config", [
+    {"N_trunc": 64},
+    # a spectrum of 128 modes read min_herm_eig -0.016 and cayley_norm 1.0012
+    {"N_trunc": 100},
+    {"impedance": {"kind": "cantor", "component": 1}},
+], ids=["N_trunc_64", "N_trunc_100", "annulus_component_1"])
+def test_cantor_impedance_reads_accretive(config, tmp_path, monkeypatch):
+    # the spectrum holds every mode that the products of the kept modes
+    # reach, so the compression of a positive measure is accretive
+    monkeypatch.chdir(tmp_path)
+    ac.annulus_mesh(0.3).boundary_geometry().save_json(ANNULUS_FILE)
+    geometry = {"kind": "file", "path": ANNULUS_FILE} if "impedance" in config \
+        else {"kind": "circle"}
+    cfg = harness.ExperimentConfig.from_dict(
+        {"experiment": "impedance_check", "geometry": geometry,
+         "params": {"impedance": {"kind": "cantor"}, **config}})
+    assert harness.run(cfg, "out").passed
+    with open("out/impedance.json") as f:
+        report = json.load(f)
+    assert report["accretive"] and report["cayley_norm"] <= 1.0 + 1e-10, report
+
+
+MONTE_CARLO = {"experiment": "monte_carlo", "mesh": {"kind": "disk", "h": 0.3},
+               "params": {"n_samples": 3}}
+FGF_CIRCLE = {"experiment": "fgf_convergence", "geometry": {"kind": "circle"},
+              "params": {"seeds": 30}}
+
+
+@pytest.mark.parametrize("config, seed, message", [
+    (MONTE_CARLO, -1, "-1..1"),
+    (MONTE_CARLO, 2 ** 64 - 2, "18446744073709551614..18446744073709551616"),
+    (FGF_CIRCLE, -1, "-1..28"),
+    (FGF_CIRCLE, 2 ** 64 - 29, "18446744073709551587..18446744073709551616"),
+], ids=["monte_carlo_negative", "monte_carlo_past_uint64", "fgf_negative",
+        "fgf_past_uint64"])
+@pytest.mark.parametrize("where", ["config", "option"])
+def test_seed_that_cannot_key_a_stream_rejected_before_the_run(
+        config, seed, message, where, tmp_path, monkeypatch, capsys):
+    # validate printed `ok`; the Monte Carlo run failed every sample ("out of
+    # bounds for uint64") and the classifier run ended in runner_error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(
+        json.dumps({**config, "seed": seed} if where == "config" else config))
+    option = ["--seed", str(seed)] if where == "option" else []
+    for command in ("validate", "run"):
+        assert cli.main([command, "config.json", "--out", "out", *option]) == 1
+        err = capsys.readouterr().err
+        assert "config error: seed: the stream keys" in err and message in err
+    assert not (tmp_path / "out").exists()
+    # the last key that fits validates
+    assert cli.main(["validate", "config.json", "--seed", str(2 ** 64 - 30)]) == 0
 
 
 def test_kernel_weight_count_is_a_config_error(tmp_path, capsys):
@@ -239,14 +292,14 @@ def test_classifier_schedule_rejected_before_the_run(params, message, tmp_path,
 @pytest.mark.parametrize("experiment", ["acoustic_spectrum", "monte_carlo"])
 def test_trace_truncation_rejected_before_the_run(experiment, tmp_path, capsys,
                                                   monkeypatch):
-    # N_b above the boundary spectrum (N_spec, default 160), read from the config
+    # N_b above the boundary dofs, read from the config: the spectrum follows N_b
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(
         {"experiment": experiment, "mesh": {"kind": "disk", "h": 0.3},
          "params": {"N_b": 500}}))
     for command in ("validate", "run"):
         assert cli.main([command, "config.json", "--out", "out"]) == 1
-        assert "N_b=500 exceeds the boundary spectrum (160)" in capsys.readouterr().err
+        assert "N_b=500 exceeds the 21 boundary dofs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
 
 
@@ -282,16 +335,6 @@ ANNULUS_FILE = "annulus.json"     # two boundary components: b0 = 2
     ({"experiment": "acoustic_spectrum",
       "mesh": {"kind": "annulus", "h": 0.2, "r_inner": 1.2}},
      "cannot build the mesh block: MeshError: need 0 < r_inner < r_outer"),
-    ({"experiment": "impedance_check", "geometry": {"kind": "circle"},
-      "params": {"N": 64, "N_trunc": 100, "impedance": {"kind": "constant"}}},
-     "truncation 100 exceeds the spectrum (64)"),
-    ({"experiment": "impedance_check", "geometry": {"kind": "circle"},
-      "params": {"N": 64, "N_trunc": 100,
-                 "impedance": {"kind": "symbol", "c1": 1.0, "c2": 1.0, "t": 0.5}}},
-     "truncation 100 exceeds the spectrum (64)"),
-    ({"experiment": "impedance_check", "geometry": {"kind": "circle"},
-      "params": {"N": 4, "impedance": {"kind": "matrix", "re": np.eye(5).tolist()}}},
-     "truncation 5 exceeds the spectrum (4)"),
     ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.2},
       "params": {"impedance": {"kind": "matrix", "re": np.eye(2).tolist()}}},
      "impedance truncation 2 below N_b=15"),
@@ -304,9 +347,8 @@ ANNULUS_FILE = "annulus.json"     # two boundary components: b0 = 2
      "cantor_measure_coeffs needs a curve spectrum"),
 ], ids=["weyl_default_fit_range", "weyl_fit_range", "weyl_file_b0",
         "weyl_fit_range_length", "disk_N_b", "annulus_N_b", "polygon_N_b", "zero_N_b",
-        "kernel_weight_count", "negative_field_index", "annulus_radii", "constant_N_trunc",
-        "symbol_N_trunc", "matrix_size", "matrix_below_N_b", "cantor_component",
-        "cantor_on_sphere"])
+        "kernel_weight_count", "negative_field_index", "annulus_radii",
+        "matrix_below_N_b", "cantor_component", "cantor_on_sphere"])
 def test_runner_preconditions_rejected_before_the_run(config, message, tmp_path,
                                                       monkeypatch, capsys):
     # each precondition of a runner that a config can break, checked on the
@@ -446,7 +488,7 @@ def test_validate_rejects_bad_phi_blocks(block, tmp_path, capsys):
 
 
 IMPEDANCE_N8 = {"experiment": "impedance_check", "geometry": {"kind": "circle"},
-                "params": {"N": 8, "N_trunc": 8}}
+                "params": {"N_trunc": 8}}
 
 
 def _params(config, **params):
@@ -454,9 +496,6 @@ def _params(config, **params):
 
 
 @pytest.mark.parametrize("config, message", [
-    (_params(IMPEDANCE_N8, impedance={"kind": "multiplier", "coeffs_re": [1.0] * 10,
-                                      "coeffs_im": [0.0] * 10}),
-     "coefficient vector of shape (10,) does not fit the spectrum (8)"),
     (_params(IMPEDANCE_N8, impedance={"kind": "multiplier", "coeffs_re": [1.0, 0.0, 0.0],
                                       "coeffs_im": [0.0, 0.0]}),
      "params.impedance: SpectrumError: coeffs_re and coeffs_im differ in shape"),
@@ -504,15 +543,14 @@ def _params(config, **params):
     # used to end in an AttributeError traceback from both commands
     ({"experiment": "monte_carlo", "mesh": {"kind": "disk", "h": 0.3},
       "params": {"rspec": [1.0, 0.3]}}, "params.rspec must be a JSON object"),
-    # the size rules of a block name it, as the rules that need no spectrum do
-    (_params(IMPEDANCE_N8, impedance={"kind": "multiplier", "coeffs_re": [1.0] * 10,
-                                      "coeffs_im": [0.0] * 10}),
-     "params.impedance: SpectrumError: coefficient vector of shape (10,)"),
+    # the fit rules of a block name it, as the rules that need no spectrum do
+    (_params(IMPEDANCE_N8, impedance={"kind": "cantor", "component": 3}),
+     "params.impedance: SpectrumError: component 3 is not one of"),
     (_params(PROFILE, phi={"component": 3}),
      "params.phi: SpectrumError: component 3 is not one of"),
     ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
-      "params": {"N_spec": 20, "impedance": {"kind": "matrix", "re": np.eye(21).tolist()}}},
-     "params.impedance: SpectrumError: truncation 21 exceeds the spectrum (20)"),
+      "params": {"impedance": {"kind": "cantor", "component": 1}}},
+     "params.impedance: SpectrumError: component 1 is not one of"),
     # (mu + 0)^(t/2) is infinite at mu = 0: the first wrote accretive and
     # selfadjoint true, the second ended in a singular P(shift)
     (_params(IMPEDANCE_N8, impedance={"kind": "symbol", "c1": 0, "c2": 1, "t": -1}),
@@ -520,12 +558,6 @@ def _params(config, **params):
     ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
       "params": {"impedance": {"kind": "symbol", "c1": 0.0, "c2": 1.0, "t": -1.0}}},
      "params.impedance: SpectrumError: symbol shift c1 must be positive when t < 0"),
-    # the Cantor compression to N_b modes needs int(2.2 N_b) + 8 = 52 modes:
-    # cut at 30 it was not accretive, and the run checked only its residuals
-    ({"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
-      "params": {"N_b": 20, "N_spec": 30, "impedance": {"kind": "cantor"}}},
-     "params.N_spec: a cantor impedance compressed to N_b=20 modes needs "
-     "N_spec >= 52, not 30"),
     # the first two ended in a QhullError traceback, the third ran on a mesh
     # with no interior vertex
     ({"experiment": "acoustic_spectrum",
@@ -537,7 +569,7 @@ def _params(config, **params):
     ({"experiment": "acoustic_spectrum",
       "mesh": {"kind": "polygon", "h": 0.2, "corners": [[0, 0], [0, 1], [1, 1], [1, 0]]}},
      "cannot build the mesh block: MeshError: polygon corners must form"),
-], ids=["coeffs_past_spectrum", "coeffs_unequal", "matrix_not_square",
+], ids=["coeffs_unequal", "matrix_not_square",
         "symbol_shift", "matrix_im_shape", "rank_zero",
         "truncation_zero", "n_wanted_zero", "n_samples_zero", "rank_float",
         "n_wanted_float", "slope_tol_string", "seeds_float", "s_values_string",
@@ -545,7 +577,7 @@ def _params(config, **params):
         "stability_tol_list", "N_trunc_integral_float", "seeds_bool", "t_values_empty",
         "rspec_list", "impedance_named", "phi_named", "acoustic_impedance_named",
         "symbol_zero_shift_negative_t", "acoustic_symbol_zero_shift_negative_t",
-        "cantor_below_twice_N_b", "polygon_two_corners", "polygon_collinear",
+        "polygon_two_corners", "polygon_collinear",
         "polygon_clockwise"])
 def test_block_and_count_rules_rejected_before_the_run(config, message, tmp_path,
                                                        monkeypatch, capsys):
@@ -803,10 +835,10 @@ def test_run_without_out_prints_existing_manifest(tmp_path, capsys):
                  "truncations": [32, 64], "ranks": [1, 2, 4]}},
      {"profile", "summary"}),
     ({"experiment": "impedance_check", "geometry": {"kind": "circle"},
-      "params": {"N": 64, "N_trunc": 32, "impedance": {"kind": "constant"}}},
+      "params": {"N_trunc": 32, "impedance": {"kind": "constant"}}},
      {"impedance"}),
     ({"experiment": "impedance_check", "geometry": {"kind": "sphere", "subdivisions": 2},
-      "params": {"N": 16, "N_trunc": 8, "impedance": {"kind": "constant"}}},
+      "params": {"N_trunc": 8, "impedance": {"kind": "constant"}}},
      {"impedance"}),
 ], ids=["weyl", "fgf_convergence", "multiplier_profile", "impedance_check",
         "impedance_check_sphere"])

@@ -174,7 +174,7 @@ class TestArithmeticDecidedWhereMade:
         G = rng.standard_normal((16, 16))
         X = (G + G.T).astype(complex)
         f = bd.SpectralFunction(circle_spec, X[0])
-        Z = imp.ImpedanceOperator(spectrum=circle_spec, N_trunc=16, matrix=X)
+        Z = imp.ImpedanceOperator(spectrum=circle_spec, matrix=X)
         assert f.coeffs.dtype == Z.matrix.dtype == np.float64
         assert f.coeffs.tobytes() == X[0].real.tobytes()
         assert Z.matrix.tobytes() == X.real.tobytes()

@@ -239,7 +239,7 @@ class TestNormsAndCompactness:
 
     def test_identity_weights_not_compact(self, circle_spec):
         A = mp.MultiplierMatrix(spectrum=circle_spec, matrix=np.eye(32),
-                                s1=0.0, s2=0.0, N_trunc=32)
+                                s1=0.0, s2=0.0)
         prof = mp.compactness_profile(A, [1, 32])
         assert prof[1] == pytest.approx(prof[0])
 
@@ -450,7 +450,7 @@ class TestDiagonalBlocks:
         assert same_blocks(mp.diagonal_blocks(Z.matrix),
                            [np.array([i]) for i in range(16)])
         check = imp.is_accretive(Z)
-        A = mp.MultiplierMatrix(circle_spec, Z.matrix, 0.0, 0.0, 16)
+        A = mp.MultiplierMatrix(circle_spec, Z.matrix, 0.0, 0.0)
         sv = A.singular_values
         assert solve_calls == []
         assert np.array_equal(sv, np.sort(np.abs(g))[::-1])
@@ -472,7 +472,7 @@ class TestDiagonalBlocks:
                                                  solve_calls):
         X, blocks = random_blocks(np.random.default_rng(23), sizes)
         assert same_blocks(mp.diagonal_blocks(X), blocks)
-        A = mp.MultiplierMatrix(circle_spec, X, 0.3, 0.8, X.shape[0])
+        A = mp.MultiplierMatrix(circle_spec, X, 0.3, 0.8)
         sv = A.singular_values
         assert solve_calls == [("svd", np.complex128, b.size) for b in blocks
                                if b.size > 1]
@@ -537,8 +537,7 @@ class TestCopyFreeHermitianTest:
     def test_matches_conjugate_path(self, circle_spec, kind):
         X = hermitian_kinds(np.random.default_rng(11))[kind]
         for s1, s2 in ((0.5, 0.5), (0.3, 0.8)):
-            A = mp.MultiplierMatrix(spectrum=circle_spec, matrix=X, s1=s1, s2=s2,
-                                    N_trunc=X.shape[0])
+            A = mp.MultiplierMatrix(spectrum=circle_spec, matrix=X, s1=s1, s2=s2)
             assert (A.singular_values.tobytes()
                     == oracles.conjugate_singular_values(A).tobytes())
         assert repr(mp.hermitian_check(X)) == repr(oracles.conjugate_hermitian_check(X))
@@ -602,7 +601,7 @@ class TestPositivity:
         min_eig = np.linalg.eigvalsh(0.5 * (X + X.conj().T))[0]
         norm = np.linalg.norm(X, 2)
         tol = mp.psd_tolerance(norm)
-        A = mp.MultiplierMatrix(circle_spec, X, 0.0, 0.0, Z.N_trunc)
+        A = mp.MultiplierMatrix(circle_spec, X, 0.0, 0.0)
         for res in (mp.positivity_test(A), imp.is_accretive(Z)):
             assert res["min_eig"] == pytest.approx(min_eig, abs=1e-13)
             assert res["norm"] == pytest.approx(norm, rel=1e-12)
