@@ -47,8 +47,8 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay
 
 from .boundary import (
-    BoundaryGeometry, SpectrumError, arpack_start, check_truncation, curve_modes,
-    exact_dtype, forked_map, p1_mass, p1_stiffness, triangle_areas,
+    BoundaryGeometry, SpectrumError, arpack_start, check_triangulation, check_truncation,
+    curve_modes, exact_dtype, forked_map, p1_mass, p1_stiffness, triangle_areas,
 )
 from .fgf import impedance_coefficients, sample_random_impedance
 from .impedance import is_accretive, multiplier_impedance
@@ -95,14 +95,12 @@ class DomainMesh:
 
     def __post_init__(self):
         v, t = self.vertices, self.triangles
-        areas = triangle_areas(v, t)
+        areas = check_triangulation(v, t, MeshError)
         flip = areas < 0
         if np.any(flip):
             t = t.copy()
             t[flip] = t[flip][:, [0, 2, 1]]
             self.triangles = t
-        if np.any(np.abs(areas) < 1e-14):
-            raise MeshError("mesh contains degenerate triangles")
         if self.alpha is not None:
             a = np.asarray(self.alpha, dtype=float)
             if a.ndim == 3:

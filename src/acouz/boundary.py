@@ -8,14 +8,14 @@ constant mode and cos/sin pairs, each mode described by its (component,
 kind, frequency) and evaluated by :func:`curve_modes` wherever values are
 needed; a curve spectrum stores no grid.  Surface spectra use the P1
 stiffness matrix, which on a triangulated surface is the cotangent
-Laplacian, with a lumped (optionally consistent) P1 mass matrix, and are
-solved by spectrum slicing: the Weyl law mu_n ~ 4 pi n / area places the
-top cut, equal-width windows below it each take one ARPACK shift-invert
-solve, a Sylvester inertia count taken once per cut fixes how many
-eigenvalues every window must return, and the counts and the windows run
-in forked processes (:func:`forked_map`).  The eigenvectors at the mesh
-vertices are stored when asked for.  The P1 stiffness, mass and midpoint
-subdivision here serve the 2-D acoustic domain as well.
+Laplacian, and the lumped (diagonal) P1 mass D, scaled into one symmetric
+matrix D^-1/2 S D^-1/2 that is solved by spectrum slicing: the Weyl law
+mu_n ~ 4 pi n / area places the top cut, equal-width windows below it
+each take one ARPACK shift-invert solve, a Sylvester inertia count taken
+once per cut in this process fixes how many eigenvalues every window must
+return, and the windows run in forked processes (:func:`forked_map`).
+The eigenvectors at the mesh vertices are stored when asked for.  The P1
+stiffness, mass and midpoint subdivision serve the 2-D domain as well.
 
 Scalar functions and distributions on the boundary are stored as
 coefficient vectors in the resulting orthonormal eigenbasis; the Sobolev
@@ -89,9 +89,12 @@ class BoundaryGeometry:
             if not self.components:
                 raise GeometryError("a d=2 boundary needs at least one closed curve")
             comps = tuple(np.asarray(c, dtype=float) for c in self.components)
-            for c in comps:
+            for i, c in enumerate(comps):
                 if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] < 3:
                     raise GeometryError("each component must be an (n>=3, 2) polyline")
+                bad = ~np.isfinite(c).all(axis=1)
+                if bad.any():
+                    raise GeometryError(f"component {i} vertex {np.argmax(bad)} is not finite")
                 if _polyline_length(c) <= 0.0:
                     raise GeometryError("degenerate component with zero length")
             object.__setattr__(self, "components", comps)
@@ -100,6 +103,7 @@ class BoundaryGeometry:
             t = np.asarray(self.triangles, dtype=int)
             if v.ndim != 2 or v.shape[1] != 3 or t.ndim != 2 or t.shape[1] != 3:
                 raise GeometryError("d=3 boundary needs (n,3) vertices and (m,3) triangles")
+            check_triangulation(v, t, GeometryError)
             _check_closed_oriented(t)
             object.__setattr__(self, "vertices", v)
             object.__setattr__(self, "triangles", t)
@@ -159,6 +163,20 @@ def _polyline_length(c):
     return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
 
+def check_triangulation(v, t, error):
+    """Raise ``error`` naming the first vertex that is not finite or in no
+    triangle, or triangle of |area| < 1e-14: each vertex needs a positive
+    P1 mass.  Returns the areas (signed in 2-D)."""
+    areas = triangle_areas(v, t)
+    for bad, what in ((~np.isfinite(v).all(axis=1), "vertex {} is not finite"),
+                      (np.bincount(t.ravel(), minlength=v.shape[0]) == 0,
+                       "vertex {} is a corner of no triangle"),
+                      (np.abs(areas) < 1e-14, "triangle {} is degenerate")):
+        if bad.any():
+            raise error(what.format(np.argmax(bad)))
+    return areas
+
+
 def _check_closed_oriented(t):
     """Every edge shared by exactly two triangles, with opposite directions:
     no directed edge repeats, and the reversed edges are the same set."""
@@ -201,7 +219,7 @@ class BoundarySpectrum:
     Curve spectra are gridless: ``mode_comp/mode_kind/mode_freq`` carry the
     analytic descriptor of each mode, which downstream code uses for exact
     trigonometric products and evaluates by :func:`curve_modes`.  Surface
-    spectra built with ``store_modes=True`` hold the M-orthonormal
+    spectra built with ``store_modes=True`` hold the lumped-mass-orthonormal
     eigenvectors at the mesh vertices in ``modes`` (N, n_vertices), which
     surface triple products integrate, and their ``residuals``; otherwise
     ``modes`` is None.
@@ -353,10 +371,10 @@ def p1_stiffness(v, t, alpha=None):
     in the triangle's plane over 2|T|, so K_ab = e_a^t G e_b / (4 |T|): the
     cotangent Laplacian on a surface.  G is I, I / alpha for a scalar alpha
     per triangle, or alpha / det(alpha) = R^t alpha^-1 R for a (m, 2, 2)
-    tensor in 2-D.  Degenerate surface triangles get a finite (huge) weight.
+    tensor in 2-D.  No triangle is degenerate (:func:`check_triangulation`).
     """
     e = v[t[:, [1, 2, 0]]] - v[t[:, [2, 0, 1]]]          # (m, 3, d)
-    scale = 4.0 * np.maximum(np.abs(triangle_areas(v, t)), 1e-300)
+    scale = 4.0 * np.abs(triangle_areas(v, t))
     if alpha is not None and alpha.ndim == 3:
         det = alpha[:, 0, 0] * alpha[:, 1, 1] - alpha[:, 0, 1] * alpha[:, 1, 0]
         local = np.einsum("mai,mij,mbj->mab", e, alpha / det[:, None, None], e)
@@ -484,46 +502,47 @@ def check_coefficients(coeffs, count):
                             f"not fit the spectrum ({count})")
 
 
-def _count_below(S, M, cut):
-    """Eigenvalues of S x = mu M x below ``cut`` (S, M symmetric, M > 0), by
-    Sylvester's law of inertia: with diagonal pivots in a symmetric order,
-    S - cut M = P L D L^t P^t and the count is that of the negative D."""
-    lu = spla.splu((S - cut * M).tocsc(), permc_spec="COLAMD",
+def _count_below(C, cut):
+    """Eigenvalues of the symmetric C below ``cut`` by Sylvester's law of
+    inertia (C - cut I is congruent to S - cut D for C = D^-1/2 S D^-1/2):
+    with diagonal pivots in a symmetric order, C - cut I = P L D L^t P^t
+    and the count is that of the negative D."""
+    lu = spla.splu((C - cut * sp.identity(C.shape[0])).tocsc(), permc_spec="COLAMD",
                    diag_pivot_thresh=0, options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SpectrumError("inertia count needs a symmetric pivot order")
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _window_cuts(S, M, N, area, workers):
+def _window_cuts(C, N, area):
     """Cuts -inf = c_0 < ... < c_W of the windows [c_(j-1), c_j) of a sliced
-    solve, each with its inertia count, taken once: the top cut starts at the
-    Weyl guess 4 pi N / area and grows by 10% until more than N eigenvalues
-    lie below it; the others divide [0, top] evenly, about SURFACE_WINDOW
-    eigenvalues a window by Weyl, and are counted in forked processes."""
+    solve of C, each with its inertia count, taken once in this process: the
+    top cut starts at the Weyl guess 4 pi N / area and grows by 10% until
+    more than N eigenvalues lie below it; the others divide [0, top] evenly,
+    about SURFACE_WINDOW eigenvalues a window by Weyl."""
     top = 4 * np.pi * N / area
-    while (count := _count_below(S, M, top)) <= N:
+    while (count := _count_below(C, top)) <= N:
         top *= 1.1
     W = -(-count // SURFACE_WINDOW)
     inner = top * np.arange(1, W) / W
-    counts = forked_map(lambda c: _count_below(S, M, c), inner, workers)
+    counts = [_count_below(C, c) for c in inner]
     return np.hstack([-np.inf, inner, top]), [0, *counts, count]
 
 
-def _solve_window(S, M, lo, hi, m, store_modes):
-    """The m eigenpairs with mu in [lo, hi), sorted, m the difference of the
-    inertia counts at the cuts.  One shift-invert solve at the window's
+def _solve_window(C, lo, hi, m, store_modes):
+    """The m eigenpairs of C with mu in [lo, hi), sorted, m the difference of
+    the inertia counts at the cuts.  One shift-invert solve at the window's
     midpoint (SURFACE_SIGMA for the lowest window, lo = -inf) asks for
     m + max(8, m // 4) pairs, and once more with twice as many if the
     window does not hold exactly m Ritz values.  A Ritz value within
-    CUT_RTOL of a cut cannot be placed against the count and raises.
-    """
-    n = S.shape[0]
+    CUT_RTOL of a cut cannot be placed against the count and raises.  ARPACK
+    factors C - sigma I itself: the :func:`_count_below` factor is coarser."""
+    n = C.shape[0]
     sigma = SURFACE_SIGMA if lo == -np.inf else 0.5 * (lo + hi)
     k = m + max(8, m // 4)
     for k in (min(k, n - 2), min(2 * k, n - 2)):
         try:
-            eig = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM",
+            eig = spla.eigsh(C, k=k, sigma=sigma, which="LM",
                              tol=SURFACE_TOL, v0=arpack_start(n),
                              return_eigenvectors=store_modes)
         except spla.ArpackNoConvergence as err:
@@ -546,23 +565,23 @@ def _solve_window(S, M, lo, hi, m, store_modes):
     return mu[inside], eig[1][:, inside] if store_modes else None
 
 
-def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True, workers=1):
+def build_surface_spectrum(geom, N, store_modes=True, workers=1):
     """Smallest-N eigenpairs of the P1 (cotangent) Laplacian on a closed surface.
 
-    The generalized symmetric problem S x = mu M x is solved by spectrum
-    slicing.  The Weyl law places the top cut, which rises until more than
-    N eigenvalues lie below it; equal-width windows below it hold about
-    SURFACE_WINDOW eigenvalues each, however many ``workers`` there are.
-    Each window takes one shift-invert Lanczos solve and must return
-    exactly as many eigenvalues as the Sylvester inertia counts (one per
-    cut) give, else it is solved once more with twice the headroom, and then
-    ``SpectrumError`` is raised.  Counts and windows run in ``workers``
-    forked processes (:func:`forked_map`); the result does not depend on
-    their number.  Eigenvectors come back M-orthonormal.  On the merged
-    pairs, the kernel block is replaced by the exact per-component
-    indicator constants so that zero modes are the nonnegative locally
-    constant functions, and the remaining modes are re-orthogonalized
-    against them.
+    S x = mu D x, D the lumped (diagonal) mass, is solved as C y = mu y,
+    C = D^-1/2 S D^-1/2 and x = D^-1/2 y, by spectrum slicing.  The Weyl law
+    places the top cut, which rises until more than N eigenvalues lie below
+    it; equal-width windows below it hold about SURFACE_WINDOW eigenvalues
+    each, however many ``workers`` there are.  Each window takes one
+    shift-invert Lanczos solve and must return exactly as many eigenvalues
+    as the Sylvester inertia counts (one per cut, taken here) give, else it
+    is solved once more with twice the headroom, and then ``SpectrumError``
+    is raised, as for a mode residual above EIG_RESIDUAL_TOL.  Windows run
+    in ``workers`` forked processes (:func:`forked_map`); the result does
+    not depend on their number.  Eigenvectors come back D-orthonormal.  On
+    the merged pairs, the kernel block is replaced by the exact
+    per-component indicator constants, the nonnegative locally constant
+    functions, and the other modes are re-orthogonalized against them.
 
     ``store_modes=False`` asks ARPACK for the eigenvalues only (no Ritz
     vectors) and returns a spectrum with ``modes`` None: mu-only work (Weyl
@@ -572,13 +591,14 @@ def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True, workers=
     if geom.dim_ambient != 3:
         raise SpectrumError("build_surface_spectrum needs a d=3 geometry")
     v, t = geom.vertices, geom.triangles
-    n = v.shape[0]
     check_surface_truncation(N, geom)
     S = p1_stiffness(v, t)
-    M = p1_mass(t, triangle_areas(v, t), n, lumped=lumped_mass)
+    d = p1_mass(t, triangle_areas(v, t), v.shape[0], lumped=True).diagonal()
+    scale = sp.diags(1.0 / np.sqrt(d))
+    C = scale @ S @ scale
 
-    cuts, counts = _window_cuts(S, M, N, geom.component_measures.sum(), workers)
-    parts = forked_map(lambda w: _solve_window(S, M, *w, store_modes),
+    cuts, counts = _window_cuts(C, N, geom.component_measures.sum())
+    parts = forked_map(lambda w: _solve_window(C, *w, store_modes),
                        zip(cuts[:-1], cuts[1:], np.diff(counts).tolist()), workers)
     mu = np.concatenate([p[0] for p in parts])[:N]
 
@@ -591,21 +611,19 @@ def build_surface_spectrum(geom, N, lumped_mass=True, store_modes=True, workers=
     if not store_modes:
         return BoundarySpectrum(geometry=geom, count=N, mu=mu, b0=b0)
 
-    # exact kernel: indicator / sqrt(area) per component, M-orthonormal
-    X = np.hstack([p[1] for p in parts])[:, :N]
-    labels = geom._component_labels
-    measures = geom.component_measures
-    for j in range(min(b0, N)):
-        vec = np.where(labels == j, 1.0 / np.sqrt(measures[j]), 0.0)
-        X[:, j] = vec
-    if N > b0:
-        K = X[:, :b0]
-        coefs = K.T @ (M @ X[:, b0:])
-        X[:, b0:] -= K @ coefs
-        nrm = np.sqrt(np.einsum("ij,ij->j", X[:, b0:], M @ X[:, b0:]))
-        X[:, b0:] /= nrm
+    # exact kernel: indicator / sqrt(area) per component; the rest D-orthogonal
+    X = scale @ np.hstack([p[1] for p in parts])[:, :N]
+    kernel = np.arange(min(b0, N))
+    X[:, kernel] = ((geom._component_labels[:, None] == kernel)
+                    / np.sqrt(geom.component_measures[kernel]))
+    K, R = X[:, :b0], X[:, b0:]
+    R -= K @ (K.T @ (d[:, None] * R))
+    R /= np.sqrt(np.einsum("ij,ij->j", R, d[:, None] * R))
 
-    res = np.linalg.norm(S @ X - (M @ X) * mu, axis=0)
+    res = np.linalg.norm(S @ X - (d[:, None] * X) * mu, axis=0)
+    if res.max() > EIG_RESIDUAL_TOL:
+        raise SpectrumError(f"mode {np.argmax(res)} has residual {res.max():.3g}, "
+                            f"above EIG_RESIDUAL_TOL = {EIG_RESIDUAL_TOL:g}")
     modes = X.T.copy()
     _fix_signs(modes)
 

@@ -1,7 +1,8 @@
 """Test-only oracles: the curve midpoint grid and what is computed on it,
 single modes and point masses as coefficient vectors, geometries that only
 tests build, the surface checks edge by edge, the P1 element written
-the long way, and the acoustic pencil solved in complex arithmetic.
+the long way, the consistent-mass surface spectrum solved dense, and the
+acoustic pencil solved in complex arithmetic.
 
 The package computes every curve quantity exactly from the mode
 descriptors (component, kind, frequency) and stores no grid; these grid
@@ -13,6 +14,7 @@ gradient and dict-keyed midpoint forms here are the references for those.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
@@ -292,6 +294,20 @@ def dict_vertex_components(n_vertices, t):
 # ---------------------------------------------------------------------------
 # the P1 element the long way
 # ---------------------------------------------------------------------------
+
+def consistent_mass_spectrum(geom, N):
+    """The N smallest eigenpairs of S x = mu M x on a one-component surface,
+    M the consistent P1 mass, solved dense: the mass that surface triple
+    products integrate exactly.  The modes are M-orthonormal, and the
+    kernel mode is exactly 1 / sqrt(area)."""
+    v, t = geom.vertices, geom.triangles
+    S = bd.p1_stiffness(v, t).toarray()
+    M = bd.p1_mass(t, bd.triangle_areas(v, t), v.shape[0]).toarray()
+    mu, X = sla.eigh(S, M, subset_by_index=[0, N - 1])
+    mu[0] = 0.0
+    X[:, 0] = 1.0 / np.sqrt(geom.component_measures.sum())
+    return bd.BoundarySpectrum(geometry=geom, count=N, mu=mu, b0=1, modes=X.T.copy())
+
 
 def cotangent_stiffness(v, t):
     """Cotangent Laplacian of a triangulated surface, angle by angle: the

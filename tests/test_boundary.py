@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from acouz import boundary as bd
@@ -203,8 +204,9 @@ def sliced(case, store_modes, workers):
 def window_count(geom, N):
     v, t = geom.vertices, geom.triangles
     S = bd.p1_stiffness(v, t)
-    M = bd.p1_mass(t, bd.triangle_areas(v, t), v.shape[0], lumped=True)
-    cuts, _ = bd._window_cuts(S, M, N, geom.component_measures.sum(), 1)
+    d = bd.p1_mass(t, bd.triangle_areas(v, t), v.shape[0], lumped=True).diagonal()
+    scale = sp.diags(1.0 / np.sqrt(d))
+    cuts, _ = bd._window_cuts(scale @ S @ scale, N, geom.component_measures.sum())
     return len(cuts) - 1        # cuts[0] is -inf
 
 
@@ -243,19 +245,21 @@ class TestSlicedSurfaceSpectrum:
                         == np.asarray(getattr(forked, key)).tobytes()), key
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", ["icosphere4", "two_spheres3"])
-    def test_every_cut_factored_once(self, monkeypatch, case):
-        # at one worker the counts run in this process, so all are recorded
+    def test_every_cut_factored_once(self, monkeypatch, case, workers):
+        # the counts run in this process at any worker count, so all are
+        # recorded: only the windows are forked
         geom, N = sliced_case(case)
         windows = window_count(geom, N)
         factored, count_below = [], bd._count_below
 
-        def recording(S, M, cut):
+        def recording(C, cut):
             factored.append(cut)
-            return count_below(S, M, cut)
+            return count_below(C, cut)
 
         monkeypatch.setattr(bd, "_count_below", recording)
-        bd.build_surface_spectrum(geom, N, store_modes=False, workers=1)
+        bd.build_surface_spectrum(geom, N, store_modes=False, workers=workers)
         assert len(factored) >= windows
         assert len(factored) == len(set(factored))
 
@@ -302,9 +306,9 @@ class TestSlicedSurfaceSpectrum:
         geom = shapes.icosphere(3)
         mu = bd.build_surface_spectrum(geom, 60, store_modes=False).mu
 
-        def planted(S, M, *args):
+        def planted(C, *args):
             cuts = np.array([-np.inf, mu[30] * (1 + 1e-11), 1.2 * mu[-1]])
-            return cuts, [0, *(bd._count_below(S, M, c) for c in cuts[1:])]
+            return cuts, [0, *(bd._count_below(C, c) for c in cuts[1:])]
 
         monkeypatch.setattr(bd, "_window_cuts", planted)
         with pytest.raises(bd.SpectrumError, match="lies on the window cut"):
@@ -358,6 +362,20 @@ class TestSurfaceSpectrum:
             bd.build_surface_spectrum(shapes.icosphere(2), 16,
                                       store_modes=store_modes)
 
+    def test_mode_residual_above_tolerance_raises(self, monkeypatch):
+        eigsh = spla.eigsh
+
+        def perturbing_one(*args, **kwargs):
+            w, V = eigsh(*args, **kwargs)
+            V = V.copy()
+            V[0, np.argsort(w)[5]] += 1e-3
+            return w, V
+
+        monkeypatch.setattr(bd.spla, "eigsh", perturbing_one)
+        with pytest.raises(bd.SpectrumError, match="mode 5 has residual .* above "
+                                                   "EIG_RESIDUAL_TOL"):
+            bd.build_surface_spectrum(shapes.icosphere(2), 16)
+
     def test_two_spheres_two_kernel_modes(self):
         spec = bd.build_surface_spectrum(oracles.two_spheres(2), 2)
         assert np.array_equal(spec.mu, [0.0, 0.0])
@@ -369,10 +387,6 @@ class TestSurfaceSpectrum:
     def test_truncation_guard(self):
         with pytest.raises(bd.SpectrumError):
             bd.build_surface_spectrum(shapes.icosphere(1), 30)
-
-    def test_consistent_mass_option(self):
-        spec = bd.build_surface_spectrum(shapes.icosphere(3), 5, lumped_mass=False)
-        assert np.abs(spec.mu[1:4] - 2).max() / 2 < 0.02
 
     def test_fem_matrices_on_constants(self):
         g = shapes.icosphere(3)

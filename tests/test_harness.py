@@ -267,6 +267,51 @@ def test_surface_truncation_rejected_before_the_run(config, message, tmp_path,
     assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
 
 
+def _malformed(block, vertex=None, value=None, append=False, collapse=False):
+    """The JSON of icosphere(3) (a geometry block) or of disk_mesh(0.3) (a
+    mesh block) with one vertex set to ``value``, one vertex in no triangle
+    appended, or triangle 0 collapsed onto the midpoint of an edge."""
+    d = (shapes.icosphere(3) if block == "geometry" else ac.disk_mesh(0.3)).to_dict()
+    if vertex is not None:
+        d["vertices"][vertex][0] = value
+    if append:
+        d["vertices"].append([2.0] * len(d["vertices"][0]))
+    if collapse:
+        a, b, c = d["triangles"][0]
+        d["vertices"][c] = [(x + y) / 2 for x, y in zip(d["vertices"][a], d["vertices"][b])]
+    return d
+
+
+MALFORMED_CURVE = {"dim": 2, "components": [[[0, 0], [1, 0], [math.inf, 1], [0, 1]]]}
+
+
+@pytest.mark.parametrize("block, data, message", [
+    ("geometry", _malformed("geometry", vertex=5, value=math.nan),
+     "vertex 5 is not finite"),
+    ("mesh", _malformed("mesh", vertex=5, value=math.nan), "vertex 5 is not finite"),
+    ("geometry", MALFORMED_CURVE, "component 0 vertex 2 is not finite"),
+    ("geometry", _malformed("geometry", append=True),
+     "vertex 642 is a corner of no triangle"),
+    ("mesh", _malformed("mesh", append=True), "is a corner of no triangle"),
+    ("geometry", _malformed("geometry", collapse=True), "triangle 0 is degenerate"),
+], ids=["surface_nan", "mesh_nan", "curve_inf", "surface_stray", "mesh_stray",
+        "surface_zero_area"])
+def test_malformed_file_rejected_before_the_run(block, data, message, tmp_path,
+                                                monkeypatch, capsys):
+    # each passes every check of the config alone; unless the geometry or
+    # mesh build rejects it, validate prints ok and the solvers fail
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "shape.json").write_text(json.dumps(data))
+    experiment = "weyl" if block == "geometry" else "acoustic_spectrum"
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"experiment": experiment, block: {"kind": "file", "path": "shape.json"}}))
+    for command in ("validate", "run"):
+        assert cli.main([command, "config.json", "--out", "out"]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot build the {block} block" in err and message in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("params, message", [
     ({"seeds": 10}, "need at least 30 seeds"),
     ({"checkpoints": [64, 128, 256, 512]}, "need at least 4 doubling checkpoints"),

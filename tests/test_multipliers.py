@@ -172,8 +172,7 @@ class TestBuildMultiplier:
         assert np.abs(A.matrix - np.eye(10)).max() < 2e-2
         # consistent-mass modes: degree-4 rule integrates P1 products
         # exactly, so the identity is recovered to solver precision
-        spec_c = bd.build_surface_spectrum(shapes.icosphere(3), 10,
-                                           lumped_mass=False)
+        spec_c = oracles.consistent_mass_spectrum(shapes.icosphere(3), 10)
         Ac = mp.build_multiplier(bd.constant_function(spec_c), 0.5, 0.5, 10,
                                  tensor=mp.TripleProductTensor(spec_c))
         assert np.abs(Ac.matrix - np.eye(10)).max() < 1e-9
