@@ -83,8 +83,8 @@ class DomainMesh:
     ``boundary_loops`` lists the vertex indices of every boundary component
     in traversal order; the polyline of a loop is the reference geometry for
     the matching boundary spectrum.  Material fields are per triangle:
-    ``alpha`` is None (identity), a scalar array (isotropic), or (m, 2, 2);
-    ``beta`` is None (unity) or a scalar array.
+    ``alpha`` is None (identity), a scalar array (isotropic), or (m, 2, 2)
+    symmetric; ``beta`` is None (unity) or a scalar array.
     """
 
     vertices: np.ndarray
@@ -101,20 +101,20 @@ class DomainMesh:
             t = t.copy()
             t[flip] = t[flip][:, [0, 2, 1]]
             self.triangles = t
-        if self.alpha is not None:
-            a = np.asarray(self.alpha, dtype=float)
-            if a.ndim == 3:
-                eigs = np.linalg.eigvalsh(a)
-                if eigs.min() <= 0:
-                    raise MeshError("alpha must be uniformly positive definite")
-            elif np.any(a <= 0):
-                raise MeshError("alpha must be uniformly positive")
-            self.alpha = a
-        if self.beta is not None:
-            b = np.asarray(self.beta, dtype=float)
-            if np.any(b <= 0):
-                raise MeshError("beta must be uniformly positive")
-            self.beta = b
+        m = t.shape[0]
+        for name, allowed in (("alpha", [(m,), (m, 2, 2)]), ("beta", [(m,)])):
+            if getattr(self, name) is None:
+                continue
+            f = np.asarray(getattr(self, name), dtype=float)
+            if f.shape not in allowed:
+                raise MeshError(f"{name} has shape {f.shape}, not "
+                                + " or ".join(map(str, allowed)) + ": one per triangle")
+            if f.ndim == 3 and not np.array_equal(f, f.transpose(0, 2, 1)):
+                raise MeshError(f"{name} must be symmetric")
+            if not (np.linalg.eigvalsh(f) if f.ndim == 3 else f).min() > 0:
+                raise MeshError(f"{name} must be uniformly positive"
+                                + " definite" * (f.ndim == 3))
+            setattr(self, name, f)
 
     @property
     def n_vertices(self):

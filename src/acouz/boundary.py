@@ -45,7 +45,7 @@ KIND_CONST = 0
 KIND_COS = 1
 KIND_SIN = 2
 
-EIG_RESIDUAL_TOL = 1e-8
+EIG_RESIDUAL_TOL = 1e-8     # on |S x - mu D x| / |x|, free of the surface's scale
 # shift-invert point of the lowest window and ARPACK tolerance of the
 # surface eigensolve, the eigenvalues per window of a sliced surface
 # spectrum (never the worker count: results must not depend on it), and the
@@ -165,13 +165,15 @@ def _polyline_length(c):
 
 def check_triangulation(v, t, error):
     """Raise ``error`` naming the first vertex that is not finite or in no
-    triangle, or triangle of |area| < 1e-14: each vertex needs a positive
-    P1 mass.  Returns the areas (signed in 2-D)."""
+    triangle, or triangle of |area| <= 1e-14 (longest edge)^2, at any scale:
+    each vertex needs a positive P1 mass.  Returns the areas (signed in 2-D)."""
     areas = triangle_areas(v, t)
+    edges = np.linalg.norm(v[t[:, [1, 2, 0]]] - v[t], axis=2)
     for bad, what in ((~np.isfinite(v).all(axis=1), "vertex {} is not finite"),
                       (np.bincount(t.ravel(), minlength=v.shape[0]) == 0,
                        "vertex {} is a corner of no triangle"),
-                      (np.abs(areas) < 1e-14, "triangle {} is degenerate")):
+                      (np.abs(areas) <= 1e-14 * edges.max(axis=1) ** 2,
+                       "triangle {} is degenerate")):
         if bad.any():
             raise error(what.format(np.argmax(bad)))
     return areas
@@ -620,7 +622,8 @@ def build_surface_spectrum(geom, N, store_modes=True, workers=1):
     R -= K @ (K.T @ (d[:, None] * R))
     R /= np.sqrt(np.einsum("ij,ij->j", R, d[:, None] * R))
 
-    res = np.linalg.norm(S @ X - (d[:, None] * X) * mu, axis=0)
+    res = (np.linalg.norm(S @ X - (d[:, None] * X) * mu, axis=0)
+           / np.linalg.norm(X, axis=0))
     if res.max() > EIG_RESIDUAL_TOL:
         raise SpectrumError(f"mode {np.argmax(res)} has residual {res.max():.3g}, "
                             f"above EIG_RESIDUAL_TOL = {EIG_RESIDUAL_TOL:g}")

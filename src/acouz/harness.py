@@ -3,9 +3,10 @@
 A run takes one JSON config, executes the named experiment, writes CSV/JSON
 artifacts plus a manifest with per-file checksums, and fails closed: any
 violated built-in assertion makes the run (and the CLI) report failure.
-The prepare step (``prepare``) is the only reader of a config: every value
-of every block goes once through the one reader, ``config.read``, the only
-code that decides its type, and the runner takes the checked values.
+The prepare step (``prepare``) is the only reader of a config: each value
+an experiment uses goes once through the one reader, ``config.read`` (an
+``impedance`` or ``phi`` block through ``impedance.param_block``), and the
+runner takes the checked values; a key or block it does not use is unread.
 Identical config + seed reproduce identical artifact checksums at any worker
 count: random draws come from a counter-based sampler, every ARPACK solve
 starts from a fixed vector, and the workers only share out Monte Carlo
@@ -125,30 +126,21 @@ def _config_errors(config):
         # a tuple compares the kind, so an unhashable one is an error, not a crash
         if spec is not None and spec.get("kind") not in tuple(builder):
             errors.append(f"{block}.kind must be one of {sorted(builder)}")
-    if config.experiment == "impedance_check" and "impedance" not in config.params:
-        errors.append("experiment 'impedance_check' needs params.impedance")
-    for name in ("impedance", "phi"):
-        try:
-            _checked_block(config.params, name)
-        except ConfigError as err:
-            errors += err.errors
     if config.workers < 1:
         errors.append("workers must be >= 1")
     return errors
 
 
-def _checked_block(p, name, N_trunc=None, geom=None):
-    """``param_block`` and, given a truncation N_trunc on ``geom``, the
-    spectrum size its compression reads (``spectrum_modes``, within the
-    surface cap) and its ``check_impedance_config`` truncation there; its
-    errors name ``params.<name>``."""
+def _sized_block(p, name, N_trunc, geom):
+    """``params.<name>`` parsed once and the spectrum size its operator at
+    N_trunc reads on ``geom`` (``spectrum_modes``, within the surface cap),
+    checked there; its errors name ``params.<name>``."""
     try:
         block = param_block(p, name)
-        if geom is None:
-            return block, None, None
         N = spectrum_modes(block, N_trunc, geom.n_components)
         check_surface_truncation(N, geom)
-        return block, N, check_impedance_config(block, N_trunc, N, geom)
+        check_impedance_config(block, N_trunc, N, geom)
+        return block, N
     except (LookupError, TypeError, ValueError) as err:
         raise ConfigError([f"params.{name}: {type(err).__name__}: {err}"]) from None
 
@@ -408,10 +400,11 @@ def _run_fgf(run, geom, seeds, checkpoints, cells, workers):
 
 
 def _prepare_multiplier(config, geom):
+    """Truncations, ranks and ``_sized_block`` of ``phi`` at the largest."""
     p = config.params
     truncs = read(p, "params.truncations", [256, 512], "integer", many=True)
     ranks = read(p, "params.ranks", [1, 2, 4, 8, 16, 32, 64], "integer", many=True)
-    phi, N, _ = _checked_block(p, "phi", max(truncs), geom)
+    phi, N = _sized_block(p, "phi", max(truncs), geom)
     for Nt in truncs:
         check_truncation(Nt, N)
         check_ranks([r for r in ranks if r <= Nt], Nt)
@@ -445,9 +438,12 @@ def _run_multiplier(run, geom, N, truncs, ranks, phi, s1, s2, stability_tol,
 
 
 def _prepare_impedance(config, geom):
+    """N_trunc and ``_sized_block`` of the impedance, required here."""
     p = config.params
+    if "impedance" not in p:
+        raise ConfigError(["experiment 'impedance_check' needs params.impedance"])
     N_trunc = read(p, "params.N_trunc", 64, "count")
-    impedance, N, _ = _checked_block(p, "impedance", N_trunc, geom)
+    impedance, N = _sized_block(p, "impedance", N_trunc, geom)
     return {"geom": geom, "N": N, "N_trunc": N_trunc, "impedance": impedance,
             "workers": config.workers}
 
@@ -473,27 +469,23 @@ def _run_impedance(run, geom, N, N_trunc, impedance, workers):
     run.add_json("impedance", report)
 
 
-def _prepare_mesh(p, mesh, block):
+def _prepare_mesh(p, mesh):
     """The mesh, the trace truncation N_b (default ``acoustic.default_N_b``)
-    checked against the boundary dofs, the boundary spectrum that the
-    compression of ``block`` to N_b reads (``spectrum_modes``; None for the
-    Monte Carlo field) and n_wanted (default ``acoustic.N_WANTED``)."""
+    checked against the boundary dofs, and n_wanted (default
+    ``acoustic.N_WANTED``)."""
     N_b = read(p, "params.N_b", ac.default_N_b(mesh), "integer")
     ac.check_trace_truncation(N_b, sum(len(loop) for loop in mesh.boundary_loops))
-    geom = mesh.boundary_geometry()
     return {"mesh": mesh, "N_b": N_b,
-            "spec": build_spectrum(geom, spectrum_modes(block, N_b, geom.n_components)),
             "n_wanted": read(p, "params.n_wanted", ac.N_WANTED, "count")}
 
 
 def _prepare_acoustic(config, mesh):
-    """``_prepare_mesh`` and the impedance, whose truncation covers N_b."""
-    impedance = param_block(config.params, "impedance")
-    inputs = _prepare_mesh(config.params, mesh, impedance)
-    N_b, geom = inputs["N_b"], inputs["spec"].geometry
-    _, _, N_trunc = _checked_block(config.params, "impedance", N_b, geom)
-    ac.check_impedance_truncation(N_trunc, N_b)
-    return {**inputs, "impedance": impedance}
+    """``_prepare_mesh`` and ``_sized_block`` of the impedance, which covers N_b."""
+    inputs = _prepare_mesh(config.params, mesh)
+    N_b, geom = inputs["N_b"], mesh.boundary_geometry()
+    impedance, N = _sized_block(config.params, "impedance", N_b, geom)
+    ac.check_impedance_truncation(impedance.truncation(N_b), N_b)
+    return {**inputs, "spec": build_spectrum(geom, N), "impedance": impedance}
 
 
 def _run_acoustic(run, mesh, spec, N_b, n_wanted, impedance):
@@ -524,7 +516,9 @@ def _prepare_monte_carlo(config, mesh):
         kernel_weights=read(r, "params.rspec.kernel_weights", (), many=True))
     rspec.check_kernel_weights(len(mesh.boundary_loops))
     n_samples = read(p, "params.n_samples", ac.N_SAMPLES, "count")
-    return {**_prepare_mesh(p, mesh, None), "rspec": rspec, "n_samples": n_samples,
+    inputs, geom = _prepare_mesh(p, mesh), mesh.boundary_geometry()
+    spec = build_spectrum(geom, spectrum_modes(None, inputs["N_b"], geom.n_components))
+    return {**inputs, "spec": spec, "rspec": rspec, "n_samples": n_samples,
             "seed0": _stream_seeds(config, n_samples, "params.n_samples").start,
             "workers": config.workers}
 

@@ -119,9 +119,7 @@ def _complex(re_, im, keys):
 
 
 def _block_args(config, kinds):
-    """What ``config`` of one of ``kinds`` builds from, read alike by its check
-    and its build, each value by ``config.read``; raises unless every rule
-    that needs no spectrum holds."""
+    """What ``config`` of one of ``kinds`` builds from (see :func:`param_block`)."""
     if not isinstance(config, dict) or config.get("kind") not in kinds:
         raise SpectrumError(f"kind must be one of {list(kinds)}")
     kind = config["kind"]
@@ -148,87 +146,91 @@ def _block_args(config, kinds):
     return None
 
 
+@dataclass(frozen=True)
+class ParamBlock:
+    """An ``impedance`` or ``phi`` block parsed by :func:`param_block`: its
+    kind and what it builds from, all that sizes, checks and builds it."""
+
+    kind: str
+    args: object
+
+    def truncation(self, N_trunc):
+        """The size of the operator built at N_trunc: a matrix's own side."""
+        return len(self.args) if self.kind == "matrix" else N_trunc
+
+
 def param_block(params, name):
     """``params[name]``, an experiment's ``impedance`` (zero when absent) or
-    ``phi`` (Cantor unless it names a kind), read by :func:`_block_args`."""
-    block = read(params, name, {"kind": "zero"} if name == "impedance" else {}, "object")
-    if name == "phi":
-        block = {"kind": "cantor", **block}
-    _block_args(block, IMPEDANCE_KINDS if name == "impedance" else MULTIPLIER_KINDS)
-    return block
-
-
-def check_impedance_config(config, N_trunc, count, geom):
-    """The truncation of the operator ``impedance_from_config`` builds from
-    ``config`` at N_trunc (a matrix's size, else N_trunc); raises unless
-    ``config`` reads and fits a spectrum of ``count`` modes on ``geom``."""
-    args = _block_args(config, IMPEDANCE_KINDS)
-    if config["kind"] == "multiplier":
-        check_coefficients(args, count)
-    if config["kind"] == "cantor":
-        check_cantor_target(geom, args[1])
-    N = len(args) if config["kind"] == "matrix" else N_trunc
-    check_truncation(N, count)
-    return N
-
-
-def spectrum_modes(config, N_trunc, b0):
-    """The boundary modes, b0 at least, that the operator built from
-    ``config`` at N_trunc reads: the kept ones, and the coefficients of a
-    ``multiplier`` or the side of a ``matrix``.  A ``cantor`` measure, or with
-    ``config`` None the field of a Monte Carlo sample, has modes past any
-    spectrum: the products of the kept modes reach twice their frequency, and
-    a positive measure cut below that compresses to a matrix not positive."""
-    kind = None if config is None else config["kind"]
-    if kind in (None, "cantor"):
-        N_trunc = int(2.2 * N_trunc) + 8
-    elif kind in ("multiplier", "matrix"):
-        N_trunc = max(N_trunc, len(_block_args(config, IMPEDANCE_KINDS)))
-    return max(N_trunc, b0)
-
-
-def phi_from_config(spec, config):
-    """Multiplier coefficients phi from a ``constant``, ``multiplier`` or
-    ``cantor`` config (see ``impedance_from_config``).
-
-    The Cantor coefficients are exact, so a ``cantor`` config still accepts
-    the keys ``samples`` and ``seed`` of the former sampler and ignores them.
-    """
-    args = _block_args(config, MULTIPLIER_KINDS)
-    if config["kind"] == "constant":
-        return SpectralFunction(spec, args * constant_function(spec).coeffs)
-    if config["kind"] == "multiplier":
-        return SpectralFunction(spec, args)
-    ratio, component, scale = args
-    return scale * cantor_measure_coeffs(spec, ratio, target_component=component)
-
-
-def impedance_from_config(spec, config, N_trunc=None):
-    """Build an operator from its JSON-config description.
+    ``phi`` (Cantor unless it names a kind), parsed once, each value by
+    ``config.read``; other keys, such as the ``samples`` of the former Cantor
+    sampler, are ignored.
 
     ``{"kind": "zero"}``; ``{"kind": "constant", "z0": ...}``;
     ``{"kind": "multiplier", "coeffs_re": [...], "coeffs_im": [...]}``;
     ``{"kind": "cantor", "ratio": r, "component": j, ...}``;
     ``{"kind": "symbol", "c1": .., "c2": .., "t": .., "imaginary": bool,
     "sign": +-1}``; ``{"kind": "matrix", "re": [[..]], "im": [[..]]}``.
-    Raises on what ``check_impedance_config`` rejects: a value ``config.read``
-    rejects (a missing c1, c2, t, coeffs_re, coeffs_im or re; a string, bool or
-    list for a number; a non-integer component, a non-bool imaginary), coefficient
-    lists of unequal lengths or past the spectrum, a Cantor ratio outside
-    (0, 1/2) or a missing component, c1 < 0 or c1 = 0 with t < 0, an ``im``
-    unlike ``re`` or a ``re`` not square, a truncation outside 1..spec.count.
+    Raises unless every rule that needs no spectrum holds: on a value that
+    ``config.read`` rejects, coefficient lists of unequal lengths, a Cantor
+    ratio outside (0, 1/2), c1 < 0 or c1 = 0 with t < 0, an ``im`` unlike
+    ``re`` or a ``re`` not square.
     """
-    N_trunc = check_impedance_config(config, N_trunc or spec.count, spec.count,
-                                     spec.geometry)
-    kind = config["kind"]
-    if kind == "zero":
+    block = read(params, name, {"kind": "zero"} if name == "impedance" else {}, "object")
+    if name == "phi":
+        block = {"kind": "cantor", **block}
+    kinds = IMPEDANCE_KINDS if name == "impedance" else MULTIPLIER_KINDS
+    return ParamBlock(block["kind"], _block_args(block, kinds))
+
+
+def check_impedance_config(block, N_trunc, count, geom):
+    """Raise unless the operator built from ``block`` at N_trunc fits a
+    spectrum of ``count`` modes on ``geom``: coefficients within it, a Cantor
+    component of the curve ``geom``, a truncation in 1..count."""
+    if block.kind == "multiplier":
+        check_coefficients(block.args, count)
+    if block.kind == "cantor":
+        check_cantor_target(geom, block.args[1])
+    check_truncation(block.truncation(N_trunc), count)
+
+
+def spectrum_modes(block, N_trunc, b0):
+    """The boundary modes, b0 at least, that the operator built from
+    ``block`` at N_trunc reads: the kept ones, and the coefficients of a
+    ``multiplier`` or the side of a ``matrix``.  A ``cantor`` measure, or with
+    ``block`` None the field of a Monte Carlo sample, has modes past any
+    spectrum: the products of the kept modes reach twice their frequency, and
+    a positive measure cut below that compresses to a matrix not positive."""
+    kind = None if block is None else block.kind
+    if kind in (None, "cantor"):
+        N_trunc = int(2.2 * N_trunc) + 8
+    elif kind in ("multiplier", "matrix"):
+        N_trunc = max(N_trunc, len(block.args))
+    return max(N_trunc, b0)
+
+
+def phi_from_config(spec, block):
+    """Multiplier coefficients phi from a ``constant``, ``multiplier`` or
+    ``cantor`` block; the Cantor coefficients are exact."""
+    if block.kind == "constant":
+        return SpectralFunction(spec, block.args * constant_function(spec).coeffs)
+    if block.kind == "multiplier":
+        return SpectralFunction(spec, block.args)
+    ratio, component, scale = block.args
+    return scale * cantor_measure_coeffs(spec, ratio, target_component=component)
+
+
+def impedance_from_config(spec, block, N_trunc=None):
+    """The operator on ``spec`` that the parsed ``block`` builds at N_trunc
+    (default spec.count); raises on what ``check_impedance_config`` rejects."""
+    N_trunc = block.truncation(N_trunc or spec.count)
+    check_impedance_config(block, N_trunc, spec.count, spec.geometry)
+    if block.kind == "zero":
         return zero_impedance(spec, N_trunc)
-    if kind in MULTIPLIER_KINDS:
-        return multiplier_impedance(phi_from_config(spec, config), N_trunc)
-    args = _block_args(config, IMPEDANCE_KINDS)
-    if kind == "symbol":
-        return symbol_impedance(spec, N_trunc, **args)
-    return matrix_impedance(spec, args)
+    if block.kind in MULTIPLIER_KINDS:
+        return multiplier_impedance(phi_from_config(spec, block), N_trunc)
+    if block.kind == "symbol":
+        return symbol_impedance(spec, N_trunc, **block.args)
+    return matrix_impedance(spec, block.args)
 
 
 # ---------------------------------------------------------------------------

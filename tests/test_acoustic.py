@@ -16,7 +16,7 @@ from acouz import harness
 from acouz.fgf import RandomImpedanceSpec, impedance_coefficients, sample_random_impedance
 from acouz.impedance import (
     impedance_from_config, is_accretive, matrix_impedance, multiplier_impedance,
-    spectrum_modes, zero_impedance,
+    param_block, spectrum_modes, zero_impedance,
 )
 from acouz.multipliers import TripleProductTensor, psd_tolerance
 
@@ -29,7 +29,8 @@ J1P_1 = 1.8411837813406593      # first zero of J_1': the smallest Neumann disk 
 
 
 def constant_z(spec, N_trunc, z0=1.0):
-    return impedance_from_config(spec, {"kind": "constant", "z0": z0}, N_trunc=N_trunc)
+    block = param_block({"impedance": {"kind": "constant", "z0": z0}}, "impedance")
+    return impedance_from_config(spec, block, N_trunc=N_trunc)
 
 
 def random_z(spec, N_b, kernel_weight, seed=0, sign=1.0, tensor=None):

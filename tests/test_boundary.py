@@ -40,6 +40,17 @@ class TestGeometry:
         with pytest.raises(bd.GeometryError):
             bd.BoundaryGeometry(dim_ambient=2, components=(line,))
 
+    @pytest.mark.parametrize("radius", [1e-6, 1.0, 1e6])
+    def test_degenerate_triangle_rule_is_scale_free(self, radius):
+        # icosphere(4, radius=1e-6) has areas near 2.5e-15, which an absolute
+        # bound of 1e-14 rejected; a collinear triangle raises at any scale
+        g = shapes.icosphere(4, radius=radius)
+        v = g.vertices.copy()
+        a, b, c = g.triangles[0]
+        v[c] = (v[a] + v[b]) / 2
+        with pytest.raises(bd.GeometryError, match="triangle 0 is degenerate"):
+            bd.check_triangulation(v, g.triangles, bd.GeometryError)
+
     def test_total_measure_is_sum_of_segments(self, unit_circle_geom):
         seg = np.diff(np.vstack([unit_circle_geom.components[0],
                                  unit_circle_geom.components[0][:1]]), axis=0)
@@ -375,6 +386,15 @@ class TestSurfaceSpectrum:
         with pytest.raises(bd.SpectrumError, match="mode 5 has residual .* above "
                                                    "EIG_RESIDUAL_TOL"):
             bd.build_surface_spectrum(shapes.icosphere(2), 16)
+
+    def test_mode_residual_is_scale_free(self):
+        # mu ~ 1/r^2 and D ~ r^2 while the cotangent S does not scale, so
+        # |S x - mu D x| grows like |x| ~ 1/r: unscaled, mode 114 read 6.4e-8
+        # at r = 1e-5 and raised
+        radius = 1e-5
+        spec = bd.build_surface_spectrum(shapes.icosphere(4, radius=radius), 200)
+        assert spec.residuals.max() <= 1e-12
+        assert spec.mu[1] * radius ** 2 == pytest.approx(2.0, rel=0.01)
 
     def test_two_spheres_two_kernel_modes(self):
         spec = bd.build_surface_spectrum(oracles.two_spheres(2), 2)

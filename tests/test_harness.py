@@ -10,9 +10,12 @@ import pytest
 
 from acouz import acoustic as ac
 from acouz import cli, fgf, harness, shapes
+from acouz import impedance as imp
 from acouz.boundary import weyl_diagnostic
 from acouz.harness import build_geometry, build_spectrum
-from acouz.impedance import IMPEDANCE_KINDS, MULTIPLIER_KINDS, impedance_from_config
+from acouz.impedance import (
+    IMPEDANCE_KINDS, MULTIPLIER_KINDS, impedance_from_config, param_block,
+)
 from acouz.multipliers import TripleProductTensor
 
 
@@ -267,11 +270,16 @@ def test_surface_truncation_rejected_before_the_run(config, message, tmp_path,
     assert not (tmp_path / "out").exists() and not (tmp_path / "runs").exists()
 
 
-def _malformed(block, vertex=None, value=None, append=False, collapse=False):
+def _malformed(block, vertex=None, value=None, append=False, collapse=False,
+               field=None, count=None):
     """The JSON of icosphere(3) (a geometry block) or of disk_mesh(0.3) (a
     mesh block) with one vertex set to ``value``, one vertex in no triangle
-    appended, or triangle 0 collapsed onto the midpoint of an edge."""
+    appended, triangle 0 collapsed onto the midpoint of an edge, or the
+    material ``field`` set to ``value`` on ``count`` triangles (default all)."""
     d = (shapes.icosphere(3) if block == "geometry" else ac.disk_mesh(0.3)).to_dict()
+    if field is not None:
+        d[field] = [value] * (count or len(d["triangles"]))
+        return d
     if vertex is not None:
         d["vertices"][vertex][0] = value
     if append:
@@ -294,8 +302,16 @@ MALFORMED_CURVE = {"dim": 2, "components": [[[0, 0], [1, 0], [math.inf, 1], [0, 
      "vertex 642 is a corner of no triangle"),
     ("mesh", _malformed("mesh", append=True), "is a corner of no triangle"),
     ("geometry", _malformed("geometry", collapse=True), "triangle 0 is degenerate"),
+    # these three ran into a broadcast ValueError, or for the non-symmetric
+    # tensor into a non-symmetric K that failed halfplane_confinement
+    ("mesh", _malformed("mesh", field="alpha", value=1.0, count=3),
+     "alpha has shape (3,), not (63,) or (63, 2, 2)"),
+    ("mesh", _malformed("mesh", field="beta", value=1.0, count=3),
+     "beta has shape (3,), not (63,)"),
+    ("mesh", _malformed("mesh", field="alpha", value=[[1.0, 5.0], [0.0, 1.0]]),
+     "alpha must be symmetric"),
 ], ids=["surface_nan", "mesh_nan", "curve_inf", "surface_stray", "mesh_stray",
-        "surface_zero_area"])
+        "surface_zero_area", "alpha_length", "beta_length", "alpha_not_symmetric"])
 def test_malformed_file_rejected_before_the_run(block, data, message, tmp_path,
                                                 monkeypatch, capsys):
     # each passes every check of the config alone; unless the geometry or
@@ -509,6 +525,8 @@ def test_worker_count_changes_no_surface_hash(tmp_path):
 
 PROFILE = {"experiment": "multiplier_profile", "geometry": {"kind": "circle"},
            "params": {"truncations": [16, 32], "ranks": [1, 2]}}
+IMPEDANCE_N8 = {"experiment": "impedance_check", "geometry": {"kind": "circle"},
+                "params": {"N_trunc": 8}}
 
 
 @pytest.mark.parametrize("block", [
@@ -522,22 +540,53 @@ PROFILE = {"experiment": "multiplier_profile", "geometry": {"kind": "circle"},
 ], ids=["phi_ratio", "phi_ratio_zero", "phi_ratio_string", "phi_kind",
         "phi_not_a_multiplier", "phi_list", "impedance_ratio"])
 def test_validate_rejects_bad_phi_blocks(block, tmp_path, capsys):
+    # each block in the experiment that reads it: a multiplier profile reads
+    # phi, an impedance check its impedance
+    [key] = block
+    config = PROFILE if key == "phi" else IMPEDANCE_N8
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**PROFILE, "params": {**PROFILE["params"], **block}}))
+    path.write_text(json.dumps({**config, "params": {**config["params"], **block}}))
     assert cli.main(["validate", str(path)]) == 1
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
-    name = "params." + next(iter(block))
+    name = "params." + key
     assert any(line.startswith("config error: ") and name in line
                for line in capsys.readouterr().err.splitlines())
 
 
-IMPEDANCE_N8 = {"experiment": "impedance_check", "geometry": {"kind": "circle"},
-                "params": {"N_trunc": 8}}
-
-
 def _params(config, **params):
     return {**config, "params": {**config["params"], **params}}
+
+
+DISK_IMPEDANCE = {"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
+                  "params": {}}
+
+
+@pytest.mark.parametrize("config, parses", [
+    (_params(DISK_IMPEDANCE, impedance={"kind": "constant"}), 1),
+    (_params(DISK_IMPEDANCE, impedance={"kind": "matrix", "re": np.eye(10).tolist()}), 1),
+    (_params(IMPEDANCE_N8, impedance={"kind": "cantor"}), 1),
+    (PROFILE, 1),
+    (WEYL_CIRCLE, 0),
+    # blocks an experiment does not use are unread keys, as unknown keys are
+    (_params(PROFILE, impedance={"kind": "bogus"}), 1),
+    (_params(WEYL_CIRCLE, impedance={"kind": "bogus"}, phi=[1, 2]), 0),
+], ids=["acoustic_constant", "acoustic_matrix", "impedance_check_cantor",
+        "multiplier_profile", "weyl", "multiplier_profile_unused_impedance",
+        "weyl_unused_blocks"])
+def test_each_used_block_parsed_once(config, parses, tmp_path, monkeypatch):
+    # validate and run each parse once each block their experiment uses: the
+    # prepare step parses it, and the runner builds from that parse
+    calls = []
+    block_args = imp._block_args
+    monkeypatch.setattr(imp, "_block_args",
+                        lambda *args: calls.append(args) or block_args(*args))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    for command in ("validate", "run"):
+        calls.clear()
+        assert cli.main([command, str(tmp_path / "config.json"),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == parses, command
 
 
 @pytest.mark.parametrize("config, message", [
@@ -740,7 +789,8 @@ def test_every_impedance_kind_validates_and_builds(kind):
         "params": {"impedance": impedance}})
     assert harness.validate_config(cfg) == []
     spec = build_spectrum(build_geometry(cfg.geometry), 16)
-    assert impedance_from_config(spec, impedance, N_trunc=2).N_trunc == 2
+    block = param_block(cfg.params, "impedance")
+    assert impedance_from_config(spec, block, N_trunc=2).N_trunc == 2
 
 
 CIRCLE_FILE, DISK_FILE = "circle.json", "disk.json"

@@ -10,6 +10,11 @@ from acouz import multipliers as mp
 from acouz.config import ConfigError
 
 
+def parsed(config):
+    """``config`` read as an impedance block (``param_block``)."""
+    return imp.param_block({"impedance": config}, "impedance")
+
+
 def random_impedance_matrix(n, rng, accretive):
     """Accretive by construction (G*G Hermitian part) or with a planted
     negative direction of size -1/2."""
@@ -45,7 +50,7 @@ class TestConstruction:
         # the coefficient lists of a `multiplier` config
         d = json.loads(json.dumps({"kind": "multiplier", "coeffs_re": [1.0, 0.0],
                                    "coeffs_im": [2.0, -0.5]}))
-        back = imp.phi_from_config(circle_spec, d)
+        back = imp.phi_from_config(circle_spec, parsed(d))
         assert np.array_equal(back.coeffs, np.array([1 + 2j, -0.5j]))
 
     @pytest.mark.parametrize("config", [
@@ -62,38 +67,39 @@ class TestConstruction:
             "cantor_component", "symbol_shift", "symbol_zero_shift_negative_t",
             "matrix_not_square", "matrix_im_shape"])
     def test_build_applies_the_config_check(self, circle_spec, config):
-        # impedance_from_config runs check_impedance_config: what validate
-        # rejects never builds
+        # a block is parsed once, and impedance_from_config runs
+        # check_impedance_config on the parse: what validate rejects never builds
         with pytest.raises(bd.SpectrumError):
-            imp.check_impedance_config(config, 4, circle_spec.count, circle_spec.geometry)
+            imp.check_impedance_config(parsed(config), 4, circle_spec.count,
+                                       circle_spec.geometry)
         with pytest.raises(bd.SpectrumError):
-            imp.impedance_from_config(circle_spec, config, N_trunc=4)
+            imp.impedance_from_config(circle_spec, parsed(config), N_trunc=4)
 
     def test_phi_block_defaults_to_cantor(self):
-        assert imp.param_block({"phi": {"ratio": 0.25}}, "phi") == {
-            "kind": "cantor", "ratio": 0.25}
-        assert imp.param_block({}, "impedance") == {"kind": "zero"}
+        assert imp.param_block({"phi": {"ratio": 0.25}}, "phi") == imp.ParamBlock(
+            "cantor", (0.25, 0, 1 + 0j))
+        assert imp.param_block({}, "impedance") == imp.ParamBlock("zero", None)
         with pytest.raises(bd.SpectrumError):
             imp.param_block({"phi": {"kind": "symbol", "c1": 1, "c2": 1, "t": 1}}, "phi")
 
     def test_config_round_trip(self, circle_spec):
-        Z = imp.impedance_from_config(circle_spec, {"kind": "constant", "z0": 2.0},
+        Z = imp.impedance_from_config(circle_spec, parsed({"kind": "constant", "z0": 2.0}),
                                       N_trunc=8)
         assert np.allclose(Z.matrix, 2.0 * np.eye(8))
         Z = imp.impedance_from_config(circle_spec,
-                                      {"kind": "symbol", "c1": 1.0, "c2": 1.0,
-                                       "t": 1.0, "imaginary": True}, N_trunc=6)
+                                      parsed({"kind": "symbol", "c1": 1.0, "c2": 1.0,
+                                              "t": 1.0, "imaginary": True}), N_trunc=6)
         assert np.allclose(np.diag(Z.matrix), 1j * np.sqrt(circle_spec.mu[:6] + 1))
         Z = imp.impedance_from_config(circle_spec,
-                                      {"kind": "symbol", "sign": -1, "imaginary": True,
-                                       "c2": 2.0, "c1": 0.5, "t": 1.0},
+                                      parsed({"kind": "symbol", "sign": -1, "imaginary": True,
+                                              "c2": 2.0, "c1": 0.5, "t": 1.0}),
                                       N_trunc=4)
         assert np.allclose(np.diag(Z.matrix),
                            -2j * np.sqrt(circle_spec.mu[:4] + 0.5))
         # the string spelling "expr" is gone: such a config lacks c1
         with pytest.raises(ConfigError, match="c1 is required"):
-            imp.impedance_from_config(circle_spec, {"kind": "symbol",
-                                                    "expr": "mu^2"}, N_trunc=4)
+            imp.impedance_from_config(circle_spec, parsed({"kind": "symbol",
+                                                           "expr": "mu^2"}), N_trunc=4)
 
 
 class TestSymbolShift:
@@ -127,7 +133,7 @@ class TestArithmeticDecidedWhereMade:
     ], ids=["zero", "constant", "cantor", "multiplier", "symbol", "symbol_zero_c2",
             "matrix", "matrix_zero_im"])
     def test_real_impedances_are_float(self, circle_spec, config):
-        Z = imp.impedance_from_config(circle_spec, config, N_trunc=16)
+        Z = imp.impedance_from_config(circle_spec, parsed(config), N_trunc=16)
         assert Z.matrix.dtype == np.float64
 
     @pytest.mark.parametrize("config", [
@@ -138,7 +144,7 @@ class TestArithmeticDecidedWhereMade:
         {"kind": "matrix", "re": [[1.0, 2.0], [0.0, 1.0]], "im": [[0.0, 0.0], [1.0, 0.0]]},
     ], ids=["constant", "cantor", "multiplier", "symbol", "matrix"])
     def test_complex_impedances_are_complex(self, circle_spec, config):
-        Z = imp.impedance_from_config(circle_spec, config, N_trunc=16)
+        Z = imp.impedance_from_config(circle_spec, parsed(config), N_trunc=16)
         assert Z.matrix.dtype == np.complex128
 
     def test_cantor_compression_is_float(self, circle_spec, circle_tensor):
