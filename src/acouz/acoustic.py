@@ -81,8 +81,11 @@ class DomainMesh:
     """P1 triangulation of a polygonal domain, possibly with holes.
 
     ``boundary_loops`` lists the vertex indices of every boundary component
-    in traversal order; the polyline of a loop is the reference geometry for
-    the matching boundary spectrum.  Material fields are per triangle:
+    in traversal order, either way round; the polyline of a loop is the
+    reference geometry for the matching boundary spectrum.  The loops must be
+    the boundary of the triangulation: their edges are, once each, the edges
+    that only one triangle has.  ``boundary_dofs`` is the vertex of every
+    boundary dof, the loops concatenated.  Material fields are per triangle:
     ``alpha`` is None (identity), a scalar array (isotropic), or (m, 2, 2)
     symmetric; ``beta`` is None (unity) or a scalar array.
     """
@@ -101,6 +104,20 @@ class DomainMesh:
             t = t.copy()
             t[flip] = t[flip][:, [0, 2, 1]]
             self.triangles = t
+        n, loops = v.shape[0], [np.asarray(loop, dtype=int) for loop in self.boundary_loops]
+        self.boundary_dofs = np.concatenate([np.zeros(0, int), *loops])
+        outside = (self.boundary_dofs < 0) | (self.boundary_dofs >= n)
+        if outside.any():
+            raise MeshError(f"boundary loop vertex {self.boundary_dofs[outside][0]} "
+                            f"is not one of the {n} vertices")
+
+        def key(a, b):      # one integer per undirected edge
+            return np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+        keys, uses = np.unique(key(t, t[:, [1, 2, 0]]), return_counts=True)
+        succ = np.concatenate([np.zeros(0, int), *(np.roll(loop, -1) for loop in loops)])
+        if not np.array_equal(np.sort(key(self.boundary_dofs, succ)), keys[uses == 1]):
+            raise MeshError("boundary_loops are not the boundary of the triangulation: "
+                            "each edge of only one triangle must be in one loop, once")
         m = t.shape[0]
         for name, allowed in (("alpha", [(m,), (m, 2, 2)]), ("beta", [(m,)])):
             if getattr(self, name) is None:
@@ -262,33 +279,20 @@ def mass_matrix_2d(mesh):
     return p1_mass(mesh.triangles, areas, mesh.n_vertices)
 
 
-def _boundary_dofs(mesh):
-    return np.concatenate(mesh.boundary_loops).astype(int)
-
-
 def _boundary_edges(mesh):
-    """Boundary edges (a, b, ell) in bdof numbering.
-
-    The bdofs concatenate the loops, so vertex i of loop j is bdof off_j + i;
-    edge off_j + i runs from it to the next vertex of the loop.
-    """
-    a, b, ell = [], [], []
-    off = 0
-    for loop in mesh.boundary_loops:
-        idx = off + np.arange(len(loop))
-        off += len(loop)
-        pts = mesh.vertices[np.asarray(loop)]
-        a.append(idx)
-        b.append(np.roll(idx, -1))
-        ell.append(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1))
-    return np.concatenate(a), np.concatenate(b), np.concatenate(ell)
+    """Boundary edges (a, b, ell) in bdof numbering: the bdofs concatenate
+    the loops, and edge a runs from bdof a to b, the next one of its loop."""
+    a = np.arange(mesh.boundary_dofs.size)
+    loops = np.split(a, np.cumsum([len(loop) for loop in mesh.boundary_loops])[:-1])
+    b = np.concatenate([np.roll(loop, -1) for loop in loops])
+    pts = mesh.vertices[mesh.boundary_dofs]
+    return a, b, np.linalg.norm(pts[b] - pts, axis=1)
 
 
 def boundary_mass_matrix(mesh):
     """Lumped-free 1-D mass of the boundary trace space (dense, bdof order)."""
     a, b, ell = _boundary_edges(mesh)
-    Mb = p1_mass(np.column_stack([a, b]), ell, a.size)
-    return Mb.toarray(), _boundary_dofs(mesh)
+    return p1_mass(np.column_stack([a, b]), ell, a.size).toarray()
 
 
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
@@ -337,7 +341,7 @@ def moment_matrix(mesh, spec, N_b):
         falling = np.einsum("neq,eq->ne", Y, wq * (1.0 - lam_b))
         rising = np.einsum("neq,eq->ne", Y, wq * lam_b)
         T[:, edges] = falling + np.roll(rising, 1, axis=1)
-    return T, _boundary_dofs(mesh)
+    return T
 
 
 def trace_projection(mesh, spec, N_b):
@@ -350,15 +354,14 @@ def trace_projection(mesh, spec, N_b):
     z0 Mb exactly.  Since G^(-1/2) is Hermitian positive, P^t Zhat P
     inherits the accretivity of Zhat.
     """
-    T, bdofs = moment_matrix(mesh, spec, N_b)
-    Mb, _ = boundary_mass_matrix(mesh)
-    G = T @ np.linalg.solve(Mb, T.T)
+    T = moment_matrix(mesh, spec, N_b)
+    G = T @ np.linalg.solve(boundary_mass_matrix(mesh), T.T)
     gvals, gvecs = np.linalg.eigh(G)
     if gvals.min() <= 1e-12 * gvals.max():
         raise MeshError("boundary modes degenerate in the trace space "
                         "(N_b too large for this mesh)")
     G_isqrt = (gvecs / np.sqrt(gvals)) @ gvecs.T
-    return G_isqrt @ T, bdofs
+    return G_isqrt @ T
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +374,13 @@ class AcousticPencil:
 
     ``assemble_pencil`` builds the geometry-dependent parts once (the Neumann
     pencil and the factor of A0 = K - shift^2 M); ``with_impedance`` plugs in
-    Zhat and shares them.  B_Z = T^t Zhat T has rank at most N_b and is never
-    assembled: ``apply_B`` applies it through its factors on the bdofs.
+    Zhat and shares them.  B_Z = T^t Zhat T has rank at most N_b, the rows
+    of T, and is never assembled: ``apply_B`` applies its factors.
     """
 
     spectrum: object
     K: sp.csr_matrix
     M: sp.csr_matrix
-    N_b: int
     Zhat: np.ndarray            # (N_b, N_b); zeros for the Neumann pencil
     trace: np.ndarray           # T, (N_b, n_bdofs)
     bdofs: np.ndarray           # vertex of every boundary dof, loop by loop
@@ -390,6 +392,10 @@ class AcousticPencil:
     @property
     def n(self):
         return self.K.shape[0]
+
+    @property
+    def N_b(self):
+        return self.trace.shape[0]
 
     @property
     def shift(self):
@@ -405,12 +411,8 @@ class AcousticPencil:
 
     def with_impedance(self, Z):
         """This pencil with Zhat = Z compressed to N_b, real unless some kept
-        entry is not (``exact_dtype``).
-
-        Z = None or a zero operator returns this (Neumann) pencil itself.
-        """
-        if Z is None or not np.any(Z.matrix):
-            return self
+        entry is not (``exact_dtype``): a zero Z gives the float zeros of the
+        Neumann pencil."""
         check_impedance_truncation(Z.N_trunc, self.N_b)
         return replace(self, Zhat=exact_dtype(Z.matrix[:self.N_b, :self.N_b]))
 
@@ -438,8 +440,9 @@ def check_geometry_match(mesh, spec):
 
 def default_N_b(mesh):
     """Boundary modes kept by default: half the dofs of all boundary loops,
-    between 4 and 64."""
-    return min(64, max(4, len(_boundary_dofs(mesh)) // 2))
+    between 4 and 64, and never more than the dofs."""
+    n = mesh.boundary_dofs.size
+    return min(64, max(4, n // 2), n)
 
 
 def assemble_pencil(mesh, spec, N_b=None):
@@ -455,35 +458,34 @@ def assemble_pencil(mesh, spec, N_b=None):
         N_b = default_N_b(mesh)
     K = stiffness_matrix(mesh)
     M = mass_matrix_2d(mesh)
-    T, bdofs = trace_projection(mesh, spec, N_b)
-    pencil = AcousticPencil(spectrum=spec, K=K, M=M, N_b=N_b,
-                            Zhat=np.zeros((N_b, N_b)), trace=T, bdofs=bdofs)
+    T = trace_projection(mesh, spec, N_b)
+    pencil = AcousticPencil(spectrum=spec, K=K, M=M, Zhat=np.zeros((N_b, N_b)),
+                            trace=T, bdofs=mesh.boundary_dofs)
     pencil.lam_scale = neumann_scale(pencil)
     # SPD, so diagonal pivots on a symmetric ordering are stable
     pencil.shifted_lu = spla.splu((K - (pencil.shift ** 2).real * M).tocsc(),
                                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                   options={"SymmetricMode": True})
     pencil.W = pencil.shifted_lu.solve(pencil.trace_scatter())
-    pencil.S0 = T @ pencil.W[bdofs]
+    pencil.S0 = T @ pencil.W[pencil.bdofs]
     return pencil
 
 
 @dataclass
 class EigenReport:
-    """Certified eigenvalues of one pencil solve."""
+    """Eigenvalues of one pencil solve, by modulus.  Certified are those
+    off the zero cluster (|lambda| > zero_tol) with residual <= RESIDUAL_TOL,
+    and none when ``converged`` is False: ARPACK stopped early."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
-    converged: np.ndarray
+    converged: bool
     zero_tol: float
-    residual_tol: float = RESIDUAL_TOL
-    halfplane_tol: float = HALFPLANE_TOL
 
     def __post_init__(self):
         order = np.argsort(np.abs(self.eigenvalues), kind="stable")
         self.eigenvalues = self.eigenvalues[order]
         self.residuals = self.residuals[order]
-        self.converged = self.converged[order]
 
     @property
     def zero_cluster_size(self):
@@ -491,18 +493,18 @@ class EigenReport:
 
     def _certified_mask(self):
         return (np.abs(self.eigenvalues) > self.zero_tol) & self.converged \
-            & (self.residuals <= self.residual_tol)
+            & (self.residuals <= RESIDUAL_TOL)
 
     def certified(self):
         return self.eigenvalues[self._certified_mask()]
 
     def in_lower_halfplane(self):
         lam = self.certified()
-        return bool(np.all(lam.imag <= self.halfplane_tol * (1 + np.abs(lam))))
+        return bool(np.all(lam.imag <= HALFPLANE_TOL * (1 + np.abs(lam))))
 
     def real_within_tol(self):
         lam = self.certified()
-        return bool(np.all(np.abs(lam.imag) <= self.halfplane_tol * (1 + np.abs(lam))))
+        return bool(np.all(np.abs(lam.imag) <= HALFPLANE_TOL * (1 + np.abs(lam))))
 
     # the header of every eigenvalue CSV
     COLUMNS = ("re", "im", "residual", "q_factor", "certified", "sample_id")
@@ -511,13 +513,13 @@ class EigenReport:
         """One row of ``COLUMNS`` per eigenvalue.
 
         q = |Re lambda| / (-2 Im lambda) for a decaying lambda, i.e. Im lambda
-        below -halfplane_tol * (1 + |lambda|), the tolerance of the
+        below -HALFPLANE_TOL * (1 + |lambda|), the tolerance of the
         half-plane checks; inf for every other lambda.
         """
         out = []
         for lam, res, ok in zip(self.eigenvalues, self.residuals,
                                 self._certified_mask()):
-            decaying = lam.imag < -self.halfplane_tol * (1 + abs(lam))
+            decaying = lam.imag < -HALFPLANE_TOL * (1 + abs(lam))
             q = abs(lam.real) / (-2 * lam.imag) if decaying else math.inf
             out.append((lam.real, lam.imag, res, q, int(ok), sample_id))
         return out
@@ -582,8 +584,7 @@ def solve_pencil(pencil, n_wanted=N_WANTED):
             raise SpectrumError("eigen-solver returned no converged pairs") from err
     lam, X = 1j * (tau + 1.0 / w), Y[:n]     # eigenvectors are (p, mu p)
     res = np.linalg.norm(pencil.evaluate(lam, X), axis=0) / np.linalg.norm(X, axis=0)
-    return EigenReport(eigenvalues=lam, residuals=res,
-                       converged=np.full(lam.size, converged),
+    return EigenReport(eigenvalues=lam, residuals=res, converged=converged,
                        zero_tol=ZERO_TOL * pencil.lam_scale)
 
 
@@ -691,7 +692,7 @@ def monte_carlo_spectrum(mesh, spec, rspec, n_samples=N_SAMPLES, seed0=0, N_b=No
                 "real_spectrum": report.real_within_tol(),
                 "zero_cluster": report.zero_cluster_size,
                 "accretive": accretive,
-                "unconverged": not report.converged.all()}, None
+                "unconverged": not report.converged}, None
 
     outcomes = forked_map(attempt, range(n_samples), workers)
     done = [r for r, _ in outcomes if r is not None]

@@ -46,11 +46,10 @@ KIND_COS = 1
 KIND_SIN = 2
 
 EIG_RESIDUAL_TOL = 1e-8     # on |S x - mu D x| / |x|, free of the surface's scale
-# shift-invert point of the lowest window and ARPACK tolerance of the
-# surface eigensolve, the eigenvalues per window of a sliced surface
-# spectrum (never the worker count: results must not depend on it), and the
-# relative distance from a window cut inside which a Ritz value is ambiguous
-SURFACE_SIGMA = -1e-2
+# ARPACK tolerance of the surface eigensolve, the eigenvalues per window of
+# a sliced surface spectrum (never the worker count: results must not depend
+# on it), and the relative distance from a window cut inside which a Ritz
+# value is ambiguous
 SURFACE_TOL = 1e-10
 SURFACE_WINDOW = 64
 CUT_RTOL = 1e-8
@@ -82,7 +81,7 @@ class BoundaryGeometry:
     components: tuple = ()          # d=2 only
     vertices: np.ndarray | None = None    # d=3 only
     triangles: np.ndarray | None = None   # d=3 only
-    _component_labels: np.ndarray | None = field(default=None, repr=False)
+    _component_labels: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim_ambient == 2:
@@ -224,18 +223,25 @@ class BoundarySpectrum:
     spectra built with ``store_modes=True`` hold the lumped-mass-orthonormal
     eigenvectors at the mesh vertices in ``modes`` (N, n_vertices), which
     surface triple products integrate, and their ``residuals``; otherwise
-    ``modes`` is None.
+    ``modes`` is None.  The size N is ``count`` and the kernel dimension is
+    ``b0``, one zero mode per boundary component.
     """
 
     geometry: BoundaryGeometry
-    count: int
     mu: np.ndarray                 # (N,) nondecreasing, mu[:b0] == 0
-    b0: int
     modes: np.ndarray | None = None         # d=3: (N, n_vertices)
     mode_comp: np.ndarray | None = None     # d=2 mode descriptors
     mode_kind: np.ndarray | None = None
     mode_freq: np.ndarray | None = None
     residuals: np.ndarray | None = None
+
+    @property
+    def count(self):
+        return self.mu.size
+
+    @property
+    def b0(self):
+        return self.geometry.n_components
 
     @property
     def dim(self):
@@ -248,7 +254,7 @@ class BoundarySpectrum:
             return a if a is not None else np.array([])
 
         np.savez_compressed(
-            path, mu=self.mu, b0=self.b0, modes=arr(self.modes),
+            path, mu=self.mu, modes=arr(self.modes),
             mode_comp=arr(self.mode_comp), mode_kind=arr(self.mode_kind),
             mode_freq=arr(self.mode_freq), residuals=arr(self.residuals),
             geometry_json=np.frombuffer(json.dumps(self.geometry.to_dict()).encode(), dtype=np.uint8),
@@ -267,8 +273,7 @@ class BoundarySpectrum:
             return a.astype(dtype) if dtype else a
 
         return cls(
-            geometry=geom, count=int(z["mu"].shape[0]), mu=z["mu"], b0=int(z["b0"]),
-            modes=opt("modes"), mode_comp=opt("mode_comp", int),
+            geometry=geom, mu=z["mu"], modes=opt("modes"), mode_comp=opt("mode_comp", int),
             mode_kind=opt("mode_kind", int), mode_freq=opt("mode_freq", int),
             residuals=opt("residuals"))
 
@@ -310,9 +315,8 @@ def build_curve_spectrum(geom, N):
     mode_kind = np.array([e[2] for e in entries], dtype=int)
     mode_freq = np.array([e[3] for e in entries], dtype=int)
 
-    return BoundarySpectrum(geometry=geom, count=N, mu=mu, b0=b0,
-                            mode_comp=mode_comp, mode_kind=mode_kind,
-                            mode_freq=mode_freq)
+    return BoundarySpectrum(geometry=geom, mu=mu, mode_comp=mode_comp,
+                            mode_kind=mode_kind, mode_freq=mode_freq)
 
 
 def curve_modes(mode_comp, mode_kind, mode_freq, comp, L, s):
@@ -534,13 +538,14 @@ def _window_cuts(C, N, area):
 def _solve_window(C, lo, hi, m, store_modes):
     """The m eigenpairs of C with mu in [lo, hi), sorted, m the difference of
     the inertia counts at the cuts.  One shift-invert solve at the window's
-    midpoint (SURFACE_SIGMA for the lowest window, lo = -inf) asks for
+    midpoint, (max(lo, 0) + hi) / 2 (the lowest window has lo = -inf and C
+    no negative eigenvalue), asks for
     m + max(8, m // 4) pairs, and once more with twice as many if the
     window does not hold exactly m Ritz values.  A Ritz value within
     CUT_RTOL of a cut cannot be placed against the count and raises.  ARPACK
     factors C - sigma I itself: the :func:`_count_below` factor is coarser."""
     n = C.shape[0]
-    sigma = SURFACE_SIGMA if lo == -np.inf else 0.5 * (lo + hi)
+    sigma = 0.5 * (max(lo, 0.0) + hi)
     k = m + max(8, m // 4)
     for k in (min(k, n - 2), min(2 * k, n - 2)):
         try:
@@ -611,7 +616,7 @@ def build_surface_spectrum(geom, N, store_modes=True, workers=1):
     mu[:b0] = 0.0
     mu[b0:] = np.maximum(mu[b0:], 0.0)
     if not store_modes:
-        return BoundarySpectrum(geometry=geom, count=N, mu=mu, b0=b0)
+        return BoundarySpectrum(geometry=geom, mu=mu)
 
     # exact kernel: indicator / sqrt(area) per component; the rest D-orthogonal
     X = scale @ np.hstack([p[1] for p in parts])[:, :N]
@@ -630,8 +635,7 @@ def build_surface_spectrum(geom, N, store_modes=True, workers=1):
     modes = X.T.copy()
     _fix_signs(modes)
 
-    return BoundarySpectrum(geometry=geom, count=N, mu=mu, b0=b0, modes=modes,
-                            residuals=res)
+    return BoundarySpectrum(geometry=geom, mu=mu, modes=modes, residuals=res)
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +645,8 @@ def build_surface_spectrum(geom, N, store_modes=True, workers=1):
 def exact_dtype(a):
     """``a`` as a float array unless some imaginary entry is nonzero, then as
     a complex one: the one rule deciding an operator's arithmetic, applied
-    where it is made (``SpectralFunction``, ``impedance.ImpedanceOperator``)
-    and where it is truncated (``multipliers.build_multiplier``,
-    ``acoustic.AcousticPencil.with_impedance``)."""
+    where it is made (``SpectralFunction``, ``multipliers.MultiplierMatrix``)
+    and where it is truncated (``acoustic.AcousticPencil.with_impedance``)."""
     a = np.asarray(a)
     if np.iscomplexobj(a) and np.any(a.imag):
         return a.astype(complex, copy=False)

@@ -474,7 +474,7 @@ def _prepare_mesh(p, mesh):
     checked against the boundary dofs, and n_wanted (default
     ``acoustic.N_WANTED``)."""
     N_b = read(p, "params.N_b", ac.default_N_b(mesh), "integer")
-    ac.check_trace_truncation(N_b, sum(len(loop) for loop in mesh.boundary_loops))
+    ac.check_trace_truncation(N_b, mesh.boundary_dofs.size)
     return {"mesh": mesh, "N_b": N_b,
             "n_wanted": read(p, "params.n_wanted", ac.N_WANTED, "count")}
 
@@ -497,7 +497,7 @@ def _run_acoustic(run, mesh, spec, N_b, n_wanted, impedance):
     run.add_csv("eigenvalues", ac.EigenReport.COLUMNS, report.rows())
     run.add_json("mdiss", ver | {"zero_cluster": report.zero_cluster_size})
     run.check("residuals_certified",
-              bool(np.all(report.residuals <= report.residual_tol)),
+              bool(np.all(report.residuals <= ac.RESIDUAL_TOL)),
               f"max residual {report.residuals.max():.2e}")
     acc = is_accretive(Z)
     if acc["nonneg"]:

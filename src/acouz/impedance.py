@@ -1,13 +1,17 @@
 """Boundary impedance operators Z and their operator-theoretic toolkit.
 
 An impedance operator is realized as a matrix Zhat in the orthonormal
-eigenbasis of the boundary Laplacian, built from one of three recipes:
+eigenbasis of the boundary Laplacian.  The paper's generalized impedance
+coefficients are Sobolev multipliers, so every impedance is a compression
+``multipliers.MultiplierMatrix`` with s1 = s2 = 0, built from one recipe:
 
-* ``multiplier``: Zhat is the truncated multiplication matrix of a
-  coefficient vector (functions, measures, distributions alike);
+* ``multiplier`` (also ``constant`` and ``cantor``): Zhat is the truncated
+  multiplication matrix of a coefficient vector (functions, measures,
+  distributions alike);
 * ``symbol``: Zhat is diagonal, g(mu_n) for the spectral symbol
   g(mu) = [i] * sign * c2 * (mu + c1)^(t/2), realizing nonlocal impedances;
-* ``matrix``: an explicit matrix.
+* ``matrix``: an explicit matrix;
+* ``zero``: the zero matrix.
 
 The dissipativity theory runs through the diagonal congruence
 
@@ -34,41 +38,20 @@ import numpy as np
 
 from .boundary import (
     SpectralFunction, SpectrumError, check_coefficients, check_truncation,
-    constant_function, exact_dtype, fractional_power_weights,
+    constant_function, fractional_power_weights,
 )
 from .config import read
 from .multipliers import (
-    build_multiplier, cantor_measure_coeffs, check_cantor_target, hermitian_check,
-    svdvals_by_block,
+    MultiplierMatrix, build_multiplier, cantor_measure_coeffs, check_cantor_target,
+    hermitian_check, svdvals_by_block,
 )
 
 CAYLEY_CONTRACTION_SLACK = 1e-10
 
 
-@dataclass
-class ImpedanceOperator:
-    """A realized boundary operator in the Y-basis (immutable after build).
-
-    Whatever recipe built it, the operator is its matrix Zhat: every check
-    below reads ``matrix`` only, and accretivity is decided by
-    ``multipliers.hermitian_check``.
-    """
-
-    spectrum: object
-    matrix: np.ndarray             # (N_trunc, N_trunc): float unless not real
-
-    def __post_init__(self):
-        self.matrix = exact_dtype(self.matrix)
-
-    @property
-    def N_trunc(self):
-        return self.matrix.shape[0]
-
-
 def multiplier_impedance(phi, N_trunc, tensor=None):
     """Z = M_phi compressed to the first N_trunc modes (unit weights)."""
-    A = build_multiplier(phi, 0.0, 0.0, N_trunc, tensor=tensor)
-    return ImpedanceOperator(spectrum=phi.spectrum, matrix=A.matrix)
+    return build_multiplier(phi, 0.0, 0.0, N_trunc, tensor=tensor)
 
 
 def _check_shift(c1, t):
@@ -87,7 +70,7 @@ def symbol_impedance(spec, N_trunc, c1, c2, t, imaginary=False, sign=1):
     g = sign * c2 * (spec.mu[:N_trunc] + c1) ** (t / 2.0)
     if imaginary:
         g = 1j * g
-    return ImpedanceOperator(spectrum=spec, matrix=np.diag(g))
+    return MultiplierMatrix(spec, np.diag(g))
 
 
 def _square(Zhat):
@@ -100,11 +83,11 @@ def _square(Zhat):
 def matrix_impedance(spec, Zhat):
     Zhat = _square(Zhat)
     check_truncation(Zhat.shape[0], spec.count)
-    return ImpedanceOperator(spectrum=spec, matrix=Zhat)
+    return MultiplierMatrix(spec, Zhat)
 
 
 def zero_impedance(spec, N_trunc):
-    return ImpedanceOperator(spectrum=spec, matrix=np.zeros((N_trunc, N_trunc)))
+    return MultiplierMatrix(spec, np.zeros((N_trunc, N_trunc)))
 
 
 MULTIPLIER_KINDS = ("constant", "multiplier", "cantor")

@@ -243,23 +243,29 @@ def _is_hermitian(X):
 
 @dataclass(frozen=True)
 class MultiplierMatrix:
-    """Compression P_N M_phi P_N with Sobolev-exponent bookkeeping.
+    """A compression P_N X P_N with Sobolev-exponent bookkeeping: the one
+    type of every boundary operator, an impedance (multiplier, symbol, matrix
+    or zero) with s1 = s2 = 0.
 
-    ``matrix[m, n] = <M_phi Y_n, Y_m> = integral(phi Y_n Y_m)``; the target
-    mapping H^{s1} -> H^{-s2} only enters through the diagonal weights of
-    :meth:`weighted`.  The singular values of the weighted matrix, which
-    :func:`multiplier_norm` and :func:`compactness_profile` both read, are
-    computed once per compression, by one solve per irreducible block of
-    the weighted matrix (split by boundary component and by the parity of a
-    reflection-symmetric phi), in the dtype of the compression (real unless
-    some entry is not), and from symmetric eigensolves when the weighted matrix is
+    ``matrix[m, n] = <X Y_n, Y_m>``, integral(phi Y_n Y_m) for X = M_phi,
+    real unless some entry is not (``exact_dtype``, applied here).  The
+    target mapping H^{s1} -> H^{-s2} only enters through the diagonal
+    weights of :meth:`weighted`.  The singular values of the weighted
+    matrix, which :func:`multiplier_norm` and :func:`compactness_profile`
+    both read, are computed once per compression, by one solve per
+    irreducible block of the weighted matrix (split by boundary component and
+    by the parity of a reflection-symmetric phi), in the dtype of the
+    compression, and from symmetric eigensolves when the weighted matrix is
     Hermitian.  Immutable, so that cache stays valid.
     """
 
     spectrum: BoundarySpectrum
     matrix: np.ndarray
-    s1: float
-    s2: float
+    s1: float = 0.0
+    s2: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", exact_dtype(self.matrix))
 
     @property
     def N_trunc(self):
@@ -290,13 +296,12 @@ class MultiplierMatrix:
 
 def build_multiplier(phi, s1, s2, N_trunc, tensor=None):
     """Truncated matrix of multiplication by phi in the eigenbasis: real
-    unless some kept entry is not (``exact_dtype``), so a complex phi whose
-    compression is real is solved in real arithmetic."""
+    unless some kept entry is not (``MultiplierMatrix``), so a complex phi
+    whose compression is real is solved in real arithmetic."""
     spec = phi.spectrum
     check_truncation(N_trunc, spec.count)
     tensor = tensor or TripleProductTensor(spec)
-    A = exact_dtype(tensor.contract(phi.coeffs, N_trunc))
-    return MultiplierMatrix(spectrum=spec, matrix=A, s1=s1, s2=s2)
+    return MultiplierMatrix(spec, tensor.contract(phi.coeffs, N_trunc), s1, s2)
 
 
 def multiplier_norm(A: MultiplierMatrix):

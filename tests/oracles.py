@@ -170,7 +170,7 @@ def lambda_form_solve(pencil, n_wanted=12):
     lam, X = shift + 1.0 / w, Y[:n]
     res = np.linalg.norm(pencil.evaluate(lam, X), axis=0) / np.linalg.norm(X, axis=0)
     return ac.EigenReport(eigenvalues=lam, residuals=res,
-                          converged=np.ones(lam.size, dtype=bool),
+                          converged=True,
                           zero_tol=ac.ZERO_TOL * pencil.lam_scale)
 
 
@@ -306,7 +306,7 @@ def consistent_mass_spectrum(geom, N):
     mu, X = sla.eigh(S, M, subset_by_index=[0, N - 1])
     mu[0] = 0.0
     X[:, 0] = 1.0 / np.sqrt(geom.component_measures.sum())
-    return bd.BoundarySpectrum(geometry=geom, count=N, mu=mu, b0=1, modes=X.T.copy())
+    return bd.BoundarySpectrum(geometry=geom, mu=mu, modes=X.T.copy())
 
 
 def cotangent_stiffness(v, t):

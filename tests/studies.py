@@ -98,8 +98,9 @@ def refinement_study(levels, z_maker=None, n_track=5, n_wanted=18, N_b=None,
         raise MeshError("refinement study needs at least 3 mesh levels")
     flags, per_level = [], []
     for mesh, spec in levels:
-        Z = z_maker(spec) if z_maker is not None else None
-        pencil = assemble_pencil(mesh, spec, N_b=N_b).with_impedance(Z)
+        pencil = assemble_pencil(mesh, spec, N_b=N_b)
+        if z_maker is not None:
+            pencil = pencil.with_impedance(z_maker(spec))
         report = solve_pencil(pencil, n_wanted=n_wanted)
         lam = report.certified()
         per_level.append(lam[lam.real >= -report.zero_tol])   # sorted by |lambda|

@@ -126,15 +126,33 @@ def regular_polygon_area(n, r):
 class TestEigenReport:
     def test_q_factor_uses_halfplane_tolerance(self):
         # a real eigenvalue with round-off in Im is not decaying: q = inf;
-        # an unconverged one is written but not certified
+        # the pairs of an unconverged solve are written but not certified
         lam = np.array([1 - 1e-15j, 2 - 0.5j, 3 - 1j])
-        report = ac.EigenReport(eigenvalues=lam, residuals=np.zeros(3),
-                                converged=np.array([True, True, False]),
-                                zero_tol=1e-7)
-        rows = report.rows(sample_id=4)
-        assert [r[3] for r in rows] == [math.inf, 2.0, 1.5]
-        assert [r[4] for r in rows] == [1, 1, 0]
-        assert all(r[5] == 4 for r in rows)
+        for converged, certified in ((True, [1, 1, 1]), (False, [0, 0, 0])):
+            report = ac.EigenReport(eigenvalues=lam, residuals=np.zeros(3),
+                                    converged=converged, zero_tol=1e-7)
+            rows = report.rows(sample_id=4)
+            assert [r[3] for r in rows] == [math.inf, 2.0, 1.5]
+            assert [r[4] for r in rows] == certified
+            assert all(r[5] == 4 for r in rows)
+
+
+class TestBoundaryLoops:
+    def test_reversed_loop_accepted(self):
+        # the spectrum does not depend on the loop's orientation
+        mesh = ac.disk_mesh(0.3)
+        d = mesh.to_dict()
+        d["boundary_loops"] = [d["boundary_loops"][0][::-1]]
+        flipped = ac.DomainMesh.from_dict(d)
+        assert np.array_equal(flipped.boundary_dofs, mesh.boundary_dofs[::-1])
+        eigenvalues = []
+        for m in (mesh, flipped):
+            spec = bd.build_curve_spectrum(m.boundary_geometry(), 64)
+            base = ac.assemble_pencil(m, spec)
+            pencil = base.with_impedance(constant_z(spec, base.N_b))
+            eigenvalues.append(ac.solve_pencil(pencil).certified())
+        assert eigenvalues[0].size == eigenvalues[1].size >= 10
+        assert folded_distance(*eigenvalues) <= 1e-10
 
 
 class TestConvexPolygonMesh:
@@ -170,9 +188,9 @@ class TestAssemblyOracles:
         mesh = make_mesh()
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         N_b = ac.default_N_b(mesh)
-        T, bdofs = ac.moment_matrix(mesh, spec, N_b)
+        T = ac.moment_matrix(mesh, spec, N_b)
         T_ref, bdofs_ref = per_edge_moment_matrix(mesh, spec, N_b)
-        assert list(bdofs) == bdofs_ref
+        assert list(mesh.boundary_dofs) == bdofs_ref
         assert np.abs(T - T_ref).max() <= 1e-13 * np.abs(T_ref).max()
 
     def test_full_trace_reproduces_boundary_mass(self):
@@ -180,9 +198,9 @@ class TestAssemblyOracles:
         mesh = ac.disk_mesh(0.3)
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         n_bdofs = sum(len(loop) for loop in mesh.boundary_loops)
-        P, bdofs = ac.trace_projection(mesh, spec, n_bdofs)
-        Mb, bdofs_mb = ac.boundary_mass_matrix(mesh)
-        assert list(bdofs) == list(bdofs_mb)
+        P = ac.trace_projection(mesh, spec, n_bdofs)
+        Mb = ac.boundary_mass_matrix(mesh)
+        assert P.shape == Mb.shape == (mesh.boundary_dofs.size,) * 2
         z0 = 1.0 + 0.5j
         PZP = P.T @ (z0 * np.eye(n_bdofs)) @ P
         assert np.abs(PZP - z0 * Mb).max() <= 1e-12 * np.abs(Mb).max()
@@ -234,8 +252,8 @@ class TestAssemblyOracles:
         for mesh, area in zip((disk, annulus), areas):
             one = np.ones(mesh.n_vertices)
             assert one @ ac.mass_matrix_2d(mesh) @ one == pytest.approx(area, rel=1e-13)
-            Mb, bdofs = ac.boundary_mass_matrix(mesh)
-            one_b = np.ones(len(bdofs))
+            Mb = ac.boundary_mass_matrix(mesh)
+            one_b = np.ones(mesh.boundary_dofs.size)
             length = mesh.boundary_geometry().component_measures.sum()
             assert one_b @ Mb @ one_b == pytest.approx(length, rel=1e-13)
 
@@ -270,8 +288,12 @@ class TestWithImpedance:
         base = ac.assemble_pencil(mesh, spec)
         assert base.Zhat.shape == (base.N_b, base.N_b) and not np.any(base.Zhat)
         assert not np.any(base.apply_B(np.ones(base.n)))
-        assert base.with_impedance(None) is base
-        assert base.with_impedance(zero_impedance(spec, base.N_b)) is base
+        # a zero Z takes the path of every Z and gives the same float zeros
+        zero = base.with_impedance(zero_impedance(spec, base.N_b))
+        assert zero.Zhat.dtype == base.Zhat.dtype == np.float64
+        assert np.array_equal(zero.Zhat, base.Zhat)
+        for name in ("K", "M", "trace", "bdofs", "shifted_lu", "W", "S0"):
+            assert getattr(zero, name) is getattr(base, name)
 
     def test_rejects_short_truncation(self, disk_setup):
         mesh, spec = disk_setup
@@ -386,6 +408,20 @@ class TestDefaultNb:
         assert len(mesh.boundary_loops) == 2
         assert ac.default_N_b(mesh) == n_bdofs // 2
         assert ac.assemble_pencil(mesh, spec).N_b == n_bdofs // 2
+
+    def test_capped_at_the_boundary_dofs(self, tmp_path):
+        # a triangle at h 2.0 has 3 boundary dofs: the floor of 4 asked for
+        # N_b = 4, and a config that sets no N_b failed validate
+        corners = [[0, 0], [1, 0], [0, 1]]
+        mesh = ac.convex_polygon_mesh(corners, 2.0)
+        assert mesh.boundary_dofs.size == ac.default_N_b(mesh) == 3
+        cfg = harness.ExperimentConfig.from_dict({
+            "experiment": "acoustic_spectrum",
+            "mesh": {"kind": "polygon", "corners": corners, "h": 2.0},
+            "params": {"impedance": {"kind": "constant"}}})
+        assert harness.validate_config(cfg) == []
+        manifest = harness.run(cfg, str(tmp_path))
+        assert len(manifest.assertions) == 3 and manifest.passed, manifest.assertions
 
     def test_annulus_default_config_passes(self, tmp_path):
         cfg = harness.ExperimentConfig.from_dict({
@@ -601,7 +637,7 @@ class TestOneSolver:
     # Z = 0 and a skew Z keep lambda = 0 a pair, so one nonzero fewer; zero
     # and constant Z are real, the FGF samples complex
     @pytest.mark.parametrize("make_mesh, make_z, n_nonzero", [
-        (lambda: ac.disk_mesh(0.12), None, 12),
+        (lambda: ac.disk_mesh(0.12), zero_impedance, 12),
         (lambda: ac.disk_mesh(0.12), constant_z, 13),
         (lambda: ac.convex_polygon_mesh(QUAD, 0.08), accretive_random_z, 13),
         (lambda: ac.disk_mesh(0.12), skew_random_z, 12),
@@ -614,8 +650,8 @@ class TestOneSolver:
         mesh = make_mesh()
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         base = ac.assemble_pencil(mesh, spec)
-        Z = make_z and make_z(spec, base.N_b)
-        assert Z is None or is_accretive(Z)["nonneg"]
+        Z = make_z(spec, base.N_b)
+        assert is_accretive(Z)["nonneg"]
         pencil = base.with_impedance(Z)
         report = ac.solve_pencil(pencil, n_wanted=14)
         assert np.all(report.residuals <= ac.RESIDUAL_TOL)

@@ -396,6 +396,14 @@ class TestSurfaceSpectrum:
         assert spec.residuals.max() <= 1e-12
         assert spec.mu[1] * radius ** 2 == pytest.approx(2.0, rel=0.01)
 
+    def test_large_surface_shifts_the_lowest_window_at_its_midpoint(self):
+        # a fixed shift of -1e-2 clustered the lowest window's mu ~ 1/r^2 in
+        # shift-invert: at r = 1e4 mode 39 read residual 1.05e-7 and raised
+        radius = 1e4
+        spec = bd.build_surface_spectrum(shapes.icosphere(4, radius=radius), 200)
+        assert spec.residuals.max() <= 1e-12
+        assert spec.mu[1] * radius ** 2 == pytest.approx(2.0, rel=1e-6)
+
     def test_two_spheres_two_kernel_modes(self):
         spec = bd.build_surface_spectrum(oracles.two_spheres(2), 2)
         assert np.array_equal(spec.mu, [0.0, 0.0])

@@ -271,12 +271,15 @@ def test_surface_truncation_rejected_before_the_run(config, message, tmp_path,
 
 
 def _malformed(block, vertex=None, value=None, append=False, collapse=False,
-               field=None, count=None):
+               field=None, count=None, loops=None):
     """The JSON of icosphere(3) (a geometry block) or of disk_mesh(0.3) (a
     mesh block) with one vertex set to ``value``, one vertex in no triangle
-    appended, triangle 0 collapsed onto the midpoint of an edge, or the
-    material ``field`` set to ``value`` on ``count`` triangles (default all)."""
+    appended, triangle 0 collapsed onto the midpoint of an edge, the
+    material ``field`` set to ``value`` on ``count`` triangles (default all),
+    or the boundary loops ``loops(loop)`` of the disk's one loop."""
     d = (shapes.icosphere(3) if block == "geometry" else ac.disk_mesh(0.3)).to_dict()
+    if loops is not None:
+        d["boundary_loops"] = loops(d["boundary_loops"][0])
     if field is not None:
         d[field] = [value] * (count or len(d["triangles"]))
         return d
@@ -290,6 +293,7 @@ def _malformed(block, vertex=None, value=None, append=False, collapse=False,
     return d
 
 
+BAD_LOOPS = "boundary_loops are not the boundary of the triangulation"
 MALFORMED_CURVE = {"dim": 2, "components": [[[0, 0], [1, 0], [math.inf, 1], [0, 1]]]}
 
 
@@ -310,8 +314,16 @@ MALFORMED_CURVE = {"dim": 2, "components": [[[0, 0], [1, 0], [math.inf, 1], [0, 
      "beta has shape (3,), not (63,)"),
     ("mesh", _malformed("mesh", field="alpha", value=[[1.0, 5.0], [0.0, 1.0]]),
      "alpha must be symmetric"),
+    # the first two ran, and passed every assertion, on another problem; the
+    # third failed in the solve with "Matrix is not positive definite"
+    ("mesh", _malformed("mesh", loops=lambda loop: [loop[1:]]), BAD_LOOPS),
+    ("mesh", _malformed("mesh", loops=lambda loop: [[0, *loop]]), BAD_LOOPS),
+    ("mesh", _malformed("mesh", loops=lambda loop: [loop, loop]), BAD_LOOPS),
+    ("mesh", _malformed("mesh", loops=lambda loop: [[*loop, 43]]),
+     "boundary loop vertex 43 is not one of the 43 vertices"),
 ], ids=["surface_nan", "mesh_nan", "curve_inf", "surface_stray", "mesh_stray",
-        "surface_zero_area", "alpha_length", "beta_length", "alpha_not_symmetric"])
+        "surface_zero_area", "alpha_length", "beta_length", "alpha_not_symmetric",
+        "loop_vertex_dropped", "loop_interior_vertex", "loop_twice", "loop_out_of_range"])
 def test_malformed_file_rejected_before_the_run(block, data, message, tmp_path,
                                                 monkeypatch, capsys):
     # each passes every check of the config alone; unless the geometry or

@@ -118,7 +118,7 @@ class TestSymbolShift:
 class TestArithmeticDecidedWhereMade:
     """An operator is float64 unless some imaginary entry is nonzero: the
     rule ``boundary.exact_dtype`` applies it where an operator is made, in
-    ``SpectralFunction`` and ``ImpedanceOperator``, and where it is
+    ``SpectralFunction`` and ``multipliers.MultiplierMatrix``, and where it is
     truncated, and every consumer reads the dtype it gets."""
 
     @pytest.mark.parametrize("config", [
@@ -180,11 +180,35 @@ class TestArithmeticDecidedWhereMade:
         G = rng.standard_normal((16, 16))
         X = (G + G.T).astype(complex)
         f = bd.SpectralFunction(circle_spec, X[0])
-        Z = imp.ImpedanceOperator(spectrum=circle_spec, matrix=X)
+        Z = mp.MultiplierMatrix(spectrum=circle_spec, matrix=X)
         assert f.coeffs.dtype == Z.matrix.dtype == np.float64
         assert f.coeffs.tobytes() == X[0].real.tobytes()
         assert Z.matrix.tobytes() == X.real.tobytes()
         assert Z.matrix.flags.c_contiguous
+
+
+# one block of every kind, real or complex
+KIND_CONFIGS = {
+    "zero": {"kind": "zero"},
+    "constant": {"kind": "constant", "z0": 2.0},
+    "multiplier": {"kind": "multiplier", "coeffs_re": [1.0, 0.5], "coeffs_im": [0.0, 0.25]},
+    "cantor": {"kind": "cantor"},
+    "symbol": {"kind": "symbol", "c1": 1.0, "c2": 1.0, "t": 0.5, "imaginary": True},
+    "matrix": {"kind": "matrix", "re": [[1.0, 2.0], [0.0, 1.0]],
+               "im": [[0.0, 0.0], [1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("kind", imp.IMPEDANCE_KINDS)
+def test_every_impedance_is_a_compression(circle_spec, kind):
+    # an impedance is a MultiplierMatrix at s1 = s2 = 0: multiplier
+    # positivity and accretivity are one check, and its singular values
+    # are those of its matrix
+    Z = imp.impedance_from_config(circle_spec, parsed(KIND_CONFIGS[kind]), N_trunc=16)
+    assert isinstance(Z, mp.MultiplierMatrix) and Z.s1 == Z.s2 == 0.0
+    assert mp.positivity_test(Z) == imp.is_accretive(Z)
+    sv = mp.svdvals_by_block(Z.matrix)
+    assert np.abs(Z.singular_values - sv).max() <= 1e-13 * max(1.0, sv[0])
 
 
 class TestConjugation:
