@@ -19,11 +19,12 @@ quadratic K + mu B_Z + mu^2 M, real for a real Zhat, and is linearized as
 
     [[-K, 0], [0, M]] y = mu [[B_Z, M], [M, 0]] y,     y = (p, mu p),
 
-then solved by shift-invert Arnoldi at the real shift tau = 0.6 lam_scale
-with residual certification on P.  P(i tau) = A0 + T^t (tau Zhat) T with
-A0 = K + tau^2 M real SPD: one real LU of A0 per mesh serves every
-impedance, and tau Zhat enters through an N_b x N_b capacitance matrix
-(Sherman-Morrison-Woodbury).
+then solved by shift-invert Arnoldi at the real shift tau = 0.6 lam_scale,
+lam_scale the smallest nonzero Neumann lambda at any mesh scale, with
+residual certification on P.  P(i tau) = A0 + T^t (tau Zhat) T with
+A0 = K + tau^2 M real SPD: the one real LU of A0, made with the pencil,
+serves every impedance, and tau Zhat enters through an N_b x N_b
+capacitance matrix (Sherman-Morrison-Woodbury).
 
 In energy coordinates x = (a, L^t q), ||x||^2 = |a|^2 + q^H M q, the
 linearized operator A_h has Im <A_h x, x> = -q^H Herm(B_Z) q, so its
@@ -36,9 +37,10 @@ certifies for accretive Z.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -76,7 +78,7 @@ class MeshError(ValueError):
 # meshes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class DomainMesh:
     """P1 triangulation of a polygonal domain, possibly with holes.
 
@@ -368,26 +370,37 @@ def trace_projection(mesh, spec, N_b):
 # pencil assembly and solve
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class AcousticPencil:
     """Matrices of P(lambda) = K - i lambda B_Z - lambda^2 M.
 
-    ``assemble_pencil`` builds the geometry-dependent parts once (the Neumann
-    pencil and the factor of A0 = K - shift^2 M); ``with_impedance`` plugs in
-    Zhat and shares them.  B_Z = T^t Zhat T has rank at most N_b, the rows
-    of T, and is never assembled: ``apply_B`` applies its factors.
+    Built from K, M, T and the bdofs alone: construction derives, once each,
+    the Neumann Zhat (zeros), lam_scale, and the factor of A0 = K - shift^2 M
+    with W and S0, which depend on the mesh only.  ``with_impedance`` plugs
+    in Zhat and shares the rest.  B_Z = T^t Zhat T has rank at most N_b, the
+    rows of T, and is never assembled: ``apply_B`` applies its factors.
     """
 
     spectrum: object
     K: sp.csr_matrix
     M: sp.csr_matrix
-    Zhat: np.ndarray            # (N_b, N_b); zeros for the Neumann pencil
     trace: np.ndarray           # T, (N_b, n_bdofs)
     bdofs: np.ndarray           # vertex of every boundary dof, loop by loop
-    lam_scale: float = 1.0      # smallest nonzero Neumann eigenvalue
-    shifted_lu: object = None   # sparse LU of the real SPD A0
-    W: np.ndarray | None = None     # A0^-1 T^t, (n, N_b)
-    S0: np.ndarray | None = None    # T A0^-1 T^t, (N_b, N_b)
+    Zhat: np.ndarray = field(init=False)        # (N_b, N_b)
+    lam_scale: float = field(init=False)        # smallest nonzero Neumann eigenvalue
+    shifted_lu: object = field(init=False)      # sparse LU of the real SPD A0
+    W: np.ndarray = field(init=False)           # A0^-1 T^t, (n, N_b)
+    S0: np.ndarray = field(init=False)          # T A0^-1 T^t, (N_b, N_b)
+
+    def __post_init__(self):
+        self.Zhat = np.zeros((self.N_b, self.N_b))
+        self.lam_scale = neumann_scale(self)
+        # SPD, so diagonal pivots on a symmetric ordering are stable
+        self.shifted_lu = spla.splu((self.K - (self.shift ** 2).real * self.M).tocsc(),
+                                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                    options={"SymmetricMode": True})
+        self.W = self.shifted_lu.solve(self.trace_scatter())
+        self.S0 = self.trace @ self.W[self.bdofs]
 
     @property
     def n(self):
@@ -410,11 +423,13 @@ class AcousticPencil:
         return Tt
 
     def with_impedance(self, Z):
-        """This pencil with Zhat = Z compressed to N_b, real unless some kept
-        entry is not (``exact_dtype``): a zero Z gives the float zeros of the
-        Neumann pencil."""
+        """A shallow copy of this pencil, sharing the factor of A0, with Zhat =
+        Z compressed to N_b, real unless some kept entry is not
+        (``exact_dtype``): a zero Z gives the Neumann pencil's float zeros."""
         check_impedance_truncation(Z.N_trunc, self.N_b)
-        return replace(self, Zhat=exact_dtype(Z.matrix[:self.N_b, :self.N_b]))
+        pencil = copy.copy(self)
+        pencil.Zhat = exact_dtype(Z.matrix[:self.N_b, :self.N_b])
+        return pencil
 
     def apply_B(self, x):
         """B_Z x = T^t (Zhat (T x[bdofs])) for x of shape (n,) or (n, k):
@@ -446,32 +461,20 @@ def default_N_b(mesh):
 
 
 def assemble_pencil(mesh, spec, N_b=None):
-    """The Neumann pencil K - lambda^2 M with its trace projection.
+    """The Neumann pencil K - lambda^2 M with its trace projection, in one
+    ``AcousticPencil`` construction, which also factors A0.
 
-    K, M, T, lam_scale and the shifted factor depend on the mesh only;
-    ``with_impedance`` reuses them for every impedance operator.  The
-    factor is one sparse LU of the real SPD A0 = K - shift^2 M, with
-    W = A0^-1 T^t and S0 = T W for the rank-N_b boundary term.
+    Everything it holds depends on the mesh only; ``with_impedance`` reuses
+    it for every impedance operator.
     """
     check_geometry_match(mesh, spec)
     if N_b is None:
         N_b = default_N_b(mesh)
-    K = stiffness_matrix(mesh)
-    M = mass_matrix_2d(mesh)
-    T = trace_projection(mesh, spec, N_b)
-    pencil = AcousticPencil(spectrum=spec, K=K, M=M, Zhat=np.zeros((N_b, N_b)),
-                            trace=T, bdofs=mesh.boundary_dofs)
-    pencil.lam_scale = neumann_scale(pencil)
-    # SPD, so diagonal pivots on a symmetric ordering are stable
-    pencil.shifted_lu = spla.splu((K - (pencil.shift ** 2).real * M).tocsc(),
-                                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                  options={"SymmetricMode": True})
-    pencil.W = pencil.shifted_lu.solve(pencil.trace_scatter())
-    pencil.S0 = T @ pencil.W[pencil.bdofs]
-    return pencil
+    return AcousticPencil(spectrum=spec, K=stiffness_matrix(mesh), M=mass_matrix_2d(mesh),
+                          trace=trace_projection(mesh, spec, N_b), bdofs=mesh.boundary_dofs)
 
 
-@dataclass
+@dataclass(eq=False)
 class EigenReport:
     """Eigenvalues of one pencil solve, by modulus.  Certified are those
     off the zero cluster (|lambda| > zero_tol) with residual <= RESIDUAL_TOL,
@@ -526,14 +529,16 @@ class EigenReport:
 
 
 def neumann_scale(pencil):
-    """Magnitude of the smallest nonzero Neumann eigenvalue, sqrt scale."""
+    """Magnitude of the smallest nonzero Neumann eigenvalue, sqrt scale: s =
+    mean(diag K) / mean(diag M) places the shift and "nonzero", nu > 1e-8 s,
+    so it scales with the mesh; sqrt(s) when no computed nu is nonzero."""
     k = min(6, pencil.n - 2)
-    sigma = -1e-3 * (pencil.K.diagonal().mean() / pencil.M.diagonal().mean())
-    nu = spla.eigsh(pencil.K, k=k, M=pencil.M, sigma=sigma, which="LM",
+    s = pencil.K.diagonal().mean() / pencil.M.diagonal().mean()
+    nu = spla.eigsh(pencil.K, k=k, M=pencil.M, sigma=-1e-3 * s, which="LM",
                     v0=arpack_start(pencil.n), return_eigenvectors=False)
     nu = np.sort(nu)
-    pos = nu[nu > 1e-8 * max(nu.max(), 1.0)]
-    return float(np.sqrt(pos[0])) if pos.size else 1.0
+    pos = nu[nu > 1e-8 * s]
+    return float(np.sqrt(pos[0] if pos.size else s))
 
 
 def solve_pencil(pencil, n_wanted=N_WANTED):

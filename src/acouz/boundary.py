@@ -67,7 +67,7 @@ class SpectrumError(ValueError):
 # geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryGeometry:
     """A closed boundary: polygonal curves (d=2) or a triangulated surface (d=3).
 
@@ -213,7 +213,7 @@ def _vertex_components(n_vertices, t):
 # spectrum container
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class BoundarySpectrum:
     """The first N Laplace-Beltrami eigenpairs of a closed boundary.
 
@@ -653,7 +653,7 @@ def exact_dtype(a):
     return np.ascontiguousarray(a.real, dtype=float)
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralFunction:
     """A function/distribution on the boundary as eigenbasis coefficients."""
 
@@ -687,13 +687,6 @@ def ht_weights(spec, t):
     return w
 
 
-def fractional_power_weights(spec, s, c):
-    """Diagonal action (mu_n + c)^(s/2) of the shifted fractional Laplacian."""
-    if c <= 0:
-        raise SpectrumError("the shift c must be positive")
-    return (spec.mu + c) ** (s / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # asymptotic diagnostics
 # ---------------------------------------------------------------------------
@@ -714,8 +707,8 @@ def weyl_diagnostic(spec, fit_range):
     """Log-log growth diagnostics of the eigenvalue sequence.
 
     ``fit_range = (lo, hi)`` is a 1-based inclusive index interval inside
-    (b0, N].  Returns the least-squares slope of log(mu_n) against log(n),
-    plus the min/max of mu_n / n^(2/(d-1)) over the range.
+    (b0, N].  Returns the least-squares line log(mu_n) = log_c + slope
+    log(n) and the min/max of mu_n / n^(2/(d-1)) over the range.
     """
     check_fit_range(fit_range, spec.b0, spec.count)
     lo, hi = fit_range
@@ -723,7 +716,8 @@ def weyl_diagnostic(spec, fit_range):
     mu = spec.mu[lo - 1:hi]
     if np.any(mu <= 0):
         raise SpectrumError("fit range contains zero eigenvalues")
-    slope = float(np.polyfit(np.log(n), np.log(mu), 1)[0])
+    slope, log_c = np.polyfit(np.log(n), np.log(mu), 1)
     ratio = mu / n ** (2.0 / (spec.dim - 1))
-    return {"slope": slope, "c_lower": float(ratio.min()), "c_upper": float(ratio.max())}
+    return {"slope": float(slope), "log_c": float(log_c),
+            "c_lower": float(ratio.min()), "c_upper": float(ratio.max())}
 

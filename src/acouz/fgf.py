@@ -96,8 +96,8 @@ def _partial_sum_norms(spec, s, paths, t, checkpoints):
     Each row holds the xi_n of one seed up to the last of the increasing
     checkpoints (see :func:`gaussian_paths`); earlier checkpoints are
     prefixes of the same path, never redrawn.  The H^t weights and the field
-    scales are computed once for all rows; the scales are 0 on kernel modes,
-    so those draws drop out.
+    scales are computed once, and the partial sums are one cumsum over all
+    rows; the scales are 0 on kernel modes, so those draws drop out.
     """
     N_max = checkpoints[-1]
     if np.ndim(paths) != 2 or np.shape(paths)[1] != N_max:
@@ -105,11 +105,8 @@ def _partial_sum_norms(spec, s, paths, t, checkpoints):
                          f"got shape {np.shape(paths)}")
     scales = field_scales(spec, s, N_max)
     w = ht_weights(spec, t)[:N_max]
-    out = []
-    for xi in paths:
-        acc = np.cumsum((w * (xi * scales)) ** 2)
-        out.append([float(np.sqrt(acc[N - 1])) for N in checkpoints])
-    return out
+    acc = np.cumsum((w * (paths * scales)) ** 2, axis=1)
+    return np.sqrt(acc[:, np.asarray(checkpoints) - 1]).tolist()
 
 
 def check_classifier_schedule(seeds, checkpoints):

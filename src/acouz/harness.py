@@ -489,9 +489,8 @@ def _prepare_acoustic(config, mesh):
 
 
 def _run_acoustic(run, mesh, spec, N_b, n_wanted, impedance):
-    pencil = ac.assemble_pencil(mesh, spec, N_b=N_b)
     Z = impedance_from_config(spec, impedance, N_trunc=N_b)
-    pencil = pencil.with_impedance(Z)
+    pencil = ac.assemble_pencil(mesh, spec, N_b=N_b).with_impedance(Z)
     report = ac.solve_pencil(pencil, n_wanted=n_wanted)
     ver = ac.verify_mdissipativity(pencil, report)
     run.add_csv("eigenvalues", ac.EigenReport.COLUMNS, report.rows())
@@ -499,6 +498,8 @@ def _run_acoustic(run, mesh, spec, N_b, n_wanted, impedance):
     run.check("residuals_certified",
               bool(np.all(report.residuals <= ac.RESIDUAL_TOL)),
               f"max residual {report.residuals.max():.2e}")
+    run.check("certified_nonempty", report.certified().size > 0,
+              f"{report.certified().size} certified off the zero cluster")
     acc = is_accretive(Z)
     if acc["nonneg"]:
         run.check("halfplane_confinement", report.in_lower_halfplane(),
@@ -586,23 +587,24 @@ _PLOT_COLUMNS["cloud"] = _PLOT_COLUMNS["eigenvalues"]
 
 
 def emit_plotdata(manifest, artifact_id, out_path=None):
-    """Re-shape one artifact as long-format (series, x, y) CSV."""
-    art = next((a for a in manifest.artifacts if a["id"] == artifact_id), None)
-    if art is None:
-        raise ConfigError([f"unknown artifact id {artifact_id!r} "
-                           f"(have {[a['id'] for a in manifest.artifacts]})"])
+    """Re-shape one artifact as long-format (series, x, y) CSV.  A weyl
+    spectrum gets the series ``fit``, exp(log_c) n^slope over the fit range:
+    the fit that the run's ``weyl.json`` records and its assertion checks."""
+    arts = {a["id"]: a for a in manifest.artifacts}
+    if artifact_id not in arts:
+        raise ConfigError([f"unknown artifact id {artifact_id!r} (have {list(arts)})"])
+    art = arts[artifact_id]
     if artifact_id not in ("spectrum", "ratios", *_PLOT_COLUMNS):
         raise ConfigError([f"artifact {artifact_id!r} has no plot-data mapping"])
     with open(art["path"]) as f:
         table = list(csv.DictReader(f))
     if artifact_id == "spectrum":
-        n, mu = (np.array([float(r[c]) for r in table]) for c in ("n", "mu_n"))
-        rows = [("mu", int(a), float(b)) for a, b in zip(n, mu)]
-        pos = mu > 0
-        if pos.sum() >= 2:
-            slope, logc = np.polyfit(np.log(n[pos]), np.log(mu[pos]), 1)
-            rows += [("fit", int(a), float(math.exp(logc) * a ** slope))
-                     for a in n[pos]]
+        with open(arts["weyl"]["path"]) as f:
+            weyl = json.load(f)
+        lo, hi = weyl["fit_range"]
+        rows = [("mu", int(r["n"]), float(r["mu_n"])) for r in table]
+        rows += [("fit", n, math.exp(weyl["log_c"]) * n ** weyl["slope"])
+                 for n in range(lo, hi + 1)]
     elif artifact_id == "ratios":
         rows = [(f"s={r['s']}", float(r["t"]), float(r["median_ratio"])) for r in table]
     else:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .boundary import (
     SpectralFunction, SpectrumError, check_coefficients, check_truncation,
-    constant_function, fractional_power_weights,
+    constant_function,
 )
 from .config import read
 from .multipliers import (
@@ -221,12 +221,12 @@ def impedance_from_config(spec, block, N_trunc=None):
 # ---------------------------------------------------------------------------
 
 def conjugate_to_l2(Z):
-    """Ztilde = diag((mu+1)^(-1/4)) Zhat diag((mu+1)^(-1/4)).
+    """Ztilde = D Zhat D, D = diag((mu+1)^(-1/4)) the action of (Delta + 1)^(-1/4).
 
     A congruence, so the Hermitian parts of Zhat and Ztilde share inertia;
     accretivity survives the conjugation in both directions.
     """
-    d = fractional_power_weights(Z.spectrum, -0.5, 1.0)[:Z.N_trunc]
+    d = (Z.spectrum.mu[:Z.N_trunc] + 1.0) ** -0.25
     return d[:, None] * Z.matrix * d[None, :]
 
 
@@ -248,7 +248,7 @@ def selfadjointness_criterion(Z):
     return bool(2.0 * max(-c["min_eig"], c["max_eig"]) <= c["tol"])
 
 
-@dataclass
+@dataclass(eq=False)
 class CayleyPair:
     Z_tilde: np.ndarray
     K: np.ndarray

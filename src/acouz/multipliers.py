@@ -241,7 +241,7 @@ def _is_hermitian(X):
     return np.isrealobj(X) or np.array_equal(X.imag, -X.imag.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierMatrix:
     """A compression P_N X P_N with Sobolev-exponent bookkeeping: the one
     type of every boundary operator, an impedance (multiplier, symbol, matrix

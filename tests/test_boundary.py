@@ -508,16 +508,6 @@ class TestHtScale:
         vals = [bd.ht_weights(circle_spec, t)[11] for t in ts]
         assert np.all(np.diff(vals) >= -1e-12)
 
-    def test_fractional_power_weights(self, circle_spec):
-        w = bd.fractional_power_weights(circle_spec, 0.0, 2.0)
-        assert np.allclose(w, 1.0)
-        w = bd.fractional_power_weights(circle_spec, -0.5, 1.0)
-        assert w[1] == pytest.approx(2 ** -0.25)
-        prod = w * bd.fractional_power_weights(circle_spec, 0.5, 1.0)
-        assert np.allclose(prod, 1.0)
-        with pytest.raises(bd.SpectrumError):
-            bd.fractional_power_weights(circle_spec, 1.0, 0.0)
-
     def test_fractional_weights_match_discrete_shifted_laplacian(self, circle_spec):
         # (mu+1) weights == Rayleigh quotients of the FD (Delta + 1) applied
         # to the modes on a fine arclength grid
@@ -529,8 +519,7 @@ class TestHtScale:
             y = oracles.curve_mode_values(circle_spec, 0, s)[n - 1]
             lap = (2 * y - np.roll(y, 1) - np.roll(y, -1)) / h ** 2
             rq = np.dot(y, lap + y) / np.dot(y, y)
-            w2 = bd.fractional_power_weights(circle_spec, 2.0, 1.0)[n - 1]
-            assert rq == pytest.approx(w2, rel=1e-4)
+            assert rq == pytest.approx(circle_spec.mu[n - 1] + 1.0, rel=1e-4)
 
 
 class TestDiagnostics:

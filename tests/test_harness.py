@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -118,14 +119,30 @@ def test_impedance_check_catches_only_solver_errors(error, code, tmp_path,
 ], ids=["constant", "cantor"])
 def test_accretive_impedance_reaches_every_check(params, tmp_path):
     # the half-plane and resolvent checks run only for an accretive Z: an
-    # impedance accretive by construction must reach and pass all three
+    # impedance accretive by construction must reach and pass all four
     code, assertions = _run_cli({"experiment": "acoustic_spectrum",
                                  "mesh": {"kind": "disk", "h": 0.3},
                                  "params": params}, tmp_path)
     assert code == 0
     assert sorted(a["name"] for a in assertions) == [
-        "halfplane_confinement", "residuals_certified", "resolvent_bound"]
+        "certified_nonempty", "halfplane_confinement", "residuals_certified",
+        "resolvent_bound"]
     assert all(a["passed"] for a in assertions)
+
+
+def test_run_that_certifies_nothing_fails(tmp_path, monkeypatch):
+    # an ARPACK stop certifies no eigenvalue, with no residual above tolerance
+    solve = ac.solve_pencil
+
+    def unconverged(pencil, n_wanted):
+        return dataclasses.replace(solve(pencil, n_wanted), converged=False)
+
+    monkeypatch.setattr(ac, "solve_pencil", unconverged)
+    code, assertions = _run_cli({"experiment": "acoustic_spectrum",
+                                 "mesh": {"kind": "disk", "h": 0.3},
+                                 "params": {"impedance": {"kind": "constant"}}}, tmp_path)
+    assert code == 2
+    assert [a["name"] for a in assertions if not a["passed"]] == ["certified_nonempty"]
 
 
 @pytest.mark.parametrize("config", [
@@ -1052,6 +1069,25 @@ def test_emit_plot_writes_long_format(artifact, config, tmp_path, capsys):
     assert header == "series,x,y"
     assert len(rows) > 0
     assert cli.main(["emit-plot", manifest, "no_such_artifact"]) == 1
+
+
+def test_emit_plot_draws_the_asserted_weyl_fit(tmp_path):
+    # the fit series is the line of weyl.json over its fit range: a refit
+    # over every positive mu_n drew slope 1.00235 here, against 0.98522
+    manifest = harness.run(harness.ExperimentConfig.from_dict(
+        {"experiment": "weyl", "geometry": {"kind": "sphere", "subdivisions": 4}}),
+        str(tmp_path))
+    assert manifest.passed, manifest.assertions
+    weyl = json.loads((tmp_path / "weyl.json").read_text())
+    with open(harness.emit_plotdata(manifest, "spectrum")) as f:
+        fit = [(int(r["x"]), float(r["y"])) for r in csv.DictReader(f)
+               if r["series"] == "fit"]
+    n, y = np.array(fit).T
+    lo, hi = weyl["fit_range"]
+    assert n.tolist() == list(range(lo, hi + 1))
+    slope, log_c = np.polyfit(np.log(n), np.log(y), 1)
+    assert slope == pytest.approx(weyl["slope"], abs=1e-12)
+    assert log_c == pytest.approx(weyl["log_c"], abs=1e-12)
 
 
 @pytest.mark.parametrize("text", [None, "{not json", "{}"],
