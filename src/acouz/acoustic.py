@@ -100,6 +100,8 @@ class DomainMesh:
 
     def __post_init__(self):
         v, t = self.vertices, self.triangles
+        if v.ndim != 2 or v.shape[1] != 2 or t.ndim != 2 or t.shape[1] != 3:
+            raise MeshError("a mesh needs (n,2) vertices and (m,3) triangles")
         areas = check_triangulation(v, t, MeshError)
         flip = areas < 0
         if np.any(flip):

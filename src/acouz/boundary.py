@@ -163,9 +163,13 @@ def _polyline_length(c):
 
 
 def check_triangulation(v, t, error):
-    """Raise ``error`` naming the first vertex that is not finite or in no
-    triangle, or triangle of |area| <= 1e-14 (longest edge)^2, at any scale:
-    each vertex needs a positive P1 mass.  Returns the areas (signed in 2-D)."""
+    """Raise ``error`` naming the first triangle with a corner outside
+    0..n-1, vertex that is not finite or in no triangle, or triangle of
+    |area| <= 1e-14 (longest edge)^2, at any scale: each vertex needs a
+    positive P1 mass.  Returns the areas (signed in 2-D)."""
+    outside = ((t < 0) | (t >= len(v))).any(axis=1)
+    if outside.any():
+        raise error(f"triangle {np.argmax(outside)} has a corner outside 0..{len(v) - 1}")
     areas = triangle_areas(v, t)
     edges = np.linalg.norm(v[t[:, [1, 2, 0]]] - v[t], axis=2)
     for bad, what in ((~np.isfinite(v).all(axis=1), "vertex {} is not finite"),

@@ -71,7 +71,7 @@ def main(argv=None):
             return 1
         try:
             path = emit_plotdata(manifest, args.artifact, out_path=args.out)
-        except ConfigError as err:
+        except (ConfigError, OSError) as err:   # unknown, or unreadable, artifact
             print("error:", err, file=sys.stderr)
             return 1
         print(path)

@@ -3,10 +3,11 @@
 A run takes one JSON config, executes the named experiment, writes CSV/JSON
 artifacts plus a manifest with per-file checksums, and fails closed: any
 violated built-in assertion makes the run (and the CLI) report failure.
-The prepare step (``prepare``) is the only reader of a config: each value
-an experiment uses goes once through the one reader, ``config.read`` (an
-``impedance`` or ``phi`` block through ``impedance.param_block``), and the
-runner takes the checked values; a key or block it does not use is unread.
+Each experiment is one function of the config and its built geometry or
+mesh: it reads and checks every value its run uses, each once through the
+one reader, ``config.read`` (an ``impedance`` or ``phi`` block through
+``impedance.param_block``), before anything is written, and returns that run,
+which uses the checked values; a key or block it does not use is unread.
 Identical config + seed reproduce identical artifact checksums at any worker
 count: random draws come from a counter-based sampler, every ARPACK solve
 starts from a fixed vector, and the workers only share out Monte Carlo
@@ -71,7 +72,6 @@ class ExperimentConfig:
     geometry: dict | None = None
     mesh: dict | None = None
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
     out_dir: str = "runs"
     workers: int = field(default_factory=usable_cpus)
     schema_version: int = SCHEMA_VERSION
@@ -90,7 +90,6 @@ class ExperimentConfig:
                    params=read(d, "params", None, "object") or {},
                    geometry=read(d, "geometry", None, "object"),
                    mesh=read(d, "mesh", None, "object"),
-                   tolerances=read(d, "tolerances", None, "object") or {},
                    out_dir=read(d, "out_dir", "runs", "string"), **ints)
 
     def canonical_json(self):
@@ -114,11 +113,11 @@ def _config_errors(config):
     errors = []
     if config.schema_version != SCHEMA_VERSION:
         errors.append(f"unsupported schema_version {config.schema_version}")
-    if config.experiment not in EXPERIMENTS:
+    if config.experiment not in _RUNNERS:
         errors.append(f"unknown experiment {config.experiment!r} "
-                      f"(choose from {', '.join(EXPERIMENTS)})")
+                      f"(choose from {', '.join(_RUNNERS)})")
     else:
-        block = _RUNNERS[config.experiment][1]
+        block = _RUNNERS[config.experiment][0]
         if not getattr(config, block):
             errors.append(f"experiment {config.experiment!r} needs a {block} block")
     for block, builder in (("geometry", _geometry_kinds), ("mesh", _mesh_kinds)):
@@ -156,15 +155,15 @@ def _stream_seeds(config, count, name):
 
 
 def prepare(config):
-    """The keyword arguments of the config's runner, or ConfigError.  The
-    only reader of a config: checks what the config alone decides, builds
-    the geometry or mesh once and runs the experiment's prepare step, which
-    reads, defaults and checks once each value its runner uses, and the
-    runner's preconditions on the built block, before anything is written."""
+    """The config's run, a function of the open ``_Run``, or ConfigError.
+    The only reader of a config: checks what the config alone decides, builds
+    the geometry or mesh once and calls the experiment, which reads, defaults
+    and checks once each value its run uses, and the run's preconditions on
+    the built block, before anything is written, and returns the run."""
     errors = _config_errors(config)
     if errors:
         raise ConfigError(errors)
-    _, block, prepare_runner = _RUNNERS[config.experiment]
+    block, experiment = _RUNNERS[config.experiment]
     try:
         built = (build_geometry if block == "geometry" else build_mesh)(
             getattr(config, block))
@@ -172,7 +171,7 @@ def prepare(config):
         raise ConfigError([f"cannot build the {block} block: "
                            f"{type(err).__name__}: {err}"]) from None
     try:
-        return prepare_runner(config, built)
+        return experiment(config, built)
     except ConfigError:
         raise
     except (LookupError, TypeError, ValueError) as err:
@@ -306,8 +305,12 @@ class RunManifest:
 
     @classmethod
     def load(cls, path):
+        """The manifest at ``path``; each artifact path is the file of that
+        name beside it, where the run directory is now."""
         with open(path) as f:
             d = json.load(f)
+        for art in d["artifacts"]:
+            art["path"] = os.path.join(os.path.dirname(path), os.path.basename(art["path"]))
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
@@ -337,7 +340,7 @@ class _Run:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _prepare_weyl(config, geom):
+def _weyl(config, geom):
     p, d = config.params, geom.dim_ambient
     N = read(p, "params.N", min(400, surface_truncation_cap(geom)), "count")
     fit_range = read(p, "params.fit_range", [21, min(200, N)], "count", many=True)
@@ -346,225 +349,213 @@ def _prepare_weyl(config, geom):
         check_fit_range(fit_range, geom.n_components, N)
     except SpectrumError as err:
         raise ConfigError([f"params.fit_range: {err}"]) from None
-    return {"geom": geom, "N": N, "fit_range": fit_range,
-            "expect": read(p, "params.expect_slope", 2.0 / (d - 1)),
-            "tol": read(p, "params.slope_tol", 0.05 if d == 2 else 0.15),
-            "workers": config.workers}
+    expect = read(p, "params.expect_slope", 2.0 / (d - 1))
+    tol = read(p, "params.slope_tol", 0.05 if d == 2 else 0.15)
+
+    def run(r):
+        spec = build_spectrum(geom, N, workers=config.workers)
+        diag = weyl_diagnostic(spec, fit_range)
+        r.add_csv("spectrum", ["n", "mu_n"],
+                  [(n + 1, float(m)) for n, m in enumerate(spec.mu)])
+        r.add_json("weyl", {**diag, "fit_range": fit_range, "expect_slope": expect,
+                            "slope_tol": tol, "dim": d})
+        r.check("weyl_slope", abs(diag["slope"] - expect) <= tol,
+                f"slope={diag['slope']:.4f} expect {expect}+-{tol}")
+    return run
 
 
-def _run_weyl(run, geom, N, fit_range, expect, tol, workers):
-    spec = build_spectrum(geom, N, workers=workers)
-    diag = weyl_diagnostic(spec, fit_range)
-    run.add_csv("spectrum", ["n", "mu_n"],
-                [(n + 1, float(m)) for n, m in enumerate(spec.mu)])
-    run.add_json("weyl", {**diag, "fit_range": fit_range, "expect_slope": expect,
-                          "slope_tol": tol, "dim": geom.dim_ambient})
-    run.check("weyl_slope", abs(diag["slope"] - expect) <= tol,
-              f"slope={diag['slope']:.4f} expect {expect}+-{tol}")
-
-
-def _prepare_fgf(config, geom):
+def _fgf(config, geom):
     """The classifier schedule and the (s, t) grid: each s of ``s_values`` with
     each of ``t_values``, else with s - (d-1)/2 plus each of ``t_offsets``."""
     p = config.params
-    seeds = read(p, "params.seeds", FGF_SEEDS, "count")
+    n_seeds = read(p, "params.seeds", FGF_SEEDS, "count")
     checkpoints = read(p, "params.checkpoints", FGF_CHECKPOINTS, "count", many=True)
     check_surface_truncation(checkpoints[-1], geom)
-    check_classifier_schedule(seeds, checkpoints)
+    check_classifier_schedule(n_seeds, checkpoints)
     t_values = read(p, "params.t_values", None, many=True)
     offsets = read(p, "params.t_offsets", [-0.3, -0.25, 0.25, 0.3], many=True)
     d = geom.dim_ambient
     cells = [(s, t) for s in read(p, "params.s_values", [0.5, 1.0, 2.0], many=True)
              for t in t_values or [s - (d - 1) / 2.0 + off for off in offsets]]
-    return {"geom": geom, "seeds": _stream_seeds(config, seeds, "params.seeds"),
-            "checkpoints": checkpoints, "cells": cells, "workers": config.workers}
+    seeds = _stream_seeds(config, n_seeds, "params.seeds")
+
+    def run(r):
+        spec = build_spectrum(geom, checkpoints[-1], workers=config.workers)
+        # every (s, t) cell reads the same Gaussian paths: drawn once per run
+        paths = gaussian_paths(seeds, checkpoints[-1])
+        rows, verdicts = [], []
+        for s, t in cells:
+            c = convergence_classifier(spec, s, t, paths=paths, checkpoints=checkpoints)
+            theory = "converges" if t < c["threshold"] else "diverges"
+            verdicts.append({"s": s, "t": t, "verdict": c["verdict"],
+                             "theory": theory, "median_ratio": c["median_ratio"],
+                             "in_margin_band": c["verdict"] == "indeterminate"})
+            rows.append((s, t, c["median_ratio"], c["verdict"], theory))
+        r.add_csv("ratios", ["s", "t", "median_ratio", "verdict", "theory"], rows)
+        r.add_json("verdicts", {"cells": verdicts, "checkpoints": checkpoints})
+        r.check("classifier_matches_theory",
+                all(v["in_margin_band"] or v["verdict"] == v["theory"] for v in verdicts),
+                f"{sum(v['verdict'] == v['theory'] for v in verdicts)}/{len(verdicts)}")
+    return run
 
 
-def _run_fgf(run, geom, seeds, checkpoints, cells, workers):
-    spec = build_spectrum(geom, checkpoints[-1], workers=workers)
-    # every (s, t) cell reads the same Gaussian paths: drawn once per run
-    paths = gaussian_paths(seeds, checkpoints[-1])
-    rows, verdicts = [], []
-    for s, t in cells:
-        r = convergence_classifier(spec, s, t, paths=paths, checkpoints=checkpoints)
-        theory = "converges" if t < r["threshold"] else "diverges"
-        verdicts.append({"s": s, "t": t, "verdict": r["verdict"],
-                         "theory": theory, "median_ratio": r["median_ratio"],
-                         "in_margin_band": r["verdict"] == "indeterminate"})
-        rows.append((s, t, r["median_ratio"], r["verdict"], theory))
-    run.add_csv("ratios", ["s", "t", "median_ratio", "verdict", "theory"], rows)
-    run.add_json("verdicts", {"cells": verdicts, "checkpoints": checkpoints})
-    run.check("classifier_matches_theory",
-              all(v["in_margin_band"] or v["verdict"] == v["theory"] for v in verdicts),
-              f"{sum(v['verdict'] == v['theory'] for v in verdicts)}/{len(verdicts)}")
-
-
-def _prepare_multiplier(config, geom):
+def _multiplier(config, geom):
     """Truncations, ranks and ``_sized_block`` of ``phi`` at the largest."""
     p = config.params
     truncs = read(p, "params.truncations", [256, 512], "integer", many=True)
     ranks = read(p, "params.ranks", [1, 2, 4, 8, 16, 32, 64], "integer", many=True)
-    phi, N = _sized_block(p, "phi", max(truncs), geom)
+    phi_block, N = _sized_block(p, "phi", max(truncs), geom)
     for Nt in truncs:
         check_truncation(Nt, N)
-        check_ranks([r for r in ranks if r <= Nt], Nt)
-    return {"geom": geom, "N": N, "truncs": truncs, "ranks": ranks, "phi": phi,
-            "s1": read(p, "params.s1", 0.5), "s2": read(p, "params.s2", 0.5),
-            "stability_tol": read(p, "params.stability_tol", None),
-            "psd_tol": read(config.tolerances, "tolerances.psd_tol", None),
-            "workers": config.workers}
+        check_ranks([k for k in ranks if k <= Nt], Nt)
+    s1, s2 = read(p, "params.s1", 0.5), read(p, "params.s2", 0.5)
+    stability_tol = read(p, "params.stability_tol", None)
+
+    def run(r):
+        spec = build_spectrum(geom, N, modes=True, workers=config.workers)
+        tensor = TripleProductTensor(spec)
+        phi = phi_from_config(spec, phi_block)
+        rows, norms = [], []
+        for Nt in truncs:
+            A = build_multiplier(phi, s1, s2, Nt, tensor=tensor)
+            norms.append(multiplier_norm(A))
+            kept = [k for k in ranks if k <= Nt]
+            rows.extend((k, sv, Nt) for k, sv in zip(kept, compactness_profile(A, kept)))
+            if Nt == min(truncs):
+                pos = positivity_test(A)
+        r.add_csv("profile", ["k", "sigma_k", "N_trunc"], rows)
+        r.add_json("summary", {"norms": dict(zip(map(str, truncs), norms)),
+                               "norm": norms[-1], "min_eig": pos["min_eig"],
+                               "is_nonneg": pos["nonneg"], "s1": s1, "s2": s2})
+        if len(norms) >= 2 and stability_tol is not None:
+            rel = abs(norms[-1] - norms[-2]) / norms[-2]
+            r.check("norm_stabilizes", rel <= stability_tol, f"rel change {rel:.4f}")
+    return run
 
 
-def _run_multiplier(run, geom, N, truncs, ranks, phi, s1, s2, stability_tol,
-                    psd_tol, workers):
-    spec = build_spectrum(geom, N, modes=True, workers=workers)
-    tensor = TripleProductTensor(spec)
-    phi = phi_from_config(spec, phi)
-    rows, norms = [], []
-    for Nt in truncs:
-        A = build_multiplier(phi, s1, s2, Nt, tensor=tensor)
-        norms.append(multiplier_norm(A))
-        kept = [r for r in ranks if r <= Nt]
-        rows.extend((k, sv, Nt) for k, sv in zip(kept, compactness_profile(A, kept)))
-        if Nt == min(truncs):
-            pos = positivity_test(A, tol=psd_tol)
-    run.add_csv("profile", ["k", "sigma_k", "N_trunc"], rows)
-    run.add_json("summary", {"norms": dict(zip(map(str, truncs), norms)),
-                             "norm": norms[-1], "min_eig": pos["min_eig"],
-                             "is_nonneg": pos["nonneg"], "s1": s1, "s2": s2})
-    if len(norms) >= 2 and stability_tol is not None:
-        rel = abs(norms[-1] - norms[-2]) / norms[-2]
-        run.check("norm_stabilizes", rel <= stability_tol, f"rel change {rel:.4f}")
-
-
-def _prepare_impedance(config, geom):
+def _impedance(config, geom):
     """N_trunc and ``_sized_block`` of the impedance, required here."""
     p = config.params
     if "impedance" not in p:
         raise ConfigError(["experiment 'impedance_check' needs params.impedance"])
     N_trunc = read(p, "params.N_trunc", 64, "count")
     impedance, N = _sized_block(p, "impedance", N_trunc, geom)
-    return {"geom": geom, "N": N, "N_trunc": N_trunc, "impedance": impedance,
-            "workers": config.workers}
+
+    def run(r):
+        spec = build_spectrum(geom, N, modes=True, workers=config.workers)
+        Z = impedance_from_config(spec, impedance, N_trunc=N_trunc)
+        acc = is_accretive(Z)
+        report = {"accretive": acc["nonneg"], "min_herm_eig": acc["min_eig"],
+                  "selfadjoint": selfadjointness_criterion(Z)}
+        try:
+            cp = cayley(Z)
+            rt = float(svdvals_by_block(inverse_cayley(cp.K) - cp.Z_tilde)[0]
+                       / max(1.0, svdvals_by_block(cp.Z_tilde)[0]))
+            report.update({"cayley_norm": cp.norm_K, "cayley_roundtrip": rt})
+            r.check("cayley_contraction_iff_accretive",
+                    (cp.norm_K <= 1 + CAYLEY_CONTRACTION_SLACK) == acc["nonneg"],
+                    f"|K|={cp.norm_K:.6f}")
+        except (SpectrumError, np.linalg.LinAlgError) as err:
+            report["cayley_error"] = str(err)
+            r.check("cayley_defined_for_accretive", not acc["nonneg"], str(err))
+        r.add_json("impedance", report)
+    return run
 
 
-def _run_impedance(run, geom, N, N_trunc, impedance, workers):
-    spec = build_spectrum(geom, N, modes=True, workers=workers)
-    Z = impedance_from_config(spec, impedance, N_trunc=N_trunc)
-    acc = is_accretive(Z)
-    sa = selfadjointness_criterion(Z)
-    report = {"accretive": acc["nonneg"], "min_herm_eig": acc["min_eig"],
-              "selfadjoint": sa}
-    try:
-        cp = cayley(Z)
-        rt = float(svdvals_by_block(inverse_cayley(cp.K) - cp.Z_tilde)[0]
-                   / max(1.0, svdvals_by_block(cp.Z_tilde)[0]))
-        report.update({"cayley_norm": cp.norm_K, "cayley_roundtrip": rt})
-        run.check("cayley_contraction_iff_accretive",
-                  (cp.norm_K <= 1 + CAYLEY_CONTRACTION_SLACK) == acc["nonneg"],
-                  f"|K|={cp.norm_K:.6f}")
-    except (SpectrumError, np.linalg.LinAlgError) as err:
-        report["cayley_error"] = str(err)
-        run.check("cayley_defined_for_accretive", not acc["nonneg"], str(err))
-    run.add_json("impedance", report)
-
-
-def _prepare_mesh(p, mesh):
-    """The mesh, the trace truncation N_b (default ``acoustic.default_N_b``)
-    checked against the boundary dofs, and n_wanted (default
+def _mesh_params(p, mesh):
+    """(N_b, n_wanted): the trace truncation (default ``acoustic.default_N_b``)
+    checked against the boundary dofs, and the eigenvalue count (default
     ``acoustic.N_WANTED``)."""
     N_b = read(p, "params.N_b", ac.default_N_b(mesh), "integer")
     ac.check_trace_truncation(N_b, mesh.boundary_dofs.size)
-    return {"mesh": mesh, "N_b": N_b,
-            "n_wanted": read(p, "params.n_wanted", ac.N_WANTED, "count")}
+    return N_b, read(p, "params.n_wanted", ac.N_WANTED, "count")
 
 
-def _prepare_acoustic(config, mesh):
-    """``_prepare_mesh`` and ``_sized_block`` of the impedance, which covers N_b."""
-    inputs = _prepare_mesh(config.params, mesh)
-    N_b, geom = inputs["N_b"], mesh.boundary_geometry()
+def _acoustic(config, mesh):
+    """``_mesh_params`` and ``_sized_block`` of the impedance, which covers N_b."""
+    N_b, n_wanted = _mesh_params(config.params, mesh)
+    geom = mesh.boundary_geometry()
     impedance, N = _sized_block(config.params, "impedance", N_b, geom)
     ac.check_impedance_truncation(impedance.truncation(N_b), N_b)
-    return {**inputs, "spec": build_spectrum(geom, N), "impedance": impedance}
+    spec = build_spectrum(geom, N)
+
+    def run(r):
+        Z = impedance_from_config(spec, impedance, N_trunc=N_b)
+        pencil = ac.assemble_pencil(mesh, spec, N_b=N_b).with_impedance(Z)
+        report = ac.solve_pencil(pencil, n_wanted=n_wanted)
+        ver = ac.verify_mdissipativity(pencil, report)
+        r.add_csv("eigenvalues", ac.EigenReport.COLUMNS, report.rows())
+        r.add_json("mdiss", ver | {"zero_cluster": report.zero_cluster_size})
+        r.check("residuals_certified",
+                bool(np.all(report.residuals <= ac.RESIDUAL_TOL)),
+                f"max residual {report.residuals.max():.2e}")
+        certified = report.certified().size
+        r.check("certified_nonempty", certified > 0,
+                f"{certified} certified off the zero cluster")
+        acc = is_accretive(Z)
+        if acc["nonneg"]:
+            r.check("halfplane_confinement", ver["halfplane_ok"],
+                    f"max Im = {ver['halfplane_check']:.2e}")
+            tol = psd_tolerance(ver["s_norm"] * acc["norm"])
+            r.check("resolvent_bound", ver["omega_h"] <= tol,
+                    f"omega_h {ver['omega_h']:.2e}, tolerance {tol:.2e}")
+    return run
 
 
-def _run_acoustic(run, mesh, spec, N_b, n_wanted, impedance):
-    Z = impedance_from_config(spec, impedance, N_trunc=N_b)
-    pencil = ac.assemble_pencil(mesh, spec, N_b=N_b).with_impedance(Z)
-    report = ac.solve_pencil(pencil, n_wanted=n_wanted)
-    ver = ac.verify_mdissipativity(pencil, report)
-    run.add_csv("eigenvalues", ac.EigenReport.COLUMNS, report.rows())
-    run.add_json("mdiss", ver | {"zero_cluster": report.zero_cluster_size})
-    run.check("residuals_certified",
-              bool(np.all(report.residuals <= ac.RESIDUAL_TOL)),
-              f"max residual {report.residuals.max():.2e}")
-    run.check("certified_nonempty", report.certified().size > 0,
-              f"{report.certified().size} certified off the zero cluster")
-    acc = is_accretive(Z)
-    if acc["nonneg"]:
-        run.check("halfplane_confinement", report.in_lower_halfplane(),
-                  f"max Im = {ver['halfplane_check']:.2e}")
-        tol = psd_tolerance(ver["s_norm"] * acc["norm"])
-        run.check("resolvent_bound", ver["omega_h"] <= tol,
-                  f"omega_h {ver['omega_h']:.2e}, tolerance {tol:.2e}")
-
-
-def _prepare_monte_carlo(config, mesh):
+def _monte_carlo(config, mesh):
     p = config.params
-    r = read(p, "params.rspec", {}, "object")
+    rs = read(p, "params.rspec", {}, "object")
     rspec = RandomImpedanceSpec(
-        c=read(r, "params.rspec.c", 1.0), s=read(r, "params.rspec.s", 0.3),
-        kernel_weights=read(r, "params.rspec.kernel_weights", (), many=True))
+        c=read(rs, "params.rspec.c", 1.0), s=read(rs, "params.rspec.s", 0.3),
+        kernel_weights=read(rs, "params.rspec.kernel_weights", (), many=True))
     rspec.check_kernel_weights(len(mesh.boundary_loops))
     n_samples = read(p, "params.n_samples", ac.N_SAMPLES, "count")
-    inputs, geom = _prepare_mesh(p, mesh), mesh.boundary_geometry()
-    spec = build_spectrum(geom, spectrum_modes(None, inputs["N_b"], geom.n_components))
-    return {**inputs, "spec": spec, "rspec": rspec, "n_samples": n_samples,
-            "seed0": _stream_seeds(config, n_samples, "params.n_samples").start,
-            "workers": config.workers}
+    (N_b, n_wanted), geom = _mesh_params(p, mesh), mesh.boundary_geometry()
+    spec = build_spectrum(geom, spectrum_modes(None, N_b, geom.n_components))
+    seed0 = _stream_seeds(config, n_samples, "params.n_samples").start
+
+    def run(r):
+        out = ac.monte_carlo_spectrum(mesh, spec, rspec, n_samples=n_samples,
+                                      seed0=seed0, N_b=N_b, n_wanted=n_wanted,
+                                      workers=config.workers)
+        r.add_csv("cloud", ac.EigenReport.COLUMNS,
+                  [row for s in out["samples"] for row in s["rows"]])
+        s = out["summary"]
+        r.add_json("ensemble", s)
+        r.check("all_samples_solved", s["n_solved"] == s["n_samples"],
+                f"{s['n_solved']}/{s['n_samples']}")
+        r.check("halfplane_fraction_one", s["fraction_halfplane"] == 1.0,
+                f"{s['fraction_halfplane']}")
+        expect_real = 1.0 if not any(rspec.kernel_weights) else 0.0
+        r.check("real_spectrum_dichotomy",
+                s["fraction_real_spectrum"] == expect_real,
+                f"got {s['fraction_real_spectrum']}, expect {expect_real}")
+    return run
 
 
-def _run_monte_carlo(run, mesh, spec, N_b, n_wanted, rspec, n_samples, seed0, workers):
-    out = ac.monte_carlo_spectrum(mesh, spec, rspec, n_samples=n_samples,
-                                  seed0=seed0, N_b=N_b, n_wanted=n_wanted,
-                                  workers=workers)
-    rows = [row for s in out["samples"] for row in s["rows"]]
-    run.add_csv("cloud", ac.EigenReport.COLUMNS, rows)
-    run.add_json("ensemble", out["summary"])
-    s = out["summary"]
-    run.check("all_samples_solved", s["n_solved"] == s["n_samples"],
-              f"{s['n_solved']}/{s['n_samples']}")
-    run.check("halfplane_fraction_one", s["fraction_halfplane"] == 1.0,
-              f"{s['fraction_halfplane']}")
-    expect_real = 1.0 if not any(rspec.kernel_weights) else 0.0
-    run.check("real_spectrum_dichotomy",
-              s["fraction_real_spectrum"] == expect_real,
-              f"got {s['fraction_real_spectrum']}, expect {expect_real}")
-
-
-# Each experiment once: its runner, the config block it builds from, and
-# its prepare step, which turns the config and the built block into the
-# runner's keyword arguments and applies the runner's precondition check.
-_RUNNERS = {"weyl": (_run_weyl, "geometry", _prepare_weyl),
-            "fgf_convergence": (_run_fgf, "geometry", _prepare_fgf),
-            "multiplier_profile": (_run_multiplier, "geometry", _prepare_multiplier),
-            "impedance_check": (_run_impedance, "geometry", _prepare_impedance),
-            "acoustic_spectrum": (_run_acoustic, "mesh", _prepare_acoustic),
-            "monte_carlo": (_run_monte_carlo, "mesh", _prepare_monte_carlo)}
-EXPERIMENTS = tuple(_RUNNERS)
+# Each experiment once: the config block it builds from, and the function
+# that reads and checks, from the config and the built block, every value
+# its run uses, and returns that run, a function of the open ``_Run``.
+_RUNNERS = {"weyl": ("geometry", _weyl),
+            "fgf_convergence": ("geometry", _fgf),
+            "multiplier_profile": ("geometry", _multiplier),
+            "impedance_check": ("geometry", _impedance),
+            "acoustic_spectrum": ("mesh", _acoustic),
+            "monte_carlo": ("mesh", _monte_carlo)}
 
 
 def run(config, out_dir=None):
     """Execute one experiment; returns the saved RunManifest.  A config that
-    cannot run raises ConfigError before anything is written; an exception
-    inside the runner becomes the failed assertion ``runner_error``."""
-    inputs = prepare(config)
+    cannot run raises ConfigError before anything is written (``prepare``);
+    an exception inside the experiment's run becomes the failed assertion
+    ``runner_error``."""
+    experiment_run = prepare(config)
     from . import __version__
     out_dir = out_dir or config.run_dir()
     started = time.time()
     r = _Run(out_dir)
     try:
-        _RUNNERS[config.experiment][0](r, **inputs)
+        experiment_run(r)
     except Exception as err:    # fail closed: the manifest is still written
         log.exception("%s runner failed", config.experiment)
         r.check(RUNNER_ERROR, False, f"{type(err).__name__}: {err}")

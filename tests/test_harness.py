@@ -288,13 +288,19 @@ def test_surface_truncation_rejected_before_the_run(config, message, tmp_path,
 
 
 def _malformed(block, vertex=None, value=None, append=False, collapse=False,
-               field=None, count=None, loops=None):
+               field=None, count=None, loops=None, corner=None, pad=None):
     """The JSON of icosphere(3) (a geometry block) or of disk_mesh(0.3) (a
     mesh block) with one vertex set to ``value``, one vertex in no triangle
     appended, triangle 0 collapsed onto the midpoint of an edge, the
     material ``field`` set to ``value`` on ``count`` triangles (default all),
-    or the boundary loops ``loops(loop)`` of the disk's one loop."""
+    the boundary loops ``loops(loop)`` of the disk's one loop, the last
+    corner of triangle 1 set to ``corner``, or a 0 appended to each row of
+    the array ``pad``."""
     d = (shapes.icosphere(3) if block == "geometry" else ac.disk_mesh(0.3)).to_dict()
+    if corner is not None:
+        d["triangles"][1][2] = corner
+    if pad is not None:
+        d[pad] = [[*row, 0] for row in d[pad]]
     if loops is not None:
         d["boundary_loops"] = loops(d["boundary_loops"][0])
     if field is not None:
@@ -338,9 +344,21 @@ MALFORMED_CURVE = {"dim": 2, "components": [[[0, 0], [1, 0], [math.inf, 1], [0, 
     ("mesh", _malformed("mesh", loops=lambda loop: [loop, loop]), BAD_LOOPS),
     ("mesh", _malformed("mesh", loops=lambda loop: [[*loop, 43]]),
      "boundary loop vertex 43 is not one of the 43 vertices"),
+    # the first three failed with numpy's own messages, on a bincount or an
+    # index; the fourth in a broadcast; the fifth built a mesh
+    ("mesh", _malformed("mesh", corner=-1), "triangle 1 has a corner outside 0..42"),
+    ("geometry", _malformed("geometry", corner=-1),
+     "triangle 1 has a corner outside 0..641"),
+    ("mesh", _malformed("mesh", corner=43), "triangle 1 has a corner outside 0..42"),
+    ("mesh", _malformed("mesh", pad="triangles"),
+     "a mesh needs (n,2) vertices and (m,3) triangles"),
+    ("mesh", _malformed("mesh", pad="vertices"),
+     "a mesh needs (n,2) vertices and (m,3) triangles"),
 ], ids=["surface_nan", "mesh_nan", "curve_inf", "surface_stray", "mesh_stray",
         "surface_zero_area", "alpha_length", "beta_length", "alpha_not_symmetric",
-        "loop_vertex_dropped", "loop_interior_vertex", "loop_twice", "loop_out_of_range"])
+        "loop_vertex_dropped", "loop_interior_vertex", "loop_twice", "loop_out_of_range",
+        "mesh_corner_negative", "surface_corner_negative", "mesh_corner_past_end",
+        "mesh_four_corners", "mesh_three_coordinates"])
 def test_malformed_file_rejected_before_the_run(block, data, message, tmp_path,
                                                 monkeypatch, capsys):
     # each passes every check of the config alone; unless the geometry or
@@ -652,8 +670,9 @@ def test_each_used_block_parsed_once(config, parses, tmp_path, monkeypatch):
       "params": {"n_samples": 2.5}}, "params.n_samples must be an integer, not 2.5"),
     (_params(IMPEDANCE_N8, N_trunc=4.5, impedance={"kind": "constant"}),
      "params.N_trunc must be an integer, not 4.5"),
+    # the tolerances block is gone: positivity_test derives its tolerance
     ({**PROFILE, "tolerances": {"psd_tol": "tiny"}},
-     "tolerances.psd_tol must be a real number"),
+     "unknown config keys: ['tolerances']"),
     (_params(PROFILE, stability_tol=[0.1]), "params.stability_tol must be a real number"),
     # a JSON bool or a float of integer value is not a count either
     (_params(IMPEDANCE_N8, N_trunc=2.0, impedance={"kind": "constant"}),
@@ -1098,3 +1117,41 @@ def test_emit_plot_bad_manifest_is_an_error(text, tmp_path, capsys):
         path.write_text(text)
     assert cli.main(["emit-plot", str(path), "spectrum"]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot load {path}: ")
+
+
+def test_emit_plot_reads_the_run_it_is_given(tmp_path, monkeypatch, capsys):
+    # the manifest records paths relative to where the run was started: a
+    # moved run, or one read from another directory, ended in a
+    # FileNotFoundError traceback for run1/spectrum.csv
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(WEYL_CIRCLE))
+    assert cli.main(["run", "config.json", "--out", "run1"]) == 0
+    os.rename("run1", "run2")
+    capsys.readouterr()
+    assert cli.main(["emit-plot", os.path.join("run2", "manifest.json"), "spectrum"]) == 0
+    assert capsys.readouterr().out.strip() == os.path.join("run2", "plot_spectrum.csv")
+    os.remove(os.path.join("run2", "plot_spectrum.csv"))
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    manifest = os.path.join(os.pardir, "run2", "manifest.json")
+    assert cli.main(["emit-plot", manifest, "spectrum"]) == 0
+    assert (tmp_path / "run2" / "plot_spectrum.csv").is_file()
+    capsys.readouterr()
+    os.remove(os.path.join(os.pardir, "run2", "spectrum.csv"))
+    assert cli.main(["emit-plot", manifest, "spectrum"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "spectrum.csv" in err
+
+
+@pytest.mark.parametrize("stability_tol, code", [(0.05, 0), (0.01, 2)])
+def test_norm_stabilizes_checked(stability_tol, code, tmp_path):
+    # the Cantor norms at truncations 32 and 64 differ by 0.0144 relative
+    config = _params(EMIT_PLOT_RUNS[2][1], stability_tol=stability_tol)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(tmp_path / "config.json"), "--out", str(out)]) == code
+    assertions = json.loads((out / "manifest.json").read_text())["assertions"]
+    [check] = [a for a in assertions if a["name"] == "norm_stabilizes"]
+    assert check["detail"] == "rel change 0.0144"
+    assert [a["name"] for a in assertions if not a["passed"]] == (
+        ["norm_stabilizes"] if code else [])
