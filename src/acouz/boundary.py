@@ -11,9 +11,11 @@ stiffness matrix, which on a triangulated surface is the cotangent
 Laplacian, and the lumped (diagonal) P1 mass D, scaled into one symmetric
 matrix D^-1/2 S D^-1/2 that is solved by spectrum slicing: the Weyl law
 mu_n ~ 4 pi n / area places the top cut, equal-width windows below it
-each take one ARPACK shift-invert solve, a Sylvester inertia count taken
-once per cut in this process fixes how many eigenvalues every window must
-return, and the windows run in forked processes (:func:`forked_map`).
+each take one ARPACK shift-invert solve in a Lanczos basis sized to the
+window (its count plus 32 vectors, since each restart costs O(n ncv^2)),
+a Sylvester inertia count taken once per cut in this process fixes how
+many eigenvalues every window must return, and the windows run in forked
+processes (:func:`forked_map`).
 The eigenvectors at the mesh vertices are stored when asked for.  The P1
 stiffness, mass and midpoint subdivision serve the 2-D domain as well.
 
@@ -543,17 +545,19 @@ def _solve_window(C, lo, hi, m, store_modes):
     """The m eigenpairs of C with mu in [lo, hi), sorted, m the difference of
     the inertia counts at the cuts.  One shift-invert solve at the window's
     midpoint, (max(lo, 0) + hi) / 2 (the lowest window has lo = -inf and C
-    no negative eigenvalue), asks for
-    m + max(8, m // 4) pairs, and once more with twice as many if the
-    window does not hold exactly m Ritz values.  A Ritz value within
-    CUT_RTOL of a cut cannot be placed against the count and raises.  ARPACK
-    factors C - sigma I itself: the :func:`_count_below` factor is coarser."""
+    no negative eigenvalue), asks for k = m + 8 pairs in a Lanczos basis of
+    k + 24 vectors, and once more with 2k pairs (basis 2k + 24) if the
+    window does not hold exactly m Ritz values.  The basis is sized to the
+    window, not ARPACK's default 2k + 1: each implicit restart costs
+    O(n ncv^2), so past a few dozen spare vectors the restarts cost more
+    than the LU solves they save.  A Ritz value within CUT_RTOL of a cut
+    cannot be placed against the count and raises.  ARPACK factors
+    C - sigma I itself: the :func:`_count_below` factor is coarser."""
     n = C.shape[0]
     sigma = 0.5 * (max(lo, 0.0) + hi)
-    k = m + max(8, m // 4)
-    for k in (min(k, n - 2), min(2 * k, n - 2)):
+    for k in (min(m + 8, n - 2), min(2 * (m + 8), n - 2)):
         try:
-            eig = spla.eigsh(C, k=k, sigma=sigma, which="LM",
+            eig = spla.eigsh(C, k=k, sigma=sigma, which="LM", ncv=min(k + 24, n - 1),
                              tol=SURFACE_TOL, v0=arpack_start(n),
                              return_eigenvectors=store_modes)
         except spla.ArpackNoConvergence as err:
@@ -584,12 +588,14 @@ def build_surface_spectrum(geom, N, store_modes=True, workers=1):
     places the top cut, which rises until more than N eigenvalues lie below
     it; equal-width windows below it hold about SURFACE_WINDOW eigenvalues
     each, however many ``workers`` there are.  Each window takes one
-    shift-invert Lanczos solve and must return exactly as many eigenvalues
-    as the Sylvester inertia counts (one per cut, taken here) give, else it
-    is solved once more with twice the headroom, and then ``SpectrumError``
-    is raised, as for a mode residual above EIG_RESIDUAL_TOL.  Windows run
-    in ``workers`` forked processes (:func:`forked_map`); the result does
-    not depend on their number.  Eigenvectors come back D-orthonormal.  On
+    shift-invert Lanczos solve for its count plus 8 pairs in a basis of 24
+    more (:func:`_solve_window`: a larger basis makes every restart dearer)
+    and must return exactly as many eigenvalues as the Sylvester inertia
+    counts (one per cut, taken here) give, else it is solved once more with
+    twice the pairs, and then ``SpectrumError`` is raised, as for a mode
+    residual above EIG_RESIDUAL_TOL.  Windows run in ``workers`` forked
+    processes (:func:`forked_map`); the result does not depend on their
+    number.  Eigenvectors come back D-orthonormal.  On
     the merged pairs, the kernel block is replaced by the exact
     per-component indicator constants, the nonnegative locally constant
     functions, and the other modes are re-orthogonalized against them.

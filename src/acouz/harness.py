@@ -321,15 +321,19 @@ class _Run:
         self.assertions = []
         os.makedirs(out_dir, exist_ok=True)
 
+    # each artifact is recorded by its bare file name, which RunManifest.load
+    # resolves beside the manifest, so a run directory can be moved
     def add_csv(self, art_id, header, rows):
         path = os.path.join(self.out_dir, art_id + ".csv")
         _write_csv(path, header, rows)
-        self.artifacts.append({"id": art_id, "path": path, "sha256": _sha256(path)})
+        self.artifacts.append({"id": art_id, "path": os.path.basename(path),
+                               "sha256": _sha256(path)})
 
     def add_json(self, art_id, obj):
         path = os.path.join(self.out_dir, art_id + ".json")
         _write_json(path, obj)
-        self.artifacts.append({"id": art_id, "path": path, "sha256": _sha256(path)})
+        self.artifacts.append({"id": art_id, "path": os.path.basename(path),
+                               "sha256": _sha256(path)})
 
     def check(self, name, passed, detail=""):
         self.assertions.append({"name": name, "passed": bool(passed),
@@ -559,12 +563,11 @@ def run(config, out_dir=None):
     except Exception as err:    # fail closed: the manifest is still written
         log.exception("%s runner failed", config.experiment)
         r.check(RUNNER_ERROR, False, f"{type(err).__name__}: {err}")
-    manifest = RunManifest(config_hash=config.content_hash(),
-                           version=__version__, started=started,
-                           finished=time.time(), artifacts=r.artifacts,
-                           assertions=r.assertions)
-    manifest.save(os.path.join(out_dir, "manifest.json"))
-    return manifest
+    path = os.path.join(out_dir, "manifest.json")
+    RunManifest(config_hash=config.content_hash(), version=__version__,
+                started=started, finished=time.time(), artifacts=r.artifacts,
+                assertions=r.assertions).save(path)
+    return RunManifest.load(path)
 
 
 # ---------------------------------------------------------------------------

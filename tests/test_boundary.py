@@ -212,12 +212,17 @@ def sliced(case, store_modes, workers):
     return bd.build_surface_spectrum(geom, N, store_modes=store_modes, workers=workers)
 
 
-def window_count(geom, N):
+def surface_matrix(geom):
+    """C = D^-1/2 S D^-1/2, the matrix a sliced surface solve works on."""
     v, t = geom.vertices, geom.triangles
     S = bd.p1_stiffness(v, t)
     d = bd.p1_mass(t, bd.triangle_areas(v, t), v.shape[0], lumped=True).diagonal()
     scale = sp.diags(1.0 / np.sqrt(d))
-    cuts, _ = bd._window_cuts(scale @ S @ scale, N, geom.component_measures.sum())
+    return scale @ S @ scale
+
+
+def window_count(geom, N):
+    cuts, _ = bd._window_cuts(surface_matrix(geom), N, geom.component_measures.sum())
     return len(cuts) - 1        # cuts[0] is -inf
 
 
@@ -296,6 +301,43 @@ class TestSlicedSurfaceSpectrum:
             bd.build_surface_spectrum(oracles.two_spheres(3), 128,
                                       store_modes=False, workers=workers)
         assert len(cuts) >= 4       # window 1 lies between two others
+
+    def test_window_missing_a_ritz_value_is_solved_again(self, monkeypatch):
+        # the first attempt's guard of 8 pairs can fall short; one retry with
+        # twice the pairs must then return the unpatched spectrum
+        geom = shapes.icosphere(3)
+        plain = bd.build_surface_spectrum(geom, 60, store_modes=False).mu
+        asked, eigsh = [], spla.eigsh
+
+        def dropping_first(*args, **kwargs):
+            asked.append(kwargs["k"])
+            w = eigsh(*args, **kwargs)
+            if len(asked) > 1:
+                return w
+            return np.delete(w, np.argmin(np.abs(w - kwargs["sigma"])))
+
+        monkeypatch.setattr(bd.spla, "eigsh", dropping_first)
+        mu = bd.build_surface_spectrum(geom, 60, store_modes=False).mu
+        assert len(asked) == 2 and asked[1] == 2 * asked[0]
+        assert np.all(np.abs(mu - plain) <= 1e-12 * np.maximum(plain, 1.0))
+
+    def test_top_cut_grows_until_it_passes_N(self, monkeypatch):
+        # a quarter of the Weyl guess (four times the area) lies below the
+        # N-th eigenvalue, so the top cut must grow by 10% steps past it
+        geom = shapes.icosphere(3)
+        factored, count_below = {}, bd._count_below
+
+        def recording(C, cut):
+            assert cut not in factored
+            factored[cut] = count_below(C, cut)
+            return factored[cut]
+
+        monkeypatch.setattr(bd, "_count_below", recording)
+        cuts, counts = bd._window_cuts(surface_matrix(geom), 60,
+                                       4 * geom.component_measures.sum())
+        grown = list(factored.values())[:list(factored).index(cuts[-1]) + 1]
+        assert len(grown) >= 2 and grown[0] <= 60 < grown[-1] == counts[-1]
+        assert np.all(np.diff(grown) >= 0) and np.all(np.diff(counts) >= 0)
 
     def test_no_convergence_in_a_child_is_a_spectrum_error(self, monkeypatch):
         parent = os.getpid()

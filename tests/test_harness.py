@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -1119,10 +1120,24 @@ def test_emit_plot_bad_manifest_is_an_error(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot load {path}: ")
 
 
+def test_manifest_names_artifacts_beside_it(tmp_path, monkeypatch):
+    # the manifest recorded run1/spectrum.csv, relative to where the run was
+    # started, so a plain JSON reader of a moved run looked in the old place
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(WEYL_CIRCLE))
+    assert cli.main(["run", "config.json", "--out", "run1"]) == 0
+    os.rename("run1", "run2")
+    manifest = json.loads((tmp_path / "run2" / "manifest.json").read_text())
+    assert len(manifest["artifacts"]) >= 2
+    for art in manifest["artifacts"]:
+        with open(tmp_path / "run2" / art["path"], "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == art["sha256"]
+
+
 def test_emit_plot_reads_the_run_it_is_given(tmp_path, monkeypatch, capsys):
-    # the manifest records paths relative to where the run was started: a
-    # moved run, or one read from another directory, ended in a
-    # FileNotFoundError traceback for run1/spectrum.csv
+    # RunManifest.load opens each artifact beside the manifest: a moved run,
+    # or one read from another directory, ended in a FileNotFoundError
+    # traceback for run1/spectrum.csv when the recorded path was followed
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(WEYL_CIRCLE))
     assert cli.main(["run", "config.json", "--out", "run1"]) == 0
