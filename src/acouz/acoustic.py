@@ -20,11 +20,11 @@ quadratic K + mu B_Z + mu^2 M, real for a real Zhat, and is linearized as
     [[-K, 0], [0, M]] y = mu [[B_Z, M], [M, 0]] y,     y = (p, mu p),
 
 then solved by shift-invert Arnoldi at the real shift tau = 0.6 lam_scale,
-lam_scale the smallest nonzero Neumann lambda at any mesh scale, with
-residual certification on P.  P(i tau) = A0 + T^t (tau Zhat) T with
-A0 = K + tau^2 M real SPD: the one real LU of A0, made with the pencil,
-serves every impedance, and tau Zhat enters through an N_b x N_b
-capacitance matrix (Sherman-Morrison-Woodbury).
+lam_scale a Rayleigh-Ritz upper bound on the smallest nonzero Neumann lambda
+(no eigensolve), with residual certification on P.  P(i tau) = A0 +
+T^t (tau Zhat) T with A0 = K + tau^2 M real SPD: the one real LU of A0, made
+with the pencil, serves every impedance, and tau Zhat enters through an
+N_b x N_b capacitance matrix (Sherman-Morrison-Woodbury).
 
 In energy coordinates x = (a, L^t q), ||x||^2 = |a|^2 + q^H M q, the
 linearized operator A_h has Im <A_h x, x> = -q^H Herm(B_Z) q, so its
@@ -376,11 +376,12 @@ def trace_projection(mesh, spec, N_b):
 class AcousticPencil:
     """Matrices of P(lambda) = K - i lambda B_Z - lambda^2 M.
 
-    Built from K, M, T and the bdofs alone: construction derives, once each,
-    the Neumann Zhat (zeros), lam_scale, and the factor of A0 = K - shift^2 M
-    with W and S0, which depend on the mesh only.  ``with_impedance`` plugs
-    in Zhat and shares the rest.  B_Z = T^t Zhat T has rank at most N_b, the
-    rows of T, and is never assembled: ``apply_B`` applies its factors.
+    Built from K, M, T, the bdofs and the vertices alone: construction
+    derives, once each, the Neumann Zhat (zeros), lam_scale, and the factor
+    of A0 = K - shift^2 M with W and S0, which depend on the mesh only.
+    ``with_impedance`` plugs in Zhat and shares the rest.  B_Z = T^t Zhat T
+    has rank at most N_b, the rows of T, and is never assembled: ``apply_B``
+    applies its factors.
     """
 
     spectrum: object
@@ -388,8 +389,9 @@ class AcousticPencil:
     M: sp.csr_matrix
     trace: np.ndarray           # T, (N_b, n_bdofs)
     bdofs: np.ndarray           # vertex of every boundary dof, loop by loop
+    vertices: np.ndarray        # (n, 2), the coordinates of the dofs
     Zhat: np.ndarray = field(init=False)        # (N_b, N_b)
-    lam_scale: float = field(init=False)        # smallest nonzero Neumann eigenvalue
+    lam_scale: float = field(init=False)        # >= sqrt(smallest nonzero Neumann nu)
     shifted_lu: object = field(init=False)      # sparse LU of the real SPD A0
     W: np.ndarray = field(init=False)           # A0^-1 T^t, (n, N_b)
     S0: np.ndarray = field(init=False)          # T A0^-1 T^t, (N_b, N_b)
@@ -448,9 +450,10 @@ def check_geometry_match(mesh, spec):
     comps = spec.geometry.components
     if len(comps) != len(mesh.boundary_loops):
         raise MeshError("boundary component count differs between mesh and spectrum")
+    atol = 1e-10 * np.ptp(mesh.vertices, axis=0).max()     # of the mesh's extent
     for c, loop in zip(comps, mesh.boundary_loops):
         pts = mesh.vertices[np.asarray(loop)]
-        if c.shape != pts.shape or not np.allclose(c, pts, atol=1e-10, rtol=0.0):
+        if c.shape != pts.shape or not np.allclose(c, pts, atol=atol, rtol=0.0):
             raise MeshError("mesh boundary and spectrum geometry disagree "
                             "(vertices or arclengths differ)")
 
@@ -464,7 +467,8 @@ def default_N_b(mesh):
 
 def assemble_pencil(mesh, spec, N_b=None):
     """The Neumann pencil K - lambda^2 M with its trace projection, in one
-    ``AcousticPencil`` construction, which also factors A0.
+    ``AcousticPencil`` construction, which also factors A0: one sparse LU,
+    and no eigensolver.
 
     Everything it holds depends on the mesh only; ``with_impedance`` reuses
     it for every impedance operator.
@@ -473,7 +477,8 @@ def assemble_pencil(mesh, spec, N_b=None):
     if N_b is None:
         N_b = default_N_b(mesh)
     return AcousticPencil(spectrum=spec, K=stiffness_matrix(mesh), M=mass_matrix_2d(mesh),
-                          trace=trace_projection(mesh, spec, N_b), bdofs=mesh.boundary_dofs)
+                          trace=trace_projection(mesh, spec, N_b), bdofs=mesh.boundary_dofs,
+                          vertices=mesh.vertices)
 
 
 @dataclass(eq=False)
@@ -531,16 +536,27 @@ class EigenReport:
 
 
 def neumann_scale(pencil):
-    """Magnitude of the smallest nonzero Neumann eigenvalue, sqrt scale: s =
-    mean(diag K) / mean(diag M) places the shift and "nonzero", nu > 1e-8 s,
-    so it scales with the mesh; sqrt(s) when no computed nu is nonzero."""
-    k = min(6, pencil.n - 2)
-    s = pencil.K.diagonal().mean() / pencil.M.diagonal().mean()
-    nu = spla.eigsh(pencil.K, k=k, M=pencil.M, sigma=-1e-3 * s, which="LM",
-                    v0=arpack_start(pencil.n), return_eigenvectors=False)
-    nu = np.sort(nu)
-    pos = nu[nu > 1e-8 * s]
-    return float(np.sqrt(pos[0] if pos.size else s))
+    """sqrt of the smallest Rayleigh-Ritz value of (K, M) on the monomials
+    x^i y^j, 1 <= i + j <= 3, made M-orthogonal to the constants (K 1 = 0).
+
+    nu_1, the smallest nonzero Neumann eigenvalue, minimizes u^t K u / u^t M u
+    over the u M-orthogonal to the constants, so by Courant-Fischer the
+    minimum over this subspace bounds it from above.  Degree 3: the disk's
+    first mode is x times a radial factor, which x alone, or with the
+    quadratics, misses by 8.7%; with x r^2 the bound is 0.03% high there and
+    on squares, rectangles and triangles, 8% on an annulus of radii 0.5 and 1.
+    Centered and scaled, the monomials span the same space in any frame and
+    unit; M-Gram directions below 1e-12 of the largest are dropped.
+    """
+    w = pencil.M @ np.full(pencil.n, 1 / pencil.M.sum())    # w @ u = 1^t M u / 1^t M 1
+    xy = pencil.vertices - w @ pencil.vertices
+    x, y = (xy / np.sqrt(w @ (xy ** 2).sum(axis=1))).T
+    V = np.column_stack([x ** i * y ** (d - i) for d in (1, 2, 3) for i in range(d + 1)])
+    V -= w @ V
+    g, U = np.linalg.eigh(V.T @ (pencil.M @ V))
+    keep = g > 1e-12 * g[-1]
+    B = V @ (U[:, keep] / np.sqrt(g[keep]))     # M-orthonormal
+    return float(np.sqrt(np.linalg.eigvalsh(B.T @ (pencil.K @ B))[0]))
 
 
 def solve_pencil(pencil, n_wanted=N_WANTED):

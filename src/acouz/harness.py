@@ -434,6 +434,10 @@ def _multiplier(config, geom):
         if len(norms) >= 2 and stability_tol is not None:
             rel = abs(norms[-1] - norms[-2]) / norms[-2]
             r.check("norm_stabilizes", rel <= stability_tol, f"rel change {rel:.4f}")
+        if phi_block.kind != "multiplier":      # phi = c mu with mu >= 0 a measure
+            c = phi_block.args if phi_block.kind == "constant" else phi_block.args[2]
+            r.check("positivity_matches_sign", pos["nonneg"] == (c.real >= 0),
+                    f"min_eig {pos['min_eig']:.3e}, Re c = {c.real:g}")
     return run
 
 

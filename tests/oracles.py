@@ -1,8 +1,9 @@
 """Test-only oracles: the curve midpoint grid and what is computed on it,
 single modes and point masses as coefficient vectors, geometries that only
 tests build, the surface checks edge by edge, the P1 element written
-the long way, the consistent-mass surface spectrum solved dense, and the
-acoustic pencil solved in complex arithmetic.
+the long way, the consistent-mass surface spectrum solved dense, the
+acoustic pencil solved in complex arithmetic, and its Neumann scale solved
+by ``eigsh``.
 
 The package computes every curve quantity exactly from the mode
 descriptors (component, kind, frequency) and stores no grid; these grid
@@ -172,6 +173,20 @@ def lambda_form_solve(pencil, n_wanted=12):
     return ac.EigenReport(eigenvalues=lam, residuals=res,
                           converged=True,
                           zero_tol=ac.ZERO_TOL * pencil.lam_scale)
+
+
+def eigsh_neumann_scale(pencil):
+    """sqrt of the smallest nonzero Neumann eigenvalue nu_1 of (K, M) by
+    shift-invert ``eigsh``, with an LU of its own: the solve that
+    ``acoustic.neumann_scale`` replaced by a Rayleigh-Ritz bound, kept as
+    its reference.  s = mean(diag K) / mean(diag M) scales the shift and
+    "nonzero", nu > 1e-8 s; sqrt(s) when no computed nu is nonzero."""
+    k = min(6, pencil.n - 2)
+    s = pencil.K.diagonal().mean() / pencil.M.diagonal().mean()
+    nu = np.sort(spla.eigsh(pencil.K, k=k, M=pencil.M, sigma=-1e-3 * s, which="LM",
+                            v0=bd.arpack_start(pencil.n), return_eigenvectors=False))
+    pos = nu[nu > 1e-8 * s]
+    return float(np.sqrt(pos[0] if pos.size else s))
 
 
 def _real_if_exact(X):

@@ -21,7 +21,8 @@ from acouz.impedance import (
 from acouz.multipliers import TripleProductTensor, psd_tolerance
 
 from oracles import (
-    curve_mode_values, dict_uniform_refine, gradient_stiffness, lambda_form_solve,
+    curve_mode_values, dict_uniform_refine, eigsh_neumann_scale, gradient_stiffness,
+    lambda_form_solve,
 )
 from studies import circle_projector, disk_mesh_family, refinement_study
 
@@ -155,6 +156,40 @@ class TestBoundaryLoops:
         assert folded_distance(*eigenvalues) <= 1e-10
 
 
+def scaled_mesh(mesh, vertices=None, alpha=None, beta=None):
+    """``mesh`` with other vertices, or with material fields, same triangles."""
+    return ac.DomainMesh(vertices=mesh.vertices if vertices is None else vertices,
+                         triangles=mesh.triangles, boundary_loops=mesh.boundary_loops,
+                         alpha=alpha, beta=beta)
+
+
+def rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+class TestGeometryMatch:
+    """Mesh and spectrum vertices agree within 1e-10 of the mesh's extent, at
+    any length unit: an absolute 1e-10 judged small meshes too leniently and
+    large ones too strictly."""
+
+    def test_tiny_mesh_rejects_another_curve(self):
+        disk = ac.disk_mesh(0.3)
+        mesh = scaled_mesh(disk, 1e-12 * disk.vertices)
+        # half the size and traversed backwards: every vertex within 1e-12
+        curve = 0.5 * mesh.vertices[mesh.boundary_loops[0]][::-1]
+        spec = bd.build_curve_spectrum(bd.BoundaryGeometry(dim_ambient=2, components=(curve,)), 8)
+        with pytest.raises(ac.MeshError):
+            ac.check_geometry_match(mesh, spec)
+
+    def test_large_mesh_accepts_a_rotation_round_trip(self):
+        disk = ac.disk_mesh(0.3)
+        mesh = scaled_mesh(disk, 1e6 * disk.vertices)
+        moved = scaled_mesh(mesh, mesh.vertices @ rotation(0.7).T @ rotation(0.7))
+        assert np.abs(moved.vertices - mesh.vertices).max() > 1e-10
+        ac.check_geometry_match(moved, bd.build_curve_spectrum(mesh.boundary_geometry(), 8))
+
+
 class TestConvexPolygonMesh:
     """Corners that are not a strictly convex counterclockwise polygon raise
     MeshError: two corners or collinear ones ended in a QhullError, and
@@ -265,6 +300,66 @@ class TestNeumannDisk:
         table = refinement_study(levels, n_track=1, n_wanted=6, oracle=[J1P_1])
         assert table["errors"][-1, 0] < 2e-3
         assert np.all(table["orders"][:, 0] >= 1.6)
+
+
+def neumann_pencil(mesh):
+    """The pencil of ``mesh`` with the default N_b."""
+    return ac.assemble_pencil(mesh, bd.build_curve_spectrum(mesh.boundary_geometry(), 64))
+
+
+class TestNeumannScale:
+    """lam_scale, the Rayleigh-Ritz bound on sqrt(nu_1) over the cubic
+    monomials, against the shift-invert ``eigsh`` it replaced."""
+
+    @pytest.mark.parametrize("make_mesh, rel", [
+        (lambda: ac.disk_mesh(0.05), 1e-3),
+        (lambda: ac.annulus_mesh(0.02), 0.08),
+        (lambda: ac.convex_polygon_mesh(TestConvexPolygonMesh.SQUARE, 0.05), 1e-3),
+        (lambda: ac.convex_polygon_mesh([[0, 0], [4, 0], [4, 0.5], [0, 0.5]], 0.05), 1e-3),
+        (lambda: ac.convex_polygon_mesh([[0, 0], [1, 0], [0, 1]], 0.05), 1e-3),
+    ], ids=["disk", "annulus", "square", "rectangle", "triangle"])
+    def test_bounds_the_eigensolve_from_above(self, make_mesh, rel):
+        # Courant-Fischer: a Ritz value on a subspace M-orthogonal to the
+        # constants is at least nu_1; the annulus mode is the least polynomial
+        pencil = neumann_pencil(make_mesh())
+        ref = eigsh_neumann_scale(pencil)
+        assert ref * (1 - 1e-12) <= pencil.lam_scale <= ref * (1 + rel)
+
+    def test_invariant_under_frame_unit_and_material(self):
+        mesh = ac.disk_mesh(0.1)
+        ones = np.ones(mesh.triangles.shape[0])
+
+        def scale(**kwargs):
+            return neumann_pencil(scaled_mesh(mesh, **kwargs)).lam_scale
+
+        ref = scale()
+        got = {"rotated and moved": scale(vertices=mesh.vertices @ rotation(0.7).T
+                                          + [3.0, -2.0])}
+        for R in (1e-8, 1e6):      # nu goes like R^-2
+            got[f"lengths x {R:g}"] = R * scale(vertices=R * mesh.vertices)
+        for c in (1e-6, 1e6):      # K / c and M / c; K / c alone scales nu by 1 / c
+            got[f"alpha x {c:g}, beta / {c:g}"] = scale(alpha=c * ones, beta=ones / c)
+            got[f"alpha x {c:g}"] = math.sqrt(c) * scale(alpha=c * ones)
+        for name, value in got.items():
+            assert value == pytest.approx(ref, rel=1e-12, abs=0), name
+
+    def test_assembly_runs_no_eigensolver(self, monkeypatch):
+        mesh = ac.disk_mesh(0.1)
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 64)
+        factored, splu = [], spla.splu
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("assemble_pencil ran an eigensolver")
+
+        def counted(A, *args, **kwargs):
+            factored.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", refuse)
+        monkeypatch.setattr(spla, "eigs", refuse)
+        monkeypatch.setattr(spla, "splu", counted)
+        pencil = ac.assemble_pencil(mesh, spec)
+        assert factored == [(pencil.n, pencil.n)]      # A0 only
 
 
 class TestWithImpedance:
@@ -412,11 +507,13 @@ class TestDefaultNb:
     def test_capped_at_the_boundary_dofs(self, tmp_path):
         # a triangle at h 2.0 has 3 boundary dofs: the floor of 4 asked for
         # N_b = 4, and a config that sets no N_b failed validate; on 3
-        # vertices neumann_scale finds no nonzero eigenvalue and takes its
-        # fallback, and every assertion still passes
+        # vertices x and y span every function M-orthogonal to the
+        # constants, so lam_scale is sqrt(nu_1) exactly, nu = 0, 12 and 36,
+        # and every assertion still passes
         corners = [[0, 0], [1, 0], [0, 1]]
         mesh = ac.convex_polygon_mesh(corners, 2.0)
         assert mesh.boundary_dofs.size == ac.default_N_b(mesh) == 3
+        assert neumann_pencil(mesh).lam_scale == pytest.approx(math.sqrt(12), rel=1e-14)
         cfg = harness.ExperimentConfig.from_dict({
             "experiment": "acoustic_spectrum",
             "mesh": {"kind": "polygon", "corners": corners, "h": 2.0},
@@ -790,8 +887,7 @@ class TestZeroCluster:
 def scaled_disk_pencil(R):
     """disk_mesh(0.1) with its vertices scaled by R, at constant z0 0.5, N_b 32."""
     mesh = ac.disk_mesh(0.1)
-    mesh = ac.DomainMesh(vertices=R * mesh.vertices, triangles=mesh.triangles,
-                         boundary_loops=mesh.boundary_loops)
+    mesh = scaled_mesh(mesh, R * mesh.vertices)
     spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 64)
     pencil = ac.assemble_pencil(mesh, spec, N_b=32)
     return pencil.with_impedance(constant_z(spec, 32, z0=0.5))
@@ -800,8 +896,9 @@ def scaled_disk_pencil(R):
 class TestScaleFree:
     @pytest.mark.parametrize("R", [1e-6, 1.0, 1e5, 1e6])
     def test_lam_scale_scales_with_the_mesh(self, R):
-        # Neumann eigenvalues go like R^-2: an absolute threshold of
-        # "nonzero" read lam_scale 1.0 at R = 1e5, and nothing certified
+        # Neumann eigenvalues go like R^-2, and so does the Ritz value on the
+        # monomials, which are centered and scaled to the mesh: no absolute
+        # length may enter lam_scale
         pencil = scaled_disk_pencil(R)
         assert pencil.lam_scale * R == pytest.approx(
             scaled_disk_pencil(1.0).lam_scale, rel=1e-12, abs=0)

@@ -606,6 +606,33 @@ def _params(config, **params):
     return {**config, "params": {**config["params"], **params}}
 
 
+@pytest.mark.parametrize("phi, names", [
+    ({"kind": "cantor"}, ["positivity_matches_sign"]),
+    ({"kind": "cantor", "scale_re": -2.0, "scale_im": 1.0}, ["positivity_matches_sign"]),
+    ({"kind": "constant", "z0": -0.5}, ["positivity_matches_sign"]),
+    ({"kind": "multiplier", "coeffs_re": [1.0, 0.5], "coeffs_im": [0.0, 0.0]}, []),
+], ids=["cantor", "negative_cantor", "negative_constant", "free_coefficients"])
+def test_multiplier_profile_asserts_the_sign_of_phi(phi, names, tmp_path):
+    # <phi u, u> = c int |u|^2 dmu for phi = c mu: is_nonneg holds iff Re c >= 0;
+    # free coefficients fix no sign, and get no assertion
+    code, assertions = _run_cli(_params(PROFILE, phi=phi), tmp_path)
+    assert code == 0, assertions
+    assert [a["name"] for a in assertions if a["passed"]] == names
+
+
+def test_multiplier_profile_fails_on_the_wrong_sign(tmp_path, monkeypatch):
+    positivity_test = harness.positivity_test
+
+    def flipped(A, tol=None):
+        out = positivity_test(A, tol)
+        return {**out, "nonneg": not out["nonneg"]}
+
+    monkeypatch.setattr(harness, "positivity_test", flipped)
+    code, assertions = _run_cli(PROFILE, tmp_path)
+    assert code == 2
+    assert [a["name"] for a in assertions if not a["passed"]] == ["positivity_matches_sign"]
+
+
 DISK_IMPEDANCE = {"experiment": "acoustic_spectrum", "mesh": {"kind": "disk", "h": 0.3},
                   "params": {}}
 
