@@ -7,6 +7,7 @@ inside the experiment runner (its manifest is still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,7 +34,10 @@ def _load_config(args):
     return cfg
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The parser, built once per process, and its ``--workers`` action, one
+    object shared by ``run`` and ``validate``, whose help :func:`main` sets."""
     parser = argparse.ArgumentParser(prog="acouz",
                                      description="boundary-spectrum / impedance "
                                                  "/ acoustic experiment runner")
@@ -42,12 +46,7 @@ def main(argv=None):
     config_args = argparse.ArgumentParser(add_help=False)
     config_args.add_argument("config")
     config_args.add_argument("--out", default=None, help="output directory")
-    config_args.add_argument(
-        "--workers", type=int, default=None,
-        help="processes that solve Monte Carlo samples and surface spectrum "
-             "windows; the worker count does not change results (default: "
-             "the config's workers, else the CPUs this process may use, "
-             f"{usable_cpus()} here)")
+    workers = config_args.add_argument("--workers", type=int, default=None)
     config_args.add_argument("--seed", type=int, default=None)
     config_args.add_argument("--override", action="append", default=[],
                              metavar="KEY=VALUE", help="dotted-path config override")
@@ -60,7 +59,15 @@ def main(argv=None):
     p_plot.add_argument("manifest")
     p_plot.add_argument("artifact")
     p_plot.add_argument("--out", default=None)
+    return parser, workers
 
+
+def main(argv=None):
+    parser, workers = _parser()
+    workers.help = ("processes that solve Monte Carlo samples and surface spectrum "
+                    "windows; the worker count does not change results (default: "
+                    "the config's workers, else the CPUs this process may use, "
+                    f"{usable_cpus()} here)")
     args = parser.parse_args(argv)
 
     if args.command == "emit-plot":

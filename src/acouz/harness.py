@@ -556,7 +556,7 @@ def run(config, out_dir=None):
     """Execute one experiment; returns the saved RunManifest.  A config that
     cannot run raises ConfigError before anything is written (``prepare``);
     an exception inside the experiment's run becomes the failed assertion
-    ``runner_error``."""
+    ``runner_error``, and a run that checks nothing fails ``assertion_recorded``."""
     experiment_run = prepare(config)
     from . import __version__
     out_dir = out_dir or config.run_dir()
@@ -567,6 +567,9 @@ def run(config, out_dir=None):
     except Exception as err:    # fail closed: the manifest is still written
         log.exception("%s runner failed", config.experiment)
         r.check(RUNNER_ERROR, False, f"{type(err).__name__}: {err}")
+    if not r.assertions:    # a multiplier phi with no sign and no stability_tol
+        r.check("assertion_recorded", False, f"{config.experiment} checked nothing: "
+                "set params.stability_tol, with two or more params.truncations")
     path = os.path.join(out_dir, "manifest.json")
     RunManifest(config_hash=config.content_hash(), version=__version__,
                 started=started, finished=time.time(), artifacts=r.artifacts,

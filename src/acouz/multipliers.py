@@ -12,8 +12,9 @@ product-to-sum identities, so G carries no quadrature error, and a Fourier
 product is a convolution: each component's compression is a constant row
 and column plus Toeplitz-plus-Hankel blocks in the real cos/sin basis,
 built from the coefficients of phi in O(N^2) without any pairwise index
-arithmetic.  On surfaces the products are integrated per triangle with a
-degree-4 rule.
+arithmetic.  On surfaces phi is P1, the integral of phi lambda_j lambda_k over
+a triangle T is exactly |T|/60 (1 + delta_jk)(phi_1 + phi_2 + phi_3 + phi_j +
+phi_k), and the compression is Y M_phi Y^T (see :class:`TripleProductTensor`).
 
 All norm and compactness statements are about compressions P_N M_phi P_N:
 the operator norm from H^{s1} to H^{-s2} of the compression is the largest
@@ -42,8 +43,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .boundary import (
     KIND_CONST, KIND_COS, KIND_SIN,
-    BoundarySpectrum, SpectralFunction, SpectrumError, check_truncation, exact_dtype,
-    ht_weights, triangle_areas,
+    BoundarySpectrum, SpectralFunction, SpectrumError, assemble_p1, check_truncation,
+    exact_dtype, ht_weights, triangle_areas,
 )
 
 PSD_TOL_FACTOR = 1e-10   # shared with the impedance module
@@ -59,17 +60,6 @@ def psd_tolerance(matrix_norm):
 # triple products
 # ---------------------------------------------------------------------------
 
-_DEG4_BARY = np.array([
-    [0.108103018168070, 0.445948490915965, 0.445948490915965],
-    [0.445948490915965, 0.108103018168070, 0.445948490915965],
-    [0.445948490915965, 0.445948490915965, 0.108103018168070],
-    [0.816847572980459, 0.091576213509771, 0.091576213509771],
-    [0.091576213509771, 0.816847572980459, 0.091576213509771],
-    [0.091576213509771, 0.091576213509771, 0.816847572980459],
-])
-_DEG4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
-
-
 class TripleProductTensor:
     """Access to G[k, m, n] = integral(Y_k Y_m Y_n) for a stored spectrum.
 
@@ -81,9 +71,12 @@ class TripleProductTensor:
     stored): the constant row and column, and three trigonometric blocks
     cos x cos, sin x sin and cos x sin, each a Hankel matrix g[p + q] plus
     a Toeplitz matrix g[|p - q|] (odd-signed for cos x sin), both views of
-    one vector.  Modes on different components multiply to zero.  Surface
-    spectra use a degree-4 quadrature on every triangle.  Immutable after
-    construction.
+    one vector.  Modes on different components multiply to zero.  On a
+    surface phi is P1 with vertex values c Y, and on a triangle T with
+    barycentric coordinates lambda_j, integral_T phi lambda_j lambda_k =
+    |T|/60 (1 + delta_jk) (phi_1 + phi_2 + phi_3 + phi_j + phi_k): the
+    compression is Y M_phi Y^T for the assembled P1 matrix M_phi, with no
+    quadrature error.  Immutable after construction.
     """
 
     def __init__(self, spec: BoundarySpectrum):
@@ -92,15 +85,7 @@ class TripleProductTensor:
             if spec.modes is None:
                 raise SpectrumError("surface triple products need the modes: "
                                     "build the spectrum with store_modes=True")
-            t = spec.geometry.triangles
-            areas = triangle_areas(spec.geometry.vertices, t)
-            self._qw = (areas[:, None] * _DEG4_W[None, :]).ravel()
-            # modes interpolated to quadrature points: (N, n_tri * 6)
-            vals = spec.modes[:, t]                    # (N, n_tri, 3)
-            self._qmodes = np.einsum("ntj,qj->ntq", vals, _DEG4_BARY).reshape(
-                spec.count, -1)
         else:
-            self._qw = self._qmodes = None
             lengths = spec.geometry.component_lengths()
             self._a = 1.0 / np.sqrt(lengths)          # on the component constant
             self._b = 1.0 / np.sqrt(2.0 * lengths)    # on a cos/sin mode
@@ -114,10 +99,13 @@ class TripleProductTensor:
     def contract(self, coeffs, N_trunc):
         """A[m, n] = sum_k coeffs[k] G[k, m, n] for m, n < N_trunc, in their dtype."""
         c = np.asarray(coeffs)
-        if self._qmodes is not None:
-            phi_q = c @ self._qmodes[:c.size]
-            Yq = self._qmodes[:N_trunc]
-            return (Yq * (self._qw * phi_q)[None, :]) @ Yq.T
+        if self.spec.mode_comp is None:
+            v, t = self.spec.geometry.vertices, self.spec.geometry.triangles
+            phi = (c @ self.spec.modes[:c.size])[t]            # (n_tri, 3)
+            local = phi.sum(axis=1)[:, None, None] + phi[:, :, None] + phi[:, None, :]
+            local *= (triangle_areas(v, t) / 60.0)[:, None, None] * (1.0 + np.eye(3))
+            Y = self.spec.modes[:N_trunc]
+            return Y @ (assemble_p1(t, local, v.shape[0]) @ Y.T)
         # zero past c and in slot -1: absent terms and modes past c add nothing
         c0 = np.zeros(self.spec.count + 1, dtype=c.dtype)
         c0[:c.size] = c

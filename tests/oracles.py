@@ -98,6 +98,30 @@ def quadrature_contract(spec, c, N_trunc):
     return (Y * (grid.weights * grid.values(c))) @ Y.T
 
 
+# a symmetric six-point rule of degree 4 on the reference triangle, which
+# integrates the cubic product of three P1 functions exactly
+_DEG4_BARY = np.array([
+    [0.108103018168070, 0.445948490915965, 0.445948490915965],
+    [0.445948490915965, 0.108103018168070, 0.445948490915965],
+    [0.445948490915965, 0.445948490915965, 0.108103018168070],
+    [0.816847572980459, 0.091576213509771, 0.091576213509771],
+    [0.091576213509771, 0.816847572980459, 0.091576213509771],
+    [0.091576213509771, 0.091576213509771, 0.816847572980459],
+])
+_DEG4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
+
+
+def quadrature_surface_contract(spec, c, N_trunc):
+    """sum_k c_k G[k, m, n] for m, n < N_trunc on a surface, by the six-point
+    rule on every triangle: the modes and phi interpolated to the points."""
+    t = spec.geometry.triangles
+    w = (bd.triangle_areas(spec.geometry.vertices, t)[:, None] * _DEG4_W).ravel()
+    Yq = np.einsum("ntj,qj->ntq", spec.modes[:, t], _DEG4_BARY).reshape(spec.count, -1)
+    c = np.asarray(c)
+    Y = Yq[:N_trunc]
+    return (Y * (w * (c @ Yq[:c.size]))) @ Y.T
+
+
 def pairwise_curve_contract(tensor, coeffs, N_trunc):
     """The curve compression of ``tensor`` entry by entry: index arithmetic
     on (kind, frequency) over every pair m <= n, mirrored.  The byte-equality

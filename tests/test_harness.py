@@ -606,18 +606,25 @@ def _params(config, **params):
     return {**config, "params": {**config["params"], **params}}
 
 
-@pytest.mark.parametrize("phi, names", [
-    ({"kind": "cantor"}, ["positivity_matches_sign"]),
-    ({"kind": "cantor", "scale_re": -2.0, "scale_im": 1.0}, ["positivity_matches_sign"]),
-    ({"kind": "constant", "z0": -0.5}, ["positivity_matches_sign"]),
-    ({"kind": "multiplier", "coeffs_re": [1.0, 0.5], "coeffs_im": [0.0, 0.0]}, []),
+@pytest.mark.parametrize("phi, code, names", [
+    ({"kind": "cantor"}, 0, ["positivity_matches_sign"]),
+    ({"kind": "cantor", "scale_re": -2.0, "scale_im": 1.0}, 0,
+     ["positivity_matches_sign"]),
+    ({"kind": "constant", "z0": -0.5}, 0, ["positivity_matches_sign"]),
+    ({"kind": "multiplier", "coeffs_re": [1.0, 0.5], "coeffs_im": [0.0, 0.0]}, 2,
+     []),
 ], ids=["cantor", "negative_cantor", "negative_constant", "free_coefficients"])
-def test_multiplier_profile_asserts_the_sign_of_phi(phi, names, tmp_path):
+def test_multiplier_profile_asserts_the_sign_of_phi(phi, code, names, tmp_path):
     # <phi u, u> = c int |u|^2 dmu for phi = c mu: is_nonneg holds iff Re c >= 0;
-    # free coefficients fix no sign, and get no assertion
-    code, assertions = _run_cli(_params(PROFILE, phi=phi), tmp_path)
-    assert code == 0, assertions
+    # free coefficients fix no sign, so with no stability_tol the run checks
+    # nothing, and fails for it, naming the parameter to set
+    got, assertions = _run_cli(_params(PROFILE, phi=phi), tmp_path)
+    assert got == code, assertions
     assert [a["name"] for a in assertions if a["passed"]] == names
+    if not names:
+        [failed] = assertions
+        assert failed["name"] == "assertion_recorded"
+        assert "params.stability_tol" in failed["detail"]
 
 
 def test_multiplier_profile_fails_on_the_wrong_sign(tmp_path, monkeypatch):

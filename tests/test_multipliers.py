@@ -56,6 +56,13 @@ def cantor_400(circle_spec_400):
     return mp.cantor_measure_coeffs(circle_spec_400, 1 / 3)
 
 
+@pytest.fixture(scope="module", params=["icosphere3", "two_spheres2"])
+def small_surface_spec(request):
+    geom = {"icosphere3": shapes.icosphere(3),
+            "two_spheres2": oracles.two_spheres(2)}[request.param]
+    return bd.build_surface_spectrum(geom, 32)
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Record the dtype of every array passed to np.linalg.svd, also by
@@ -170,8 +177,9 @@ class TestBuildMultiplier:
         one = bd.constant_function(sphere_spec)
         A = mp.build_multiplier(one, 0.5, 0.5, 10, tensor=tensor)
         assert np.abs(A.matrix - np.eye(10)).max() < 2e-2
-        # consistent-mass modes: degree-4 rule integrates P1 products
-        # exactly, so the identity is recovered to solver precision
+        # consistent-mass modes: the P1 vertex formula integrates products
+        # of three P1 functions exactly, so the identity is recovered to
+        # solver precision
         spec_c = oracles.consistent_mass_spectrum(shapes.icosphere(3), 10)
         Ac = mp.build_multiplier(bd.constant_function(spec_c), 0.5, 0.5, 10,
                                  tensor=mp.TripleProductTensor(spec_c))
@@ -184,6 +192,32 @@ class TestBuildMultiplier:
         vals = [tensor.contract(e[2], 8)[5, 7], tensor.contract(e[5], 8)[7, 2],
                 tensor.contract(e[7], 8)[2, 5]]
         assert np.ptp(np.real(vals)) < 1e-15 and not np.any(np.imag(vals))
+
+    @pytest.mark.parametrize("phi_kind", ["real", "complex"])
+    def test_surface_contract_matches_quadrature(self, small_surface_spec, phi_kind):
+        # the assembled Y M_phi Y^T against the six-point rule, which is exact
+        # on the same cubic products, with phi and N_trunc shorter than N
+        spec = small_surface_spec
+        rng = np.random.default_rng(7)
+        c = (rng.standard_normal(30) if phi_kind == "real"
+             else random_coeffs(rng, 30))
+        A = mp.TripleProductTensor(spec).contract(c, 24)
+        ref = oracles.quadrature_surface_contract(spec, c, 24)
+        assert A.shape == (24, 24) and np.isrealobj(A) == np.isrealobj(c)
+        assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_surface_contract_peak_memory(self):
+        # no table of the modes at quadrature points: six per triangle would
+        # take N x 6 n_tri doubles, 63 MB here, where the assembly peaks at 6 MB
+        spec = bd.build_surface_spectrum(shapes.icosphere(4), 256)
+        c = np.random.default_rng(3).standard_normal(spec.count)
+        tracemalloc.start()
+        try:
+            mp.TripleProductTensor(spec).contract(c, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_kernel_row_reproduces_identity(self, circle_spec, circle_tensor):
         # sum over kernel modes weighted by sqrt(measure) gives delta_mn
