@@ -230,10 +230,10 @@ def conjugate_to_l2(Z):
     return d[:, None] * Z.matrix * d[None, :]
 
 
-def is_accretive(Z, tol=None):
+def is_accretive(Z):
     """``hermitian_check`` of Zhat: Herm(Zhat) >= 0 up to the shared PSD
     slack; ``norm`` is ||Zhat||_2."""
-    return hermitian_check(Z.matrix, tol)
+    return hermitian_check(Z.matrix)
 
 
 def selfadjointness_criterion(Z):

@@ -105,7 +105,8 @@ class TripleProductTensor:
             local = phi.sum(axis=1)[:, None, None] + phi[:, :, None] + phi[:, None, :]
             local *= (triangle_areas(v, t) / 60.0)[:, None, None] * (1.0 + np.eye(3))
             Y = self.spec.modes[:N_trunc]
-            return Y @ (assemble_p1(t, local, v.shape[0]) @ Y.T)
+            A = Y @ (assemble_p1(t, local, v.shape[0]) @ Y.T)
+            return 0.5 * (A + A.T)      # symmetric as M_phi is, to the bit
         # zero past c and in slot -1: absent terms and modes past c add nothing
         c0 = np.zeros(self.spec.count + 1, dtype=c.dtype)
         c0[:c.size] = c
@@ -321,13 +322,13 @@ def check_ranks(ranks, n):
             raise SpectrumError(f"rank {k} outside 1..{n}")
 
 
-def hermitian_check(X, tol=None):
+def hermitian_check(X):
     """Herm(X) = (X + X*)/2 >= 0 up to the PSD slack: the one accretivity
     decision, shared by multiplier positivity, impedance accretivity and the
     self-adjointness criterion.
 
     Returns ``nonneg``, the extreme eigenvalues ``min_eig`` and ``max_eig``
-    of Herm(X), ``tol`` (default ``psd_tolerance(norm)``) and ``norm`` =
+    of Herm(X), ``tol`` = ``psd_tolerance(norm)`` and ``norm`` =
     ||X||_2.  Every solve runs once per irreducible block (exact zeros
     split a compression by boundary component and by the parity of a
     reflection-symmetric phi), in the dtype of X; a computed Herm(X) is
@@ -341,21 +342,21 @@ def hermitian_check(X, tol=None):
     else:
         eigs = eigvalsh_by_block(exact_dtype(0.5 * (X + X.conj().T)))
         norm = float(svdvals_by_block(X)[0])
-    tol = psd_tolerance(norm) if tol is None else tol
+    tol = psd_tolerance(norm)
     return {"nonneg": bool(eigs[0] >= -tol), "min_eig": float(eigs[0]),
             "max_eig": float(eigs[-1]), "tol": tol, "norm": norm}
 
 
-def positivity_test(A: MultiplierMatrix, tol=None):
+def positivity_test(A: MultiplierMatrix):
     """Multiplicative positivity of phi from its compression A = P_N M_phi P_N.
 
     phi >= 0 as a measure/distribution iff the Hermitian part of M_phi is
     positive semidefinite; at truncation this is :func:`hermitian_check` of
     ``A.matrix`` (the Sobolev weights of A play no part): one ``eigvalsh``
-    per irreducible block.  A real phi has an exactly symmetric curve
-    contraction, so no singular value is taken.
+    per irreducible block.  A real phi has an exactly symmetric
+    contraction, on a curve or a surface, so no singular value is taken.
     """
-    return hermitian_check(A.matrix, tol)
+    return hermitian_check(A.matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 single modes and point masses as coefficient vectors, geometries that only
 tests build, the surface checks edge by edge, the P1 element written
 the long way, the consistent-mass surface spectrum solved dense, the
-acoustic pencil solved in complex arithmetic, and its Neumann scale solved
-by ``eigsh``.
+acoustic pencil solved in complex arithmetic, its Neumann scale solved
+by ``eigsh``, and its trace projection through a dense boundary mass.
 
 The package computes every curve quantity exactly from the mode
 descriptors (component, kind, frequency) and stores no grid; these grid
@@ -165,6 +165,16 @@ def pairwise_curve_contract(tensor, coeffs, N_trunc):
     return A
 
 
+def dense_trace_projection(mesh, spec, N_b):
+    """``acoustic.trace_projection`` with the boundary mass densified and
+    solved by LAPACK: the path that the sparse SPD factor replaced, kept as
+    its reference."""
+    T = ac.moment_matrix(mesh, spec, N_b)
+    Mb = ac.boundary_mass_matrix(mesh).toarray()
+    gvals, gvecs = np.linalg.eigh(T @ np.linalg.solve(Mb, T.T))
+    return (gvecs / np.sqrt(gvals)) @ gvecs.T @ T
+
+
 def lambda_form_solve(pencil, n_wanted=12):
     """Shift-invert Arnoldi on the linearization in lambda itself, complex
     for every impedance: the path that ``solve_pencil`` replaced by its real
@@ -229,14 +239,14 @@ def conjugate_singular_values(A):
     return np.linalg.svd(W, compute_uv=False)
 
 
-def conjugate_hermitian_check(X, tol=None):
+def conjugate_hermitian_check(X):
     """``hermitian_check`` through full complex copies of X.conj().T."""
     eigs = np.linalg.eigvalsh(_real_if_exact(0.5 * (X + X.conj().T)))
     if np.array_equal(X, X.conj().T):
         norm = float(np.abs(eigs).max())
     else:
         norm = float(np.linalg.svd(_real_if_exact(X), compute_uv=False)[0])
-    tol = psd_tolerance(norm) if tol is None else tol
+    tol = psd_tolerance(norm)
     return {"nonneg": bool(eigs[0] >= -tol), "min_eig": float(eigs[0]),
             "max_eig": float(eigs[-1]), "tol": tol, "norm": norm}
 

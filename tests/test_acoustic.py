@@ -21,8 +21,8 @@ from acouz.impedance import (
 from acouz.multipliers import TripleProductTensor, psd_tolerance
 
 from oracles import (
-    curve_mode_values, dict_uniform_refine, eigsh_neumann_scale, gradient_stiffness,
-    lambda_form_solve,
+    curve_mode_values, dense_trace_projection, dict_uniform_refine, eigsh_neumann_scale,
+    gradient_stiffness, lambda_form_solve,
 )
 from studies import circle_projector, disk_mesh_family, refinement_study
 
@@ -228,13 +228,24 @@ class TestAssemblyOracles:
         assert list(mesh.boundary_dofs) == bdofs_ref
         assert np.abs(T - T_ref).max() <= 1e-13 * np.abs(T_ref).max()
 
+    @pytest.mark.parametrize("make_mesh, N_b", [(lambda: ac.disk_mesh(0.3), None),
+                                                (lambda: ac.annulus_mesh(0.12), 26)],
+                             ids=["disk", "annulus"])
+    def test_trace_projection_matches_dense_solve(self, make_mesh, N_b):
+        mesh = make_mesh()
+        spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
+        N_b = N_b or ac.default_N_b(mesh)
+        P = ac.trace_projection(mesh, spec, N_b)
+        ref = dense_trace_projection(mesh, spec, N_b)
+        assert np.abs(P - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_full_trace_reproduces_boundary_mass(self):
         # at N_b = n_bdofs the docstring's identity P^t (z0 I) P = z0 Mb
         mesh = ac.disk_mesh(0.3)
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         n_bdofs = sum(len(loop) for loop in mesh.boundary_loops)
         P = ac.trace_projection(mesh, spec, n_bdofs)
-        Mb = ac.boundary_mass_matrix(mesh)
+        Mb = ac.boundary_mass_matrix(mesh).toarray()
         assert P.shape == Mb.shape == (mesh.boundary_dofs.size,) * 2
         z0 = 1.0 + 0.5j
         PZP = P.T @ (z0 * np.eye(n_bdofs)) @ P
@@ -359,7 +370,8 @@ class TestNeumannScale:
         monkeypatch.setattr(spla, "eigs", refuse)
         monkeypatch.setattr(spla, "splu", counted)
         pencil = ac.assemble_pencil(mesh, spec)
-        assert factored == [(pencil.n, pencil.n)]      # A0 only
+        # the boundary mass of the trace projection, then A0
+        assert factored == [(mesh.boundary_dofs.size,) * 2, (pencil.n, pencil.n)]
 
 
 class TestWithImpedance:
@@ -407,12 +419,13 @@ class TestWithImpedance:
         mesh, spec = disk_setup
         base = ac.assemble_pencil(mesh, spec)
         pencil = base.with_impedance(constant_z(spec, base.N_b))
+        # the certificate needs the pencil alone, solved or not
+        ver = ac.verify_mdissipativity(pencil)
+        assert ver["omega_h"] <= certificate_tol(pencil, ver)
         report = ac.solve_pencil(pencil, n_wanted=10)
         assert report.certified().size >= 8
         assert np.all(report.certified().imag < 0)
-        ver = ac.verify_mdissipativity(pencil, report)
-        assert ver["halfplane_ok"]
-        assert ver["omega_h"] <= certificate_tol(pencil, ver)
+        assert report.in_lower_halfplane()
 
 
 @pytest.fixture(scope="module", params=["disk", "annulus"])
@@ -427,10 +440,6 @@ def certificate_base(request):
     return ac.assemble_pencil(mesh, spec, N_b=N_b)
 
 
-def certify(pencil):
-    return ac.verify_mdissipativity(pencil, ac.solve_pencil(pencil, n_wanted=10))
-
-
 class TestCertificate:
     """omega_h against the dense energy-coordinate operator A_hat."""
 
@@ -442,7 +451,7 @@ class TestCertificate:
     def test_matches_dense_numerical_range(self, certificate_base, make_z, dissipative):
         pencil = certificate_base.with_impedance(
             make_z(certificate_base.spectrum, certificate_base.N_b))
-        omega = certify(pencil)["omega_h"]
+        omega = ac.verify_mdissipativity(pencil)["omega_h"]
         A = ac._energy_reduction(pencil)
         dense = np.linalg.eigvalsh((A - A.conj().T) / 2j)[-1]
         assert abs(omega - dense) <= 1e-10 * max(1.0, abs(omega))
@@ -451,7 +460,7 @@ class TestCertificate:
     def test_dense_resolvent_within_shifted_bound(self, certificate_base):
         pencil = certificate_base.with_impedance(
             constant_z(certificate_base.spectrum, certificate_base.N_b, -0.5))
-        omega = certify(pencil)["omega_h"]
+        omega = ac.verify_mdissipativity(pencil)["omega_h"]
         A = ac._energy_reduction(pencil)
         scale = np.linalg.norm(A, 2)
         I = np.eye(A.shape[0])
@@ -464,7 +473,7 @@ class TestCertificate:
     def test_constant_impedance_scales_trace_gram(self, certificate_base, z0):
         pencil = certificate_base.with_impedance(
             constant_z(certificate_base.spectrum, certificate_base.N_b, z0))
-        ver = certify(pencil)
+        ver = ac.verify_mdissipativity(pencil)
         s_max = np.linalg.eigvalsh(dense_trace_gram(pencil))[-1]
         assert ver["s_norm"] == pytest.approx(s_max, rel=1e-12)
         assert ver["omega_h"] == pytest.approx(max(0.0, -z0) * s_max, rel=1e-12)
@@ -479,7 +488,7 @@ class TestCertificate:
                 for sign in (1.0, -1.0):
                     Z = random_z(spec, N_b, kernel_weight, seed, sign, tensor)
                     pencil = certificate_base.with_impedance(Z)
-                    ver = certify(pencil)
+                    ver = ac.verify_mdissipativity(pencil)
                     accretive = is_accretive(Z)["nonneg"]
                     assert (ver["omega_h"] <= certificate_tol(pencil, ver)) == accretive
                     verdicts.append(accretive)
@@ -489,10 +498,10 @@ class TestCertificate:
         mesh = disk_mesh_family(0.25, 4)[-1]
         spec = bd.build_curve_spectrum(mesh.boundary_geometry(), 160)
         base = ac.assemble_pencil(mesh, spec)
-        ver = certify(base.with_impedance(constant_z(spec, base.N_b)))
+        pencil = base.with_impedance(constant_z(spec, base.N_b))
         assert base.n == 3269
-        assert ver["omega_h"] == 0.0
-        assert ver["halfplane_ok"]
+        assert ac.verify_mdissipativity(pencil)["omega_h"] == 0.0
+        assert ac.solve_pencil(pencil, n_wanted=10).in_lower_halfplane()
 
 
 class TestDefaultNb:
@@ -666,7 +675,8 @@ class TestMonteCarlo:
         out = ac.monte_carlo_spectrum(mesh, spec, RandomImpedanceSpec(c=1.0, s=0.3),
                                       n_samples=5)
         assert out["summary"]["n_solved"] == 5
-        assert calls == [(mesh.n_vertices, mesh.n_vertices)]
+        # the boundary mass and A0, once each for the mesh, none per sample
+        assert calls == [(mesh.boundary_dofs.size,) * 2, (mesh.n_vertices, mesh.n_vertices)]
 
     def test_unconverged_samples_counted(self, monkeypatch):
         eigs, calls = spla.eigs, []

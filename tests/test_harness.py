@@ -129,6 +129,14 @@ def test_accretive_impedance_reaches_every_check(params, tmp_path):
         "certified_nonempty", "halfplane_confinement", "residuals_certified",
         "resolvent_bound"]
     assert all(a["passed"] for a in assertions)
+    # the certificate's three values and the solve's half-plane pair
+    out = tmp_path / "out"
+    mdiss = json.loads((out / "mdiss.json").read_text())
+    assert sorted(mdiss) == ["halfplane_check", "halfplane_ok", "mu_min", "omega_h",
+                             "s_norm", "zero_cluster"]
+    with open(out / "eigenvalues.csv") as f:
+        im = [float(r["im"]) for r in csv.DictReader(f) if r["certified"] == "1"]
+    assert mdiss["halfplane_check"] == max(im) and mdiss["halfplane_ok"]
 
 
 def test_run_that_certifies_nothing_fails(tmp_path, monkeypatch):
@@ -265,10 +273,11 @@ SPHERE_FILE = "sphere2.json"     # icosphere(2), 162 vertices: N <= 16
       "params": {"N": 400}}, "N=400 too large for a mesh with 642 vertices"),
     ({"experiment": "fgf_convergence", "geometry": {"kind": "sphere"}},
      "N=4096 too large for a mesh with 2562 vertices"),
+    # a constant phi: the default Cantor phi fails first, on any surface
     ({"experiment": "multiplier_profile",
       "geometry": {"kind": "sphere", "subdivisions": 3},
-      "params": {"truncations": [32, 64]}},
-     "N=148 too large for a mesh with 642 vertices"),
+      "params": {"truncations": [32, 128], "phi": {"kind": "constant"}}},
+     "N=128 too large for a mesh with 642 vertices"),
     ({"experiment": "weyl", "geometry": {"kind": "file", "path": SPHERE_FILE},
       "params": {"N": 40}}, "N=40 too large for a mesh with 162 vertices"),
     ({"experiment": "weyl", "geometry": {"kind": "file", "path": "broken.json"}},
@@ -630,8 +639,8 @@ def test_multiplier_profile_asserts_the_sign_of_phi(phi, code, names, tmp_path):
 def test_multiplier_profile_fails_on_the_wrong_sign(tmp_path, monkeypatch):
     positivity_test = harness.positivity_test
 
-    def flipped(A, tol=None):
-        out = positivity_test(A, tol)
+    def flipped(A):
+        out = positivity_test(A)
         return {**out, "nonneg": not out["nonneg"]}
 
     monkeypatch.setattr(harness, "positivity_test", flipped)
@@ -746,6 +755,14 @@ def test_each_used_block_parsed_once(config, parses, tmp_path, monkeypatch):
     ({"experiment": "acoustic_spectrum",
       "mesh": {"kind": "polygon", "h": 0.2, "corners": [[0, 0], [0, 1], [1, 1], [1, 0]]}},
      "cannot build the mesh block: MeshError: polygon corners must form"),
+    # the default Cantor phi on a sphere: at 4 subdivisions the surface cap
+    # used to be checked first and named the wrong error
+    ({"experiment": "multiplier_profile", "geometry": {"kind": "sphere", "subdivisions": 4},
+      "params": {"truncations": [128, 256]}},
+     "params.phi: SpectrumError: cantor_measure_coeffs needs a curve spectrum"),
+    ({"experiment": "multiplier_profile", "geometry": {"kind": "sphere", "subdivisions": 5},
+      "params": {"truncations": [128, 256]}},
+     "params.phi: SpectrumError: cantor_measure_coeffs needs a curve spectrum"),
 ], ids=["coeffs_unequal", "matrix_not_square",
         "symbol_shift", "matrix_im_shape", "rank_zero",
         "truncation_zero", "n_wanted_zero", "n_samples_zero", "rank_float",
@@ -755,7 +772,7 @@ def test_each_used_block_parsed_once(config, parses, tmp_path, monkeypatch):
         "rspec_list", "impedance_named", "phi_named", "acoustic_impedance_named",
         "symbol_zero_shift_negative_t", "acoustic_symbol_zero_shift_negative_t",
         "polygon_two_corners", "polygon_collinear",
-        "polygon_clockwise"])
+        "polygon_clockwise", "cantor_sphere4", "cantor_sphere5"])
 def test_block_and_count_rules_rejected_before_the_run(config, message, tmp_path,
                                                        monkeypatch, capsys):
     # each config printed `ok` from validate, and its run failed or, for the

@@ -249,7 +249,7 @@ class TestAccretivity:
     def test_cantor_multiplier_accretive(self, circle_spec, circle_tensor):
         phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3)
         Z = imp.multiplier_impedance(phi, 20, tensor=circle_tensor)
-        assert imp.is_accretive(Z, tol=1e-8)["nonneg"]
+        assert imp.is_accretive(Z)["nonneg"]
 
 
 class TestNaturalAdjoint:

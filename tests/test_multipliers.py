@@ -205,6 +205,8 @@ class TestBuildMultiplier:
         ref = oracles.quadrature_surface_contract(spec, c, 24)
         assert A.shape == (24, 24) and np.isrealobj(A) == np.isrealobj(c)
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+        # symmetric (complex-symmetric) to the bit, as M_phi is
+        assert np.array_equal(A, A.T)
 
     def test_surface_contract_peak_memory(self):
         # no table of the modes at quadrature points: six per triangle would
@@ -403,6 +405,13 @@ class TestSingularValues:
         mp.positivity_test(mp.build_multiplier(1j * unit_mode(circle_spec, 3),
                                                0.0, 0.0, 16, tensor=circle_tensor))
         assert svd_calls and set(svd_calls) == {np.dtype(complex)}
+
+    def test_positivity_takes_no_svd_on_real_surface_phi(self, small_surface_spec,
+                                                        svd_calls):
+        c = np.random.default_rng(5).standard_normal(32)
+        mp.positivity_test(mp.build_multiplier(bd.SpectralFunction(small_surface_spec, c),
+                                               0.0, 0.0, 32))
+        assert svd_calls == []
 
     def test_benchmark_profile_solves_parity_blocks(self, tmp_path, solve_calls):
         # the multiplier_profile config of the benchmark: each truncation's
@@ -847,7 +856,7 @@ class TestCantor:
     def test_positivity_of_cantor_measure(self, circle_spec, circle_tensor):
         phi = mp.cantor_measure_coeffs(circle_spec, 1 / 3)
         res = mp.positivity_test(mp.build_multiplier(phi, 0.0, 0.0, 24,
-                                                     tensor=circle_tensor), tol=1e-6)
+                                                     tensor=circle_tensor))
         assert res["nonneg"]
 
     def test_negative_frequencies_are_conjugates(self):
